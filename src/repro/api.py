@@ -415,11 +415,10 @@ class Testbed:
             self.scrubber.router = router
         parts = router.partition(chunks)
         per_shard = max(1, self.config.concurrency // shards)
-        key = "concurrency" if name in BASELINES or name in BOOSTED else "max_inflight"
         repairers = []
         for shard in range(shards):
             merged = dict(overrides)
-            merged.setdefault(key, per_shard)
+            merged.setdefault("concurrency", per_shard)
             repairers.append(self.make_repairer(name, shard=shard, **merged))
         for shard, repairer in enumerate(repairers):
             repairer.repair(parts[shard])
@@ -457,7 +456,7 @@ class Testbed:
                 straggler_threshold=cfg.straggler_threshold,
                 # Same reconstruction parallelism as the baselines so the
                 # comparison isolates scheduling quality.
-                max_inflight=cfg.concurrency,
+                concurrency=cfg.concurrency,
             )
             kwargs.update(overrides)
             if name == "ETRP":

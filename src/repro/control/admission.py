@@ -172,17 +172,10 @@ class AdmissionController:
         self._apply_scrubber(scrubber, scrubber.rate)
 
     def attach_repairer(self, repairer) -> None:
-        """Manage ``repairer``'s parallelism cap (current cap = level 1.0).
-
-        Works for both :class:`~repro.repair.runner.RepairRunner`
-        (``concurrency``) and the Chameleon coordinators
-        (``max_inflight``) through their shared ``set_concurrency``.
-        """
-        base = getattr(repairer, "concurrency", None)
-        if base is None:
-            base = repairer.max_inflight
-        self._repairers.append((repairer, int(base)))
-        self._apply_repairer(repairer, int(base))
+        """Manage ``repairer``'s parallelism cap (current cap = level 1.0)."""
+        base = int(repairer.concurrency)
+        self._repairers.append((repairer, base))
+        self._apply_repairer(repairer, base)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -334,10 +327,7 @@ class AdmissionController:
         if getattr(repairer, "crashed", False):
             return  # a dead coordinator has no knobs; recovery re-attaches
         target = max(1, int(round(base * self.repair_level)))
-        current = getattr(repairer, "concurrency", None)
-        if current is None:
-            current = repairer.max_inflight
-        if current != target:
+        if repairer.concurrency != target:
             repairer.set_concurrency(target)
 
 

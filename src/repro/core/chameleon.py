@@ -13,25 +13,25 @@ Brings the three design techniques together (Section III):
 Multi-node failures are handled by the three Section III-D orderings:
 ``sequential`` (node after node), ``priority`` (stripes with more failed
 chunks first) and ``fastest`` (cheapest repairs first).
+
+This module is the scheduling *policy* only; the chunk lifecycle it
+schedules — launch, retries, hedging, journaling, crash teardown — is
+:class:`~repro.repair.engine.RepairEngine`'s.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
 from repro.cluster.failures import FailureInjector
 from repro.cluster.stripes import ChunkId, StripeStore
 from repro.cluster.topology import Cluster
 from repro.errors import ReproError, SchedulingError
-from repro.events import HookEmitter
-from repro.faults.outcomes import ToleranceExceeded
-from repro.metrics.throughput import RepairThroughputMeter
 from repro.monitor.bandwidth import BandwidthMonitor
 from repro.monitor.progress import ProgressTracker, TrackedTask
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
+from repro.repair.engine import RepairEngine
 from repro.repair.instance import PlanInstance
 from repro.core.dispatch import TaskDispatcher
 from repro.core.planner import build_plan
@@ -39,26 +39,17 @@ from repro.core.planner import build_plan
 MULTI_NODE_POLICIES = ("sequential", "priority", "fastest")
 
 
-class ChameleonRepair(HookEmitter):
+class ChameleonRepair(RepairEngine):
     """Coordinator driving low-interference repair of a chunk batch.
 
-    Events (see :class:`repro.events.HookEmitter`): ``all_done``,
-    ``chunk_repaired``, ``chunk_failed``, ``retry``, ``chunk_lost``,
-    ``tolerance_exceeded``, ``chunks_added``. Every callback receives the
-    coordinator as its first positional argument.
+    ``engine_options`` are :class:`~repro.repair.engine.RepairEngine`'s
+    keyword arguments (``concurrency``, retry, timeout, hedging and
+    journal settings). ``concurrency`` bounds concurrent reconstruction
+    streams on top of the phase machinery, which already admits chunks
+    against the idle-bandwidth budget.
     """
 
     name = "ChameleonEC"
-
-    HOOK_EVENTS = (
-        "all_done",
-        "chunk_repaired",
-        "chunk_failed",
-        "retry",
-        "chunk_lost",
-        "tolerance_exceeded",
-        "chunks_added",
-    )
 
     def __init__(
         self,
@@ -76,16 +67,7 @@ class ChameleonRepair(HookEmitter):
         enable_retuning: bool = True,
         io_aware: bool = False,
         multi_node_policy: str = "priority",
-        final_write: bool = True,
-        max_inflight: int = 8,
-        max_retries: int = 3,
-        retry_backoff: float = 0.5,
-        max_backoff: float | None = None,
-        retry_jitter: float = 0.0,
-        jitter_seed: int = 0,
-        chunk_timeout: float | None = None,
-        hedge=None,
-        journal=None,
+        **engine_options,
     ) -> None:
         if t_phase <= 0:
             raise SchedulingError("t_phase must be positive")
@@ -94,77 +76,25 @@ class ChameleonRepair(HookEmitter):
                 f"unknown multi-node policy {multi_node_policy!r}; "
                 f"choose from {MULTI_NODE_POLICIES}"
             )
-        self.cluster = cluster
-        self.store = store
-        self.injector = injector
+        super().__init__(
+            cluster,
+            store,
+            injector,
+            chunk_size=chunk_size,
+            slice_size=slice_size,
+            **engine_options,
+        )
         self.monitor = monitor
-        self.chunk_size = chunk_size
-        self.slice_size = slice_size
         self.t_phase = t_phase
         self.check_interval = check_interval
         self.enable_reordering = enable_reordering
         self.enable_retuning = enable_retuning
         self.multi_node_policy = multi_node_policy
-        self.final_write = final_write
-        if max_inflight < 1:
-            raise SchedulingError("max_inflight must be at least 1")
-        self.max_inflight = max_inflight
-        if max_retries < 0:
-            raise SchedulingError("max_retries cannot be negative")
-        if retry_backoff <= 0:
-            raise SchedulingError("retry_backoff must be positive")
-        if max_backoff is not None and max_backoff <= 0:
-            raise SchedulingError("max_backoff must be positive (or None)")
-        if not 0 <= retry_jitter < 1:
-            raise SchedulingError("retry_jitter must lie in [0, 1)")
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise SchedulingError("chunk_timeout must be positive")
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        #: Ceiling on the exponential retry delay (None = uncapped).
-        self.max_backoff = max_backoff
-        #: Seeded symmetric jitter fraction on the retry backoff
-        #: (delay *= 1 ± U(0, retry_jitter), still capped by
-        #: ``max_backoff``). 0 disables it and draws nothing from the
-        #: RNG, keeping disabled runs byte-identical.
-        self.retry_jitter = retry_jitter
-        self._jitter_rng = (
-            np.random.default_rng(jitter_seed) if retry_jitter > 0 else None
-        )
-        self.chunk_timeout = chunk_timeout
-        #: Optional :class:`repro.repair.hedging.HedgePolicy`: an
-        #: in-flight chunk running past the hedge delay races a backup
-        #: plan built around its slowest helper (None = hedging off).
-        self.hedge = hedge
-        #: Optional :class:`repro.journal.Journal` written through at
-        #: every state transition (None = durability off).
-        self.journal = journal
         self.dispatcher = TaskDispatcher(
             injector, monitor, chunk_size=chunk_size, io_aware=io_aware
         )
         self.tracker = ProgressTracker(threshold=straggler_threshold)
-        self.meter = RepairThroughputMeter()
-        #: Fired as (chunk, final plan) when a chunk's repair completes;
-        #: the data plane subscribes here to move real bytes.
-        self.on_chunk_repaired: list = []
-        self.pending: list[ChunkId] = []
-        self.in_flight: dict[ChunkId, PlanInstance] = {}
-        self.completed: list[ChunkId] = []
-        self.lost: list[ChunkId] = []
-        #: chunk -> live backup instance racing the primary.
-        self._hedges: dict[ChunkId, PlanInstance] = {}
-        self.hedges_launched = 0
-        self.hedges_won = 0
-        self.suspect_replans = 0
-        self.retries = 0
-        self.tolerance_exceeded: ToleranceExceeded | None = None
-        self._attempts: dict[ChunkId, int] = {}
-        self._retry_wait: set[ChunkId] = set()
-        self._stripes_busy: set[int] = set()
         self._paused: list[PlanInstance] = []
-        self._started = False
-        self._finished = False
-        self._crashed = False
         self._phase_admitted = 0
         self._phase_budget_exhausted = False
         self._replanned: set[ChunkId] = set()
@@ -174,117 +104,6 @@ class ChameleonRepair(HookEmitter):
         self.replans = 0
         self._phase_span = None
         self._phase_baseline = (0, 0, 0)
-
-    # -- public API --------------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        """True once every requested chunk is repaired."""
-        return self._finished
-
-    @property
-    def crashed(self) -> bool:
-        """True after :meth:`crash` — the coordinator is permanently inert."""
-        return self._crashed
-
-    def repair(self, chunks: list[ChunkId]) -> None:
-        """Begin phase-based repair of ``chunks`` (then run the simulator)."""
-        if self._started:
-            raise SchedulingError("coordinator already started")
-        self._started = True
-        self.pending = self._order_chunks(list(chunks))
-        if self.journal is not None:
-            self.journal.coordinator_started()
-            for chunk in self.pending:
-                self.journal.chunk_enqueued(chunk)
-        self.meter.start(self.cluster.sim.now)
-        if not self.pending:
-            self._finish()
-            return
-        self._start_phase()
-
-    def add_chunks(self, chunks: list[ChunkId]) -> list[ChunkId]:
-        """Adopt newly failed chunks mid-run (a crash created more work).
-
-        Chunks already pending, in flight, awaiting a retry, or written
-        off as lost are skipped; a chunk repaired earlier onto the crashed
-        node returns from ``completed`` to the work queue. If the batch
-        had already finished, the phase machinery restarts. Returns the
-        chunks actually adopted.
-        """
-        if self._crashed:
-            # A dead coordinator adopts nothing; the journal already
-            # holds whatever was in flight, and recovery will requeue it.
-            return []
-        if not self._started:
-            raise SchedulingError("coordinator not started; pass chunks to repair()")
-        busy = (
-            set(self.pending)
-            | set(self.in_flight)
-            | self._retry_wait
-            | set(self.lost)
-        )
-        adopted = [c for c in chunks if c not in busy]
-        if not adopted:
-            return []
-        for chunk in adopted:
-            if chunk in self.completed:
-                self.completed.remove(chunk)
-            self._replanned.discard(chunk)
-            if self.journal is not None:
-                self.journal.chunk_enqueued(chunk)
-        self.pending = self._order_chunks(self.pending + adopted)
-        self.emit("chunks_added", self, chunks=list(adopted))
-        if self._finished:
-            self._finished = False
-            self.meter.finished_at = None
-            self._start_phase()
-        else:
-            self._admit_chunks()
-        return adopted
-
-    def set_concurrency(self, concurrency: int) -> None:
-        """Retarget ``max_inflight`` mid-run (the controller's knob).
-
-        ChameleonEC's phase machinery already admits chunks against the
-        idle-bandwidth budget; this cap bounds concurrent reconstruction
-        streams on top of it. Lowering never cancels in-flight repairs;
-        raising re-runs admission so freed slots fill from the queue.
-        """
-        if concurrency < 1:
-            raise SchedulingError("max_inflight must be at least 1")
-        raised = concurrency > self.max_inflight
-        self.max_inflight = concurrency
-        if raised and self._started and not self._crashed and not self._finished \
-                and self.pending:
-            self._admit_chunks()
-
-    def crash(self) -> None:
-        """Tear the coordinator down mid-run (control-plane crash).
-
-        Cancels every in-flight plan instance *silently* — a dead
-        coordinator must not run its own retry or straggler logic —
-        which kills all their live transfers, then empties the phase and
-        tracking state so every pending timer (phase ends, progress
-        checks, retry backoffs, watchdogs) fires into a no-op. The
-        journal (if any) is NOT fenced here: fencing is written by
-        whoever observes the crash (see ``Journal.fence``).
-        """
-        if self._crashed:
-            return
-        self._crashed = True
-        for instance in list(self.in_flight.values()):
-            instance.cancel()
-        for backup in list(self._hedges.values()):
-            backup.cancel()
-        self._hedges.clear()
-        self.in_flight.clear()
-        self.pending.clear()
-        self._retry_wait.clear()
-        self._stripes_busy.clear()
-        self._paused.clear()
-        self.tracker.tasks.clear()
-        self._close_phase_span()
 
     # -- chunk ordering (Section III-D) -------------------------------------------
 
@@ -312,6 +131,9 @@ class ChameleonRepair(HookEmitter):
 
     # -- phase machinery -----------------------------------------------------------
 
+    def _begin(self) -> None:
+        self._start_phase()
+
     def _start_phase(self) -> None:
         if self._finished or self._crashed:
             return
@@ -325,12 +147,12 @@ class ChameleonRepair(HookEmitter):
                 "phase", track="scheduler", index=self.phase_index
             )
             self._phase_baseline = (len(self.completed), self.retunes, self.reorders)
-        self._admit_chunks()
+        self._schedule()
         phase_end = self.cluster.sim.now + self.t_phase
         self.cluster.sim.schedule(self.check_interval, self._progress_check, phase_end)
         self.cluster.sim.call_at(phase_end, self._end_phase)
 
-    def _admit_chunks(self) -> None:
+    def _schedule(self) -> None:
         """Continuously select failed chunks into the running phase.
 
         Section III-A: chunks are admitted one at a time until the
@@ -347,7 +169,7 @@ class ChameleonRepair(HookEmitter):
         for i, chunk in enumerate(pending):
             if (
                 self._phase_budget_exhausted
-                or len(self.in_flight) >= self.max_inflight
+                or len(self.in_flight) >= self.concurrency
             ):
                 remaining.extend(pending[i:])
                 break
@@ -381,350 +203,53 @@ class ChameleonRepair(HookEmitter):
 
     def _launch(self, dispatch) -> None:
         plan = build_plan(dispatch, self.store.code, self.injector)
-        self.store.relocate(dispatch.chunk, plan.destination)
-        self._stripes_busy.add(dispatch.chunk.stripe)
-        self._attempts[dispatch.chunk] = self._attempts.get(dispatch.chunk, 0) + 1
-        if self.journal is not None:
-            self.journal.plan_chosen(
-                dispatch.chunk,
-                destination=plan.destination,
-                sources=[s.node_id for s in plan.sources],
-                attempt=self._attempts[dispatch.chunk],
-            )
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "plan.chosen",
-                track="scheduler",
-                chunk=str(dispatch.chunk),
-                destination=plan.destination,
-                relays=sorted(dispatch.source_downloads),
-                uploaders=dispatch.participants,
-                estimated_time=dispatch.estimated_time,
-                phase=self.phase_index,
-                attempt=self._attempts[dispatch.chunk],
-            )
-        instance = PlanInstance(
-            self.cluster,
+        instance = self._start(
+            dispatch.chunk,
             plan,
-            chunk_size=self.chunk_size,
-            slice_size=self.slice_size,
-            final_write=self.final_write,
-            on_complete=lambda inst, c=dispatch.chunk: self._chunk_done(c, inst),
-            on_failed=lambda inst, reason, c=dispatch.chunk: self._instance_failed(
-                c, inst, reason
-            ),
+            relays=sorted(dispatch.source_downloads),
+            uploaders=dispatch.participants,
+            estimated_time=dispatch.estimated_time,
+            phase=self.phase_index,
         )
-        self.in_flight[dispatch.chunk] = instance
-        instance.start()
-        if self.journal is not None:
-            self.journal.reads_issued(dispatch.chunk, transfers=len(instance.uploads))
-        if self.chunk_timeout is not None:
-            self.cluster.sim.schedule(
-                self.chunk_timeout, self._check_timeout, dispatch.chunk, instance
-            )
-        if self.hedge is not None:
-            self.cluster.sim.schedule(
-                self.hedge.delay(), self._maybe_hedge, dispatch.chunk, instance
-            )
         expectation = self.cluster.sim.now + max(
             dispatch.estimated_time, self.check_interval
         )
         for transfer in instance.uploads.values():
             self.tracker.track(transfer, expectation, chunk_key=instance)
 
-    # -- hedged reads ------------------------------------------------------------
+    def _plan(self, chunk: ChunkId):
+        """Dispatch + Algorithm 1 against the current phase load.
 
-    def _slowest_helper(self, instance: PlanInstance) -> int | None:
-        """The uploader making the least relative progress (ties: lowest id)."""
-        slowest, worst = None, None
-        for node_id in sorted(instance.uploads):
-            transfer = instance.uploads[node_id]
-            if transfer.done:
-                continue
-            fraction = transfer.bytes_completed / transfer.size
-            if worst is None or fraction < worst:
-                slowest, worst = node_id, fraction
-        return slowest
-
-    def _maybe_hedge(self, chunk: ChunkId, instance: PlanInstance) -> None:
-        """Hedge-delay watchdog: race a backup plan against a slow repair."""
-        if self._crashed or self.hedge is None:
-            return
-        if self.in_flight.get(chunk) is not instance or instance.done:
-            return
-        if chunk in self._hedges:
-            return
-        slow = self._slowest_helper(instance)
-        if slow is None:
-            return
+        The token is the load snapshot from before the dispatch, so a
+        rejected plan's task assignments can be rolled back.
+        """
         snap = self.dispatcher.load.snapshot()
-        self.injector.excluded.add(slow)
         try:
             dispatch = self.dispatcher.dispatch_chunk(chunk, self.store.code)
             plan = build_plan(dispatch, self.store.code, self.injector)
-        except (SchedulingError, ReproError):
+        except ReproError:
             self.dispatcher.load.restore(snap)
-            return
-        finally:
-            self.injector.excluded.discard(slow)
-        same_sources = [s.node_id for s in plan.sources] == [
-            s.node_id for s in instance.plan.sources
-        ]
-        if same_sources and plan.destination == instance.plan.destination:
-            # The dispatcher found nothing better; hedging the identical
-            # plan would only double the load it is meant to avoid.
-            self.dispatcher.load.restore(snap)
-            return
-        self.store.relocate(chunk, plan.destination)
-        if self.journal is not None:
-            self.journal.plan_chosen(
-                chunk,
-                destination=plan.destination,
-                sources=[s.node_id for s in plan.sources],
-                attempt=self._attempts.get(chunk, 1),
-            )
-        backup = PlanInstance(
-            self.cluster,
-            plan,
-            chunk_size=self.chunk_size,
-            slice_size=self.slice_size,
-            final_write=self.final_write,
-            on_complete=lambda inst, c=chunk: self._hedge_done(c, inst),
-            on_failed=lambda inst, reason, c=chunk: self._hedge_failed(
-                c, inst, reason
-            ),
-        )
-        self._hedges[chunk] = backup
-        self.hedges_launched += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.hedges.launched").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "repair.hedge",
-                track="scheduler",
-                chunk=str(chunk),
-                excluded=slow,
-                destination=plan.destination,
-            )
-        backup.start()
-        if self.chunk_timeout is not None:
-            self.cluster.sim.schedule(
-                self.chunk_timeout, self._check_hedge_timeout, chunk, backup
-            )
+            raise
+        return plan, snap
 
-    def _check_hedge_timeout(self, chunk: ChunkId, backup: PlanInstance) -> None:
-        if self._crashed or self._hedges.get(chunk) is not backup or backup.done:
-            return
-        backup.fail("hedged read timed out")
+    def _plan_rejected(self, token) -> None:
+        self.dispatcher.load.restore(token)
 
-    def _hedge_done(self, chunk: ChunkId, backup: PlanInstance) -> None:
-        """The backup won the race: it becomes the chunk's repair."""
-        if self._crashed or self._hedges.get(chunk) is not backup:
-            return
-        del self._hedges[chunk]
-        primary = self.in_flight.get(chunk)
-        if primary is None or primary.done:
-            return
-        primary.cancel()
-        if primary in self._paused:
-            self._paused.remove(primary)
-        self.in_flight[chunk] = backup
-        self.hedges_won += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.hedges.won").inc()
-        self._chunk_done(chunk, backup)
-
-    def _hedge_failed(
-        self, chunk: ChunkId, backup: PlanInstance, reason: str
-    ) -> None:
-        """A failed backup is dropped silently: the primary still runs
-        and the normal retry machinery covers its failure."""
-        if self._hedges.get(chunk) is backup:
-            del self._hedges[chunk]
-            primary = self.in_flight.get(chunk)
-            if primary is not None:
-                self.store.relocate(chunk, primary.plan.destination)
-
-    def _cancel_hedge(self, chunk: ChunkId, winner: PlanInstance | None) -> None:
-        """Drop the live backup (the primary finished or failed first)."""
-        backup = self._hedges.pop(chunk, None)
-        if backup is None or backup is winner:
-            return
-        backup.cancel()
-        if winner is not None:
-            self.store.relocate(chunk, winner.plan.destination)
-
-    # -- suspicion ---------------------------------------------------------------
-
-    def helper_suspected(self, node_id: int) -> int:
-        """Fail in-flight repairs touching a suspected node (re-plan early).
-
-        Called by the testbed when the failure detector raises a
-        suspicion: instead of waiting for ``chunk_timeout`` to expire,
-        every in-flight instance using the suspect is failed now, which
-        routes it through the normal retry machinery — and the planner's
-        suspicion filter keeps the suspect out of the fresh plan.
-        Returns how many instances were failed.
-        """
-        if self._crashed:
-            return 0
-        failed = 0
-        for chunk in list(self.in_flight):
-            instance = self.in_flight.get(chunk)
-            if (
-                instance is not None
-                and not instance.done
-                and instance.uses_node(node_id)
-            ):
-                instance.fail(f"helper node {node_id} suspected")
-                failed += 1
-        self.suspect_replans += failed
-        if failed:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("repair.suspect_replans").inc(failed)
-        return failed
-
-    # -- recovery ----------------------------------------------------------------
-
-    def _check_timeout(self, chunk: ChunkId, instance: PlanInstance) -> None:
-        if self._crashed:
-            return
-        if self.in_flight.get(chunk) is not instance or instance.done:
-            return
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "repair.timeout",
-                track="scheduler",
-                chunk=str(chunk),
-                timeout=self.chunk_timeout,
-            )
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.retry.timeouts").inc()
-        instance.fail("chunk repair timed out")
-
-    def _instance_failed(
-        self, chunk: ChunkId, instance: PlanInstance, reason: str
-    ) -> None:
-        if self._crashed:
-            return
-        if self.in_flight.get(chunk) is not instance:
-            return
-        self.in_flight.pop(chunk, None)
-        # A failed primary takes its backup down with it: the retry
-        # relaunches from a clean slate (and relocates fresh metadata).
-        self._cancel_hedge(chunk, None)
-        self._stripes_busy.discard(chunk.stripe)
-        if instance in self._paused:
-            self._paused.remove(instance)
-        self._replanned.discard(chunk)
-        if self.journal is not None:
-            self.journal.attempt_failed(chunk, reason)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.retry.failures").inc()
-        self.emit("chunk_failed", self, chunk=chunk, reason=reason)
-        if not self.injector.is_repairable(chunk):
-            self._mark_lost(chunk)
-        elif self._attempts.get(chunk, 1) > self.max_retries:
-            if registry.enabled:
-                registry.counter("repair.retry.exhausted").inc()
-            self._mark_lost(chunk)
-        else:
-            delay = self.retry_backoff * 2 ** (self._attempts.get(chunk, 1) - 1)
-            if self._jitter_rng is not None:
-                delay *= 1.0 + self.retry_jitter * float(
-                    self._jitter_rng.uniform(-1.0, 1.0)
-                )
-            if self.max_backoff is not None:
-                delay = min(delay, self.max_backoff)
-            self._retry_wait.add(chunk)
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.instant(
-                    "repair.retry",
-                    track="scheduler",
-                    chunk=str(chunk),
-                    reason=reason,
-                    attempt=self._attempts.get(chunk, 1),
-                    backoff=delay,
-                )
-            self.cluster.sim.schedule(delay, self._retry, chunk)
-        self._admit_chunks()
-
-    def _retry(self, chunk: ChunkId) -> None:
-        if self._crashed or chunk not in self._retry_wait:
-            return
-        self._retry_wait.discard(chunk)
-        self.retries += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.retry.attempts").inc()
-        self.emit("retry", self, chunk=chunk, attempt=self._attempts.get(chunk, 0))
+    def _retry_ready(self, chunk: ChunkId) -> None:
         self.pending.insert(0, chunk)
-        self._admit_chunks()
+        self._schedule()
 
-    def _mark_lost(self, chunk: ChunkId) -> None:
-        self.lost.append(chunk)
-        if self.journal is not None:
-            self.journal.chunk_lost(chunk)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.chunks_lost").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant("repair.chunk_lost", track="scheduler", chunk=str(chunk))
-        self.emit("chunk_lost", self, chunk=chunk)
-        first = self.tolerance_exceeded is None
-        self.tolerance_exceeded = ToleranceExceeded(
-            failed_nodes=tuple(sorted(self.cluster.failed_node_ids())),
-            lost_chunks=tuple(self.lost),
-            at=self.cluster.sim.now,
-        )
-        if first:
-            self.emit("tolerance_exceeded", self, outcome=self.tolerance_exceeded)
-
-    def _maybe_finish(self) -> None:
-        if (
-            self._started
-            and not self._crashed
-            and not self._finished
-            and not self.pending
-            and not self.in_flight
-            and not self._retry_wait
-        ):
-            self._finish()
-
-    def _chunk_done(self, chunk: ChunkId, instance: PlanInstance) -> None:
-        if self._crashed:
-            return
-        self._cancel_hedge(chunk, instance)
-        self.in_flight.pop(chunk, None)
-        self._stripes_busy.discard(chunk.stripe)
+    def _released(self, chunk: ChunkId, instance: PlanInstance) -> None:
         if instance in self._paused:
             self._paused.remove(instance)
-        self.completed.append(chunk)
-        if self.journal is not None:
-            # Commit BEFORE announcing: if a chunk_repaired subscriber
-            # (the integrity data plane) rejects the bytes, its requeue
-            # re-opens the chunk with a later enqueue record.
-            self.journal.decode_verified(chunk)
-            self.journal.writeback_committed(chunk)
-        self.meter.record_repair(self.cluster.sim.now, self.chunk_size)
-        for callback in self.on_chunk_repaired:
-            callback(chunk, instance.plan)
-        self.emit("chunk_repaired", self, chunk=chunk, plan=instance.plan)
-        if self.pending:
-            # A slot freed up: keep filling the current phase.
-            self._admit_chunks()
-        else:
-            self._maybe_finish()
+        # The next attempt (after a failure, or a later re-adoption) may
+        # be re-planned again.
+        self._replanned.discard(chunk)
+
+    def _on_crash(self) -> None:
+        self._paused.clear()
+        self.tracker.tasks.clear()
+        self._close_phase_span()
 
     def _end_phase(self) -> None:
         if self._finished or self._crashed:
@@ -749,19 +274,14 @@ class ChameleonRepair(HookEmitter):
         )
         self._phase_span = None
 
-    def _finish(self) -> None:
-        if self._finished:
-            return
-        self._finished = True
+    def _on_finish(self) -> None:
         self._close_phase_span()
-        self.meter.finish(self.cluster.sim.now)
         registry = get_registry()
         if registry.enabled:
             registry.counter("chameleon.chunks_repaired").inc(len(self.completed))
             registry.counter("chameleon.retunes").inc(self.retunes)
             registry.counter("chameleon.reorders").inc(self.reorders)
             registry.counter("chameleon.replans").inc(self.replans)
-        self.emit("all_done", self)
 
     # -- straggler-aware re-scheduling (Section III-C) -------------------------------
 
@@ -866,7 +386,6 @@ class ChameleonRepair(HookEmitter):
         moved = sum(t.bytes_completed for t in instance.uploads.values())
         if total <= 0 or moved > 0.25 * total:
             return False
-        self._replanned.add(chunk)
         # Fresh estimates: close the monitor window now so the straggler's
         # load is visible to the new dispatch.
         self.monitor.sample()
@@ -875,12 +394,11 @@ class ChameleonRepair(HookEmitter):
             # and the chunk either relaunches (new plan_chosen) or queues.
             self.journal.attempt_failed(chunk, "replan")
         instance.cancel()
-        self.in_flight.pop(chunk, None)
         # Any live backup raced the instance we just tore down.
-        self._cancel_hedge(chunk, None)
-        self._stripes_busy.discard(chunk.stripe)
-        if instance in self._paused:
-            self._paused.remove(instance)
+        self._release(chunk, instance)
+        # Marked after the release, which re-arms re-planning: the
+        # relaunch below is the one re-plan this attempt gets.
+        self._replanned.add(chunk)
         try:
             dispatch = self.dispatcher.dispatch_chunk(chunk, self.store.code)
         except SchedulingError:

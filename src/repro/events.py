@@ -1,10 +1,10 @@
 """A minimal event-hook protocol shared across the package.
 
-Historically every component grew its own ad-hoc callback kwarg plus
-bare callback lists (``on_chunk_repaired``). :class:`HookEmitter` unifies
-them: any component that mixes it in exposes ``on(event, callback)`` and
-fires ``emit(event, **payload)``; the repair runners, the ChameleonEC
-coordinator, trace clients, and the fault timeline all share it.
+Historically every component grew its own ad-hoc callback kwarg or bare
+callback list. :class:`HookEmitter` unifies them: any component that
+mixes it in exposes ``on(event, callback)`` and fires
+``emit(event, **payload)``; the repair engine (and so every repairer),
+trace clients, and the fault timeline all share it.
 
 Conventions:
 

@@ -86,9 +86,7 @@ def run_one(
         )
     testbed.run_until(
         lambda: bool(testbed.repairers)
-        and all(
-            not getattr(r, "crashed", False) and r.done for r in testbed.repairers
-        ),
+        and all(r.done for r in testbed.repairers),
         step=1.0,
     )
     testbed.stop_foreground()

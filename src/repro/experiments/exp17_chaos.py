@@ -299,8 +299,7 @@ def run_one(
 
     def settled() -> bool:
         repairs_done = bool(testbed.repairers) and all(
-            not getattr(r, "crashed", False) and r.done
-            for r in testbed.repairers
+            r.done for r in testbed.repairers
         )
         ledger_done = not testbed.ledger.undetected and all(
             r.restored_at is not None for r in testbed.ledger.injected

@@ -215,10 +215,7 @@ def run_zombie(config: ExperimentConfig) -> ZombieRun:
     if testbed.zombie_stepdowns:
         testbed.recover_repairer(shard=0)
     testbed.run_until(
-        lambda: all(
-            not getattr(r, "crashed", False) and r.done
-            for r in testbed.repairers
-        ),
+        lambda: all(r.done for r in testbed.repairers),
         step=0.5,
     )
     end = testbed.cluster.sim.now

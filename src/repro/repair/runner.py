@@ -1,65 +1,30 @@
-"""Multi-chunk repair driver for the baseline algorithms.
+"""The baseline scheduling policy: greedy fill with bounded parallelism.
 
-Repairs a batch of failed chunks with bounded parallelism (the paper's
-full-node repair recovers 200 chunks). Chunks of the same stripe are
-never repaired concurrently (their survivor sets interact); metadata is
-relocated when a chunk's repair is *launched* so that two in-flight
-repairs can never pick conflicting destinations.
-
-Fault recovery (``repro.faults``): when a chunk's in-flight repair fails
-— a helper or destination crashed, a flow was interrupted, or the
-optional per-chunk timeout expired — the runner retries it with a fresh
-plan after an exponential backoff. A chunk whose stripe lost more nodes
-than the code tolerates is *lost*: the run still completes and reports a
-:class:`~repro.faults.outcomes.ToleranceExceeded` outcome instead of
-raising mid-simulation.
-
-Durability (``repro.journal``): given a ``journal=``, the runner writes
-through it at every state transition (enqueue, plan chosen, reads
-issued, attempt failed, commit, loss), so a *control-plane* crash —
-:meth:`RepairRunner.crash`, driven by
-:class:`repro.faults.CoordinatorCrash` — can be recovered by replaying
-the journal into a fresh runner (see
-:meth:`repro.api.Testbed.recover_repairer`). A crashed runner goes
-inert: its in-flight plan instances are cancelled (all their REPAIR_TAG
-transfers die) and every pending timer fires into a no-op.
+CR, PPR, ECPipe and their RepairBoost variants repair a batch of failed
+chunks (the paper's full-node repair recovers 200 chunks) by keeping up
+to ``concurrency`` chunks in flight, each planned by the wrapped
+:class:`~repro.repair.base.RepairAlgorithm`. The chunk lifecycle —
+launch, retries, hedging, journaling, crash teardown — is
+:class:`~repro.repair.engine.RepairEngine`'s.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.failures import FailureInjector
 from repro.cluster.stripes import ChunkId, StripeStore
 from repro.cluster.topology import Cluster
-from repro.errors import ReproError, SchedulingError
-from repro.events import HookEmitter
-from repro.faults.outcomes import ToleranceExceeded
-from repro.metrics.throughput import RepairThroughputMeter
-from repro.obs.metrics import get_registry
-from repro.obs.tracer import get_tracer
+from repro.errors import ReproError
 from repro.repair.base import RepairAlgorithm
-from repro.repair.instance import PlanInstance
+from repro.repair.engine import RepairEngine
 
 
-class RepairRunner(HookEmitter):
+class RepairRunner(RepairEngine):
     """Drives a repair algorithm over a set of failed chunks.
 
-    Events (see :class:`repro.events.HookEmitter`): ``all_done``,
-    ``chunk_repaired``, ``chunk_failed``, ``retry``, ``chunk_lost``,
-    ``tolerance_exceeded``, ``chunks_added``. Every callback receives the
-    runner as its first positional argument.
+    ``engine_options`` are :class:`~repro.repair.engine.RepairEngine`'s
+    keyword arguments (``chunk_size``, ``slice_size``, ``concurrency``,
+    retry, timeout, hedging and journal settings).
     """
-
-    HOOK_EVENTS = (
-        "all_done",
-        "chunk_repaired",
-        "chunk_failed",
-        "retry",
-        "chunk_lost",
-        "tolerance_exceeded",
-        "chunks_added",
-    )
 
     def __init__(
         self,
@@ -67,195 +32,15 @@ class RepairRunner(HookEmitter):
         store: StripeStore,
         injector: FailureInjector,
         algorithm: RepairAlgorithm,
-        *,
-        chunk_size: float,
-        slice_size: float,
-        concurrency: int = 8,
-        final_write: bool = True,
-        max_retries: int = 3,
-        retry_backoff: float = 0.5,
-        max_backoff: float | None = None,
-        retry_jitter: float = 0.0,
-        jitter_seed: int = 0,
-        chunk_timeout: float | None = None,
-        hedge=None,
-        journal=None,
+        **engine_options,
     ) -> None:
-        if concurrency < 1:
-            raise SchedulingError("concurrency must be at least 1")
-        if max_retries < 0:
-            raise SchedulingError("max_retries cannot be negative")
-        if retry_backoff <= 0:
-            raise SchedulingError("retry_backoff must be positive")
-        if max_backoff is not None and max_backoff <= 0:
-            raise SchedulingError("max_backoff must be positive (or None)")
-        if not 0 <= retry_jitter < 1:
-            raise SchedulingError("retry_jitter must lie in [0, 1)")
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise SchedulingError("chunk_timeout must be positive")
-        self.cluster = cluster
-        self.store = store
-        self.injector = injector
+        super().__init__(cluster, store, injector, **engine_options)
         self.algorithm = algorithm
-        self.chunk_size = chunk_size
-        self.slice_size = slice_size
-        self.concurrency = concurrency
-        self.final_write = final_write
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        #: Ceiling on the exponential retry delay (None = uncapped).
-        #: Without it, a high-attempt chunk's backoff can exceed the
-        #: chunk deadline and effectively park the repair.
-        self.max_backoff = max_backoff
-        #: Seeded symmetric jitter fraction on the retry backoff
-        #: (delay *= 1 ± U(0, retry_jitter), still capped by
-        #: ``max_backoff``). Desynchronises the retry storm after a mass
-        #: failure; 0 disables it and draws nothing from the RNG, so
-        #: disabled runs are byte-identical to pre-jitter behaviour.
-        self.retry_jitter = retry_jitter
-        self._jitter_rng = (
-            np.random.default_rng(jitter_seed) if retry_jitter > 0 else None
-        )
-        self.chunk_timeout = chunk_timeout
-        #: Optional :class:`repro.repair.hedging.HedgePolicy`: an
-        #: in-flight chunk running past the hedge delay races a backup
-        #: plan built around its slowest helper (None = hedging off).
-        self.hedge = hedge
-        #: Optional :class:`repro.journal.Journal` written through at
-        #: every state transition (None = durability off).
-        self.journal = journal
-        self.meter = RepairThroughputMeter()
-        #: Fired as (chunk, final plan) when a chunk's repair completes;
-        #: kept for backward compatibility — new code subscribes with
-        #: ``runner.on("chunk_repaired", ...)``.
-        self.on_chunk_repaired: list = []
-        self.pending: list[ChunkId] = []
-        self.in_flight: dict[ChunkId, PlanInstance] = {}
-        self.completed: list[ChunkId] = []
-        self.lost: list[ChunkId] = []
-        #: chunk -> live backup instance racing the primary.
-        self._hedges: dict[ChunkId, PlanInstance] = {}
-        self.hedges_launched = 0
-        self.hedges_won = 0
-        self.suspect_replans = 0
-        self.retries = 0
-        self.tolerance_exceeded: ToleranceExceeded | None = None
-        self._attempts: dict[ChunkId, int] = {}
-        self._retry_wait: set[ChunkId] = set()
-        self._stripes_busy: set[int] = set()
-        self._started = False
-        self._finished = False
-        self._crashed = False
 
-    @property
-    def done(self) -> bool:
-        """True once every requested chunk is repaired or written off."""
-        return (
-            self._started
-            and not self.pending
-            and not self.in_flight
-            and not self._retry_wait
-        )
+    def _plan(self, chunk: ChunkId):
+        return self.algorithm.make_plan(chunk, self.store.code, self.injector), None
 
-    @property
-    def crashed(self) -> bool:
-        """True after :meth:`crash` — the runner is permanently inert."""
-        return self._crashed
-
-    def repair(self, chunks: list[ChunkId]) -> None:
-        """Start repairing ``chunks`` (returns immediately; run the sim)."""
-        if self._started:
-            raise SchedulingError("runner already started")
-        self._started = True
-        self.pending = list(chunks)
-        if self.journal is not None:
-            self.journal.coordinator_started()
-            for chunk in self.pending:
-                self.journal.chunk_enqueued(chunk)
-        self.meter.start(self.cluster.sim.now)
-        if not self.pending:
-            self._finish()
-            return
-        self._fill()
-
-    def add_chunks(self, chunks: list[ChunkId]) -> list[ChunkId]:
-        """Adopt newly failed chunks mid-run (a crash created more work).
-
-        Chunks already pending, in flight, awaiting a retry, or written
-        off as lost are skipped; a chunk that was repaired earlier but
-        sat on the crashed node is moved back from ``completed`` into the
-        work queue. Returns the chunks actually adopted.
-        """
-        if self._crashed:
-            # A dead coordinator adopts nothing; the journal already
-            # holds whatever was in flight, and recovery will requeue it.
-            return []
-        if not self._started:
-            raise SchedulingError("runner not started; pass chunks to repair()")
-        busy = (
-            set(self.pending)
-            | set(self.in_flight)
-            | self._retry_wait
-            | set(self.lost)
-        )
-        adopted = [c for c in chunks if c not in busy]
-        if not adopted:
-            return []
-        reopened = self.done
-        for chunk in adopted:
-            if chunk in self.completed:
-                self.completed.remove(chunk)
-            self.pending.append(chunk)
-            if self.journal is not None:
-                self.journal.chunk_enqueued(chunk)
-        if reopened:
-            # The batch had finished; un-finish the meter so throughput
-            # accounts for the extended run.
-            self.meter.finished_at = None
-            self._finished = False
-        self.emit("chunks_added", self, chunks=list(adopted))
-        self._fill()
-        return adopted
-
-    def set_concurrency(self, concurrency: int) -> None:
-        """Retarget the parallelism cap mid-run (the controller's knob).
-
-        Lowering the cap never cancels in-flight repairs — it only
-        stops new launches until completions drain below the new cap
-        (pacing, not preemption). Raising it immediately fills the
-        freed slots from the pending queue.
-        """
-        if concurrency < 1:
-            raise SchedulingError("concurrency must be at least 1")
-        raised = concurrency > self.concurrency
-        self.concurrency = concurrency
-        if raised and self._started and not self._crashed and self.pending:
-            self._fill()
-
-    def crash(self) -> None:
-        """Tear the coordinator down mid-run (control-plane crash).
-
-        Cancels every in-flight plan instance *silently* — a dead
-        coordinator must not run its own retry logic — which kills all
-        their live transfers, then empties the scheduling state so every
-        pending timer (retry backoffs, watchdogs) fires into a no-op.
-        The journal (if any) is NOT fenced here: fencing is written by
-        whoever observes the crash (see ``Journal.fence``).
-        """
-        if self._crashed:
-            return
-        self._crashed = True
-        for instance in list(self.in_flight.values()):
-            instance.cancel()
-        for backup in list(self._hedges.values()):
-            backup.cancel()
-        self._hedges.clear()
-        self.in_flight.clear()
-        self.pending.clear()
-        self._retry_wait.clear()
-        self._stripes_busy.clear()
-
-    def _fill(self) -> None:
+    def _schedule(self) -> None:
         if self._crashed:
             return
         launched = True
@@ -272,355 +57,32 @@ class RepairRunner(HookEmitter):
                     self._mark_lost(chunk)
                     self._maybe_finish()
                 else:
-                    self._launch(chunk)
+                    self._launch_chunk(chunk)
                 launched = True
                 break
+        self._maybe_finish()
 
-    def _launch(self, chunk: ChunkId) -> None:
+    def _launch_chunk(self, chunk: ChunkId) -> None:
         try:
-            plan = self.algorithm.make_plan(chunk, self.store.code, self.injector)
+            plan, _ = self._plan(chunk)
         except ReproError:
             # No usable survivors or destinations left (a crash raced us).
             self._mark_lost(chunk)
             self._maybe_finish()
             return
-        # Relocate eagerly: concurrent repairs then observe consistent
-        # placement and cannot double-book a destination.
-        self.store.relocate(chunk, plan.destination)
-        self._stripes_busy.add(chunk.stripe)
-        self._attempts[chunk] = self._attempts.get(chunk, 0) + 1
-        if self.journal is not None:
-            self.journal.plan_chosen(
-                chunk,
-                destination=plan.destination,
-                sources=[s.node_id for s in plan.sources],
-                attempt=self._attempts[chunk],
-            )
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "plan.chosen",
-                track="scheduler",
-                chunk=str(chunk),
-                destination=plan.destination,
-                algorithm=getattr(self.algorithm, "name", "?"),
-                sources=len(plan.sources),
-                attempt=self._attempts[chunk],
-            )
-        instance = PlanInstance(
-            self.cluster,
+        self._start(
+            chunk,
             plan,
-            chunk_size=self.chunk_size,
-            slice_size=self.slice_size,
-            final_write=self.final_write,
-            on_complete=lambda inst, c=chunk: self._chunk_done(c, inst),
-            on_failed=lambda inst, reason, c=chunk: self._instance_failed(
-                c, inst, reason
-            ),
+            algorithm=getattr(self.algorithm, "name", "?"),
+            sources=len(plan.sources),
         )
-        self.in_flight[chunk] = instance
-        instance.start()
-        if self.journal is not None:
-            self.journal.reads_issued(chunk, transfers=len(instance.uploads))
-        if self.chunk_timeout is not None:
-            self.cluster.sim.schedule(
-                self.chunk_timeout, self._check_timeout, chunk, instance
-            )
-        if self.hedge is not None:
-            self.cluster.sim.schedule(
-                self.hedge.delay(), self._maybe_hedge, chunk, instance
-            )
 
-    # -- hedged reads ------------------------------------------------------------
-
-    def _slowest_helper(self, instance: PlanInstance) -> int | None:
-        """The uploader making the least relative progress (ties: lowest id)."""
-        slowest, worst = None, None
-        for node_id in sorted(instance.uploads):
-            transfer = instance.uploads[node_id]
-            if transfer.done:
-                continue
-            fraction = transfer.bytes_completed / transfer.size
-            if worst is None or fraction < worst:
-                slowest, worst = node_id, fraction
-        return slowest
-
-    def _maybe_hedge(self, chunk: ChunkId, instance: PlanInstance) -> None:
-        """Hedge-delay watchdog: race a backup plan against a slow repair."""
-        if self._crashed or self.hedge is None:
-            return
-        if self.in_flight.get(chunk) is not instance or instance.done:
-            return
-        if chunk in self._hedges:
-            return
-        slow = self._slowest_helper(instance)
-        if slow is None:
-            return
-        self.injector.excluded.add(slow)
-        try:
-            plan = self.algorithm.make_plan(chunk, self.store.code, self.injector)
-        except ReproError:
-            return
-        finally:
-            self.injector.excluded.discard(slow)
-        same_sources = [s.node_id for s in plan.sources] == [
-            s.node_id for s in instance.plan.sources
-        ]
-        if same_sources and plan.destination == instance.plan.destination:
-            # The planner found nothing better; hedging the identical
-            # plan would only double the load it is meant to avoid.
-            return
-        self.store.relocate(chunk, plan.destination)
-        if self.journal is not None:
-            self.journal.plan_chosen(
-                chunk,
-                destination=plan.destination,
-                sources=[s.node_id for s in plan.sources],
-                attempt=self._attempts.get(chunk, 1),
-            )
-        backup = PlanInstance(
-            self.cluster,
-            plan,
-            chunk_size=self.chunk_size,
-            slice_size=self.slice_size,
-            final_write=self.final_write,
-            on_complete=lambda inst, c=chunk: self._hedge_done(c, inst),
-            on_failed=lambda inst, reason, c=chunk: self._hedge_failed(
-                c, inst, reason
-            ),
-        )
-        self._hedges[chunk] = backup
-        self.hedges_launched += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.hedges.launched").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "repair.hedge",
-                track="scheduler",
-                chunk=str(chunk),
-                excluded=slow,
-                destination=plan.destination,
-            )
-        backup.start()
-        if self.chunk_timeout is not None:
-            self.cluster.sim.schedule(
-                self.chunk_timeout, self._check_hedge_timeout, chunk, backup
-            )
-
-    def _check_hedge_timeout(self, chunk: ChunkId, backup: PlanInstance) -> None:
-        if self._crashed or self._hedges.get(chunk) is not backup or backup.done:
-            return
-        backup.fail("hedged read timed out")
-
-    def _hedge_done(self, chunk: ChunkId, backup: PlanInstance) -> None:
-        """The backup won the race: it becomes the chunk's repair."""
-        if self._crashed or self._hedges.get(chunk) is not backup:
-            return
-        del self._hedges[chunk]
-        primary = self.in_flight.get(chunk)
-        if primary is None or primary.done:
-            return
-        primary.cancel()
-        self.in_flight[chunk] = backup
-        self.hedges_won += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.hedges.won").inc()
-        self._chunk_done(chunk, backup)
-
-    def _hedge_failed(
-        self, chunk: ChunkId, backup: PlanInstance, reason: str
-    ) -> None:
-        """A failed backup is dropped silently: the primary still runs
-        and the normal retry machinery covers its failure."""
-        if self._hedges.get(chunk) is backup:
-            del self._hedges[chunk]
-            primary = self.in_flight.get(chunk)
-            if primary is not None:
-                self.store.relocate(chunk, primary.plan.destination)
-
-    def _cancel_hedge(self, chunk: ChunkId, winner: PlanInstance | None) -> None:
-        """Drop the live backup (the primary finished or failed first)."""
-        backup = self._hedges.pop(chunk, None)
-        if backup is None or backup is winner:
-            return
-        backup.cancel()
-        if winner is not None:
-            self.store.relocate(chunk, winner.plan.destination)
-
-    # -- suspicion ---------------------------------------------------------------
-
-    def helper_suspected(self, node_id: int) -> int:
-        """Fail in-flight repairs touching a suspected node (re-plan early).
-
-        Called by the testbed when the failure detector raises a
-        suspicion: instead of waiting for ``chunk_timeout`` to expire,
-        every in-flight instance using the suspect is failed now, which
-        routes it through the normal retry machinery — and the planner's
-        suspicion filter keeps the suspect out of the fresh plan.
-        Returns how many instances were failed.
-        """
-        if self._crashed:
-            return 0
-        failed = 0
-        for chunk in list(self.in_flight):
-            instance = self.in_flight.get(chunk)
-            if (
-                instance is not None
-                and not instance.done
-                and instance.uses_node(node_id)
-            ):
-                instance.fail(f"helper node {node_id} suspected")
-                failed += 1
-        self.suspect_replans += failed
-        if failed:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("repair.suspect_replans").inc(failed)
-        return failed
-
-    # -- recovery ----------------------------------------------------------------
-
-    def _check_timeout(self, chunk: ChunkId, instance: PlanInstance) -> None:
-        if self._crashed:
-            return
-        if self.in_flight.get(chunk) is not instance or instance.done:
-            return
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "repair.timeout",
-                track="scheduler",
-                chunk=str(chunk),
-                timeout=self.chunk_timeout,
-            )
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.retry.timeouts").inc()
-        instance.fail("chunk repair timed out")
-
-    def _instance_failed(
-        self, chunk: ChunkId, instance: PlanInstance, reason: str
-    ) -> None:
-        if self._crashed:
-            return
-        if self.in_flight.get(chunk) is not instance:
-            return
-        self.in_flight.pop(chunk, None)
-        # A failed primary takes its backup down with it: the retry
-        # relaunches from a clean slate (and relocates fresh metadata).
-        self._cancel_hedge(chunk, None)
-        self._stripes_busy.discard(chunk.stripe)
-        if self.journal is not None:
-            self.journal.attempt_failed(chunk, reason)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.retry.failures").inc()
-        self.emit("chunk_failed", self, chunk=chunk, reason=reason)
-        if not self.injector.is_repairable(chunk):
-            self._mark_lost(chunk)
-        elif self._attempts.get(chunk, 1) > self.max_retries:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("repair.retry.exhausted").inc()
-            self._mark_lost(chunk)
-        else:
-            delay = self.retry_backoff * 2 ** (self._attempts.get(chunk, 1) - 1)
-            if self._jitter_rng is not None:
-                delay *= 1.0 + self.retry_jitter * float(
-                    self._jitter_rng.uniform(-1.0, 1.0)
-                )
-            if self.max_backoff is not None:
-                delay = min(delay, self.max_backoff)
-            self._retry_wait.add(chunk)
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.instant(
-                    "repair.retry",
-                    track="scheduler",
-                    chunk=str(chunk),
-                    reason=reason,
-                    attempt=self._attempts.get(chunk, 1),
-                    backoff=delay,
-                )
-            self.cluster.sim.schedule(delay, self._retry, chunk)
-        self._fill()
-        self._maybe_finish()
-
-    def _retry(self, chunk: ChunkId) -> None:
-        if self._crashed or chunk not in self._retry_wait:
-            return
-        self._retry_wait.discard(chunk)
-        self.retries += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.retry.attempts").inc()
-        self.emit("retry", self, chunk=chunk, attempt=self._attempts.get(chunk, 0))
+    def _retry_ready(self, chunk: ChunkId) -> None:
         if (
             chunk.stripe in self._stripes_busy
             or len(self.in_flight) >= self.concurrency
         ):
             self.pending.insert(0, chunk)
         else:
-            self._launch(chunk)
+            self._launch_chunk(chunk)
         self._maybe_finish()
-
-    def _mark_lost(self, chunk: ChunkId) -> None:
-        self.lost.append(chunk)
-        if self.journal is not None:
-            self.journal.chunk_lost(chunk)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("repair.chunks_lost").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant("repair.chunk_lost", track="scheduler", chunk=str(chunk))
-        self.emit("chunk_lost", self, chunk=chunk)
-        first = self.tolerance_exceeded is None
-        self.tolerance_exceeded = ToleranceExceeded(
-            failed_nodes=tuple(sorted(self.cluster.failed_node_ids())),
-            lost_chunks=tuple(self.lost),
-            at=self.cluster.sim.now,
-        )
-        if first:
-            self.emit("tolerance_exceeded", self, outcome=self.tolerance_exceeded)
-
-    # -- completion ----------------------------------------------------------------
-
-    def _chunk_done(self, chunk: ChunkId, instance: PlanInstance) -> None:
-        if self._crashed:
-            return
-        self._cancel_hedge(chunk, instance)
-        self.in_flight.pop(chunk, None)
-        self._stripes_busy.discard(chunk.stripe)
-        self.completed.append(chunk)
-        if self.journal is not None:
-            # Commit BEFORE announcing: if a chunk_repaired subscriber
-            # (the integrity data plane) rejects the bytes, its requeue
-            # re-opens the chunk with a later enqueue record.
-            self.journal.decode_verified(chunk)
-            self.journal.writeback_committed(chunk)
-        self.meter.record_repair(self.cluster.sim.now, self.chunk_size)
-        for callback in self.on_chunk_repaired:
-            callback(chunk, instance.plan)
-        self.emit("chunk_repaired", self, chunk=chunk, plan=instance.plan)
-        if self.pending:
-            self._fill()
-        self._maybe_finish()
-
-    def _maybe_finish(self) -> None:
-        if not self._crashed and self.done:
-            self._finish()
-
-    def _finish(self) -> None:
-        # Guard against double emission: _retry can reach _finish through
-        # a failed _launch (plan construction lost its last survivor →
-        # _mark_lost → _maybe_finish) and then call _maybe_finish again
-        # on its own way out.
-        if self._finished:
-            return
-        self._finished = True
-        self.meter.finish(self.cluster.sim.now)
-        self.emit("all_done", self)

@@ -81,19 +81,6 @@ class FakeRunner:
         self.calls.append(concurrency)
 
 
-class FakeCoordinator:
-    """Chameleon-shaped actuator: ``max_inflight``, no ``concurrency``."""
-
-    def __init__(self, max_inflight=8):
-        self.max_inflight = max_inflight
-        self.crashed = False
-        self.calls = []
-
-    def set_concurrency(self, concurrency):
-        self.max_inflight = concurrency
-        self.calls.append(concurrency)
-
-
 def make_loop(*, window=1.0, baseline=0.010, **kwargs):
     """A recorder + controller pair over a synthetic foreground source."""
     sim = Simulator()
@@ -144,7 +131,7 @@ class TestControllerLifecycle:
 class TestControlStep:
     def test_hot_windows_back_off_all_actuators(self):
         sim, _, lat, controller = make_loop()
-        scrubber, runner, coord = FakeScrubber(100.0), FakeRunner(8), FakeCoordinator(8)
+        scrubber, runner, coord = FakeScrubber(100.0), FakeRunner(8), FakeRunner(8)
         controller.attach_scrubber(scrubber)
         controller.attach_repairer(runner)
         controller.attach_repairer(coord)
@@ -157,7 +144,7 @@ class TestControlStep:
         assert controller.min_level == pytest.approx(0.25)
         assert scrubber.rate == pytest.approx(25.0)
         assert runner.concurrency == 2
-        assert coord.max_inflight == 2
+        assert coord.concurrency == 2
 
     def test_repair_concurrency_never_below_one(self):
         sim, _, lat, controller = make_loop(

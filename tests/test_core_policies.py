@@ -68,7 +68,7 @@ class TestOrderingPolicies:
     def test_max_inflight_validation(self):
         cluster, store, injector, monitor = make_env()
         with pytest.raises(SchedulingError):
-            make_coord(cluster, store, injector, monitor, max_inflight=0)
+            make_coord(cluster, store, injector, monitor, concurrency=0)
 
 
 class TestAdmission:
@@ -76,7 +76,7 @@ class TestAdmission:
         cluster, store, injector, monitor = make_env(num_stripes=40, link=mbs(20))
         report = injector.fail_nodes([0])
         coord = make_coord(
-            cluster, store, injector, monitor, max_inflight=3, t_phase=30.0
+            cluster, store, injector, monitor, concurrency=3, t_phase=30.0
         )
         coord.repair(report.failed_chunks)
         max_seen = 0
@@ -90,7 +90,7 @@ class TestAdmission:
         cluster, store, injector, monitor = make_env(num_stripes=40, link=mbs(20))
         report = injector.fail_nodes([0])
         coord = make_coord(
-            cluster, store, injector, monitor, max_inflight=2, t_phase=30.0
+            cluster, store, injector, monitor, concurrency=2, t_phase=30.0
         )
         coord.repair(report.failed_chunks)
         before = dict(coord.in_flight)
@@ -110,7 +110,7 @@ class TestAdmission:
         cluster, store, injector, monitor = make_env(num_stripes=40, link=mbs(50))
         report = injector.fail_nodes([0])
         coord = make_coord(
-            cluster, store, injector, monitor, max_inflight=2, t_phase=1000.0
+            cluster, store, injector, monitor, concurrency=2, t_phase=1000.0
         )
         coord.repair(report.failed_chunks)
         while not coord.done and cluster.sim.now < 2000:

@@ -41,39 +41,38 @@ def crash_and_recover(testbed, crash_at, *, algorithm="ChameleonEC", step=0.01):
     return report, repairer, replacement
 
 
+@pytest.mark.parametrize("algorithm", ["ChameleonEC", "CR", "PPR", "ECPipe"])
 class TestCrashTeardown:
-    def test_crash_cancels_all_repair_flows(self):
+    """Crash teardown is the engine's: identical under every policy."""
+
+    def crashed_repairer(self, algorithm):
         testbed = make_testbed()
         report = testbed.fail_nodes(1)
-        repairer = testbed.make_repairer("ChameleonEC")
+        repairer = testbed.make_repairer(algorithm)
         repairer.repair(report.failed_chunks)
         testbed.inject_coordinator_crash(0.05)
         testbed.run_until(lambda: repairer.crashed, step=0.01, limit=100.0)
+        return testbed, report, repairer
+
+    def test_crash_cancels_all_repair_flows(self, algorithm):
+        testbed, _, repairer = self.crashed_repairer(algorithm)
         assert testbed.cluster.transfers.live_transfers(tag=REPAIR_TAG) == []
         assert not repairer.in_flight and not repairer.pending
-        assert not repairer.tracker.tasks
+        if algorithm == "ChameleonEC":
+            assert not repairer.tracker.tasks
 
-    def test_crashed_coordinator_is_inert(self):
-        testbed = make_testbed()
-        report = testbed.fail_nodes(1)
-        repairer = testbed.make_repairer("ChameleonEC")
-        repairer.repair(report.failed_chunks)
-        testbed.inject_coordinator_crash(0.05)
-        testbed.run_until(lambda: repairer.crashed, step=0.01, limit=100.0)
+    def test_crashed_coordinator_is_inert(self, algorithm):
+        testbed, report, repairer = self.crashed_repairer(algorithm)
         completed = len(repairer.completed)
+        assert completed < len(report.failed_chunks)  # crashed mid-repair
         # Pending timers (phase ends, watchdogs, retries) must all no-op.
         testbed.cluster.sim.run(until=testbed.cluster.sim.now + 100.0)
         assert len(repairer.completed) == completed
         assert not repairer.done  # a dead coordinator never reports success
         assert repairer.add_chunks(report.failed_chunks) == []
 
-    def test_crash_fences_the_journal(self):
-        testbed = make_testbed()
-        report = testbed.fail_nodes(1)
-        repairer = testbed.make_repairer("ChameleonEC")
-        repairer.repair(report.failed_chunks)
-        testbed.inject_coordinator_crash(0.05)
-        testbed.run_until(lambda: repairer.crashed, step=0.01, limit=100.0)
+    def test_crash_fences_the_journal(self, algorithm):
+        testbed, _, _ = self.crashed_repairer(algorithm)
         assert testbed.journal.state.fenced
 
 
