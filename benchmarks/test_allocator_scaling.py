@@ -14,14 +14,8 @@ import numpy as np
 from conftest import emit
 
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.sim import (
-    Flow,
-    FlowScheduler,
-    FromScratchAllocator,
-    RateAllocator,
-    Resource,
-    Simulator,
-)
+from repro.sim import Flow, FlowScheduler, RateAllocator, Resource, Simulator
+from tests.oracles import FromScratchAllocator
 
 RESOURCES_PER_GROUP = 4
 CHURN_WINDOW_S = 30.0

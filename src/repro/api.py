@@ -153,9 +153,8 @@ class Testbed:
     """One ready-to-run testbed: cluster + stripes + monitor + clients.
 
     Builds the whole experiment substrate from an
-    :class:`ExperimentConfig` — including the columnar flow kernel when
-    ``config.columnar_kernel`` is set — and layers fault-timeline
-    wiring, integrity, journalling and admission control on top.
+    :class:`ExperimentConfig` and layers fault-timeline wiring,
+    integrity, journalling and admission control on top.
     """
 
     __test__ = False  # "Test" prefix; keep pytest from collecting this
@@ -172,7 +171,6 @@ class Testbed:
             disk_write_bw=config.disk_write_bw,
             racks=config.racks,
             oversubscription=config.oversubscription,
-            columnar_kernel=config.columnar_kernel,
         )
         # When tracing is on, timestamps follow this testbed's simulator
         # (successive testbeds lay out sequentially in one trace file).
@@ -1267,12 +1265,6 @@ class TestbedBuilder:
             self._overrides["disk_read_mbs"] = read_mbs
         if write_mbs is not None:
             self._overrides["disk_write_mbs"] = write_mbs
-        return self
-
-    def with_columnar_kernel(self, enabled: bool = True) -> "TestbedBuilder":
-        """Run the numpy columnar flow kernel (byte-identical results;
-        required for 1000-node/100k-flow scale)."""
-        self._overrides["columnar_kernel"] = enabled
         return self
 
     def scaled(self, scale: float) -> "TestbedBuilder":

@@ -8,7 +8,6 @@ from repro.cluster.node import Node, gbps, mbs
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.flows import FlowScheduler
-from repro.sim.kernel import ColumnarFlowScheduler
 from repro.sim.resources import Resource
 from repro.sim.transfers import Transfer, TransferManager
 
@@ -34,7 +33,6 @@ class Cluster:
         racks: int | None = None,
         oversubscription: float = 1.0,
         sim: Simulator | None = None,
-        columnar_kernel: bool = False,
     ) -> None:
         if num_nodes < 1:
             raise SimulationError("cluster needs at least one storage node")
@@ -43,11 +41,7 @@ class Cluster:
         if oversubscription < 1.0:
             raise SimulationError("oversubscription factor must be >= 1")
         self.sim = sim if sim is not None else Simulator()
-        # The columnar kernel stores flow hot state in numpy arrays —
-        # byte-identical behaviour, much cheaper per flow at 100k-flow
-        # scale (see repro.sim.kernel).
-        scheduler_cls = ColumnarFlowScheduler if columnar_kernel else FlowScheduler
-        self.flows = scheduler_cls(self.sim)
+        self.flows = FlowScheduler(self.sim)
         self.transfers = TransferManager(self.flows)
         # node_overrides lets individual storage nodes deviate from the
         # defaults (heterogeneous clusters: slower NICs, ageing disks),

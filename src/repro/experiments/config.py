@@ -42,9 +42,6 @@ class ExperimentConfig:
     # Optional hierarchical topology (None = the paper's flat testbed).
     racks: int | None = None
     oversubscription: float = 1.0
-    # Run the numpy columnar flow kernel instead of the dict scheduler
-    # (byte-identical results; required for 1000-node/100k-flow scale).
-    columnar_kernel: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:

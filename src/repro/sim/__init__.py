@@ -1,22 +1,17 @@
 """Discrete-event fluid-flow network/storage simulator."""
 
-from repro.sim.allocator import FromScratchAllocator, RateAllocator, allocate_rates
+from repro.sim.allocator import RateAllocator, allocate_rates
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
 from repro.sim.flows import Flow, FlowScheduler
-from repro.sim.kernel import ColumnarFlowScheduler, ColumnarRateAllocator, FlowKernel
 from repro.sim.resources import Resource
 from repro.sim.transfers import Transfer, TransferManager
 
 __all__ = [
-    "ColumnarFlowScheduler",
-    "ColumnarRateAllocator",
     "Event",
     "EventQueue",
     "Flow",
-    "FlowKernel",
     "FlowScheduler",
-    "FromScratchAllocator",
     "RateAllocator",
     "Resource",
     "Simulator",

@@ -8,30 +8,66 @@ This is the standard fluid model for TCP-like fair sharing and is what
 makes repair flows and foreground flows contend realistically on node
 up/downlinks.
 
-Two allocators share one progressive-filling core:
+There is one allocator, :class:`RateAllocator`, and one fill,
+:func:`_progressive_fill`. The allocator persists the flow/resource
+contention graph across calls, tracks the resources touched by each
+mutation, and on :meth:`RateAllocator.recompute` re-rates only the
+connected component of flows reachable from those dirty resources.
+Max-min allocations decompose exactly over connected components of the
+bipartite flow/resource graph (flows in different components share no
+resource, so neither can affect the other's bottleneck), which makes the
+incremental result identical to a from-scratch pass — only cheaper when
+the contention graph is not one giant component. :func:`allocate_rates`
+is that from-scratch pass: the same allocator, filled once, every flow
+dirty.
 
-* :func:`allocate_rates` / :class:`FromScratchAllocator` — recompute the
-  whole flow set on every call. Simple, and the reference oracle for the
-  incremental allocator's equivalence tests.
-* :class:`RateAllocator` — persists the flow/resource contention graph
-  across calls, tracks the resources touched by each mutation, and on
-  :meth:`RateAllocator.recompute` re-rates only the connected component
-  of flows reachable from those dirty resources. Max-min allocations
-  decompose exactly over connected components of the bipartite
-  flow/resource graph (flows in different components share no resource,
-  so neither can affect the other's bottleneck), which makes the
-  incremental result identical to a from-scratch pass — only cheaper
-  when the contention graph is not one giant component.
+The fill is count-based: per resource of the component it keeps the
+capacity still unclaimed, the number of flows not yet frozen and their
+quotient (the fair share) in three parallel lists, takes each round's
+bottleneck with a C-level ``min``/``index``, and afterwards recomputes
+only the shares of the resources the frozen flows crossed.
+
+Simulated results are a bit-level contract (``tests/oracles.py`` keeps
+the dict-of-dicts fill this one replaced as ``ReferenceRateAllocator``,
+and the equivalence battery compares rates with ``==``), so three orders
+are part of the fill's interface, not accidents of it:
+
+1. **Resource scan order** — resources are numbered by first appearance
+   over the component's flows in discovery order (each flow's resource
+   tuple left to right). The bottleneck is the *first* resource in that
+   order with the smallest share; tied bottlenecks that share a flow
+   resolve differently in another order
+   (``(1e8 - 1e8 / 3) / 2 != 1e8 / 3``).
+2. **Within-round member order** — the flows a round freezes are the
+   bottleneck's not-yet-rated users sorted by discovery index. Freeze
+   order is the order of the returned ``changed`` list, hence of settles
+   and of the scheduler's ETA-heap sequence numbers, hence of
+   same-instant completions.
+3. **Fused subtraction** — a round charges a resource once,
+   ``remaining -= share * count`` (not ``count`` successive
+   subtractions), and a share is ``remaining / n if remaining > 0.0
+   else 0.0``.
+
+``_SHARE_SLACK`` keeps a bottleneck from changing on float noise: a
+resource replaces the running best only if its share is smaller by more
+than the slack. For any share above 16 KiB/s the slack is under half an
+ulp, ``best - _SHARE_SLACK == best``, and the sequential comparison *is*
+"first strict minimum" — what ``shares.index(min(shares))`` computes.
+The fill checks exactly that identity on the round's minimum (every
+larger running best then satisfies it too) and otherwise runs the
+sequential comparison for that round.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, KeysView, Protocol
 
 from repro.sim.resources import Resource
 
 #: Strict-improvement slack when comparing bottleneck fair shares.
 _SHARE_SLACK = 1e-12
+_INF = float("inf")
 
 
 class AllocatableFlow(Protocol):
@@ -54,92 +90,90 @@ def _unique_resources(flow: AllocatableFlow) -> tuple[Resource, ...]:
 def _progressive_fill(
     flows: Iterable[AllocatableFlow],
     flow_resources: dict[AllocatableFlow, tuple[Resource, ...]],
+    users: dict[Resource, dict[AllocatableFlow, None]],
 ) -> dict[AllocatableFlow, float]:
     """Max-min rates for a *closed* set of flows.
 
-    ``flows`` must be closed under resource sharing (every flow crossing
-    a resource of a listed flow is itself listed); ``flow_resources``
-    maps each to its deduplicated resource tuple. Repeatedly finds the
-    bottleneck resource (smallest fair share among its unfixed flows),
-    freezes its flows at that share, subtracts their usage everywhere,
-    and continues.
-
-    Floating-point contract: each round subtracts the frozen usage from
-    a resource as one fused ``share * count`` product (not ``count``
-    successive subtractions). The columnar kernel
-    (:class:`repro.sim.kernel.ColumnarRateAllocator`) performs the same
-    IEEE-754 operations in the same order on numpy arrays, which is what
-    makes the two paths byte-identical — change one, change both.
+    ``flows`` lists the set in discovery order; it must be closed under
+    resource sharing, so ``users[res]`` (every registered flow crossing
+    ``res``) lies inside it for each resource a listed flow crosses.
+    ``flow_resources`` maps each flow to its deduplicated resource tuple.
+    Repeatedly finds the bottleneck resource (smallest fair share among
+    its unfrozen flows), freezes its flows at that share, subtracts their
+    usage everywhere, and continues. Returns the rates in freeze order (resource-less
+    flows, unbounded in the fluid model, first); see the module docstring
+    for the order and arithmetic contract.
     """
-    # ``users`` values are insertion-ordered dicts used as sets: iteration
-    # order (bottleneck tie-breaks, freeze order, hence ``rates`` insertion
-    # order) must not depend on object identity hashes, or two identical
-    # runs diverge in how they order same-instant flow completions.
     rates: dict[AllocatableFlow, float] = {}
-    n_unfixed = 0
-    remaining: dict[Resource, float] = {}
-    users: dict[Resource, dict[AllocatableFlow, None]] = {}
+    slot: dict[Resource, int] = {}
+    remaining: list[float] = []
+    count: list[int] = []
+    n_unfrozen = 0
+    rank = dict(zip(flows, itertools.count())).__getitem__  # discovery index
     for flow in flows:
         resources = flow_resources[flow]
         if not resources:
-            # Unconstrained in the fluid model: unbounded rate.
-            rates[flow] = float("inf")
+            rates[flow] = _INF
             continue
-        n_unfixed += 1
+        n_unfrozen += 1
         for res in resources:
-            members = users.get(res)
-            if members is None:
-                remaining[res] = res.capacity
-                users[res] = {flow: None}
-            else:
-                members[flow] = None
+            if res not in slot:
+                slot[res] = len(remaining)
+                remaining.append(res.capacity)
+                count.append(len(users[res]))
+    # Clamp float drift: repeated subtraction can push a fully used
+    # resource a hair below zero, which must not turn into a negative
+    # share. A resource whose users are all frozen leaves the scan by
+    # taking an infinite share.
+    shares = [cap / n if cap > 0.0 else 0.0 for cap, n in zip(remaining, count)]
+    resources_by_slot = list(slot)
 
-    inf = float("inf")
-    while n_unfixed:
-        bottleneck: Resource | None = None
-        best_share = inf
-        for res, members in users.items():
-            # Clamp float drift: repeated subtraction can push a fully
-            # used resource a hair below zero, which must not turn into
-            # a negative share. (Every entry in ``users`` is non-empty:
-            # emptied entries are deleted in the freeze loop below.)
-            cap = remaining[res]
-            share = cap / len(members) if cap > 0.0 else 0.0
-            if share < best_share - _SHARE_SLACK:
-                best_share = share
-                bottleneck = res
-        if bottleneck is None:  # pragma: no cover - defensive; every
-            # unfixed flow sits in a non-empty user set by construction.
-            for members in users.values():
-                for flow in members:
-                    rates.setdefault(flow, inf)
+    while n_unfrozen:
+        share = min(shares)
+        if share - _SHARE_SLACK == share:
+            bottleneck = shares.index(share)
+        else:
+            # The slack can decide this round (tiny or zero shares):
+            # compare sequentially, as the contract is written.
+            bottleneck = -1
+            share = _INF
+            for i, candidate in enumerate(shares):
+                if candidate < share - _SHARE_SLACK:
+                    share = candidate
+                    bottleneck = i
+        if share == _INF:
+            # Only infinite-capacity resources are left.
+            for i, res in enumerate(resources_by_slot):
+                if count[i]:
+                    for flow in sorted(users[res], key=rank):
+                        rates.setdefault(flow, _INF)
             break
-        removed: dict[Resource, int] = {}
-        for flow in users.pop(bottleneck):
-            rates[flow] = best_share
-            n_unfixed -= 1
+        members = [flow for flow in users[resources_by_slot[bottleneck]] if flow not in rates]
+        members.sort(key=rank)
+        n_unfrozen -= len(members)
+        count[bottleneck] = 0
+        shares[bottleneck] = _INF
+        crossed: dict[int, int] = {}
+        for flow in members:
+            rates[flow] = share
             for res in flow_resources[flow]:
-                if res is bottleneck:
-                    continue
-                members = users.get(res)
-                if members is None:
-                    continue
-                members.pop(flow, None)
-                removed[res] = removed.get(res, 0) + 1
-        for res, count in removed.items():
-            remaining[res] -= best_share * count
-            if not users[res]:
-                del users[res]
+                i = slot[res]
+                crossed[i] = crossed.get(i, 0) + 1
+        del crossed[bottleneck]
+        for i, n_frozen in crossed.items():
+            remaining[i] = cap = remaining[i] - share * n_frozen
+            count[i] = n = count[i] - n_frozen
+            shares[i] = (cap / n if cap > 0.0 else 0.0) if n else _INF
     return rates
 
 
 def allocate_rates(flows: Iterable[AllocatableFlow]) -> None:
     """Assign max-min fair rates to ``flows`` in place (from scratch)."""
-    flow_list = list(flows)
-    mapping = {flow: _unique_resources(flow) for flow in flow_list}
-    rates = _progressive_fill(mapping, mapping)
-    for flow in flow_list:
-        flow.rate = rates[flow]
+    allocator = RateAllocator()
+    for flow in flows:
+        allocator.add_flow(flow)
+    allocator.mark_dirty()  # every flow, in the order given
+    allocator.recompute()
 
 
 class RateAllocator:
@@ -221,13 +255,20 @@ class RateAllocator:
         flows; every other registered flow kept its previous rate.
         """
         flow_resources = self._flow_resources
+        users = self._users
+        # Insertion order is discovery order (see the module docstring).
+        comp_flows: dict[AllocatableFlow, None]
         if self._all_dirty:
-            comp_flows: dict[AllocatableFlow, None] = dict.fromkeys(flow_resources)
+            comp_flows = dict.fromkeys(flow_resources)
         else:
-            users = self._users
+            stack = [res for res in self._dirty if res in users]
+            if not stack and not self._fresh:
+                # A departure emptied every resource it dirtied: nothing
+                # is left to re-rate.
+                self._dirty.clear()
+                return []
             comp_flows = {}
             visited: set[Resource] = set()
-            stack = [res for res in self._dirty if res in users]
             while stack:
                 res = stack.pop()
                 if res in visited:
@@ -239,14 +280,11 @@ class RateAllocator:
                         for other in flow_resources[flow]:
                             if other not in visited:
                                 stack.append(other)
-            if self._fresh:
-                # Resource-less fresh flows sit in no user set; they
-                # still need their (unbounded) rate assigned once.
-                comp_flows.update(
-                    dict.fromkeys(
-                        flow for flow in self._fresh if not flow_resources[flow]
-                    )
-                )
+            # Resource-less fresh flows sit in no user set; they still
+            # need their (unbounded) rate assigned once.
+            for flow in self._fresh:
+                if not flow_resources[flow]:
+                    comp_flows[flow] = None
         self._dirty.clear()
         self._all_dirty = False
         self._fresh.clear()
@@ -257,7 +295,7 @@ class RateAllocator:
             # Fast path for the common case of an uncontended component:
             # a lone flow's max-min rate is its tightest capacity.
             (flow,) = comp_flows
-            rate = float("inf")
+            rate = _INF
             for res in flow_resources[flow]:
                 if res.capacity < rate:
                     rate = res.capacity
@@ -267,7 +305,7 @@ class RateAllocator:
                 flow.rate = rate
                 changed.append(flow)
             return changed
-        rates = _progressive_fill(comp_flows, flow_resources)
+        rates = _progressive_fill(comp_flows, flow_resources, users)
         for flow, rate in rates.items():
             if rate != flow.rate:
                 if on_touch is not None:
@@ -275,42 +313,3 @@ class RateAllocator:
                 flow.rate = rate
                 changed.append(flow)
         return changed
-
-
-class FromScratchAllocator:
-    """Reference allocator: global progressive filling on every epoch.
-
-    Implements the same interface as :class:`RateAllocator` so it can be
-    dropped into a :class:`repro.sim.flows.FlowScheduler` as the oracle
-    in equivalence tests and as the baseline in scaling benchmarks.
-    """
-
-    def __init__(self) -> None:
-        self._flows: dict[AllocatableFlow, None] = {}
-
-    def __len__(self) -> int:
-        return len(self._flows)
-
-    @property
-    def flows(self) -> KeysView[AllocatableFlow]:
-        """The registered (active) flows."""
-        return self._flows.keys()
-
-    def add_flow(self, flow: AllocatableFlow) -> None:
-        self._flows[flow] = None
-
-    def remove_flow(self, flow: AllocatableFlow) -> None:
-        self._flows.pop(flow, None)
-
-    def mark_dirty(self, *resources: Resource) -> None:
-        pass  # every recompute is global anyway
-
-    def recompute(
-        self, on_touch: Callable[[AllocatableFlow], None] | None = None
-    ) -> list[AllocatableFlow]:
-        flows = list(self._flows)
-        if on_touch is not None:
-            for flow in flows:
-                on_touch(flow)
-        allocate_rates(flows)
-        return flows

@@ -4,19 +4,27 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback. Ordered by (time, seq) for determinism."""
+    """A scheduled callback.
 
-    time: float
-    seq: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    Events carry no ordering of their own: the queue heaps
+    ``(time, seq, event)`` tuples and ``seq`` is unique, so the tuple
+    comparison is decided before it could reach the event.
+    """
+
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+
+    def __init__(
+        self, time: float, seq: int, callback: Callable[..., Any], args: tuple = ()
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event dead; it will be skipped when popped."""
@@ -27,31 +35,34 @@ class EventQueue:
     """A min-heap of events with stable FIFO ordering at equal timestamps."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def push(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time``."""
-        event = Event(time=time, seq=next(self._counter), callback=callback, args=args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self) -> Event | None:
         """Pop the earliest live event, or None if the queue is drained."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> float | None:
         """Timestamp of the earliest live event without popping it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None

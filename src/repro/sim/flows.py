@@ -29,12 +29,9 @@ class Flow:
     source uplink + destination downlink + destination disk) and advances
     at the max-min fair rate the allocator assigns.
 
-    Hot state (``remaining``, ``rate``, settle stamp, ETA) is stored in
-    plain slots until the flow is attached to a
-    :class:`repro.sim.kernel.FlowKernel`, after which the same properties
-    read and write the kernel's columnar arrays at the flow's slot — so
-    consumers (transfers, monitors, tests) never need to know which
-    scheduler owns the flow.
+    Hot state (``remaining``, ``rate``, settle stamp, ETA) lives in
+    plain slots: the scheduler reads and writes them millions of times
+    per run, so nothing may stand between it and the value.
     """
 
     __slots__ = (
@@ -47,13 +44,11 @@ class Flow:
         "completed_at",
         "cancelled",
         "on_complete",
+        "remaining",
+        "rate",
         "_obs_span",
-        "_rem_v",
-        "_rate_v",
-        "_settled_v",
-        "_eta_v",
-        "_kernel",
-        "_slot",
+        "_settled_at",
+        "_eta",
     )
 
     def __init__(
@@ -74,76 +69,13 @@ class Flow:
         self.completed_at: float | None = None
         self.cancelled = False
         self.on_complete: list[Callable[[Flow], None]] = []
+        #: Bytes left to deliver.
+        self.remaining = float(size)
+        #: Current allocated transfer rate (bytes/s).
+        self.rate = 0.0
         self._obs_span = None
-        self._rem_v = float(size)
-        self._rate_v = 0.0
-        self._settled_v = 0.0
-        self._eta_v: float | None = None
-        self._kernel = None  # FlowKernel | None
-        self._slot = -1
-
-    @property
-    def remaining(self) -> float:
-        """Bytes left to deliver."""
-        kernel = self._kernel
-        if kernel is None:
-            return self._rem_v
-        return float(kernel.remaining[self._slot])
-
-    @remaining.setter
-    def remaining(self, value: float) -> None:
-        kernel = self._kernel
-        if kernel is None:
-            self._rem_v = value
-        else:
-            kernel.remaining[self._slot] = value
-
-    @property
-    def rate(self) -> float:
-        """Current allocated transfer rate (bytes/s)."""
-        kernel = self._kernel
-        if kernel is None:
-            return self._rate_v
-        return float(kernel.rate[self._slot])
-
-    @rate.setter
-    def rate(self, value: float) -> None:
-        kernel = self._kernel
-        if kernel is None:
-            self._rate_v = value
-        else:
-            kernel.rate[self._slot] = value
-
-    @property
-    def _settled_at(self) -> float:
-        kernel = self._kernel
-        if kernel is None:
-            return self._settled_v
-        return float(kernel.settled_at[self._slot])
-
-    @_settled_at.setter
-    def _settled_at(self, value: float) -> None:
-        kernel = self._kernel
-        if kernel is None:
-            self._settled_v = value
-        else:
-            kernel.settled_at[self._slot] = value
-
-    @property
-    def _eta(self) -> float | None:
-        kernel = self._kernel
-        if kernel is None:
-            return self._eta_v
-        eta = kernel.eta[self._slot]
-        return None if eta == _INF else float(eta)
-
-    @_eta.setter
-    def _eta(self, value: float | None) -> None:
-        kernel = self._kernel
-        if kernel is None:
-            self._eta_v = value
-        else:
-            kernel.eta[self._slot] = _INF if value is None else value
+        self._settled_at = 0.0
+        self._eta: float | None = None
 
     @property
     def done(self) -> bool:
@@ -178,10 +110,9 @@ class FlowScheduler:
     finding the next completion costs O(log flows) instead of a linear
     scan of the active set.
 
-    ``py_flow_ops`` counts per-flow Python-level hot-path operations
-    (settles, rate/ETA rewrites, completion-scan pops) — the scaling
-    benchmarks use it to compare this dict-backed scheduler against the
-    columnar :class:`repro.sim.kernel.ColumnarFlowScheduler`.
+    ``py_flow_ops`` counts per-flow hot-path operations (settles,
+    rate/ETA rewrites, completion-scan pops); ``benchmarks/perf`` reports
+    it as a machine-independent measure of scheduler work.
     """
 
     def __init__(self, sim: Simulator, allocator: RateAllocator | None = None) -> None:
@@ -301,11 +232,9 @@ class FlowScheduler:
         for flow in touched:
             if flow not in self.active:
                 continue
-            if flow.rate > 0:
-                if flow.rate == float("inf"):
-                    eta = now
-                else:
-                    eta = now + flow.remaining / flow.rate
+            rate = flow.rate
+            if rate > 0:
+                eta = now if rate == _INF else now + flow.remaining / rate
                 if flow._eta is not None and abs(eta - flow._eta) <= _EPSILON_TIME:
                     # The rate came out unchanged: the existing heap
                     # entry still points at the right time, so skip the

@@ -15,49 +15,22 @@ class Resource:
     cumulative byte counters per traffic tag so monitors can compute
     windowed utilisation (used for the paper's Fig. 5/6 measurements and
     by the ChameleonEC bandwidth monitor).
-
-    When registered with a :class:`repro.sim.kernel.FlowKernel`, the
-    capacity is mirrored into the kernel's columnar array and the per-tag
-    counters become a *view*: the base dict holds bytes folded in at flow
-    detach plus any direct :meth:`account` calls, and the live progress of
-    attached flows is summed on demand from the kernel arrays.
     """
+
+    __slots__ = ("name", "capacity", "bytes_by_tag")
 
     def __init__(self, name: str, capacity: float) -> None:
         if capacity <= 0:
             raise SimulationError(f"resource {name!r} needs positive capacity")
         self.name = name
-        self._capacity = float(capacity)
-        self._bytes: dict[str, float] = defaultdict(float)
-        self._kernel = None  # FlowKernel | None (set by FlowKernel)
-        self._kslot = -1
-
-    @property
-    def capacity(self) -> float:
-        """Capacity in bytes per second."""
-        return self._capacity
-
-    @capacity.setter
-    def capacity(self, value: float) -> None:
-        self._capacity = value
-        if self._kernel is not None:
-            self._kernel.res_capacity[self._kslot] = value
-
-    @property
-    def bytes_by_tag(self) -> dict[str, float]:
-        """Cumulative bytes moved through this resource, keyed by tag.
-
-        Detached from any kernel this is the live (mutable) counter dict;
-        kernel-attached it is a fresh snapshot combining the folded base
-        counters with the in-flight progress of attached flows.
-        """
-        if self._kernel is None:
-            return self._bytes
-        return self._kernel.resource_bytes(self._kslot, self._bytes)
+        #: Capacity in bytes per second.
+        self.capacity = float(capacity)
+        #: Cumulative bytes moved through this resource, keyed by tag.
+        self.bytes_by_tag: dict[str, float] = defaultdict(float)
 
     def account(self, tag: str, nbytes: float) -> None:
         """Attribute ``nbytes`` of transferred data to traffic tag ``tag``."""
-        self._bytes[tag] += nbytes
+        self.bytes_by_tag[tag] += nbytes
 
     @property
     def total_bytes(self) -> float:

@@ -1,0 +1,288 @@
+"""Reference allocators the tests hold ``repro.sim.RateAllocator`` to.
+
+Test oracles, not product code: they are slow on purpose (every round
+rescans every resource; :class:`FromScratchAllocator` re-rates every
+flow on every epoch) and share nothing with the allocator under test
+beyond the ``_SHARE_SLACK`` constant and the ``Resource`` type.
+
+* :class:`ReferenceRateAllocator` — the incremental allocator exactly as
+  it stood before the count-based fill replaced ``_progressive_fill``
+  (the code the retired columnar kernel was also held to). The new fill
+  must reproduce it bit for bit: same rates (``==``), same order of the
+  returned ``changed`` list.
+* :class:`FromScratchAllocator` — global progressive filling on every
+  epoch; the oracle for "incremental == from scratch" at 1e-9.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable, KeysView
+
+from repro.sim.allocator import _SHARE_SLACK, AllocatableFlow
+from repro.sim.resources import Resource
+
+
+def _unique_resources(flow: AllocatableFlow) -> tuple[Resource, ...]:
+    """A flow's resources with duplicates removed, order preserved.
+
+    A flow listing the same resource twice must count once against that
+    resource (it occupies one share of the pipe, not two); deduplicating
+    here keeps the usage subtraction and the user set consistent.
+    """
+    return tuple(dict.fromkeys(flow.resources))
+
+
+def _progressive_fill(
+    flows: Iterable[AllocatableFlow],
+    flow_resources: dict[AllocatableFlow, tuple[Resource, ...]],
+) -> dict[AllocatableFlow, float]:
+    """Max-min rates for a *closed* set of flows.
+
+    ``flows`` must be closed under resource sharing (every flow crossing
+    a resource of a listed flow is itself listed); ``flow_resources``
+    maps each to its deduplicated resource tuple. Repeatedly finds the
+    bottleneck resource (smallest fair share among its unfixed flows),
+    freezes its flows at that share, subtracts their usage everywhere,
+    and continues.
+
+    Floating-point contract: each round subtracts the frozen usage from
+    a resource as one fused ``share * count`` product (not ``count``
+    successive subtractions).
+    """
+    # ``users`` values are insertion-ordered dicts used as sets: iteration
+    # order (bottleneck tie-breaks, freeze order, hence ``rates`` insertion
+    # order) must not depend on object identity hashes, or two identical
+    # runs diverge in how they order same-instant flow completions.
+    rates: dict[AllocatableFlow, float] = {}
+    n_unfixed = 0
+    remaining: dict[Resource, float] = {}
+    users: dict[Resource, dict[AllocatableFlow, None]] = {}
+    for flow in flows:
+        resources = flow_resources[flow]
+        if not resources:
+            # Unconstrained in the fluid model: unbounded rate.
+            rates[flow] = float("inf")
+            continue
+        n_unfixed += 1
+        for res in resources:
+            members = users.get(res)
+            if members is None:
+                remaining[res] = res.capacity
+                users[res] = {flow: None}
+            else:
+                members[flow] = None
+
+    inf = float("inf")
+    while n_unfixed:
+        bottleneck: Resource | None = None
+        best_share = inf
+        for res, members in users.items():
+            # Clamp float drift: repeated subtraction can push a fully
+            # used resource a hair below zero, which must not turn into
+            # a negative share. (Every entry in ``users`` is non-empty:
+            # emptied entries are deleted in the freeze loop below.)
+            cap = remaining[res]
+            share = cap / len(members) if cap > 0.0 else 0.0
+            if share < best_share - _SHARE_SLACK:
+                best_share = share
+                bottleneck = res
+        if bottleneck is None:  # pragma: no cover - defensive; every
+            # unfixed flow sits in a non-empty user set by construction.
+            for members in users.values():
+                for flow in members:
+                    rates.setdefault(flow, inf)
+            break
+        removed: dict[Resource, int] = {}
+        for flow in users.pop(bottleneck):
+            rates[flow] = best_share
+            n_unfixed -= 1
+            for res in flow_resources[flow]:
+                if res is bottleneck:
+                    continue
+                members = users.get(res)
+                if members is None:
+                    continue
+                members.pop(flow, None)
+                removed[res] = removed.get(res, 0) + 1
+        for res, count in removed.items():
+            remaining[res] -= best_share * count
+            if not users[res]:
+                del users[res]
+    return rates
+
+
+class ReferenceRateAllocator:
+    """The dict-of-dicts allocator ``repro.sim.RateAllocator`` replaced, kept
+    verbatim as the bit-identity oracle for its count-based fill.
+
+    Mutations (:meth:`add_flow`, :meth:`remove_flow`, :meth:`mark_dirty`)
+    only record which resources were touched; :meth:`recompute` then
+    re-rates the connected component of flows reachable from those dirty
+    resources and leaves every other flow's rate untouched. The caller
+    (normally :class:`repro.sim.flows.FlowScheduler`) coalesces a burst
+    of same-timestamp mutations into a single recompute epoch.
+    """
+
+    def __init__(self) -> None:
+        # Insertion-ordered dicts stand in for sets throughout: flows and
+        # resources hash by identity, so genuine sets would iterate in
+        # address order and make component traversal — and with it the
+        # ordering of same-instant completions — vary between runs.
+        self._flow_resources: dict[AllocatableFlow, tuple[Resource, ...]] = {}
+        self._users: dict[Resource, dict[AllocatableFlow, None]] = {}
+        self._dirty: dict[Resource, None] = {}
+        self._all_dirty = False
+        # Flows added since the last recompute: they need a rate (and the
+        # scheduler needs to index their ETA) even if nothing else moved.
+        self._fresh: dict[AllocatableFlow, None] = {}
+
+    def __len__(self) -> int:
+        return len(self._flow_resources)
+
+    @property
+    def flows(self) -> KeysView[AllocatableFlow]:
+        """The registered (active) flows."""
+        return self._flow_resources.keys()
+
+    def add_flow(self, flow: AllocatableFlow) -> None:
+        """Register ``flow``; its resources become dirty."""
+        if flow in self._flow_resources:
+            return
+        unique = _unique_resources(flow)
+        self._flow_resources[flow] = unique
+        self._fresh[flow] = None
+        for res in unique:
+            self._users.setdefault(res, {})[flow] = None
+            self._dirty[res] = None
+
+    def remove_flow(self, flow: AllocatableFlow) -> None:
+        """Unregister ``flow`` (completed or cancelled); resources dirty."""
+        unique = self._flow_resources.pop(flow, None)
+        if unique is None:
+            return
+        self._fresh.pop(flow, None)
+        for res in unique:
+            members = self._users.get(res)
+            if members is not None:
+                members.pop(flow, None)
+                if not members:
+                    del self._users[res]
+            self._dirty[res] = None
+
+    def mark_dirty(self, *resources: Resource) -> None:
+        """Mark capacity-changed resources; no arguments marks everything."""
+        if not resources:
+            self._all_dirty = True
+        else:
+            self._dirty.update(dict.fromkeys(resources))
+
+    def recompute(
+        self, on_touch: Callable[[AllocatableFlow], None] | None = None
+    ) -> list[AllocatableFlow]:
+        """Re-rate the flows affected by mutations since the last call.
+
+        Re-runs progressive filling over the connected component
+        reachable from the dirty resources, then rewrites only the rates
+        that actually moved. ``on_touch`` is invoked once per rewritten
+        flow *before* its rate changes (the scheduler uses it to settle
+        progress at the old rate — which is exactly when settling is
+        required: a flow whose rate is unchanged keeps accruing progress
+        linearly from its older settle stamp). Returns the rewritten
+        flows; every other registered flow kept its previous rate.
+        """
+        flow_resources = self._flow_resources
+        if self._all_dirty:
+            comp_flows: dict[AllocatableFlow, None] = dict.fromkeys(flow_resources)
+        else:
+            users = self._users
+            comp_flows = {}
+            visited: set[Resource] = set()
+            stack = [res for res in self._dirty if res in users]
+            while stack:
+                res = stack.pop()
+                if res in visited:
+                    continue
+                visited.add(res)
+                for flow in users[res]:
+                    if flow not in comp_flows:
+                        comp_flows[flow] = None
+                        for other in flow_resources[flow]:
+                            if other not in visited:
+                                stack.append(other)
+            if self._fresh:
+                # Resource-less fresh flows sit in no user set; they
+                # still need their (unbounded) rate assigned once.
+                comp_flows.update(
+                    dict.fromkeys(
+                        flow for flow in self._fresh if not flow_resources[flow]
+                    )
+                )
+        self._dirty.clear()
+        self._all_dirty = False
+        self._fresh.clear()
+        if not comp_flows:
+            return []
+        changed: list[AllocatableFlow] = []
+        if len(comp_flows) == 1:
+            # Fast path for the common case of an uncontended component:
+            # a lone flow's max-min rate is its tightest capacity.
+            (flow,) = comp_flows
+            rate = float("inf")
+            for res in flow_resources[flow]:
+                if res.capacity < rate:
+                    rate = res.capacity
+            if rate != flow.rate:
+                if on_touch is not None:
+                    on_touch(flow)
+                flow.rate = rate
+                changed.append(flow)
+            return changed
+        rates = _progressive_fill(comp_flows, flow_resources)
+        for flow, rate in rates.items():
+            if rate != flow.rate:
+                if on_touch is not None:
+                    on_touch(flow)
+                flow.rate = rate
+                changed.append(flow)
+        return changed
+
+
+class FromScratchAllocator:
+    """Reference allocator: global progressive filling on every epoch.
+
+    Implements the same interface as :class:`RateAllocator` so it can be
+    dropped into a :class:`repro.sim.flows.FlowScheduler` as the oracle
+    in equivalence tests and as the baseline in scaling benchmarks.
+    """
+
+    def __init__(self) -> None:
+        self._flows: dict[AllocatableFlow, None] = {}
+
+    def __len__(self) -> int:
+        return len(self._flows)
+
+    @property
+    def flows(self) -> KeysView[AllocatableFlow]:
+        """The registered (active) flows."""
+        return self._flows.keys()
+
+    def add_flow(self, flow: AllocatableFlow) -> None:
+        self._flows[flow] = None
+
+    def remove_flow(self, flow: AllocatableFlow) -> None:
+        self._flows.pop(flow, None)
+
+    def mark_dirty(self, *resources: Resource) -> None:
+        pass  # every recompute is global anyway
+
+    def recompute(
+        self, on_touch: Callable[[AllocatableFlow], None] | None = None
+    ) -> list[AllocatableFlow]:
+        flows = list(self._flows)
+        if on_touch is not None:
+            for flow in flows:
+                on_touch(flow)
+        mapping = {flow: _unique_resources(flow) for flow in flows}
+        for flow, rate in _progressive_fill(mapping, mapping).items():
+            flow.rate = rate
+        return flows

@@ -7,26 +7,28 @@ changes — across hundreds of seeds. A second battery drives two complete
 :class:`FlowScheduler` simulations (one per allocator) through the same
 random scenario and compares completion times.
 
-The columnar kernel carries a stronger contract: twin batteries below
-hold :class:`ColumnarRateAllocator` and :class:`ColumnarFlowScheduler`
-to *exact* (``==``, not approx) equality against the dict path — same
-mutation stream, bit-identical rates and completion timelines.
+The count-based fill carries a stronger contract: the twin batteries
+below (their ids date from the retired columnar kernel, which was held
+to the same oracle) keep :class:`RateAllocator` to *exact* (``==``, not
+approx) equality against :class:`tests.oracles.ReferenceRateAllocator`,
+the dict-of-dicts allocator it replaced — same mutation stream,
+bit-identical rates, changed-flow order and completion timelines.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
-    ColumnarFlowScheduler,
-    ColumnarRateAllocator,
     Flow,
     FlowScheduler,
-    FromScratchAllocator,
     RateAllocator,
     Resource,
     Simulator,
     allocate_rates,
 )
+from tests.oracles import FromScratchAllocator, ReferenceRateAllocator
 
 NUM_SEEDS = 220
 MUTATIONS_PER_SEED = 12
@@ -92,11 +94,11 @@ def test_incremental_matches_from_scratch(seed):
 
 
 def _twin_mutation(rng, d_alloc, c_alloc, d_live, c_live, resources, next_id):
-    """Apply one random mutation identically to the dict and columnar sides.
+    """Apply one random mutation identically to the reference (``d_``)
+    and current (``c_``) sides.
 
-    Twin StubFlows (one per allocator) share the same Resource objects:
-    the dict allocator ignores kernel bindings and the columnar kernel's
-    capacity mirror keeps ``set_capacity`` visible to both.
+    Twin StubFlows (one per allocator) share the same Resource objects,
+    so ``set_capacity`` is visible to both.
     """
     roll = rng.random()
     if roll < 0.5 or not d_live:
@@ -124,21 +126,20 @@ def _twin_mutation(rng, d_alloc, c_alloc, d_live, c_live, resources, next_id):
 
 @pytest.mark.parametrize("seed", range(NUM_SEEDS))
 def test_columnar_matches_dict_bit_for_bit(seed):
-    """The numpy kernel reproduces the dict allocator *exactly*.
+    """The count-based fill reproduces the reference allocator *exactly*.
 
     After every mutation both sides recompute; the changed-flow lists
     must match name-for-name and every live rate must be ``==`` — no
     tolerance — across all 220 seeds. This is the gate that lets the
-    columnar path replace the dict path without perturbing a single
-    published number.
+    fill be rewritten without perturbing a single published number.
     """
     rng = np.random.default_rng(seed)
     resources = [
         Resource(f"r{i}", float(rng.integers(10, 1000)))
         for i in range(int(rng.integers(2, 8)))
     ]
-    d_alloc = RateAllocator()
-    c_alloc = ColumnarRateAllocator()
+    d_alloc = ReferenceRateAllocator()
+    c_alloc = RateAllocator()
     d_live, c_live = [], []
     next_id = 0
     for _ in range(MUTATIONS_PER_SEED):
@@ -152,7 +153,7 @@ def test_columnar_matches_dict_bit_for_bit(seed):
         )
         for d, c in zip(d_live, c_live):
             assert d.rate == c.rate, (
-                f"seed={seed} flow={d.name}: dict={d.rate!r} columnar={c.rate!r}"
+                f"seed={seed} flow={d.name}: reference={d.rate!r} current={c.rate!r}"
             )
 
 
@@ -209,24 +210,21 @@ def test_scheduler_end_to_end_equivalence(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_columnar_scheduler_end_to_end_exact(seed):
-    """ColumnarFlowScheduler replays the dict scheduler bit-for-bit.
+    """A scheduler on the current allocator replays one on the reference
+    allocator bit-for-bit.
 
     The full (name, cancelled, completed_at) timeline must be *exactly*
-    equal — completion instants included — and per-resource byte totals
-    agree to float accumulation-order noise (the columnar fold sums in a
-    different order, so bytes get an ulp-level tolerance while times,
-    which both paths derive from the same rate arithmetic, get none).
+    equal — completion instants included — and so must the per-resource
+    byte totals: same rates in the same order means the same settles.
     """
-    dict_flows, dict_bytes = _run_scenario(
+    ref_flows, ref_bytes = _run_scenario(
+        seed, lambda sim: FlowScheduler(sim, allocator=ReferenceRateAllocator())
+    )
+    cur_flows, cur_bytes = _run_scenario(
         seed, lambda sim: FlowScheduler(sim, allocator=RateAllocator())
     )
-    col_flows, col_bytes = _run_scenario(
-        seed, lambda sim: ColumnarFlowScheduler(sim)
-    )
-    assert dict_flows == col_flows
-    for (name, d_total), (cname, c_total) in zip(dict_bytes, col_bytes):
-        assert name == cname
-        assert d_total == pytest.approx(c_total, rel=1e-9, abs=1e-6)
+    assert ref_flows == cur_flows
+    assert ref_bytes == cur_bytes
 
 
 def test_remove_unknown_flow_is_noop():
@@ -267,3 +265,142 @@ def test_untouched_component_keeps_rates():
     assert fa.rate == pytest.approx(50.0)
     assert fa2.rate == pytest.approx(50.0)
     assert fb.rate == -1.0
+
+
+# -- the count-based fill against the reference, where floats are hostile --
+
+_INDEX = st.integers(min_value=0, max_value=10**6)
+
+
+@st.composite
+def _hostile_capacities(draw):
+    """2-7 capacities drawn log-uniformly from 1e-9...1e12 B/s, then tied:
+    some copy an earlier one exactly, some sit within ``_SHARE_SLACK`` of
+    it, some are a small multiple (so shares tie across user counts)."""
+    exponents = draw(st.lists(st.floats(-9.0, 12.0), min_size=2, max_size=7))
+    caps = [10.0**e for e in exponents]
+    for i in range(1, len(caps)):
+        kind = draw(st.sampled_from(("free", "free", "equal", "slack", "multiple")))
+        other = caps[draw(st.integers(0, i - 1))]
+        if kind == "equal":
+            caps[i] = other
+        elif kind == "slack":
+            caps[i] = other + draw(st.floats(-2e-12, 2e-12))
+        elif kind == "multiple":
+            caps[i] = other * draw(st.integers(2, 4))
+    return caps
+
+
+_FILL_MUTATIONS = st.one_of(
+    # Arrival over 0-3 resources, duplicates allowed, 0 => unbounded flow.
+    st.tuples(st.just("add"), st.lists(_INDEX, max_size=3)),
+    st.tuples(st.just("add"), st.lists(_INDEX, min_size=1, max_size=3)),
+    st.tuples(st.just("remove"), _INDEX),
+    # Retune to another resource's capacity, scaled: fresh exact ties.
+    st.tuples(st.just("retune"), st.tuples(_INDEX, _INDEX, st.sampled_from((0.5, 1, 2, 3)))),
+    st.tuples(st.just("all_dirty"), st.none()),
+)
+
+
+def _assert_same_recompute(ref, cur, ref_live, cur_live):
+    ref_changed = ref.recompute()
+    cur_changed = cur.recompute()
+    assert [f.name for f in cur_changed] == [f.name for f in ref_changed]
+    assert [f.rate for f in cur_live] == [f.rate for f in ref_live]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hostile_capacities(), st.lists(_FILL_MUTATIONS, min_size=1, max_size=30))
+def test_fill_matches_reference_on_hostile_floats(caps, mutations):
+    """``RateAllocator`` == ``ReferenceRateAllocator`` (changed-flow order
+    and ``==`` rates after every mutation) where the fast bottleneck
+    choice is *not* trivially right: shares far below 16 KiB/s, where
+    ``_SHARE_SLACK`` is not vacuous and the fill must compare
+    sequentially; exact and within-slack ties; the all-dirty path;
+    duplicate resources and resource-less flows."""
+    resources = [Resource(f"r{i}", cap) for i, cap in enumerate(caps)]
+    ref, cur = ReferenceRateAllocator(), RateAllocator()
+    ref_live, cur_live = [], []
+    for step, (kind, arg) in enumerate(mutations):
+        if kind == "add":
+            chosen = tuple(resources[i % len(resources)] for i in arg)
+            for alloc, live in ((ref, ref_live), (cur, cur_live)):
+                flow = StubFlow(f"f{step}", chosen)
+                live.append(flow)
+                alloc.add_flow(flow)
+        elif kind == "remove":
+            if ref_live:
+                idx = arg % len(ref_live)
+                ref.remove_flow(ref_live.pop(idx))
+                cur.remove_flow(cur_live.pop(idx))
+        elif kind == "retune":
+            target, source, factor = arg
+            res = resources[target % len(resources)]
+            res.set_capacity(resources[source % len(resources)].capacity * factor)
+            ref.mark_dirty(res)
+            cur.mark_dirty(res)
+        else:
+            ref.mark_dirty()
+            cur.mark_dirty()
+        _assert_same_recompute(ref, cur, ref_live, cur_live)
+    # And from scratch, in list order, through the public helper.
+    for flow in cur_live:
+        flow.rate = -1.0
+    allocate_rates(cur_live)
+    ref.mark_dirty()
+    for flow in ref_live:
+        flow.rate = -1.0
+    ref.recompute()
+    assert [f.rate for f in cur_live] == [f.rate for f in ref_live]
+
+
+def _build_twins(capacities, paths):
+    resources = [Resource(f"r{i}", cap) for i, cap in enumerate(capacities)]
+    ref, cur = ReferenceRateAllocator(), RateAllocator()
+    ref_live, cur_live = [], []
+    for n, path in enumerate(paths):
+        chosen = tuple(resources[i] for i in path)
+        for alloc, live in ((ref, ref_live), (cur, cur_live)):
+            flow = StubFlow(f"f{n}", chosen)
+            live.append(flow)
+            alloc.add_flow(flow)
+    return ref, cur, ref_live, cur_live
+
+
+@pytest.mark.parametrize(
+    "capacities, paths",
+    [
+        # Tied bottlenecks that share a flow: scan order decides which of
+        # 1e8/3 and (1e8 - 1e8/3)/2 the flows on r1 get.
+        ((1e8, 1e8), [(0,), (0,), (0, 1), (1,), (1,)]),
+        ((1e8, 1e8), [(1,), (1,), (1, 0), (0,), (0,)]),
+        # Within-slack tie below 16 KiB/s: the *first* resource must win
+        # although the second one's share is the arithmetic minimum.
+        ((3.0, 3.0 - 5e-13), [(0,), (1,), (0, 1)]),
+        ((3.0 - 5e-13, 3.0), [(0,), (1,), (0, 1)]),
+        # Just past the slack: now the second one is a strict improvement.
+        ((3.0, 3.0 - 5e-12), [(0,), (1,), (0, 1)]),
+        # Tiny capacities: float drift clamps to a zero share.
+        ((0.1 + 0.2, 1e-9, 2e-9, 3e-9), [(0, 1), (0, 2), (0, 3), (0, 1), (0,)]),
+        # Duplicate membership and resource-less flows.
+        ((100.0, 40.0), [(0, 0), (0,), (), (1, 0, 1), ()]),
+        # An unbounded resource freezes nobody until nothing else is left.
+        ((float("inf"), 50.0), [(0,), (0, 1), (0,)]),
+        ((float("inf"), float("inf")), [(0,), (0, 1), (1,)]),
+    ],
+    ids=[
+        "tied-bottlenecks-r0-first", "tied-bottlenecks-r1-first",
+        "within-slack-second-smaller", "within-slack-first-smaller", "past-slack",
+        "tiny-capacities", "duplicates-and-resourceless",
+        "unbounded-resource", "only-unbounded-resources",
+    ],
+)
+def test_fill_matches_reference_on_named_cases(capacities, paths):
+    ref, cur, ref_live, cur_live = _build_twins(capacities, paths)
+    _assert_same_recompute(ref, cur, ref_live, cur_live)  # dirty-component path
+    for flow in ref_live + cur_live:
+        flow.rate = -1.0
+    ref.mark_dirty()
+    cur.mark_dirty()
+    _assert_same_recompute(ref, cur, ref_live, cur_live)  # all-dirty path
+    assert all(flow.rate >= 0.0 for flow in cur_live)

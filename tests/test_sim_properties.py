@@ -1,5 +1,8 @@
 """Property-based tests of the simulator core (hypothesis)."""
 
+import inspect
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,3 +142,109 @@ def test_transfer_slicing_exact(num_slices_hint, size):
     t = Transfer("t", (), float(size), float(slice_size))
     assert sum(t.slice_sizes) == pytest.approx(float(size))
     assert t.num_slices >= 1
+
+
+# -- event dispatch order --------------------------------------------------
+
+_GRID = (0.0, 0.0, 0.25, 1.0, 1.0, 1.0, 3.0)
+_EVENT_OPS = st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from(_GRID)),
+    st.tuples(st.just("call_at"), st.sampled_from(_GRID)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_EVENT_OPS, min_size=1, max_size=80),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=3),
+)
+def test_dispatch_is_exactly_time_then_push_order(ops, upfront, burst):
+    """Whatever interleaving of ``schedule`` / ``call_at`` / ``cancel``
+    runs before and *during* the loop, the event dispatched next is the
+    live one with the smallest ``(time, seq)``, where ``seq`` counts
+    pushes. Callbacks are closures and their args bare objects — neither
+    is orderable, so a heap that ever compared past ``seq`` would raise
+    ``TypeError`` here."""
+    sim = Simulator()
+    pending: dict[int, tuple[float, int]] = {}  # id -> (time, seq)
+    events = []
+    fired = []
+    todo = iter(ops)
+
+    def apply(op):
+        kind, value = op
+        if kind == "cancel":
+            if events:
+                ident = value % len(events)
+                events[ident].cancel()
+                pending.pop(ident, None)
+            return
+        ident = len(events)
+        callback = lambda token, meta, ident=ident: fire(ident)
+        if kind == "schedule":
+            event = sim.schedule(value, callback, object(), {"id": ident})
+        else:
+            event = sim.call_at(max(value, sim.now), callback, object(), {"id": ident})
+        assert event.seq == ident
+        events.append(event)
+        pending[ident] = (event.time, event.seq)
+
+    def fire(ident):
+        assert pending[ident] == min(pending.values())
+        assert sim.now == pending.pop(ident)[0]
+        fired.append(ident)
+        for _ in range(burst):
+            op = next(todo, None)
+            if op is not None:
+                apply(op)
+        assert sim.pending_events() == len(pending)
+
+    for _ in range(upfront):
+        op = next(todo, None)
+        if op is not None:
+            apply(op)
+    assert sim.pending_events() == len(pending)
+    sim.run()
+    assert not pending
+    assert len(set(fired)) == len(fired)
+    assert sim.events_dispatched == len(fired)
+
+
+def test_thousand_same_instant_events_fire_in_push_order():
+    """1 000 events at one timestamp, each with its own closure and an
+    unorderable argument: FIFO, and no comparison ever reaches them."""
+    sim = Simulator()
+    fired = []
+    doomed = []
+    for i in range(1000):
+        event = sim.call_at(
+            1.0, lambda token, i=i: fired.append(i), object()
+        )
+        if i % 7 == 3:
+            doomed.append(event)
+    for event in doomed:
+        event.cancel()
+    sim.run()
+    assert fired == [i for i in range(1000) if i % 7 != 3]
+
+
+# -- hot state stays plain -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (Flow, ("remaining", "rate", "_settled_at", "_eta")),
+        (Resource, ("capacity", "bytes_by_tag")),
+    ],
+)
+def test_hot_fields_are_plain_slots(cls, fields):
+    """A ratchet against re-adding indirection: the fields the scheduler
+    and allocator touch millions of times per run are slot descriptors
+    (not properties), and instances carry no ``__dict__``."""
+    instance = Flow("f", 1.0, ()) if cls is Flow else Resource("r", 1.0)
+    assert not hasattr(instance, "__dict__")
+    for name in fields:
+        assert isinstance(inspect.getattr_static(cls, name), types.MemberDescriptorType), name
