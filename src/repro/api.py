@@ -5,8 +5,6 @@ placement, bandwidth monitor, foreground clients, repairer construction,
 fault wiring: a :class:`repro.faults.FaultTimeline` installed on a
 testbed forwards the chunks lost in a mid-run crash to every repairer
 built through :meth:`Testbed.make_repairer`, so recovery "just works".
-The legacy ``repro.experiments.scenario.Scenario`` is a deprecated
-alias of this class.
 
 Two construction styles::
 
@@ -31,6 +29,7 @@ Then::
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 
@@ -210,11 +209,6 @@ class Testbed:
         self.timeseries: TimeseriesRecorder | None = None
         self.controller: AdmissionController | None = None
         self.slos: list[SLOSpec] = []
-        #: ``id(repairer) -> (algorithm name, user overrides)`` so a
-        #: crashed coordinator can be rebuilt identically on recovery.
-        self._repairer_specs: dict[int, tuple[str, dict]] = {}
-        #: ``id(repairer) -> shard`` (``None`` = unsharded coordinator).
-        self._repairer_shards: dict[int, int | None] = {}
         #: Crash instants keyed by shard (``None`` = a whole-plane
         #: crash), so overlapping crashes of different shards each keep
         #: their own MTTR attribution.
@@ -230,14 +224,11 @@ class Testbed:
         #: Hedged-read policy applied to every repairer (see
         #: :meth:`enable_hedged_reads`).
         self.hedge_policy: HedgePolicy | None = None
-        #: ``id(repairer) -> home node`` for coordinators pinned with
-        #: :meth:`place_coordinator` (partition-aware control plane).
-        self.coordinator_homes: dict[int, int] = {}
         #: Node hosting the journal/metadata service (None = first
         #: client). Coordinators cut off from it get zombie-fenced.
         self.journal_home: int | None = None
         #: Coordinators fenced while partitioned away, awaiting heal.
-        self._zombies: set[int] = set()
+        self._zombies: list = []
         #: Zombie coordinators that stepped down after reconnecting.
         self.zombie_stepdowns = 0
 
@@ -330,7 +321,7 @@ class Testbed:
         chunks: list[ChunkId] = []
         for node_id in report.failed_nodes:
             node_chunks = [
-                c for c in report.failed_chunks if self._original_node(c) == node_id
+                c for c in report.failed_chunks if self.store.node_of(c) == node_id
             ]
             chunks.extend(node_chunks[:per_node])
         report.failed_chunks = chunks[: self.config.num_chunks]
@@ -338,9 +329,6 @@ class Testbed:
             for dead in report.failed_nodes:
                 drop_node_chunks(self.chunk_store, self.store, dead)
         return report
-
-    def _original_node(self, chunk: ChunkId) -> int:
-        return self.store.node_of(chunk)
 
     # -- repair ---------------------------------------------------------------
 
@@ -360,11 +348,8 @@ class Testbed:
         :meth:`start_sharded_repair` instead of binding shards by hand.
         """
         spec = (name, dict(overrides))
-        if shard is not None and self.journal is None:
-            raise ReproError(
-                "a sharded coordinator needs a journal; call "
-                "enable_journal() (or builder .with_journal()) first"
-            )
+        if shard is not None:
+            self._require_journal("a sharded coordinator")
         if self.journal is not None:
             view = (
                 self.journal if shard is None else self.journal.shard_view(shard)
@@ -373,13 +358,12 @@ class Testbed:
         if self.hedge_policy is not None:
             overrides.setdefault("hedge", self.hedge_policy)
         repairer = self._build_repairer(name, **overrides)
+        repairer.rebuild_spec = spec
         self.repairers.append(repairer)
-        self._repairer_specs[id(repairer)] = spec
-        self._repairer_shards[id(repairer)] = shard
         if self.dataplane is not None:
             self.dataplane.attach(repairer)
         if self.scrubber is not None:
-            self.scrubber.attach(repairer, shard=shard)
+            self.scrubber.attach(repairer)
         if self.controller is not None:
             self.controller.attach_repairer(repairer)
         return repairer
@@ -402,11 +386,7 @@ class Testbed:
         installed on the scrubber (detections go only to the owning
         shard) and used to route later node-crash chunks.
         """
-        if self.journal is None:
-            raise ReproError(
-                "sharded repair needs a journal; call enable_journal() "
-                "(or builder .with_journal()) first"
-            )
+        self._require_journal("sharded repair")
         router = ShardRouter(shards)
         self.shard_router = router
         if self.scrubber is not None:
@@ -421,10 +401,6 @@ class Testbed:
         for shard, repairer in enumerate(repairers):
             repairer.repair(parts[shard])
         return repairers
-
-    def shard_of_repairer(self, repairer) -> int | None:
-        """The journal shard ``repairer`` is bound to (None = unsharded)."""
-        return self._repairer_shards.get(id(repairer))
 
     def _build_repairer(self, name: str, **overrides):
         """Construct (without registering) the named algorithm's repairer."""
@@ -536,7 +512,7 @@ class Testbed:
         all_done = bool(self.repairers) and all(
             f is not None for f in finished
         )
-        lost = sum(len(getattr(r, "lost", ())) for r in self.repairers)
+        lost = sum(len(r.lost) for r in self.repairers)
         unverified = 0
         if self.chunk_store is not None:
             unverified = sum(
@@ -671,9 +647,7 @@ class Testbed:
 
     def _on_suspect(self, _detector, node_id, false_positive) -> None:
         for repairer in self.repairers:
-            if getattr(repairer, "_started", False) and not getattr(
-                repairer, "crashed", False
-            ):
+            if repairer.running:
                 repairer.helper_suspected(node_id)
 
     def enable_hedged_reads(
@@ -704,7 +678,7 @@ class Testbed:
         )
         self.hedge_policy = policy
         for repairer in self.repairers:
-            if getattr(repairer, "hedge", None) is None:
+            if repairer.hedge is None:
                 repairer.hedge = policy
         return policy
 
@@ -721,17 +695,13 @@ class Testbed:
         up a successor under the next epoch. Requires a journal and a
         *shard-bound* repairer (epoch stamping rides the shard view).
         """
-        if self.journal is None:
-            raise ReproError(
-                "zombie fencing needs a journal; call enable_journal() "
-                "(or builder .with_journal()) first"
-            )
-        if self._repairer_shards.get(id(repairer)) is None:
+        self._require_journal("zombie fencing")
+        if repairer.shard is None:
             raise ReproError(
                 "zombie fencing needs a shard-bound coordinator; build "
                 "it with make_repairer(name, shard=...)"
             )
-        self.coordinator_homes[id(repairer)] = self.cluster.node(node_id).id
+        repairer.home = self.cluster.node(node_id).id
 
     def _journal_home(self) -> int:
         if self.journal_home is not None:
@@ -743,26 +713,22 @@ class Testbed:
         )
 
     def _on_partitioned(self, _timeline, event, stalled) -> None:
-        if self.journal is None or not self.coordinator_homes:
+        if self.journal is None:
             return
         home = self._journal_home()
-        for repairer in list(self.repairers):
-            rid = id(repairer)
-            node = self.coordinator_homes.get(rid)
-            if node is None or rid in self._zombies:
-                continue
-            if getattr(repairer, "crashed", False) or not getattr(
-                repairer, "_started", False
+        for repairer in self.repairers:
+            if (
+                repairer.home is None
+                or repairer in self._zombies
+                or not repairer.running
+                or self.cluster.reachable(repairer.home, home)
             ):
-                continue
-            if self.cluster.reachable(node, home):
                 continue
             # The metadata plane lost the coordinator: fence its shard.
             # The coordinator itself keeps running — it is a zombie, and
             # the epoch check (not its cooperation) protects the log.
-            shard = self._repairer_shards.get(rid)
-            self.journal.fence(shard=0 if shard is None else shard)
-            self._zombies.add(rid)
+            self.journal.fence(shard=repairer.shard)
+            self._zombies.append(repairer)
             registry = get_registry()
             if registry.enabled:
                 registry.counter("journal.zombie_fences").inc()
@@ -771,29 +737,20 @@ class Testbed:
                 tracer.instant(
                     "journal.zombie_fence",
                     track="journal",
-                    shard=shard,
-                    home=node,
+                    shard=repairer.shard,
+                    home=repairer.home,
                 )
 
     def _on_healed(self, _timeline, event) -> None:
-        if not self._zombies:
-            return
         home = self._journal_home()
-        for rid in list(self._zombies):
-            repairer = next(
-                (r for r in self.repairers if id(r) == rid), None
-            )
-            if repairer is None:
-                self._zombies.discard(rid)
-                continue
-            node = self.coordinator_homes.get(rid)
-            if node is not None and not self.cluster.reachable(node, home):
+        for repairer in list(self._zombies):
+            if not self.cluster.reachable(repairer.home, home):
                 continue  # still cut off by an overlapping partition
             # Reconnected: the zombie reads its fence and steps down.
             repairer.crash()
-            self._zombies.discard(rid)
+            self._zombies.remove(repairer)
             self.zombie_stepdowns += 1
-            shard = self._repairer_shards.get(rid)
+            shard = repairer.shard
             self._coordinator_crash_times.setdefault(
                 shard, self.cluster.sim.now
             )
@@ -832,6 +789,13 @@ class Testbed:
             )
         return self.journal
 
+    def _require_journal(self, what: str, when: str = "first") -> None:
+        if self.journal is None:
+            raise ReproError(
+                f"{what} needs a journal; call enable_journal() (or "
+                f"builder .with_journal()) {when}"
+            )
+
     def inject_coordinator_crash(
         self,
         at: float,
@@ -852,11 +816,7 @@ class Testbed:
         only that shard's coordinator dies and is later recovered,
         while sibling shards' transfers continue untouched.
         """
-        if self.journal is None:
-            raise ReproError(
-                "coordinator crash recovery needs a journal; call "
-                "enable_journal() (or builder .with_journal()) first"
-            )
+        self._require_journal("coordinator crash recovery")
         timeline = FaultTimeline(seed=self.config.seed + 29).crash_coordinator(
             at, shard
         )
@@ -870,18 +830,15 @@ class Testbed:
         return timeline
 
     def _on_coordinator_crash(self, _timeline, event) -> None:
-        shard = getattr(event, "shard", None)
+        shard = event.shard
         crashed_shards: list[int | None] = []
         for repairer in self.repairers:
-            if not getattr(repairer, "_started", False) or getattr(
-                repairer, "crashed", False
-            ):
+            if not repairer.running:
                 continue
-            r_shard = self._repairer_shards.get(id(repairer))
-            if shard is not None and r_shard != shard:
+            if shard is not None and repairer.shard != shard:
                 continue  # targeted crash: siblings keep running
             repairer.crash()
-            crashed_shards.append(r_shard)
+            crashed_shards.append(repairer.shard)
         if not crashed_shards:
             return
         now = self.cluster.sim.now
@@ -913,19 +870,16 @@ class Testbed:
             for r_shard in dict.fromkeys(crashed_shards):
                 self.journal.fence(shard=0 if r_shard is None else r_shard)
 
+    def _crashed_repairers(self, shard: int | None) -> list:
+        """Dead coordinators awaiting recovery (``shard`` narrows to one partition)."""
+        return [
+            r
+            for r in self.repairers
+            if r.crashed and (shard is None or r.shard == shard)
+        ]
+
     def _auto_recover(self, shard: int | None = None) -> None:
-        while True:
-            candidates = [
-                r for r in self.repairers if getattr(r, "crashed", False)
-            ]
-            if shard is not None:
-                candidates = [
-                    r
-                    for r in candidates
-                    if self._repairer_shards.get(id(r)) == shard
-                ]
-            if not candidates:
-                return
+        while self._crashed_repairers(shard):
             self.recover_repairer(shard=shard)
 
     def recover_repairer(
@@ -953,42 +907,22 @@ class Testbed:
         :class:`~repro.journal.RecoveryPlan` attached as
         ``repairer.recovery``.
         """
-        if self.journal is None:
-            raise ReproError(
-                "recovery needs a journal; call enable_journal() (or "
-                "builder .with_journal()) before repairing"
-            )
-        crashed = [r for r in self.repairers if getattr(r, "crashed", False)]
-        if shard is not None:
-            crashed = [
-                r
-                for r in crashed
-                if self._repairer_shards.get(id(r)) == shard
-            ]
+        self._require_journal("recovery", when="before repairing")
+        crashed = self._crashed_repairers(shard)
         if not crashed:
             target = "" if shard is None else f" on shard {shard}"
             raise ReproError(f"no crashed repairer to recover{target}")
         # The recovery group: the targeted shard's casualties, or — when
         # untargeted — every casualty sharing the latest one's shard
         # (unsharded coordinators all share the ``None`` group).
-        shard_key = (
-            shard
-            if shard is not None
-            else self._repairer_shards.get(id(crashed[-1]))
-        )
-        group = [
-            r
-            for r in crashed
-            if self._repairer_shards.get(id(r)) == shard_key
-        ]
-        journal_shard = 0 if shard_key is None else shard_key
-        self.journal.fence(shard=journal_shard)
-        state = self.journal.replay()
+        shard_key = shard if shard is not None else crashed[-1].shard
+        group = [r for r in crashed if r.shard == shard_key]
+        self.journal.fence(shard=0 if shard_key is None else shard_key)
         plan = reconcile(
-            state,
+            self.journal.replay(),
             now=self.cluster.sim.now,
             chunk_store=self.chunk_store,
-            shard=None if shard_key is None else shard_key,
+            shard=shard_key,
         )
         tracer = get_tracer()
         if tracer.enabled:
@@ -1000,14 +934,11 @@ class Testbed:
                 **({} if shard_key is None else {"shard": shard_key}),
                 **plan.summary(),
             )
-        old = group[-1]
-        spec_name, spec_overrides = self._repairer_specs.get(
-            id(old), (getattr(old, "name", "ChameleonEC"), {})
-        )
+        spec_name, spec_overrides = group[-1].rebuild_spec
         for repairer in group:
             self.repairers.remove(repairer)
-            self._repairer_specs.pop(id(repairer), None)
-            self._repairer_shards.pop(id(repairer), None)
+            if repairer in self._zombies:
+                self._zombies.remove(repairer)
         merged = dict(spec_overrides)
         merged.update(overrides)
         replacement = self.make_repairer(
@@ -1040,7 +971,7 @@ class Testbed:
                 algorithm=name or spec_name,
                 requeued=len(plan.requeue),
             )
-        if not any(getattr(r, "crashed", False) for r in self.repairers):
+        if not self._crashed_repairers(None):
             # Everyone recovered: the whole-plane crash instant (if
             # any) has no remaining claimants.
             self._coordinator_crash_times.pop(None, None)
@@ -1080,7 +1011,7 @@ class Testbed:
         return self.dataplane
 
     def start_scrubber(
-        self, *, rate_mbs: float, passes: int | None = None
+        self, rate_mbs: float, *, passes: int | None = None
     ) -> Scrubber:
         """Start background scrubbing at ``rate_mbs`` MB/s of chunk data.
 
@@ -1170,10 +1101,9 @@ class Testbed:
             for dead in report.failed_nodes:
                 drop_node_chunks(self.chunk_store, self.store, dead)
         for repairer in self.repairers:
-            if not getattr(repairer, "_started", False):
+            if not repairer.running:
                 continue
-            shard = self._repairer_shards.get(id(repairer))
-            if shard is None or self.shard_router is None:
+            if repairer.shard is None or self.shard_router is None:
                 repairer.add_chunks(report.failed_chunks)
             else:
                 # Shard-bound coordinators only adopt the chunks their
@@ -1182,10 +1112,28 @@ class Testbed:
                 mine = [
                     chunk
                     for chunk in report.failed_chunks
-                    if self.shard_router.shard_of(chunk) == shard
+                    if self.shard_router.shard_of(chunk) == repairer.shard
                 ]
                 if mine:
                     repairer.add_chunks(mine)
+
+
+#: One row per optional feature: the :class:`TestbedBuilder` method it
+#: gets and the :class:`Testbed` method that implements it. Row order is
+#: the order ``build()`` applies them in: the recorder before the
+#: controller and hedge policy that read it, the journal before anything
+#: builds a coordinator, integrity before the bit-rot that damages it.
+_FEATURES = (
+    ("with_timeseries", "enable_timeseries"),
+    ("with_journal", "enable_journal"),
+    ("with_integrity", "enable_integrity"),
+    ("with_bitrot", "inject_bitrot"),
+    ("with_scrubber", "start_scrubber"),
+    ("with_admission_control", "enable_admission_control"),
+    ("with_failure_detector", "enable_failure_detector"),
+    ("with_hedged_reads", "enable_hedged_reads"),
+    ("with_partitions", "enable_partitions"),
+)
 
 
 class TestbedBuilder:
@@ -1194,7 +1142,10 @@ class TestbedBuilder:
     Every ``with_*`` method returns the builder; ``build()`` produces
     the testbed (``config()`` just the :class:`ExperimentConfig`).
     Unset knobs keep the scaled-run defaults of
-    :meth:`ExperimentConfig.scaled`.
+    :meth:`ExperimentConfig.scaled`. The feature methods
+    (``with_journal``, ``with_integrity``, …) are not written out here:
+    each is derived from the :class:`Testbed` method :data:`_FEATURES`
+    pairs it with, and takes exactly that method's arguments.
     """
 
     __test__ = False  # "Test" prefix; keep pytest from collecting this
@@ -1203,15 +1154,9 @@ class TestbedBuilder:
         self._testbed_cls = testbed_cls
         self._scale: float | None = None
         self._overrides: dict = {}
-        self._integrity: dict | None = None
-        self._scrubber: dict | None = None
-        self._bitrot: dict | None = None
-        self._journal: dict | None = None
-        self._timeseries: dict | None = None
-        self._admission: dict | None = None
-        self._partitions: dict | None = None
-        self._detector: dict | None = None
-        self._hedging: dict | None = None
+        #: ``with_*`` feature name -> the (args, kwargs) ``build()``
+        #: replays against the testbed, in :data:`_FEATURES` order.
+        self._features: dict[str, tuple[tuple, dict]] = {}
         self._slos: list[SLOSpec] = []
 
     # -- knobs ----------------------------------------------------------------
@@ -1277,136 +1222,6 @@ class TestbedBuilder:
         self._overrides.update(kwargs)
         return self
 
-    def with_integrity(self, *, payload_size: int = 128) -> "TestbedBuilder":
-        """Load real payloads + checksums (see :meth:`Testbed.enable_integrity`)."""
-        self._integrity = {"payload_size": payload_size}
-        return self
-
-    def with_scrubber(
-        self, rate_mbs: float, *, passes: int | None = None
-    ) -> "TestbedBuilder":
-        """Start a background scrubber at ``rate_mbs`` MB/s on build."""
-        self._scrubber = {"rate_mbs": rate_mbs, "passes": passes}
-        return self
-
-    def with_journal(
-        self,
-        *,
-        lease_duration: float = 60.0,
-        checkpoint_interval: int | None = None,
-    ) -> "TestbedBuilder":
-        """Journal the repair control plane (see :meth:`Testbed.enable_journal`)."""
-        self._journal = {
-            "lease_duration": lease_duration,
-            "checkpoint_interval": checkpoint_interval,
-        }
-        return self
-
-    def with_bitrot(
-        self,
-        *,
-        corruptions: int,
-        sector_errors: int = 0,
-        horizon: float,
-        flips: int = 1,
-        max_per_stripe: int | None = None,
-        seed: int | None = None,
-    ) -> "TestbedBuilder":
-        """Schedule seeded bit-rot over ``[0, horizon)`` on build."""
-        self._bitrot = {
-            "corruptions": corruptions,
-            "sector_errors": sector_errors,
-            "horizon": horizon,
-            "flips": flips,
-            "max_per_stripe": max_per_stripe,
-            "seed": seed,
-        }
-        return self
-
-    def with_timeseries(self, *, window: float = 5.0) -> "TestbedBuilder":
-        """Record per-window virtual-time series (see
-        :meth:`Testbed.enable_timeseries`)."""
-        self._timeseries = {"window": window}
-        return self
-
-    def with_admission_control(
-        self,
-        *,
-        policy: AIMDPolicy | None = None,
-        baseline_p99: float | None = None,
-        calibration_windows: int = 3,
-        window: float = 5.0,
-    ) -> "TestbedBuilder":
-        """Install the AIMD admission controller on build (see
-        :meth:`Testbed.enable_admission_control`). Without an explicit
-        ``baseline_p99`` the controller self-calibrates over the first
-        ``calibration_windows`` non-empty foreground windows."""
-        self._admission = {
-            "policy": policy,
-            "baseline_p99": baseline_p99,
-            "calibration_windows": calibration_windows,
-            "window": window,
-        }
-        return self
-
-    def with_partitions(
-        self,
-        *,
-        count: int = 1,
-        duration: tuple[float, float] = (2.0, 6.0),
-        group_fraction: tuple[float, float] = (0.2, 0.5),
-        horizon: float | None = None,
-        seed: int | None = None,
-    ) -> "TestbedBuilder":
-        """Schedule seeded partition waves on build (see
-        :meth:`Testbed.enable_partitions`)."""
-        self._partitions = {
-            "count": count,
-            "duration": duration,
-            "group_fraction": group_fraction,
-            "horizon": horizon,
-            "seed": seed,
-        }
-        return self
-
-    def with_failure_detector(
-        self,
-        *,
-        heartbeat_interval: float = 0.5,
-        threshold: float = 3.0,
-        window: int = 8,
-        home: int | None = None,
-        min_heartbeat_capacity: float = 0.05,
-    ) -> "TestbedBuilder":
-        """Start the accrual failure detector on build (see
-        :meth:`Testbed.enable_failure_detector`)."""
-        self._detector = {
-            "heartbeat_interval": heartbeat_interval,
-            "threshold": threshold,
-            "window": window,
-            "home": home,
-            "min_heartbeat_capacity": min_heartbeat_capacity,
-        }
-        return self
-
-    def with_hedged_reads(
-        self,
-        *,
-        series: str = "lat.foreground.p99",
-        multiplier: float = 4.0,
-        min_delay: float = 2.0,
-        fixed_delay: float | None = None,
-    ) -> "TestbedBuilder":
-        """Hedge tail-latency repairs on build (see
-        :meth:`Testbed.enable_hedged_reads`)."""
-        self._hedging = {
-            "series": series,
-            "multiplier": multiplier,
-            "min_delay": min_delay,
-            "fixed_delay": fixed_delay,
-        }
-        return self
-
     def with_slos(self, *specs: SLOSpec) -> "TestbedBuilder":
         """Declare SLOs for :meth:`Testbed.evaluate_slos` (cumulative)."""
         self._slos.extend(specs)
@@ -1421,29 +1236,46 @@ class TestbedBuilder:
         return ExperimentConfig.scaled(**self._overrides)
 
     def build(self) -> Testbed:
-        """Materialise the testbed (+ any requested integrity machinery)."""
+        """Materialise the testbed, then apply the requested features."""
         testbed = self._testbed_cls(self.config())
-        if self._timeseries is not None:
-            testbed.enable_timeseries(**self._timeseries)
         if self._slos:
             testbed.set_slos(*self._slos)
-        if self._journal is not None:
-            testbed.enable_journal(**self._journal)
-        if self._integrity is not None:
-            testbed.enable_integrity(**self._integrity)
-        if self._bitrot is not None:
-            testbed.inject_bitrot(**self._bitrot)
-        if self._scrubber is not None:
-            testbed.start_scrubber(**self._scrubber)
-        if self._admission is not None:
-            testbed.enable_admission_control(**self._admission)
-        if self._detector is not None:
-            testbed.enable_failure_detector(**self._detector)
-        if self._hedging is not None:
-            testbed.enable_hedged_reads(**self._hedging)
-        if self._partitions is not None:
-            testbed.enable_partitions(**self._partitions)
+        for name, target in _FEATURES:
+            if name in self._features:
+                args, kwargs = self._features[name]
+                getattr(testbed, target)(*args, **kwargs)
         return testbed
+
+
+def _feature_method(name: str, target: str):
+    """The builder method ``name``: record a deferred ``Testbed.target`` call.
+
+    Arguments are bound against the target's own signature when the
+    ``with_*`` method is called, so a misspelt keyword fails there and
+    not later inside ``build()``.
+    """
+    method = getattr(Testbed, target)
+    signature = inspect.signature(method)
+
+    def with_feature(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        self._features[name] = (bound.args[1:], bound.kwargs)
+        return self
+
+    with_feature.__name__ = name
+    with_feature.__qualname__ = f"TestbedBuilder.{name}"
+    with_feature.__signature__ = signature.replace(
+        return_annotation="TestbedBuilder"
+    )
+    with_feature.__doc__ = (
+        f"On ``build()``, call :meth:`Testbed.{target}` with these "
+        f"arguments.\n\n{inspect.getdoc(method)}"
+    )
+    return with_feature
+
+
+for _name, _target in _FEATURES:
+    setattr(TestbedBuilder, _name, _feature_method(_name, _target))
 
 
 __all__ = [

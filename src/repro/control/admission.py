@@ -300,8 +300,7 @@ class AdmissionController:
             starts = [
                 r.meter.started_at
                 for r, _ in self._repairers
-                if getattr(r, "meter", None) is not None
-                and r.meter.started_at is not None
+                if r.meter.started_at is not None
             ]
             self._deadline_start = min(starts) if starts else self.sim.now
         span = self.repair_deadline - self._deadline_start
@@ -324,7 +323,7 @@ class AdmissionController:
             scrubber.set_rate(target)
 
     def _apply_repairer(self, repairer, base: int) -> None:
-        if getattr(repairer, "crashed", False):
+        if repairer.crashed:
             return  # a dead coordinator has no knobs; recovery re-attaches
         target = max(1, int(round(base * self.repair_level)))
         if repairer.concurrency != target:

@@ -4,10 +4,6 @@ See DESIGN.md for the experiment-to-module index. Every ``run_*``
 function accepts ``scale`` (default ~0.12) so the whole grid completes
 in minutes; pass ``scale=1.0`` plus ``ExperimentConfig.paper()`` values
 for full-scale replication.
-
-``Scenario`` is deprecated — use :class:`repro.Testbed`. It is still
-importable from here (lazily, with a ``DeprecationWarning`` at
-construction) for old callers.
 """
 
 from repro.experiments.algorithms import ALL_ALGORITHMS
@@ -25,21 +21,9 @@ __all__ = [
     "ALL_ALGORITHMS",
     "ExperimentConfig",
     "RepairResult",
-    "Scenario",
     "format_table",
     "run_repair_experiment",
     "run_sim_until",
     "run_trace_only",
     "run_trace_with_repair",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy so importing repro.experiments (which repro.api does for its
-    # config) never pulls in the deprecated shim — and, through it,
-    # repro.api itself.
-    if name == "Scenario":
-        from repro.experiments.scenario import Scenario
-
-        return Scenario
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,277 +15,76 @@ Observability (any experiment, no per-experiment code):
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import sys
 
 from repro.experiments.harness import format_table
 
 
-def _exp01(scale, seed):
-    from repro.experiments.exp01_interference import (
-        ALGORITHMS,
-        rows_p99,
-        rows_throughput,
-        run_exp01,
-    )
-
-    results = run_exp01(scale=scale, seed=seed)
-    headers = ["trace", *ALGORITHMS]
-    return [
-        ("Exp#1 / Fig 12(a): repair throughput (MB/s)", headers, rows_throughput(results)),
-        ("Exp#1 / Fig 12(b): P99 latency (ms)", headers, rows_p99(results)),
-    ]
-
-
-def _exp02(scale, seed):
-    from repro.experiments.exp02_trace_slowdown import ALGORITHMS, rows, run_exp02
-
-    results = run_exp02(scale=scale, seed=seed)
-    return [("Exp#2 / Fig 13: interference degree", ["trace", *ALGORITHMS], rows(results))]
-
-
-def _exp03(scale, seed):
-    from repro.experiments.exp03_tphase import rows, run_exp03
-
-    results = run_exp03(scale=scale, seed=seed)
-    return [("Exp#3 / Fig 14: ChameleonEC vs T_phase",
-             ["T_phase", "throughput MB/s", "P99 ms"], rows(results))]
-
-
-def _exp04(scale, seed):
-    from repro.experiments.exp04_adaptivity import rows, run_exp04, series_rows
-
-    results = run_exp04(scale=scale, seed=seed)
-    return [
-        ("Exp#4 / Fig 15: average throughput under trace transitions",
-         ["algorithm", "throughput MB/s", "repair time s"], rows(results)),
-        ("Exp#4 / Fig 15: throughput series (MB/s)",
-         ["algorithm"] + [f"w{i}" for i in range(8)], series_rows(results)),
-    ]
-
-
-def _exp05(scale, seed):
-    from repro.experiments.exp05_computation import CHUNK_COUNTS, rows, run_exp05
-
-    results = run_exp05(seed=seed)
-    return [("Exp#5 / Fig 16: plan-generation time (s)",
-             ["nodes", *(f"{c} chunks" for c in CHUNK_COUNTS)], rows(results))]
-
-
-def _exp06(scale, seed):
-    from repro.experiments.exp06_repairboost import rows, run_exp06
-
-    results = run_exp06(scale=scale, seed=seed)
-    return [("Exp#6 / Fig 17: RepairBoost vs ChameleonEC",
-             ["algorithm", "throughput MB/s", "P99 ms"], rows(results))]
-
-
-def _exp07(scale, seed):
-    from repro.experiments.exp07_no_foreground import ALGORITHMS, rows, run_exp07
-
-    results = run_exp07(scale=scale, seed=seed)
-    return [("Exp#7 / Fig 18: no-foreground throughput (MB/s)",
-             ["link bw", *ALGORITHMS], rows(results))]
-
-
-def _exp08(scale, seed):
-    from repro.experiments.exp08_multinode import ALGORITHMS, rows, run_exp08
-
-    results = run_exp08(scale=scale, seed=seed)
-    return [("Exp#8 / Fig 19: multi-node repair (MB/s)",
-             ["failures", *ALGORITHMS], rows(results))]
-
-
-def _exp09(scale, seed):
-    from repro.experiments.exp09_generality import ALGORITHMS, rows, run_exp09
-
-    results = run_exp09(scale=scale, seed=seed)
-    return [("Exp#9 / Fig 20: throughput by erasure code (MB/s)",
-             ["code", *ALGORITHMS], rows(results))]
-
-
-def _exp10(scale, seed):
-    from repro.experiments.exp10_degraded_read import ALGORITHMS, rows, run_exp10
-
-    results = run_exp10(scale=scale, seed=seed)
-    return [("Exp#10 / Fig 21: degraded-read throughput (MB/s)",
-             ["code", *ALGORITHMS], rows(results))]
-
-
-def _exp11(scale, seed):
-    from repro.experiments.exp11_breakdown import ALGORITHMS, rows, run_exp11
-
-    results = run_exp11(scale=scale, seed=seed)
-    return [("Exp#11 / Fig 22: phase throughput with straggler (MB/s)",
-             ["straggler start", *ALGORITHMS], rows(results))]
-
-
-def _exp12(scale, seed):
-    from repro.experiments.exp12_storage_bottleneck import ALGORITHMS, rows, run_exp12
-
-    results = run_exp12(scale=scale, seed=seed)
-    return [("Exp#12 / Fig 23: storage-bottlenecked throughput (MB/s)",
-             ["disk bw", *ALGORITHMS], rows(results))]
-
-
-def _exp13(scale, seed):
-    from repro.experiments.exp13_network_bw import ALGORITHMS, rows, run_exp13
-
-    results = run_exp13(scale=scale, seed=seed)
-    return [("Exp#13 / Fig 24: throughput vs link bandwidth (MB/s)",
-             ["link bw", *ALGORITHMS], rows(results))]
-
-
-def _exp14(scale, seed):
-    from repro.experiments.exp14_churn import HEADERS, rows, run_exp14
-
-    results = run_exp14(scale=scale, seed=seed)
-    return [("Exp#14: repair under churn (mid-repair crash + straggler)",
-             HEADERS, rows(results))]
-
-
-def _exp15(scale, seed):
-    from repro.experiments.exp15_scrub import HEADERS, rows, run_exp15
-
-    results = run_exp15(scale=scale, seed=seed)
-    return [("Exp#15: background scrubbing (detection latency vs P99 inflation)",
-             HEADERS, rows(results))]
-
-
-def _exp16(scale, seed):
-    from repro.experiments.exp16_failover import HEADERS, rows, run_exp16
-
-    results = run_exp16(scale=scale, seed=seed)
-    return [("Exp#16: coordinator failover (crash timing vs repair inflation)",
-             HEADERS, rows(results))]
-
-
-def _exp17(scale, seed, out="BENCH_chaos.json"):
-    from repro.experiments.exp17_chaos import (
-        HEADERS,
-        rows,
-        run_exp17,
-        write_bench,
-    )
-
-    results = run_exp17(scale=scale, seed=seed)
-    payload = write_bench(results, out, scale=scale, seed=seed)
-    gate = "PASS" if payload["passed"] else "FAIL"
-    return [(
-        f"Exp#17: SLO-gated chaos suite — {gate} "
-        f"({payload['breaches_total']} gate breaches, verdicts in {out})",
-        HEADERS, rows(results),
-    )]
-
-
-def _exp18(scale, seed, out="BENCH_adaptive.json"):
-    from repro.experiments.exp18_adaptive import (
-        HEADERS,
-        rows,
-        run_exp18,
-        write_bench,
-    )
-
-    results = run_exp18(scale=scale, seed=seed)
-    payload = write_bench(results, out, scale=scale, seed=seed)
-    gate = "PASS" if payload["passed"] else "FAIL"
-    breaches = payload["p99_breach_windows"]
-    return [(
-        f"Exp#18: adaptive admission control — {gate} "
-        f"(breach windows {breaches['controller_off']} off vs "
-        f"{breaches['controller_on']} on, verdicts in {out})",
-        HEADERS, rows(results),
-    )]
-
-
-def _exp19(scale, seed, out="BENCH_shard.json"):
-    from repro.experiments.exp19_shard_failover import (
-        HEADERS,
-        rows,
-        run_exp19,
-        write_bench,
-    )
-
-    results = run_exp19(scale=scale, seed=seed)
-    payload = write_bench(results, out, scale=scale, seed=seed)
-    gate = "PASS" if payload["passed"] else "FAIL"
-    blasts = payload["mean_blast_by_shards"]
-    trend = " -> ".join(f"{blasts[s]:.2f}" for s in sorted(blasts, key=int))
-    return [(
-        f"Exp#19: sharded control-plane failover — {gate} "
-        f"(mean blast radius {trend}, verdicts in {out})",
-        HEADERS, rows(results),
-    )]
-
-
-def _exp20(scale, seed, out="BENCH_partition.json"):
-    from repro.experiments.exp20_partition import (
-        HEADERS,
-        rows,
-        run_exp20,
-        write_bench,
-    )
-
-    results = run_exp20(scale=scale, seed=seed)
-    payload = write_bench(results, out, scale=scale, seed=seed)
-    gate = "PASS" if payload["passed"] else "FAIL"
-    zombie = payload["zombie"]
-    return [(
-        f"Exp#20: partition-tolerant repair — {gate} "
-        f"(tail_reduced={payload['tail_reduced']}, "
-        f"fenced {zombie['fenced_writes']} stale writes, verdicts in {out})",
-        HEADERS, rows(results),
-    )]
-
-
-def _fig2(scale, seed):
-    from repro.experiments.figures import fig2_rows, run_fig2
-
-    return [("Fig 2: Pr_dl vs repair throughput",
-             ["repair throughput", "Pr_dl"], fig2_rows(run_fig2()))]
-
-
-def _fig4(scale, seed):
-    from repro.experiments.motivation import rows_p99, rows_repair_time, run_motivation
-
-    results = run_motivation(scale=scale, seed=seed)
-    return [
-        ("Fig 4(a): repair time (s)", ["clients", "CR", "PPR", "ECPipe"],
-         rows_repair_time(results)),
-        ("Fig 4(b): P99 (ms)", ["clients", "CR", "PPR", "ECPipe"], rows_p99(results)),
-    ]
-
-
-def _fig5(scale, seed):
-    from repro.experiments.figures import fig5_rows, run_fig5
-
-    return [("Fig 5: foreground bandwidth fluctuation (Gb/s)",
-             ["direction", "mean", "min", "max"], fig5_rows(run_fig5(scale, seed)))]
-
-
-def _fig6(scale, seed):
-    from repro.experiments.figures import fig6_rows, run_fig6
-
-    return [("Fig 6: most/least-loaded link bandwidth (Gb/s)",
-             ["link", "repair", "foreground", "total"],
-             fig6_rows(run_fig6(scale, seed)))]
-
-
+#: CLI name -> (module under ``repro.experiments``, its runner, its
+#: table list). A table list holds ``(title, headers, rows)`` triples,
+#: ``rows`` mapping the runner's result to table rows; it lives beside
+#: the ``rows`` functions it names.
 EXPERIMENTS = {
-    "fig2": _fig2, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6,
-    "exp01": _exp01, "exp02": _exp02, "exp03": _exp03, "exp04": _exp04,
-    "exp05": _exp05, "exp06": _exp06, "exp07": _exp07, "exp08": _exp08,
-    "exp09": _exp09, "exp10": _exp10, "exp11": _exp11, "exp12": _exp12,
-    "exp13": _exp13, "exp14": _exp14, "exp15": _exp15, "exp16": _exp16,
-    "exp17": _exp17, "exp18": _exp18, "exp19": _exp19, "exp20": _exp20,
+    "fig2": ("figures", "run_fig2", "FIG2_TABLES"),
+    "fig4": ("motivation", "run_motivation", "TABLES"),
+    "fig5": ("figures", "run_fig5", "FIG5_TABLES"),
+    "fig6": ("figures", "run_fig6", "FIG6_TABLES"),
+    "exp01": ("exp01_interference", "run_exp01", "TABLES"),
+    "exp02": ("exp02_trace_slowdown", "run_exp02", "TABLES"),
+    "exp03": ("exp03_tphase", "run_exp03", "TABLES"),
+    "exp04": ("exp04_adaptivity", "run_exp04", "TABLES"),
+    "exp05": ("exp05_computation", "run_exp05", "TABLES"),
+    "exp06": ("exp06_repairboost", "run_exp06", "TABLES"),
+    "exp07": ("exp07_no_foreground", "run_exp07", "TABLES"),
+    "exp08": ("exp08_multinode", "run_exp08", "TABLES"),
+    "exp09": ("exp09_generality", "run_exp09", "TABLES"),
+    "exp10": ("exp10_degraded_read", "run_exp10", "TABLES"),
+    "exp11": ("exp11_breakdown", "run_exp11", "TABLES"),
+    "exp12": ("exp12_storage_bottleneck", "run_exp12", "TABLES"),
+    "exp13": ("exp13_network_bw", "run_exp13", "TABLES"),
+    "exp14": ("exp14_churn", "run_exp14", "TABLES"),
+    "exp15": ("exp15_scrub", "run_exp15", "TABLES"),
+    "exp16": ("exp16_failover", "run_exp16", "TABLES"),
+    "exp17": ("exp17_chaos", "run_exp17", "TABLES"),
+    "exp18": ("exp18_adaptive", "run_exp18", "TABLES"),
+    "exp19": ("exp19_shard_failover", "run_exp19", "TABLES"),
+    "exp20": ("exp20_partition", "run_exp20", "TABLES"),
 }
 
-#: Experiments that write a machine-readable verdict document (--out).
+#: Experiments that write a machine-readable verdict document (--out);
+#: their modules add ``write_bench`` and ``headline(payload)``.
 BENCH_EXPERIMENTS = {
     "exp17": "BENCH_chaos.json",
     "exp18": "BENCH_adaptive.json",
     "exp19": "BENCH_shard.json",
     "exp20": "BENCH_partition.json",
 }
+
+
+def run_experiment(
+    name: str, scale: float, seed: int, out: str | None = None
+) -> list[tuple[str, list, list]]:
+    """Run experiment ``name``; returns its ``(title, headers, rows)`` tables."""
+    module_name, runner_name, tables_name = EXPERIMENTS[name]
+    module = importlib.import_module(f"repro.experiments.{module_name}")
+    runner = getattr(module, runner_name)
+    # Not every runner scales (fig2 is analytic, exp05 times the planner).
+    accepted = inspect.signature(runner).parameters
+    results = runner(
+        **{k: v for k, v in (("scale", scale), ("seed", seed)) if k in accepted}
+    )
+    verdict = ""
+    if name in BENCH_EXPERIMENTS:
+        out = out or BENCH_EXPERIMENTS[name]
+        payload = module.write_bench(results, out, scale=scale, seed=seed)
+        gate = "PASS" if payload["passed"] else "FAIL"
+        verdict = f" — {gate} ({module.headline(payload)}, verdicts in {out})"
+    return [
+        (title + verdict, headers, rows(results))
+        for title, headers, rows in getattr(module, tables_name)
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -334,12 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         prev_tracer = set_tracer(tracer)
         prev_registry = set_registry(registry)
     try:
-        handler = EXPERIMENTS[args.experiment]
-        if args.experiment in BENCH_EXPERIMENTS:
-            out = args.out or BENCH_EXPERIMENTS[args.experiment]
-            tables = handler(args.scale, args.seed, out=out)
-        else:
-            tables = handler(args.scale, args.seed)
+        tables = run_experiment(args.experiment, args.scale, args.seed, args.out)
         for title, headers, rows in tables:
             print(format_table(title, headers, rows))
             print()

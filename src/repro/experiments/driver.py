@@ -2,8 +2,7 @@
 
 Lives below both :mod:`repro.api` and
 :mod:`repro.experiments.harness` (which re-exports these names) so the
-facade can drive a cluster without importing the harness — and, through
-it, the legacy ``Scenario`` shim.
+facade can drive a cluster without importing the harness.
 """
 
 from __future__ import annotations

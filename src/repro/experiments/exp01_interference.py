@@ -8,7 +8,7 @@ repair throughput (MB/s) and foreground P99 latency (ms).
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import RepairResult, run_repair_experiment
+from repro.experiments.harness import RepairResult, pivot_rows, run_repair_experiment
 
 TRACES = ("YCSB-A", "IBM-OS", "Memcached", "Facebook-ETC")
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ChameleonEC")
@@ -33,27 +33,16 @@ def run_exp01(
 
 def rows_throughput(results: dict) -> list[list]:
     """Fig. 12(a) rows: throughput per trace and algorithm."""
-    traces = sorted({t for t, _ in results})
-    algorithms = [a for a in ALGORITHMS if any((t, a) in results for t in traces)]
-    rows = []
-    for trace in traces:
-        row = [trace]
-        for algorithm in algorithms:
-            r = results.get((trace, algorithm))
-            row.append(r.throughput_mbs if r else "-")
-        rows.append(row)
-    return rows
+    return pivot_rows(results, ALGORITHMS, lambda r: r.throughput_mbs, str)
 
 
 def rows_p99(results: dict) -> list[list]:
     """Fig. 12(b) rows: P99 (ms) per trace and algorithm."""
-    traces = sorted({t for t, _ in results})
-    algorithms = [a for a in ALGORITHMS if any((t, a) in results for t in traces)]
-    rows = []
-    for trace in traces:
-        row = [trace]
-        for algorithm in algorithms:
-            r = results.get((trace, algorithm))
-            row.append(r.p99_latency * 1000 if r else "-")
-        rows.append(row)
-    return rows
+    return pivot_rows(results, ALGORITHMS, lambda r: r.p99_latency * 1000, str)
+
+
+HEADERS = ["trace", *ALGORITHMS]
+TABLES = [
+    ("Exp#1 / Fig 12(a): repair throughput (MB/s)", HEADERS, rows_throughput),
+    ("Exp#1 / Fig 12(b): P99 latency (ms)", HEADERS, rows_p99),
+]

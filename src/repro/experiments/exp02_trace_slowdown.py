@@ -8,7 +8,11 @@ interference degree is ``T*/T - 1``.
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_trace_only, run_trace_with_repair
+from repro.experiments.harness import (
+    pivot_rows,
+    run_trace_only,
+    run_trace_with_repair,
+)
 from repro.metrics.interference import interference_degree
 
 TRACES = ("YCSB-A", "IBM-OS", "Memcached", "Facebook-ETC")
@@ -39,11 +43,8 @@ def run_exp02(
 
 def rows(results: dict) -> list[list]:
     """Table rows: interference degree per trace and algorithm."""
-    traces = sorted({t for t, _ in results})
-    algorithms = [a for a in ALGORITHMS if any((t, a) in results for t in traces)]
-    out = []
-    for trace in traces:
-        out.append(
-            [trace] + [results.get((trace, a), float("nan")) for a in algorithms]
-        )
-    return out
+    return pivot_rows(results, ALGORITHMS, lambda degree: degree, str)
+
+
+HEADERS = ["trace", *ALGORITHMS]
+TABLES = [("Exp#2 / Fig 13: interference degree", HEADERS, rows)]

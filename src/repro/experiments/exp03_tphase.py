@@ -38,3 +38,7 @@ def rows(results: dict[float, RepairResult]) -> list[list]:
         [f"T_phase={int(p)}s", r.throughput_mbs, r.p99_latency * 1000]
         for p, r in sorted(results.items())
     ]
+
+
+HEADERS = ["T_phase", "throughput MB/s", "P99 ms"]
+TABLES = [("Exp#3 / Fig 14: ChameleonEC vs T_phase", HEADERS, rows)]

@@ -53,3 +53,11 @@ def series_rows(results: dict[str, RepairResult], points: int = 8) -> list[list]
         series = result.extras.get("series", [])[:points]
         out.append([name] + [bw / 1e6 for _, bw in series])
     return out
+
+
+HEADERS = ["algorithm", "throughput MB/s", "repair time s"]
+SERIES_HEADERS = ["algorithm"] + [f"w{i}" for i in range(8)]
+TABLES = [
+    ("Exp#4 / Fig 15: average throughput under trace transitions", HEADERS, rows),
+    ("Exp#4 / Fig 15: throughput series (MB/s)", SERIES_HEADERS, series_rows),
+]

@@ -70,3 +70,7 @@ def rows(results: dict[tuple[int, int], float]) -> list[list]:
             + [results.get((nodes, chunks), float("nan")) for chunks in chunk_counts]
         )
     return out
+
+
+HEADERS = ["nodes", *(f"{c} chunks" for c in CHUNK_COUNTS)]
+TABLES = [("Exp#5 / Fig 16: plan-generation time (s)", HEADERS, rows)]

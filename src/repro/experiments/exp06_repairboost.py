@@ -30,3 +30,7 @@ def rows(results: dict[str, RepairResult]) -> list[list]:
         [name, r.throughput_mbs, r.p99_latency * 1000]
         for name, r in results.items()
     ]
+
+
+HEADERS = ["algorithm", "throughput MB/s", "P99 ms"]
+TABLES = [("Exp#6 / Fig 17: RepairBoost vs ChameleonEC", HEADERS, rows)]

@@ -8,7 +8,7 @@ ChameleonEC's advantage grows under the tighter bandwidth.
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import RepairResult, run_repair_experiment
+from repro.experiments.harness import RepairResult, pivot_rows, run_repair_experiment
 
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ChameleonEC")
 FAILURE_COUNTS = (1, 2, 3)
@@ -33,15 +33,10 @@ def run_exp08(
 
 def rows(results: dict) -> list[list]:
     """Table rows: throughput per failure count and algorithm."""
-    counts = sorted({c for c, _ in results})
-    algorithms = [a for a in ALGORITHMS if any((c, a) in results for c in counts)]
-    out = []
-    for count in counts:
-        out.append(
-            [f"{count} failed"]
-            + [
-                results[(count, a)].throughput_mbs if (count, a) in results else "-"
-                for a in algorithms
-            ]
-        )
-    return out
+    return pivot_rows(
+        results, ALGORITHMS, lambda r: r.throughput_mbs, lambda n: f"{n} failed"
+    )
+
+
+HEADERS = ["failures", *ALGORITHMS]
+TABLES = [("Exp#8 / Fig 19: multi-node repair (MB/s)", HEADERS, rows)]

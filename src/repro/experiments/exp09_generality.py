@@ -42,3 +42,7 @@ def rows(results: dict) -> list[list]:
             row.append(r.throughput_mbs if r else "-")
         out.append(row)
     return out
+
+
+HEADERS = ["code", *ALGORITHMS]
+TABLES = [("Exp#9 / Fig 20: throughput by erasure code (MB/s)", HEADERS, rows)]

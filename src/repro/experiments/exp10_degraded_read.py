@@ -81,3 +81,7 @@ def rows(results: dict) -> list[list]:
             + [results.get((code, a), float("nan")) for a in ALGORITHMS]
         )
     return out
+
+
+HEADERS = ["code", *ALGORITHMS]
+TABLES = [("Exp#10 / Fig 21: degraded-read throughput (MB/s)", HEADERS, rows)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.cluster.node import MB
 from repro.cluster.topology import Cluster
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_sim_until
+from repro.experiments.harness import pivot_rows, run_sim_until
 from repro.api import Testbed
 
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ETRP", "ChameleonEC")
@@ -143,12 +143,10 @@ def run_exp11(
 
 def rows(results: dict) -> list[list]:
     """Table rows: phase throughput per straggler offset and algorithm."""
-    offsets = sorted({o for o, _ in results})
-    algorithms = [a for a in ALGORITHMS if any((o, a) in results for o in offsets)]
-    out = []
-    for offset in offsets:
-        out.append(
-            [f"straggler@{offset:g}s"]
-            + [results.get((offset, a), float("nan")) for a in algorithms]
-        )
-    return out
+    return pivot_rows(
+        results, ALGORITHMS, lambda mbs: mbs, lambda offset: f"straggler@{offset:g}s"
+    )
+
+
+HEADERS = ["straggler start", *ALGORITHMS]
+TABLES = [("Exp#11 / Fig 22: phase throughput with straggler (MB/s)", HEADERS, rows)]

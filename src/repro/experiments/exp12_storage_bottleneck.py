@@ -9,7 +9,7 @@ disks become the bottleneck.
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import RepairResult, run_repair_experiment
+from repro.experiments.harness import RepairResult, pivot_rows, run_repair_experiment
 
 ALGORITHMS = ("CR", "ChameleonEC", "ChameleonEC-IO")
 DISK_MBS = (250.0, 375.0, 500.0)
@@ -32,15 +32,10 @@ def run_exp12(
 
 def rows(results: dict) -> list[list]:
     """Table rows: throughput per disk bandwidth and algorithm."""
-    disks = sorted({d for d, _ in results})
-    algorithms = [a for a in ALGORITHMS if any((d, a) in results for d in disks)]
-    out = []
-    for disk in disks:
-        out.append(
-            [f"disk {disk:g} MB/s"]
-            + [
-                results[(disk, a)].throughput_mbs if (disk, a) in results else "-"
-                for a in algorithms
-            ]
-        )
-    return out
+    return pivot_rows(
+        results, ALGORITHMS, lambda r: r.throughput_mbs, lambda d: f"disk {d:g} MB/s"
+    )
+
+
+HEADERS = ["disk bw", *ALGORITHMS]
+TABLES = [("Exp#12 / Fig 23: storage-bottlenecked throughput (MB/s)", HEADERS, rows)]

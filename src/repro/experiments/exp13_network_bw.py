@@ -7,7 +7,7 @@ relative ChameleonEC gain shrinks once storage I/O starts dominating.
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import RepairResult, run_repair_experiment
+from repro.experiments.harness import RepairResult, pivot_rows, run_repair_experiment
 
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ChameleonEC")
 BANDWIDTHS_GBPS = (1.0, 4.0, 7.0, 10.0)
@@ -30,15 +30,10 @@ def run_exp13(
 
 def rows(results: dict) -> list[list]:
     """Table rows: one per bandwidth, throughput per algorithm."""
-    bandwidths = sorted({b for b, _ in results})
-    algorithms = [a for a in ALGORITHMS if any((b, a) in results for b in bandwidths)]
-    out = []
-    for bw in bandwidths:
-        out.append(
-            [f"{bw:g} Gb/s"]
-            + [
-                results[(bw, a)].throughput_mbs if (bw, a) in results else "-"
-                for a in algorithms
-            ]
-        )
-    return out
+    return pivot_rows(
+        results, ALGORITHMS, lambda r: r.throughput_mbs, lambda bw: f"{bw:g} Gb/s"
+    )
+
+
+HEADERS = ["link bw", *ALGORITHMS]
+TABLES = [("Exp#13 / Fig 24: throughput vs link bandwidth (MB/s)", HEADERS, rows)]

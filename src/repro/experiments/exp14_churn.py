@@ -163,3 +163,5 @@ HEADERS = [
     "lost",
     "P99 inflation",
 ]
+
+TABLES = [("Exp#14: repair under churn (mid-repair crash + straggler)", HEADERS, rows)]

@@ -173,3 +173,7 @@ HEADERS = [
     "max detect s",
     "scanned",
 ]
+
+TABLES = [
+    ("Exp#15: background scrubbing (detection latency vs P99 inflation)", HEADERS, rows)
+]

@@ -94,7 +94,7 @@ def run_one(
 
     survivor = testbed.repairers[-1]
     end = survivor.meter.finished_at
-    recovery = getattr(survivor, "recovery", None)
+    recovery = survivor.recovery
     before = repairer.completed if survivor is not repairer else []
     duplicates = len(set(before) & set(survivor.completed))
     unverified = sum(
@@ -179,3 +179,5 @@ HEADERS = [
     "unverified",
     "wal records",
 ]
+
+TABLES = [("Exp#16: coordinator failover (crash timing vs repair inflation)", HEADERS, rows)]

@@ -33,11 +33,11 @@ what lets CI diff the verdict instead of parsing logs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import write_verdict
 from repro.faults.timeline import FaultTimeline, NodeCrash
 from repro.slo import SLOReport, SLOSpec
 from repro.traffic.traces import TRACE_FACTORIES
@@ -416,11 +416,7 @@ def verdict_payload(results: dict[str, ChaosRun], *,
 def write_bench(results: dict[str, ChaosRun], path: str, *,
                 scale: float, seed: int) -> dict:
     """Serialise the verdict document; returns the payload written."""
-    payload = verdict_payload(results, scale=scale, seed=seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return write_verdict(verdict_payload(results, scale=scale, seed=seed), path)
 
 
 def rows(results: dict[str, ChaosRun]) -> list[list]:
@@ -461,3 +457,10 @@ HEADERS = [
     "repair pk MB/s",
     "probe breaches",
 ]
+
+TABLES = [("Exp#17: SLO-gated chaos suite", HEADERS, rows)]
+
+
+def headline(payload: dict) -> str:
+    """The CLI's one-line summary of the verdict document."""
+    return f"{payload['breaches_total']} gate breaches"

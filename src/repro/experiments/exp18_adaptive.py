@@ -25,12 +25,12 @@ only, sorted keys), so CI diffs the document instead of parsing logs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.control import AIMDPolicy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.exp17_chaos import CHUNK_MB, ChaosRun, run_one
+from repro.experiments.harness import write_verdict
 from repro.slo import SLOReport
 from repro.traffic.traces import TRACE_FACTORIES
 
@@ -182,11 +182,7 @@ def verdict_payload(results: dict[str, AdaptiveRun], *,
 def write_bench(results: dict[str, AdaptiveRun], path: str, *,
                 scale: float, seed: int) -> dict:
     """Serialise the verdict document; returns the payload written."""
-    payload = verdict_payload(results, scale=scale, seed=seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return write_verdict(verdict_payload(results, scale=scale, seed=seed), path)
 
 
 def rows(results: dict[str, AdaptiveRun]) -> list[list]:
@@ -224,3 +220,14 @@ HEADERS = [
     "recovers",
     "min level",
 ]
+
+TABLES = [("Exp#18: adaptive admission control", HEADERS, rows)]
+
+
+def headline(payload: dict) -> str:
+    """The CLI's one-line summary of the verdict document."""
+    breaches = payload["p99_breach_windows"]
+    return (
+        f"breach windows {breaches['controller_off']} off vs "
+        f"{breaches['controller_on']} on"
+    )

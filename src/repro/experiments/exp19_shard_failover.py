@@ -30,12 +30,12 @@ Everything is seeded and virtual-time only, so two runs with the same
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import write_verdict
 
 #: Shard counts swept (1 = the single-coordinator baseline plane).
 SHARD_COUNTS = (1, 2, 4)
@@ -125,9 +125,7 @@ def run_one(
         completions.update(repairer.completed)
         lost_chunks.update(repairer.lost)
     duplicates = sum(count - 1 for count in completions.values() if count > 1)
-    recoveries = [
-        r.recovery for r in all_incarnations if getattr(r, "recovery", None)
-    ]
+    recoveries = [r.recovery for r in all_incarnations if r.recovery]
     blast_entry = testbed.crash_blasts[-1] if testbed.crash_blasts else None
     finished = [
         r.meter.finished_at
@@ -250,11 +248,7 @@ def verdict_payload(results: dict, *, scale: float, seed: int) -> dict:
 
 def write_bench(results: dict, path: str, *, scale: float, seed: int) -> dict:
     """Serialise the verdict document; returns the payload written."""
-    payload = verdict_payload(results, scale=scale, seed=seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return write_verdict(verdict_payload(results, scale=scale, seed=seed), path)
 
 
 def rows(results: dict) -> list[list]:
@@ -303,3 +297,12 @@ HEADERS = [
     "unverified",
     "wal records",
 ]
+
+TABLES = [("Exp#19: sharded control-plane failover", HEADERS, rows)]
+
+
+def headline(payload: dict) -> str:
+    """The CLI's one-line summary of the verdict document."""
+    blasts = payload["mean_blast_by_shards"]
+    trend = " -> ".join(f"{blasts[s]:.2f}" for s in sorted(blasts, key=int))
+    return f"mean blast radius {trend}"

@@ -44,11 +44,11 @@ CI ``cmp``-diffs the document and asserts the verdict.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import write_verdict
 from repro.faults import FaultTimeline
 from repro.journal import audit_fenced_writes
 from repro.journal.records import COMMITTED
@@ -182,9 +182,9 @@ def run_one(config: ExperimentConfig, mode: str, duration: float) -> PartitionRu
         unverified=unverified,
         suspicions=len(detector.suspicions) if detector else 0,
         false_suspicions=detector.false_suspicions if detector else 0,
-        suspect_replans=getattr(repairer, "suspect_replans", 0),
-        hedges_launched=getattr(repairer, "hedges_launched", 0),
-        hedges_won=getattr(repairer, "hedges_won", 0),
+        suspect_replans=repairer.suspect_replans,
+        hedges_launched=repairer.hedges_launched,
+        hedges_won=repairer.hedges_won,
     )
 
 
@@ -326,11 +326,7 @@ def verdict_payload(results: dict, *, scale: float, seed: int) -> dict:
 
 def write_bench(results: dict, path: str, *, scale: float, seed: int) -> dict:
     """Serialise the verdict document; returns the payload written."""
-    payload = verdict_payload(results, scale=scale, seed=seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return write_verdict(verdict_payload(results, scale=scale, seed=seed), path)
 
 
 def rows(results: dict) -> list[list]:
@@ -385,3 +381,13 @@ HEADERS = [
     "hedge w/l",
     "unverified",
 ]
+
+TABLES = [("Exp#20: partition-tolerant repair", HEADERS, rows)]
+
+
+def headline(payload: dict) -> str:
+    """The CLI's one-line summary of the verdict document."""
+    return (
+        f"tail_reduced={payload['tail_reduced']}, "
+        f"fenced {payload['zombie']['fenced_writes']} stale writes"
+    )

@@ -119,3 +119,10 @@ def fig6_rows(stats: dict) -> list[list]:
     for (algorithm, direction, which), (repair, fg) in sorted(stats.items()):
         rows.append([f"{algorithm}_{which} ({direction})", repair, fg, repair + fg])
     return rows
+
+
+FIG2_TABLES = [("Fig 2: Pr_dl vs repair throughput", ["repair throughput", "Pr_dl"], fig2_rows)]
+FIG5_HEADERS = ["direction", "mean", "min", "max"]
+FIG5_TABLES = [("Fig 5: foreground bandwidth fluctuation (Gb/s)", FIG5_HEADERS, fig5_rows)]
+FIG6_HEADERS = ["link", "repair", "foreground", "total"]
+FIG6_TABLES = [("Fig 6: most/least-loaded link bandwidth (Gb/s)", FIG6_HEADERS, fig6_rows)]

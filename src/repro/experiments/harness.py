@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -16,10 +17,12 @@ __all__ = [
     "MAX_SIM_TIME",
     "RepairResult",
     "format_table",
+    "pivot_rows",
     "run_repair_experiment",
     "run_sim_until",
     "run_trace_only",
     "run_trace_with_repair",
+    "write_verdict",
 ]
 
 
@@ -188,6 +191,35 @@ def run_trace_with_repair(
     )
     trace_time = max(c.execution_time for c in scenario.clients)
     return trace_time, result
+
+
+def pivot_rows(results: dict, algorithms, value, label) -> list[list]:
+    """Table rows from a ``{(row key, algorithm): cell}`` result grid.
+
+    One row per distinct row key, sorted and rendered by ``label``; one
+    column per entry of ``algorithms`` that has any cell at all (a
+    partial run drops the column rather than printing it empty), each
+    cell rendered by ``value`` and ``"-"`` where that one is missing.
+    """
+    keys = sorted({key for key, _ in results})
+    present = [a for a in algorithms if any((key, a) in results for key in keys)]
+    return [
+        [label(key)]
+        + [value(results[(key, a)]) if (key, a) in results else "-" for a in present]
+        for key in keys
+    ]
+
+
+def write_verdict(payload: dict, path: str) -> dict:
+    """Write a ``BENCH_*.json`` verdict document; returns ``payload``.
+
+    The one place the byte format is decided (sorted keys, two-space
+    indent, trailing newline): CI ``cmp``s two runs of each document.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return payload
 
 
 def format_table(title: str, headers: list[str], rows: list[list]) -> str:

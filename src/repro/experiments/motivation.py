@@ -92,3 +92,10 @@ def rows_p99(results: dict) -> list[list]:
             ]
         )
     return out
+
+
+HEADERS = ["clients", *ALGORITHMS]
+TABLES = [
+    ("Fig 4(a): repair time (s)", HEADERS, rows_repair_time),
+    ("Fig 4(b): P99 (ms)", HEADERS, rows_p99),
+]

@@ -76,9 +76,6 @@ class Scrubber(HookEmitter):
         self.ledger = ledger
         self.max_passes = passes
         self.repairers: list = []
-        #: ``id(repairer) -> shard`` for shard-bound drivers (absent or
-        #: ``None`` = unsharded: receives every detection).
-        self._shards: dict[int, int | None] = {}
         #: Optional :class:`repro.api.ShardRouter`; with one installed,
         #: detections are routed only to the owning shard's driver.
         self.router = None
@@ -91,15 +88,15 @@ class Scrubber(HookEmitter):
         self._running = False
         self._started = False
 
-    def attach(self, repairer, *, shard: int | None = None) -> None:
+    def attach(self, repairer) -> None:
         """Detected corruptions are enqueued to this repair driver.
 
-        ``shard`` marks the driver as owning one control-plane
-        partition: with a router installed it only receives detections
-        its shard owns (unsharded drivers always receive everything).
+        A driver bound to one control-plane partition
+        (``repairer.shard``) only receives, with a router installed,
+        the detections its shard owns; unsharded drivers always receive
+        everything.
         """
         self.repairers.append(repairer)
-        self._shards[id(repairer)] = shard
 
     def set_rate(self, rate: float) -> None:
         """Retarget the scan throughput (bytes of chunk data per second).
@@ -254,16 +251,15 @@ class Scrubber(HookEmitter):
             registry.counter("scrub.detected").inc()
         self.emit("corruption_detected", self, chunk=chunk)
         for repairer in self.repairers:
-            if not getattr(repairer, "_started", False):
+            if not repairer.running:
                 continue
-            shard = self._shards.get(id(repairer))
             # Shard-bound drivers only adopt detections their shard
             # owns; handing the chunk to a sibling too would double-
             # repair it under two coordinators.
             if (
-                shard is not None
+                repairer.shard is not None
                 and self.router is not None
-                and self.router.shard_of(chunk) != shard
+                and self.router.shard_of(chunk) != repairer.shard
             ):
                 continue
             repairer.add_chunks([chunk])

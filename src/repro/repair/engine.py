@@ -168,6 +168,14 @@ class RepairEngine(HookEmitter):
         self._started = False
         self._finished = False
         self._crashed = False
+        #: What the :class:`~repro.api.Testbed` that built this engine
+        #: knows about it: the ``(algorithm, overrides)`` to rebuild it
+        #: from after a crash, the node its control process is pinned to
+        #: (None = unpinned) and, on a post-crash replacement, the
+        #: :class:`~repro.journal.RecoveryPlan` it resumed from.
+        self.rebuild_spec: tuple[str, dict] | None = None
+        self.home: int | None = None
+        self.recovery = None
 
     # -- policy hooks ------------------------------------------------------------
 
@@ -223,6 +231,16 @@ class RepairEngine(HookEmitter):
     def crashed(self) -> bool:
         """True after :meth:`crash` — the repairer is permanently inert."""
         return self._crashed
+
+    @property
+    def running(self) -> bool:
+        """True between :meth:`repair` and :meth:`crash` (finished batches re-open)."""
+        return self._started and not self._crashed
+
+    @property
+    def shard(self) -> int | None:
+        """The journal partition this engine writes through (None = unsharded)."""
+        return getattr(self.journal, "shard", None)
 
     def repair(self, chunks: list[ChunkId]) -> None:
         """Start repairing ``chunks`` (returns immediately; run the sim)."""

@@ -1,15 +1,22 @@
-"""The repro.api facade: TestbedBuilder normalization, the deprecated
-Scenario shim, asymmetric disk bandwidth, and the stable re-exports."""
+"""The repro.api facade: TestbedBuilder normalization and its feature
+table, asymmetric disk bandwidth, and the stable re-exports."""
+
+import inspect
 
 import pytest
 
 import repro
-from repro.api import Testbed, TestbedBuilder, _normalize_code, _normalize_trace
+from repro.api import (
+    _FEATURES,
+    Testbed,
+    TestbedBuilder,
+    _normalize_code,
+    _normalize_trace,
+)
 from repro.cluster import Cluster, mbs
 from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_repair_experiment
-from repro.experiments.scenario import Scenario
 from repro.faults import FaultTimeline
 
 
@@ -102,35 +109,139 @@ class TestBuilder:
         assert isinstance(Testbed.builder(), TestbedBuilder)
 
 
-class TestScenarioShim:
-    def test_scenario_is_a_deprecated_testbed(self):
-        """The legacy entry point still works — as a Testbed — but warns."""
-        config = ExperimentConfig.scaled(0.05, seed=3)
-        with pytest.warns(DeprecationWarning, match="Testbed"):
-            legacy = Scenario(config)
-        assert isinstance(legacy, Testbed)
+#: One non-default argument per feature, so a replay that dropped or
+#: defaulted it shows up in :func:`subsystems`.
+FEATURE_ARGS = {
+    "with_timeseries": {"window": 0.5},
+    "with_journal": {"lease_duration": 30.0},
+    "with_integrity": {"payload_size": 64},
+    "with_bitrot": {"corruptions": 2, "horizon": 5.0},
+    "with_scrubber": {"rate_mbs": 100.0},
+    "with_admission_control": {"baseline_p99": 0.01},
+    "with_failure_detector": {"heartbeat_interval": 0.25},
+    "with_hedged_reads": {"min_delay": 1.0},
+    "with_partitions": {"count": 2},
+}
 
-    def test_lazy_package_attribute_warns_only_at_construction(self):
-        import repro.experiments
 
-        cls = repro.experiments.Scenario  # import itself must not warn
-        config = ExperimentConfig.scaled(0.05, seed=3)
-        with pytest.warns(DeprecationWarning):
-            cls(config)
+def subsystems(testbed: Testbed) -> dict:
+    """What the nine features leave attached to a testbed."""
+    first_chunk = next(iter(testbed.chunk_store.chunks()))
+    return {
+        "timeseries": testbed.timeseries.window,
+        "journal": testbed.journal.lease_duration,
+        "integrity": (
+            len(testbed.chunk_store.get(first_chunk)),
+            testbed.dataplane is not None,
+            testbed.ledger is not None,
+        ),
+        "scrubber": (testbed.scrubber.rate, testbed.scrubber.running),
+        "controller": (
+            testbed.controller.baseline_p99,
+            testbed.controller.recorder is testbed.timeseries,
+            [s for s, _ in testbed.controller._scrubbers] == [testbed.scrubber],
+        ),
+        "detector": testbed.detector.heartbeat_interval,
+        "hedging": (
+            testbed.hedge_policy.min_delay,
+            testbed.hedge_policy.recorder is testbed.timeseries,
+        ),
+        "faults": [repr(event) for event in testbed.fault_timeline.events],
+    }
 
-    def test_fault_free_run_matches_legacy_scenario(self):
-        """Routing an experiment through the shim must not change the
-        physics: same config, same algorithm, same repair time."""
-        config = ExperimentConfig.scaled(0.05, seed=3)
-        with pytest.warns(DeprecationWarning):
-            shimmed = Scenario(config)
-        legacy = run_repair_experiment(config, "CR", scenario=shimmed)
-        faceted = run_repair_experiment(
-            config, "CR", scenario=Testbed.build(config)
+
+class TestFeatureTable:
+    """``_FEATURES`` is the contract: each builder feature method *is*
+    its Testbed method, deferred to ``build()`` and replayed in table
+    order."""
+
+    def test_table_covers_every_builder_feature_once(self):
+        names = [name for name, _ in _FEATURES]
+        assert sorted(names) == sorted(FEATURE_ARGS)
+        assert len(set(names)) == len(names)
+        # Derived by the one factory, not hand-written beside the table.
+        methods = [getattr(TestbedBuilder, name) for name in names]
+        assert [m.__name__ for m in methods] == names
+        assert len({m.__code__ for m in methods}) == 1
+
+    @pytest.mark.parametrize(("name", "target"), _FEATURES)
+    def test_builder_method_has_its_targets_signature(self, name, target):
+        derived = inspect.signature(getattr(TestbedBuilder, name))
+        original = inspect.signature(getattr(Testbed, target))
+        assert list(derived.parameters.values()) == list(
+            original.parameters.values()
         )
-        assert faceted.repair_time == pytest.approx(legacy.repair_time)
-        assert faceted.chunks == legacy.chunks
-        assert faceted.repaired_bytes == legacy.repaired_bytes
+        assert derived.return_annotation == "TestbedBuilder"
+        assert inspect.getdoc(getattr(Testbed, target)) in getattr(
+            TestbedBuilder, name
+        ).__doc__
+
+    @pytest.mark.parametrize(("name", "target"), _FEATURES)
+    def test_unknown_keyword_fails_at_the_call_not_in_build(self, name, target):
+        builder = TestbedBuilder()
+        with pytest.raises(TypeError, match="no_such_option"):
+            getattr(builder, name)(no_such_option=1, **FEATURE_ARGS[name])
+        assert builder._features == {}
+        assert getattr(builder, name)(**FEATURE_ARGS[name]) is builder
+
+    def test_scrubber_rate_binds_positionally_or_by_keyword(self):
+        by_position = TestbedBuilder().with_scrubber(100.0, passes=2)
+        by_keyword = TestbedBuilder().with_scrubber(rate_mbs=100.0, passes=2)
+        assert by_position._features == by_keyword._features
+
+    def test_build_replays_the_table_in_order(self):
+        top_level_calls = []
+        depth = [0]
+
+        def spy_on(target):
+            def spy(self, *args, **kwargs):
+                # Features enable their own prerequisites (scrubber ->
+                # integrity, admission -> timeseries); count only the
+                # calls build() itself makes.
+                if depth[0] == 0:
+                    top_level_calls.append(target)
+                depth[0] += 1
+                try:
+                    return getattr(Testbed, target)(self, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return spy
+
+        recording = type(
+            "Recording", (Testbed,), {t: spy_on(t) for _, t in _FEATURES}
+        )
+        builder = recording.builder().scaled(0.05).with_seed(2)
+        for name, _ in reversed(_FEATURES):  # request order must not matter
+            getattr(builder, name)(**FEATURE_ARGS[name])
+        built = builder.build()
+        assert isinstance(built, recording)
+        assert top_level_calls == [target for _, target in _FEATURES]
+
+        imperative = Testbed.build(ExperimentConfig.scaled(0.05, seed=2))
+        for name, target in _FEATURES:
+            getattr(imperative, target)(**FEATURE_ARGS[name])
+        assert subsystems(built) == subsystems(imperative)
+
+    def test_an_unrequested_feature_is_not_applied(self):
+        testbed = TestbedBuilder().scaled(0.05).with_journal().build()
+        assert testbed.journal is not None
+        assert testbed.timeseries is None and testbed.dataplane is None
+        assert testbed.scrubber is None and testbed.controller is None
+        assert testbed.detector is None and testbed.hedge_policy is None
+        assert testbed.fault_timeline is None
+
+
+class TestPrebuiltTestbed:
+    def test_harness_run_on_a_prebuilt_testbed_matches_the_default(self):
+        config = ExperimentConfig.scaled(0.05, seed=3)
+        default = run_repair_experiment(config, "CR", foreground=False)
+        prebuilt = run_repair_experiment(
+            config, "CR", foreground=False, scenario=Testbed.build(config)
+        )
+        assert prebuilt.repair_time == default.repair_time
+        assert prebuilt.repaired_bytes == default.repaired_bytes
+        assert prebuilt.extras["scenario"] is not default.extras["scenario"]
 
 
 class TestAsymmetricDisk:

@@ -15,6 +15,7 @@ from repro.control import AdmissionController, AIMDPolicy
 from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.latency import LatencyRecorder
+from repro.metrics.throughput import RepairThroughputMeter
 from repro.obs.timeseries import TimeseriesRecorder
 from repro.sim.engine import Simulator
 
@@ -74,6 +75,7 @@ class FakeRunner:
     def __init__(self, concurrency=8):
         self.concurrency = concurrency
         self.crashed = False
+        self.meter = RepairThroughputMeter()
         self.calls = []
 
     def set_concurrency(self, concurrency):

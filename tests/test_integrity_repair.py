@@ -34,7 +34,8 @@ def make_env(num_nodes=12, num_stripes=10, seed=0):
 class FakeRepairer:
     """Captures add_chunks() calls the way a started runner would."""
 
-    _started = True
+    running = True
+    shard = None
 
     def __init__(self):
         self.added = []

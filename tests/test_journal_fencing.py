@@ -163,6 +163,70 @@ class TestZombieScenario:
         assert testbed.journal.state.fenced_of(0) == state.fenced_of(0)
 
 
+def _mentions(value, obj) -> bool:
+    """True if ``value`` holds ``obj`` — or is keyed on its ``id()``."""
+    if isinstance(value, dict):
+        return _mentions(list(value), obj) or _mentions(list(value.values()), obj)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(_mentions(item, obj) for item in value)
+    return value is obj or (type(value) is int and value == id(obj))
+
+
+class TestPinDiesWithItsCoordinator:
+    """The home pin is a fact about one incarnation. Kept in a side
+    table keyed on ``id()``, it outlived the object: CPython reuses
+    addresses, so a later coordinator could inherit the pin and get
+    zombie-fenced by a partition it was never subject to."""
+
+    def test_replacement_is_unpinned_and_survives_the_same_partition(self):
+        config = ExperimentConfig.scaled(0.05, seed=0, chunk_mb=16.0)
+        testbed = Testbed.build(config)
+        testbed.enable_journal(checkpoint_interval=None)
+        testbed.enable_integrity()
+        testbed.cluster.sim.run(until=1.0)
+        report = testbed.fail_nodes(1)
+        repairers = testbed.start_sharded_repair(
+            "ChameleonEC", report.failed_chunks, shards=2
+        )
+        dead = repairers[0]
+        home = testbed.cluster.storage_nodes[-1].id
+        testbed.place_coordinator(dead, home)
+        assert dead.home == home
+        testbed.install_faults(
+            FaultTimeline().partition(0.2, [[home]], duration=4.0)
+        )
+        testbed.run_until(
+            lambda: testbed.zombie_stepdowns > 0
+            or testbed.cluster.sim.now > 60.0,
+            step=0.5,
+        )
+        assert testbed.zombie_stepdowns == 1 and dead.crashed
+
+        replacement = testbed.recover_repairer(shard=0)
+        assert replacement.shard == 0 and replacement.home is None
+        leftovers = [
+            name for name, value in vars(testbed).items() if _mentions(value, dead)
+        ]
+        assert leftovers == []
+
+        # The identical cut again: nobody is pinned, nobody is fenced.
+        fenced_before = testbed.journal.fenced_writes
+        healed_at = testbed.cluster.sim.now + 0.2 + 4.0
+        testbed.install_faults(
+            FaultTimeline().partition(0.2, [[home]], duration=4.0)
+        )
+        testbed.run_until(
+            lambda: testbed.cluster.sim.now > healed_at
+            and all(r.done for r in testbed.repairers),
+            step=0.5,
+        )
+        assert testbed.zombie_stepdowns == 1
+        assert not replacement.crashed
+        assert testbed.journal.fenced_writes == fenced_before
+        assert audit_fenced_writes(testbed.journal) == []
+        assert all(testbed.chunk_store.verify(c) for c in report.failed_chunks)
+
+
 class TestPlacementValidation:
     def test_place_coordinator_needs_journal(self):
         config = ExperimentConfig.scaled(0.05, seed=0)

@@ -7,9 +7,16 @@ that twice) — so the only method names both may define are the engine's
 declared policy hooks.
 """
 
+import ast
+import pathlib
 import types
 
+import pytest
+
+import repro
+from repro.api import Testbed
 from repro.core.chameleon import ChameleonRepair
+from repro.experiments.config import ExperimentConfig
 from repro.repair.engine import RepairEngine
 from repro.repair.runner import RepairRunner
 
@@ -37,5 +44,54 @@ def test_policies_share_only_the_declared_hooks():
 
 def test_lifecycle_is_defined_on_the_engine_only():
     for policy in (RepairRunner, ChameleonRepair):
-        assert not own_methods(policy) & (set(LIFECYCLE) | {"done", "crashed"})
+        assert not own_methods(policy) & (
+            set(LIFECYCLE) | {"done", "crashed", "running", "shard"}
+        )
     assert set(LIFECYCLE) <= own_methods(RepairEngine)
+
+
+#: Files that meet coordinators from the outside, and the only names
+#: they may apply ``getattr`` to (the builder's feature-table look-ups).
+IDENTITY_CONSUMERS = {
+    "api.py": {"Testbed", "testbed"},
+    "integrity/scrubber.py": set(),
+    "control/admission.py": set(),
+}
+
+
+@pytest.mark.parametrize("relpath", sorted(IDENTITY_CONSUMERS))
+def test_nothing_keys_on_or_probes_a_repairer(relpath):
+    """What is known *about* an engine lives *on* it: no ``id()``-keyed
+    side table, no ``getattr(repairer, "_started", ...)`` duck-typing."""
+    path = pathlib.Path(repro.__file__).parent / relpath
+    calls = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert not [c.lineno for c in calls if c.func.id == "id"]
+    probed = {ast.unparse(c.args[0]) for c in calls if c.func.id == "getattr"}
+    assert probed <= IDENTITY_CONSUMERS[relpath]
+
+
+@pytest.mark.parametrize(
+    ("journalled", "shard"),
+    [(False, None), (True, None), (True, 1)],
+    ids=["bare", "journalled", "sharded"],
+)
+@pytest.mark.parametrize("name", ["ChameleonEC", "CR", "PPR", "ECPipe"])
+def test_running_and_shard_follow_the_lifecycle(name, journalled, shard):
+    testbed = Testbed.build(ExperimentConfig.scaled(0.05, seed=0, num_chunks=3))
+    if journalled:
+        testbed.enable_journal()
+    report = testbed.fail_nodes(1)
+    repairer = testbed.make_repairer(name, shard=shard)
+    assert (repairer.running, repairer.shard) == (False, shard)
+    assert repairer.recovery is None and repairer.home is None
+    repairer.repair(report.failed_chunks)
+    assert (repairer.running, repairer.shard) == (True, shard)
+    testbed.run_until(lambda: repairer.done)
+    assert repairer.running  # a finished batch re-opens on add_chunks()
+    repairer.crash()
+    assert (repairer.running, repairer.crashed) == (False, True)
+    assert repairer.shard == shard
