@@ -8,14 +8,27 @@ splits into many small connected components. The incremental
 the :class:`FromScratchAllocator` re-rates every active flow. The
 ``alloc.flows_touched`` counter measures exactly that work, and the
 incremental allocator must do at least 3x less of it.
+
+A second case drives sliced transfers, where most epochs are a slice
+boundary — one flow replaced by an identical one — and the allocator
+must answer them as successions, without a fill (``alloc.fills`` against
+``alloc.passes``). Both assertions are counts, not timings.
 """
 
 import numpy as np
 from conftest import emit
 
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.sim import Flow, FlowScheduler, RateAllocator, Resource, Simulator
-from tests.oracles import FromScratchAllocator
+from repro.sim import (
+    Flow,
+    FlowScheduler,
+    RateAllocator,
+    Resource,
+    Simulator,
+    Transfer,
+    TransferManager,
+)
+from tests.oracles import FromScratchAllocator, ReferenceRateAllocator
 
 RESOURCES_PER_GROUP = 4
 CHURN_WINDOW_S = 30.0
@@ -98,3 +111,61 @@ def test_allocator_churn_scaling(benchmark, bench_scale):
         f"expected >=3x fewer flow-rate recomputations, got "
         f"{touched_slow:.0f} vs {touched_fast:.0f}"
     )
+
+
+NUM_TRANSFERS = 8
+SLICES_PER_TRANSFER = 32
+
+
+def _run_sliced_pipeline(allocator):
+    """8 transfers x 32 slices into two shared downlinks; unequal slice
+    sizes and link capacities keep their slice boundaries apart. Returns
+    (registry, every slice's (name, completion time) in completion order)."""
+    sim = Simulator()
+    manager = TransferManager(FlowScheduler(sim, allocator=allocator))
+    completions = []
+    downlinks = [Resource("down0", 400.0), Resource("down1", 520.0)]
+    transfers = []
+    for i in range(NUM_TRANSFERS):
+        uplink = Resource(f"up{i}", 90.0 + 17.0 * i)
+        slice_size = 40.0 + 7.0 * i
+        transfers.append(Transfer(
+            f"t{i}", (uplink, downlinks[i % 2]),
+            size=slice_size * SLICES_PER_TRANSFER, slice_size=slice_size,
+        ))
+        transfers[-1].on_slice.append(
+            lambda transfer, idx: completions.append((transfer.name, idx, sim.now))
+        )
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        for transfer in transfers:
+            manager.start(transfer)
+        sim.run()
+    finally:
+        set_registry(previous)
+    assert all(t.done and t.num_slices == SLICES_PER_TRANSFER for t in transfers)
+    return registry, completions
+
+
+def test_sliced_pipeline_skips_the_fill_at_slice_boundaries(benchmark):
+    registry, completions = benchmark.pedantic(
+        _run_sliced_pipeline, args=(RateAllocator(),), rounds=1, iterations=1
+    )
+    _, reference = _run_sliced_pipeline(ReferenceRateAllocator())
+
+    passes, fills, successions = (
+        int(registry.counter(f"alloc.{name}").value)
+        for name in ("passes", "fills", "successions")
+    )
+    emit(
+        benchmark,
+        f"Allocator on a slice pipeline: {NUM_TRANSFERS} transfers x "
+        f"{SLICES_PER_TRANSFER} slices",
+        ["passes", "fills", "successions", "fills / passes"],
+        [[passes, fills, successions, round(fills / passes, 3)]],
+    )
+    assert len(completions) == NUM_TRANSFERS * SLICES_PER_TRANSFER
+    assert completions == reference
+    assert passes >= len(completions)
+    assert fills <= 0.25 * passes, f"{fills} fills in {passes} epochs"

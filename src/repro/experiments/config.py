@@ -103,9 +103,9 @@ class ExperimentConfig:
         """A proportionally shrunk configuration for fast runs.
 
         ``scale`` shrinks the repaired batch (200 -> 200*scale chunks);
-        slices grow to 8 MB to bound simulator events; the foreground
-        runs unbounded (clients stop when the repair ends), preserving
-        contention for the whole measurement window.
+        slices grow to 2 MB to halve the simulator's events; the
+        foreground runs unbounded (clients stop when the repair ends),
+        preserving contention for the whole measurement window.
         """
         if not 0 < scale <= 1:
             raise ReproError("scale must lie in (0, 1]")

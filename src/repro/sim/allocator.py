@@ -16,10 +16,11 @@ connected component of flows reachable from those dirty resources.
 Max-min allocations decompose exactly over connected components of the
 bipartite flow/resource graph (flows in different components share no
 resource, so neither can affect the other's bottleneck), which makes the
-incremental result identical to a from-scratch pass — only cheaper when
-the contention graph is not one giant component. :func:`allocate_rates`
-is that from-scratch pass: the same allocator, filled once, every flow
-dirty.
+incremental result identical to a from-scratch pass (the same optimum
+always; bit for bit except where order 4 below says whose ties stand) —
+only cheaper when the contention graph is not one giant component.
+:func:`allocate_rates` is that from-scratch pass: the same allocator,
+filled once, every flow dirty.
 
 The fill is count-based: per resource of the component it keeps the
 capacity still unclaimed, the number of flows not yet frozen and their
@@ -29,8 +30,8 @@ only the shares of the resources the frozen flows crossed.
 
 Simulated results are a bit-level contract (``tests/oracles.py`` keeps
 the dict-of-dicts fill this one replaced as ``ReferenceRateAllocator``,
-and the equivalence battery compares rates with ``==``), so three orders
-are part of the fill's interface, not accidents of it:
+and the equivalence battery compares rates with ``==``), so four orders
+are part of the allocator's interface, not accidents of it:
 
 1. **Resource scan order** — resources are numbered by first appearance
    over the component's flows in discovery order (each flow's resource
@@ -47,6 +48,16 @@ are part of the fill's interface, not accidents of it:
    ``remaining -= share * count`` (not ``count`` successive
    subtractions), and a share is ``remaining / n if remaining > 0.0
    else 0.0``.
+4. **A succession epoch keeps the standing solution** — when an epoch
+   is exactly one rated departure plus one arrival over the same
+   deduplicated resources (a ``Transfer``'s slice boundary: most flow
+   starts there are), no constraint changed, so no fill runs: the
+   arrival takes the leaver's rate and nobody else is written. Its tie
+   resolution is that of the last fill that ran; a re-fill would walk a
+   fresh discovery order and, where tied bottlenecks divide inexactly
+   (``1.25e8 / 9``), move bystanders by one ulp. Exactly one pair: with
+   more, the order the fill would emit the arrivals in (round, then
+   discovery rank) becomes ETA-heap sequence, and that needs the fill.
 
 ``_SHARE_SLACK`` keeps a bottleneck from changing on float noise: a
 resource replaces the running best only if its share is smaller by more
@@ -199,6 +210,14 @@ class RateAllocator:
         # Flows added since the last recompute: they need a rate (and the
         # scheduler needs to index their ETA) even if nothing else moved.
         self._fresh: dict[AllocatableFlow, None] = {}
+        # What else the epoch did, for recompute's succession rule: rated
+        # flows that left, as (deduplicated resources, rate at removal),
+        # and whether anything but those and arrivals touched the graph.
+        self._left: list[tuple[tuple[Resource, ...], float]] = []
+        self._disturbed = False
+        #: Progressive fills run, and succession epochs that needed none.
+        self.fills = 0
+        self.successions = 0
 
     def __len__(self) -> int:
         return len(self._flow_resources)
@@ -224,7 +243,11 @@ class RateAllocator:
         unique = self._flow_resources.pop(flow, None)
         if unique is None:
             return
-        self._fresh.pop(flow, None)
+        if flow in self._fresh:  # came and went unrated inside the epoch
+            del self._fresh[flow]
+            self._disturbed = True
+        else:
+            self._left.append((unique, flow.rate))
         for res in unique:
             members = self._users.get(res)
             if members is not None:
@@ -235,6 +258,7 @@ class RateAllocator:
 
     def mark_dirty(self, *resources: Resource) -> None:
         """Mark capacity-changed resources; no arguments marks everything."""
+        self._disturbed = True
         if not resources:
             self._all_dirty = True
         else:
@@ -253,9 +277,30 @@ class RateAllocator:
         required: a flow whose rate is unchanged keeps accruing progress
         linearly from its older settle stamp). Returns the rewritten
         flows; every other registered flow kept its previous rate.
+
+        A *succession* epoch (one rated flow left, one arrived over the
+        same non-empty deduplicated resources, nothing else: a slice
+        boundary) changed no constraint; the arrival inherits the
+        leaver's rate and no fill runs (module docstring, order 4).
         """
         flow_resources = self._flow_resources
         users = self._users
+        if len(self._left) == 1 and len(self._fresh) == 1 and not self._disturbed:
+            ((resources, rate),) = self._left
+            (flow,) = self._fresh
+            if resources and resources == flow_resources[flow]:
+                self._left.clear()
+                self._dirty.clear()
+                self._fresh.clear()
+                self.successions += 1
+                if rate == flow.rate:
+                    return []  # as the fill leaves a 0 B/s arrival out
+                if on_touch is not None:
+                    on_touch(flow)
+                flow.rate = rate
+                return [flow]
+        self._left.clear()
+        self._disturbed = False
         # Insertion order is discovery order (see the module docstring).
         comp_flows: dict[AllocatableFlow, None]
         if self._all_dirty:
@@ -305,6 +350,7 @@ class RateAllocator:
                 flow.rate = rate
                 changed.append(flow)
             return changed
+        self.fills += 1
         rates = _progressive_fill(comp_flows, flow_resources, users)
         for flow, rate in rates.items():
             if rate != flow.rate:

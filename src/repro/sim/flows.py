@@ -22,6 +22,11 @@ _INF = float("inf")
 _flow_ids = itertools.count()
 
 
+def _fill_counts(allocator) -> tuple[int, int]:
+    """``(fills, successions)`` so far; the test oracles count neither."""
+    return getattr(allocator, "fills", 0), getattr(allocator, "successions", 0)
+
+
 class Flow:
     """A single data movement across a fixed set of resources.
 
@@ -226,6 +231,7 @@ class FlowScheduler:
         self._recompute_event = None
         registry = get_registry()
         wall_start = time.perf_counter() if registry.enabled else 0.0
+        before = _fill_counts(self.allocator) if registry.enabled else (0, 0)
         touched = self.allocator.recompute(on_touch=self._settle_flow)
         self.py_flow_ops += len(touched)
         now = self.sim.now
@@ -246,6 +252,9 @@ class FlowScheduler:
                 flow._eta = None
         if registry.enabled:
             registry.counter("alloc.passes").inc()
+            fills, successions = _fill_counts(self.allocator)
+            registry.counter("alloc.fills").inc(fills - before[0])
+            registry.counter("alloc.successions").inc(successions - before[1])
             registry.counter("alloc.flows_touched").inc(len(touched))
             registry.histogram("alloc.component_size").observe(len(touched))
             registry.histogram("alloc.duration_s").observe(

@@ -366,6 +366,9 @@ class TransferManager:
             # transfer parks until the partition heals.
             self.stall(transfer)
             return
+        # Every slice crosses the same tuple and follows its predecessor
+        # at the same instant, so a slice boundary is a succession epoch,
+        # which the allocator answers without a fill.
         flow = Flow(
             name=f"{transfer.name}[{idx}]",
             size=transfer.slice_sizes[idx],

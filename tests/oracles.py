@@ -12,13 +12,17 @@ beyond the ``_SHARE_SLACK`` constant and the ``Resource`` type.
   returned ``changed`` list.
 * :class:`FromScratchAllocator` — global progressive filling on every
   epoch; the oracle for "incremental == from scratch" at 1e-9.
+* :class:`AuditedRateAllocator` — the allocator under test itself, with
+  an audit hung on every succession epoch it takes (the one place it
+  answers without a fill): a max-min certificate that depends on neither
+  fill, and the reference fill's answer for the same component.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, KeysView
 
-from repro.sim.allocator import _SHARE_SLACK, AllocatableFlow
+from repro.sim.allocator import _SHARE_SLACK, AllocatableFlow, RateAllocator
 from repro.sim.resources import Resource
 
 
@@ -286,3 +290,105 @@ class FromScratchAllocator:
         for flow, rate in _progressive_fill(mapping, mapping).items():
             flow.rate = rate
         return flows
+
+
+def max_min_violations(
+    flows: Iterable[AllocatableFlow], rel_tol: float = 1e-9
+) -> list[str]:
+    """Why the rates standing on ``flows`` are *not* max-min fair.
+
+    The certificate needs no fill: an allocation over a closed set of
+    flows is the max-min optimum iff no resource carries more than its
+    capacity and every flow crosses a saturated resource on which no
+    other flow is faster (its bottleneck). ``rel_tol`` absorbs float
+    drift in the sums. Resource-less flows are unconstrained and skipped.
+    """
+    flows = list(flows)
+    paths = {flow: _unique_resources(flow) for flow in flows}
+    load: dict[Resource, float] = {}
+    fastest: dict[Resource, float] = {}
+    for flow, path in paths.items():
+        for res in path:
+            load[res] = load.get(res, 0.0) + flow.rate
+            fastest[res] = max(fastest.get(res, 0.0), flow.rate)
+    problems = [
+        f"{res.name}: carries {total!r} of {res.capacity!r}"
+        for res, total in load.items()
+        if total > res.capacity * (1.0 + rel_tol)
+    ]
+    for flow, path in paths.items():
+        if path and not any(
+            load[res] >= res.capacity * (1.0 - rel_tol)
+            and flow.rate >= fastest[res] * (1.0 - rel_tol)
+            for res in path
+        ):
+            problems.append(f"{flow!r}: rate {flow.rate!r} has no bottleneck")
+    return problems
+
+
+class AuditedRateAllocator(RateAllocator):
+    """``RateAllocator`` that checks every succession epoch it takes.
+
+    A succession keeps the standing solution instead of running the
+    fill, so that is where an error could hide. After each one the audit
+    walks the arrival's component exactly as the skipped DFS would have
+    (from the arrival's resources, in tuple order) and
+
+    * asserts the max-min certificate over it (:func:`max_min_violations`
+      — independent of this allocator's fill *and* of the reference's);
+    * runs the reference :func:`_progressive_fill` over it and compares
+      with what stands: ``worst_rel`` is the largest relative difference
+      seen on any flow, ``flapped`` counts the successions in which the
+      re-fill would have rewritten some flow (a bystander moved by an
+      ulp, the documented difference), ``audited`` counts them all.
+
+    ``rel_tol`` bounds ``worst_rel`` (0.0 demands ``==``); a breach
+    raises ``AssertionError`` from inside the simulation.
+    """
+
+    def __init__(self, rel_tol: float = 0.0) -> None:
+        super().__init__()
+        self.rel_tol = rel_tol
+        self.audited = 0
+        self.flapped = 0
+        self.worst_rel = 0.0
+
+    def recompute(
+        self, on_touch: Callable[[AllocatableFlow], None] | None = None
+    ) -> list[AllocatableFlow]:
+        arrivals = list(self._fresh)
+        before = self.successions
+        changed = super().recompute(on_touch)
+        if self.successions != before:
+            (arrival,) = arrivals
+            self._audit(arrival)
+        return changed
+
+    def _audit(self, arrival: AllocatableFlow) -> None:
+        flow_resources, users = self._flow_resources, self._users
+        component: dict[AllocatableFlow, None] = {}
+        visited: set[Resource] = set()
+        stack = list(flow_resources[arrival])
+        while stack:
+            res = stack.pop()
+            if res in visited:
+                continue
+            visited.add(res)
+            for flow in users[res]:
+                if flow not in component:
+                    component[flow] = None
+                    stack.extend(r for r in flow_resources[flow] if r not in visited)
+        problems = max_min_violations(component)
+        assert not problems, f"succession of {arrival!r} broke max-min: {problems[:3]}"
+        self.audited += 1
+        flapped = False
+        for flow, rate in _progressive_fill(component, flow_resources).items():
+            if rate != flow.rate:
+                flapped = True
+                rel = abs(rate - flow.rate) / max(abs(rate), abs(flow.rate))
+                self.worst_rel = max(self.worst_rel, rel)
+                assert rel <= self.rel_tol, (
+                    f"succession of {arrival!r}: {flow!r} stands at {flow.rate!r}, "
+                    f"a re-fill says {rate!r}"
+                )
+        self.flapped += flapped
