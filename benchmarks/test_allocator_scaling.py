@@ -12,7 +12,12 @@ incremental allocator must do at least 3x less of it.
 A second case drives sliced transfers, where most epochs are a slice
 boundary — one flow replaced by an identical one — and the allocator
 must answer them as successions, without a fill (``alloc.fills`` against
-``alloc.passes``). Both assertions are counts, not timings.
+``alloc.passes``). A third runs the benchmark's ``hot_mix`` recipe at 10
+nodes / 200 flows, where some departures free no remaining flow's
+bottleneck and must be answered as inert, without a fill, and where
+departures keep raising rates on the hot links, so the scheduler's ETA
+heap must be compacted to stay within ``4 * active + 64`` entries. The
+assertions are counts and simulated instants, not timings.
 """
 
 import numpy as np
@@ -28,7 +33,7 @@ from repro.sim import (
     Transfer,
     TransferManager,
 )
-from tests.oracles import FromScratchAllocator, ReferenceRateAllocator
+from tests.oracles import FromScratchAllocator, ReferenceRateAllocator, hot_link_mix
 
 RESOURCES_PER_GROUP = 4
 CHURN_WINDOW_S = 30.0
@@ -169,3 +174,46 @@ def test_sliced_pipeline_skips_the_fill_at_slice_boundaries(benchmark):
     assert completions == reference
     assert passes >= len(completions)
     assert fills <= 0.25 * passes, f"{fills} fills in {passes} epochs"
+
+
+class _BoundedHeapScheduler(FlowScheduler):
+    """Asserts the ETA heap's bound after every recompute."""
+
+    def _do_recompute(self):
+        super()._do_recompute()
+        assert len(self._eta_heap) <= 4 * len(self.active) + 64, (
+            len(self._eta_heap), len(self.active)
+        )
+
+
+def _run_hot_link_mix(allocator):
+    sim = Simulator()
+    flows = hot_link_mix(_BoundedHeapScheduler(sim, allocator=allocator), 10, 200)
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        sim.run()
+    finally:
+        set_registry(previous)
+    assert all(flow.done for flow in flows)
+    return registry, [flow.completed_at for flow in flows]
+
+
+def test_hot_link_mix_answers_inert_departures_without_a_fill(benchmark):
+    registry, completions = benchmark.pedantic(
+        _run_hot_link_mix, args=(RateAllocator(),), rounds=1, iterations=1
+    )
+    _, reference = _run_hot_link_mix(ReferenceRateAllocator())
+
+    passes, fills, inert = (
+        int(registry.counter(f"alloc.{name}").value) for name in ("passes", "fills", "inert")
+    )
+    emit(
+        benchmark,
+        "Allocator on the hot-link mix: 10 nodes x 200 flows",
+        ["passes", "fills", "inert"],
+        [[passes, fills, inert]],
+    )
+    assert inert >= 1
+    for done, want in zip(completions, reference):
+        assert abs(done - want) <= 1e-12 * want, (done, want)

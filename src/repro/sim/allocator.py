@@ -9,35 +9,42 @@ makes repair flows and foreground flows contend realistically on node
 up/downlinks.
 
 There is one allocator, :class:`RateAllocator`, and one fill,
-:func:`_progressive_fill`. The allocator persists the flow/resource
-contention graph across calls, tracks the resources touched by each
-mutation, and on :meth:`RateAllocator.recompute` re-rates only the
+:meth:`RateAllocator._progressive_fill`. The allocator persists the
+flow/resource contention graph across calls, tracks the resources touched
+by each mutation, and on :meth:`RateAllocator.recompute` re-rates only the
 connected component of flows reachable from those dirty resources.
 Max-min allocations decompose exactly over connected components of the
 bipartite flow/resource graph (flows in different components share no
 resource, so neither can affect the other's bottleneck), which makes the
 incremental result identical to a from-scratch pass (the same optimum
-always; bit for bit except where order 4 below says whose ties stand) —
-only cheaper when the contention graph is not one giant component.
-:func:`allocate_rates` is that from-scratch pass: the same allocator,
-filled once, every flow dirty.
+always; bit for bit except where orders 4 and 5 below say whose ties
+stand) — only cheaper when the contention graph is not one giant
+component. :func:`allocate_rates` is that from-scratch pass: the same
+allocator, filled once, every flow dirty.
 
 The fill is count-based: per resource of the component it keeps the
 capacity still unclaimed, the number of flows not yet frozen and their
 quotient (the fair share) in three parallel lists, takes each round's
 bottleneck with a C-level ``min``/``index``, and afterwards recomputes
-only the shares of the resources the frozen flows crossed.
+only the shares of the resources the frozen flows crossed. The
+depth-first discovery of the component builds the first two lists and
+the flows' discovery ranks as it goes, and the round that freezes a flow
+writes its rate. The allocator also keeps, per flow, the resource that
+froze it (its *bottleneck*): the fill round's, the tightest resource of
+a lone flow, the leaver's for a succession's arrival, ``None`` for a
+flow no finite capacity bounds.
 
 Simulated results are a bit-level contract (``tests/oracles.py`` keeps
 the dict-of-dicts fill this one replaced as ``ReferenceRateAllocator``,
-and the equivalence battery compares rates with ``==``), so four orders
+and the equivalence battery compares rates with ``==``), so five orders
 are part of the allocator's interface, not accidents of it:
 
 1. **Resource scan order** — resources are numbered by first appearance
    over the component's flows in discovery order (each flow's resource
-   tuple left to right). The bottleneck is the *first* resource in that
-   order with the smallest share; tied bottlenecks that share a flow
-   resolve differently in another order
+   tuple left to right): exactly when the depth-first discovery first
+   meets them in a discovered flow's tuple. The bottleneck is the
+   *first* resource in that order with the smallest share; tied
+   bottlenecks that share a flow resolve differently in another order
    (``(1e8 - 1e8 / 3) / 2 != 1e8 / 3``).
 2. **Within-round member order** — the flows a round freezes are the
    bottleneck's not-yet-rated users sorted by discovery index. Freeze
@@ -52,12 +59,21 @@ are part of the allocator's interface, not accidents of it:
    is exactly one rated departure plus one arrival over the same
    deduplicated resources (a ``Transfer``'s slice boundary: most flow
    starts there are), no constraint changed, so no fill runs: the
-   arrival takes the leaver's rate and nobody else is written. Its tie
-   resolution is that of the last fill that ran; a re-fill would walk a
-   fresh discovery order and, where tied bottlenecks divide inexactly
-   (``1.25e8 / 9``), move bystanders by one ulp. Exactly one pair: with
-   more, the order the fill would emit the arrivals in (round, then
-   discovery rank) becomes ETA-heap sequence, and that needs the fill.
+   arrival takes the leaver's rate and bottleneck and nobody else is
+   written. Its tie resolution is that of the last fill that ran; a
+   re-fill would walk a fresh discovery order and, where tied
+   bottlenecks divide inexactly (``1.25e8 / 9``), move bystanders by
+   one ulp. Exactly one pair: with more, the order the fill would emit
+   the arrivals in (round, then discovery rank) becomes ETA-heap
+   sequence, and that needs the fill.
+5. **An inert departure keeps the standing solution** — when an epoch
+   only removed rated flows (no arrival, no capacity mark, no flow that
+   came and went unrated) and no flow left on a leaver's resource was
+   frozen by that resource (a flow without a bottleneck counts as one
+   that was), every remaining flow's bottleneck carries the load it
+   carried, so each is still saturated with no faster flow: the standing
+   rates are the optimum, no fill runs and nothing is written. The
+   caveat of order 4 applies: ties stand as the last fill left them.
 
 ``_SHARE_SLACK`` keeps a bottleneck from changing on float noise: a
 resource replaces the running best only if its share is smaller by more
@@ -71,7 +87,6 @@ sequential comparison for that round.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, KeysView, Protocol
 
 from repro.sim.resources import Resource
@@ -96,86 +111,6 @@ def _unique_resources(flow: AllocatableFlow) -> tuple[Resource, ...]:
     here keeps the usage subtraction and the user set consistent.
     """
     return tuple(dict.fromkeys(flow.resources))
-
-
-def _progressive_fill(
-    flows: Iterable[AllocatableFlow],
-    flow_resources: dict[AllocatableFlow, tuple[Resource, ...]],
-    users: dict[Resource, dict[AllocatableFlow, None]],
-) -> dict[AllocatableFlow, float]:
-    """Max-min rates for a *closed* set of flows.
-
-    ``flows`` lists the set in discovery order; it must be closed under
-    resource sharing, so ``users[res]`` (every registered flow crossing
-    ``res``) lies inside it for each resource a listed flow crosses.
-    ``flow_resources`` maps each flow to its deduplicated resource tuple.
-    Repeatedly finds the bottleneck resource (smallest fair share among
-    its unfrozen flows), freezes its flows at that share, subtracts their
-    usage everywhere, and continues. Returns the rates in freeze order (resource-less
-    flows, unbounded in the fluid model, first); see the module docstring
-    for the order and arithmetic contract.
-    """
-    rates: dict[AllocatableFlow, float] = {}
-    slot: dict[Resource, int] = {}
-    remaining: list[float] = []
-    count: list[int] = []
-    n_unfrozen = 0
-    rank = dict(zip(flows, itertools.count())).__getitem__  # discovery index
-    for flow in flows:
-        resources = flow_resources[flow]
-        if not resources:
-            rates[flow] = _INF
-            continue
-        n_unfrozen += 1
-        for res in resources:
-            if res not in slot:
-                slot[res] = len(remaining)
-                remaining.append(res.capacity)
-                count.append(len(users[res]))
-    # Clamp float drift: repeated subtraction can push a fully used
-    # resource a hair below zero, which must not turn into a negative
-    # share. A resource whose users are all frozen leaves the scan by
-    # taking an infinite share.
-    shares = [cap / n if cap > 0.0 else 0.0 for cap, n in zip(remaining, count)]
-    resources_by_slot = list(slot)
-
-    while n_unfrozen:
-        share = min(shares)
-        if share - _SHARE_SLACK == share:
-            bottleneck = shares.index(share)
-        else:
-            # The slack can decide this round (tiny or zero shares):
-            # compare sequentially, as the contract is written.
-            bottleneck = -1
-            share = _INF
-            for i, candidate in enumerate(shares):
-                if candidate < share - _SHARE_SLACK:
-                    share = candidate
-                    bottleneck = i
-        if share == _INF:
-            # Only infinite-capacity resources are left.
-            for i, res in enumerate(resources_by_slot):
-                if count[i]:
-                    for flow in sorted(users[res], key=rank):
-                        rates.setdefault(flow, _INF)
-            break
-        members = [flow for flow in users[resources_by_slot[bottleneck]] if flow not in rates]
-        members.sort(key=rank)
-        n_unfrozen -= len(members)
-        count[bottleneck] = 0
-        shares[bottleneck] = _INF
-        crossed: dict[int, int] = {}
-        for flow in members:
-            rates[flow] = share
-            for res in flow_resources[flow]:
-                i = slot[res]
-                crossed[i] = crossed.get(i, 0) + 1
-        del crossed[bottleneck]
-        for i, n_frozen in crossed.items():
-            remaining[i] = cap = remaining[i] - share * n_frozen
-            count[i] = n = count[i] - n_frozen
-            shares[i] = (cap / n if cap > 0.0 else 0.0) if n else _INF
-    return rates
 
 
 def allocate_rates(flows: Iterable[AllocatableFlow]) -> None:
@@ -210,14 +145,19 @@ class RateAllocator:
         # Flows added since the last recompute: they need a rate (and the
         # scheduler needs to index their ETA) even if nothing else moved.
         self._fresh: dict[AllocatableFlow, None] = {}
-        # What else the epoch did, for recompute's succession rule: rated
-        # flows that left, as (deduplicated resources, rate at removal),
+        # The resource that froze each rated flow in the standing solution
+        # (None: unbounded, or nothing froze it).
+        self._bottleneck: dict[AllocatableFlow, Resource | None] = {}
+        # What else the epoch did, for recompute's rules: rated flows that
+        # left, as (deduplicated resources, rate, bottleneck at removal),
         # and whether anything but those and arrivals touched the graph.
-        self._left: list[tuple[tuple[Resource, ...], float]] = []
+        self._left: list[tuple[tuple[Resource, ...], float, Resource | None]] = []
         self._disturbed = False
-        #: Progressive fills run, and succession epochs that needed none.
+        #: Progressive fills run; succession epochs and inert departure
+        #: epochs (some leaver's resource still had users) that needed none.
         self.fills = 0
         self.successions = 0
+        self.inert = 0
 
     def __len__(self) -> int:
         return len(self._flow_resources)
@@ -243,11 +183,12 @@ class RateAllocator:
         unique = self._flow_resources.pop(flow, None)
         if unique is None:
             return
+        bottleneck = self._bottleneck.pop(flow, None)
         if flow in self._fresh:  # came and went unrated inside the epoch
             del self._fresh[flow]
             self._disturbed = True
         else:
-            self._left.append((unique, flow.rate))
+            self._left.append((unique, flow.rate, bottleneck))
         for res in unique:
             members = self._users.get(res)
             if members is not None:
@@ -278,33 +219,63 @@ class RateAllocator:
         linearly from its older settle stamp). Returns the rewritten
         flows; every other registered flow kept its previous rate.
 
-        A *succession* epoch (one rated flow left, one arrived over the
-        same non-empty deduplicated resources, nothing else: a slice
-        boundary) changed no constraint; the arrival inherits the
-        leaver's rate and no fill runs (module docstring, order 4).
+        Two epochs keep the standing solution and run no fill (module
+        docstring, orders 4 and 5): in a *succession* the arrival inherits
+        the leaver's rate and bottleneck; an *inert* departure rewrites
+        nothing.
         """
         flow_resources = self._flow_resources
         users = self._users
-        if len(self._left) == 1 and len(self._fresh) == 1 and not self._disturbed:
-            ((resources, rate),) = self._left
-            (flow,) = self._fresh
-            if resources and resources == flow_resources[flow]:
-                self._left.clear()
-                self._dirty.clear()
-                self._fresh.clear()
-                self.successions += 1
-                if rate == flow.rate:
-                    return []  # as the fill leaves a 0 B/s arrival out
-                if on_touch is not None:
-                    on_touch(flow)
-                flow.rate = rate
-                return [flow]
+        record = self._bottleneck
+        if self._left and not self._disturbed:
+            if not self._fresh:
+                # Departures only (order 5); a flow without a record counts
+                # as frozen by the resource.
+                touched = [res for res in self._dirty if res in users]
+                if touched and not any(
+                    (record.get(flow) or res) is res for res in touched for flow in users[res]
+                ):
+                    self._left.clear()
+                    self._dirty.clear()
+                    self.inert += 1
+                    return []
+            elif len(self._left) == 1 and len(self._fresh) == 1:
+                ((resources, rate, bottleneck),) = self._left
+                (flow,) = self._fresh
+                if resources and resources == flow_resources[flow]:
+                    self._left.clear()
+                    self._dirty.clear()
+                    self._fresh.clear()
+                    self.successions += 1
+                    record[flow] = bottleneck
+                    if rate == flow.rate:
+                        return []  # as the fill leaves a 0 B/s arrival out
+                    if on_touch is not None:
+                        on_touch(flow)
+                    flow.rate = rate
+                    return [flow]
         self._left.clear()
         self._disturbed = False
-        # Insertion order is discovery order (see the module docstring).
-        comp_flows: dict[AllocatableFlow, None]
+        # Discovery builds the fill's tables as it goes: a flow's rank is
+        # its discovery index, and a resource takes the next fill slot the
+        # first time a discovered flow's tuple names it (module docstring,
+        # order 1). Flows no other flow constrains are rated apart.
+        rank: dict[AllocatableFlow, int] = {}
+        unshared: list[AllocatableFlow] = []
+        slot: dict[Resource, int] = {}
+        remaining: list[float] = []
+        count: list[int] = []
         if self._all_dirty:
-            comp_flows = dict.fromkeys(flow_resources)
+            for flow, resources in flow_resources.items():
+                if not resources:
+                    unshared.append(flow)
+                    continue
+                rank[flow] = len(rank)
+                for res in resources:
+                    if res not in slot:
+                        slot[res] = len(remaining)
+                        remaining.append(res.capacity)
+                        count.append(len(users[res]))
         else:
             stack = [res for res in self._dirty if res in users]
             if not stack and not self._fresh:
@@ -312,7 +283,6 @@ class RateAllocator:
                 # is left to re-rate.
                 self._dirty.clear()
                 return []
-            comp_flows = {}
             visited: set[Resource] = set()
             while stack:
                 res = stack.pop()
@@ -320,42 +290,122 @@ class RateAllocator:
                     continue
                 visited.add(res)
                 for flow in users[res]:
-                    if flow not in comp_flows:
-                        comp_flows[flow] = None
+                    if flow not in rank:
+                        rank[flow] = len(rank)
                         for other in flow_resources[flow]:
+                            if other not in slot:
+                                slot[other] = len(remaining)
+                                remaining.append(other.capacity)
+                                count.append(len(users[other]))
                             if other not in visited:
                                 stack.append(other)
             # Resource-less fresh flows sit in no user set; they still
             # need their (unbounded) rate assigned once.
-            for flow in self._fresh:
-                if not flow_resources[flow]:
-                    comp_flows[flow] = None
+            unshared = [flow for flow in self._fresh if not flow_resources[flow]]
         self._dirty.clear()
         self._all_dirty = False
         self._fresh.clear()
-        if not comp_flows:
-            return []
-        changed: list[AllocatableFlow] = []
-        if len(comp_flows) == 1:
+        if len(rank) + len(unshared) == 1:
             # Fast path for the common case of an uncontended component:
             # a lone flow's max-min rate is its tightest capacity.
-            (flow,) = comp_flows
-            rate = _INF
+            unshared, rank = [*rank, *unshared], {}
+        changed: list[AllocatableFlow] = []
+        for flow in unshared:  # before any fill round; no resources: unbounded
+            rate, tightest = _INF, None
             for res in flow_resources[flow]:
                 if res.capacity < rate:
-                    rate = res.capacity
+                    rate, tightest = res.capacity, res
+            record[flow] = tightest
             if rate != flow.rate:
                 if on_touch is not None:
                     on_touch(flow)
                 flow.rate = rate
                 changed.append(flow)
-            return changed
-        self.fills += 1
-        rates = _progressive_fill(comp_flows, flow_resources, users)
-        for flow, rate in rates.items():
-            if rate != flow.rate:
-                if on_touch is not None:
-                    on_touch(flow)
-                flow.rate = rate
-                changed.append(flow)
+        if rank:
+            self.fills += 1
+            self._progressive_fill(rank, slot, remaining, count, on_touch, changed)
         return changed
+
+    def _progressive_fill(
+        self,
+        rank: dict[AllocatableFlow, int],
+        slot: dict[Resource, int],
+        remaining: list[float],
+        count: list[int],
+        on_touch: Callable[[AllocatableFlow], None] | None,
+        changed: list[AllocatableFlow],
+    ) -> None:
+        """Max-min rates for a *closed* set of flows, written in freeze order.
+
+        ``rank`` maps each flow of the set to its discovery index; the set
+        must be closed under resource sharing, so every registered user of
+        a resource a listed flow crosses is listed. ``slot`` numbers those
+        resources by first appearance and ``remaining``/``count`` hold, per
+        slot, the capacity and the number of users — discovery's tables.
+        Repeatedly finds the bottleneck resource (smallest fair share among
+        its unfrozen flows), freezes its flows at that share, subtracts
+        their usage everywhere, and continues. The round that freezes a
+        flow records its bottleneck and, if the rate moved, calls
+        ``on_touch``, writes the rate and appends the flow to ``changed``.
+        ``rank`` is consumed: it holds the flows not yet frozen. See the
+        module docstring for the order and arithmetic contract.
+        """
+        users = self._users
+        flow_resources = self._flow_resources
+        record = self._bottleneck
+        rank_of = rank.__getitem__
+        # Clamp float drift: repeated subtraction can push a fully used
+        # resource a hair below zero, which must not turn into a negative
+        # share. A resource whose users are all frozen leaves the scan by
+        # taking an infinite share.
+        shares = [cap / n if cap > 0.0 else 0.0 for cap, n in zip(remaining, count)]
+        resources_by_slot = list(slot)
+
+        while rank:
+            share = min(shares)
+            if share - _SHARE_SLACK == share:
+                bottleneck = shares.index(share)
+            else:
+                # The slack can decide this round (tiny or zero shares):
+                # compare sequentially, as the contract is written.
+                bottleneck = -1
+                share = _INF
+                for i, candidate in enumerate(shares):
+                    if candidate < share - _SHARE_SLACK:
+                        share = candidate
+                        bottleneck = i
+            if share == _INF:
+                # Only infinite-capacity resources are left: the rest are
+                # unbounded, frozen by nothing.
+                frozen_by = None
+                members = list(dict.fromkeys(
+                    flow
+                    for i, res in enumerate(resources_by_slot)
+                    if count[i]
+                    for flow in sorted((f for f in users[res] if f in rank), key=rank_of)
+                ))
+            else:
+                frozen_by = resources_by_slot[bottleneck]
+                members = [flow for flow in users[frozen_by] if flow in rank]
+                members.sort(key=rank_of)
+                count[bottleneck] = 0
+                shares[bottleneck] = _INF
+            crossed: dict[int, int] = {}
+            for flow in members:
+                del rank[flow]
+                record[flow] = frozen_by
+                if share != flow.rate:
+                    if on_touch is not None:
+                        on_touch(flow)
+                    flow.rate = share
+                    changed.append(flow)
+                for res in flow_resources[flow]:
+                    i = slot[res]
+                    crossed[i] = crossed.get(i, 0) + 1
+            if frozen_by is None:
+                return
+            del crossed[bottleneck]
+            for i, n_frozen in crossed.items():
+                remaining[i] = cap = remaining[i] - share * n_frozen
+                count[i] = n = count[i] - n_frozen
+                shares[i] = (cap / n if cap > 0.0 else 0.0) if n else _INF

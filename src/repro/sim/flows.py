@@ -22,9 +22,13 @@ _INF = float("inf")
 _flow_ids = itertools.count()
 
 
-def _fill_counts(allocator) -> tuple[int, int]:
-    """``(fills, successions)`` so far; the test oracles count neither."""
-    return getattr(allocator, "fills", 0), getattr(allocator, "successions", 0)
+#: Allocator counters mirrored into the registry as ``alloc.<name>``.
+_ALLOC_COUNTERS = ("fills", "successions", "inert")
+
+
+def _fill_counts(allocator) -> tuple[int, ...]:
+    """The allocator's counters so far; the test oracles keep none."""
+    return tuple(getattr(allocator, name, 0) for name in _ALLOC_COUNTERS)
 
 
 class Flow:
@@ -111,9 +115,13 @@ class FlowScheduler:
 
     Completions are tracked in a lazy min-heap keyed by each flow's
     estimated finish time. A rate change pushes a fresh entry and
-    invalidates the old one (stale entries are skipped on pop), so
-    finding the next completion costs O(log flows) instead of a linear
-    scan of the active set.
+    invalidates the old one (stale entries are skipped on pop). Stale
+    entries only leave the heap when they reach its head, and an ETA
+    that keeps moving *earlier* (departures raising a hot link's rates)
+    leaves its old entries deep inside it, so a recompute that finds
+    more than ``4 * active + 64`` entries rebuilds the heap from its live
+    ones. The heap thus holds O(active) entries after every recompute
+    and a push or pop costs O(log active) (not O(log flows ever pushed)).
 
     ``py_flow_ops`` counts per-flow hot-path operations (settles,
     rate/ETA rewrites, completion-scan pops); ``benchmarks/perf`` reports
@@ -231,7 +239,7 @@ class FlowScheduler:
         self._recompute_event = None
         registry = get_registry()
         wall_start = time.perf_counter() if registry.enabled else 0.0
-        before = _fill_counts(self.allocator) if registry.enabled else (0, 0)
+        before = _fill_counts(self.allocator) if registry.enabled else ()
         touched = self.allocator.recompute(on_touch=self._settle_flow)
         self.py_flow_ops += len(touched)
         now = self.sim.now
@@ -250,11 +258,13 @@ class FlowScheduler:
                 heapq.heappush(self._eta_heap, (eta, next(self._eta_seq), flow))
             else:
                 flow._eta = None
+        if len(self._eta_heap) > 4 * len(self.active) + 64:
+            self._compact_eta_heap()
         if registry.enabled:
             registry.counter("alloc.passes").inc()
-            fills, successions = _fill_counts(self.allocator)
-            registry.counter("alloc.fills").inc(fills - before[0])
-            registry.counter("alloc.successions").inc(successions - before[1])
+            after = _fill_counts(self.allocator)
+            for name, was, total in zip(_ALLOC_COUNTERS, before, after):
+                registry.counter(f"alloc.{name}").inc(total - was)
             registry.counter("alloc.flows_touched").inc(len(touched))
             registry.histogram("alloc.component_size").observe(len(touched))
             registry.histogram("alloc.duration_s").observe(
@@ -269,6 +279,19 @@ class FlowScheduler:
                 touched=len(touched),
             )
         self._sync_completion_event()
+
+    def _compact_eta_heap(self) -> None:
+        """Rebuild the ETA heap from the entries the pop path would keep.
+
+        Entries keep their sequence numbers, so live entries pop in the
+        order they would have without the rebuild; only an entry that a
+        flow's ETA would later have come back to, float for float, is
+        lost (the flow's newer entry for the same instant stands in).
+        """
+        heap = self._eta_heap
+        active = self.active
+        heap[:] = [entry for entry in heap if entry[2]._eta == entry[0] and entry[2] in active]
+        heapq.heapify(heap)
 
     def _earliest_eta(self) -> float | None:
         """Earliest live completion ETA, or None when nothing is pending."""

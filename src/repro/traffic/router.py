@@ -23,10 +23,15 @@ class KeyRouter:
             raise SimulationError("router needs at least one stripe")
         self.store = store
         self.cluster = cluster
+        # Sorted stripe ids, re-sorted when the store grew (stripes are
+        # only ever added, by ``StripeStore.add``).
+        self._stripe_ids: list[int] = []
 
     def locate(self, key: int) -> tuple[int, int]:
         """(stripe_id, chunk_index) that owns ``key``."""
-        stripe_ids = sorted(self.store.stripes)
+        stripe_ids = self._stripe_ids
+        if len(stripe_ids) != len(self.store.stripes):
+            stripe_ids = self._stripe_ids = sorted(self.store.stripes)
         stripe_id = stripe_ids[key % len(stripe_ids)]
         chunk_index = (key // len(stripe_ids)) % self.store.code.k
         return stripe_id, chunk_index

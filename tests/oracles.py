@@ -13,16 +13,26 @@ beyond the ``_SHARE_SLACK`` constant and the ``Resource`` type.
 * :class:`FromScratchAllocator` — global progressive filling on every
   epoch; the oracle for "incremental == from scratch" at 1e-9.
 * :class:`AuditedRateAllocator` — the allocator under test itself, with
-  an audit hung on every succession epoch it takes (the one place it
-  answers without a fill): a max-min certificate that depends on neither
-  fill, and the reference fill's answer for the same component.
+  an audit hung on every succession and inert departure it takes (the
+  two places it answers without a fill): a max-min certificate that
+  depends on neither fill, and the reference fill's answer for the same
+  component; plus, after every epoch, a check of the bottleneck it
+  recorded for each flow.
+
+:func:`hot_link_mix` is the stress recipe of the benchmark's ``hot_mix``
+workload (many flows fused into one component on a few hot links) at any
+size, on any scheduler.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, KeysView
 
+import numpy as np
+
+from repro.cluster.node import MB, mbs
 from repro.sim.allocator import _SHARE_SLACK, AllocatableFlow, RateAllocator
+from repro.sim.flows import Flow
 from repro.sim.resources import Resource
 
 
@@ -326,22 +336,65 @@ def max_min_violations(
     return problems
 
 
-class AuditedRateAllocator(RateAllocator):
-    """``RateAllocator`` that checks every succession epoch it takes.
+def bottleneck_violations(
+    allocator: RateAllocator, rel_tol: float = 1e-9
+) -> list[str]:
+    """Why the bottlenecks ``allocator`` recorded do not certify its rates.
 
-    A succession keeps the standing solution instead of running the
-    fill, so that is where an error could hide. After each one the audit
-    walks the arrival's component exactly as the skipped DFS would have
-    (from the arrival's resources, in tuple order) and
+    Read after a ``recompute``: every registered flow has a record and no
+    record outlives its flow; a recorded resource lies on the flow's
+    path, is saturated and carries no faster flow (the certificate of
+    :func:`max_min_violations`, checked at the resource the fill named).
+    A ``None`` record says nothing froze the flow, which is only true of
+    a flow that crosses no finite capacity.
+    """
+    records, paths = allocator._bottleneck, allocator._flow_resources
+    problems = []
+    if records.keys() != paths.keys():
+        problems.append(
+            f"records for {len(records)} flows, {len(paths)} registered: "
+            f"{list(records.keys() ^ paths.keys())[:3]}"
+        )
+    load: dict[Resource, float] = {}
+    fastest: dict[Resource, float] = {}
+    for flow, res in records.items():
+        if res is None:
+            if any(r.capacity < float("inf") for r in paths.get(flow, ())):
+                problems.append(f"{flow!r}: crosses a finite capacity, no record")
+            continue
+        if res not in paths.get(flow, ()):
+            problems.append(f"{flow!r}: recorded {res.name} is not on its path")
+            continue
+        if res not in load:
+            rates = [user.rate for user in allocator._users[res]]
+            load[res], fastest[res] = sum(rates), max(rates)
+        if load[res] < res.capacity * (1.0 - rel_tol):
+            problems.append(f"{flow!r}: {res.name} carries {load[res]!r} of {res.capacity!r}")
+        if flow.rate < fastest[res] * (1.0 - rel_tol):
+            problems.append(f"{flow!r}: {res.name} carries a flow at {fastest[res]!r}")
+    return problems
+
+
+class AuditedRateAllocator(RateAllocator):
+    """``RateAllocator`` that checks every epoch it answers without a fill.
+
+    A succession and an inert departure keep the standing solution
+    instead of running the fill, so that is where an error could hide.
+    After each one the audit walks the component the skipped DFS would
+    have walked, in its stack order (from the arrival's resources for a
+    succession, from the leavers' resources that still have users for an
+    inert departure), and
 
     * asserts the max-min certificate over it (:func:`max_min_violations`
       — independent of this allocator's fill *and* of the reference's);
     * runs the reference :func:`_progressive_fill` over it and compares
       with what stands: ``worst_rel`` is the largest relative difference
-      seen on any flow, ``flapped`` counts the successions in which the
-      re-fill would have rewritten some flow (a bystander moved by an
-      ulp, the documented difference), ``audited`` counts them all.
+      seen on any flow, ``moved`` counts the flows a re-fill would have
+      rewritten (a bystander moved by an ulp, the documented difference),
+      ``flapped`` / ``inert_flapped`` count the epochs with any such flow
+      and ``audited`` / ``inert_audited`` count them all.
 
+    After *every* epoch it also asserts :func:`bottleneck_violations`.
     ``rel_tol`` bounds ``worst_rel`` (0.0 demands ``==``); a breach
     raises ``AssertionError`` from inside the simulation.
     """
@@ -349,26 +402,39 @@ class AuditedRateAllocator(RateAllocator):
     def __init__(self, rel_tol: float = 0.0) -> None:
         super().__init__()
         self.rel_tol = rel_tol
-        self.audited = 0
-        self.flapped = 0
+        self.audited = self.flapped = 0
+        self.inert_audited = self.inert_flapped = 0
+        self.moved = 0
         self.worst_rel = 0.0
 
     def recompute(
         self, on_touch: Callable[[AllocatableFlow], None] | None = None
     ) -> list[AllocatableFlow]:
-        arrivals = list(self._fresh)
-        before = self.successions
+        arrivals, dirty = list(self._fresh), list(self._dirty)
+        successions, inert = self.successions, self.inert
         changed = super().recompute(on_touch)
-        if self.successions != before:
+        if self.successions != successions:
             (arrival,) = arrivals
-            self._audit(arrival)
+            self.audited += 1
+            self.flapped += self._audit(
+                f"succession of {arrival!r}", self._flow_resources[arrival]
+            )
+        elif self.inert != inert:
+            self.inert_audited += 1
+            self.inert_flapped += self._audit(
+                "inert departure", [res for res in dirty if res in self._users]
+            )
+        problems = bottleneck_violations(self)
+        assert not problems, f"recorded bottlenecks: {problems[:3]}"
         return changed
 
-    def _audit(self, arrival: AllocatableFlow) -> None:
+    def _audit(self, what: str, roots: Iterable[Resource]) -> bool:
+        """Audit the component reachable from ``roots``; True if a
+        re-fill would have rewritten some flow."""
         flow_resources, users = self._flow_resources, self._users
         component: dict[AllocatableFlow, None] = {}
         visited: set[Resource] = set()
-        stack = list(flow_resources[arrival])
+        stack = list(roots)
         while stack:
             res = stack.pop()
             if res in visited:
@@ -379,16 +445,45 @@ class AuditedRateAllocator(RateAllocator):
                     component[flow] = None
                     stack.extend(r for r in flow_resources[flow] if r not in visited)
         problems = max_min_violations(component)
-        assert not problems, f"succession of {arrival!r} broke max-min: {problems[:3]}"
-        self.audited += 1
+        assert not problems, f"{what} broke max-min: {problems[:3]}"
         flapped = False
         for flow, rate in _progressive_fill(component, flow_resources).items():
             if rate != flow.rate:
                 flapped = True
+                self.moved += 1
                 rel = abs(rate - flow.rate) / max(abs(rate), abs(flow.rate))
                 self.worst_rel = max(self.worst_rel, rel)
                 assert rel <= self.rel_tol, (
-                    f"succession of {arrival!r}: {flow!r} stands at {flow.rate!r}, "
-                    f"a re-fill says {rate!r}"
+                    f"{what}: {flow!r} stands at {flow.rate!r}, a re-fill says {rate!r}"
                 )
-        self.flapped += flapped
+        return flapped
+
+
+def hot_link_mix(scheduler, nodes: int, flows: int, seed: int = 0) -> list[Flow]:
+    """Schedule the ``hot_mix`` recipe on ``scheduler``; returns its flows.
+
+    The draws of ``benchmarks/perf/workloads.py``: ``flows`` transfers of
+    4-63 MB start uniformly over 60 s between random nodes; 20 % of them
+    have a server among the hot 5 % of ``nodes``, 95 % are reads (server
+    uplink -> client downlink), the rest updates; every link carries
+    100 MB/s. The hot links fuse the flows into one contention component.
+    """
+    rng = np.random.default_rng(seed)
+    hot = max(1, int(nodes * 0.05))
+    starts = rng.uniform(0, 60.0, flows)
+    is_hot = rng.random(flows) < 0.2
+    servers = np.where(is_hot, rng.integers(0, hot, flows), rng.integers(0, nodes, flows))
+    clients = rng.integers(0, nodes, flows)
+    is_read = rng.random(flows) < 0.95
+    sizes = rng.integers(4, 64, flows) * float(MB)
+    up = [Resource(f"n{i}.up", mbs(100.0)) for i in range(nodes)]
+    down = [Resource(f"n{i}.down", mbs(100.0)) for i in range(nodes)]
+    started = []
+    for i in range(flows):
+        src, dst = int(servers[i]), int(clients[i])
+        if not is_read[i]:
+            src, dst = dst, src
+        flow = Flow(f"q{i}", float(sizes[i]), (up[src], down[dst]))
+        scheduler.sim.schedule(float(starts[i]), scheduler.start_flow, flow)
+        started.append(flow)
+    return started

@@ -16,10 +16,13 @@ bit-identical rates, changed-flow order and completion timelines.
 
 Those batteries recompute after *each* mutation. The coalesced batteries
 at the end put 1-4 mutations in an epoch, as ``FlowScheduler`` does, and
-hold the one kind of epoch that answers without a fill — a *succession*:
-one rated departure, one arrival over the same resources, nothing else —
-to its own contract (the arrival inherits the leaver's rate, nobody else
-is written, the result is the from-scratch optimum).
+hold the two kinds of epoch that answer without a fill to their own
+contracts: a *succession* — one rated departure, one arrival over the
+same resources, nothing else — where the arrival inherits the leaver's
+rate and nobody else is written, and an *inert departure* — rated flows
+left, nothing else, and no flow left on their resources was frozen by
+one of them — where nobody is written; either way the result is the
+from-scratch optimum.
 """
 
 import numpy as np
@@ -35,7 +38,11 @@ from repro.sim import (
     Simulator,
     allocate_rates,
 )
-from tests.oracles import FromScratchAllocator, ReferenceRateAllocator
+from tests.oracles import (
+    FromScratchAllocator,
+    ReferenceRateAllocator,
+    bottleneck_violations,
+)
 
 NUM_SEEDS = 220
 MUTATIONS_PER_SEED = 12
@@ -415,18 +422,22 @@ def test_fill_matches_reference_on_named_cases(capacities, paths):
 
 # -- coalesced epochs: several mutations, one recompute --------------------
 
-def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id):
+def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id,
+                     departures=False):
     """Apply 1-4 twin mutations without recomputing.
 
     Beside the arrivals, departures and capacity changes of
     ``_twin_mutation`` a mutation may be a *slice boundary* — a live flow
     leaves and a new one arrives over its tuple, in either order — which
     is what over half of this battery's arrivals are, so successions do
-    occur. Returns ``(next_id, succession)``; ``succession`` is the
-    ``(leaver's rate, arrival on the cur side)`` pair when the epoch was,
-    by this function's own bookkeeping (not the allocator's), exactly one
-    departure of a flow rated before the epoch plus one arrival over the
-    same non-empty deduplicated resources — else ``None``.
+    occur. With ``departures`` half the epochs are instead 1-2 departures
+    and nothing else. Returns ``(next_id, succession, leavers)``;
+    ``succession`` is the ``(leaver's rate, arrival on the cur side)``
+    pair when the epoch was, by this function's own bookkeeping (not the
+    allocator's), exactly one departure of a flow rated before the epoch
+    plus one arrival over the same non-empty deduplicated resources —
+    else ``None``; ``leavers`` lists the cur-side flows that left when
+    the epoch did nothing but remove rated flows — else ``None``.
     """
     rated = set(cur_live)  # live before the epoch, hence rated
     left, arrived, other = [], [], False
@@ -451,7 +462,8 @@ def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id):
             arrived.remove(flow)
             other = True
 
-    for _ in range(int(rng.integers(1, 5))):
+    def mutate():
+        nonlocal other
         roll = rng.random()
         if roll < 0.35 and ref_live:
             idx = int(rng.integers(0, len(ref_live)))
@@ -473,11 +485,33 @@ def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id):
             ref.mark_dirty(res)
             cur.mark_dirty(res)
             other = True
+
+    if departures and ref_live and rng.random() < 0.5:
+        for _ in range(min(len(ref_live), int(rng.integers(1, 3)))):
+            depart(int(rng.integers(0, len(ref_live))))
+    else:
+        for _ in range(int(rng.integers(1, 5))):
+            mutate()
+    leavers = left if left and not arrived and not other else None
     if len(left) == 1 and len(arrived) == 1 and not other:
         path = tuple(dict.fromkeys(left[0].resources))
         if path and path == tuple(dict.fromkeys(arrived[0].resources)):
-            return next_id, (left[0].rate, arrived[0])
-    return next_id, None
+            return next_id, (left[0].rate, arrived[0]), None
+    return next_id, None, leavers
+
+
+def _assert_scratch_optimum(cur_live):
+    """What stands on ``cur_live`` is *the* optimum of the graph: a
+    from-scratch fill agrees within 1e-9 (and leaves every rate as it
+    found it)."""
+    standing = [flow.rate for flow in cur_live]
+    scratch = FromScratchAllocator()
+    for flow in cur_live:
+        scratch.add_flow(flow)
+    scratch.recompute()
+    for flow, rate in zip(cur_live, standing):
+        assert rate == pytest.approx(flow.rate, abs=1e-9), flow.name
+        flow.rate = rate
 
 
 def _assert_succession_contract(cur, cur_live, leaver_rate, arrival):
@@ -496,45 +530,85 @@ def _assert_succession_contract(cur, cur_live, leaver_rate, arrival):
     assert all(flow.rate == -1.0 for flow in standing), "a bystander was written"
     for flow, rate in standing.items():
         flow.rate = rate
-    # The standing solution is still *the* optimum of the new graph.
-    inherited = [flow.rate for flow in cur_live]
-    scratch = FromScratchAllocator()
-    for flow in cur_live:
-        scratch.add_flow(flow)
-    scratch.recompute()
-    for flow, rate in zip(cur_live, inherited):
-        assert rate == pytest.approx(flow.rate, abs=1e-9), flow.name
+    _assert_scratch_optimum(cur_live)
+
+
+def _inert_by_the_rule(cur, leavers):
+    """The inert-departure rule, read off the records ``cur`` holds once
+    ``leavers`` are gone: some leaver's resource still has users, and
+    none of them is recorded as frozen by it (no record counts as one)."""
+    touched = {res for flow in leavers for res in flow.resources if res in cur._users}
+    return bool(touched) and all(
+        cur._bottleneck.get(user) not in (None, res)
+        for res in touched
+        for user in cur._users[res]
+    )
+
+
+def _assert_inert_contract(cur, cur_live):
+    """The departure-only epoch pending on ``cur`` is inert: recompute it,
+    with every rate poisoned, and find nothing written and no fill run;
+    what stood before is still the from-scratch optimum."""
+    standing = {flow: flow.rate for flow in cur_live}
+    for flow in standing:
+        flow.rate = -1.0
+    fills, inert = cur.fills, cur.inert
+    touched = []
+    assert cur.recompute(on_touch=touched.append) == [] == touched
+    assert (cur.fills, cur.inert) == (fills, inert + 1)
+    assert all(flow.rate == -1.0 for flow in standing), "a bystander was written"
+    for flow, rate in standing.items():
         flow.rate = rate
+    _assert_scratch_optimum(cur_live)
 
 
-def _run_coalesced(seed):
-    """One seed of the coalesced twin battery; returns (epochs, successions)."""
+def _run_coalesced(seed, departures=False):
+    """One seed of the coalesced twin battery; returns (epochs,
+    successions, inert epochs). With ``departures`` the graph is larger
+    (4-9 resources, 8-16 standing flows over 2-3 of them, so that a
+    leaver's resources often carry flows frozen elsewhere) and half the
+    epochs are departures only."""
     rng = np.random.default_rng(seed)
     resources = [
         Resource(f"r{i}", float(rng.integers(10, 1000)))
-        for i in range(int(rng.integers(2, 8)))
+        for i in range(int(rng.integers(*((4, 10) if departures else (2, 8)))))
     ]
     ref, cur = ReferenceRateAllocator(), RateAllocator()
     ref_live, cur_live = [], []
-    next_id = seen = 0
+    next_id = seen = inert = 0
+    if departures:
+        for next_id in range(int(rng.integers(8, 17))):
+            picks = rng.integers(0, len(resources), int(rng.integers(2, 4)))
+            for alloc, live in ((ref, ref_live), (cur, cur_live)):
+                live.append(StubFlow(f"f{next_id}", tuple(resources[int(i)] for i in picks)))
+                alloc.add_flow(live[-1])
+        next_id += 1
+        _assert_same_recompute(ref, cur, ref_live, cur_live)
     for _ in range(MUTATIONS_PER_SEED):
-        next_id, succession = _coalesced_epoch(
-            rng, ref, cur, ref_live, cur_live, resources, next_id
+        next_id, succession, leavers = _coalesced_epoch(
+            rng, ref, cur, ref_live, cur_live, resources, next_id, departures
         )
-        if succession is None:
-            successions = cur.successions
+        if succession is None and not (leavers and _inert_by_the_rule(cur, leavers)):
+            successions, inert_epochs = cur.successions, cur.inert
             _assert_same_recompute(ref, cur, ref_live, cur_live)
             assert cur.successions == successions, f"seed={seed}: not a succession"
+            assert cur.inert == inert_epochs, f"seed={seed}: not inert"
         else:
-            seen += 1
-            _assert_succession_contract(cur, cur_live, *succession)
+            if succession is None:
+                inert += 1
+                _assert_inert_contract(cur, cur_live)
+            else:
+                seen += 1
+                _assert_succession_contract(cur, cur_live, *succession)
             # The reference re-solved in a fresh DFS order and may have
             # moved a bystander by an ulp: stand both on one solution
             # before the next ``==`` epoch.
             ref.recompute()
             for r, c in zip(ref_live, cur_live):
                 r.rate = c.rate
-    return MUTATIONS_PER_SEED, seen
+        problems = bottleneck_violations(cur)
+        assert not problems, f"seed={seed}: {problems[:3]}"
+    return MUTATIONS_PER_SEED, seen, inert
 
 
 @pytest.mark.parametrize("seed", range(NUM_SEEDS))
@@ -548,8 +622,27 @@ def test_coalesced_epochs_match_reference_or_succession_contract(seed):
 def test_coalesced_battery_does_meet_successions():
     """The battery above is not vacuous: a fair share of its epochs are
     successions (47 of 720 on these seeds, 161 of 2 640 over all 220)."""
-    epochs, successions = map(sum, zip(*(_run_coalesced(seed) for seed in range(60))))
+    epochs, successions, *_ = map(sum, zip(*(_run_coalesced(seed) for seed in range(60))))
     assert successions >= 0.03 * epochs, (successions, epochs)
+
+
+@pytest.mark.parametrize("seed", range(NUM_SEEDS))
+def test_departure_epochs_match_reference_or_inert_contract(seed):
+    """The coalesced battery with half its epochs departures only: an
+    epoch the inert rule covers writes nothing, runs no fill and leaves
+    the from-scratch optimum standing; every other epoch that is not a
+    succession is ``==`` the reference. After every epoch each recorded
+    bottleneck certifies its flow and no record outlives its flow."""
+    _run_coalesced(seed, departures=True)
+
+
+def test_departure_battery_does_meet_inert_epochs():
+    """Not vacuous either: a fair share of its epochs are inert (26 of
+    720 on these seeds, 101 of 2 640 over all 220)."""
+    epochs, _, inert = map(
+        sum, zip(*(_run_coalesced(seed, departures=True) for seed in range(60)))
+    )
+    assert inert >= 0.03 * epochs, (inert, epochs)
 
 
 # Named epochs on one standing solution. f0 over (r0, r1) is the leaver;
@@ -664,3 +757,121 @@ def test_succession_settles_the_arrival_once_before_writing_its_rate():
     seen = []
     cur.recompute(on_touch=lambda flow: seen.append((flow, flow.rate)))
     assert seen == [(arrival, 0.0)] and arrival.rate == 30.0
+
+
+# Departure-only epochs on the same standing solution. The fill freezes
+# f0 and f2 on r1 (30 each), then f4 on r3 (40), f3 on r2 (60) and f1 on
+# r0 (70); f5 is unbounded. Indices are into the live list as it shrinks.
+_INERT_EPOCHS = {
+    "leaver-alone-at-its-bottleneck": [("remove", 1)],
+    "two-leavers-both-inert": [("remove", 1), ("remove", 2)],
+}
+_DEPARTURE_FILL_EPOCHS = {
+    "leaver-shares-its-bottleneck": [("remove", 0)],
+    "two-leavers-one-not-inert": [("remove", 1), ("remove", 0)],
+    "departure-and-mark-dirty": [("remove", 1), ("dirty", 3)],
+    "departure-and-arrival": [("remove", 1), ("add", (2,))],
+}
+
+
+def _records_match_flows(cur):
+    return cur._bottleneck.keys() == cur._flow_resources.keys()
+
+
+@pytest.mark.parametrize("ops", _INERT_EPOCHS.values(), ids=_INERT_EPOCHS)
+def test_inert_departure_keeps_the_standing_solution(ops):
+    ref, cur, ref_live, cur_live, _, departed = _standing_twins(ops)
+    assert _inert_by_the_rule(cur, departed)
+    _assert_inert_contract(cur, cur_live)
+    ref.recompute()  # exact capacities: the re-fill agrees to the bit
+    assert [f.rate for f in cur_live] == [f.rate for f in ref_live]
+    assert _records_match_flows(cur) and not bottleneck_violations(cur)
+
+
+@pytest.mark.parametrize("ops", _DEPARTURE_FILL_EPOCHS.values(), ids=_DEPARTURE_FILL_EPOCHS)
+def test_departure_outside_the_inert_rule_runs_the_fill(ops):
+    ref, cur, ref_live, cur_live, _, _ = _standing_twins(ops)
+    fills = cur.fills
+    _assert_same_recompute(ref, cur, ref_live, cur_live)
+    assert (cur.fills, cur.inert) == (fills + 1, 0)
+    assert _records_match_flows(cur) and not bottleneck_violations(cur)
+
+
+@pytest.mark.parametrize(
+    "first, then, inert",
+    [
+        # f1's heir inherits "frozen by r0"; it leaves, f0 on r0 is frozen by r1.
+        ([("remove", 1), ("add", (0,))], -1, True),
+        # f0's heir inherits "frozen by r1"; f1 leaves r0 to it alone.
+        ([("remove", 0), ("add", (0, 1))], 0, True),
+        # f0's heir inherits "frozen by r1"; f2, frozen beside it, leaves.
+        ([("remove", 0), ("add", (0, 1))], 1, False),
+    ],
+    ids=["successor-leaves", "successor-stays-on-a-freed-link", "successor-loses-its-partner"],
+)
+def test_inherited_record_decides_a_later_departure(first, then, inert):
+    ref, cur, ref_live, cur_live, (heir,), (leaver,) = _standing_twins(first)
+    assert leaver not in cur._bottleneck  # moved out with the leaver
+    _assert_succession_contract(cur, cur_live, leaver.rate, heir)
+    ref.recompute()
+    assert [f.rate for f in cur_live] == [f.rate for f in ref_live]
+    assert cur._bottleneck[heir] is heir.resources[-1]  # r0 alone, or r1
+    ref.remove_flow(ref_live.pop(then))
+    cur.remove_flow(gone := cur_live.pop(then))
+    assert gone not in cur._bottleneck
+    if inert:
+        _assert_inert_contract(cur, cur_live)
+        ref.recompute()
+        assert [f.rate for f in cur_live] == [f.rate for f in ref_live]
+    else:
+        fills = cur.fills
+        _assert_same_recompute(ref, cur, ref_live, cur_live)
+        assert (cur.fills, cur.inert) == (fills + 1, 0)
+    assert _records_match_flows(cur) and not bottleneck_violations(cur)
+
+
+def test_resourceless_leaver_has_nothing_to_rerate():
+    ref, cur, ref_live, cur_live, _, _ = _standing_twins([("remove", 5)])
+    fills = cur.fills
+    _assert_same_recompute(ref, cur, ref_live, cur_live)
+    assert (cur.fills, cur.inert) == (fills, 0)
+    assert _records_match_flows(cur)
+
+
+def test_unknown_record_counts_as_frozen_by_the_leavers_resource():
+    """Flows on only unbounded resources are frozen by nothing (``None``);
+    a departure beside one is never inert."""
+    ref, cur, ref_live, cur_live = _build_twins(
+        (float("inf"), 50.0), [(0,), (0,), (0, 1)]
+    )
+    _assert_same_recompute(ref, cur, ref_live, cur_live)
+    assert cur._bottleneck[cur_live[0]] is None
+    assert cur._bottleneck[cur_live[2]] is cur_live[2].resources[1]
+    for alloc, live in ((ref, ref_live), (cur, cur_live)):
+        alloc.remove_flow(live.pop(2))
+    fills = cur.fills
+    _assert_same_recompute(ref, cur, ref_live, cur_live)
+    assert (cur.fills, cur.inert) == (fills + 1, 0)
+
+
+def test_no_record_outlives_its_flow():
+    """Through an inert departure, a succession, a fill and a flow that
+    came and went unrated, the records are exactly the registered flows."""
+    _, cur, _, live, _, _ = _standing_twins([])
+    r0, r1 = live[0].resources
+
+    def arrive(*path):
+        live.append(StubFlow("new", path))
+        cur.add_flow(live[-1])
+
+    epochs = [
+        lambda: cur.remove_flow(live.pop(1)),  # inert
+        lambda: (cur.remove_flow(live.pop(0)), arrive(r0, r1)),  # succession
+        lambda: cur.remove_flow(live.pop(0)),  # fill
+        lambda: (arrive(r0), cur.remove_flow(live.pop())),  # came and went
+    ]
+    for epoch in epochs:
+        epoch()
+        cur.recompute()
+        assert _records_match_flows(cur) and not bottleneck_violations(cur)
+    assert (cur.inert, cur.successions) == (1, 1)

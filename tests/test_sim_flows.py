@@ -210,3 +210,54 @@ class TestFlowScheduler:
     def test_resource_validation(self):
         with pytest.raises(SimulationError):
             Resource("bad", 0)
+
+
+class _Observed(FlowScheduler):
+    """Records the ETA heap's length and bound after every recompute."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.heap_after_recompute = []
+        self.compactions = 0
+
+    def _do_recompute(self):
+        super()._do_recompute()
+        self.heap_after_recompute.append((len(self._eta_heap), 4 * len(self.active) + 64))
+
+    def _compact_eta_heap(self):
+        self.compactions += 1
+        super()._compact_eta_heap()
+
+
+class _NeverCompacts(_Observed):
+    def _compact_eta_heap(self):
+        pass
+
+
+def _hot_link_run(scheduler_cls):
+    """150 flows of unequal size share one hot downlink; every completion
+    raises the others' rates, moving each ETA earlier and leaving its
+    previous heap entry behind."""
+    sim = Simulator()
+    sched = scheduler_cls(sim)
+    hot = Resource("hot", 100.0)
+    flows = [Flow(f"f{i}", 50.0 + 7.0 * i, (Resource(f"up{i}", 1e4), hot)) for i in range(150)]
+    for i, flow in enumerate(flows):
+        sim.schedule(0.01 * i, sched.start_flow, flow)
+    sim.run()
+    assert all(flow.done for flow in flows)
+    return sched, [(flow.name, flow.completed_at) for flow in flows]
+
+
+class TestEtaHeap:
+    def test_heap_stays_within_its_bound(self):
+        sched, _ = _hot_link_run(_Observed)
+        assert sched.compactions > 0
+        assert all(size <= bound for size, bound in sched.heap_after_recompute)
+
+    def test_compaction_does_not_move_a_completion(self):
+        sched, timeline = _hot_link_run(_Observed)
+        lazy, lazy_timeline = _hot_link_run(_NeverCompacts)
+        assert timeline == lazy_timeline
+        # Without compaction the superseded entries do pile up.
+        assert any(size > bound for size, bound in lazy.heap_after_recompute)

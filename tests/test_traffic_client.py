@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, MB, mbs, place_stripes
+from repro.cluster import MB, Cluster, Stripe, mbs, place_stripes
 from repro.codes import RSCode
 from repro.errors import SimulationError
 from repro.traffic import KeyRouter, TraceClient, launch_clients, uniform_trace
@@ -34,6 +34,23 @@ class TestKeyRouter:
         fallback = router.node_for(key)
         assert fallback != owner
         assert cluster.node(fallback).alive
+
+    def test_cached_stripe_order_routes_like_a_fresh_sort(self):
+        cluster, store, router = make_env()
+
+        def uncached(key):
+            ids = sorted(store.stripes)
+            stripe = store.stripes[ids[key % len(ids)]]
+            return stripe.node_of((key // len(ids)) % store.code.k)
+
+        assert [router.node_for(key) for key in range(1000)] == [
+            uncached(key) for key in range(1000)
+        ]
+        # A stripe id that sorts first shifts every key's stripe.
+        store.add(Stripe(-1, list(cluster.storage_ids[: store.code.n])))
+        assert [router.node_for(key) for key in range(1000)] == [
+            uncached(key) for key in range(1000)
+        ]
 
     def test_empty_store_rejected(self):
         from repro.cluster import StripeStore
