@@ -1,4 +1,4 @@
-"""Exp#20: partition-tolerant repair — detection + hedging beat timeouts."""
+"""Exp#20: partition-tolerant repair — failure detection beats timeouts."""
 
 from conftest import emit
 
@@ -17,7 +17,7 @@ def test_exp20_partition(benchmark, bench_scale):
     emit(benchmark, "Exp#20: repair under network partitions",
          HEADERS, rows(results))
     payload = verdict_payload(results, scale=bench_scale, seed=0)
-    # The headline gate: detection + hedging strictly beat the
+    # The headline gate: the failure detector strictly beats the
     # timeout-only baseline's p99 at every partition duration...
     assert payload["tail_reduced"], payload["p99_by_duration"]
     # ...every chunk is repaired and verified in every mode...
@@ -28,15 +28,15 @@ def test_exp20_partition(benchmark, bench_scale):
     assert payload["fencing_held"], payload["zombie"]
     assert payload["passed"]
     for duration, per in results["sweep"].items():
-        baseline, full = per["baseline"], per["full"]
+        baseline, detector = per["baseline"], per["detector"]
         # The baseline pays a tail comparable to the cut itself; the
         # detector suspects within a few heartbeats instead.
-        assert full.p99 < baseline.p99, duration
-        assert full.suspicions > 0, duration
-        assert full.suspect_replans > 0, duration
+        assert detector.p99 < baseline.p99, duration
+        assert detector.suspicions > 0, duration
+        assert detector.suspect_replans > 0, duration
         # Suspicion is judged against ground truth: a hard partition
         # must never be classified as a false positive.
-        assert full.false_suspicions == 0, duration
+        assert detector.false_suspicions == 0, duration
     zombie = results["zombie"]
     assert zombie.fenced_writes > 0
     assert zombie.stepdowns >= 1

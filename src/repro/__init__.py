@@ -116,7 +116,6 @@ from repro.obs import (
 from repro.repair import (
     ConventionalRepair,
     ECPipe,
-    HedgePolicy,
     PPR,
     RepairBoost,
     RepairPlan,
@@ -172,7 +171,6 @@ __all__ = (
     "FaultEvent",
     "FaultTimeline",
     "FlowInterruption",
-    "HedgePolicy",
     "HookEmitter",
     "IntegrityLedger",
     "IntegrityRecord",

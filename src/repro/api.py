@@ -63,7 +63,6 @@ from repro.obs.timeseries import TimeseriesRecorder
 from repro.obs.tracer import get_tracer
 from repro.repair.base import ConventionalRepair, ECPipe, PPR
 from repro.repair.dataplane import DataPlane
-from repro.repair.hedging import HedgePolicy
 from repro.repair.repairboost import RepairBoost
 from repro.repair.runner import RepairRunner
 from repro.slo import RunTelemetry, SLOEvaluator, SLOReport, SLOSpec
@@ -221,9 +220,6 @@ class Testbed:
         self.crash_blasts: list[dict] = []
         #: Accrual failure detector (see :meth:`enable_failure_detector`).
         self.detector: FailureDetector | None = None
-        #: Hedged-read policy applied to every repairer (see
-        #: :meth:`enable_hedged_reads`).
-        self.hedge_policy: HedgePolicy | None = None
         #: Node hosting the journal/metadata service (None = first
         #: client). Coordinators cut off from it get zombie-fenced.
         self.journal_home: int | None = None
@@ -355,8 +351,6 @@ class Testbed:
                 self.journal if shard is None else self.journal.shard_view(shard)
             )
             overrides.setdefault("journal", view)
-        if self.hedge_policy is not None:
-            overrides.setdefault("hedge", self.hedge_policy)
         repairer = self._build_repairer(name, **overrides)
         repairer.rebuild_spec = spec
         self.repairers.append(repairer)
@@ -540,8 +534,7 @@ class Testbed:
         self,
         *,
         policy: AIMDPolicy | None = None,
-        baseline_p99: float | None = None,
-        calibration_windows: int = 3,
+        baseline_p99: float,
         window: float = 5.0,
     ) -> AdmissionController:
         """Close the telemetry loop: AIMD-throttle scrub/repair intensity.
@@ -551,14 +544,13 @@ class Testbed:
         installs an :class:`~repro.control.AdmissionController` that
         backs off the scrubber's rate and every repairer's parallelism
         when the per-window foreground P99 inflates past
-        ``policy.high_water`` × the baseline, recovering additively when
-        headroom returns. The scrubber and all repairers — existing and
-        future, including post-crash replacements from
-        :meth:`recover_repairer` — are attached automatically.
+        ``policy.high_water`` × ``baseline_p99`` (the calm-period P99),
+        recovering additively when headroom returns. The scrubber and
+        all repairers — existing and future, including post-crash
+        replacements from :meth:`recover_repairer` — are attached
+        automatically.
 
-        With ``baseline_p99=None`` the controller calibrates itself over
-        the first ``calibration_windows`` non-empty windows. Idempotent;
-        returns the controller. Stop it
+        Idempotent; returns the controller. Stop it
         (``testbed.controller.stop()``) alongside the recorder before
         driving the simulator with an unbounded ``run()``.
         """
@@ -569,7 +561,6 @@ class Testbed:
             recorder,
             policy=policy,
             baseline_p99=baseline_p99,
-            calibration_windows=calibration_windows,
         )
         if self.scrubber is not None:
             controller.attach_scrubber(self.scrubber)
@@ -649,38 +640,6 @@ class Testbed:
         for repairer in self.repairers:
             if repairer.running:
                 repairer.helper_suspected(node_id)
-
-    def enable_hedged_reads(
-        self,
-        *,
-        series: str = "lat.foreground.p99",
-        multiplier: float = 4.0,
-        min_delay: float = 2.0,
-        fixed_delay: float | None = None,
-    ) -> HedgePolicy:
-        """Race backup plans against tail-latency repairs.
-
-        Installs a :class:`~repro.repair.hedging.HedgePolicy` on every
-        repairer, existing and future: an in-flight chunk running past
-        the hedge delay (derived from the live ``series`` p99 when the
-        timeseries recorder is on, else ``min_delay``) launches one
-        backup plan built around its slowest helper; first complete
-        wins, the loser is cancelled. Idempotent; returns the policy.
-        """
-        if self.hedge_policy is not None:
-            return self.hedge_policy
-        policy = HedgePolicy(
-            recorder=self.timeseries,
-            series=series,
-            multiplier=multiplier,
-            min_delay=min_delay,
-            fixed_delay=fixed_delay,
-        )
-        self.hedge_policy = policy
-        for repairer in self.repairers:
-            if repairer.hedge is None:
-                repairer.hedge = policy
-        return policy
 
     def place_coordinator(self, repairer, node_id: int) -> None:
         """Pin ``repairer``'s control process to a home node.
@@ -1121,8 +1080,8 @@ class Testbed:
 #: One row per optional feature: the :class:`TestbedBuilder` method it
 #: gets and the :class:`Testbed` method that implements it. Row order is
 #: the order ``build()`` applies them in: the recorder before the
-#: controller and hedge policy that read it, the journal before anything
-#: builds a coordinator, integrity before the bit-rot that damages it.
+#: controller that reads it, the journal before anything builds a
+#: coordinator, integrity before the bit-rot that damages it.
 _FEATURES = (
     ("with_timeseries", "enable_timeseries"),
     ("with_journal", "enable_journal"),
@@ -1131,7 +1090,6 @@ _FEATURES = (
     ("with_scrubber", "start_scrubber"),
     ("with_admission_control", "enable_admission_control"),
     ("with_failure_detector", "enable_failure_detector"),
-    ("with_hedged_reads", "enable_hedged_reads"),
     ("with_partitions", "enable_partitions"),
 )
 

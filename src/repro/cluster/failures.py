@@ -36,9 +36,6 @@ class FailureInjector:
         #: equation; otherwise the unfiltered survivors are returned and
         #: repairability is never affected.
         self.suspicion = None
-        #: One-shot per-plan exclusions (hedged reads route a backup
-        #: plan around the straggling helper), same best-effort rules.
-        self.excluded: set[int] = set()
 
     def fail_nodes(self, node_ids: list[int]) -> FailureReport:
         """Kill ``node_ids``; returns every chunk that must be repaired."""
@@ -102,26 +99,21 @@ class FailureInjector:
             }
         return self._filter_distrusted(chunk, survivors)
 
-    def _distrusted(self, node_id: int) -> bool:
-        if node_id in self.excluded:
-            return True
-        return self.suspicion is not None and self.suspicion(node_id)
-
     def _filter_distrusted(
         self, chunk: ChunkId, survivors: dict[int, int]
     ) -> dict[int, int]:
-        """Drop suspected/excluded helpers — but only best-effort.
+        """Drop suspected helpers — but only best-effort.
 
-        If distrusting every flagged node would leave no valid repair
+        If distrusting every suspect would leave no valid repair
         equation, the unfiltered survivors are returned: a false
         suspicion must never turn a repairable chunk into a lost one.
         """
-        if self.suspicion is None and not self.excluded:
+        if self.suspicion is None:
             return survivors
         trusted = {
             index: node_id
             for index, node_id in survivors.items()
-            if not self._distrusted(node_id)
+            if not self.suspicion(node_id)
         }
         if trusted == survivors:
             return survivors
@@ -157,9 +149,9 @@ class FailureInjector:
             for node_id in self.cluster.alive_storage_ids()
             if node_id not in stripe_nodes
         ]
-        if self.suspicion is None and not self.excluded:
+        if self.suspicion is None:
             return candidates
-        trusted = [n for n in candidates if not self._distrusted(n)]
+        trusted = [n for n in candidates if not self.suspicion(n)]
         # Best-effort again: with every candidate distrusted, fall back
         # to the full list rather than refuse to place the repair.
         return trusted if trusted else candidates

@@ -96,10 +96,8 @@ class AdmissionController:
     ``windows_closed`` guard makes out-of-phase installation merely lag
     one window instead of reading a half-window.
 
-    ``baseline_p99`` anchors the inflation ratio; pass the calm-period
-    P99 when you have one, or leave it ``None`` to auto-calibrate over
-    the first ``calibration_windows`` non-empty windows (the controller
-    holds fire until calibrated).
+    ``baseline_p99`` — the calm-period foreground P99 — anchors the
+    inflation ratio.
     """
 
     def __init__(
@@ -107,62 +105,24 @@ class AdmissionController:
         recorder: "TimeseriesRecorder",
         *,
         policy: AIMDPolicy | None = None,
-        scrub_policy: AIMDPolicy | None = None,
-        repair_policy: AIMDPolicy | None = None,
-        repair_deadline: float | None = None,
-        baseline_p99: float | None = None,
-        calibration_windows: int = 3,
-        latency_source: str = "foreground",
+        baseline_p99: float,
     ) -> None:
-        if baseline_p99 is not None and baseline_p99 <= 0:
-            raise ReproError(
-                "baseline_p99 must be positive (or None to auto-calibrate)"
-            )
-        if calibration_windows < 1:
-            raise ReproError("calibration_windows must be at least 1")
-        if repair_deadline is not None and repair_deadline <= 0:
-            raise ReproError("repair_deadline must be positive (or None)")
+        if not baseline_p99 > 0:
+            raise ReproError("baseline_p99 must be positive")
         self.recorder = recorder
         self.sim = recorder.sim
         self.policy = policy if policy is not None else AIMDPolicy()
-        #: Per-actuator step functions. Defaults fall back to the shared
-        #: ``policy``, which keeps both levels in lockstep — identical to
-        #: the single-level controller. Passing a distinct
-        #: ``scrub_policy`` lets the scrubber (no deadline of its own)
-        #: back off far more aggressively than repair.
-        self.scrub_policy = scrub_policy if scrub_policy is not None else self.policy
-        self.repair_policy = (
-            repair_policy if repair_policy is not None else self.policy
-        )
-        #: Virtual-time deadline by which repair should finish. When
-        #: set, repair's multiplicative backoff is tempered by remaining
-        #: headroom: a breach early in the run throttles repair hard, a
-        #: breach near the deadline barely at all (repair completion is
-        #: an SLO too).
-        self.repair_deadline = repair_deadline
-        self._deadline_start: float | None = None
         self.baseline_p99 = baseline_p99
-        self.calibration_windows = calibration_windows
-        self.latency_source = latency_source
-        #: Per-actuator intensity levels in [policy.floor, 1.0].
-        self.scrub_level = 1.0
-        self.repair_level = 1.0
+        #: Intensity level in [policy.floor, 1.0], shared by every actuator.
+        self.level = 1.0
         self.min_level = 1.0
         self.backoffs = 0
         self.recoveries = 0
         self.windows_seen = 0
-        self._calibration: list[float] = []
         self._scrubbers: list[tuple["Scrubber", float]] = []
         self._repairers: list[tuple[object, int]] = []
         self._windows_acted = recorder.windows_closed
         self._hook: "PeriodicHook | None" = None
-
-    @property
-    def level(self) -> float:
-        """The controller's overall intensity: the tighter of the two
-        per-actuator levels (identical to both under the default shared
-        policy, preserving the single-level surface)."""
-        return min(self.scrub_level, self.repair_level)
 
     # -- actuators -------------------------------------------------------------
 
@@ -183,11 +143,6 @@ class AdmissionController:
     def started(self) -> bool:
         """True while the window hook is live."""
         return self._hook is not None and not self._hook.cancelled
-
-    @property
-    def armed(self) -> bool:
-        """True once a baseline exists and the controller may act."""
-        return self.baseline_p99 is not None
 
     def start(self) -> None:
         """Install the control hook at the recorder's window cadence."""
@@ -217,35 +172,19 @@ class AdmissionController:
             return
         self._windows_acted = closed
         self.windows_seen += 1
-        count = self.recorder.latest(f"lat.{self.latency_source}.count")
-        if count <= 0:
+        if self.recorder.latest("lat.foreground.count") <= 0:
             return  # no foreground evidence either way: hold
-        p99 = self.recorder.latest(f"lat.{self.latency_source}.p99")
-        if self.baseline_p99 is None:
-            self._calibration.append(p99)
-            if len(self._calibration) >= self.calibration_windows:
-                self.baseline_p99 = (
-                    sum(self._calibration) / len(self._calibration)
-                )
-            return
-        inflation = p99 / self.baseline_p99
-        new_scrub = self.scrub_policy.step(self.scrub_level, inflation)
-        new_repair = self._repair_step(self.repair_level, inflation)
+        inflation = self.recorder.latest("lat.foreground.p99") / self.baseline_p99
+        level = self.policy.step(self.level, inflation)
         registry = get_registry()
         if registry.enabled:
             registry.counter("control.windows").inc()
-            registry.gauge("control.level").set(min(new_scrub, new_repair))
-        if new_scrub == self.scrub_level and new_repair == self.repair_level:
+            registry.gauge("control.level").set(level)
+        if level == self.level:
             return
-        # One direction per window: any shrink is a backoff (a breach
-        # window was user-visible), otherwise it was a recovery creep.
-        backed_off = (
-            new_scrub < self.scrub_level or new_repair < self.repair_level
-        )
-        direction = "backoff" if backed_off else "recover"
-        self.scrub_level = new_scrub
-        self.repair_level = new_repair
-        self.min_level = min(self.min_level, self.level)
+        direction = "backoff" if level < self.level else "recover"
+        self.level = level
+        self.min_level = min(self.min_level, level)
         if direction == "backoff":
             self.backoffs += 1
         else:
@@ -258,56 +197,10 @@ class AdmissionController:
                 f"control.{direction}",
                 track="control",
                 inflation=inflation,
-                level=self.level,
-                scrub_level=new_scrub,
-                repair_level=new_repair,
+                level=level,
                 window=closed,
             )
         self._apply()
-
-    def _repair_step(self, level: float, inflation: float) -> float:
-        """Repair's AIMD step, with deadline-headroom-tempered backoff.
-
-        Without a ``repair_deadline`` this is exactly
-        ``repair_policy.step``. With one, the multiplicative backoff is
-        lifted toward 1.0 as headroom shrinks — at half the headroom a
-        0.5 backoff becomes 0.75, at zero headroom repair is never
-        backed off at all — because finishing the repair before the
-        deadline is itself an SLO the controller must not sacrifice.
-        """
-        pol = self.repair_policy
-        if inflation > pol.high_water:
-            backoff = pol.backoff
-            headroom = self._deadline_headroom()
-            if headroom is not None:
-                backoff = 1.0 - (1.0 - backoff) * headroom
-            return max(pol.floor, level * backoff)
-        if inflation < pol.low_water:
-            return min(1.0, level + pol.recover)
-        return level
-
-    def _deadline_headroom(self) -> float | None:
-        """Remaining fraction of the repair-deadline budget, in [0, 1].
-
-        Anchored at the earliest attached repairer's start time (the
-        controller's first breach otherwise), so the fraction measures
-        how much of the actual repair run remains, not wall-clock since
-        time zero.
-        """
-        if self.repair_deadline is None:
-            return None
-        if self._deadline_start is None:
-            starts = [
-                r.meter.started_at
-                for r, _ in self._repairers
-                if r.meter.started_at is not None
-            ]
-            self._deadline_start = min(starts) if starts else self.sim.now
-        span = self.repair_deadline - self._deadline_start
-        if span <= 0:
-            return 0.0
-        remaining = (self.repair_deadline - self.sim.now) / span
-        return min(1.0, max(0.0, remaining))
 
     # -- actuation -------------------------------------------------------------
 
@@ -318,14 +211,14 @@ class AdmissionController:
             self._apply_repairer(repairer, base)
 
     def _apply_scrubber(self, scrubber: "Scrubber", base: float) -> None:
-        target = base * self.scrub_level
+        target = base * self.level
         if scrubber.rate != target:
             scrubber.set_rate(target)
 
     def _apply_repairer(self, repairer, base: int) -> None:
         if repairer.crashed:
             return  # a dead coordinator has no knobs; recovery re-attaches
-        target = max(1, int(round(base * self.repair_level)))
+        target = max(1, int(round(base * self.level)))
         if repairer.concurrency != target:
             repairer.set_concurrency(target)
 

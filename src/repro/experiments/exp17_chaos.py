@@ -224,10 +224,7 @@ def run_one(
     baseline_p99 = testbed.latency.p99 if testbed.latency else 0.0
 
     if admission is not None:
-        testbed.enable_admission_control(
-            baseline_p99=baseline_p99 if baseline_p99 > 0 else None,
-            **admission,
-        )
+        testbed.enable_admission_control(baseline_p99=baseline_p99, **admission)
 
     # The headline failure plus the chaos schedule. Both node-killing
     # events are known up front (the churn timeline is seeded), so rot

@@ -1,11 +1,11 @@
-"""Exp#20: repair under network partitions — detection & hedging vs timeouts.
+"""Exp#20: repair under network partitions — failure detection vs timeouts.
 
 Exp#14 stressed repair with crashes and stragglers; this experiment
 adds the remaining distributed-systems fault: the network *partition*.
 A seeded :class:`repro.faults.NetworkPartition` isolates a small group
 of live helper nodes shortly after repair starts — every cross-cut
 flow stalls (blackholed in-flight slice, refused fresh slices) until
-the heal. Four repair configurations race the same cut, per swept
+the heal. Two repair configurations race the same cut, per swept
 partition duration:
 
 * **baseline** — timeout-only: a stalled chunk waits out
@@ -14,16 +14,10 @@ partition duration:
 * **detector** — the accrual failure detector
   (:meth:`repro.api.Testbed.enable_failure_detector`) suspects the cut
   group within a few heartbeats; in-flight instances touching a
-  suspect fail immediately and fresh plans avoid suspects;
-* **hedged** — hedged reads alone
-  (:meth:`~repro.api.Testbed.enable_hedged_reads`): chunks running
-  past the hedge delay launch a backup plan around their slowest
-  helper. Without suspicion the backup may pick other cut helpers, so
-  hedging alone duplicates work blindly — that cost is part of the
-  measurement;
-* **full** — detector + hedging, the configuration the verdict gates:
-  its p99 chunk-completion time must beat the timeout-only baseline
-  *strictly* at every duration.
+  suspect fail immediately, back off, and re-plan around the suspects.
+  This is the configuration the verdict gates: its p99
+  chunk-completion time must beat the timeout-only baseline *strictly*
+  at every duration.
 
 A separate **zombie** scenario exercises the fencing half of the
 design: a shard-bound coordinator is pinned
@@ -54,7 +48,7 @@ from repro.journal import audit_fenced_writes
 from repro.journal.records import COMMITTED
 
 #: Repair configurations racing the same partition schedule.
-MODES = ("baseline", "detector", "hedged", "full")
+MODES = ("baseline", "detector")
 
 #: Partition durations swept (seconds of virtual time).
 DURATIONS = (4.0, 10.0)
@@ -80,9 +74,6 @@ CUT_SIZE = 3
 #: Detector heartbeat period; suspicion fires at ~threshold intervals.
 HEARTBEAT_INTERVAL = 0.25
 
-#: Hedge floor when the live foreground-p99 series is still cold.
-HEDGE_MIN_DELAY = 1.0
-
 #: How long the zombie coordinator's home stays cut off.
 ZOMBIE_DURATION = 6.0
 
@@ -102,8 +93,6 @@ class PartitionRun:
     suspicions: int
     false_suspicions: int
     suspect_replans: int
-    hedges_launched: int
-    hedges_won: int
 
 
 @dataclass
@@ -145,10 +134,8 @@ def run_one(config: ExperimentConfig, mode: str, duration: float) -> PartitionRu
     # Let the monitor observe pure foreground before the failure.
     testbed.cluster.sim.run(until=testbed.cluster.sim.now + 2.0)
     report = testbed.fail_nodes(1)
-    if mode in ("detector", "full"):
+    if mode == "detector":
         testbed.enable_failure_detector(heartbeat_interval=HEARTBEAT_INTERVAL)
-    if mode in ("hedged", "full"):
-        testbed.enable_hedged_reads(min_delay=HEDGE_MIN_DELAY)
     repairer = testbed.make_repairer("ChameleonEC", chunk_timeout=CHUNK_TIMEOUT)
     start = testbed.cluster.sim.now
     completions: list[float] = []
@@ -183,8 +170,6 @@ def run_one(config: ExperimentConfig, mode: str, duration: float) -> PartitionRu
         suspicions=len(detector.suspicions) if detector else 0,
         false_suspicions=detector.false_suspicions if detector else 0,
         suspect_replans=repairer.suspect_replans,
-        hedges_launched=repairer.hedges_launched,
-        hedges_won=repairer.hedges_won,
     )
 
 
@@ -260,7 +245,7 @@ def verdict_payload(results: dict, *, scale: float, seed: int) -> dict:
     sweep = results["sweep"]
     zombie: ZombieRun = results["zombie"]
     tail_reduced = all(
-        per["full"].p99 < per["baseline"].p99 for per in sweep.values()
+        per["detector"].p99 < per["baseline"].p99 for per in sweep.values()
     )
     all_runs = [run for per in sweep.values() for run in per.values()]
     repair_complete = (
@@ -280,7 +265,7 @@ def verdict_payload(results: dict, *, scale: float, seed: int) -> dict:
     )
     return {
         "experiment": "exp20_partition",
-        "schema_version": 1,
+        "schema_version": 2,
         "scale": scale,
         "seed": seed,
         "passed": tail_reduced and repair_complete and exactly_once and fencing_held,
@@ -304,8 +289,6 @@ def verdict_payload(results: dict, *, scale: float, seed: int) -> dict:
                     "suspicions": run.suspicions,
                     "false_suspicions": run.false_suspicions,
                     "suspect_replans": run.suspect_replans,
-                    "hedges_launched": run.hedges_launched,
-                    "hedges_won": run.hedges_won,
                 }
                 for mode, run in per.items()
             }
@@ -347,7 +330,7 @@ def rows(results: dict) -> list[list]:
                     run.suspicions,
                     run.false_suspicions,
                     run.suspect_replans,
-                    f"{run.hedges_won}/{run.hedges_launched}",
+                    "-",
                     run.unverified,
                 ]
             )
@@ -362,7 +345,7 @@ def rows(results: dict) -> list[list]:
             "-",
             "-",
             "-",
-            f"fenced={zombie.fenced_writes}",
+            zombie.fenced_writes,
             zombie.unverified,
         ]
     )
@@ -378,7 +361,7 @@ HEADERS = [
     "suspects",
     "false",
     "replans",
-    "hedge w/l",
+    "fenced",
     "unverified",
 ]
 

@@ -17,7 +17,6 @@ from repro.repair.degraded import (
     run_degraded_read,
 )
 from repro.repair.executor import execute_butterfly_repair, execute_plan
-from repro.repair.hedging import HedgePolicy
 from repro.repair.instance import PlanInstance
 from repro.repair.plan import PlanSource, RepairPlan
 from repro.repair.repairboost import RepairBoost
@@ -28,7 +27,6 @@ __all__ = [
     "DataPlane",
     "DegradedRead",
     "ECPipe",
-    "HedgePolicy",
     "PPR",
     "degraded_read_plan",
     "run_degraded_read",

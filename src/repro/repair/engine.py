@@ -16,15 +16,12 @@ What the engine owns, for every policy alike:
 * **Fault recovery** (``repro.faults``). When an in-flight repair fails —
   a helper or destination crashed, a flow was interrupted, the failure
   detector suspected a helper, or the optional per-chunk timeout
-  expired — the chunk is retried with a fresh plan after an exponential,
-  optionally jittered backoff. A chunk whose stripe lost more nodes than
-  the code tolerates, or that ran out of retries, is *lost*: the run
-  still completes and reports a
+  expired — the chunk is retried with a fresh plan after an exponential
+  backoff (``retry_backoff * 2 ** (attempt - 1)``). A chunk whose stripe
+  lost more nodes than the code tolerates, or that ran out of retries, is
+  *lost*: the run still completes and reports a
   :class:`~repro.faults.outcomes.ToleranceExceeded` outcome instead of
   raising mid-simulation.
-* **Hedged reads** (``hedge=``). A repair running past the hedge delay
-  races a backup plan built around its slowest helper; the first to
-  finish becomes the chunk's repair, the other is cancelled.
 * **Durability** (``repro.journal``). Given a ``journal=``, every state
   transition is written through (enqueue, plan chosen, reads issued,
   attempt failed, commit, loss), so a *control-plane* crash —
@@ -38,12 +35,10 @@ What the engine owns, for every policy alike:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.failures import FailureInjector
 from repro.cluster.stripes import ChunkId, StripeStore
 from repro.cluster.topology import Cluster
-from repro.errors import ReproError, SchedulingError
+from repro.errors import SchedulingError
 from repro.events import HookEmitter
 from repro.faults.outcomes import ToleranceExceeded
 from repro.metrics.throughput import RepairThroughputMeter
@@ -100,11 +95,7 @@ class RepairEngine(HookEmitter):
         final_write: bool = True,
         max_retries: int = 3,
         retry_backoff: float = 0.5,
-        max_backoff: float | None = None,
-        retry_jitter: float = 0.0,
-        jitter_seed: int = 0,
         chunk_timeout: float | None = None,
-        hedge=None,
         journal=None,
     ) -> None:
         if concurrency < 1:
@@ -113,10 +104,6 @@ class RepairEngine(HookEmitter):
             raise SchedulingError("max_retries cannot be negative")
         if retry_backoff <= 0:
             raise SchedulingError("retry_backoff must be positive")
-        if max_backoff is not None and max_backoff <= 0:
-            raise SchedulingError("max_backoff must be positive (or None)")
-        if not 0 <= retry_jitter < 1:
-            raise SchedulingError("retry_jitter must lie in [0, 1)")
         if chunk_timeout is not None and chunk_timeout <= 0:
             raise SchedulingError("chunk_timeout must be positive")
         self.cluster = cluster
@@ -129,24 +116,7 @@ class RepairEngine(HookEmitter):
         self.final_write = final_write
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        #: Ceiling on the exponential retry delay (None = uncapped).
-        #: Without it, a high-attempt chunk's backoff can exceed the
-        #: chunk deadline and effectively park the repair.
-        self.max_backoff = max_backoff
-        #: Seeded symmetric jitter fraction on the retry backoff
-        #: (delay *= 1 ± U(0, retry_jitter), still capped by
-        #: ``max_backoff``). Desynchronises the retry storm after a mass
-        #: failure; 0 disables it and draws nothing from the RNG, so
-        #: disabled runs are byte-identical to pre-jitter behaviour.
-        self.retry_jitter = retry_jitter
-        self._jitter_rng = (
-            np.random.default_rng(jitter_seed) if retry_jitter > 0 else None
-        )
         self.chunk_timeout = chunk_timeout
-        #: Optional :class:`repro.repair.hedging.HedgePolicy`: an
-        #: in-flight chunk running past the hedge delay races a backup
-        #: plan built around its slowest helper (None = hedging off).
-        self.hedge = hedge
         #: Optional :class:`repro.journal.Journal` written through at
         #: every state transition (None = durability off).
         self.journal = journal
@@ -155,10 +125,6 @@ class RepairEngine(HookEmitter):
         self.in_flight: dict[ChunkId, PlanInstance] = {}
         self.completed: list[ChunkId] = []
         self.lost: list[ChunkId] = []
-        #: chunk -> live backup instance racing the primary.
-        self._hedges: dict[ChunkId, PlanInstance] = {}
-        self.hedges_launched = 0
-        self.hedges_won = 0
         self.suspect_replans = 0
         self.retries = 0
         self.tolerance_exceeded: ToleranceExceeded | None = None
@@ -194,8 +160,8 @@ class RepairEngine(HookEmitter):
     def _plan(self, chunk: ChunkId) -> tuple[RepairPlan, object]:
         """A fresh plan for ``chunk`` plus a token for :meth:`_plan_rejected`.
 
-        Raises :class:`ReproError` — leaving no policy state behind —
-        when no plan exists.
+        Raises :class:`~repro.errors.ReproError` — leaving no policy
+        state behind — when no plan exists.
         """
         raise NotImplementedError
 
@@ -338,9 +304,6 @@ class RepairEngine(HookEmitter):
         self._crashed = True
         for instance in list(self.in_flight.values()):
             instance.cancel()
-        for backup in list(self._hedges.values()):
-            backup.cancel()
-        self._hedges.clear()
         self.in_flight.clear()
         self.pending.clear()
         self._retry_wait.clear()
@@ -348,27 +311,6 @@ class RepairEngine(HookEmitter):
         self._on_crash()
 
     # -- launch ------------------------------------------------------------------
-
-    def _instance(self, chunk: ChunkId, plan: RepairPlan, on_complete, on_failed):
-        return PlanInstance(
-            self.cluster,
-            plan,
-            chunk_size=self.chunk_size,
-            slice_size=self.slice_size,
-            final_write=self.final_write,
-            on_complete=lambda inst: on_complete(chunk, inst),
-            on_failed=lambda inst, reason: on_failed(chunk, inst, reason),
-        )
-
-    def _journal_plan(self, chunk: ChunkId, plan: RepairPlan) -> None:
-        """Record ``plan`` (primary or backup) under the chunk's current attempt."""
-        if self.journal is not None:
-            self.journal.plan_chosen(
-                chunk,
-                destination=plan.destination,
-                sources=[s.node_id for s in plan.sources],
-                attempt=self._attempts.get(chunk, 1),
-            )
 
     def _start(self, chunk: ChunkId, plan: RepairPlan, **trace_fields) -> PlanInstance:
         """Run ``plan`` as ``chunk``'s next attempt (a free slot is the caller's job).
@@ -381,7 +323,13 @@ class RepairEngine(HookEmitter):
         self.store.relocate(chunk, plan.destination)
         self._stripes_busy.add(chunk.stripe)
         attempt = self._attempts[chunk] = self._attempts.get(chunk, 0) + 1
-        self._journal_plan(chunk, plan)
+        if self.journal is not None:
+            self.journal.plan_chosen(
+                chunk,
+                destination=plan.destination,
+                sources=[s.node_id for s in plan.sources],
+                attempt=attempt,
+            )
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant(
@@ -392,7 +340,15 @@ class RepairEngine(HookEmitter):
                 **trace_fields,
                 attempt=attempt,
             )
-        instance = self._instance(chunk, plan, self._chunk_done, self._instance_failed)
+        instance = PlanInstance(
+            self.cluster,
+            plan,
+            chunk_size=self.chunk_size,
+            slice_size=self.slice_size,
+            final_write=self.final_write,
+            on_complete=lambda inst: self._chunk_done(chunk, inst),
+            on_failed=lambda inst, reason: self._instance_failed(chunk, inst, reason),
+        )
         self.in_flight[chunk] = instance
         instance.start()
         if self.journal is not None:
@@ -401,121 +357,13 @@ class RepairEngine(HookEmitter):
             self.cluster.sim.schedule(
                 self.chunk_timeout, self._check_timeout, chunk, instance
             )
-        if self.hedge is not None:
-            self.cluster.sim.schedule(
-                self.hedge.delay(), self._maybe_hedge, chunk, instance
-            )
         return instance
 
-    def _release(
-        self, chunk: ChunkId, instance: PlanInstance, winner: PlanInstance | None = None
-    ) -> None:
-        """Free ``chunk``'s slot: its in-flight entry, live backup and stripe lock."""
+    def _release(self, chunk: ChunkId, instance: PlanInstance) -> None:
+        """Free ``chunk``'s slot: its in-flight entry and stripe lock."""
         self.in_flight.pop(chunk, None)
-        self._cancel_hedge(chunk, winner)
         self._stripes_busy.discard(chunk.stripe)
         self._released(chunk, instance)
-
-    # -- hedged reads ------------------------------------------------------------
-
-    def _slowest_helper(self, instance: PlanInstance) -> int | None:
-        """The uploader making the least relative progress (ties: lowest id)."""
-        slowest, worst = None, None
-        for node_id in sorted(instance.uploads):
-            transfer = instance.uploads[node_id]
-            if transfer.done:
-                continue
-            fraction = transfer.bytes_completed / transfer.size
-            if worst is None or fraction < worst:
-                slowest, worst = node_id, fraction
-        return slowest
-
-    def _maybe_hedge(self, chunk: ChunkId, instance: PlanInstance) -> None:
-        """Hedge-delay watchdog: race a backup plan against a slow repair."""
-        if self._crashed or self.hedge is None:
-            return
-        if self.in_flight.get(chunk) is not instance or instance.done:
-            return
-        if chunk in self._hedges:
-            return
-        slow = self._slowest_helper(instance)
-        if slow is None:
-            return
-        self.injector.excluded.add(slow)
-        try:
-            plan, token = self._plan(chunk)
-        except ReproError:
-            return
-        finally:
-            self.injector.excluded.discard(slow)
-        same_sources = [s.node_id for s in plan.sources] == [
-            s.node_id for s in instance.plan.sources
-        ]
-        if same_sources and plan.destination == instance.plan.destination:
-            # The planner found nothing better; hedging the identical
-            # plan would only double the load it is meant to avoid.
-            self._plan_rejected(token)
-            return
-        self.store.relocate(chunk, plan.destination)
-        self._journal_plan(chunk, plan)
-        backup = self._instance(chunk, plan, self._hedge_done, self._hedge_failed)
-        self._hedges[chunk] = backup
-        self.hedges_launched += 1
-        get_registry().counter("repair.hedges.launched").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "repair.hedge",
-                track="scheduler",
-                chunk=str(chunk),
-                excluded=slow,
-                destination=plan.destination,
-            )
-        backup.start()
-        if self.chunk_timeout is not None:
-            self.cluster.sim.schedule(
-                self.chunk_timeout, self._check_hedge_timeout, chunk, backup
-            )
-
-    def _check_hedge_timeout(self, chunk: ChunkId, backup: PlanInstance) -> None:
-        if self._crashed or self._hedges.get(chunk) is not backup or backup.done:
-            return
-        backup.fail("hedged read timed out")
-
-    def _hedge_done(self, chunk: ChunkId, backup: PlanInstance) -> None:
-        """The backup won the race: it becomes the chunk's repair."""
-        if self._crashed or self._hedges.get(chunk) is not backup:
-            return
-        del self._hedges[chunk]
-        primary = self.in_flight.get(chunk)
-        if primary is None or primary.done:
-            return
-        primary.cancel()
-        self._released(chunk, primary)
-        self.in_flight[chunk] = backup
-        self.hedges_won += 1
-        get_registry().counter("repair.hedges.won").inc()
-        self._chunk_done(chunk, backup)
-
-    def _hedge_failed(
-        self, chunk: ChunkId, backup: PlanInstance, reason: str
-    ) -> None:
-        """A failed backup is dropped silently: the primary still runs
-        and the normal retry machinery covers its failure."""
-        if self._hedges.get(chunk) is backup:
-            del self._hedges[chunk]
-            primary = self.in_flight.get(chunk)
-            if primary is not None:
-                self.store.relocate(chunk, primary.plan.destination)
-
-    def _cancel_hedge(self, chunk: ChunkId, winner: PlanInstance | None) -> None:
-        """Drop the live backup (the primary finished or failed first)."""
-        backup = self._hedges.pop(chunk, None)
-        if backup is None or backup is winner:
-            return
-        backup.cancel()
-        if winner is not None:
-            self.store.relocate(chunk, winner.plan.destination)
 
     # -- suspicion ---------------------------------------------------------------
 
@@ -571,8 +419,6 @@ class RepairEngine(HookEmitter):
             return
         if self.in_flight.get(chunk) is not instance:
             return
-        # A failed primary takes its backup down with it: the retry
-        # relaunches from a clean slate (and relocates fresh metadata).
         self._release(chunk, instance)
         if self.journal is not None:
             self.journal.attempt_failed(chunk, reason)
@@ -585,12 +431,6 @@ class RepairEngine(HookEmitter):
             self._mark_lost(chunk)
         else:
             delay = self.retry_backoff * 2 ** (self._attempts.get(chunk, 1) - 1)
-            if self._jitter_rng is not None:
-                delay *= 1.0 + self.retry_jitter * float(
-                    self._jitter_rng.uniform(-1.0, 1.0)
-                )
-            if self.max_backoff is not None:
-                delay = min(delay, self.max_backoff)
             self._retry_wait.add(chunk)
             tracer = get_tracer()
             if tracer.enabled:
@@ -637,7 +477,7 @@ class RepairEngine(HookEmitter):
     def _chunk_done(self, chunk: ChunkId, instance: PlanInstance) -> None:
         if self._crashed:
             return
-        self._release(chunk, instance, winner=instance)
+        self._release(chunk, instance)
         self.completed.append(chunk)
         if self.journal is not None:
             # Commit BEFORE announcing: if a chunk_repaired subscriber

@@ -119,13 +119,12 @@ FEATURE_ARGS = {
     "with_scrubber": {"rate_mbs": 100.0},
     "with_admission_control": {"baseline_p99": 0.01},
     "with_failure_detector": {"heartbeat_interval": 0.25},
-    "with_hedged_reads": {"min_delay": 1.0},
     "with_partitions": {"count": 2},
 }
 
 
 def subsystems(testbed: Testbed) -> dict:
-    """What the nine features leave attached to a testbed."""
+    """What the eight features leave attached to a testbed."""
     first_chunk = next(iter(testbed.chunk_store.chunks()))
     return {
         "timeseries": testbed.timeseries.window,
@@ -142,10 +141,6 @@ def subsystems(testbed: Testbed) -> dict:
             [s for s, _ in testbed.controller._scrubbers] == [testbed.scrubber],
         ),
         "detector": testbed.detector.heartbeat_interval,
-        "hedging": (
-            testbed.hedge_policy.min_delay,
-            testbed.hedge_policy.recorder is testbed.timeseries,
-        ),
         "faults": [repr(event) for event in testbed.fault_timeline.events],
     }
 
@@ -228,7 +223,7 @@ class TestFeatureTable:
         assert testbed.journal is not None
         assert testbed.timeseries is None and testbed.dataplane is None
         assert testbed.scrubber is None and testbed.controller is None
-        assert testbed.detector is None and testbed.hedge_policy is None
+        assert testbed.detector is None
         assert testbed.fault_timeline is None
 
 

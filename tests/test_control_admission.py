@@ -103,16 +103,13 @@ def feed(sim, lat, value, *, at):
 
 
 class TestControllerLifecycle:
-    def test_baseline_must_be_positive_or_none(self):
+    def test_baseline_must_be_positive(self):
         recorder = TimeseriesRecorder(Simulator(), window=1.0)
-        with pytest.raises(ReproError):
-            AdmissionController(recorder, baseline_p99=0.0)
-        AdmissionController(recorder, baseline_p99=None)
-
-    def test_calibration_windows_validated(self):
-        recorder = TimeseriesRecorder(Simulator(), window=1.0)
-        with pytest.raises(ReproError):
-            AdmissionController(recorder, calibration_windows=0)
+        for baseline in (0.0, -0.01):
+            with pytest.raises(ReproError):
+                AdmissionController(recorder, baseline_p99=baseline)
+        with pytest.raises(TypeError, match="baseline_p99"):
+            AdmissionController(recorder)
 
     def test_start_requires_started_recorder(self):
         recorder = TimeseriesRecorder(Simulator(), window=1.0)
@@ -202,25 +199,6 @@ class TestControlStep:
         assert controller.recoveries == 0
         assert scrubber.calls == []
 
-    def test_auto_calibration_from_first_windows(self):
-        sim, _, lat, controller = make_loop(
-            baseline=None, calibration_windows=2
-        )
-        assert not controller.armed
-        feed(sim, lat, 0.010, at=0.5)
-        # Window two (1.0-2.0) is empty: it must not count toward
-        # calibration, so the baseline lands at the mean of the samples.
-        feed(sim, lat, 0.020, at=2.5)
-        sim.run(until=3.0)
-        assert controller.armed
-        assert controller.baseline_p99 == pytest.approx(0.015)
-        # Calibrated controller now acts: 0.060 is 4x the baseline.
-        scrubber = FakeScrubber(100.0)
-        controller.attach_scrubber(scrubber)
-        feed(sim, lat, 0.060, at=3.5)
-        sim.run(until=4.0)
-        assert controller.backoffs == 1
-
     def test_crashed_repairer_is_skipped(self):
         sim, _, lat, controller = make_loop()
         runner = FakeRunner(8)
@@ -247,81 +225,6 @@ class TestControlStep:
         scrubber = FakeScrubber(100.0)
         controller.attach_scrubber(scrubber)
         assert scrubber.rate == pytest.approx(50.0)
-
-
-class TestPerActuatorPolicies:
-    def test_repair_deadline_validated(self):
-        recorder = TimeseriesRecorder(Simulator(), window=1.0)
-        with pytest.raises(ReproError):
-            AdmissionController(
-                recorder, baseline_p99=0.01, repair_deadline=0.0
-            )
-
-    def test_default_policies_stay_lockstep(self):
-        sim, _, lat, controller = make_loop()
-        feed(sim, lat, 0.050, at=0.5)
-        feed(sim, lat, 0.050, at=1.5)
-        feed(sim, lat, 0.010, at=2.5)
-        sim.run(until=3.0)
-        # One shared policy and no deadline: both actuator levels move
-        # together, so ``level`` reads exactly like the scalar it was.
-        assert controller.scrub_level == controller.repair_level
-        assert controller.level == controller.scrub_level
-
-    def test_split_policies_act_independently(self):
-        sim, _, lat, controller = make_loop(
-            scrub_policy=AIMDPolicy(backoff=0.25),
-            repair_policy=AIMDPolicy(backoff=0.75),
-        )
-        scrubber, runner = FakeScrubber(100.0), FakeRunner(8)
-        controller.attach_scrubber(scrubber)
-        controller.attach_repairer(runner)
-        feed(sim, lat, 0.050, at=0.5)
-        sim.run(until=1.0)
-        # Scrub is pure background (shed hard); repair has a deadline
-        # story (shed gently). One hot window, two different responses.
-        assert controller.scrub_level == pytest.approx(0.25)
-        assert controller.repair_level == pytest.approx(0.75)
-        assert controller.level == pytest.approx(0.25)
-        assert controller.backoffs == 1
-        assert scrubber.rate == pytest.approx(25.0)
-        assert runner.concurrency == 6
-
-    def test_exhausted_deadline_stops_repair_backoff(self):
-        sim, _, lat, controller = make_loop(repair_deadline=2.0)
-        feed(sim, lat, 0.050, at=0.5)
-        feed(sim, lat, 0.050, at=1.5)
-        sim.run(until=2.0)
-        # Window one closes with full headroom (normal 0.5 backoff);
-        # window two closes exactly at the deadline (zero headroom), so
-        # repair is not sacrificed further while scrub keeps shedding.
-        assert controller.scrub_level == pytest.approx(0.25)
-        assert controller.repair_level == pytest.approx(0.5)
-        assert controller.backoffs == 2
-
-    def test_past_deadline_repair_never_backs_off(self):
-        sim, _, lat, controller = make_loop(repair_deadline=0.5)
-        runner = FakeRunner(8)
-        controller.attach_repairer(runner)
-        feed(sim, lat, 0.050, at=0.75)
-        sim.run(until=1.0)
-        # The deadline predates the first breach: headroom is zero and
-        # repair holds at full intensity while scrub takes the cut.
-        assert controller.repair_level == pytest.approx(1.0)
-        assert controller.scrub_level == pytest.approx(0.5)
-        assert runner.calls == []
-
-    def test_tempered_repair_still_recovers(self):
-        sim, _, lat, controller = make_loop(repair_deadline=2.0)
-        feed(sim, lat, 0.050, at=0.5)
-        feed(sim, lat, 0.050, at=1.5)
-        feed(sim, lat, 0.010, at=2.5)
-        feed(sim, lat, 0.010, at=3.5)
-        sim.run(until=4.0)
-        # Calm windows creep both levels back up by ``recover`` each.
-        assert controller.repair_level == pytest.approx(0.7)
-        assert controller.scrub_level == pytest.approx(0.45)
-        assert controller.recoveries == 2
 
 
 def _drive_scenario(config: ExperimentConfig, *, controller: bool):

@@ -190,40 +190,6 @@ class TestRetryMachinery:
         gap2 = retry_times[1] - retry_times[0]
         assert gap2 > gap1
 
-    @pytest.mark.parametrize("kind", ["runner", "chameleon"])
-    def test_max_backoff_caps_the_exponential_delay(self, kind):
-        """Regression: the retry delay doubled without bound
-        (``retry_backoff * 2**(attempts-1)``), so a high-attempt chunk
-        could out-wait its own deadline. With ``max_backoff`` the cap
-        must bind: gaps grow until the ceiling, then stay flat."""
-        cluster, store, injector = make_env()
-        report = injector.fail_nodes([0])
-        chunk = report.failed_chunks[:1]
-        kwargs = dict(max_retries=4, retry_backoff=1.0, max_backoff=1.5,
-                      chunk_timeout=0.01)
-        if kind == "runner":
-            repairer = make_runner(cluster, store, injector, **kwargs)
-        else:
-            repairer = make_chameleon(cluster, store, injector, **kwargs)
-        retry_times = []
-        repairer.on("retry", lambda r, **kw: retry_times.append(cluster.sim.now))
-        repairer.repair(chunk)
-        run_until_done(cluster, repairer, limit=100.0)
-        assert repairer.done
-        assert len(retry_times) == 4
-        gaps = [b - a for a, b in zip(retry_times, retry_times[1:])]
-        # Uncapped the gaps would be ~2.0, 4.0, 8.0; capped they flatten.
-        assert all(gap == pytest.approx(1.5, abs=0.05) for gap in gaps)
-
-    @pytest.mark.parametrize("kind", ["runner", "chameleon"])
-    def test_max_backoff_validated(self, kind):
-        cluster, store, injector = make_env()
-        maker = make_runner if kind == "runner" else make_chameleon
-        with pytest.raises(SchedulingError):
-            maker(cluster, store, injector, max_backoff=0.0)
-        with pytest.raises(SchedulingError):
-            maker(cluster, store, injector, max_backoff=-1.0)
-
     def test_repair_succeeds_with_generous_timeout(self):
         cluster, store, injector = make_env()
         report = injector.fail_nodes([0])
@@ -248,6 +214,26 @@ class TestRetryMachinery:
         repairer.repair(report.failed_chunks)
         assert run_until_done(cluster, repairer)
         assert repairer.lost == []
+
+
+class TestSuspicionReplan:
+    def test_helper_suspected_replans_in_flight_work(self):
+        cluster, store, injector = make_env()
+        report = injector.fail_nodes([0])
+        runner = make_runner(cluster, store, injector)
+        runner.repair(report.failed_chunks)
+        cluster.sim.run(until=0.05)
+        touched = {
+            helper
+            for instance in runner.in_flight.values()
+            for helper in instance.plan.source_nodes
+        }
+        victim = sorted(touched)[0]
+        runner.helper_suspected(victim)
+        assert runner.suspect_replans > 0
+        cluster.sim.run()
+        assert runner.done
+        assert len(runner.completed) == len(report.failed_chunks)
 
 
 class TestRetryTimeoutInteraction:

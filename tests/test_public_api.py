@@ -5,9 +5,18 @@ adding or removing a name must be a deliberate edit here, and every
 advertised name must actually resolve. ``Testbed``/``TestbedBuilder``
 are the sole experiment facade; the deprecated ``Scenario`` never
 appears at top level.
+
+The settable options of the control plane are pinned the same way: a
+new engine or controller keyword, or a new builder feature, must be a
+deliberate edit to :class:`TestOptionRatchet`.
 """
 
+import inspect
+
 import repro
+from repro.api import _FEATURES, Testbed
+from repro.control import AdmissionController
+from repro.repair.engine import RepairEngine
 
 FROZEN_SURFACE = (
     "GB",
@@ -35,7 +44,6 @@ FROZEN_SURFACE = (
     "FaultEvent",
     "FaultTimeline",
     "FlowInterruption",
-    "HedgePolicy",
     "HookEmitter",
     "IntegrityLedger",
     "IntegrityRecord",
@@ -123,3 +131,30 @@ class TestFrozenSurface:
     def test_facade_entry_points_present(self):
         assert "Testbed" in repro.__all__
         assert "TestbedBuilder" in repro.__all__
+
+
+def keywords(function) -> set[str]:
+    return {
+        name
+        for name, param in inspect.signature(function).parameters.items()
+        if param.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+
+
+class TestOptionRatchet:
+    def test_repair_engine_options(self):
+        assert keywords(RepairEngine.__init__) == {
+            "chunk_size", "slice_size", "concurrency", "final_write",
+            "max_retries", "retry_backoff", "chunk_timeout", "journal",
+        }
+
+    def test_admission_controller_options(self):
+        assert keywords(AdmissionController.__init__) == {
+            "policy", "baseline_p99",
+        }
+        assert keywords(Testbed.enable_admission_control) == {
+            "policy", "baseline_p99", "window",
+        }
+
+    def test_feature_table_size(self):
+        assert len(_FEATURES) == 8

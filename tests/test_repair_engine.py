@@ -22,9 +22,8 @@ from repro.repair.runner import RepairRunner
 
 LIFECYCLE = (
     "repair", "add_chunks", "set_concurrency", "crash", "helper_suspected",
-    "_start", "_release", "_slowest_helper", "_maybe_hedge",
-    "_check_hedge_timeout", "_hedge_done", "_hedge_failed", "_cancel_hedge",
-    "_check_timeout", "_instance_failed", "_retry", "_mark_lost",
+    "_start", "_release", "_check_timeout", "_instance_failed", "_retry",
+    "_mark_lost",
     "_chunk_done", "_maybe_finish", "_finish",
 )
 
