@@ -14,7 +14,8 @@ boundary — one flow replaced by an identical one — and the allocator
 must answer them as successions, without a fill (``alloc.fills`` against
 ``alloc.passes``). A third runs the benchmark's ``hot_mix`` recipe at 10
 nodes / 200 flows, where some departures free no remaining flow's
-bottleneck and must be answered as inert, without a fill, and where
+bottleneck and some arrivals bind no other flow, and both must be
+answered as inert, without a fill, and where
 departures keep raising rates on the hot links, so the scheduler's ETA
 heap must be compacted to stay within ``4 * active + 64`` entries. The
 assertions are counts and simulated instants, not timings.
@@ -205,15 +206,17 @@ def test_hot_link_mix_answers_inert_departures_without_a_fill(benchmark):
     )
     _, reference = _run_hot_link_mix(ReferenceRateAllocator())
 
-    passes, fills, inert = (
-        int(registry.counter(f"alloc.{name}").value) for name in ("passes", "fills", "inert")
+    passes, fills, inert, inert_arrivals = (
+        int(registry.counter(f"alloc.{name}").value)
+        for name in ("passes", "fills", "inert", "inert_arrivals")
     )
     emit(
         benchmark,
         "Allocator on the hot-link mix: 10 nodes x 200 flows",
-        ["passes", "fills", "inert"],
-        [[passes, fills, inert]],
+        ["passes", "fills", "inert", "inert_arrivals"],
+        [[passes, fills, inert, inert_arrivals]],
     )
     assert inert >= 1
+    assert inert_arrivals >= 1
     for done, want in zip(completions, reference):
         assert abs(done - want) <= 1e-12 * want, (done, want)

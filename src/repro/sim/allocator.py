@@ -17,7 +17,7 @@ Max-min allocations decompose exactly over connected components of the
 bipartite flow/resource graph (flows in different components share no
 resource, so neither can affect the other's bottleneck), which makes the
 incremental result identical to a from-scratch pass (the same optimum
-always; bit for bit except where orders 4 and 5 below say whose ties
+always; bit for bit except where orders 4 to 6 below say whose ties
 stand) — only cheaper when the contention graph is not one giant
 component. :func:`allocate_rates` is that from-scratch pass: the same
 allocator, filled once, every flow dirty.
@@ -31,12 +31,12 @@ depth-first discovery of the component builds the first two lists and
 the flows' discovery ranks as it goes, and the round that freezes a flow
 writes its rate. The allocator also keeps, per flow, the resource that
 froze it (its *bottleneck*): the fill round's, the tightest resource of
-a lone flow, the leaver's for a succession's arrival, ``None`` for a
-flow no finite capacity bounds.
+a lone flow, the leaver's for a succession's arrival, the replay's
+for an inert arrival, ``None`` for a flow no finite capacity bounds.
 
 Simulated results are a bit-level contract (``tests/oracles.py`` keeps
 the dict-of-dicts fill this one replaced as ``ReferenceRateAllocator``,
-and the equivalence battery compares rates with ``==``), so five orders
+and the equivalence battery compares rates with ``==``), so six orders
 are part of the allocator's interface, not accidents of it:
 
 1. **Resource scan order** — resources are numbered by first appearance
@@ -74,6 +74,17 @@ are part of the allocator's interface, not accidents of it:
    carried, so each is still saturated with no faster flow: the standing
    rates are the optimum, no fill runs and nothing is written. The
    caveat of order 4 applies: ties stand as the last fill left them.
+6. **An inert arrival keeps the standing solution** — when an epoch is
+   one arrival and nothing else, sharing finite positive capacities with
+   recorded flows, the fill is replayed on its resources alone: each
+   other user freezes in a known round (standing rate, record) by
+   ascending level with order 3's arithmetic, the arrival on its
+   tightest resource. If no resource reaches the level of a round it
+   still carries (one that froze a user of its own does: it is full),
+   only the arrival is written. The fill runs where its order would
+   show: tied resources of the arrival, unequal rounds at one level of
+   one resource, a round of several flows at the arrival's level, a
+   value the slack could decide. The caveat of order 4 applies.
 
 ``_SHARE_SLACK`` keeps a bottleneck from changing on float noise: a
 resource replaces the running best only if its share is smaller by more
@@ -111,6 +122,24 @@ def _unique_resources(flow: AllocatableFlow) -> tuple[Resource, ...]:
     here keeps the usage subtraction and the user set consistent.
     """
     return tuple(dict.fromkeys(flow.resources))
+
+
+def _replay(
+    cap: float, n: int, steps: list[tuple[float, int]], rate: float
+) -> tuple[float, bool]:
+    """One resource of an arrival's replay (order 6): ``cap`` and ``n``
+    users, the other users' rounds ``steps`` ascending, the arrival frozen
+    at ``rate`` elsewhere (infinite: not yet). Returns the first share at or
+    below the next round's level, where the fill would bind that round,
+    and False; or the share left once every round ran, and True."""
+    for level, size in steps:
+        if level >= rate:  # the arrival froze first
+            cap, n, rate = cap - rate, n - 1, _INF
+        share = cap / n if cap > 0.0 else 0.0
+        if share <= level:
+            return share, False
+        cap, n = cap - level * size, n - size
+    return (cap if cap > 0.0 else 0.0), True
 
 
 def allocate_rates(flows: Iterable[AllocatableFlow]) -> None:
@@ -153,11 +182,12 @@ class RateAllocator:
         # and whether anything but those and arrivals touched the graph.
         self._left: list[tuple[tuple[Resource, ...], float, Resource | None]] = []
         self._disturbed = False
-        #: Progressive fills run; succession epochs and inert departure
-        #: epochs (some leaver's resource still had users) that needed none.
+        #: Progressive fills run; succession, inert departure (some leaver's
+        #: resource still had users) and inert arrival epochs that needed none.
         self.fills = 0
         self.successions = 0
         self.inert = 0
+        self.inert_arrivals = 0
 
     def __len__(self) -> int:
         return len(self._flow_resources)
@@ -219,10 +249,10 @@ class RateAllocator:
         linearly from its older settle stamp). Returns the rewritten
         flows; every other registered flow kept its previous rate.
 
-        Two epochs keep the standing solution and run no fill (module
-        docstring, orders 4 and 5): in a *succession* the arrival inherits
-        the leaver's rate and bottleneck; an *inert* departure rewrites
-        nothing.
+        Three epochs keep the standing solution and run no fill (module
+        docstring, orders 4 to 6): a *succession*'s arrival inherits the
+        leaver's rate and bottleneck; an *inert* departure rewrites
+        nothing, an *inert* arrival only itself.
         """
         flow_resources = self._flow_resources
         users = self._users
@@ -244,16 +274,13 @@ class RateAllocator:
                 (flow,) = self._fresh
                 if resources and resources == flow_resources[flow]:
                     self._left.clear()
-                    self._dirty.clear()
-                    self._fresh.clear()
                     self.successions += 1
-                    record[flow] = bottleneck
-                    if rate == flow.rate:
-                        return []  # as the fill leaves a 0 B/s arrival out
-                    if on_touch is not None:
-                        on_touch(flow)
-                    flow.rate = rate
-                    return [flow]
+                    return self._stand(flow, rate, bottleneck, on_touch)
+        elif len(self._fresh) == 1 and not self._disturbed:
+            (flow,) = self._fresh
+            if (frozen := self._replay_arrival(flow)) is not None:
+                self.inert_arrivals += 1
+                return self._stand(flow, *frozen, on_touch)
         self._left.clear()
         self._disturbed = False
         # Discovery builds the fill's tables as it goes: a flow's rank is
@@ -325,6 +352,54 @@ class RateAllocator:
             self.fills += 1
             self._progressive_fill(rank, slot, remaining, count, on_touch, changed)
         return changed
+
+    def _stand(self, flow: AllocatableFlow, rate: float, bottleneck: Resource | None,
+               on_touch: Callable[[AllocatableFlow], None] | None) -> list[AllocatableFlow]:
+        """Close an epoch in which only its one arrival, ``flow``, is rated."""
+        self._dirty.clear()
+        self._fresh.clear()
+        self._bottleneck[flow] = bottleneck
+        if rate == flow.rate:
+            return []  # as the fill leaves a 0 B/s arrival out
+        if on_touch is not None:
+            on_touch(flow)
+        flow.rate = rate
+        return [flow]
+
+    def _replay_arrival(self, flow: AllocatableFlow) -> tuple[float, Resource] | None:
+        """Order 6: the fill's rate and bottleneck for ``flow``, the epoch's
+        one arrival, if the fill would write nobody else; else None."""
+        resources = self._flow_resources[flow]
+        users, record = self._users, self._bottleneck
+        if all(len(users[res]) == 1 for res in resources):
+            return None  # the lone-flow path; also a resource-less arrival
+        plans = []  # per resource: capacity, users, rounds as (level, size) ascending
+        for res in resources:
+            rounds: dict[tuple[float, Resource | None], int] = {}
+            for other in users[res]:
+                if other is not flow:
+                    key = other.rate, record.get(other)
+                    rounds[key] = rounds.get(key, 0) + 1
+            steps = sorted([(level, size) for (level, _), size in rounds.items()])
+            if not 0.0 < res.capacity < _INF or any(frozen_by is None for _, frozen_by in rounds):
+                return None
+            if len(set(steps)) != len(dict(steps)):
+                return None  # rounds of unequal size at one level
+            plans.append((res.capacity, len(users[res]), steps))
+        if any(steps and steps[0][0] - _SHARE_SLACK != steps[0][0] for *_, steps in plans):
+            return None  # a level the slack could decide
+        # Each resource on its own, the arrival unfrozen; the arrival freezes
+        # on the least share, and the others run again with it frozen.
+        acts = [_replay(*plan, _INF) for plan in plans]
+        rate, alone = min(acts)
+        if not alone or rate - _SHARE_SLACK != rate or [s for s, _ in acts].count(rate) > 1:
+            return None
+        if any(level == rate and size != 1 for *_, steps in plans for level, size in steps):
+            return None  # tied with a round of several flows
+        at = acts.index((rate, True))
+        if all(_replay(*plan, rate)[1] for i, plan in enumerate(plans) if i != at):
+            return rate, resources[at]
+        return None
 
     def _progressive_fill(
         self,

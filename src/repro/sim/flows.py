@@ -23,7 +23,7 @@ _flow_ids = itertools.count()
 
 
 #: Allocator counters mirrored into the registry as ``alloc.<name>``.
-_ALLOC_COUNTERS = ("fills", "successions", "inert")
+_ALLOC_COUNTERS = ("fills", "successions", "inert", "inert_arrivals")
 
 
 def _fill_counts(allocator) -> tuple[int, ...]:

@@ -13,8 +13,8 @@ beyond the ``_SHARE_SLACK`` constant and the ``Resource`` type.
 * :class:`FromScratchAllocator` — global progressive filling on every
   epoch; the oracle for "incremental == from scratch" at 1e-9.
 * :class:`AuditedRateAllocator` — the allocator under test itself, with
-  an audit hung on every succession and inert departure it takes (the
-  two places it answers without a fill): a max-min certificate that
+  an audit hung on every succession, inert departure and inert arrival
+  it takes (the places it answers without a fill): a max-min certificate that
   depends on neither fill, and the reference fill's answer for the same
   component; plus, after every epoch, a check of the bottleneck it
   recorded for each flow.
@@ -378,12 +378,12 @@ def bottleneck_violations(
 class AuditedRateAllocator(RateAllocator):
     """``RateAllocator`` that checks every epoch it answers without a fill.
 
-    A succession and an inert departure keep the standing solution
-    instead of running the fill, so that is where an error could hide.
-    After each one the audit walks the component the skipped DFS would
-    have walked, in its stack order (from the arrival's resources for a
-    succession, from the leavers' resources that still have users for an
-    inert departure), and
+    A succession, an inert departure and an inert arrival keep the
+    standing solution instead of running the fill, so that is where an
+    error could hide. After each one the audit walks the component the
+    skipped DFS would have walked, in its stack order (from the arrival's
+    resources for a succession or an inert arrival, from the leavers'
+    resources that still have users for an inert departure), and
 
     * asserts the max-min certificate over it (:func:`max_min_violations`
       — independent of this allocator's fill *and* of the reference's);
@@ -391,8 +391,9 @@ class AuditedRateAllocator(RateAllocator):
       with what stands: ``worst_rel`` is the largest relative difference
       seen on any flow, ``moved`` counts the flows a re-fill would have
       rewritten (a bystander moved by an ulp, the documented difference),
-      ``flapped`` / ``inert_flapped`` count the epochs with any such flow
-      and ``audited`` / ``inert_audited`` count them all.
+      ``flapped`` / ``inert_flapped`` / ``arrival_flapped`` count the
+      epochs with any such flow and ``audited`` / ``inert_audited`` /
+      ``arrival_audited`` count them all.
 
     After *every* epoch it also asserts :func:`bottleneck_violations`.
     ``rel_tol`` bounds ``worst_rel`` (0.0 demands ``==``); a breach
@@ -404,6 +405,7 @@ class AuditedRateAllocator(RateAllocator):
         self.rel_tol = rel_tol
         self.audited = self.flapped = 0
         self.inert_audited = self.inert_flapped = 0
+        self.arrival_audited = self.arrival_flapped = 0
         self.moved = 0
         self.worst_rel = 0.0
 
@@ -411,7 +413,7 @@ class AuditedRateAllocator(RateAllocator):
         self, on_touch: Callable[[AllocatableFlow], None] | None = None
     ) -> list[AllocatableFlow]:
         arrivals, dirty = list(self._fresh), list(self._dirty)
-        successions, inert = self.successions, self.inert
+        successions, inert, inert_arrivals = self.successions, self.inert, self.inert_arrivals
         changed = super().recompute(on_touch)
         if self.successions != successions:
             (arrival,) = arrivals
@@ -423,6 +425,12 @@ class AuditedRateAllocator(RateAllocator):
             self.inert_audited += 1
             self.inert_flapped += self._audit(
                 "inert departure", [res for res in dirty if res in self._users]
+            )
+        elif self.inert_arrivals != inert_arrivals:
+            (arrival,) = arrivals
+            self.arrival_audited += 1
+            self.arrival_flapped += self._audit(
+                f"inert arrival of {arrival!r}", self._flow_resources[arrival]
             )
         problems = bottleneck_violations(self)
         assert not problems, f"recorded bottlenecks: {problems[:3]}"

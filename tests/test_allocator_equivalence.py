@@ -21,8 +21,9 @@ contracts: a *succession* — one rated departure, one arrival over the
 same resources, nothing else — where the arrival inherits the leaver's
 rate and nobody else is written, and an *inert departure* — rated flows
 left, nothing else, and no flow left on their resources was frozen by
-one of them — where nobody is written; either way the result is the
-from-scratch optimum.
+one of them — where nobody is written, and an *inert arrival* — one
+arrival, nothing else, binding nobody — where only the arrival is
+written; either way the result is the from-scratch optimum.
 """
 
 import numpy as np
@@ -42,6 +43,7 @@ from tests.oracles import (
     FromScratchAllocator,
     ReferenceRateAllocator,
     bottleneck_violations,
+    max_min_violations,
 )
 
 NUM_SEEDS = 220
@@ -423,7 +425,7 @@ def test_fill_matches_reference_on_named_cases(capacities, paths):
 # -- coalesced epochs: several mutations, one recompute --------------------
 
 def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id,
-                     departures=False):
+                     departures=False, arrivals=False):
     """Apply 1-4 twin mutations without recomputing.
 
     Beside the arrivals, departures and capacity changes of
@@ -431,13 +433,18 @@ def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id,
     leaves and a new one arrives over its tuple, in either order — which
     is what over half of this battery's arrivals are, so successions do
     occur. With ``departures`` half the epochs are instead 1-2 departures
-    and nothing else. Returns ``(next_id, succession, leavers)``;
+    and nothing else; with ``arrivals`` half are instead one arrival over
+    1-2 shared resources and one of its own (a request's disk), and
+    capacities are in MB/s. Returns
+    ``(next_id, succession, leavers, arrival)``;
     ``succession`` is the ``(leaver's rate, arrival on the cur side)``
     pair when the epoch was, by this function's own bookkeeping (not the
     allocator's), exactly one departure of a flow rated before the epoch
     plus one arrival over the same non-empty deduplicated resources —
     else ``None``; ``leavers`` lists the cur-side flows that left when
-    the epoch did nothing but remove rated flows — else ``None``.
+    the epoch did nothing but remove rated flows — else ``None``;
+    ``arrival`` is the cur-side flow when the epoch was one arrival and
+    nothing else — else ``None``.
     """
     rated = set(cur_live)  # live before the epoch, hence rated
     left, arrived, other = [], [], False
@@ -481,7 +488,7 @@ def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id,
             depart(int(rng.integers(0, len(ref_live))))
         else:
             res = resources[int(rng.integers(0, len(resources)))]
-            res.set_capacity(float(rng.integers(1, 1000)))
+            res.set_capacity(float(rng.integers(1, 1000)) * (_MB if arrivals else 1.0))
             ref.mark_dirty(res)
             cur.mark_dirty(res)
             other = True
@@ -489,15 +496,18 @@ def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id,
     if departures and ref_live and rng.random() < 0.5:
         for _ in range(min(len(ref_live), int(rng.integers(1, 3)))):
             depart(int(rng.integers(0, len(ref_live))))
+    elif arrivals and rng.random() < 0.5:
+        arrive(_with_own_resource(rng, resources, next_id))
     else:
         for _ in range(int(rng.integers(1, 5))):
             mutate()
     leavers = left if left and not arrived and not other else None
+    arrival = arrived[0] if len(arrived) == 1 and not left and not other else None
     if len(left) == 1 and len(arrived) == 1 and not other:
         path = tuple(dict.fromkeys(left[0].resources))
         if path and path == tuple(dict.fromkeys(arrived[0].resources)):
-            return next_id, (left[0].rate, arrived[0]), None
-    return next_id, None, leavers
+            return next_id, (left[0].rate, arrived[0]), None, None
+    return next_id, None, leavers, arrival
 
 
 def _assert_scratch_optimum(cur_live):
@@ -562,39 +572,114 @@ def _assert_inert_contract(cur, cur_live):
     _assert_scratch_optimum(cur_live)
 
 
-def _run_coalesced(seed, departures=False):
+def _arrival_may_bind_nobody(cur, arrival):
+    """The preconditions of the inert-arrival rule, read off the records
+    ``cur`` holds: some resource of ``arrival`` has another user, all have
+    finite positive capacity, and every other user is recorded as frozen
+    by a resource ``arrival`` does not cross. Necessary, not sufficient:
+    the replay may still leave the epoch to the fill."""
+    path = set(arrival.resources)
+    others = [user for res in path for user in cur._users[res] if user is not arrival]
+    return bool(others) and all(0.0 < res.capacity < float("inf") for res in path) and all(
+        cur._bottleneck.get(user) not in path | {None} for user in others
+    )
+
+
+class _Poisoned(float):
+    """A bystander's rate, marked: the replay reads the value, and any
+    write, even of an equal value, replaces the mark."""
+
+
+def _assert_inert_arrival_contract(ref, cur, ref_live, cur_live, arrival):
+    """The one-arrival epoch pending on both twins binds nobody: ``cur``
+    runs no fill, settles and writes the arrival alone (every bystander is
+    poisoned first — with its own value, which the replay reads) at the
+    rate the reference fill gives its twin; what stands is a certified
+    max-min optimum, within 1e-12 of the reference fill's answer."""
+    assert _arrival_may_bind_nobody(cur, arrival)
+    ref.recompute()
+    (want,) = [flow.rate for flow in ref_live if flow.name == arrival.name]
+    standing = [flow for flow in cur_live if flow is not arrival]
+    for flow in standing:
+        flow.rate = _Poisoned(flow.rate)
+    fills, inert_arrivals = cur.fills, cur.inert_arrivals
+    touched = []
+    assert cur.recompute(on_touch=touched.append) == [arrival] == touched
+    assert (cur.fills, cur.inert_arrivals) == (fills, inert_arrivals + 1)
+    assert all(type(flow.rate) is _Poisoned for flow in standing), "a bystander was written"
+    for flow in standing:
+        flow.rate = float(flow.rate)
+    assert arrival.rate == want
+    assert not max_min_violations(cur_live)
+    for r, c in zip(ref_live, cur_live):
+        assert c.rate == pytest.approx(r.rate, rel=1e-12), c.name
+
+
+#: The arrivals battery's unit: a binary MB, so its shares sit where the
+#: inert-arrival rule works (above 16 KiB/s, where the slack is vacuous).
+_MB = float(2**20)
+
+
+def _with_own_resource(rng, resources, next_id):
+    """1-2 of ``resources`` plus a fresh one only this flow crosses, of
+    1-299 MB/s: the flow is often frozen by its own, and leaves slack on
+    the shared ones."""
+    picks = rng.integers(0, len(resources), int(rng.integers(1, 3)))
+    own = Resource(f"own{next_id}", float(rng.integers(1, 300)) * _MB)
+    return tuple(resources[int(i)] for i in picks) + (own,)
+
+
+def _run_coalesced(seed, departures=False, arrivals=False):
     """One seed of the coalesced twin battery; returns (epochs,
-    successions, inert epochs). With ``departures`` the graph is larger
-    (4-9 resources, 8-16 standing flows over 2-3 of them, so that a
-    leaver's resources often carry flows frozen elsewhere) and half the
-    epochs are departures only."""
+    successions, inert epochs, inert arrivals). With ``departures`` the
+    graph is larger (4-9 resources, 8-16 standing flows over 2-3 of them,
+    so that a leaver's resources often carry flows frozen elsewhere) and
+    half the epochs are departures only. With ``arrivals`` it is as large,
+    in MB/s, every standing flow also crosses a resource of its own, and
+    half the epochs are one such arrival only."""
     rng = np.random.default_rng(seed)
     resources = [
-        Resource(f"r{i}", float(rng.integers(10, 1000)))
-        for i in range(int(rng.integers(*((4, 10) if departures else (2, 8)))))
+        Resource(f"r{i}", float(rng.integers(10, 1000)) * (_MB if arrivals else 1.0))
+        for i in range(int(rng.integers(*((4, 10) if departures or arrivals else (2, 8)))))
     ]
     ref, cur = ReferenceRateAllocator(), RateAllocator()
     ref_live, cur_live = [], []
-    next_id = seen = inert = 0
-    if departures:
+    next_id = seen = inert = inert_arrivals = 0
+    if departures or arrivals:
         for next_id in range(int(rng.integers(8, 17))):
-            picks = rng.integers(0, len(resources), int(rng.integers(2, 4)))
+            if arrivals:
+                path = _with_own_resource(rng, resources, next_id)
+            else:
+                picks = rng.integers(0, len(resources), int(rng.integers(2, 4)))
+                path = tuple(resources[int(i)] for i in picks)
             for alloc, live in ((ref, ref_live), (cur, cur_live)):
-                live.append(StubFlow(f"f{next_id}", tuple(resources[int(i)] for i in picks)))
+                live.append(StubFlow(f"f{next_id}", path))
                 alloc.add_flow(live[-1])
         next_id += 1
         _assert_same_recompute(ref, cur, ref_live, cur_live)
     for _ in range(MUTATIONS_PER_SEED):
-        next_id, succession, leavers = _coalesced_epoch(
-            rng, ref, cur, ref_live, cur_live, resources, next_id, departures
+        next_id, succession, leavers, arrival = _coalesced_epoch(
+            rng, ref, cur, ref_live, cur_live, resources, next_id, departures, arrivals
         )
-        if succession is None and not (leavers and _inert_by_the_rule(cur, leavers)):
+        # Whether the replay takes a one-arrival epoch is the allocator's
+        # own call; the contract it is then held to is not.
+        binds_nobody = arrival is not None and cur._replay_arrival(arrival) is not None
+        if (
+            succession is None
+            and not (leavers and _inert_by_the_rule(cur, leavers))
+            and not binds_nobody
+        ):
             successions, inert_epochs = cur.successions, cur.inert
+            inert_arrival_epochs = cur.inert_arrivals
             _assert_same_recompute(ref, cur, ref_live, cur_live)
             assert cur.successions == successions, f"seed={seed}: not a succession"
             assert cur.inert == inert_epochs, f"seed={seed}: not inert"
+            assert cur.inert_arrivals == inert_arrival_epochs, f"seed={seed}: not inert"
         else:
-            if succession is None:
+            if binds_nobody:
+                inert_arrivals += 1
+                _assert_inert_arrival_contract(ref, cur, ref_live, cur_live, arrival)
+            elif succession is None:
                 inert += 1
                 _assert_inert_contract(cur, cur_live)
             else:
@@ -608,7 +693,7 @@ def _run_coalesced(seed, departures=False):
                 r.rate = c.rate
         problems = bottleneck_violations(cur)
         assert not problems, f"seed={seed}: {problems[:3]}"
-    return MUTATIONS_PER_SEED, seen, inert
+    return MUTATIONS_PER_SEED, seen, inert, inert_arrivals
 
 
 @pytest.mark.parametrize("seed", range(NUM_SEEDS))
@@ -639,10 +724,29 @@ def test_departure_epochs_match_reference_or_inert_contract(seed):
 def test_departure_battery_does_meet_inert_epochs():
     """Not vacuous either: a fair share of its epochs are inert (26 of
     720 on these seeds, 101 of 2 640 over all 220)."""
-    epochs, _, inert = map(
+    epochs, _, inert, _ = map(
         sum, zip(*(_run_coalesced(seed, departures=True) for seed in range(60)))
     )
     assert inert >= 0.03 * epochs, (inert, epochs)
+
+
+@pytest.mark.parametrize("seed", range(NUM_SEEDS))
+def test_arrival_epochs_match_reference_or_inert_arrival_contract(seed):
+    """The coalesced battery in MB/s, with half its epochs one arrival
+    over shared resources and one of its own: an arrival the replay takes
+    writes itself alone, runs no fill and rates itself as the reference
+    fill does; every other epoch that is not a succession or an inert
+    departure is ``==`` the reference."""
+    _run_coalesced(seed, arrivals=True)
+
+
+def test_arrival_battery_does_meet_inert_arrivals():
+    """Not vacuous: a fair share of its epochs are inert arrivals (109 of
+    720 on these seeds, 457 of 2 640 over all 220)."""
+    epochs, *_, arrivals = map(
+        sum, zip(*(_run_coalesced(seed, arrivals=True) for seed in range(60)))
+    )
+    assert arrivals >= 0.03 * epochs, (arrivals, epochs)
 
 
 # Named epochs on one standing solution. f0 over (r0, r1) is the leaver;
@@ -875,3 +979,114 @@ def test_no_record_outlives_its_flow():
         cur.recompute()
         assert _records_match_flows(cur) and not bottleneck_violations(cur)
     assert (cur.inert, cur.successions) == (1, 1)
+
+
+# One arrival on a standing solution, in MB/s (below 16 KiB/s the slack
+# could decide, and the rule leaves every such epoch to the fill). A case
+# is (capacities, standing paths, the arrival's path); "takes" cases also
+# name the arrival's rate and the index of the resource that freezes it.
+_ARRIVAL_TAKES = {
+    # g at 20 on r1 leaves 80 of r0; the arrival's own r2 holds it to 30.
+    "fits-the-slack": ((100, 20, 30), [(0, 1)], (0, 2), 30, 2),
+    "bound-by-the-shared-link": ((100, 20), [(0, 1)], (0,), 80, 0),
+    # g frozen at 30 by r1, the arrival at 30 by its r2: a unit-round tie.
+    "unit-round-tie": ((100, 30, 30), [(0, 1)], (0, 2), 30, 2),
+    "two-unit-rounds-tied": ((100, 30, 30, 30), [(0, 1), (0, 2)], (0, 3), 30, 3),
+    "equal-rounds-at-one-level": ((300, 30, 30), [(0, 1), (0, 2)], (0,), 240, 0),
+    # Halving r0 would bind g at 60, but the arrival freezes at 10 on r2
+    # first and leaves g 90 of it.
+    "frozen-before-it-could-bind": ((100, 60, 10), [(0, 1)], (0, 2), 10, 2),
+}
+_ARRIVAL_FILLS = {
+    "saturated-resource": ((100, 20), [(0,)], (0, 1)),
+    "faster-neighbour": ((100, 80), [(0, 1)], (0,)),
+    # g1 leaves r0 at 90 for two: 45 binds g2, frozen at 60 by r2.
+    "faster-neighbour-behind-a-slower-one": ((100, 10, 60), [(0, 1), (0, 2)], (0,)),
+    "unequal-rounds-at-one-level": ((300, 30, 60), [(0, 1), (0, 2), (0, 2)], (0,)),
+    "tied-with-a-round-of-two": ((100, 60, 30), [(0, 1), (0, 1)], (0, 2)),
+    "tied-resources-of-the-arrival": ((100, 100, 20, 20), [(0, 2), (1, 3)], (0, 1)),
+    "infinite-capacity": ((float("inf"), 100, 20), [(0, 2)], (1, 0)),
+    "level-below-the-slack": ((100, 1e-12), [(0, 1)], (0,)),
+    "arrival-below-the-slack": ((100, 20, 1e-12), [(0, 1)], (0, 2)),
+    # A float tie: r0's seven users (six frozen at 110 370.33 by their own
+    # r1-r6, the arrival tied at that level on r7) share it above that
+    # level, but once one freezes the other six are down to it: in float,
+    # (772 592.33 - 110 370.33) / 6 <= 110 370.33.
+    "share-rounds-down-to-the-level": (
+        (772592.3333333334 / _MB, *[110370.33333333333 / _MB] * 7),
+        [(0, i) for i in range(1, 7)],
+        (0, 7),
+    ),
+}
+
+
+def _arrival_twins(capacities, paths, arrival_path):
+    """Rate ``paths`` over ``capacities`` (MB/s) on both twins, then add
+    the arrival ``new`` over ``arrival_path`` to both without recomputing;
+    returns the twins and the resources."""
+    resources = [Resource(f"r{i}", cap * _MB) for i, cap in enumerate(capacities)]
+    ref, cur = ReferenceRateAllocator(), RateAllocator()
+    ref_live, cur_live = [], []
+
+    def arrive(name, path):
+        for alloc, live in ((ref, ref_live), (cur, cur_live)):
+            live.append(StubFlow(name, tuple(resources[i] for i in path)))
+            alloc.add_flow(live[-1])
+
+    for n, path in enumerate(paths):
+        arrive(f"f{n}", path)
+    _assert_same_recompute(ref, cur, ref_live, cur_live)
+    arrive("new", arrival_path)
+    return ref, cur, ref_live, cur_live, resources
+
+
+@pytest.mark.parametrize("case", _ARRIVAL_TAKES.values(), ids=_ARRIVAL_TAKES)
+def test_arrival_that_binds_nobody_is_rated_without_a_fill(case):
+    capacities, paths, arrival_path, rate, frozen_by = case
+    ref, cur, ref_live, cur_live, resources = _arrival_twins(capacities, paths, arrival_path)
+    arrival = cur_live[-1]
+    _assert_inert_arrival_contract(ref, cur, ref_live, cur_live, arrival)
+    assert arrival.rate == rate * _MB
+    assert cur._bottleneck[arrival] is resources[frozen_by]
+    assert [f.rate for f in cur_live] == [f.rate for f in ref_live]  # exact here
+    assert not bottleneck_violations(cur)
+
+
+@pytest.mark.parametrize("case", _ARRIVAL_FILLS.values(), ids=_ARRIVAL_FILLS)
+def test_arrival_outside_the_inert_rule_runs_the_fill(case):
+    ref, cur, ref_live, cur_live, _ = _arrival_twins(*case)
+    fills = cur.fills
+    _assert_same_recompute(ref, cur, ref_live, cur_live)
+    assert (cur.fills, cur.inert_arrivals) == (fills + 1, 0)
+
+
+def test_arrival_beside_a_flow_without_a_record_runs_the_fill():
+    """After a recompute every flow has a record; were one missing, the
+    rule would not guess where that flow is frozen."""
+    ref, cur, ref_live, cur_live, _ = _arrival_twins((100, 20), [(0, 1)], (0,))
+    del cur._bottleneck[cur_live[0]]
+    fills = cur.fills
+    _assert_same_recompute(ref, cur, ref_live, cur_live)
+    assert (cur.fills, cur.inert_arrivals) == (fills + 1, 0)
+
+
+@pytest.mark.parametrize("extra", ["departure", "mark-dirty", "second-arrival"])
+def test_arrival_with_anything_else_in_its_epoch_runs_the_fill(extra):
+    """f0 frozen at 20 by r1, f1 alone on r2: an arrival over r0 alone
+    would bind nobody, but not beside another mutation."""
+    ref, cur, ref_live, cur_live, resources = _arrival_twins(
+        (100, 20, 50), [(0, 1), (2,)], (0,)
+    )
+    if extra == "departure":
+        ref.remove_flow(ref_live.pop(1))
+        cur.remove_flow(cur_live.pop(1))
+    elif extra == "mark-dirty":
+        ref.mark_dirty(resources[2])
+        cur.mark_dirty(resources[2])
+    else:
+        for alloc, live in ((ref, ref_live), (cur, cur_live)):
+            live.append(StubFlow("newer", (resources[0],)))
+            alloc.add_flow(live[-1])
+    fills = cur.fills
+    _assert_same_recompute(ref, cur, ref_live, cur_live)
+    assert (cur.fills, cur.inert_arrivals) == (fills + 1, 0)

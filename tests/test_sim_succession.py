@@ -1,7 +1,8 @@
 """Epochs answered without a fill, where they actually happen.
 
 Successions happen at slice boundaries, inert departures wherever a flow
-leaves without freeing the bottleneck of anyone left.
+leaves without freeing the bottleneck of anyone left, inert arrivals
+wherever a flow starts in slack that every flow beside it leaves.
 
 ``RateAllocator`` answers an epoch that is one departure plus one arrival
 over the same resources without a fill (``repro.sim.allocator``, order 4).
@@ -11,9 +12,9 @@ the same instant, over the same ``transfer.resources`` tuple — and that is
 what the simulator's speed on repair workloads now rests on. The first
 half pins that coupling on a bare scheduler; the second runs whole repair
 experiments, and the ``hot_mix`` recipe, on
-:class:`tests.oracles.AuditedRateAllocator`, which checks every succession
-and inert departure against a max-min certificate and the reference fill,
-and every recorded bottleneck after every epoch.
+:class:`tests.oracles.AuditedRateAllocator`, which checks every succession,
+inert departure and inert arrival against a max-min certificate and the
+reference fill, and every recorded bottleneck after every epoch.
 """
 
 from collections import Counter
@@ -137,16 +138,19 @@ def _audited_run(config, algorithm, rel_tol):
     assert result.repair_time > 0
     assert audit.audited == audit.successions > 0
     assert audit.inert_audited == audit.inert > 0
+    assert audit.arrival_audited == audit.inert_arrivals > 0
     return audit
 
 
 @pytest.mark.parametrize("algorithm", ["ChameleonEC", "CR"])
 def test_successions_equal_refill_at_default_bandwidth(algorithm):
-    """10 Gb/s links: every succession of a full repair under foreground
-    stands on exactly (``==``) what a re-fill of its component computes,
-    and on a max-min optimum by the fill-independent certificate."""
+    """10 Gb/s links: every succession, inert departure and inert arrival
+    of a full repair under foreground stands on exactly (``==``) what a
+    re-fill of its component computes, and on a max-min optimum by the
+    fill-independent certificate."""
     audit = _audited_run(ExperimentConfig.scaled(0.03), algorithm, rel_tol=0.0)
     assert (audit.flapped, audit.worst_rel) == (0, 0.0)
+    assert audit.inert_flapped == audit.arrival_flapped == 0
 
 
 def test_successions_within_an_ulp_of_refill_on_1gbps_ppr():
@@ -158,9 +162,10 @@ def test_successions_within_an_ulp_of_refill_on_1gbps_ppr():
     config = ExperimentConfig.scaled(0.05, link_gbps=1.0)
     audit = _audited_run(config, "PPR", rel_tol=1e-12)
     print(
-        f"\nexp13 1 Gb/s x PPR: {audit.flapped} of {audit.audited} successions and "
-        f"{audit.inert_flapped} of {audit.inert_audited} inert departures would have "
-        f"flapped a bystander (worst relative move {audit.worst_rel:.3g})"
+        f"\nexp13 1 Gb/s x PPR: {audit.flapped} of {audit.audited} successions, "
+        f"{audit.inert_flapped} of {audit.inert_audited} inert departures and "
+        f"{audit.arrival_flapped} of {audit.arrival_audited} inert arrivals would have "
+        f"flapped a flow (worst relative move {audit.worst_rel:.3g})"
     )
     assert 0 < audit.flapped < audit.audited
     assert 0.0 < audit.worst_rel <= 1e-12
@@ -168,12 +173,13 @@ def test_successions_within_an_ulp_of_refill_on_1gbps_ppr():
 
 def test_inert_departures_on_the_hot_mix_recipe_stand_within_an_ulp():
     """The benchmark's hot-link mix at 10 nodes / 200 flows, ten seeds:
-    every inert departure leaves a certified optimum within 1e-12 of what
-    a re-fill computes, and every recorded bottleneck certifies its flow.
-    Flaps are printed (``-s``); at this size there are none, on the full
-    50-node recipe 4 of seed 0's 1 220 inert epochs move 8 flows by at
-    most 1.6e-16."""
-    audited = flapped = 0
+    every inert departure and inert arrival leaves a certified optimum
+    within 1e-12 of what a re-fill computes, and every recorded bottleneck
+    certifies its flow. Flaps are printed (``-s``); at this size there
+    are none, on the full 50-node recipe 4 of seed 0's 1 220 inert
+    departures and 2 of its 1 177 inert arrivals move 10 flows by at most
+    1.6e-16."""
+    audited = flapped = arrivals = arrivals_flapped = 0
     for seed in range(10):
         sim = Simulator()
         audit = AuditedRateAllocator(rel_tol=1e-12)
@@ -181,10 +187,17 @@ def test_inert_departures_on_the_hot_mix_recipe_stand_within_an_ulp():
         sim.run()
         assert all(flow.done for flow in flows)
         assert audit.inert_audited == audit.inert
+        assert audit.arrival_audited == audit.inert_arrivals
         audited += audit.inert_audited
         flapped += audit.inert_flapped
-    print(f"\nhot_mix 10 x 200, seeds 0-9: {flapped} of {audited} inert departures flapped")
+        arrivals += audit.arrival_audited
+        arrivals_flapped += audit.arrival_flapped
+    print(
+        f"\nhot_mix 10 x 200, seeds 0-9: {flapped} of {audited} inert departures and "
+        f"{arrivals_flapped} of {arrivals} inert arrivals flapped"
+    )
     assert audited > 0
+    assert arrivals > 0
 
 
 def test_registry_and_report_show_inert_departures():
@@ -200,3 +213,5 @@ def test_registry_and_report_show_inert_departures():
     assert registry.counter("alloc.inert").value == allocator.inert > 0
     assert registry.counter("alloc.fills").value == allocator.fills
     assert "alloc.inert" in build_report(Tracer(), registry)
+    assert registry.counter("alloc.inert_arrivals").value == allocator.inert_arrivals > 0
+    assert "alloc.inert_arrivals" in build_report(Tracer(), registry)
