@@ -208,10 +208,11 @@ class Testbed:
         self.timeseries: TimeseriesRecorder | None = None
         self.controller: AdmissionController | None = None
         self.slos: list[SLOSpec] = []
-        #: Crash instants keyed by shard (``None`` = a whole-plane
-        #: crash), so overlapping crashes of different shards each keep
-        #: their own MTTR attribution.
-        self._coordinator_crash_times: dict[int | None, float] = {}
+        #: Crash instants keyed by shard (a whole-plane crash records
+        #: its instant under every shard it brings down), so
+        #: overlapping crashes of different shards each keep their own
+        #: MTTR attribution.
+        self._coordinator_crash_times: dict[int, float] = {}
         #: Router installed by :meth:`start_sharded_repair`.
         self.shard_router: ShardRouter | None = None
         #: One entry per observed coordinator crash: the fraction of
@@ -336,21 +337,20 @@ class Testbed:
         enabled it is also attached to the data plane (verified repair)
         and the scrubber (detections become its work).
 
-        ``shard`` binds the repairer to one journal partition: it
-        writes through :meth:`Journal.shard_view`, crashes only with a
+        With a journal, every repairer writes through
+        :meth:`Journal.shard_view` of ``shard`` (default 0: an unsharded
+        control plane is the one-shard plane). It crashes only with a
         :class:`~repro.faults.CoordinatorCrash` targeting its shard (or
         the whole plane), and only adopts scrubber detections its shard
-        owns. Requires :meth:`enable_journal`. Most callers want
-        :meth:`start_sharded_repair` instead of binding shards by hand.
+        owns. Naming a ``shard`` requires :meth:`enable_journal`. Most
+        callers want :meth:`start_sharded_repair` instead of binding
+        shards by hand.
         """
         spec = (name, dict(overrides))
         if shard is not None:
             self._require_journal("a sharded coordinator")
         if self.journal is not None:
-            view = (
-                self.journal if shard is None else self.journal.shard_view(shard)
-            )
-            overrides.setdefault("journal", view)
+            overrides.setdefault("journal", self.journal.shard_view(shard or 0))
         repairer = self._build_repairer(name, **overrides)
         repairer.rebuild_spec = spec
         self.repairers.append(repairer)
@@ -651,15 +651,9 @@ class Testbed:
         is rejected (``journal.fenced_writes``). When the partition
         heals, the zombie observes its fence and steps down
         (:attr:`zombie_stepdowns`); :meth:`recover_repairer` then brings
-        up a successor under the next epoch. Requires a journal and a
-        *shard-bound* repairer (epoch stamping rides the shard view).
+        up a successor under the next epoch. Requires a journal.
         """
         self._require_journal("zombie fencing")
-        if repairer.shard is None:
-            raise ReproError(
-                "zombie fencing needs a shard-bound coordinator; build "
-                "it with make_repairer(name, shard=...)"
-            )
         repairer.home = self.cluster.node(node_id).id
 
     def _journal_home(self) -> int:
@@ -790,7 +784,7 @@ class Testbed:
 
     def _on_coordinator_crash(self, _timeline, event) -> None:
         shard = event.shard
-        crashed_shards: list[int | None] = []
+        crashed_shards: list[int] = []
         for repairer in self.repairers:
             if not repairer.running:
                 continue
@@ -798,36 +792,30 @@ class Testbed:
                 continue  # targeted crash: siblings keep running
             repairer.crash()
             crashed_shards.append(repairer.shard)
-        if not crashed_shards:
+        if not crashed_shards or self.journal is None:
             return
         now = self.cluster.sim.now
-        self._coordinator_crash_times[shard] = now
-        if self.journal is not None:
-            state = self.journal.state
-            open_chunks = state.open_work()
-            if shard is None:
-                stalled = len(open_chunks)
-            else:
-                stalled = sum(
-                    1
-                    for chunk in open_chunks
-                    if state.shard_of.get(chunk, 0) == shard
-                )
-            self.crash_blasts.append(
-                {
-                    "at": now,
-                    "shard": shard,
-                    "open": len(open_chunks),
-                    "stalled": stalled,
-                    "blast": stalled / len(open_chunks) if open_chunks else 0.0,
-                }
-            )
-            # The failure detector observed the death: fence the dead
-            # epoch(s) so their leases are provably void at recovery
-            # time. Only the crashed shards are fenced — fencing is the
-            # blast-radius boundary.
-            for r_shard in dict.fromkeys(crashed_shards):
-                self.journal.fence(shard=0 if r_shard is None else r_shard)
+        state = self.journal.state
+        open_chunks = state.open_work()
+        stalled = len(
+            open_chunks if shard is None else state.open_work(shard=shard)
+        )
+        self.crash_blasts.append(
+            {
+                "at": now,
+                "shard": shard,
+                "open": len(open_chunks),
+                "stalled": stalled,
+                "blast": stalled / len(open_chunks) if open_chunks else 0.0,
+            }
+        )
+        # The failure detector observed the death: fence the dead
+        # epoch(s) so their leases are provably void at recovery time.
+        # Only the crashed shards are fenced — fencing is the
+        # blast-radius boundary.
+        for r_shard in dict.fromkeys(crashed_shards):
+            self._coordinator_crash_times[r_shard] = now
+            self.journal.fence(shard=r_shard)
 
     def _crashed_repairers(self, shard: int | None) -> list:
         """Dead coordinators awaiting recovery (``shard`` narrows to one partition)."""
@@ -858,9 +846,8 @@ class Testbed:
         ``shard`` recovers only that partition's dead coordinator —
         fence, replay, reconcile and rebuild all scoped to the shard,
         under the shard's next epoch; sibling shards are untouched.
-        With ``shard=None`` the most recent casualty's shard group is
-        recovered (unsharded coordinators form one group), which is the
-        pre-sharding behaviour for unsharded testbeds.
+        With ``shard=None`` the most recent casualty's shard is
+        recovered (an unsharded coordinator's shard is 0).
 
         Returns the new repairer, with the
         :class:`~repro.journal.RecoveryPlan` attached as
@@ -872,11 +859,10 @@ class Testbed:
             target = "" if shard is None else f" on shard {shard}"
             raise ReproError(f"no crashed repairer to recover{target}")
         # The recovery group: the targeted shard's casualties, or — when
-        # untargeted — every casualty sharing the latest one's shard
-        # (unsharded coordinators all share the ``None`` group).
+        # untargeted — every casualty sharing the latest one's shard.
         shard_key = shard if shard is not None else crashed[-1].shard
         group = [r for r in crashed if r.shard == shard_key]
-        self.journal.fence(shard=0 if shard_key is None else shard_key)
+        self.journal.fence(shard=shard_key)
         plan = reconcile(
             self.journal.replay(),
             now=self.cluster.sim.now,
@@ -890,7 +876,7 @@ class Testbed:
                 track="journal",
                 records=len(self.journal),
                 epoch=plan.epoch,
-                **({} if shard_key is None else {"shard": shard_key}),
+                shard=shard_key,
                 **plan.summary(),
             )
         spec_name, spec_overrides = group[-1].rebuild_spec
@@ -904,15 +890,10 @@ class Testbed:
             name or spec_name, shard=shard_key, **merged
         )
         replacement.recovery = plan
-        # repair() opens a new journal epoch (on the shard, when bound),
-        # so requeued chunks get fresh leases owned by the replacement.
+        # repair() opens a new journal epoch on the shard, so requeued
+        # chunks get fresh leases owned by the replacement.
         replacement.repair(plan.requeue)
         crash_time = self._coordinator_crash_times.pop(shard_key, None)
-        if crash_time is None and shard_key is not None:
-            # A whole-plane crash felled this shard: its MTTR is
-            # attributed to that crash; later groups of the same crash
-            # measure from the same instant.
-            crash_time = self._coordinator_crash_times.get(None)
         registry = get_registry()
         if registry.enabled:
             registry.counter("journal.recovery.completed").inc()
@@ -930,10 +911,6 @@ class Testbed:
                 algorithm=name or spec_name,
                 requeued=len(plan.requeue),
             )
-        if not self._crashed_repairers(None):
-            # Everyone recovered: the whole-plane crash instant (if
-            # any) has no remaining claimants.
-            self._coordinator_crash_times.pop(None, None)
         return replacement
 
     # -- data integrity --------------------------------------------------------

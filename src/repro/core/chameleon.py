@@ -15,7 +15,7 @@ Multi-node failures are handled by the three Section III-D orderings:
 chunks first) and ``fastest`` (cheapest repairs first).
 
 This module is the scheduling *policy* only; the chunk lifecycle it
-schedules — launch, retries, hedging, journaling, crash teardown — is
+schedules — launch, retries, journaling, crash teardown — is
 :class:`~repro.repair.engine.RepairEngine`'s.
 """
 
@@ -26,7 +26,7 @@ from collections import Counter
 from repro.cluster.failures import FailureInjector
 from repro.cluster.stripes import ChunkId, StripeStore
 from repro.cluster.topology import Cluster
-from repro.errors import ReproError, SchedulingError
+from repro.errors import SchedulingError
 from repro.monitor.bandwidth import BandwidthMonitor
 from repro.monitor.progress import ProgressTracker, TrackedTask
 from repro.obs.metrics import get_registry
@@ -43,8 +43,8 @@ class ChameleonRepair(RepairEngine):
     """Coordinator driving low-interference repair of a chunk batch.
 
     ``engine_options`` are :class:`~repro.repair.engine.RepairEngine`'s
-    keyword arguments (``concurrency``, retry, timeout, hedging and
-    journal settings). ``concurrency`` bounds concurrent reconstruction
+    keyword arguments (``concurrency``, retry, timeout and journal
+    settings). ``concurrency`` bounds concurrent reconstruction
     streams on top of the phase machinery, which already admits chunks
     against the idle-bandwidth budget.
     """
@@ -217,24 +217,6 @@ class ChameleonRepair(RepairEngine):
         for transfer in instance.uploads.values():
             self.tracker.track(transfer, expectation, chunk_key=instance)
 
-    def _plan(self, chunk: ChunkId):
-        """Dispatch + Algorithm 1 against the current phase load.
-
-        The token is the load snapshot from before the dispatch, so a
-        rejected plan's task assignments can be rolled back.
-        """
-        snap = self.dispatcher.load.snapshot()
-        try:
-            dispatch = self.dispatcher.dispatch_chunk(chunk, self.store.code)
-            plan = build_plan(dispatch, self.store.code, self.injector)
-        except ReproError:
-            self.dispatcher.load.restore(snap)
-            raise
-        return plan, snap
-
-    def _plan_rejected(self, token) -> None:
-        self.dispatcher.load.restore(token)
-
     def _retry_ready(self, chunk: ChunkId) -> None:
         self.pending.insert(0, chunk)
         self._schedule()
@@ -394,7 +376,6 @@ class ChameleonRepair(RepairEngine):
             # and the chunk either relaunches (new plan_chosen) or queues.
             self.journal.attempt_failed(chunk, "replan")
         instance.cancel()
-        # Any live backup raced the instance we just tore down.
         self._release(chunk, instance)
         # Marked after the release, which re-arms re-planning: the
         # relaunch below is the one re-plan this attempt gets.

@@ -20,7 +20,7 @@ partition duration:
   at every duration.
 
 A separate **zombie** scenario exercises the fencing half of the
-design: a shard-bound coordinator is pinned
+design: one shard's coordinator is pinned
 (:meth:`~repro.api.Testbed.place_coordinator`) to a storage node that
 a partition then cuts off from the journal. The rest of the cluster
 fences its shard; every write-through the isolated-but-alive

@@ -148,7 +148,7 @@ class CoordinatorCrash(FaultEvent):
     ``shard`` targets one partition of a sharded control plane: only
     that shard's coordinator dies, sibling shards keep repairing.
     ``None`` (the default) kills every live coordinator — the whole
-    plane, matching the pre-sharding behaviour.
+    plane. An unsharded coordinator is shard 0.
     """
 
     shard: int | None = None

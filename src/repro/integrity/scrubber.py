@@ -91,10 +91,9 @@ class Scrubber(HookEmitter):
     def attach(self, repairer) -> None:
         """Detected corruptions are enqueued to this repair driver.
 
-        A driver bound to one control-plane partition
-        (``repairer.shard``) only receives, with a router installed,
-        the detections its shard owns; unsharded drivers always receive
-        everything.
+        With a router installed, a driver bound to a journal shard
+        (``repairer.shard``) only receives the detections its shard
+        owns; without one, every driver receives everything.
         """
         self.repairers.append(repairer)
 

@@ -76,8 +76,8 @@ class Lease:
     epoch: int
     acquired_at: float
     expires_at: float
-    #: Journal partition that granted the lease (0 = the unsharded /
-    #: default partition).
+    #: Journal partition that granted the lease (an unsharded plane is
+    #: the one-shard plane, shard 0).
     shard: int = 0
 
     def expired(self, now: float) -> bool:
@@ -91,10 +91,9 @@ class JournalRecord:
 
     ``shard`` names the journal partition the record belongs to. All
     partitions share one append-only log (and one ``seq`` space); the
-    shard id keys the per-partition epoch/fence/lease bookkeeping.
-    Shard 0 is the default partition and is omitted from the JSON form,
-    keeping single-coordinator logs byte-identical to the pre-sharding
-    format.
+    shard id keys the per-partition epoch/fence/lease bookkeeping. A
+    single-coordinator log is a one-shard log: its records carry
+    shard 0.
     """
 
     seq: int
@@ -109,8 +108,7 @@ class JournalRecord:
         out = {"seq": self.seq, "at": self.at, "kind": self.kind}
         if self.chunk is not None:
             out["chunk"] = [self.chunk.stripe, self.chunk.index]
-        if self.shard:
-            out["shard"] = self.shard
+        out["shard"] = self.shard
         if self.payload:
             out["payload"] = self.payload
         return out
@@ -124,7 +122,7 @@ class JournalRecord:
             kind=data["kind"],
             chunk=ChunkId(*chunk) if chunk is not None else None,
             payload=dict(data.get("payload", {})),
-            shard=data.get("shard", 0),
+            shard=data["shard"],
         )
 
 
@@ -141,11 +139,11 @@ class JournalState:
     current :class:`Lease`.
 
     Epochs and fences are kept *per shard* (``_epochs`` / ``_fenced``
-    keyed by shard id); ``epoch`` and ``fenced`` remain as shard-0
-    properties so single-coordinator callers see the pre-sharding
-    surface unchanged. ``shard_of`` tracks the partition that last
-    journaled each chunk, which is what lets :func:`reconcile` carve a
-    per-shard recovery plan out of the shared log.
+    keyed by shard id); this fold is the only owner of both, and
+    :class:`~repro.journal.wal.Journal` reads its issued epochs from
+    here. ``shard_of`` tracks the partition that last journaled each
+    chunk, which is what lets :func:`reconcile` carve a per-shard
+    recovery plan out of the shared log.
     """
 
     def __init__(self) -> None:
@@ -158,16 +156,6 @@ class JournalState:
         self.shard_of: dict[ChunkId, int] = {}
 
     # -- per-shard epoch surface ----------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        """Shard 0's epoch (the whole journal's, when unsharded)."""
-        return self._epochs.get(0, 0)
-
-    @property
-    def fenced(self) -> bool:
-        """Shard 0's fence flag (the whole journal's, when unsharded)."""
-        return self._fenced.get(0, False)
 
     def epoch_of(self, shard: int) -> int:
         return self._epochs.get(shard, 0)
@@ -267,14 +255,16 @@ class JournalState:
     def snapshot(self) -> dict:
         """JSON-safe snapshot restoring this exact state.
 
-        Shard metadata (``shards`` per-partition epochs/fences and the
-        ``shard_of`` chunk map) is emitted only when a non-zero shard
-        exists, keeping single-coordinator snapshots byte-identical to
-        the pre-sharding format.
+        ``shards`` lists every touched shard as ``[shard, epoch,
+        fenced]`` and ``shard_of`` every journaled chunk as ``[stripe,
+        index, shard]``; one-shard and many-shard states serialise
+        alike.
         """
-        snap = {
-            "epoch": self.epoch,
-            "fenced": self.fenced,
+        return {
+            "shards": [
+                [s, self.epoch_of(s), self.fenced_of(s)]
+                for s in sorted(set(self._epochs) | set(self._fenced))
+            ],
             "pending": [_chunk_key(c) for c in self.pending],
             "leases": [
                 {
@@ -282,36 +272,21 @@ class JournalState:
                     "epoch": lease.epoch,
                     "acquired_at": lease.acquired_at,
                     "expires_at": lease.expires_at,
-                    **({"shard": lease.shard} if lease.shard else {}),
+                    "shard": lease.shard,
                 }
                 for lease in self.leases.values()
             ],
             "committed": [_chunk_key(c) for c in self.committed],
             "lost": [_chunk_key(c) for c in self.lost],
+            "shard_of": sorted(
+                [c.stripe, c.index, s] for c, s in self.shard_of.items()
+            ),
         }
-        extra = sorted(
-            s
-            for s in set(self._epochs) | set(self._fenced)
-            if s != 0
-        )
-        if extra:
-            snap["shards"] = [
-                [s, self.epoch_of(s), self.fenced_of(s)] for s in extra
-            ]
-        sharded = sorted(
-            (c.stripe, c.index, s) for c, s in self.shard_of.items() if s != 0
-        )
-        if sharded:
-            snap["shard_of"] = [list(entry) for entry in sharded]
-        return snap
 
     def restore(self, snap: dict) -> None:
         """Replace the state wholesale with a checkpoint snapshot."""
-        self._epochs = {0: snap["epoch"]}
-        self._fenced = {0: snap["fenced"]}
-        for shard, epoch, fenced in snap.get("shards", []):
-            self._epochs[shard] = epoch
-            self._fenced[shard] = fenced
+        self._epochs = {shard: epoch for shard, epoch, _ in snap["shards"]}
+        self._fenced = {shard: fenced for shard, _, fenced in snap["shards"]}
         self.pending = {ChunkId(*c): -1 for c in snap["pending"]}
         self.leases = {
             ChunkId(*entry["chunk"]): Lease(
@@ -319,17 +294,13 @@ class JournalState:
                 epoch=entry["epoch"],
                 acquired_at=entry["acquired_at"],
                 expires_at=entry["expires_at"],
-                shard=entry.get("shard", 0),
+                shard=entry["shard"],
             )
             for entry in snap["leases"]
         }
         self.committed = {ChunkId(*c): -1 for c in snap["committed"]}
         self.lost = {ChunkId(*c): -1 for c in snap["lost"]}
-        overrides = {
+        self.shard_of = {
             ChunkId(stripe, index): shard
-            for stripe, index, shard in snap.get("shard_of", [])
+            for stripe, index, shard in snap["shard_of"]
         }
-        self.shard_of = {}
-        for collection in (self.pending, self.leases, self.committed, self.lost):
-            for chunk in collection:
-                self.shard_of[chunk] = overrides.get(chunk, 0)

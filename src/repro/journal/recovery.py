@@ -46,7 +46,8 @@ class RecoveryPlan:
     demoted: list[ChunkId] = field(default_factory=list)
     #: Store already held verified bytes for these (now in completed).
     adopted_from_store: list[ChunkId] = field(default_factory=list)
-    #: Epoch of the journal state the plan was derived from.
+    #: Epoch of the journal state the plan was derived from (the
+    #: shard's, or the newest of any shard for a whole-journal plan).
     epoch: int = 0
     #: Shard the plan covers (``None`` = the whole journal).
     shard: int | None = None
@@ -82,17 +83,14 @@ def reconcile(
 
     ``shard`` narrows the plan to one journal partition: only chunks
     last journaled by that shard are classified, and the plan's epoch
-    is that shard's. ``None`` keeps the whole-journal (single
-    coordinator) behaviour.
+    is that shard's. ``None`` classifies every shard's chunks.
     """
 
     def mine(chunk: ChunkId) -> bool:
         return shard is None or state.shard_of.get(chunk, 0) == shard
 
-    plan = RecoveryPlan(
-        epoch=state.epoch if shard is None else state.epoch_of(shard),
-        shard=shard,
-    )
+    scope = state.shards() if shard is None else [shard]
+    plan = RecoveryPlan(epoch=max(map(state.epoch_of, scope)), shard=shard)
     for chunk in state.committed:
         if not mine(chunk):
             continue

@@ -25,8 +25,9 @@ Design notes:
   write; the journal drops writes whose epoch is older than the
   shard's issued epoch, or equal but fenced, counting them in
   :attr:`Journal.fenced_writes` (``journal.fenced_writes`` counter).
-  Raw unsharded writes carry no epoch and are never rejected — the
-  pre-partition surface is unchanged.
+  Every coordinator writes through a shard view — an unsharded control
+  plane is the one-shard plane on shard 0. Raw :class:`Journal` writes
+  carry no epoch and are never rejected.
 * **Compacting checkpoints.** ``checkpoint()`` snapshots the folded
   state and drops every earlier record, bounding replay work; with
   ``checkpoint_interval`` set the journal checkpoints itself every N
@@ -78,10 +79,9 @@ class Journal:
         self.lease_duration = lease_duration
         self.checkpoint_interval = checkpoint_interval
         self.records: list[JournalRecord] = []
-        #: Live fold of the record sequence (what replay would rebuild).
+        #: Live fold of the record sequence (what replay would rebuild);
+        #: it owns every shard's epoch and fence.
         self.state = JournalState()
-        #: Issued epoch counters, one per shard (partition) of the log.
-        self.epochs: dict[int, int] = {}
         #: Records dropped by compaction (they live on inside the last
         #: checkpoint's snapshot).
         self.compacted_records = 0
@@ -91,19 +91,9 @@ class Journal:
         self._seq = 0
         self._since_checkpoint = 0
 
-    # -- per-shard epoch surface ----------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        """Shard 0's issued epoch (the whole journal's, when unsharded)."""
-        return self.epochs.get(0, 0)
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        self.epochs[0] = value
-
     def epoch_of(self, shard: int) -> int:
-        return self.epochs.get(shard, 0)
+        """The newest epoch issued on ``shard`` (0 = never started)."""
+        return self.state.epoch_of(shard)
 
     # -- clock ----------------------------------------------------------------
 
@@ -176,9 +166,9 @@ class Journal:
 
     def coordinator_started(self, *, shard: int = 0) -> int:
         """Open a new coordinator epoch on ``shard``; voids its older leases."""
-        self.epochs[shard] = self.epoch_of(shard) + 1
-        self.append(COORDINATOR_START, shard=shard, epoch=self.epochs[shard])
-        return self.epochs[shard]
+        epoch = self.epoch_of(shard) + 1
+        self.append(COORDINATOR_START, shard=shard, epoch=epoch)
+        return epoch
 
     def fence(self, *, shard: int = 0) -> None:
         """Record one shard's incarnation death (voids its leases).
@@ -326,26 +316,18 @@ class Journal:
     def to_json(self) -> str:
         """Serialise the journal (records + cursor) to JSON.
 
-        ``shard_epochs`` (non-zero shards' issued-epoch counters) is
-        emitted only when sharding was used, so unsharded journals keep
-        the pre-sharding byte format.
+        Epochs are not written separately: replaying the records
+        rebuilds them, as it rebuilds the rest of the state.
         """
-        doc = {
-            "lease_duration": self.lease_duration,
-            "checkpoint_interval": self.checkpoint_interval,
-            "epoch": self.epoch,
-            "seq": self._seq,
-            "compacted_records": self.compacted_records,
-            "records": [r.to_dict() for r in self.records],
-        }
-        shard_epochs = {
-            str(shard): epoch
-            for shard, epoch in sorted(self.epochs.items())
-            if shard != 0
-        }
-        if shard_epochs:
-            doc["shard_epochs"] = shard_epochs
-        return json.dumps(doc)
+        return json.dumps(
+            {
+                "lease_duration": self.lease_duration,
+                "checkpoint_interval": self.checkpoint_interval,
+                "seq": self._seq,
+                "compacted_records": self.compacted_records,
+                "records": [r.to_dict() for r in self.records],
+            }
+        )
 
     @classmethod
     def from_json(cls, text: str, sim=None) -> "Journal":
@@ -356,9 +338,6 @@ class Journal:
             lease_duration=data["lease_duration"],
             checkpoint_interval=data["checkpoint_interval"],
         )
-        journal.epoch = data["epoch"]
-        for shard, epoch in data.get("shard_epochs", {}).items():
-            journal.epochs[int(shard)] = epoch
         journal._seq = data["seq"]
         journal.compacted_records = data["compacted_records"]
         journal.records = [JournalRecord.from_dict(r) for r in data["records"]]

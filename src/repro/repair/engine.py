@@ -75,8 +75,6 @@ class RepairEngine(HookEmitter):
         "_order_chunks",
         "_begin",
         "_schedule",
-        "_plan",
-        "_plan_rejected",
         "_retry_ready",
         "_released",
         "_on_crash",
@@ -92,7 +90,6 @@ class RepairEngine(HookEmitter):
         chunk_size: float,
         slice_size: float,
         concurrency: int = 8,
-        final_write: bool = True,
         max_retries: int = 3,
         retry_backoff: float = 0.5,
         chunk_timeout: float | None = None,
@@ -113,7 +110,6 @@ class RepairEngine(HookEmitter):
         self.slice_size = slice_size
         #: Cap on concurrently repairing chunks (reconstruction streams).
         self.concurrency = concurrency
-        self.final_write = final_write
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.chunk_timeout = chunk_timeout
@@ -157,17 +153,6 @@ class RepairEngine(HookEmitter):
         """Launch pending chunks into free slots; must end in :meth:`_maybe_finish`."""
         raise NotImplementedError
 
-    def _plan(self, chunk: ChunkId) -> tuple[RepairPlan, object]:
-        """A fresh plan for ``chunk`` plus a token for :meth:`_plan_rejected`.
-
-        Raises :class:`~repro.errors.ReproError` — leaving no policy
-        state behind — when no plan exists.
-        """
-        raise NotImplementedError
-
-    def _plan_rejected(self, token: object) -> None:
-        """Undo whatever :meth:`_plan` reserved; the plan will not run."""
-
     def _retry_ready(self, chunk: ChunkId) -> None:
         """``chunk``'s backoff elapsed: launch it or put it back in the queue."""
         raise NotImplementedError
@@ -205,7 +190,7 @@ class RepairEngine(HookEmitter):
 
     @property
     def shard(self) -> int | None:
-        """The journal partition this engine writes through (None = unsharded)."""
+        """The journal shard this engine writes through (None = no journal)."""
         return getattr(self.journal, "shard", None)
 
     def repair(self, chunks: list[ChunkId]) -> None:
@@ -345,7 +330,6 @@ class RepairEngine(HookEmitter):
             plan,
             chunk_size=self.chunk_size,
             slice_size=self.slice_size,
-            final_write=self.final_write,
             on_complete=lambda inst: self._chunk_done(chunk, inst),
             on_failed=lambda inst, reason: self._instance_failed(chunk, inst, reason),
         )

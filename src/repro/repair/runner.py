@@ -4,7 +4,7 @@ CR, PPR, ECPipe and their RepairBoost variants repair a batch of failed
 chunks (the paper's full-node repair recovers 200 chunks) by keeping up
 to ``concurrency`` chunks in flight, each planned by the wrapped
 :class:`~repro.repair.base.RepairAlgorithm`. The chunk lifecycle —
-launch, retries, hedging, journaling, crash teardown — is
+launch, retries, journaling, crash teardown — is
 :class:`~repro.repair.engine.RepairEngine`'s.
 """
 
@@ -23,7 +23,7 @@ class RepairRunner(RepairEngine):
 
     ``engine_options`` are :class:`~repro.repair.engine.RepairEngine`'s
     keyword arguments (``chunk_size``, ``slice_size``, ``concurrency``,
-    retry, timeout, hedging and journal settings).
+    retry, timeout and journal settings).
     """
 
     def __init__(
@@ -36,9 +36,6 @@ class RepairRunner(RepairEngine):
     ) -> None:
         super().__init__(cluster, store, injector, **engine_options)
         self.algorithm = algorithm
-
-    def _plan(self, chunk: ChunkId):
-        return self.algorithm.make_plan(chunk, self.store.code, self.injector), None
 
     def _schedule(self) -> None:
         if self._crashed:
@@ -64,7 +61,7 @@ class RepairRunner(RepairEngine):
 
     def _launch_chunk(self, chunk: ChunkId) -> None:
         try:
-            plan, _ = self._plan(chunk)
+            plan = self.algorithm.make_plan(chunk, self.store.code, self.injector)
         except ReproError:
             # No usable survivors or destinations left (a crash raced us).
             self._mark_lost(chunk)

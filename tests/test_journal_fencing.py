@@ -235,10 +235,33 @@ class TestPlacementValidation:
         with pytest.raises(ReproError):
             testbed.place_coordinator(repairer, 1)
 
-    def test_place_coordinator_needs_shard_binding(self):
-        config = ExperimentConfig.scaled(0.05, seed=0)
+    def test_unsharded_coordinator_is_zombie_fenced(self):
+        """An unsharded coordinator is shard 0 of a one-shard plane: it
+        can be pinned, and a partition that cuts its home off from the
+        journal fences it exactly like a shard-bound one."""
+        config = ExperimentConfig.scaled(0.05, seed=0, chunk_mb=16.0)
         testbed = Testbed.build(config)
-        testbed.enable_journal()
+        testbed.enable_journal(checkpoint_interval=None)
+        testbed.enable_integrity()
+        testbed.cluster.sim.run(until=1.0)
+        report = testbed.fail_nodes(1)
         repairer = testbed.make_repairer("ChameleonEC")
-        with pytest.raises(ReproError):
-            testbed.place_coordinator(repairer, 1)
+        repairer.repair(report.failed_chunks)
+        home = testbed.cluster.storage_nodes[-1].id
+        testbed.place_coordinator(repairer, home)
+        testbed.install_faults(
+            FaultTimeline().partition(0.1, [[home]], duration=4.0)
+        )
+        testbed.run_until(
+            lambda: testbed.zombie_stepdowns > 0
+            or testbed.cluster.sim.now > 60.0,
+            step=0.5,
+        )
+        assert testbed.zombie_stepdowns == 1 and repairer.crashed
+        assert testbed.journal.fenced_writes > 0
+        replacement = testbed.recover_repairer()
+        assert replacement.shard == 0
+        testbed.run_until(lambda: replacement.done, step=0.5)
+        assert testbed.zombie_stepdowns == 1
+        assert audit_fenced_writes(testbed.journal) == []
+        assert all(testbed.chunk_store.verify(c) for c in report.failed_chunks)

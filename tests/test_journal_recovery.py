@@ -73,7 +73,7 @@ class TestCrashTeardown:
 
     def test_crash_fences_the_journal(self, algorithm):
         testbed, _, _ = self.crashed_repairer(algorithm)
-        assert testbed.journal.state.fenced
+        assert testbed.journal.state.fenced_of(0)
 
 
 class TestExactlyOnceRecovery:
@@ -187,4 +187,4 @@ class TestRecoveryGuards:
         replacement = testbed.recover_repairer()
         assert type(replacement) is type(repairer)
         assert replacement.t_phase == 9.0
-        assert replacement.journal is testbed.journal
+        assert replacement.journal.journal is testbed.journal

@@ -1,9 +1,8 @@
 """Unit tests for the sharded journal surface: per-shard epochs and
 fences, shard-bound leases, the JournalShard write-through proxy,
-shard-scoped reconcile plans, and serialisation — including the
-byte-compatibility guarantee that unsharded journals keep the
-pre-sharding JSON format, plus a hypothesis round-trip property over
-multi-shard churn with checkpoint compaction."""
+shard-scoped reconcile plans, and serialisation, plus a hypothesis
+round-trip property over multi-shard churn with checkpoint
+compaction."""
 
 import json
 
@@ -39,7 +38,7 @@ class TestPerShardEpochs:
         assert journal.epoch_of(0) == 1
         assert journal.epoch_of(1) == 0
         assert journal.epoch_of(2) == 2
-        assert journal.epoch == 1  # the shard-0 compat property
+        assert journal.state.epoch_of(2) == 2  # the fold owns the epochs
 
     def test_fence_is_scoped_to_one_shard(self):
         journal = make_journal(lease_duration=1000.0)
@@ -215,20 +214,24 @@ class TestShardReconcile:
 
 
 class TestShardSerialisation:
-    def test_unsharded_json_has_no_shard_keys(self):
-        """Byte-compat: a single-coordinator journal serialises exactly
-        as it did before sharding existed."""
+    def test_one_shard_journal_names_its_shard_everywhere(self):
+        """One format for every plane: a single-coordinator journal
+        writes shard 0 exactly where a sharded one writes its ids."""
         journal = make_journal()
         journal.coordinator_started()
         journal.chunk_enqueued(C1)
         journal.plan_chosen(C1, destination=2, sources=[3], attempt=1)
         journal.checkpoint()
         doc = json.loads(journal.to_json())
-        assert "shard_epochs" not in doc
-        assert all("shard" not in record for record in doc["records"])
+        assert set(doc) == {
+            "lease_duration", "checkpoint_interval", "seq",
+            "compacted_records", "records",
+        }
+        assert all(record["shard"] == 0 for record in doc["records"])
         snap = doc["records"][-1]["payload"]["state"]
-        assert "shards" not in snap and "shard_of" not in snap
-        assert all("shard" not in lease for lease in snap["leases"])
+        assert snap["shards"] == [[0, 1, False]]
+        assert snap["shard_of"] == [[C1.stripe, C1.index, 0]]
+        assert [lease["shard"] for lease in snap["leases"]] == [0]
 
     def test_sharded_round_trip_restores_epochs_and_shard_map(self):
         journal = make_journal()
@@ -240,7 +243,8 @@ class TestShardSerialisation:
         journal.plan_chosen(C2, destination=4, sources=[5], attempt=1, shard=1)
         journal.fence(shard=1)
         clone = Journal.from_json(journal.to_json())
-        assert clone.epochs == journal.epochs == {0: 1, 1: 2}
+        assert [clone.epoch_of(s) for s in range(3)] == [1, 2, 0]
+        assert [journal.epoch_of(s) for s in range(3)] == [1, 2, 0]
         assert clone.state.snapshot() == journal.state.snapshot()
         assert clone.state.shard_of == {C1: 0, C2: 1}
         assert clone.state.fenced_of(1) and not clone.state.fenced_of(0)

@@ -146,7 +146,7 @@ class TestCheckpoints:
         after = journal.replay()
         assert list(after.pending) == list(before.pending) == chunks[5:]
         assert list(after.committed) == list(before.committed)
-        assert after.epoch == before.epoch
+        assert after.epoch_of(0) == before.epoch_of(0)
 
     def test_checkpoint_preserves_leases(self):
         journal = make_journal(lease_duration=42.0)
@@ -181,7 +181,7 @@ class TestSerialisation:
         journal.writeback_committed(C2)
         clone = Journal.from_json(journal.to_json())
         assert clone.lease_duration == 17.0
-        assert clone.epoch == journal.epoch
+        assert clone.epoch_of(0) == journal.epoch_of(0)
         assert len(clone.records) == len(journal.records)
         a, b = clone.replay(), journal.replay()
         assert list(a.pending) == list(b.pending)

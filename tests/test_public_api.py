@@ -144,7 +144,7 @@ def keywords(function) -> set[str]:
 class TestOptionRatchet:
     def test_repair_engine_options(self):
         assert keywords(RepairEngine.__init__) == {
-            "chunk_size", "slice_size", "concurrency", "final_write",
+            "chunk_size", "slice_size", "concurrency",
             "max_retries", "retry_backoff", "chunk_timeout", "journal",
         }
 

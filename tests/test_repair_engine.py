@@ -74,23 +74,24 @@ def test_nothing_keys_on_or_probes_a_repairer(relpath):
 
 
 @pytest.mark.parametrize(
-    ("journalled", "shard"),
-    [(False, None), (True, None), (True, 1)],
+    ("journalled", "shard", "expected"),
+    [(False, None, None), (True, None, 0), (True, 1, 1)],
     ids=["bare", "journalled", "sharded"],
 )
 @pytest.mark.parametrize("name", ["ChameleonEC", "CR", "PPR", "ECPipe"])
-def test_running_and_shard_follow_the_lifecycle(name, journalled, shard):
+def test_running_and_shard_follow_the_lifecycle(name, journalled, shard, expected):
+    """A journalled unsharded coordinator is shard 0 of a one-shard plane."""
     testbed = Testbed.build(ExperimentConfig.scaled(0.05, seed=0, num_chunks=3))
     if journalled:
         testbed.enable_journal()
     report = testbed.fail_nodes(1)
     repairer = testbed.make_repairer(name, shard=shard)
-    assert (repairer.running, repairer.shard) == (False, shard)
+    assert (repairer.running, repairer.shard) == (False, expected)
     assert repairer.recovery is None and repairer.home is None
     repairer.repair(report.failed_chunks)
-    assert (repairer.running, repairer.shard) == (True, shard)
+    assert (repairer.running, repairer.shard) == (True, expected)
     testbed.run_until(lambda: repairer.done)
     assert repairer.running  # a finished batch re-opens on add_chunks()
     repairer.crash()
     assert (repairer.running, repairer.crashed) == (False, True)
-    assert repairer.shard == shard
+    assert repairer.shard == expected

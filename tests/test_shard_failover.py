@@ -170,6 +170,27 @@ class TestTargetedCrash:
         testbed.recover_repairer(shard=target)
         testbed.run_until(all_done(testbed), limit=5000.0)
 
+    def test_shard_zero_crash_fells_an_unsharded_coordinator(self):
+        """An unsharded coordinator is shard 0 of a one-shard plane, so a
+        crash aimed at shard 0 brings it down and shard-0 recovery
+        resumes it."""
+        testbed = make_testbed(0)
+        report = testbed.fail_nodes(1)
+        repairer = testbed.make_repairer("ChameleonEC")
+        repairer.repair(report.failed_chunks)
+        testbed.inject_coordinator_crash(0.05, shard=0)
+        testbed.run_until(lambda: repairer.crashed, step=0.01, limit=100.0)
+        assert repairer.crashed and testbed.journal.state.fenced_of(0)
+        (blast,) = testbed.crash_blasts
+        assert blast["shard"] == 0 and blast["blast"] == 1.0
+        replacement = testbed.recover_repairer(shard=0)
+        assert replacement.shard == 0 and replacement.recovery.shard == 0
+        testbed.run_until(all_done(testbed), limit=5000.0)
+        repaired = set(repairer.completed) | set(replacement.completed)
+        assert repaired == set(report.failed_chunks)
+        assert not set(repairer.completed) & set(replacement.completed)
+        assert all(testbed.chunk_store.verify(c) for c in report.failed_chunks)
+
     def test_whole_plane_crash_still_fells_every_shard(self):
         testbed = make_testbed(0)
         report = testbed.fail_nodes(1)
