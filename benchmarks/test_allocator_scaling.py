@@ -17,8 +17,13 @@ nodes / 200 flows, where some departures free no remaining flow's
 bottleneck and some arrivals bind no other flow, and both must be
 answered as inert, without a fill, and where
 departures keep raising rates on the hot links, so the scheduler's ETA
-heap must be compacted to stay within ``4 * active + 64`` entries. The
-assertions are counts and simulated instants, not timings.
+heap must be compacted to stay within ``4 * active + 64`` entries. A
+fourth has the shape of foreground traffic, closed-loop single-slice
+requests on disjoint node pairs beside bulk flows on one hot link, where
+nearly every epoch is due before anything else and must close inline,
+without a trip through the event queue (``sim.events_inline`` against
+``alloc.passes``). The assertions are counts and simulated instants, not
+timings.
 """
 
 import numpy as np
@@ -34,7 +39,12 @@ from repro.sim import (
     Transfer,
     TransferManager,
 )
-from tests.oracles import FromScratchAllocator, ReferenceRateAllocator, hot_link_mix
+from tests.oracles import (
+    FromScratchAllocator,
+    QueueOnlySimulator,
+    ReferenceRateAllocator,
+    hot_link_mix,
+)
 
 RESOURCES_PER_GROUP = 4
 CHURN_WINDOW_S = 30.0
@@ -220,3 +230,79 @@ def test_hot_link_mix_answers_inert_departures_without_a_fill(benchmark):
     assert inert_arrivals >= 1
     for done, want in zip(completions, reference):
         assert abs(done - want) <= 1e-12 * want, (done, want)
+
+
+NUM_PAIRS = 16
+REQUESTS_PER_CLIENT = 40
+
+
+def _run_requests(sim_cls):
+    """One closed-loop client per disjoint node pair issues single-slice
+    requests over the pair's uplink and downlink, thinking between them
+    (every seventh not at all); four bulk transfers share one hot link.
+    Returns (registry, every request's (name, completion time) in
+    completion order)."""
+    sim = sim_cls()
+    manager = TransferManager(FlowScheduler(sim))
+    completions = []
+
+    def client(pair):
+        up = Resource(f"n{pair}.up", 100.0 + 3.0 * pair)
+        down = Resource(f"n{pair + NUM_PAIRS}.down", 120.0 + 5.0 * pair)
+
+        def issue(k):
+            if k == REQUESTS_PER_CLIENT:
+                return
+            size = 4.0 + (7 * pair + 13 * k) % 29
+            request = Transfer(f"q{pair}.{k}", (up, down), size=size, slice_size=size)
+            think = 0.0 if k % 7 == 6 else 0.01 * (1 + (pair + k) % 5)
+
+            def done(transfer):
+                completions.append((transfer.name, sim.now))
+                sim.schedule(think, issue, k + 1)
+
+            request.on_complete.append(done)
+            manager.start(request)
+
+        return issue
+
+    hot = Resource("hot", 300.0)
+    for i in range(4):
+        manager.start(Transfer(
+            f"bulk{i}", (Resource(f"b{i}.up", 150.0 + 10.0 * i), hot),
+            size=400.0 + 50.0 * i, slice_size=100.0,
+        ))
+    for pair in range(NUM_PAIRS):
+        sim.schedule(0.003 * pair, client(pair), 0)
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        sim.run()
+    finally:
+        set_registry(previous)
+    assert len(completions) == NUM_PAIRS * REQUESTS_PER_CLIENT
+    return registry, completions
+
+
+def test_request_epochs_close_inline(benchmark):
+    registry, completions = benchmark.pedantic(
+        _run_requests, args=(Simulator,), rounds=1, iterations=1
+    )
+    twin_registry, twin_completions = _run_requests(QueueOnlySimulator)
+
+    # Only the flow scheduler's recompute is deferred here.
+    passes, inline, events = (
+        int(registry.counter(name).value)
+        for name in ("alloc.passes", "sim.events_inline", "sim.events_dispatched")
+    )
+    emit(
+        benchmark,
+        f"Request epochs: {NUM_PAIRS} closed-loop clients x {REQUESTS_PER_CLIENT} "
+        "single-slice requests beside a hot link",
+        ["passes", "inline", "inline / passes", "events"],
+        [[passes, inline, round(inline / passes, 3), events]],
+    )
+    assert completions == twin_completions
+    assert events == twin_registry.counter("sim.events_dispatched").value
+    assert twin_registry.counter("sim.events_inline").value == 0
+    assert inline >= 0.9 * passes, f"{inline} of {passes} epochs inline"

@@ -142,6 +142,16 @@ def _replay(
     return (cap if cap > 0.0 else 0.0), True
 
 
+def _tightest(resources: tuple[Resource, ...]) -> tuple[float, Resource | None]:
+    """A lone flow's max-min rate and bottleneck: its first resource of
+    least capacity (none: unbounded, frozen by nothing)."""
+    rate, tightest = _INF, None
+    for res in resources:
+        if res.capacity < rate:
+            rate, tightest = res.capacity, res
+    return rate, tightest
+
+
 def allocate_rates(flows: Iterable[AllocatableFlow]) -> None:
     """Assign max-min fair rates to ``flows`` in place (from scratch)."""
     allocator = RateAllocator()
@@ -252,7 +262,11 @@ class RateAllocator:
         Three epochs keep the standing solution and run no fill (module
         docstring, orders 4 to 6): a *succession*'s arrival inherits the
         leaver's rate and bottleneck; an *inert* departure rewrites
-        nothing, an *inert* arrival only itself.
+        nothing, an *inert* arrival only itself. Two more close before
+        any discovery, as its result is known: departures that left no
+        users on the resources they dirtied rewrite nothing, and one
+        arrival alone on each of its resources takes its tightest
+        capacity.
         """
         flow_resources = self._flow_resources
         users = self._users
@@ -260,14 +274,16 @@ class RateAllocator:
         if self._left and not self._disturbed:
             if not self._fresh:
                 # Departures only (order 5); a flow without a record counts
-                # as frozen by the resource.
+                # as frozen by the resource. With no users left on any
+                # dirtied resource there is nothing to re-rate either.
                 touched = [res for res in self._dirty if res in users]
-                if touched and not any(
+                if not any(
                     (record.get(flow) or res) is res for res in touched for flow in users[res]
                 ):
                     self._left.clear()
                     self._dirty.clear()
-                    self.inert += 1
+                    if touched:
+                        self.inert += 1
                     return []
             elif len(self._left) == 1 and len(self._fresh) == 1:
                 ((resources, rate, bottleneck),) = self._left
@@ -278,6 +294,9 @@ class RateAllocator:
                     return self._stand(flow, rate, bottleneck, on_touch)
         elif len(self._fresh) == 1 and not self._disturbed:
             (flow,) = self._fresh
+            resources = flow_resources[flow]
+            if all(len(users[res]) == 1 for res in resources):
+                return self._stand(flow, *_tightest(resources), on_touch)  # a lone flow
             if (frozen := self._replay_arrival(flow)) is not None:
                 self.inert_arrivals += 1
                 return self._stand(flow, *frozen, on_touch)
@@ -337,12 +356,8 @@ class RateAllocator:
             # a lone flow's max-min rate is its tightest capacity.
             unshared, rank = [*rank, *unshared], {}
         changed: list[AllocatableFlow] = []
-        for flow in unshared:  # before any fill round; no resources: unbounded
-            rate, tightest = _INF, None
-            for res in flow_resources[flow]:
-                if res.capacity < rate:
-                    rate, tightest = res.capacity, res
-            record[flow] = tightest
+        for flow in unshared:  # before any fill round
+            rate, record[flow] = _tightest(flow_resources[flow])
             if rate != flow.rate:
                 if on_touch is not None:
                     on_touch(flow)
@@ -372,7 +387,7 @@ class RateAllocator:
         resources = self._flow_resources[flow]
         users, record = self._users, self._bottleneck
         if all(len(users[res]) == 1 for res in resources):
-            return None  # the lone-flow path; also a resource-less arrival
+            return None  # a lone flow, which recompute rates before asking
         plans = []  # per resource: capacity, users, rounds as (level, size) ascending
         for res in resources:
             rounds: dict[tuple[float, Resource | None], int] = {}

@@ -54,14 +54,27 @@ class Simulator:
 
     All timestamps are seconds of simulated time. Components schedule
     callbacks with :meth:`schedule` (relative) or :meth:`call_at`
-    (absolute) and the owner drives the loop with :meth:`run`.
+    (absolute) and the owner drives the loop with :meth:`run`, which
+    dispatches events in ``(time, seq)`` order, ``seq`` counting requests.
+
+    :meth:`defer` is ``schedule(0.0, ...)`` without the trip through the
+    queue when none is needed: the event takes its ``seq`` when it is
+    requested and is held beside the queue. When the callback that
+    deferred it returns, the loop runs it inline if no live queued event
+    comes before it, and otherwise queues it, where it waits its turn.
+    It is queued as well when the run stops (:meth:`stop`, an exception)
+    with it pending, and when it is requested outside :meth:`run`. The
+    dispatch order is the same either way. ``events_dispatched`` counts
+    every callback run, ``events_inline`` the deferred ones run inline.
     """
 
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
+        self._deferred: Event | None = None
         self.events_dispatched = 0
+        self.events_inline = 0
 
     @property
     def now(self) -> float:
@@ -69,11 +82,14 @@ class Simulator:
         return self._now
 
     def peek_next_time(self) -> float | None:
-        """Timestamp of the earliest queued event (None when drained).
+        """Timestamp of the earliest pending event (None when drained).
 
         Lets drivers jump straight to the next event instead of probing
         the clock in blind fixed steps.
         """
+        deferred = self._deferred
+        if deferred is not None and not deferred.cancelled:
+            return deferred.time  # now: nothing queued is earlier
         return self._queue.peek_time()
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -89,6 +105,34 @@ class Simulator:
                 f"cannot schedule at {time} before current time {self._now}"
             )
         return self._queue.push(max(time, self._now), callback, *args)
+
+    def defer(self, callback: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` to run now, after the current event.
+
+        Dispatched exactly where ``schedule(0.0, callback, *args)`` would
+        be, but run inline when the current callback returns if no live
+        queued event comes before it (class docstring). Holding a second
+        deferred event queues the first.
+        """
+        event = self._queue.reserve(self._now, callback, *args)
+        if not self._running:
+            self._queue.insert(event)
+            return event
+        if self._deferred is not None:
+            self._queue.insert(self._deferred)
+        self._deferred = event
+        return event
+
+    def runs_next(self, event: Event | None) -> bool:
+        """True when ``event`` is the deferred event and, as things stand,
+        runs inline as soon as the current callback returns."""
+        return (
+            event is not None
+            and event is self._deferred
+            and self._running
+            and not event.cancelled
+            and not self._queue.precedes(event)
+        )
 
     def every(self, interval: float, callback: Callable[[], Any]) -> PeriodicHook:
         """Install a repeating sampling hook on the clock.
@@ -122,31 +166,47 @@ class Simulator:
           ``now == until`` if and only if the run was not stopped early.
         """
         dispatched_before = self.events_dispatched
+        inline_before = self.events_inline
+        queue = self._queue
         self._running = True
         stopped = False
         try:
             while self._running:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                event = self._queue.pop()
-                assert event is not None
-                if event.time < self._now - 1e-9:
-                    raise SimulationError("event queue produced a past event")
-                self._now = event.time
+                event = self._deferred
+                if event is not None:
+                    self._deferred = None
+                    if event.cancelled:
+                        continue
+                    if queue.precedes(event):
+                        queue.insert(event)
+                        continue
+                    self.events_inline += 1
+                else:
+                    next_time = queue.peek_time()
+                    if next_time is None:
+                        break
+                    if until is not None and next_time > until:
+                        self._now = until
+                        break
+                    event = queue.pop()
+                    assert event is not None
+                    if event.time < self._now - 1e-9:
+                        raise SimulationError("event queue produced a past event")
+                    self._now = event.time
                 self.events_dispatched += 1
                 event.callback(*event.args)
             stopped = not self._running
         finally:
             self._running = False
+            if self._deferred is not None:
+                queue.insert(self._deferred)
+                self._deferred = None
         registry = get_registry()
         if registry.enabled:
             registry.counter("sim.events_dispatched").inc(
                 self.events_dispatched - dispatched_before
             )
+            registry.counter("sim.events_inline").inc(self.events_inline - inline_before)
         if (
             not stopped
             and until is not None
@@ -161,5 +221,6 @@ class Simulator:
         self._running = False
 
     def pending_events(self) -> int:
-        """Number of live events still queued."""
-        return len(self._queue)
+        """Number of live events still pending, a deferred one included."""
+        deferred = self._deferred
+        return len(self._queue) + (deferred is not None and not deferred.cancelled)

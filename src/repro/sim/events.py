@@ -45,6 +45,27 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
+    def reserve(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
+        """An event for ``callback(*args)`` at ``time`` holding the next
+        ``seq``, not yet queued: :meth:`insert` queues it later in the
+        place its ``seq`` gives it."""
+        return Event(time, next(self._counter), callback, args)
+
+    def insert(self, event: Event) -> None:
+        """Queue an event from :meth:`reserve`."""
+        heapq.heappush(self._heap, (event.time, event.seq, event))
+
+    def precedes(self, event: Event) -> bool:
+        """True when a live queued event comes before ``event`` in
+        ``(time, seq)`` order."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap:
+            return False
+        time, seq, _ = heap[0]
+        return time < event.time or (time == event.time and seq < event.seq)
+
     def pop(self) -> Event | None:
         """Pop the earliest live event, or None if the queue is drained."""
         heap = self._heap

@@ -105,8 +105,12 @@ class FlowScheduler:
 
     Mutations (start, cancel, capacity change) register with the
     allocator, which tracks the resources each one touched; the actual
-    rate recomputation is deferred to an immediate event so that a burst
-    of mutations at one timestamp pays for a single allocation *epoch*.
+    rate recomputation is one :meth:`Simulator.defer` event, so a burst
+    of mutations at one timestamp pays for a single allocation *epoch*,
+    and the epoch closes inline, without a trip through the event queue,
+    when nothing else is due before it. A completion that opens an epoch
+    leaves the completion event to the recompute when the engine says it
+    runs next (:meth:`Simulator.runs_next`): the recompute syncs it anyway.
     Each epoch re-rates only the contention component reachable from the
     touched resources (see :class:`repro.sim.allocator.RateAllocator`);
     flows outside it keep their rates, and their in-flight progress is
@@ -233,7 +237,7 @@ class FlowScheduler:
 
     def _request_recompute(self) -> None:
         if self._recompute_event is None or self._recompute_event.cancelled:
-            self._recompute_event = self.sim.schedule(0.0, self._do_recompute)
+            self._recompute_event = self.sim.defer(self._do_recompute)
 
     def _do_recompute(self) -> None:
         self._recompute_event = None
@@ -359,7 +363,8 @@ class FlowScheduler:
             self._complete_flow(flow)
         if finished:
             self._request_recompute()
-        self._sync_completion_event()
+        if not self.sim.runs_next(self._recompute_event):
+            self._sync_completion_event()
 
     def _complete_flow(self, flow: Flow) -> None:
         if flow.done or flow.cancelled:

@@ -18,6 +18,9 @@ beyond the ``_SHARE_SLACK`` constant and the ``Resource`` type.
   depends on neither fill, and the reference fill's answer for the same
   component; plus, after every epoch, a check of the bottleneck it
   recorded for each flow.
+* :class:`QueueOnlySimulator` — the engine with every deferred event sent
+  through the queue, so nothing runs inline; what a run on it computes
+  must equal the real engine's.
 
 :func:`hot_link_mix` is the stress recipe of the benchmark's ``hot_mix``
 workload (many flows fused into one component on a few hot links) at any
@@ -26,12 +29,14 @@ size, on any scheduler.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, KeysView
+from typing import Any, Callable, Iterable, KeysView
 
 import numpy as np
 
 from repro.cluster.node import MB, mbs
 from repro.sim.allocator import _SHARE_SLACK, AllocatableFlow, RateAllocator
+from repro.sim.engine import Simulator
+from repro.sim.events import Event
 from repro.sim.flows import Flow
 from repro.sim.resources import Resource
 
@@ -465,6 +470,16 @@ class AuditedRateAllocator(RateAllocator):
                     f"{what}: {flow!r} stands at {flow.rate!r}, a re-fill says {rate!r}"
                 )
         return flapped
+
+
+class QueueOnlySimulator(Simulator):
+    """``Simulator`` whose :meth:`defer` is ``schedule(0.0, ...)``: every
+    deferred event takes the trip through the queue, and
+    :meth:`~Simulator.runs_next` never confirms one, so a flow scheduler's
+    completion handler always syncs its own completion event."""
+
+    def defer(self, callback: Callable[..., Any], *args: Any) -> Event:
+        return self.schedule(0.0, callback, *args)
 
 
 def hot_link_mix(scheduler, nodes: int, flows: int, seed: int = 0) -> list[Flow]:

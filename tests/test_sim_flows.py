@@ -1,10 +1,12 @@
 """Tests for max-min fair allocation and fluid flow completion."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.sim import Flow, FlowScheduler, Resource, Simulator, allocate_rates
+from tests.oracles import AuditedRateAllocator, QueueOnlySimulator
 
 
 def make_env():
@@ -261,3 +263,118 @@ class TestEtaHeap:
         assert timeline == lazy_timeline
         # Without compaction the superseded entries do pile up.
         assert any(size > bound for size, bound in lazy.heap_after_recompute)
+
+
+# -- inline epochs: the engine against its queue-only twin -----------------
+
+
+class _RecordingAllocator(AuditedRateAllocator):
+    """Records every rate each epoch writes, in write order."""
+
+    def __init__(self, sim):
+        super().__init__(rel_tol=1e-12)
+        self.sim = sim
+        self.written = []
+
+    def recompute(self, on_touch=None):
+        changed = super().recompute(on_touch)
+        self.written.append((self.sim.now, [(flow.name, flow.rate) for flow in changed]))
+        return changed
+
+
+_GRID = (0.0, 0.5, 0.5, 1.0, 2.0, 2.0, 3.5)
+
+
+def _mixed_run(sim_cls, seed):
+    """One seeded mixed workload: closed-loop clients alone on their own
+    links, issuing the next request from the completion, at the same
+    instant through the queue or after a think time, and reading the
+    next event time and pending count when they do; flows over one hot
+    link, several arriving at one instant, some also crossing a client's
+    link; a zero-byte flow; cancellations; capacity changes of the hot
+    link (its component, then everything); and ``run(until=)`` pauses.
+    Every draw is made up front, so both twins run the same workload."""
+    rng = np.random.default_rng(seed)
+    sim = sim_cls()
+    allocator = _RecordingAllocator(sim)
+    sched = FlowScheduler(sim, allocator=allocator)
+    hot = Resource("hot", float(rng.integers(150, 400)))
+    resources = [hot]
+    flows = []
+    probes = []
+
+    def client(c, up, down, sizes, thinks):
+        def issue(k):
+            probes.append((sim.now, sim.peek_next_time(), sim.pending_events()))
+            if k == len(sizes):
+                return
+            flow = Flow(f"c{c}.{k}", float(sizes[k]), (up, down), tag="fg")
+            flows.append(flow)
+            if thinks[k] < 0.0:  # the next request from inside the completion
+                flow.on_complete.append(lambda _: issue(k + 1))
+            else:
+                flow.on_complete.append(lambda _: sim.schedule(thinks[k], issue, k + 1))
+            sched.start_flow(flow)
+
+        return issue
+
+    links = []
+    for c in range(int(rng.integers(2, 6))):
+        up = Resource(f"c{c}.up", float(rng.integers(80, 300)))
+        down = Resource(f"c{c}.down", float(rng.integers(80, 300)))
+        resources += [up, down]
+        links.append(down)
+        rounds = int(rng.integers(3, 9))
+        sizes = rng.integers(5, 200, size=rounds)
+        thinks = rng.choice([-1.0, -1.0, 0.0, 0.05, 0.5], size=rounds)
+        sim.call_at(float(rng.choice(_GRID)), client(c, up, down, sizes, thinks), 0)
+    for i in range(int(rng.integers(4, 14))):
+        own = Resource(f"h{i}.up", float(rng.integers(50, 500)))
+        resources.append(own)
+        path = (own, hot)
+        if rng.random() < 0.3:
+            path += (links[int(rng.integers(0, len(links)))],)
+        flow = Flow(f"h{i}", float(rng.integers(20, 600)), path, tag="repair")
+        flows.append(flow)
+        start = float(rng.choice(_GRID))
+        sim.call_at(start, sched.start_flow, flow)
+        if rng.random() < 0.25:
+            sim.call_at(start + float(rng.choice([0.0, 0.25, 1.5])), sched.cancel_flow, flow)
+    zero = Flow("zero", 0.0, (hot,))
+    flows.append(zero)
+    sim.call_at(float(rng.choice(_GRID)), sched.start_flow, zero)
+
+    def throttle(capacity, whole):
+        hot.set_capacity(capacity)
+        if whole:
+            sched.capacity_changed()
+        else:
+            sched.capacity_changed(hot)
+
+    for whole in (False, True):
+        when = float(rng.choice(_GRID)) + float(rng.choice([0.0, 0.75]))
+        sim.call_at(when, throttle, float(rng.integers(100, 400)), whole)
+    for pause in sorted(rng.uniform(0.0, 4.0, size=int(rng.integers(0, 4)))):
+        sim.run(until=float(pause))
+    sim.run()
+    assert all(flow.done or flow.cancelled for flow in flows)
+    return {
+        "completions": [(flow.name, flow.completed_at, flow.cancelled) for flow in flows],
+        "written": allocator.written,
+        "bytes": {res.name: dict(res.bytes_by_tag) for res in resources},
+        "events": sim.events_dispatched,
+        "probes": probes,
+    }, sim.events_inline
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_inline_epochs_match_the_queue_only_twin(seed):
+    """Running an epoch inline when nothing comes before it, and leaving
+    the completion event to it, changes no completion instant, no written
+    rate, no byte count, nothing a callback reads off the engine and not
+    the number of dispatched events."""
+    run, inline = _mixed_run(Simulator, seed)
+    twin, twin_inline = _mixed_run(QueueOnlySimulator, seed)
+    assert run == twin
+    assert twin_inline == 0
+    assert inline > 0

@@ -151,7 +151,15 @@ _EVENT_OPS = st.one_of(
     st.tuples(st.just("schedule"), st.sampled_from(_GRID)),
     st.tuples(st.just("call_at"), st.sampled_from(_GRID)),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
+    st.tuples(st.just("defer"), st.just(0)),
+    st.tuples(st.just("cancel_last"), st.just(0)),
+    st.tuples(st.just("stop"), st.just(0)),
+    st.tuples(st.just("raise"), st.just(0)),
 )
+
+
+class _Boom(Exception):
+    pass
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,35 +169,52 @@ _EVENT_OPS = st.one_of(
     st.integers(min_value=0, max_value=3),
 )
 def test_dispatch_is_exactly_time_then_push_order(ops, upfront, burst):
-    """Whatever interleaving of ``schedule`` / ``call_at`` / ``cancel``
-    runs before and *during* the loop, the event dispatched next is the
-    live one with the smallest ``(time, seq)``, where ``seq`` counts
-    pushes. Callbacks are closures and their args bare objects — neither
-    is orderable, so a heap that ever compared past ``seq`` would raise
-    ``TypeError`` here."""
+    """Whatever interleaving of ``schedule`` / ``call_at`` / ``defer`` /
+    ``cancel`` runs before and *during* the loop, the event dispatched next
+    is the live one with the smallest ``(time, seq)``, where ``seq`` counts
+    requests, whether it comes off the queue or a deferred one runs
+    inline. ``pending_events`` and ``peek_next_time`` count a deferred
+    event, one cancelled before its opener returns never fires, and one
+    pending when a callback stops the run or raises stays queued for the
+    next ``run``. Callbacks are closures and their args bare objects —
+    neither is orderable, so a heap that ever compared past ``seq`` would
+    raise ``TypeError`` here."""
     sim = Simulator()
     pending: dict[int, tuple[float, int]] = {}  # id -> (time, seq)
     events = []
     fired = []
     todo = iter(ops)
 
-    def apply(op):
+    def apply(op, in_loop):
         kind, value = op
-        if kind == "cancel":
+        if kind in ("cancel", "cancel_last"):
             if events:
-                ident = value % len(events)
+                ident = value % len(events) if kind == "cancel" else len(events) - 1
                 events[ident].cancel()
                 pending.pop(ident, None)
+            return
+        if kind == "stop":
+            sim.stop()
+            return
+        if kind == "raise":
+            if in_loop:
+                raise _Boom
             return
         ident = len(events)
         callback = lambda token, meta, ident=ident: fire(ident)
         if kind == "schedule":
             event = sim.schedule(value, callback, object(), {"id": ident})
-        else:
+        elif kind == "call_at":
             event = sim.call_at(max(value, sim.now), callback, object(), {"id": ident})
+        else:
+            event = sim.defer(callback, object(), {"id": ident})
         assert event.seq == ident
         events.append(event)
         pending[ident] = (event.time, event.seq)
+
+    def check_pending():
+        assert sim.pending_events() == len(pending)
+        assert sim.peek_next_time() == min((t for t, _ in pending.values()), default=None)
 
     def fire(ident):
         assert pending[ident] == min(pending.values())
@@ -198,18 +223,97 @@ def test_dispatch_is_exactly_time_then_push_order(ops, upfront, burst):
         for _ in range(burst):
             op = next(todo, None)
             if op is not None:
-                apply(op)
-        assert sim.pending_events() == len(pending)
+                apply(op, in_loop=True)
+        check_pending()
 
     for _ in range(upfront):
         op = next(todo, None)
         if op is not None:
-            apply(op)
-    assert sim.pending_events() == len(pending)
-    sim.run()
-    assert not pending
+            apply(op, in_loop=False)
+    check_pending()
+    while True:
+        try:
+            sim.run()
+        except _Boom:
+            pass
+        check_pending()
+        if not pending:
+            break
     assert len(set(fired)) == len(fired)
     assert sim.events_dispatched == len(fired)
+    assert sim.events_inline <= sum(kind == "defer" for kind, _ in ops)
+
+
+def _opener_run(then=None, rival=None):
+    """One event at t=1 defers ``"deferred"``, then calls ``then(sim,
+    event)``; a plain ``rival`` event is queued at t=``rival`` first.
+    Returns (sim, fired, what ``then`` returned)."""
+    sim = Simulator()
+    fired = []
+    seen = []
+
+    def opener():
+        fired.append("opener")
+        event = sim.defer(fired.append, "deferred")
+        seen.append(then(sim, event) if then is not None else None)
+
+    sim.call_at(1.0, opener)
+    if rival is not None:
+        sim.call_at(rival, fired.append, "rival")
+    return sim, fired, seen
+
+
+class TestDefer:
+    def test_runs_inline_when_nothing_comes_before_it(self):
+        sim, fired, seen = _opener_run(lambda sim, event: sim.runs_next(event), rival=2.0)
+        sim.run()
+        assert fired == ["opener", "deferred", "rival"]
+        assert seen == [True]
+        assert (sim.events_dispatched, sim.events_inline) == (3, 1)
+
+    def test_waits_for_an_earlier_event_at_the_same_instant(self):
+        sim, fired, seen = _opener_run(lambda sim, event: sim.runs_next(event), rival=1.0)
+        sim.run()
+        assert fired == ["opener", "rival", "deferred"]
+        assert seen == [False]
+        assert (sim.events_dispatched, sim.events_inline) == (3, 0)
+
+    def test_outside_run_it_is_queued(self):
+        sim = Simulator()
+        fired = []
+        event = sim.defer(fired.append, "deferred")
+        assert not sim.runs_next(event)
+        assert (sim.pending_events(), sim.peek_next_time()) == (1, 0.0)
+        sim.run()
+        assert fired == ["deferred"]
+        assert (sim.events_dispatched, sim.events_inline) == (1, 0)
+
+    def test_cancelled_before_its_opener_returns_it_never_fires(self):
+        sim, fired, _ = _opener_run(lambda sim, event: event.cancel())
+        sim.run()
+        assert fired == ["opener"]
+        assert sim.pending_events() == 0
+
+    @pytest.mark.parametrize("how", ["stop", "raise"])
+    def test_a_stopped_run_leaves_it_queued(self, how):
+        def halt(sim, event):
+            if how == "stop":
+                sim.stop()
+                return sim.runs_next(event)
+            raise _Boom
+
+        sim, fired, seen = _opener_run(halt, rival=2.0)
+        if how == "stop":
+            assert sim.run(until=5.0) == 1.0
+            assert seen == [False]
+        else:
+            with pytest.raises(_Boom):
+                sim.run()
+        assert fired == ["opener"]
+        assert (sim.pending_events(), sim.peek_next_time()) == (2, 1.0)
+        sim.run()
+        assert fired == ["opener", "deferred", "rival"]
+        assert sim.events_inline == 0
 
 
 def test_thousand_same_instant_events_fire_in_push_order():
