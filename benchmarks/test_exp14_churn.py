@@ -6,21 +6,21 @@ from repro.experiments.exp14_churn import HEADERS, rows, run_exp14
 
 
 def test_exp14_churn(benchmark, bench_scale):
-    results = benchmark.pedantic(
+    cells = benchmark.pedantic(
         run_exp14, kwargs={"scale": bench_scale}, rounds=1, iterations=1
     )
     emit(benchmark, "Exp#14: repair under churn (mid-repair crash + straggler)",
-         HEADERS, rows(results))
-    for (algorithm, churn), run in results.items():
+         HEADERS, rows(cells))
+    for (algorithm, churn), cell in cells.items():
         # Within the code's tolerance nothing may be lost, ever.
-        assert run.lost_chunks == 0, (algorithm, churn)
+        assert cell["lost_chunks"] == 0, (algorithm, churn)
         if churn:
             # The crash adds the dead node's chunks to the batch...
-            assert run.adopted_chunks > 0, algorithm
+            assert cell["adopted_chunks"] > 0, algorithm
             # ...and churn can only extend the repair.
-            assert run.repair_time >= results[(algorithm, False)].repair_time
+            assert cell["repair_time_s"] >= cells[(algorithm, False)]["repair_time_s"]
     # The full system keeps its edge over the baselines under churn.
     assert (
-        results[("ChameleonEC", True)].repair_time
-        <= min(results[(a, True)].repair_time for a in ("CR", "PPR", "ECPipe")) * 1.1
+        cells[("ChameleonEC", True)]["repair_time_s"]
+        <= min(cells[(a, True)]["repair_time_s"] for a in ("CR", "PPR", "ECPipe")) * 1.1
     )

@@ -6,25 +6,25 @@ from repro.experiments.exp15_scrub import HEADERS, rows, run_exp15
 
 
 def test_exp15_scrub(benchmark, bench_scale):
-    results = benchmark.pedantic(
+    cells = benchmark.pedantic(
         run_exp15, kwargs={"scale": bench_scale}, rounds=1, iterations=1
     )
     emit(benchmark, "Exp#15: background scrubbing (detection latency vs P99 inflation)",
-         HEADERS, rows(results))
-    nonzero = sorted(i for i in results if i > 0)
-    baseline = results[0.0]
+         HEADERS, rows(cells))
+    nonzero = sorted(i for i in cells if i > 0)
+    baseline = cells[0.0]
     # The window covers a full pass at every swept rate: nothing escapes.
     for intensity in nonzero:
-        run = results[intensity]
-        assert run.injected > 0, intensity
-        assert run.detected == run.injected, intensity
+        cell = cells[intensity]
+        assert cell["injected"] > 0, intensity
+        assert cell["detected"] == cell["injected"], intensity
     # Faster scans catch rot sooner...
-    latencies = [results[i].mean_detection_latency for i in nonzero]
+    latencies = [cells[i]["mean_detection_latency_s"] for i in nonzero]
     assert latencies == sorted(latencies, reverse=True), latencies
     # ...and scan more chunks in the same window...
-    scanned = [results[i].chunks_scanned for i in nonzero]
+    scanned = [cells[i]["chunks_scanned"] for i in nonzero]
     assert scanned == sorted(scanned), scanned
     # ...but the most aggressive scrubber visibly taxes the foreground.
-    assert results[nonzero[-1]].p99_latency > baseline.p99_latency
+    assert cells[nonzero[-1]]["p99_latency_s"] > baseline["p99_latency_s"]
     # The no-scrub baseline never detects anything.
-    assert baseline.detected == 0 and baseline.chunks_scanned == 0
+    assert baseline["detected"] == 0 and baseline["chunks_scanned"] == 0

@@ -6,23 +6,23 @@ from repro.experiments.exp16_failover import HEADERS, rows, run_exp16
 
 
 def test_exp16_failover(benchmark, bench_scale):
-    results = benchmark.pedantic(
+    cells = benchmark.pedantic(
         run_exp16, kwargs={"scale": bench_scale}, rounds=1, iterations=1
     )
     emit(benchmark, "Exp#16: coordinator failover (crash timing vs repair inflation)",
-         HEADERS, rows(results))
-    baseline = results[None]
-    crashed = sorted(f for f in results if f is not None)
-    assert baseline.repair_time > 0 and baseline.unverified == 0
+         HEADERS, rows(cells))
+    baseline = cells[None]
+    crashed = sorted(f for f in cells if f is not None)
+    assert baseline["repair_time_s"] > 0 and baseline["unverified"] == 0
     for frac in crashed:
-        run = results[frac]
+        cell = cells[frac]
         # Exactly-once, byte-exact, nothing written off.
-        assert run.duplicates == 0, frac
-        assert run.unverified == 0, frac
-        assert run.lost == 0, frac
-        assert run.completed_before + run.completed_after == run.chunks, frac
+        assert cell["duplicates"] == 0, frac
+        assert cell["unverified"] == 0, frac
+        assert cell["lost"] == 0, frac
+        assert cell["completed_before"] + cell["completed_after"] == cell["chunks"], frac
         # Downtime + re-execution can only lengthen the repair.
-        assert run.repair_time >= baseline.repair_time, frac
+        assert cell["repair_time_s"] >= baseline["repair_time_s"], frac
     # A later crash leaves less work to re-execute than an earlier one.
-    requeues = [results[f].requeued for f in crashed]
+    requeues = [cells[f]["requeued"] for f in crashed]
     assert requeues == sorted(requeues, reverse=True), requeues

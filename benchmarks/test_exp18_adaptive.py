@@ -6,35 +6,38 @@ from conftest import emit
 
 from repro.experiments.exp18_adaptive import (
     HEADERS,
+    SWEEP,
+    breach_windows,
+    deadline_met,
+    pairs,
     rows,
     run_exp18,
-    verdict_payload,
-    write_bench,
 )
+from repro.experiments.harness import write_verdict
 
 
 def test_exp18_adaptive(benchmark, bench_scale, tmp_path):
-    results = benchmark.pedantic(
+    cells = benchmark.pedantic(
         run_exp18, kwargs={"scale": bench_scale}, rounds=1, iterations=1
     )
     emit(benchmark, "Exp#18: adaptive admission control (off vs on)",
-         HEADERS, rows(results))
-    payload = verdict_payload(results, scale=bench_scale, seed=0)
+         HEADERS, rows(cells))
+    payload = SWEEP.verdict(cells, scale=bench_scale, seed=0)
     # The acceptance criterion: strictly fewer P99 breach windows with
     # the controller on, without blowing the repair deadline.
     assert payload["improved"], payload["p99_breach_windows"]
     assert payload["repair_deadline_met"]
     assert payload["passed"]
-    for trace, run in results.items():
+    for trace, (off, on) in pairs(cells).items():
         # Per-trace, closing the loop never makes interference worse.
-        assert run.on_breach_windows <= run.off_breach_windows, trace
-        assert run.on_deadline_met, trace
+        assert breach_windows(on) <= breach_windows(off), trace
+        assert deadline_met(on), trace
         # The controller actually acted somewhere in the chaos.
-        assert run.on.admission and not run.off.admission, trace
-    assert any(r.on.controller_backoffs > 0 for r in results.values())
+        assert on.admission and not off.admission, trace
+    assert any(on.controller_backoffs > 0 for _, on in pairs(cells).values())
     # Same-seed reruns serialise byte-identically (virtual time only).
     path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
-    write_bench(results, str(path_a), scale=bench_scale, seed=0)
-    write_bench(results, str(path_b), scale=bench_scale, seed=0)
+    write_verdict(SWEEP.verdict(cells, scale=bench_scale, seed=0), str(path_a))
+    write_verdict(SWEEP.verdict(cells, scale=bench_scale, seed=0), str(path_b))
     assert path_a.read_bytes() == path_b.read_bytes()
     assert json.loads(path_a.read_text())["experiment"] == "exp18_adaptive"

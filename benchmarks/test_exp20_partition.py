@@ -2,21 +2,17 @@
 
 from conftest import emit
 
-from repro.experiments.exp20_partition import (
-    HEADERS,
-    rows,
-    run_exp20,
-    verdict_payload,
-)
+from repro.experiments.exp20_partition import HEADERS, SWEEP, rows, run_exp20
+from repro.experiments.harness import nested
 
 
 def test_exp20_partition(benchmark, bench_scale):
-    results = benchmark.pedantic(
+    cells = benchmark.pedantic(
         run_exp20, kwargs={"scale": bench_scale}, rounds=1, iterations=1
     )
     emit(benchmark, "Exp#20: repair under network partitions",
-         HEADERS, rows(results))
-    payload = verdict_payload(results, scale=bench_scale, seed=0)
+         HEADERS, rows(cells))
+    payload = SWEEP.verdict(cells, scale=bench_scale, seed=0)
     # The headline gate: the failure detector strictly beats the
     # timeout-only baseline's p99 at every partition duration...
     assert payload["tail_reduced"], payload["p99_by_duration"]
@@ -27,19 +23,19 @@ def test_exp20_partition(benchmark, bench_scale):
     assert payload["exactly_once"], payload["zombie"]
     assert payload["fencing_held"], payload["zombie"]
     assert payload["passed"]
-    for duration, per in results["sweep"].items():
+    for duration, per in nested(cells).items():
         baseline, detector = per["baseline"], per["detector"]
         # The baseline pays a tail comparable to the cut itself; the
         # detector suspects within a few heartbeats instead.
-        assert detector.p99 < baseline.p99, duration
-        assert detector.suspicions > 0, duration
-        assert detector.suspect_replans > 0, duration
+        assert detector["p99_s"] < baseline["p99_s"], duration
+        assert detector["suspicions"] > 0, duration
+        assert detector["suspect_replans"] > 0, duration
         # Suspicion is judged against ground truth: a hard partition
         # must never be classified as a false positive.
-        assert detector.false_suspicions == 0, duration
-    zombie = results["zombie"]
-    assert zombie.fenced_writes > 0
-    assert zombie.stepdowns >= 1
-    assert zombie.stale_accepted == 0
-    assert zombie.double_commits == 0
-    assert zombie.unverified == 0
+        assert detector["false_suspicions"] == 0, duration
+    zombie = cells["zombie"]
+    assert zombie["fenced_writes"] > 0
+    assert zombie["stepdowns"] >= 1
+    assert zombie["stale_accepted"] == 0
+    assert zombie["double_commits"] == 0
+    assert zombie["unverified"] == 0

@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
-"""Full-system demo: racked cluster, real payloads, recorded traces.
+"""Full-system demo: racked cluster, real payloads, live foreground.
 
 Exercises the extension surfaces on top of the paper's core:
 
 1. a hierarchical cluster (4 racks, 3x oversubscribed core);
 2. a chunk store holding real encoded payloads (the Redis role);
-3. a trace recorded to CSV and replayed from the file;
-4. ChameleonEC repairing a failed node while the trace replays —
+3. ChameleonEC repairing a failed node while YCSB-A clients run —
    with every repaired chunk verified byte-for-byte at the end.
 """
-
-import tempfile
-from pathlib import Path
 
 from repro import MB, Testbed
 from repro.cluster import drop_node_chunks, encode_and_load
 from repro.repair import DataPlane
-from repro.traffic import FileTrace, TraceClient, record_trace, ycsb_a
+from repro.traffic import TraceClient, ycsb_a
 
 
 def main() -> None:
@@ -40,42 +36,36 @@ def main() -> None:
     chunk_store = encode_and_load(store, payload_size=512, seed=12)
     print(f"chunk store: {len(chunk_store)} payloads encoded and loaded")
 
-    # --- 3. a recorded trace, replayed from disk -------------------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        trace_path = Path(tmp) / "ycsb_a.csv"
-        record_trace(ycsb_a(seed=13), 2_000, trace_path)
-        print(f"trace: recorded 2000 YCSB-A requests to {trace_path.name}")
-        clients = []
-        for node in cluster.clients:
-            client = TraceClient(
-                cluster, node, FileTrace(trace_path), testbed.router,
-                num_requests=None, slice_size=1 * MB,
-            )
-            clients.append(client)
-            client.start()
-        cluster.sim.run(until=5.0)  # warm the bandwidth monitor
+    # --- 3. fail, repair, verify under foreground ----------------------------
+    clients = []
+    for node in cluster.clients:
+        client = TraceClient(
+            cluster, node, ycsb_a(seed=13), testbed.router,
+            num_requests=None, slice_size=1 * MB,
+        )
+        clients.append(client)
+        client.start()
+    cluster.sim.run(until=5.0)  # warm the bandwidth monitor
 
-        # --- 4. fail, repair, verify -------------------------------------------
-        report = testbed.injector.fail_nodes([0])
-        lost = drop_node_chunks(chunk_store, store, 0)
-        print(f"node 0 failed: {len(report.failed_chunks)} chunks, "
-              f"{len(lost)} payloads dropped")
-        chameleon = testbed.make_repairer("ChameleonEC")
-        plane = DataPlane(chunk_store, store)
-        plane.attach(chameleon)
-        chameleon.repair(report.failed_chunks)
-        testbed.run_until(lambda: chameleon.done, step=2.0)
-        for client in clients:
-            client.stop()
+    report = testbed.injector.fail_nodes([0])
+    lost = drop_node_chunks(chunk_store, store, 0)
+    print(f"node 0 failed: {len(report.failed_chunks)} chunks, "
+          f"{len(lost)} payloads dropped")
+    chameleon = testbed.make_repairer("ChameleonEC")
+    plane = DataPlane(chunk_store, store)
+    plane.attach(chameleon)
+    chameleon.repair(report.failed_chunks)
+    testbed.run_until(lambda: chameleon.done, step=2.0)
+    for client in clients:
+        client.stop()
 
-        plane.verify()
-        print(f"repair: {chameleon.meter.throughput / 1e6:.1f} MB/s over "
-              f"{chameleon.phase_index} phase(s); "
-              f"{len(plane.repaired)} chunks restored, all byte-identical")
-        p99 = clients[0].latency.p99 * 1000
-        print(f"foreground: P99 {p99:.2f} ms across "
-              f"{sum(c.issued for c in clients)} replayed requests")
-
+    plane.verify()
+    print(f"repair: {chameleon.meter.throughput / 1e6:.1f} MB/s over "
+          f"{chameleon.phase_index} phase(s); "
+          f"{len(plane.repaired)} chunks restored, all byte-identical")
+    p99 = clients[0].latency.p99 * 1000
+    print(f"foreground: P99 {p99:.2f} ms across "
+          f"{sum(c.issued for c in clients)} YCSB-A requests")
 
 if __name__ == "__main__":
     main()

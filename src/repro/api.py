@@ -509,11 +509,7 @@ class Testbed:
         lost = sum(len(r.lost) for r in self.repairers)
         unverified = 0
         if self.chunk_store is not None:
-            unverified = sum(
-                1
-                for chunk in self.chunk_store.chunks()
-                if not self.chunk_store.verify(chunk)
-            )
+            unverified = len(self.chunk_store.unsound())
         telemetry = RunTelemetry(
             end_time=self.cluster.sim.now,
             timeseries=self.timeseries,

@@ -17,7 +17,7 @@ on every block read and scrub pass.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -114,6 +114,15 @@ class ChunkStore:
         if chunk not in self._payloads or chunk in self._unreadable:
             return False
         return self.matches_checksum(chunk, self._payloads[chunk])
+
+    def unsound(self, chunks: Iterable[ChunkId] | None = None) -> list[ChunkId]:
+        """The chunks that fail :meth:`verify`, in the order given.
+
+        ``chunks`` defaults to every stored chunk; pass a batch to also
+        count the ones whose payload was dropped and never restored.
+        """
+        candidates = self.chunks() if chunks is None else chunks
+        return [chunk for chunk in candidates if not self.verify(chunk)]
 
     # -- fault injection surface -----------------------------------------------
 

@@ -19,13 +19,14 @@ import importlib
 import inspect
 import sys
 
-from repro.experiments.harness import format_table
+from repro.experiments.harness import format_table, write_verdict
 
 
 #: CLI name -> (module under ``repro.experiments``, its runner, its
 #: table list). A table list holds ``(title, headers, rows)`` triples,
 #: ``rows`` mapping the runner's result to table rows; it lives beside
-#: the ``rows`` functions it names.
+#: the ``rows`` functions it names. A module whose ``SWEEP`` names a
+#: ``document`` also writes that verdict document (``--out``).
 EXPERIMENTS = {
     "fig2": ("figures", "run_fig2", "FIG2_TABLES"),
     "fig4": ("motivation", "run_motivation", "TABLES"),
@@ -53,15 +54,6 @@ EXPERIMENTS = {
     "exp20": ("exp20_partition", "run_exp20", "TABLES"),
 }
 
-#: Experiments that write a machine-readable verdict document (--out);
-#: their modules add ``write_bench`` and ``headline(payload)``.
-BENCH_EXPERIMENTS = {
-    "exp17": "BENCH_chaos.json",
-    "exp18": "BENCH_adaptive.json",
-    "exp19": "BENCH_shard.json",
-    "exp20": "BENCH_partition.json",
-}
-
 
 def run_experiment(
     name: str, scale: float, seed: int, out: str | None = None
@@ -76,11 +68,12 @@ def run_experiment(
         **{k: v for k, v in (("scale", scale), ("seed", seed)) if k in accepted}
     )
     verdict = ""
-    if name in BENCH_EXPERIMENTS:
-        out = out or BENCH_EXPERIMENTS[name]
-        payload = module.write_bench(results, out, scale=scale, seed=seed)
+    sweep = getattr(module, "SWEEP", None)
+    if sweep is not None and sweep.document is not None:
+        out = out or sweep.document
+        payload = write_verdict(sweep.verdict(results, scale=scale, seed=seed), out)
         gate = "PASS" if payload["passed"] else "FAIL"
-        verdict = f" — {gate} ({module.headline(payload)}, verdicts in {out})"
+        verdict = f" — {gate} ({sweep.headline(payload)}, verdicts in {out})"
     return [
         (title + verdict, headers, rows(results))
         for title, headers, rows in getattr(module, tables_name)

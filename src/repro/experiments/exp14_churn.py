@@ -24,10 +24,9 @@ same *relative* point of the repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import Sweep, nested, ratio
 from repro.faults.timeline import FaultTimeline
 
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ChameleonEC")
@@ -40,33 +39,11 @@ STRAGGLER_DURATION = 3.0
 STRAGGLER_SEVERITY = 0.1
 
 
-@dataclass
-class ChurnRun:
-    """One (algorithm, faulted-or-not) measurement."""
-
-    algorithm: str
-    churn: bool
-    repair_time: float
-    repaired_chunks: int
-    adopted_chunks: int
-    retries: int
-    lost_chunks: int
-    p99_latency: float
-
-
-def _pick_fault_nodes(testbed: Testbed) -> tuple[int, int]:
-    """(crash target, straggler target): two distinct surviving helpers."""
-    alive = sorted(testbed.cluster.alive_storage_ids())
-    return alive[0], alive[1]
-
-
-def run_one(
-    config: ExperimentConfig, algorithm: str, *, churn: bool, warmup: float = 6.0
-) -> ChurnRun:
+def run_one(config: ExperimentConfig, algorithm: str, *, churn: bool) -> dict:
     """One full measurement: foreground + failure + (churn +) repair."""
     testbed = Testbed.build(config)
     testbed.start_foreground()
-    testbed.cluster.sim.run(until=testbed.cluster.sim.now + warmup)
+    testbed.cluster.sim.run(until=testbed.cluster.sim.now + 6.0)
     report = testbed.fail_nodes(1)
     repairer = testbed.make_repairer(algorithm)
     adopted: list = []
@@ -75,7 +52,8 @@ def run_one(
     factor = config.t_phase / 20.0  # offsets assume the paper's 20 s phase
     horizon = 0.0
     if churn:
-        crash_node, straggler_node = _pick_fault_nodes(testbed)
+        # Two distinct surviving helpers: the crash and straggler targets.
+        crash_node, straggler_node = sorted(testbed.cluster.alive_storage_ids())[:2]
         timeline = (
             FaultTimeline(seed=config.seed + 11)
             .crash(CRASH_AT * factor, crash_node)
@@ -100,54 +78,39 @@ def run_one(
     if testbed.cluster.sim.now < fg_horizon:
         testbed.cluster.sim.run(until=fg_horizon)
     testbed.stop_foreground()
-    return ChurnRun(
-        algorithm=algorithm,
-        churn=churn,
-        repair_time=repairer.meter.elapsed,
-        repaired_chunks=len(repairer.completed),
-        adopted_chunks=len(adopted),
-        retries=repairer.retries,
-        lost_chunks=len(repairer.lost),
-        p99_latency=testbed.latency.p99 if testbed.latency else 0.0,
-    )
+    return {
+        "repair_time_s": repairer.meter.elapsed,
+        "repaired_chunks": len(repairer.completed),
+        "adopted_chunks": len(adopted),
+        "retries": repairer.retries,
+        "lost_chunks": len(repairer.lost),
+        "p99_latency_s": testbed.latency.p99 if testbed.latency else 0.0,
+    }
 
 
-def run_exp14(
-    scale: float = 0.08,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ALGORITHMS,
-) -> dict[tuple[str, bool], ChurnRun]:
-    """{(algorithm, churn?): measurement} for fault-free and churn runs."""
+def grid(scale: float, seed: int):
+    """Cells keyed ``(algorithm, churn?)``: fault-free, then churn."""
     config = ExperimentConfig.scaled(scale, seed=seed)
-    results: dict[tuple[str, bool], ChurnRun] = {}
-    for algorithm in algorithms:
+    for algorithm in ALGORITHMS:
         for churn in (False, True):
-            results[(algorithm, churn)] = run_one(config, algorithm, churn=churn)
-    return results
+            yield (algorithm, churn), run_one(config, algorithm, churn=churn)
 
 
-def rows(results: dict[tuple[str, bool], ChurnRun]) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: churn impact per algorithm."""
-    algorithms = [a for a in ALGORITHMS if (a, False) in results or (a, True) in results]
     out = []
-    for algorithm in algorithms:
-        base = results.get((algorithm, False))
-        faulted = results.get((algorithm, True))
-        if base is None or faulted is None:
-            continue
-        p99_inflation = (
-            faulted.p99_latency / base.p99_latency if base.p99_latency > 0 else 0.0
-        )
+    for algorithm, runs in nested(cells).items():
+        base, faulted = runs[False], runs[True]
         out.append(
             [
                 algorithm,
-                base.repair_time,
-                faulted.repair_time,
-                faulted.repaired_chunks,
-                faulted.adopted_chunks,
-                faulted.retries,
-                faulted.lost_chunks,
-                p99_inflation,
+                base["repair_time_s"],
+                faulted["repair_time_s"],
+                faulted["repaired_chunks"],
+                faulted["adopted_chunks"],
+                faulted["retries"],
+                faulted["lost_chunks"],
+                ratio(faulted["p99_latency_s"], base["p99_latency_s"]),
             ]
         )
     return out
@@ -164,4 +127,12 @@ HEADERS = [
     "P99 inflation",
 ]
 
-TABLES = [("Exp#14: repair under churn (mid-repair crash + straggler)", HEADERS, rows)]
+SWEEP = Sweep(
+    "exp14_churn",
+    grid,
+    "Exp#14: repair under churn (mid-repair crash + straggler)",
+    HEADERS,
+    rows,
+)
+run_exp14 = SWEEP.run
+TABLES = SWEEP.tables

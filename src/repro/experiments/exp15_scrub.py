@@ -29,10 +29,9 @@ without changing the contention mechanism being measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import Sweep, ratio
 
 #: Scrub rate as a fraction of one node's disk-read bandwidth
 #: (0 = no scrubber: the P99 baseline).
@@ -50,28 +49,13 @@ SECTOR_ERRORS = 2
 PASS_MARGIN = 1.15
 
 
-@dataclass
-class ScrubRun:
-    """One (scrub intensity) measurement."""
-
-    intensity: float
-    rate_mbs: float
-    p99_latency: float
-    injected: int
-    detected: int
-    mean_detection_latency: float
-    max_detection_latency: float
-    chunks_scanned: int
-    scrub_passes: int
-
-
 def run_one(
     config: ExperimentConfig,
     intensity: float,
     *,
     rot_horizon: float,
     scan_window: float,
-) -> ScrubRun:
+) -> dict:
     """One fixed-duration run: foreground + bit-rot + paced scrubbing."""
     testbed = Testbed.build(config)
     testbed.enable_integrity()
@@ -95,69 +79,50 @@ def run_one(
     testbed.run_until(testbed.foreground_done, step=1.0)
 
     summary = testbed.ledger.summary()
-    return ScrubRun(
-        intensity=intensity,
-        rate_mbs=rate_mbs,
-        p99_latency=testbed.latency.p99 if testbed.latency else 0.0,
-        injected=int(summary["injected"]),
-        detected=int(summary["detected"]),
-        mean_detection_latency=summary["mean_detection_latency"],
-        max_detection_latency=summary["max_detection_latency"],
-        chunks_scanned=(
+    return {
+        "rate_mbs": rate_mbs,
+        "p99_latency_s": testbed.latency.p99 if testbed.latency else 0.0,
+        "injected": int(summary["injected"]),
+        "detected": int(summary["detected"]),
+        "mean_detection_latency_s": summary["mean_detection_latency"],
+        "max_detection_latency_s": summary["max_detection_latency"],
+        "chunks_scanned": (
             testbed.scrubber.chunks_scanned if testbed.scrubber else 0
         ),
-        scrub_passes=(
-            testbed.scrubber.passes_completed if testbed.scrubber else 0
-        ),
-    )
+    }
 
 
-def run_exp15(
-    scale: float = 0.08,
-    seed: int = 0,
-    intensities: tuple[float, ...] = INTENSITIES,
-) -> dict[float, ScrubRun]:
-    """{intensity: measurement} across the scrub-rate sweep."""
+def grid(scale: float, seed: int):
+    """Cells keyed by scrub intensity, across the scrub-rate sweep."""
     config = ExperimentConfig.scaled(scale, seed=seed, chunk_mb=CHUNK_MB)
     # Size the shared window off the store (a cheap probe testbed — the
     # stripe count depends on placement) and the slowest non-zero rate.
     probe = Testbed.build(config)
     store_bytes = len(probe.store) * probe.code.n * config.chunk_size
-    slowest = min((i for i in intensities if i > 0), default=1.0)
+    slowest = min(i for i in INTENSITIES if i > 0)
     scan_window = PASS_MARGIN * store_bytes / (slowest * config.disk_read_bw)
     rot_horizon = 0.5 * config.t_phase
-    return {
-        intensity: run_one(
-            config,
-            intensity,
-            rot_horizon=rot_horizon,
-            scan_window=scan_window,
+    for intensity in INTENSITIES:
+        yield intensity, run_one(
+            config, intensity, rot_horizon=rot_horizon, scan_window=scan_window
         )
-        for intensity in intensities
-    }
 
 
-def rows(results: dict[float, ScrubRun]) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: the detection-latency / P99-inflation trade-off."""
-    baseline = results.get(0.0)
+    baseline = cells[0.0]
     out = []
-    for intensity in sorted(results):
-        run = results[intensity]
-        inflation = (
-            run.p99_latency / baseline.p99_latency
-            if baseline is not None and baseline.p99_latency > 0
-            else 0.0
-        )
+    for intensity, cell in cells.items():
         out.append(
             [
                 intensity,
-                run.rate_mbs,
-                run.p99_latency * 1e3,
-                inflation,
-                f"{run.detected}/{run.injected}",
-                run.mean_detection_latency,
-                run.max_detection_latency,
-                run.chunks_scanned,
+                cell["rate_mbs"],
+                cell["p99_latency_s"] * 1e3,
+                ratio(cell["p99_latency_s"], baseline["p99_latency_s"]),
+                f"{cell['detected']}/{cell['injected']}",
+                cell["mean_detection_latency_s"],
+                cell["max_detection_latency_s"],
+                cell["chunks_scanned"],
             ]
         )
     return out
@@ -174,6 +139,12 @@ HEADERS = [
     "scanned",
 ]
 
-TABLES = [
-    ("Exp#15: background scrubbing (detection latency vs P99 inflation)", HEADERS, rows)
-]
+SWEEP = Sweep(
+    "exp15_scrub",
+    grid,
+    "Exp#15: background scrubbing (detection latency vs P99 inflation)",
+    HEADERS,
+    rows,
+)
+run_exp15 = SWEEP.run
+TABLES = SWEEP.tables

@@ -25,10 +25,9 @@ store — the full recovery path, not just the happy path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import Sweep, ratio
 
 #: Crash offset as a fraction of the crash-free repair time
 #: (None = no crash: the baseline).
@@ -43,30 +42,12 @@ MTTR_FRACTION = 0.25
 CHUNK_MB = 16.0
 
 
-@dataclass
-class FailoverRun:
-    """One (crash timing) measurement."""
-
-    crash_frac: float | None
-    repair_time: float
-    p99_latency: float
-    chunks: int
-    completed_before: int
-    completed_after: int
-    requeued: int
-    proven_committed: int
-    duplicates: int
-    unverified: int
-    journal_records: int
-    lost: int
-
-
 def run_one(
     config: ExperimentConfig,
     crash_frac: float | None,
     *,
     baseline_time: float | None = None,
-) -> FailoverRun:
+) -> dict:
     """One run: foreground + repair (+ optional crash & auto-recovery)."""
     testbed = Testbed.build(config)
     testbed.enable_journal()
@@ -96,72 +77,51 @@ def run_one(
     end = survivor.meter.finished_at
     recovery = survivor.recovery
     before = repairer.completed if survivor is not repairer else []
-    duplicates = len(set(before) & set(survivor.completed))
-    unverified = sum(
-        1 for c in report.failed_chunks if not testbed.chunk_store.verify(c)
-    )
-    return FailoverRun(
-        crash_frac=crash_frac,
-        repair_time=(end if end is not None else testbed.cluster.sim.now) - start,
-        p99_latency=testbed.latency.p99 if testbed.latency else 0.0,
-        chunks=len(report.failed_chunks),
-        completed_before=len(before),
-        completed_after=len(survivor.completed),
-        requeued=len(recovery.requeue) if recovery is not None else 0,
-        proven_committed=len(recovery.completed) if recovery is not None else 0,
-        duplicates=duplicates,
-        unverified=unverified,
-        journal_records=len(testbed.journal) + testbed.journal.compacted_records,
-        lost=len(survivor.lost),
-    )
+    return {
+        "repair_time_s": (
+            end if end is not None else testbed.cluster.sim.now
+        ) - start,
+        "p99_latency_s": testbed.latency.p99 if testbed.latency else 0.0,
+        "chunks": len(report.failed_chunks),
+        "completed_before": len(before),
+        "completed_after": len(survivor.completed),
+        "requeued": len(recovery.requeue) if recovery is not None else 0,
+        "duplicates": len(set(before) & set(survivor.completed)),
+        "unverified": len(testbed.chunk_store.unsound(report.failed_chunks)),
+        "journal_records": len(testbed.journal) + testbed.journal.compacted_records,
+        "lost": len(survivor.lost),
+    }
 
 
-def run_exp16(
-    scale: float = 0.08,
-    seed: int = 0,
-    crash_fractions: tuple = CRASH_FRACTIONS,
-) -> dict:
-    """{crash fraction: measurement} across the crash-timing sweep."""
+def grid(scale: float, seed: int):
+    """Cells keyed by crash fraction: the crash-free baseline first."""
     config = ExperimentConfig.scaled(scale, seed=seed, chunk_mb=CHUNK_MB)
     baseline = run_one(config, None)
-    results: dict = {None: baseline}
-    for frac in crash_fractions:
-        if frac is None:
-            continue
-        results[frac] = run_one(
-            config, frac, baseline_time=baseline.repair_time
+    yield None, baseline
+    for frac in CRASH_FRACTIONS[1:]:
+        yield frac, run_one(
+            config, frac, baseline_time=baseline["repair_time_s"]
         )
-    return results
 
 
-def rows(results: dict) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: inflation and exactly-once accounting per crash time."""
-    baseline = results.get(None)
+    baseline = cells[None]
     out = []
-    for frac in sorted(results, key=lambda f: -1.0 if f is None else f):
-        run = results[frac]
-        time_inflation = (
-            run.repair_time / baseline.repair_time
-            if baseline is not None and baseline.repair_time > 0
-            else 0.0
-        )
-        p99_inflation = (
-            run.p99_latency / baseline.p99_latency
-            if baseline is not None and baseline.p99_latency > 0
-            else 0.0
-        )
+    for frac, cell in cells.items():
         out.append(
             [
                 "none" if frac is None else frac,
-                run.repair_time,
-                time_inflation,
-                run.p99_latency * 1e3,
-                p99_inflation,
-                f"{run.completed_before}+{run.completed_after}/{run.chunks}",
-                run.requeued,
-                run.duplicates,
-                run.unverified,
-                run.journal_records,
+                cell["repair_time_s"],
+                ratio(cell["repair_time_s"], baseline["repair_time_s"]),
+                cell["p99_latency_s"] * 1e3,
+                ratio(cell["p99_latency_s"], baseline["p99_latency_s"]),
+                f"{cell['completed_before']}+{cell['completed_after']}"
+                f"/{cell['chunks']}",
+                cell["requeued"],
+                cell["duplicates"],
+                cell["unverified"],
+                cell["journal_records"],
             ]
         )
     return out
@@ -180,4 +140,12 @@ HEADERS = [
     "wal records",
 ]
 
-TABLES = [("Exp#16: coordinator failover (crash timing vs repair inflation)", HEADERS, rows)]
+SWEEP = Sweep(
+    "exp16_failover",
+    grid,
+    "Exp#16: coordinator failover (crash timing vs repair inflation)",
+    HEADERS,
+    rows,
+)
+run_exp16 = SWEEP.run
+TABLES = SWEEP.tables

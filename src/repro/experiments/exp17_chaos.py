@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import write_verdict
+from repro.experiments.harness import Sweep, ratio
 from repro.faults.timeline import FaultTimeline, NodeCrash
 from repro.slo import SLOReport, SLOSpec
 from repro.traffic.traces import TRACE_FACTORIES
@@ -357,46 +357,31 @@ def run_one(
     )
 
 
-def run_exp17(scale: float = 0.08, seed: int = 0,
-              traces: tuple[str, ...] | None = None) -> dict[str, ChaosRun]:
-    """{trace family: chaos measurement} across all traffic families.
+def grid(scale: float, seed: int):
+    """Cells keyed by trace family: one chaos run per traffic family.
 
     Alongside the per-trace single-coordinator runs, one sharded
     scenario rides the suite: the first trace family re-run with a
     2-shard control plane and two staggered shard crashes, so the gate
     exercises bounded-blast-radius failover under full chaos.
     """
-    chosen = tuple(TRACE_FACTORIES) if traces is None else traces
-    results = {
-        trace: run_one(
-            ExperimentConfig.scaled(
-                scale, seed=seed, chunk_mb=CHUNK_MB, trace=trace
-            )
+    def config(trace: str) -> ExperimentConfig:
+        return ExperimentConfig.scaled(
+            scale, seed=seed, chunk_mb=CHUNK_MB, trace=trace
         )
-        for trace in chosen
-    }
-    if chosen:
-        results[f"{chosen[0]} (2 shards)"] = run_one(
-            ExperimentConfig.scaled(
-                scale, seed=seed, chunk_mb=CHUNK_MB, trace=chosen[0]
-            ),
-            shards=2,
-        )
-    return results
+
+    for trace in TRACE_FACTORIES:
+        yield trace, run_one(config(trace))
+    first = next(iter(TRACE_FACTORIES))
+    yield f"{first} (2 shards)", run_one(config(first), shards=2)
 
 
-def verdict_payload(results: dict[str, ChaosRun], *,
-                    scale: float, seed: int) -> dict:
-    """The ``BENCH_chaos.json`` document (stable keys, virtual time only)."""
+def body(cells: dict[str, ChaosRun], _verdicts: dict) -> dict:
+    """``BENCH_chaos.json`` below its header (stable keys, virtual time only)."""
     return {
-        "experiment": "exp17_chaos",
-        "schema_version": 1,
-        "scale": scale,
-        "seed": seed,
-        "passed": all(run.gate.passed for run in results.values()),
-        "breaches_total": sum(len(r.gate.breaches) for r in results.values()),
+        "breaches_total": sum(len(r.gate.breaches) for r in cells.values()),
         "probe_breaches_total": sum(
-            len(r.probe.breaches) for r in results.values()
+            len(r.probe.breaches) for r in cells.values()
         ),
         "traces": {
             trace: {
@@ -405,26 +390,15 @@ def verdict_payload(results: dict[str, ChaosRun], *,
                 "tight_probe": run.probe.to_dict(),
                 "summary": run.summary(),
             }
-            for trace, run in results.items()
+            for trace, run in cells.items()
         },
     }
 
 
-def write_bench(results: dict[str, ChaosRun], path: str, *,
-                scale: float, seed: int) -> dict:
-    """Serialise the verdict document; returns the payload written."""
-    return write_verdict(verdict_payload(results, scale=scale, seed=seed), path)
-
-
-def rows(results: dict[str, ChaosRun]) -> list[list]:
+def rows(cells: dict[str, ChaosRun]) -> list[list]:
     """Table rows: the gate verdict and headline stats per trace family."""
     out = []
-    for trace, run in results.items():
-        inflation = (
-            run.worst_window_p99 / run.baseline_p99
-            if run.baseline_p99 > 0
-            else 0.0
-        )
+    for trace, run in cells.items():
         out.append(
             [
                 trace,
@@ -432,7 +406,7 @@ def rows(results: dict[str, ChaosRun]) -> list[list]:
                 len(run.gate.breaches),
                 run.repair_time,
                 run.baseline_p99 * 1e3,
-                inflation,
+                ratio(run.worst_window_p99, run.baseline_p99),
                 f"{run.detected}/{run.injected}",
                 run.windows,
                 run.repair_bw_peak_mbs,
@@ -455,9 +429,19 @@ HEADERS = [
     "probe breaches",
 ]
 
-TABLES = [("Exp#17: SLO-gated chaos suite", HEADERS, rows)]
-
-
-def headline(payload: dict) -> str:
-    """The CLI's one-line summary of the verdict document."""
-    return f"{payload['breaches_total']} gate breaches"
+SWEEP = Sweep(
+    "exp17_chaos",
+    grid,
+    "Exp#17: SLO-gated chaos suite",
+    HEADERS,
+    rows,
+    document="BENCH_chaos.json",
+    predicates={
+        "gate": lambda cells: all(run.gate.passed for run in cells.values())
+    },
+    body=body,
+    headline=lambda doc: f"{doc['breaches_total']} gate breaches",
+)
+run_exp17 = SWEEP.run
+verdict_payload = SWEEP.verdict
+TABLES = SWEEP.tables

@@ -25,13 +25,10 @@ only, sorted keys), so CI diffs the document instead of parsing logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.control import AIMDPolicy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.exp17_chaos import CHUNK_MB, ChaosRun, run_one
-from repro.experiments.harness import write_verdict
-from repro.slo import SLOReport
+from repro.experiments.harness import Sweep, nested
 from repro.traffic.traces import TRACE_FACTORIES
 
 #: The tight per-window inflation ceiling both runs are judged against.
@@ -60,148 +57,105 @@ POLICY = AIMDPolicy(
 )
 
 
-def _verdict(gate: SLOReport, name: str):
-    for verdict in gate.verdicts:
-        if verdict.spec.name == name:
-            return verdict
-    raise KeyError(name)
-
-
-@dataclass
-class AdaptiveRun:
-    """One traffic family's controller-off vs controller-on pair."""
-
-    trace: str
-    off: ChaosRun
-    on: ChaosRun
-
-    @property
-    def off_breach_windows(self) -> int:
-        return len(_verdict(self.off.gate, "chaos.p99").breaches)
-
-    @property
-    def on_breach_windows(self) -> int:
-        return len(_verdict(self.on.gate, "chaos.p99").breaches)
-
-    @property
-    def deadline_s(self) -> float:
-        return _verdict(self.on.gate, "chaos.repair-deadline").spec.threshold
-
-    @property
-    def on_deadline_met(self) -> bool:
-        return _verdict(self.on.gate, "chaos.repair-deadline").passed
-
-    @property
-    def off_deadline_met(self) -> bool:
-        return _verdict(self.off.gate, "chaos.repair-deadline").passed
-
-    def block(self) -> dict:
-        """The per-trace JSON block of ``BENCH_adaptive.json``."""
-        return {
-            "baseline_p99_ms": self.off.baseline_p99 * 1e3,
-            "p99_breach_windows": {
-                "controller_off": self.off_breach_windows,
-                "controller_on": self.on_breach_windows,
-            },
-            "worst_window_inflation": {
-                "controller_off": _verdict(self.off.gate, "chaos.p99").observed,
-                "controller_on": _verdict(self.on.gate, "chaos.p99").observed,
-            },
-            "repair_time_s": {
-                "controller_off": self.off.repair_time,
-                "controller_on": self.on.repair_time,
-            },
-            "repair_deadline_s": self.deadline_s,
-            "repair_deadline_met": {
-                "controller_off": self.off_deadline_met,
-                "controller_on": self.on_deadline_met,
-            },
-            "controller": {
-                "backoffs": self.on.controller_backoffs,
-                "recoveries": self.on.controller_recoveries,
-                "min_level": self.on.controller_min_level,
-            },
-            "slos": {
-                "controller_off": self.off.gate.to_dict(),
-                "controller_on": self.on.gate.to_dict(),
-            },
-        }
-
-
-def run_pair(config: ExperimentConfig) -> AdaptiveRun:
-    """The same chaos schedule, open-loop then closed-loop."""
-    off = run_one(config, p99_ceiling=TIGHT_CEILING)
-    on = run_one(
-        config, p99_ceiling=TIGHT_CEILING, admission={"policy": POLICY}
-    )
-    return AdaptiveRun(trace=config.trace, off=off, on=on)
-
-
-def run_exp18(scale: float = 0.08, seed: int = 0,
-              traces: tuple[str, ...] | None = None) -> dict[str, AdaptiveRun]:
-    """{trace family: off/on pair} across all traffic families."""
-    chosen = tuple(TRACE_FACTORIES) if traces is None else traces
-    return {
-        trace: run_pair(
-            ExperimentConfig.scaled(
-                scale, seed=seed, chunk_mb=CHUNK_MB, trace=trace
-            )
+def grid(scale: float, seed: int):
+    """Cells keyed ``(trace, "off" | "on")``: each traffic family's chaos
+    schedule open-loop, then closed-loop."""
+    for trace in TRACE_FACTORIES:
+        config = ExperimentConfig.scaled(
+            scale, seed=seed, chunk_mb=CHUNK_MB, trace=trace
         )
-        for trace in chosen
-    }
+        yield (trace, "off"), run_one(config, p99_ceiling=TIGHT_CEILING)
+        yield (trace, "on"), run_one(
+            config, p99_ceiling=TIGHT_CEILING, admission={"policy": POLICY}
+        )
 
 
-def verdict_payload(results: dict[str, AdaptiveRun], *,
-                    scale: float, seed: int) -> dict:
-    """The ``BENCH_adaptive.json`` document (stable keys, virtual time)."""
-    off_total = sum(r.off_breach_windows for r in results.values())
-    on_total = sum(r.on_breach_windows for r in results.values())
-    deadline_met = all(r.on_deadline_met for r in results.values())
+def pairs(cells: dict) -> dict[str, tuple[ChaosRun, ChaosRun]]:
+    """``{trace: (controller off, controller on)}`` in grid order."""
+    return {trace: (runs["off"], runs["on"]) for trace, runs in nested(cells).items()}
+
+
+def breach_windows(run: ChaosRun) -> int:
+    """Sampling windows whose foreground P99 broke the tight ceiling."""
+    return len(run.gate.verdict("chaos.p99").breaches)
+
+
+def deadline_met(run: ChaosRun) -> bool:
+    """True when the repair met the chaos deadline SLO."""
+    return run.gate.verdict("chaos.repair-deadline").passed
+
+
+def breach_totals(cells: dict) -> dict[str, int]:
+    """Breach windows summed over every trace, per controller mode."""
     return {
-        "experiment": "exp18_adaptive",
-        "schema_version": 1,
-        "scale": scale,
-        "seed": seed,
-        "tight_ceiling": TIGHT_CEILING,
-        "p99_breach_windows": {
-            "controller_off": off_total,
-            "controller_on": on_total,
+        f"controller_{mode}": sum(
+            breach_windows(run) for (_, m), run in cells.items() if m == mode
+        )
+        for mode in ("off", "on")
+    }
+
+
+def _saved(cells: dict) -> int:
+    """Breach windows the controller saved, over every trace."""
+    totals = breach_totals(cells)
+    return totals["controller_off"] - totals["controller_on"]
+
+
+def _both(value, off: ChaosRun, on: ChaosRun) -> dict:
+    return {"controller_off": value(off), "controller_on": value(on)}
+
+
+def block(off: ChaosRun, on: ChaosRun) -> dict:
+    """The per-trace JSON block of ``BENCH_adaptive.json``."""
+    return {
+        "baseline_p99_ms": off.baseline_p99 * 1e3,
+        "p99_breach_windows": _both(breach_windows, off, on),
+        "worst_window_inflation": _both(
+            lambda run: run.gate.verdict("chaos.p99").observed, off, on
+        ),
+        "repair_time_s": _both(lambda run: run.repair_time, off, on),
+        "repair_deadline_s": on.gate.verdict(
+            "chaos.repair-deadline"
+        ).spec.threshold,
+        "repair_deadline_met": _both(deadline_met, off, on),
+        "controller": {
+            "backoffs": on.controller_backoffs,
+            "recoveries": on.controller_recoveries,
+            "min_level": on.controller_min_level,
         },
-        # CI's gate: closing the loop must never make interference worse,
-        # and the acceptance bar is a strict improvement.
-        "no_worse": on_total <= off_total,
-        "improved": on_total < off_total,
-        "repair_deadline_met": deadline_met,
-        "passed": on_total < off_total and deadline_met,
+        "slos": _both(lambda run: run.gate.to_dict(), off, on),
+    }
+
+
+def body(cells: dict, verdicts: dict) -> dict:
+    """``BENCH_adaptive.json`` below its header (stable keys, virtual time)."""
+    return {
+        **verdicts,
+        "tight_ceiling": TIGHT_CEILING,
+        "p99_breach_windows": breach_totals(cells),
         "traces": {
-            trace: run.block() for trace, run in results.items()
+            trace: block(off, on) for trace, (off, on) in pairs(cells).items()
         },
     }
 
 
-def write_bench(results: dict[str, AdaptiveRun], path: str, *,
-                scale: float, seed: int) -> dict:
-    """Serialise the verdict document; returns the payload written."""
-    return write_verdict(verdict_payload(results, scale=scale, seed=seed), path)
-
-
-def rows(results: dict[str, AdaptiveRun]) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: breach windows and repair time, off vs on."""
     out = []
-    for trace, run in results.items():
+    for trace, (off, on) in pairs(cells).items():
         out.append(
             [
                 trace,
-                run.off_breach_windows,
-                run.on_breach_windows,
-                _verdict(run.off.gate, "chaos.p99").observed,
-                _verdict(run.on.gate, "chaos.p99").observed,
-                run.off.repair_time,
-                run.on.repair_time,
-                "yes" if run.on_deadline_met else "NO",
-                run.on.controller_backoffs,
-                run.on.controller_recoveries,
-                run.on.controller_min_level,
+                breach_windows(off),
+                breach_windows(on),
+                off.gate.verdict("chaos.p99").observed,
+                on.gate.verdict("chaos.p99").observed,
+                off.repair_time,
+                on.repair_time,
+                "yes" if deadline_met(on) else "NO",
+                on.controller_backoffs,
+                on.controller_recoveries,
+                on.controller_min_level,
             ]
         )
     return out
@@ -221,13 +175,33 @@ HEADERS = [
     "min level",
 ]
 
-TABLES = [("Exp#18: adaptive admission control", HEADERS, rows)]
 
-
-def headline(payload: dict) -> str:
-    """The CLI's one-line summary of the verdict document."""
-    breaches = payload["p99_breach_windows"]
+def _headline(doc: dict) -> str:
+    breaches = doc["p99_breach_windows"]
     return (
         f"breach windows {breaches['controller_off']} off vs "
         f"{breaches['controller_on']} on"
     )
+
+
+SWEEP = Sweep(
+    "exp18_adaptive",
+    grid,
+    "Exp#18: adaptive admission control",
+    HEADERS,
+    rows,
+    document="BENCH_adaptive.json",
+    # CI's gate: closing the loop must never make interference worse,
+    # and the acceptance bar is a strict improvement.
+    predicates={
+        "no_worse": lambda cells: _saved(cells) >= 0,
+        "improved": lambda cells: _saved(cells) > 0,
+        "repair_deadline_met": lambda cells: all(
+            deadline_met(on) for _, on in pairs(cells).values()
+        ),
+    },
+    body=body,
+    headline=_headline,
+)
+run_exp18 = SWEEP.run
+TABLES = SWEEP.tables

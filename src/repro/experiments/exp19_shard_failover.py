@@ -31,11 +31,10 @@ Everything is seeded and virtual-time only, so two runs with the same
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import write_verdict
+from repro.experiments.harness import Sweep, nested, ratio
 
 #: Shard counts swept (1 = the single-coordinator baseline plane).
 SHARD_COUNTS = (1, 2, 4)
@@ -52,37 +51,17 @@ MTTR_FRACTION = 0.25
 CHUNK_MB = 16.0
 
 
-@dataclass
-class ShardRun:
-    """One (shard count × crash timing) measurement."""
-
-    shards: int
-    crash_frac: float | None
-    crash_shard: int | None
-    repair_time: float
-    chunks: int
-    partition_sizes: list[int]
-    #: Fraction of open chunks stalled at the crash instant (0 = no crash).
-    blast: float
-    stalled: int
-    open_at_crash: int
-    completed_total: int
-    duplicates: int
-    requeued: int
-    proven_committed: int
-    unverified: int
-    lost: int
-    journal_records: int
-
-
 def run_one(
     config: ExperimentConfig,
     shards: int,
     crash_frac: float | None,
     *,
     baseline_time: float | None = None,
-) -> ShardRun:
-    """One run: foreground + N-shard repair (+ optional one-shard crash)."""
+) -> dict:
+    """One run: foreground + N-shard repair (+ optional one-shard crash).
+
+    A crash-free run is its own ``time_inflation`` baseline.
+    """
     testbed = Testbed.build(config)
     testbed.enable_journal()
     testbed.enable_integrity()
@@ -124,163 +103,107 @@ def run_one(
     for repairer in all_incarnations:
         completions.update(repairer.completed)
         lost_chunks.update(repairer.lost)
-    duplicates = sum(count - 1 for count in completions.values() if count > 1)
     recoveries = [r.recovery for r in all_incarnations if r.recovery]
-    blast_entry = testbed.crash_blasts[-1] if testbed.crash_blasts else None
+    blast = testbed.crash_blasts[-1] if testbed.crash_blasts else None
     finished = [
         r.meter.finished_at
         for r in testbed.repairers
         if r.meter.finished_at is not None
     ]
-    end = max(finished) if finished else testbed.cluster.sim.now
-    unverified = sum(
-        1 for c in report.failed_chunks if not testbed.chunk_store.verify(c)
-    )
-    return ShardRun(
-        shards=shards,
-        crash_frac=crash_frac,
-        crash_shard=crash_shard if crash_frac is not None else None,
-        repair_time=end - start,
-        chunks=len(report.failed_chunks),
-        partition_sizes=[len(p) for p in parts],
-        blast=blast_entry["blast"] if blast_entry else 0.0,
-        stalled=blast_entry["stalled"] if blast_entry else 0,
-        open_at_crash=blast_entry["open"] if blast_entry else 0,
-        completed_total=len(completions),
-        duplicates=duplicates,
-        requeued=sum(len(p.requeue) for p in recoveries),
-        proven_committed=sum(len(p.completed) for p in recoveries),
-        unverified=unverified,
-        lost=len(lost_chunks),
-        journal_records=len(testbed.journal) + testbed.journal.compacted_records,
-    )
-
-
-def run_exp19(
-    scale: float = 0.08,
-    seed: int = 0,
-    shard_counts: tuple = SHARD_COUNTS,
-    crash_fractions: tuple = CRASH_FRACTIONS,
-) -> dict:
-    """{shard count: {crash fraction: measurement}} across the sweep."""
-    config = ExperimentConfig.scaled(scale, seed=seed, chunk_mb=CHUNK_MB)
-    results: dict = {}
-    for shards in shard_counts:
-        baseline = run_one(config, shards, None)
-        per_shard: dict = {None: baseline}
-        for frac in crash_fractions:
-            if frac is None:
-                continue
-            per_shard[frac] = run_one(
-                config, shards, frac, baseline_time=baseline.repair_time
-            )
-        results[shards] = per_shard
-    return results
-
-
-def _mean_blast(per_shard: dict) -> float:
-    blasts = [
-        run.blast for frac, run in per_shard.items() if frac is not None
-    ]
-    return sum(blasts) / len(blasts) if blasts else 0.0
-
-
-def verdict_payload(results: dict, *, scale: float, seed: int) -> dict:
-    """The ``BENCH_shard.json`` document (stable keys, virtual time only)."""
-    shard_counts = sorted(results)
-    mean_blasts = {s: _mean_blast(results[s]) for s in shard_counts}
-    blast_shrinks = all(
-        mean_blasts[a] > mean_blasts[b]
-        for a, b in zip(shard_counts, shard_counts[1:])
-    )
-    all_runs = [run for per in results.values() for run in per.values()]
-    exactly_once = all(run.duplicates == 0 for run in all_runs)
-    repair_complete = all(
-        run.completed_total == run.chunks
-        and run.lost == 0
-        and run.unverified == 0
-        for run in all_runs
-    )
+    repair_time = (max(finished) if finished else testbed.cluster.sim.now) - start
     return {
-        "experiment": "exp19_shard_failover",
-        "schema_version": 1,
-        "scale": scale,
-        "seed": seed,
-        "passed": blast_shrinks and exactly_once and repair_complete,
-        "blast_shrinks": blast_shrinks,
-        "exactly_once": exactly_once,
-        "repair_complete": repair_complete,
+        "partition_sizes": [len(p) for p in parts],
+        "crash_shard": crash_shard if crash_frac is not None else None,
+        "repair_time_s": repair_time,
+        "time_inflation": ratio(
+            repair_time, repair_time if baseline_time is None else baseline_time
+        ),
+        # Fraction of open chunks stalled at the crash instant (0 = no crash).
+        "blast": blast["blast"] if blast else 0.0,
+        "stalled": blast["stalled"] if blast else 0,
+        "open_at_crash": blast["open"] if blast else 0,
+        "chunks": len(report.failed_chunks),
+        "completed": len(completions),
+        "duplicates": sum(n - 1 for n in completions.values() if n > 1),
+        "requeued": sum(len(p.requeue) for p in recoveries),
+        "proven_committed": sum(len(p.completed) for p in recoveries),
+        "unverified": len(testbed.chunk_store.unsound(report.failed_chunks)),
+        "lost": len(lost_chunks),
+        "journal_records": len(testbed.journal) + testbed.journal.compacted_records,
+    }
+
+
+def grid(scale: float, seed: int):
+    """Cells keyed ``(shards, crash fraction)``, each shard count's
+    crash-free baseline first."""
+    config = ExperimentConfig.scaled(scale, seed=seed, chunk_mb=CHUNK_MB)
+    for shards in SHARD_COUNTS:
+        baseline = run_one(config, shards, None)
+        yield (shards, None), baseline
+        for frac in CRASH_FRACTIONS[1:]:
+            yield (shards, frac), run_one(
+                config, shards, frac, baseline_time=baseline["repair_time_s"]
+            )
+
+
+def mean_blasts(cells: dict) -> dict[int, float]:
+    """Mean blast radius over each shard count's crash runs."""
+    means = {}
+    for shards, runs in sorted(nested(cells).items()):
+        blasts = [cell["blast"] for frac, cell in runs.items() if frac is not None]
+        means[shards] = sum(blasts) / len(blasts) if blasts else 0.0
+    return means
+
+
+def _blast_shrinks(cells: dict) -> bool:
+    means = list(mean_blasts(cells).values())
+    return all(a > b for a, b in zip(means, means[1:]))
+
+
+def body(cells: dict, verdicts: dict) -> dict:
+    """``BENCH_shard.json`` below its header (stable keys, virtual time only)."""
+    return {
+        **verdicts,
         "mean_blast_by_shards": {
-            str(s): mean_blasts[s] for s in shard_counts
+            str(s): blast for s, blast in mean_blasts(cells).items()
         },
         "shards": {
             str(shards): {
-                "crash_free_repair_s": per[None].repair_time,
-                "partition_sizes": per[None].partition_sizes,
+                "crash_free_repair_s": runs[None]["repair_time_s"],
+                "partition_sizes": runs[None]["partition_sizes"],
                 "runs": {
                     "none" if frac is None else str(frac): {
-                        "crash_shard": run.crash_shard,
-                        "repair_time_s": run.repair_time,
-                        "time_inflation": (
-                            run.repair_time / per[None].repair_time
-                            if per[None].repair_time > 0
-                            else 0.0
-                        ),
-                        "blast": run.blast,
-                        "stalled": run.stalled,
-                        "open_at_crash": run.open_at_crash,
-                        "chunks": run.chunks,
-                        "completed": run.completed_total,
-                        "duplicates": run.duplicates,
-                        "requeued": run.requeued,
-                        "proven_committed": run.proven_committed,
-                        "unverified": run.unverified,
-                        "lost": run.lost,
-                        "journal_records": run.journal_records,
+                        key: value
+                        for key, value in cell.items()
+                        if key != "partition_sizes"
                     }
-                    for frac, run in per.items()
+                    for frac, cell in runs.items()
                 },
             }
-            for shards, per in results.items()
+            for shards, runs in nested(cells).items()
         },
     }
 
 
-def write_bench(results: dict, path: str, *, scale: float, seed: int) -> dict:
-    """Serialise the verdict document; returns the payload written."""
-    return write_verdict(verdict_payload(results, scale=scale, seed=seed), path)
-
-
-def rows(results: dict) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: blast radius and exactly-once columns per cell."""
-    out = []
-    for shards in sorted(results):
-        per = results[shards]
-        baseline = per[None]
-        for frac in sorted(per, key=lambda f: -1.0 if f is None else f):
-            run = per[frac]
-            inflation = (
-                run.repair_time / baseline.repair_time
-                if baseline.repair_time > 0
-                else 0.0
-            )
-            out.append(
-                [
-                    shards,
-                    "none" if frac is None else frac,
-                    "-" if run.crash_shard is None else run.crash_shard,
-                    run.blast,
-                    f"{run.stalled}/{run.open_at_crash}",
-                    run.repair_time,
-                    inflation,
-                    f"{run.completed_total}/{run.chunks}",
-                    run.duplicates,
-                    run.requeued,
-                    run.unverified,
-                    run.journal_records,
-                ]
-            )
-    return out
+    return [
+        [
+            shards,
+            "none" if frac is None else frac,
+            "-" if cell["crash_shard"] is None else cell["crash_shard"],
+            cell["blast"],
+            f"{cell['stalled']}/{cell['open_at_crash']}",
+            cell["repair_time_s"],
+            cell["time_inflation"],
+            f"{cell['completed']}/{cell['chunks']}",
+            cell["duplicates"],
+            cell["requeued"],
+            cell["unverified"],
+            cell["journal_records"],
+        ]
+        for (shards, frac), cell in cells.items()
+    ]
 
 
 HEADERS = [
@@ -298,11 +221,34 @@ HEADERS = [
     "wal records",
 ]
 
-TABLES = [("Exp#19: sharded control-plane failover", HEADERS, rows)]
 
-
-def headline(payload: dict) -> str:
-    """The CLI's one-line summary of the verdict document."""
-    blasts = payload["mean_blast_by_shards"]
+def _headline(doc: dict) -> str:
+    blasts = doc["mean_blast_by_shards"]
     trend = " -> ".join(f"{blasts[s]:.2f}" for s in sorted(blasts, key=int))
     return f"mean blast radius {trend}"
+
+
+SWEEP = Sweep(
+    "exp19_shard_failover",
+    grid,
+    "Exp#19: sharded control-plane failover",
+    HEADERS,
+    rows,
+    document="BENCH_shard.json",
+    predicates={
+        "blast_shrinks": _blast_shrinks,
+        "exactly_once": lambda cells: all(
+            cell["duplicates"] == 0 for cell in cells.values()
+        ),
+        "repair_complete": lambda cells: all(
+            cell["completed"] == cell["chunks"]
+            and cell["lost"] == 0
+            and cell["unverified"] == 0
+            for cell in cells.values()
+        ),
+    },
+    body=body,
+    headline=_headline,
+)
+run_exp19 = SWEEP.run
+TABLES = SWEEP.tables

@@ -38,11 +38,9 @@ CI ``cmp``-diffs the document and asserts the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import write_verdict
+from repro.experiments.harness import Sweep, nested
 from repro.faults import FaultTimeline
 from repro.journal import audit_fenced_writes
 from repro.journal.records import COMMITTED
@@ -78,37 +76,6 @@ HEARTBEAT_INTERVAL = 0.25
 ZOMBIE_DURATION = 6.0
 
 
-@dataclass
-class PartitionRun:
-    """One (mode x partition duration) measurement."""
-
-    mode: str
-    duration: float
-    p99: float
-    repair_time: float
-    chunks: int
-    completed: int
-    lost: int
-    unverified: int
-    suspicions: int
-    false_suspicions: int
-    suspect_replans: int
-
-
-@dataclass
-class ZombieRun:
-    """The fencing scenario: an isolated-but-alive coordinator."""
-
-    fenced_writes: int
-    stepdowns: int
-    stale_accepted: int
-    double_commits: int
-    committed: int
-    chunks: int
-    unverified: int
-    repair_time: float
-
-
 def _p99(values: list[float]) -> float:
     if not values:
         return 0.0
@@ -124,7 +91,7 @@ def _cut_group(testbed: Testbed, failed_nodes) -> list[int]:
     return alive[:CUT_SIZE]
 
 
-def run_one(config: ExperimentConfig, mode: str, duration: float) -> PartitionRun:
+def run_one(config: ExperimentConfig, mode: str, duration: float) -> dict:
     """One run: foreground + repair racing a mid-repair partition."""
     testbed = Testbed.build(config)
     testbed.enable_journal()
@@ -154,26 +121,21 @@ def run_one(config: ExperimentConfig, mode: str, duration: float) -> PartitionRu
     end = testbed.cluster.sim.now
     testbed.stop_foreground()
     testbed.run_until(testbed.foreground_done, step=1.0)
-    unverified = sum(
-        1 for c in report.failed_chunks if not testbed.chunk_store.verify(c)
-    )
     detector = testbed.detector
-    return PartitionRun(
-        mode=mode,
-        duration=duration,
-        p99=_p99(completions),
-        repair_time=end - start,
-        chunks=len(report.failed_chunks),
-        completed=len(repairer.completed),
-        lost=len(repairer.lost),
-        unverified=unverified,
-        suspicions=len(detector.suspicions) if detector else 0,
-        false_suspicions=detector.false_suspicions if detector else 0,
-        suspect_replans=repairer.suspect_replans,
-    )
+    return {
+        "p99_s": _p99(completions),
+        "repair_time_s": end - start,
+        "chunks": len(report.failed_chunks),
+        "completed": len(repairer.completed),
+        "lost": len(repairer.lost),
+        "unverified": len(testbed.chunk_store.unsound(report.failed_chunks)),
+        "suspicions": len(detector.suspicions) if detector else 0,
+        "false_suspicions": detector.false_suspicions if detector else 0,
+        "suspect_replans": repairer.suspect_replans,
+    }
 
 
-def run_zombie(config: ExperimentConfig) -> ZombieRun:
+def run_zombie(config: ExperimentConfig) -> dict:
     """Partition a pinned coordinator away from the journal, then heal."""
     testbed = Testbed.build(config)
     testbed.enable_journal(checkpoint_interval=None)
@@ -210,143 +172,81 @@ def run_zombie(config: ExperimentConfig) -> ZombieRun:
     for record in testbed.journal.records:
         if record.kind == COMMITTED and record.chunk is not None:
             commits[record.chunk] = commits.get(record.chunk, 0) + 1
-    return ZombieRun(
-        fenced_writes=testbed.journal.fenced_writes,
-        stepdowns=testbed.zombie_stepdowns,
-        stale_accepted=len(audit_fenced_writes(testbed.journal)),
-        double_commits=sum(c - 1 for c in commits.values() if c > 1),
-        committed=len(commits),
-        chunks=len(report.failed_chunks),
-        unverified=sum(
-            1 for c in report.failed_chunks if not testbed.chunk_store.verify(c)
-        ),
-        repair_time=end - start,
-    )
-
-
-def run_exp20(
-    scale: float = 0.05,
-    seed: int = 0,
-    durations: tuple = DURATIONS,
-    modes: tuple = MODES,
-) -> dict:
-    """{"sweep": {duration: {mode: run}}, "zombie": ZombieRun}."""
-    config = ExperimentConfig.scaled(scale, seed=seed, chunk_mb=CHUNK_MB)
-    sweep: dict = {}
-    for duration in durations:
-        sweep[duration] = {
-            mode: run_one(config, mode, duration) for mode in modes
-        }
-    return {"sweep": sweep, "zombie": run_zombie(config)}
-
-
-def verdict_payload(results: dict, *, scale: float, seed: int) -> dict:
-    """The ``BENCH_partition.json`` document (stable keys, virtual time)."""
-    sweep = results["sweep"]
-    zombie: ZombieRun = results["zombie"]
-    tail_reduced = all(
-        per["detector"].p99 < per["baseline"].p99 for per in sweep.values()
-    )
-    all_runs = [run for per in sweep.values() for run in per.values()]
-    repair_complete = (
-        all(
-            run.completed == run.chunks
-            and run.lost == 0
-            and run.unverified == 0
-            for run in all_runs
-        )
-        and zombie.unverified == 0
-    )
-    exactly_once = zombie.double_commits == 0
-    fencing_held = (
-        zombie.stale_accepted == 0
-        and zombie.fenced_writes > 0
-        and zombie.stepdowns >= 1
-    )
     return {
-        "experiment": "exp20_partition",
-        "schema_version": 2,
-        "scale": scale,
-        "seed": seed,
-        "passed": tail_reduced and repair_complete and exactly_once and fencing_held,
-        "tail_reduced": tail_reduced,
-        "repair_complete": repair_complete,
-        "exactly_once": exactly_once,
-        "fencing_held": fencing_held,
-        "p99_by_duration": {
-            str(duration): {mode: run.p99 for mode, run in per.items()}
-            for duration, per in sweep.items()
-        },
-        "sweep": {
-            str(duration): {
-                mode: {
-                    "p99_s": run.p99,
-                    "repair_time_s": run.repair_time,
-                    "chunks": run.chunks,
-                    "completed": run.completed,
-                    "lost": run.lost,
-                    "unverified": run.unverified,
-                    "suspicions": run.suspicions,
-                    "false_suspicions": run.false_suspicions,
-                    "suspect_replans": run.suspect_replans,
-                }
-                for mode, run in per.items()
-            }
-            for duration, per in sweep.items()
-        },
-        "zombie": {
-            "fenced_writes": zombie.fenced_writes,
-            "stepdowns": zombie.stepdowns,
-            "stale_accepted": zombie.stale_accepted,
-            "double_commits": zombie.double_commits,
-            "committed": zombie.committed,
-            "chunks": zombie.chunks,
-            "unverified": zombie.unverified,
-            "repair_time_s": zombie.repair_time,
-        },
+        "fenced_writes": testbed.journal.fenced_writes,
+        "stepdowns": testbed.zombie_stepdowns,
+        "stale_accepted": len(audit_fenced_writes(testbed.journal)),
+        "double_commits": sum(c - 1 for c in commits.values() if c > 1),
+        "committed": len(commits),
+        "chunks": len(report.failed_chunks),
+        "unverified": len(testbed.chunk_store.unsound(report.failed_chunks)),
+        "repair_time_s": end - start,
     }
 
 
-def write_bench(results: dict, path: str, *, scale: float, seed: int) -> dict:
-    """Serialise the verdict document; returns the payload written."""
-    return write_verdict(verdict_payload(results, scale=scale, seed=seed), path)
-
-
-def rows(results: dict) -> list[list]:
-    """Table rows: one per (duration x mode), zombie scenario last."""
-    out = []
-    for duration in sorted(results["sweep"]):
+def grid(scale: float, seed: int):
+    """Cells keyed ``(duration, mode)`` across the sweep, then ``"zombie"``."""
+    config = ExperimentConfig.scaled(scale, seed=seed, chunk_mb=CHUNK_MB)
+    for duration in DURATIONS:
         for mode in MODES:
-            run = results["sweep"][duration].get(mode)
-            if run is None:
-                continue
-            out.append(
-                [
-                    duration,
-                    mode,
-                    run.p99,
-                    run.repair_time,
-                    f"{run.completed}/{run.chunks}",
-                    run.suspicions,
-                    run.false_suspicions,
-                    run.suspect_replans,
-                    "-",
-                    run.unverified,
-                ]
-            )
-    zombie = results["zombie"]
+            yield (duration, mode), run_one(config, mode, duration)
+    yield "zombie", run_zombie(config)
+
+
+def _fencing_held(cells: dict) -> bool:
+    zombie = cells["zombie"]
+    return (
+        zombie["stale_accepted"] == 0
+        and zombie["fenced_writes"] > 0
+        and zombie["stepdowns"] >= 1
+    )
+
+
+def body(cells: dict, verdicts: dict) -> dict:
+    """``BENCH_partition.json`` below its header (stable keys, virtual time)."""
+    per_duration = nested(cells)
+    return {
+        **verdicts,
+        "p99_by_duration": {
+            str(duration): {mode: cell["p99_s"] for mode, cell in per.items()}
+            for duration, per in per_duration.items()
+        },
+        "sweep": {str(duration): per for duration, per in per_duration.items()},
+        "zombie": cells["zombie"],
+    }
+
+
+def rows(cells: dict) -> list[list]:
+    """Table rows: one per (duration x mode), zombie scenario last."""
+    out = [
+        [
+            duration,
+            mode,
+            cell["p99_s"],
+            cell["repair_time_s"],
+            f"{cell['completed']}/{cell['chunks']}",
+            cell["suspicions"],
+            cell["false_suspicions"],
+            cell["suspect_replans"],
+            "-",
+            cell["unverified"],
+        ]
+        for duration, per in nested(cells).items()
+        for mode, cell in per.items()
+    ]
+    zombie = cells["zombie"]
     out.append(
         [
             ZOMBIE_DURATION,
             "zombie",
             "-",
-            zombie.repair_time,
-            f"{zombie.committed}/{zombie.chunks}",
+            zombie["repair_time_s"],
+            f"{zombie['committed']}/{zombie['chunks']}",
             "-",
             "-",
             "-",
-            zombie.fenced_writes,
-            zombie.unverified,
+            zombie["fenced_writes"],
+            zombie["unverified"],
         ]
     )
     return out
@@ -365,12 +265,35 @@ HEADERS = [
     "unverified",
 ]
 
-TABLES = [("Exp#20: partition-tolerant repair", HEADERS, rows)]
-
-
-def headline(payload: dict) -> str:
-    """The CLI's one-line summary of the verdict document."""
-    return (
-        f"tail_reduced={payload['tail_reduced']}, "
-        f"fenced {payload['zombie']['fenced_writes']} stale writes"
-    )
+SWEEP = Sweep(
+    "exp20_partition",
+    grid,
+    "Exp#20: partition-tolerant repair",
+    HEADERS,
+    rows,
+    document="BENCH_partition.json",
+    schema_version=2,
+    predicates={
+        "tail_reduced": lambda cells: all(
+            per["detector"]["p99_s"] < per["baseline"]["p99_s"]
+            for per in nested(cells).values()
+        ),
+        "repair_complete": lambda cells: all(
+            cell["completed"] == cell["chunks"]
+            and cell["lost"] == 0
+            and cell["unverified"] == 0
+            for per in nested(cells).values()
+            for cell in per.values()
+        )
+        and cells["zombie"]["unverified"] == 0,
+        "exactly_once": lambda cells: cells["zombie"]["double_commits"] == 0,
+        "fencing_held": _fencing_held,
+    },
+    body=body,
+    headline=lambda doc: (
+        f"tail_reduced={doc['tail_reduced']}, "
+        f"fenced {doc['zombie']['fenced_writes']} stale writes"
+    ),
+)
+run_exp20 = SWEEP.run
+TABLES = SWEEP.tables

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.driver import MAX_SIM_TIME, run_sim_until
@@ -16,8 +16,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> harness)
 __all__ = [
     "MAX_SIM_TIME",
     "RepairResult",
+    "Sweep",
     "format_table",
+    "nested",
     "pivot_rows",
+    "ratio",
     "run_repair_experiment",
     "run_sim_until",
     "run_trace_only",
@@ -43,7 +46,7 @@ class RepairResult:
     @property
     def throughput(self) -> float:
         """Average repair throughput in bytes/second."""
-        return self.repaired_bytes / self.repair_time if self.repair_time > 0 else 0.0
+        return ratio(self.repaired_bytes, self.repair_time)
 
     @property
     def throughput_mbs(self) -> float:
@@ -193,6 +196,24 @@ def run_trace_with_repair(
     return trace_time, result
 
 
+def nested(cells: dict) -> dict:
+    """``{(outer, inner): cell}`` as ``{outer: {inner: cell}}``, in grid order.
+
+    Keys that are not pairs (a sweep's one-off scenario) are left out.
+    """
+    out: dict = {}
+    for key, cell in cells.items():
+        if isinstance(key, tuple):
+            outer, inner = key
+            out.setdefault(outer, {})[inner] = cell
+    return out
+
+
+def ratio(value: float, baseline: float) -> float:
+    """``value / baseline``, or 0.0 against a non-positive baseline."""
+    return value / baseline if baseline > 0 else 0.0
+
+
 def pivot_rows(results: dict, algorithms, value, label) -> list[list]:
     """Table rows from a ``{(row key, algorithm): cell}`` result grid.
 
@@ -220,6 +241,54 @@ def write_verdict(payload: dict, path: str) -> dict:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return payload
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One experiment declared once: its grid, table and verdict document.
+
+    ``grid(scale, seed)`` yields ``(key, cell)`` pairs in measurement
+    order; being a generator, it can read the cells it measured before
+    (a crash run is timed off its crash-free baseline). ``rows`` renders
+    the whole ``{key: cell}`` mapping under ``headers``.
+
+    An experiment with a ``document`` also declares named ``predicates``
+    over the cells and a ``body(cells, verdicts)`` that lays out the rest
+    of the document, showing whichever predicate values it chooses; the
+    document's ``passed`` is the conjunction of every predicate.
+    """
+
+    name: str
+    grid: Callable[[float, int], Iterator[tuple]]
+    title: str
+    headers: list[str]
+    rows: Callable[[dict], list[list]]
+    document: str | None = None
+    schema_version: int = 1
+    predicates: dict[str, Callable[[dict], bool]] = field(default_factory=dict)
+    body: Callable[[dict, dict], dict] | None = None
+    headline: Callable[[dict], str] | None = None
+
+    def run(self, scale: float = 0.08, seed: int = 0) -> dict:
+        """Measure every cell of the grid: ``{key: cell}`` in grid order."""
+        return dict(self.grid(scale, seed))
+
+    @property
+    def tables(self) -> list[tuple]:
+        """The CLI's ``(title, headers, rows)`` table list."""
+        return [(self.title, self.headers, self.rows)]
+
+    def verdict(self, cells: dict, *, scale: float, seed: int) -> dict:
+        """The verdict document for ``cells`` (pass it to :func:`write_verdict`)."""
+        verdicts = {name: test(cells) for name, test in self.predicates.items()}
+        return {
+            "experiment": self.name,
+            "schema_version": self.schema_version,
+            "scale": scale,
+            "seed": seed,
+            "passed": all(verdicts.values()),
+            **self.body(cells, verdicts),
+        }
 
 
 def format_table(title: str, headers: list[str], rows: list[list]) -> str:

@@ -194,11 +194,7 @@ class DataPlane:
                 f"{self.mismatches[:5]}"
             )
         if deep:
-            unsound = [
-                chunk
-                for chunk in self.chunk_store.chunks()
-                if not self.chunk_store.verify(chunk)
-            ]
+            unsound = self.chunk_store.unsound()
             if unsound:
                 raise PlanError(
                     f"{len(unsound)} stored chunk(s) fail checksum "

@@ -12,7 +12,6 @@ from repro.traffic.distributions import (
 )
 from repro.traffic.router import KeyRouter
 from repro.traffic.schedule import TransitioningTrace
-from repro.traffic.tracefile import FileTrace, load_trace, record_trace, save_trace
 from repro.traffic.traces import (
     TRACE_FACTORIES,
     Request,
@@ -27,13 +26,9 @@ from repro.traffic.traces import (
 
 __all__ = [
     "FOREGROUND_TAG",
-    "FileTrace",
     "FixedSize",
     "GEVSize",
     "KeyRouter",
-    "load_trace",
-    "record_trace",
-    "save_trace",
     "LognormalSize",
     "LogUniformSize",
     "ParetoSize",

@@ -13,8 +13,8 @@ from repro.experiments.exp17_chaos import (
     rows,
     run_one,
     verdict_payload,
-    write_bench,
 )
+from repro.experiments.harness import write_verdict
 from repro.slo import SLOSpec
 
 
@@ -94,7 +94,9 @@ class TestBenchDocument:
     def test_write_bench_round_trips(self, chaos_pair, tmp_path):
         run, _ = chaos_pair
         path = tmp_path / "BENCH_chaos.json"
-        payload = write_bench({"YCSB-A": run}, str(path), scale=0.05, seed=0)
+        payload = write_verdict(
+            verdict_payload({"YCSB-A": run}, scale=0.05, seed=0), str(path)
+        )
         on_disk = json.loads(path.read_text())
         assert on_disk == json.loads(json.dumps(payload))
         assert on_disk["experiment"] == "exp17_chaos"

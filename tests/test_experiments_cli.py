@@ -1,8 +1,150 @@
 """Tests for the experiment CLI and row formatters (no heavy simulation)."""
 
+import importlib
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.experiments import (
+    exp14_churn,
+    exp15_scrub,
+    exp16_failover,
+    exp17_chaos,
+    exp18_adaptive,
+    exp19_shard_failover,
+    exp20_partition,
+)
 from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.exp17_chaos import ChaosRun
+from repro.slo import SLOBreach, SLOReport, SLOSpec, SLOVerdict
+
+SWEEP_MODULES = [
+    exp14_churn, exp15_scrub, exp16_failover, exp17_chaos, exp18_adaptive,
+    exp19_shard_failover, exp20_partition,
+]
+CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+
+
+def short_name(module):
+    return module.__name__.rsplit(".", 1)[-1]
+
+
+def chaos_run(p99_breaches=0, *, deadline_met=True, admission=False):
+    """A hand-made chaos cell with ``p99_breaches`` breached windows."""
+    p99 = SLOVerdict(
+        SLOSpec("chaos.p99", "foreground_p99_inflation", 3.0),
+        passed=p99_breaches == 0,
+        observed=2.0 + p99_breaches,
+        breaches=[
+            SLOBreach("chaos.p99", 1.0 + w, 4.0, 3.0, window=w)
+            for w in range(p99_breaches)
+        ],
+    )
+    deadline = SLOVerdict(
+        SLOSpec("chaos.repair-deadline", "repair_deadline", 60.0),
+        passed=deadline_met,
+        observed=10.0,
+    )
+    return ChaosRun(
+        trace="YCSB-A", shards=1, gate=SLOReport([p99, deadline]),
+        probe=SLOReport([deadline]), repair_time=10.0, baseline_p99=0.002,
+        worst_window_p99=0.006, chunks=4, injected=2, detected=2, restored=2,
+        windows=8, series=5, repair_bw_peak_mbs=100.0, scrub_bw_peak_mbs=10.0,
+        foreground_bw_mean_mbs=50.0, admission=admission,
+    )
+
+
+def churn_cell(p99):
+    return {"repair_time_s": 4.0, "repaired_chunks": 6, "adopted_chunks": 2,
+            "retries": 1, "lost_chunks": 0, "p99_latency_s": p99}
+
+
+def scrub_cell(p99):
+    return {"rate_mbs": 50.0, "p99_latency_s": p99, "injected": 8,
+            "detected": 8, "mean_detection_latency_s": 3.0,
+            "max_detection_latency_s": 6.0, "chunks_scanned": 40}
+
+
+def failover_cell(repair_time):
+    return {"repair_time_s": repair_time, "p99_latency_s": 0.002, "chunks": 6,
+            "completed_before": 2, "completed_after": 4, "requeued": 1,
+            "duplicates": 0, "unverified": 0, "journal_records": 30, "lost": 0}
+
+
+def shard_cell(blast, **changes):
+    cell = {"partition_sizes": [3, 3], "crash_shard": 0, "repair_time_s": 10.0,
+            "time_inflation": 1.2, "blast": blast, "stalled": 2,
+            "open_at_crash": 4, "chunks": 6, "completed": 6, "duplicates": 0,
+            "requeued": 1, "proven_committed": 1, "unverified": 0, "lost": 0,
+            "journal_records": 30}
+    return {**cell, **changes}
+
+
+def partition_cell(p99, **changes):
+    cell = {"p99_s": p99, "repair_time_s": 5.0, "chunks": 4, "completed": 4,
+            "lost": 0, "unverified": 0, "suspicions": 1,
+            "false_suspicions": 0, "suspect_replans": 1}
+    return {**cell, **changes}
+
+
+def zombie_cell(**changes):
+    cell = {"fenced_writes": 3, "stepdowns": 1, "stale_accepted": 0,
+            "double_commits": 0, "committed": 4, "chunks": 4,
+            "unverified": 0, "repair_time_s": 8.0}
+    return {**cell, **changes}
+
+
+def hand_made_cells(module):
+    """Cells for ``module``'s sweep, made by hand; every predicate holds."""
+    return {
+        exp14_churn: lambda: {("CR", False): churn_cell(0.002),
+                              ("CR", True): churn_cell(0.004)},
+        exp15_scrub: lambda: {0.0: scrub_cell(0.002), 0.5: scrub_cell(0.003)},
+        exp16_failover: lambda: {None: failover_cell(4.0), 0.2: failover_cell(6.0)},
+        exp17_chaos: lambda: {"YCSB-A": chaos_run()},
+        exp18_adaptive: lambda: {
+            ("YCSB-A", "off"): chaos_run(2),
+            ("YCSB-A", "on"): chaos_run(1, admission=True),
+        },
+        exp19_shard_failover: lambda: {
+            (1, None): shard_cell(0.0, crash_shard=None),
+            (1, 0.15): shard_cell(1.0),
+            (2, None): shard_cell(0.0, crash_shard=None),
+            (2, 0.15): shard_cell(0.5),
+        },
+        exp20_partition: lambda: {
+            (4.0, "baseline"): partition_cell(5.0),
+            (4.0, "detector"): partition_cell(2.0),
+            "zombie": zombie_cell(),
+        },
+    }[module]()
+
+
+#: (module, cells replaced in its hand-made set, predicates that then fail)
+FAILING_CASES = [
+    (exp17_chaos, {"YCSB-A": chaos_run(deadline_met=False)}, {"gate"}),
+    # More breach windows with the controller on: worse, so not better.
+    (exp18_adaptive, {("YCSB-A", "on"): chaos_run(3)},
+     {"no_worse", "improved"}),
+    # on == off breaches no more windows, but does not improve.
+    (exp18_adaptive, {("YCSB-A", "on"): chaos_run(2)}, {"improved"}),
+    (exp18_adaptive, {("YCSB-A", "on"): chaos_run(1, deadline_met=False)},
+     {"repair_deadline_met"}),
+    (exp19_shard_failover, {(2, 0.15): shard_cell(1.0)}, {"blast_shrinks"}),
+    (exp19_shard_failover, {(2, 0.15): shard_cell(0.5, duplicates=1)},
+     {"exactly_once"}),
+    (exp19_shard_failover, {(2, 0.15): shard_cell(0.5, lost=1)},
+     {"repair_complete"}),
+    (exp20_partition, {(4.0, "detector"): partition_cell(5.0)},
+     {"tail_reduced"}),
+    (exp20_partition, {"zombie": zombie_cell(unverified=1)},
+     {"repair_complete"}),
+    (exp20_partition, {"zombie": zombie_cell(double_commits=1)},
+     {"exactly_once"}),
+    (exp20_partition, {"zombie": zombie_cell(fenced_writes=0)},
+     {"fencing_held"}),
+]
 
 
 class TestCLI:
@@ -105,6 +247,79 @@ class TestRowFormatters:
         p99 = rows_p99(fake)
         assert p99[0][0] == "YCSB-Only"
         assert p99[0][1] == 8.0
+
+
+    @pytest.mark.parametrize("module", SWEEP_MODULES, ids=short_name)
+    def test_sweep_rows_match_headers(self, module):
+        rows = module.SWEEP.rows(hand_made_cells(module))
+        assert rows
+        assert all(len(row) == len(module.SWEEP.headers) for row in rows)
+
+    def test_sweep_rows_derive_inflation_from_the_baseline_cell(self):
+        (row,) = exp14_churn.rows(hand_made_cells(exp14_churn))
+        assert row[0] == "CR" and row[-1] == 2.0
+        baseline, faulted = exp15_scrub.rows(hand_made_cells(exp15_scrub))
+        assert baseline[3] == 1.0 and faulted[3] == 1.5 and faulted[4] == "8/8"
+        base, crash = exp16_failover.rows(hand_made_cells(exp16_failover))
+        assert base[0] == "none" and crash[:3] == [0.2, 6.0, 1.5]
+        assert crash[5] == "2+4/6"
+        assert exp20_partition.rows(hand_made_cells(exp20_partition))[-1][1] == "zombie"
+
+
+class TestSweepPredicates:
+    @pytest.mark.parametrize("module", SWEEP_MODULES[3:], ids=short_name)
+    def test_hand_made_cells_pass(self, module):
+        doc = module.SWEEP.verdict(hand_made_cells(module), scale=0.05, seed=0)
+        assert doc["passed"] is True
+
+    @pytest.mark.parametrize("module, changes, failing", FAILING_CASES, ids=[
+        f"{short_name(module)}-{'+'.join(sorted(failing))}"
+        for module, _, failing in FAILING_CASES
+    ])
+    def test_a_failing_predicate_fails_the_document(self, module, changes, failing):
+        cells = hand_made_cells(module) | changes
+        sweep = module.SWEEP
+        verdicts = {name: test(cells) for name, test in sweep.predicates.items()}
+        assert verdicts == {name: name not in failing for name in verdicts}
+        doc = sweep.verdict(cells, scale=0.05, seed=0)
+        assert doc["passed"] is False
+        if module is not exp17_chaos:
+            assert {name: doc[name] for name in verdicts} == verdicts
+
+    def test_chaos_document_shows_no_predicate_but_passed(self):
+        doc = exp17_chaos.verdict_payload(
+            hand_made_cells(exp17_chaos), scale=0.05, seed=0)
+        assert set(doc) == {
+            "experiment", "schema_version", "scale", "seed", "passed",
+            "breaches_total", "probe_breaches_total", "traces",
+        }
+
+
+class TestVerdictGate:
+    def documents(self):
+        """{experiment: document stem} for every sweep that writes one."""
+        out = {}
+        for name, (module_name, _, _) in EXPERIMENTS.items():
+            module = importlib.import_module(f"repro.experiments.{module_name}")
+            sweep = getattr(module, "SWEEP", None)
+            if sweep is not None and sweep.document is not None:
+                out[name] = Path(sweep.document).stem
+        return out
+
+    def test_ci_matrix_lists_every_verdict_document(self):
+        matrix = re.findall(
+            r"\{exp: (\w+), bench_test: \S+, artifact: (\w+)\}",
+            CI_WORKFLOW.read_text(encoding="utf-8"),
+        )
+        assert dict(matrix) == self.documents()
+        assert len(matrix) == len(dict(matrix))
+
+    def test_out_help_names_every_verdict_experiment(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = capsys.readouterr().out
+        out_help = help_text[help_text.rindex("--out PATH"):]
+        assert set(re.findall(r"exp\d\d", out_help)) == set(self.documents())
 
 
 class TestPublicAPI:

@@ -125,6 +125,18 @@ class TestChecksumLayer:
         chunk = ChunkId(3, 1)
         assert cs.matches_checksum(chunk, np.zeros(4, dtype=np.uint8))
 
+    def test_unsound_lists_every_chunk_that_fails_verify(self):
+        _, _, _, cs = make_env()
+        corrupted, dropped, unreadable, sound = list(cs.chunks())[:4]
+        cs.corrupt(corrupted, rng=np.random.default_rng(3))
+        cs.drop(dropped)
+        cs.mark_unreadable(unreadable)
+        batch = [corrupted, dropped, unreadable, sound]
+        assert cs.unsound(batch) == [corrupted, dropped, unreadable]
+        # By default only stored chunks are checked: a dropped payload
+        # has nothing left to verify.
+        assert cs.unsound() == [corrupted, unreadable]
+
 
 class TestRotSchedule:
     def chunks(self, n=30):
