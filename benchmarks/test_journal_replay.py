@@ -1,4 +1,4 @@
-"""Journal replay wall-clock: recovery cost vs log length & compaction."""
+"""Journal replay wall-clock: recovery cost of folding the full log."""
 
 from conftest import emit
 
@@ -6,18 +6,19 @@ from repro.cluster.stripes import ChunkId
 from repro.journal import Journal
 
 
-def _build_journal(chunks: int, *, checkpoint_interval=None) -> Journal:
+def _build_journal(chunks: int) -> Journal:
     """A journal shaped like a real run: enqueue, plan, commit per chunk."""
-    journal = Journal(checkpoint_interval=checkpoint_interval)
-    journal.coordinator_started()
+    journal = Journal()
+    view = journal.shard_view(0)
+    view.coordinator_started()
     ids = [ChunkId(i // 4, i % 4) for i in range(chunks)]
     for chunk in ids:
-        journal.chunk_enqueued(chunk)
+        view.chunk_enqueued(chunk)
     for chunk in ids:
-        journal.plan_chosen(chunk, destination=1, sources=[2, 3, 4], attempt=1)
-        journal.reads_issued(chunk, transfers=4)
-        journal.decode_verified(chunk)
-        journal.writeback_committed(chunk)
+        view.plan_chosen(chunk, destination=1, sources=[2, 3, 4], attempt=1)
+        view.reads_issued(chunk, transfers=4)
+        view.decode_verified(chunk)
+        view.writeback_committed(chunk)
     return journal
 
 
@@ -26,15 +27,9 @@ def test_journal_replay(benchmark, bench_scale):
     journal = _build_journal(chunks)
     state = benchmark(journal.replay)
     assert len(state.committed) == chunks and not state.pending
-    compacted = _build_journal(chunks, checkpoint_interval=64)
-    compacted_state = compacted.replay()
-    assert len(compacted_state.committed) == chunks
     emit(
         benchmark,
         "Journal replay: record counts",
-        ["chunks", "records (full)", "records (checkpointed@64)"],
-        [[chunks, len(journal), len(compacted)]],
+        ["chunks", "records"],
+        [[chunks, len(journal)]],
     )
-    # Compaction bounds replay work regardless of history length.
-    assert len(compacted) < len(journal)
-    assert len(compacted) <= 64 + 1

@@ -215,6 +215,10 @@ class Testbed:
         self._coordinator_crash_times: dict[int, float] = {}
         #: Router installed by :meth:`start_sharded_repair`.
         self.shard_router: ShardRouter | None = None
+        #: Node-crash chunks of shards whose coordinator was down when
+        #: the node died, keyed by shard; the shard's replacement
+        #: adopts them in :meth:`recover_repairer`.
+        self._outage_chunks: dict[int, list[ChunkId]] = {}
         #: One entry per observed coordinator crash: the fraction of
         #: open (pending + leased) chunks stalled by it — the failover
         #: blast radius exp19 sweeps.
@@ -716,12 +720,7 @@ class Testbed:
 
     # -- durability & failover -------------------------------------------------
 
-    def enable_journal(
-        self,
-        *,
-        lease_duration: float = 60.0,
-        checkpoint_interval: int | None = None,
-    ) -> Journal:
+    def enable_journal(self, *, lease_duration: float = 60.0) -> Journal:
         """Give the repair control plane a write-ahead journal.
 
         Every repairer built through :meth:`make_repairer` *afterwards*
@@ -731,11 +730,7 @@ class Testbed:
         journal. Call before building repairers.
         """
         if self.journal is None:
-            self.journal = Journal(
-                self.cluster.sim,
-                lease_duration=lease_duration,
-                checkpoint_interval=checkpoint_interval,
-            )
+            self.journal = Journal(self.cluster.sim, lease_duration=lease_duration)
         return self.journal
 
     def _require_journal(self, what: str, when: str = "first") -> None:
@@ -830,7 +825,7 @@ class Testbed:
     ):
         """Replay the journal and resume repair after a coordinator crash.
 
-        Fences the dead epoch, replays the (compacted) journal into the
+        Fences the dead epoch, replays the full journal into the
         state the dead coordinator had made durable, reconciles that
         intent against :class:`~repro.cluster.datastore.ChunkStore`
         ground truth (when integrity is enabled), and starts a fresh
@@ -886,6 +881,9 @@ class Testbed:
             name or spec_name, shard=shard_key, **merged
         )
         replacement.recovery = plan
+        for chunk in self._outage_chunks.pop(shard_key, ()):
+            if chunk not in plan.requeue:
+                plan.requeue.append(chunk)
         # repair() opens a new journal epoch on the shard, so requeued
         # chunks get fresh leases owned by the replacement.
         replacement.repair(plan.requeue)
@@ -1032,22 +1030,34 @@ class Testbed:
         if self.chunk_store is not None:
             for dead in report.failed_nodes:
                 drop_node_chunks(self.chunk_store, self.store, dead)
+        # Shard-bound coordinators only adopt the chunks their shard
+        # owns; handing everything to everyone would double-repair each
+        # chunk N times. An unsharded plane is the one-shard plane.
+        router = self.shard_router or ShardRouter(1)
+
+        def owned_by(shard: int) -> list[ChunkId]:
+            return [c for c in report.failed_chunks if router.shard_of(c) == shard]
+
+        running: set[int] = set()
         for repairer in self.repairers:
-            if not repairer.running:
+            if not repairer.running or repairer in self._zombies:
                 continue
-            if repairer.shard is None or self.shard_router is None:
+            if repairer.shard is None:
                 repairer.add_chunks(report.failed_chunks)
-            else:
-                # Shard-bound coordinators only adopt the chunks their
-                # shard owns; handing everything to everyone would
-                # double-repair each chunk N times.
-                mine = [
-                    chunk
-                    for chunk in report.failed_chunks
-                    if self.shard_router.shard_of(chunk) == repairer.shard
-                ]
-                if mine:
-                    repairer.add_chunks(mine)
+                continue
+            running.add(repairer.shard)
+            mine = owned_by(repairer.shard)
+            if mine:
+                repairer.add_chunks(mine)
+        # A shard whose coordinator is down (crashed, or a fenced
+        # zombie) keeps its chunks for the replacement: the journal
+        # never saw them, so replay cannot requeue them, and writing
+        # them into the fenced window would be a stale write.
+        down = {
+            r.shard for r in self.repairers if r.crashed or r in self._zombies
+        } - running - {None}
+        for shard in sorted(down):
+            self._outage_chunks.setdefault(shard, []).extend(owned_by(shard))
 
 
 #: One row per optional feature: the :class:`TestbedBuilder` method it

@@ -88,7 +88,7 @@ def run_one(
         "requeued": len(recovery.requeue) if recovery is not None else 0,
         "duplicates": len(set(before) & set(survivor.completed)),
         "unverified": len(testbed.chunk_store.unsound(report.failed_chunks)),
-        "journal_records": len(testbed.journal) + testbed.journal.compacted_records,
+        "journal_records": len(testbed.journal),
         "lost": len(survivor.lost),
     }
 

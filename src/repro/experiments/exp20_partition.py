@@ -138,7 +138,7 @@ def run_one(config: ExperimentConfig, mode: str, duration: float) -> dict:
 def run_zombie(config: ExperimentConfig) -> dict:
     """Partition a pinned coordinator away from the journal, then heal."""
     testbed = Testbed.build(config)
-    testbed.enable_journal(checkpoint_interval=None)
+    testbed.enable_journal()
     testbed.enable_integrity()
     testbed.start_foreground()
     testbed.cluster.sim.run(until=testbed.cluster.sim.now + 2.0)

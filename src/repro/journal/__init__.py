@@ -7,18 +7,19 @@ control-plane crash silently lost or double-executed repairs. The
 journal fixes that:
 
 * :class:`Journal` — a virtual-time write-ahead log the repair drivers
-  write through at every state transition, with epoch fencing,
-  lease-based chunk ownership and compacting checkpoints. The log is
-  partitioned into *shards* (per-shard epoch counters, fences and
-  leases in one shared record sequence) so N coordinators can run
-  concurrently; :meth:`Journal.shard_view` hands each coordinator a
-  :class:`JournalShard` write-through view of its own partition;
+  write through at every state transition, with epoch fencing and
+  lease-based chunk ownership. The log is partitioned into *shards*
+  (per-shard epoch counters, fences and leases in one shared record
+  sequence) so N coordinators can run concurrently;
+  :meth:`Journal.shard_view` hands each coordinator a
+  :class:`JournalShard`, the journal's only write surface, bound to
+  its own partition. Recovery replays the full log;
 * :class:`JournalState` / :class:`JournalRecord` / :class:`Lease` — the
   replayable fold of the record sequence;
-* :func:`reconcile` / :class:`RecoveryPlan` — replay reconciled against
-  :class:`~repro.cluster.datastore.ChunkStore` ground truth, deciding
-  per chunk: completed (never re-execute), requeue, blocked (live
-  lease), or lost.
+* :func:`reconcile` / :class:`RecoveryPlan` — one shard's replay
+  reconciled against :class:`~repro.cluster.datastore.ChunkStore`
+  ground truth, deciding per chunk: completed (never re-execute),
+  requeue, blocked (live lease), or lost.
 
 Crash injection (:class:`repro.faults.CoordinatorCrash`) and the
 recovery entry point (:meth:`repro.api.Testbed.recover_repairer`) live
@@ -27,7 +28,6 @@ with their subsystems; see README "Crash recovery & failover".
 
 from repro.journal.records import (
     ATTEMPT_FAILED,
-    CHECKPOINT,
     COMMITTED,
     COORDINATOR_CRASH,
     COORDINATOR_START,
@@ -46,7 +46,6 @@ from repro.journal.wal import Journal, JournalShard, audit_fenced_writes
 
 __all__ = [
     "ATTEMPT_FAILED",
-    "CHECKPOINT",
     "COMMITTED",
     "COORDINATOR_CRASH",
     "COORDINATOR_START",

@@ -43,8 +43,6 @@ DECODE_VERIFIED = "decode_verified"
 COMMITTED = "writeback_committed"
 #: The chunk was written off (tolerance exceeded / retries exhausted).
 LOST = "chunk_lost"
-#: Compacting snapshot of the full state (``payload["state"]``).
-CHECKPOINT = "checkpoint"
 
 RECORD_KINDS = (
     COORDINATOR_START,
@@ -56,7 +54,6 @@ RECORD_KINDS = (
     DECODE_VERIFIED,
     COMMITTED,
     LOST,
-    CHECKPOINT,
 )
 
 
@@ -103,32 +100,6 @@ class JournalRecord:
     payload: dict = field(default_factory=dict)
     shard: int = 0
 
-    def to_dict(self) -> dict:
-        """JSON-safe form (ChunkIds become ``[stripe, index]`` pairs)."""
-        out = {"seq": self.seq, "at": self.at, "kind": self.kind}
-        if self.chunk is not None:
-            out["chunk"] = [self.chunk.stripe, self.chunk.index]
-        out["shard"] = self.shard
-        if self.payload:
-            out["payload"] = self.payload
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JournalRecord":
-        chunk = data.get("chunk")
-        return cls(
-            seq=data["seq"],
-            at=data["at"],
-            kind=data["kind"],
-            chunk=ChunkId(*chunk) if chunk is not None else None,
-            payload=dict(data.get("payload", {})),
-            shard=data["shard"],
-        )
-
-
-def _chunk_key(chunk: ChunkId) -> list[int]:
-    return [chunk.stripe, chunk.index]
-
 
 class JournalState:
     """The fold of a record sequence: who owns what, what is done.
@@ -162,12 +133,6 @@ class JournalState:
 
     def fenced_of(self, shard: int) -> bool:
         return self._fenced.get(shard, False)
-
-    def shards(self) -> list[int]:
-        """Every shard id the log has touched (always includes 0)."""
-        ids = {0} | set(self._epochs) | set(self._fenced)
-        ids.update(self.shard_of.values())
-        return sorted(ids)
 
     # -- transitions ----------------------------------------------------------
 
@@ -212,8 +177,6 @@ class JournalState:
             self.leases.pop(chunk, None)
             self.committed.pop(chunk, None)
             self.lost[chunk] = seq
-        elif kind == CHECKPOINT:
-            self.restore(record.payload["state"])
         elif kind in (READS_ISSUED, DECODE_VERIFIED):
             pass  # markers: no ownership transition
         else:
@@ -249,58 +212,3 @@ class JournalState:
         if shard is None:
             return chunks
         return [c for c in chunks if self.shard_of.get(c, 0) == shard]
-
-    # -- checkpoint snapshots --------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-safe snapshot restoring this exact state.
-
-        ``shards`` lists every touched shard as ``[shard, epoch,
-        fenced]`` and ``shard_of`` every journaled chunk as ``[stripe,
-        index, shard]``; one-shard and many-shard states serialise
-        alike.
-        """
-        return {
-            "shards": [
-                [s, self.epoch_of(s), self.fenced_of(s)]
-                for s in sorted(set(self._epochs) | set(self._fenced))
-            ],
-            "pending": [_chunk_key(c) for c in self.pending],
-            "leases": [
-                {
-                    "chunk": _chunk_key(lease.chunk),
-                    "epoch": lease.epoch,
-                    "acquired_at": lease.acquired_at,
-                    "expires_at": lease.expires_at,
-                    "shard": lease.shard,
-                }
-                for lease in self.leases.values()
-            ],
-            "committed": [_chunk_key(c) for c in self.committed],
-            "lost": [_chunk_key(c) for c in self.lost],
-            "shard_of": sorted(
-                [c.stripe, c.index, s] for c, s in self.shard_of.items()
-            ),
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Replace the state wholesale with a checkpoint snapshot."""
-        self._epochs = {shard: epoch for shard, epoch, _ in snap["shards"]}
-        self._fenced = {shard: fenced for shard, _, fenced in snap["shards"]}
-        self.pending = {ChunkId(*c): -1 for c in snap["pending"]}
-        self.leases = {
-            ChunkId(*entry["chunk"]): Lease(
-                chunk=ChunkId(*entry["chunk"]),
-                epoch=entry["epoch"],
-                acquired_at=entry["acquired_at"],
-                expires_at=entry["expires_at"],
-                shard=entry["shard"],
-            )
-            for entry in snap["leases"]
-        }
-        self.committed = {ChunkId(*c): -1 for c in snap["committed"]}
-        self.lost = {ChunkId(*c): -1 for c in snap["lost"]}
-        self.shard_of = {
-            ChunkId(stripe, index): shard
-            for stripe, index, shard in snap["shard_of"]
-        }

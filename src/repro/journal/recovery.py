@@ -46,11 +46,10 @@ class RecoveryPlan:
     demoted: list[ChunkId] = field(default_factory=list)
     #: Store already held verified bytes for these (now in completed).
     adopted_from_store: list[ChunkId] = field(default_factory=list)
-    #: Epoch of the journal state the plan was derived from (the
-    #: shard's, or the newest of any shard for a whole-journal plan).
+    #: Epoch of the plan's shard when the plan was derived.
     epoch: int = 0
-    #: Shard the plan covers (``None`` = the whole journal).
-    shard: int | None = None
+    #: Shard the plan covers (an unsharded plane is shard 0).
+    shard: int = 0
 
     def summary(self) -> dict[str, int]:
         """Counts for logs and trace instants."""
@@ -73,43 +72,33 @@ def _store_has_verified(chunk_store, chunk: ChunkId) -> bool:
 
 
 def reconcile(
-    state: JournalState, *, now: float, chunk_store=None, shard: int | None = None
+    state: JournalState, *, now: float, chunk_store=None, shard: int = 0
 ) -> RecoveryPlan:
-    """Fold journal intent and store ground truth into a recovery plan.
+    """Fold one shard's journal intent and store ground truth into a plan.
 
-    ``chunk_store=None`` (no integrity machinery) trusts the journal
-    alone: committed stays committed, everything open is requeued or
-    blocked purely on lease grounds.
-
-    ``shard`` narrows the plan to one journal partition: only chunks
-    last journaled by that shard are classified, and the plan's epoch
-    is that shard's. ``None`` classifies every shard's chunks.
+    Only chunks last journaled by ``shard`` are classified, and the
+    plan's epoch is that shard's. ``chunk_store=None`` (no integrity
+    machinery) trusts the journal alone: committed stays committed,
+    everything open is requeued or blocked purely on lease grounds.
     """
 
     def mine(chunk: ChunkId) -> bool:
-        return shard is None or state.shard_of.get(chunk, 0) == shard
+        return state.shard_of.get(chunk, 0) == shard
 
-    scope = state.shards() if shard is None else [shard]
-    plan = RecoveryPlan(epoch=max(map(state.epoch_of, scope)), shard=shard)
-    for chunk in state.committed:
-        if not mine(chunk):
-            continue
+    plan = RecoveryPlan(epoch=state.epoch_of(shard), shard=shard)
+    for chunk in filter(mine, state.committed):
         if chunk_store is not None and not _store_has_verified(chunk_store, chunk):
             plan.demoted.append(chunk)
             plan.requeue.append(chunk)
         else:
             plan.completed.append(chunk)
-    for chunk in state.pending:
-        if not mine(chunk):
-            continue
+    for chunk in filter(mine, state.pending):
         if _store_has_verified(chunk_store, chunk):
             plan.adopted_from_store.append(chunk)
             plan.completed.append(chunk)
         else:
             plan.requeue.append(chunk)
-    for chunk in state.leases:
-        if not mine(chunk):
-            continue
+    for chunk in filter(mine, state.leases):
         if _store_has_verified(chunk_store, chunk):
             plan.adopted_from_store.append(chunk)
             plan.completed.append(chunk)
@@ -117,5 +106,5 @@ def reconcile(
             plan.requeue.append(chunk)
         else:
             plan.blocked.append(chunk)
-    plan.lost = [chunk for chunk in state.lost if mine(chunk)]
+    plan.lost = list(filter(mine, state.lost))
     return plan

@@ -12,6 +12,11 @@ Design notes:
 * **Virtual-time WAL.** Records are stamped with the simulator clock;
   appending consumes no virtual time (a real deployment would batch
   fsyncs — the simulated repair timeline is the journal-off timeline).
+* **One write surface.** Coordinators write only through a
+  :class:`JournalShard` — :meth:`Journal.shard_view` — which carries
+  the per-kind write methods; an unsharded control plane is the
+  one-shard plane on shard 0. :meth:`Journal.append` is the raw,
+  unjudged record path underneath.
 * **Epoch fencing + leases.** Each coordinator incarnation opens an
   epoch; every ``plan_chosen`` record carries a lease. Recovery first
   fences the dead epoch (a ``coordinator_crash`` record), which voids
@@ -21,25 +26,15 @@ Design notes:
   crashed) by a network partition keeps running; if its shard is
   fenced while it is away, its write-throughs must not land after the
   partition heals. :class:`JournalShard` captures its incarnation
-  epoch at ``coordinator_started()`` and stamps every subsequent
-  write; the journal drops writes whose epoch is older than the
-  shard's issued epoch, or equal but fenced, counting them in
-  :attr:`Journal.fenced_writes` (``journal.fenced_writes`` counter).
-  Every coordinator writes through a shard view — an unsharded control
-  plane is the one-shard plane on shard 0. Raw :class:`Journal` writes
-  carry no epoch and are never rejected.
-* **Compacting checkpoints.** ``checkpoint()`` snapshots the folded
-  state and drops every earlier record, bounding replay work; with
-  ``checkpoint_interval`` set the journal checkpoints itself every N
-  appends.
-* **Durability escape hatch.** ``to_json()``/``from_json()`` round-trip
-  the full log (or its compacted tail), standing in for the on-disk /
-  replicated store a production coordinator would use.
+  epoch at ``coordinator_started()`` and drops every later write whose
+  epoch is older than the shard's issued epoch, or equal but fenced,
+  counting them in :attr:`Journal.fenced_writes`
+  (``journal.fenced_writes`` counter).
+* **Full-log replay.** The log is never compacted: recovery folds
+  every record from the first, which is what the experiments measure.
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.cluster.stripes import ChunkId
 from repro.errors import SimulationError
@@ -47,7 +42,6 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.journal.records import (
     ATTEMPT_FAILED,
-    CHECKPOINT,
     COMMITTED,
     COORDINATOR_CRASH,
     COORDINATOR_START,
@@ -64,111 +58,45 @@ from repro.journal.records import (
 class Journal:
     """Append-only, replayable log of repair control-plane transitions."""
 
-    def __init__(
-        self,
-        sim=None,
-        *,
-        lease_duration: float = 60.0,
-        checkpoint_interval: int | None = None,
-    ) -> None:
+    def __init__(self, sim=None, *, lease_duration: float = 60.0) -> None:
         if lease_duration <= 0:
             raise SimulationError("lease_duration must be positive")
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise SimulationError("checkpoint_interval must be >= 1 (or None)")
         self.sim = sim
         self.lease_duration = lease_duration
-        self.checkpoint_interval = checkpoint_interval
         self.records: list[JournalRecord] = []
         #: Live fold of the record sequence (what replay would rebuild);
         #: it owns every shard's epoch and fence.
         self.state = JournalState()
-        #: Records dropped by compaction (they live on inside the last
-        #: checkpoint's snapshot).
-        self.compacted_records = 0
         #: Write-throughs rejected because their incarnation epoch was
         #: stale or fenced (a zombie coordinator wrote after heal).
         self.fenced_writes = 0
-        self._seq = 0
-        self._since_checkpoint = 0
 
     def epoch_of(self, shard: int) -> int:
         """The newest epoch issued on ``shard`` (0 = never started)."""
         return self.state.epoch_of(shard)
 
-    # -- clock ----------------------------------------------------------------
-
     def _now(self) -> float:
         return self.sim.now if self.sim is not None else 0.0
-
-    # -- zombie fencing -------------------------------------------------------
-
-    def _reject_stale(self, kind: str, shard: int, epoch: int | None) -> bool:
-        """True when a write from a fenced/stale incarnation must drop.
-
-        ``epoch`` is the writer's captured incarnation epoch (None =
-        epoch-unaware caller, never rejected). A write is stale when a
-        newer incarnation already opened the shard, or the writer's own
-        epoch was fenced — either way the writer is a zombie and its
-        scheduling decisions must not reach the durable log.
-        """
-        if epoch is None:
-            return False
-        current = self.epoch_of(shard)
-        if epoch > current or (epoch == current and not self.state.fenced_of(shard)):
-            return False
-        self.fenced_writes += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("journal.fenced_writes").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "journal.fenced_write",
-                track="journal",
-                kind=kind,
-                shard=shard,
-                epoch=epoch,
-                current=current,
-            )
-        return True
-
-    # -- the append path ------------------------------------------------------
 
     def append(
         self, kind: str, chunk: ChunkId | None = None, *, shard: int = 0, **payload
     ) -> JournalRecord:
-        """Append one record, fold it into the state, maybe checkpoint."""
+        """Append one record and fold it into the state."""
         record = JournalRecord(
-            seq=self._seq,
+            seq=len(self.records),
             at=self._now(),
             kind=kind,
             chunk=chunk,
             payload=payload,
             shard=shard,
         )
-        self._seq += 1
         self.records.append(record)
         self.state.apply(record)
         registry = get_registry()
         if registry.enabled:
             registry.counter("journal.appends").inc()
             registry.counter(f"journal.records.{kind}").inc()
-        if kind != CHECKPOINT:
-            self._since_checkpoint += 1
-            if (
-                self.checkpoint_interval is not None
-                and self._since_checkpoint >= self.checkpoint_interval
-            ):
-                self.checkpoint()
         return record
-
-    # -- write-through API (called by the repairers) ---------------------------
-
-    def coordinator_started(self, *, shard: int = 0) -> int:
-        """Open a new coordinator epoch on ``shard``; voids its older leases."""
-        epoch = self.epoch_of(shard) + 1
-        self.append(COORDINATOR_START, shard=shard, epoch=epoch)
-        return epoch
 
     def fence(self, *, shard: int = 0) -> None:
         """Record one shard's incarnation death (voids its leases).
@@ -190,111 +118,17 @@ class Journal:
                 shard=shard,
             )
 
-    def chunk_enqueued(
-        self, chunk: ChunkId, *, shard: int = 0, epoch: int | None = None
-    ) -> None:
-        if self._reject_stale(ENQUEUED, shard, epoch):
-            return
-        self.append(ENQUEUED, chunk, shard=shard)
-
-    def plan_chosen(
-        self,
-        chunk: ChunkId,
-        *,
-        destination: int,
-        sources: list[int],
-        attempt: int,
-        shard: int = 0,
-        epoch: int | None = None,
-    ) -> None:
-        if self._reject_stale(PLAN_CHOSEN, shard, epoch):
-            return
-        self.append(
-            PLAN_CHOSEN,
-            chunk,
-            shard=shard,
-            destination=destination,
-            sources=list(sources),
-            attempt=attempt,
-            lease_expires=self._now() + self.lease_duration,
-        )
-
-    def reads_issued(
-        self, chunk: ChunkId, *, transfers: int, shard: int = 0,
-        epoch: int | None = None,
-    ) -> None:
-        if self._reject_stale(READS_ISSUED, shard, epoch):
-            return
-        self.append(READS_ISSUED, chunk, shard=shard, transfers=transfers)
-
-    def attempt_failed(
-        self, chunk: ChunkId, reason: str, *, shard: int = 0,
-        epoch: int | None = None,
-    ) -> None:
-        if self._reject_stale(ATTEMPT_FAILED, shard, epoch):
-            return
-        self.append(ATTEMPT_FAILED, chunk, shard=shard, reason=reason)
-
-    def decode_verified(
-        self, chunk: ChunkId, *, shard: int = 0, epoch: int | None = None
-    ) -> None:
-        if self._reject_stale(DECODE_VERIFIED, shard, epoch):
-            return
-        self.append(DECODE_VERIFIED, chunk, shard=shard)
-
-    def writeback_committed(
-        self, chunk: ChunkId, *, shard: int = 0, epoch: int | None = None
-    ) -> None:
-        if self._reject_stale(COMMITTED, shard, epoch):
-            return
-        self.append(COMMITTED, chunk, shard=shard)
-
-    def chunk_lost(
-        self, chunk: ChunkId, *, shard: int = 0, epoch: int | None = None
-    ) -> None:
-        if self._reject_stale(LOST, shard, epoch):
-            return
-        self.append(LOST, chunk, shard=shard)
-
-    # -- shard views -----------------------------------------------------------
-
     def shard_view(self, shard: int) -> "JournalShard":
-        """A write-through view bound to one partition of this log.
+        """The write surface of one partition of this log.
 
         Handing ``shard_view(s)`` to a repairer makes every record it
         writes land on shard ``s`` without the repairer knowing shards
-        exist — the proxy pre-binds the shard id on the full
-        write-through surface.
+        exist.
         """
         return JournalShard(self, shard)
 
-    # -- checkpoints & compaction ----------------------------------------------
-
-    def checkpoint(self) -> JournalRecord:
-        """Snapshot the folded state and drop every earlier record."""
-        record = self.append(CHECKPOINT, state=self.state.snapshot())
-        dropped = len(self.records) - 1
-        self.records = [record]
-        self.compacted_records += dropped
-        self._since_checkpoint = 0
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("journal.checkpoints").inc()
-            registry.counter("journal.records_compacted").inc(dropped)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "journal.checkpoint",
-                track="journal",
-                compacted=dropped,
-                live=len(self.records),
-            )
-        return record
-
-    # -- recovery -------------------------------------------------------------
-
     def replay(self) -> JournalState:
-        """Rebuild the state by folding the (compacted) record sequence.
+        """Rebuild the state by folding the full record sequence.
 
         This is exactly what a freshly started coordinator reading the
         durable log would compute; the result is independent of the live
@@ -311,58 +145,22 @@ class Journal:
             )
         return state
 
-    # -- durability round-trip -------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialise the journal (records + cursor) to JSON.
-
-        Epochs are not written separately: replaying the records
-        rebuilds them, as it rebuilds the rest of the state.
-        """
-        return json.dumps(
-            {
-                "lease_duration": self.lease_duration,
-                "checkpoint_interval": self.checkpoint_interval,
-                "seq": self._seq,
-                "compacted_records": self.compacted_records,
-                "records": [r.to_dict() for r in self.records],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str, sim=None) -> "Journal":
-        """Rebuild a journal (and its folded state) from :meth:`to_json`."""
-        data = json.loads(text)
-        journal = cls(
-            sim,
-            lease_duration=data["lease_duration"],
-            checkpoint_interval=data["checkpoint_interval"],
-        )
-        journal._seq = data["seq"]
-        journal.compacted_records = data["compacted_records"]
-        journal.records = [JournalRecord.from_dict(r) for r in data["records"]]
-        for record in journal.records:
-            journal.state.apply(record)
-        return journal
-
     def __len__(self) -> int:
-        """Records currently held (post-compaction)."""
         return len(self.records)
 
 
 class JournalShard:
-    """One partition of a :class:`Journal`, as seen by its coordinator.
+    """One partition of a :class:`Journal`, as its coordinator writes it.
 
-    Exposes the journal's write-through surface with the shard id
-    pre-bound, so a repairer built against the unsharded `Journal` API
-    works against a partition unmodified. All shards append to the one
+    The only write surface of the journal: every per-kind method stamps
+    the view's shard id on its record. All shards append to the one
     shared log; only the epoch/fence/lease bookkeeping is partitioned.
 
-    The view also captures its *incarnation epoch* when the repairer
-    calls :meth:`coordinator_started`, stamping every later write with
-    it — the journal rejects writes from fenced/stale incarnations, so
-    a zombie coordinator (isolated by a partition, fenced while away)
-    cannot corrupt the log after the partition heals.
+    The view captures its *incarnation epoch* when the repairer calls
+    :meth:`coordinator_started`; :meth:`_write` drops every later write
+    once that incarnation is fenced or superseded, so a zombie
+    coordinator (isolated by a partition, fenced while away) cannot
+    corrupt the log after the partition heals.
     """
 
     __slots__ = ("journal", "shard", "incarnation")
@@ -373,74 +171,76 @@ class JournalShard:
         self.journal = journal
         self.shard = shard
         #: Epoch this view's coordinator opened (None until started;
-        #: None-epoch writes bypass the zombie check, preserving the
-        #: pre-partition surface for views that never start).
+        #: a view that never starts is never judged stale).
         self.incarnation: int | None = None
 
-    # The repairers read these for bookkeeping / invariant checks.
-
-    @property
-    def state(self) -> JournalState:
-        return self.journal.state
-
-    @property
-    def epoch(self) -> int:
-        return self.journal.epoch_of(self.shard)
-
-    @property
-    def lease_duration(self) -> float:
-        return self.journal.lease_duration
-
-    # Write-through surface, shard pre-bound.
-
     def coordinator_started(self) -> int:
-        self.incarnation = self.journal.coordinator_started(shard=self.shard)
+        """Open a new epoch on this shard; voids its older leases."""
+        self.incarnation = self.journal.epoch_of(self.shard) + 1
+        self.journal.append(
+            COORDINATOR_START, shard=self.shard, epoch=self.incarnation
+        )
         return self.incarnation
 
-    def fence(self) -> None:
-        self.journal.fence(shard=self.shard)
+    def _write(self, kind: str, chunk: ChunkId, **payload) -> None:
+        """Append unless this view's incarnation is stale or fenced.
+
+        A write is stale when a newer incarnation already opened the
+        shard, or the writer's own epoch was fenced — either way the
+        writer is a zombie and its scheduling decisions must not reach
+        the durable log.
+        """
+        journal, shard, epoch = self.journal, self.shard, self.incarnation
+        current = journal.epoch_of(shard)
+        if epoch is None or (
+            epoch == current and not journal.state.fenced_of(shard)
+        ):
+            journal.append(kind, chunk, shard=shard, **payload)
+            return
+        journal.fenced_writes += 1
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("journal.fenced_writes").inc()
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.instant(
+                "journal.fenced_write",
+                track="journal",
+                kind=kind,
+                shard=shard,
+                epoch=epoch,
+                current=current,
+            )
 
     def chunk_enqueued(self, chunk: ChunkId) -> None:
-        self.journal.chunk_enqueued(
-            chunk, shard=self.shard, epoch=self.incarnation
-        )
+        self._write(ENQUEUED, chunk)
 
     def plan_chosen(
         self, chunk: ChunkId, *, destination: int, sources: list[int], attempt: int
     ) -> None:
-        self.journal.plan_chosen(
+        self._write(
+            PLAN_CHOSEN,
             chunk,
             destination=destination,
-            sources=sources,
+            sources=list(sources),
             attempt=attempt,
-            shard=self.shard,
-            epoch=self.incarnation,
+            lease_expires=self.journal._now() + self.journal.lease_duration,
         )
 
     def reads_issued(self, chunk: ChunkId, *, transfers: int) -> None:
-        self.journal.reads_issued(
-            chunk, transfers=transfers, shard=self.shard, epoch=self.incarnation
-        )
+        self._write(READS_ISSUED, chunk, transfers=transfers)
 
     def attempt_failed(self, chunk: ChunkId, reason: str) -> None:
-        self.journal.attempt_failed(
-            chunk, reason, shard=self.shard, epoch=self.incarnation
-        )
+        self._write(ATTEMPT_FAILED, chunk, reason=reason)
 
     def decode_verified(self, chunk: ChunkId) -> None:
-        self.journal.decode_verified(
-            chunk, shard=self.shard, epoch=self.incarnation
-        )
+        self._write(DECODE_VERIFIED, chunk)
 
     def writeback_committed(self, chunk: ChunkId) -> None:
-        self.journal.writeback_committed(
-            chunk, shard=self.shard, epoch=self.incarnation
-        )
+        self._write(COMMITTED, chunk)
 
     def chunk_lost(self, chunk: ChunkId) -> None:
-        self.journal.chunk_lost(
-            chunk, shard=self.shard, epoch=self.incarnation
-        )
+        self._write(LOST, chunk)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"JournalShard(shard={self.shard}, journal={self.journal!r})"
@@ -449,8 +249,8 @@ class JournalShard:
 def audit_fenced_writes(journal: Journal) -> list[JournalRecord]:
     """Chunk records that landed while their shard was fenced.
 
-    Replays the (compacted) log through a fresh :class:`JournalState`
-    and flags every chunk-carrying record appended between a shard's
+    Replays the log through a fresh :class:`JournalState` and flags
+    every chunk-carrying record appended between a shard's
     ``coordinator_crash`` and its next ``coordinator_start`` — exactly
     the window in which only a zombie could have written. With zombie
     rejection working, the result is always empty; experiments assert

@@ -78,9 +78,18 @@ class RepairAlgorithm(ABC):
         self.rng = np.random.default_rng(seed)
 
     def make_plan(
-        self, chunk: ChunkId, code: ErasureCode, injector: FailureInjector
+        self,
+        chunk: ChunkId,
+        code: ErasureCode,
+        injector: FailureInjector,
+        *,
+        destination: int | None = None,
     ) -> RepairPlan:
-        """Select sources, a destination, and a transmission structure."""
+        """Select sources, a destination, and a transmission structure.
+
+        A given ``destination`` (a degraded read's client) is pinned
+        instead of drawn by :meth:`select_destination`.
+        """
         survivors = injector.surviving_sources(chunk)
         if not survivors:
             raise SchedulingError(f"no survivors to repair {chunk}")
@@ -89,7 +98,8 @@ class RepairAlgorithm(ABC):
             PlanSource(node_id=survivors[idx], chunk_index=idx, coefficient=coeff)
             for idx, coeff in sorted(equation.coefficients.items())
         ]
-        destination = self.select_destination(chunk, injector)
+        if destination is None:
+            destination = self.select_destination(chunk, injector)
         order = list(range(len(sources)))
         self.rng.shuffle(order)
         ordered_nodes = [sources[i].node_id for i in order]

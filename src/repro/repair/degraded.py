@@ -28,10 +28,10 @@ from repro.cluster.topology import Cluster
 from repro.errors import SchedulingError
 from repro.monitor.bandwidth import BandwidthMonitor
 from repro.obs.metrics import get_registry
-from repro.repair.base import RepairAlgorithm, star_parents
+from repro.repair.base import RepairAlgorithm
 from repro.repair.dataplane import decode_from_store
 from repro.repair.instance import PlanInstance
-from repro.repair.plan import PlanSource, RepairPlan
+from repro.repair.plan import RepairPlan
 
 
 @dataclass
@@ -69,28 +69,7 @@ def degraded_read_plan(
     client_node: int,
 ) -> RepairPlan:
     """A repair plan whose destination is the requesting client."""
-    survivors = injector.surviving_sources(chunk)
-    if not survivors:
-        raise SchedulingError(f"no survivors to serve degraded read of {chunk}")
-    from repro.repair.base import select_equation
-
-    equation = select_equation(store.code, chunk.index, set(survivors), algorithm.rng)
-    sources = [
-        PlanSource(node_id=survivors[idx], chunk_index=idx, coefficient=coeff)
-        for idx, coeff in sorted(equation.coefficients.items())
-    ]
-    order = [s.node_id for s in sources]
-    algorithm.rng.shuffle(order)
-    structure = algorithm.structure(order, client_node)
-    if not store.code.supports_partial_combine:
-        structure = star_parents(order, client_node)
-    return RepairPlan(
-        chunk=chunk,
-        destination=client_node,
-        sources=sources,
-        parent=structure,
-        read_fraction=equation.read_fraction,
-    )
+    return algorithm.make_plan(chunk, store.code, injector, destination=client_node)
 
 
 def chameleon_degraded_read_plan(

@@ -43,7 +43,12 @@ class RepairBoost(RepairAlgorithm):
         return self.inner.structure(source_nodes, destination)
 
     def make_plan(
-        self, chunk: ChunkId, code: ErasureCode, injector: FailureInjector
+        self,
+        chunk: ChunkId,
+        code: ErasureCode,
+        injector: FailureInjector,
+        *,
+        destination: int | None = None,
     ) -> RepairPlan:
         """Balanced source/destination selection + the inner structure."""
         survivors = injector.surviving_sources(chunk)
@@ -65,10 +70,11 @@ class RepairBoost(RepairAlgorithm):
             for idx, coeff in sorted(equation.coefficients.items())
         ]
 
-        candidates = injector.candidate_destinations(chunk)
-        if not candidates:
-            raise SchedulingError(f"no destination candidates for {chunk}")
-        destination = min(candidates, key=lambda n: (self.download_load[n], n))
+        if destination is None:
+            candidates = injector.candidate_destinations(chunk)
+            if not candidates:
+                raise SchedulingError(f"no destination candidates for {chunk}")
+            destination = min(candidates, key=lambda n: (self.download_load[n], n))
 
         # Least-loaded sources sit deepest in the structure (they relay).
         ordered = sorted(

@@ -7,7 +7,7 @@ from repro.cluster import ChunkId
 from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.faults import FaultTimeline
-from repro.journal import Journal, audit_fenced_writes
+from repro.journal import ENQUEUED, Journal, audit_fenced_writes
 
 C1 = ChunkId(0, 0)
 C2 = ChunkId(1, 0)
@@ -51,8 +51,8 @@ class TestStaleWriteRejection:
             return journal
 
         # A fenced zombie hammering the log must be indistinguishable —
-        # byte-for-byte — from a zombie that never wrote at all.
-        assert build(True).to_json() == build(False).to_json()
+        # record for record — from a zombie that never wrote at all.
+        assert build(True).records == build(False).records
         assert build(True).fenced_writes == 5
 
     def test_next_incarnation_writes_accepted(self):
@@ -74,7 +74,7 @@ class TestStaleWriteRejection:
         # coordinator_started writes with epoch=None and is not judged.
         journal = Journal()
         view = journal.shard_view(0)
-        journal.coordinator_started(shard=0)
+        journal.shard_view(0).coordinator_started()
         journal.fence(shard=0)
         view.chunk_enqueued(C1)
         assert journal.fenced_writes == 0
@@ -97,10 +97,11 @@ class TestStaleWriteRejection:
         # into the log while the shard is fenced (simulating a buggy
         # journal that accepted it) and the replay must flag it.
         journal = Journal()
-        journal.coordinator_started(shard=0)
-        journal.chunk_enqueued(C1, shard=0)
+        view = journal.shard_view(0)
+        view.coordinator_started()
+        view.chunk_enqueued(C1)
         journal.fence(shard=0)
-        journal.chunk_enqueued(C2, shard=0)  # epoch=None slips through
+        journal.append(ENQUEUED, C2, shard=0)  # the raw path judges nothing
         violations = audit_fenced_writes(journal)
         assert [v.chunk for v in violations] == [C2]
 
@@ -112,7 +113,7 @@ class TestZombieScenario:
     def outcome(self):
         config = ExperimentConfig.scaled(0.05, seed=0, chunk_mb=16.0)
         testbed = Testbed.build(config)
-        testbed.enable_journal(checkpoint_interval=None)
+        testbed.enable_journal()
         testbed.enable_integrity()
         testbed.cluster.sim.run(until=1.0)
         report = testbed.fail_nodes(1)
@@ -181,7 +182,7 @@ class TestPinDiesWithItsCoordinator:
     def test_replacement_is_unpinned_and_survives_the_same_partition(self):
         config = ExperimentConfig.scaled(0.05, seed=0, chunk_mb=16.0)
         testbed = Testbed.build(config)
-        testbed.enable_journal(checkpoint_interval=None)
+        testbed.enable_journal()
         testbed.enable_integrity()
         testbed.cluster.sim.run(until=1.0)
         report = testbed.fail_nodes(1)
@@ -241,7 +242,7 @@ class TestPlacementValidation:
         journal fences it exactly like a shard-bound one."""
         config = ExperimentConfig.scaled(0.05, seed=0, chunk_mb=16.0)
         testbed = Testbed.build(config)
-        testbed.enable_journal(checkpoint_interval=None)
+        testbed.enable_journal()
         testbed.enable_integrity()
         testbed.cluster.sim.run(until=1.0)
         report = testbed.fail_nodes(1)

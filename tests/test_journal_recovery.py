@@ -11,10 +11,13 @@ import pytest
 
 from repro.api import Testbed
 from repro.errors import ReproError
+from repro.experiments.config import ExperimentConfig
+from repro.faults import FaultTimeline
+from repro.journal import audit_fenced_writes
 from repro.metrics.linkstats import REPAIR_TAG
 
 
-def make_testbed(seed=7, **journal_kwargs):
+def make_testbed(seed=7):
     return (
         Testbed.builder()
         .scaled(0.05)
@@ -24,7 +27,7 @@ def make_testbed(seed=7, **journal_kwargs):
         )
         .with_seed(seed)
         .with_integrity()
-        .with_journal(**journal_kwargs)
+        .with_journal()
         .build()
     )
 
@@ -144,11 +147,72 @@ class TestExactlyOnceRecovery:
         )
         assert not set(repairer.completed) & set(new.completed)
 
-    def test_recovery_works_with_checkpointed_journal(self):
-        testbed = make_testbed(checkpoint_interval=5)
-        report, old, new = crash_and_recover(testbed, 0.08)
-        assert set(old.completed) | set(new.completed) == set(report.failed_chunks)
-        assert testbed.journal.compacted_records > 0
+
+class TestNodeCrashDuringOutage:
+    """A node that dies while its shard has no running coordinator: the
+    journal never saw its chunks, so the replacement must adopt them
+    from the testbed, not from replay."""
+
+    @staticmethod
+    def run(shards):
+        testbed = Testbed.build(ExperimentConfig.scaled(0.05, seed=0))
+        testbed.enable_journal()
+        testbed.enable_integrity()
+        report = testbed.fail_nodes(1)
+        if shards is None:
+            testbed.make_repairer("ChameleonEC").repair(report.failed_chunks)
+        else:
+            testbed.start_sharded_repair(
+                "ChameleonEC", report.failed_chunks, shards=shards
+            )
+        testbed.inject_coordinator_crash(
+            0.2, recover_after=1.0, shard=None if shards is None else 0
+        )
+        crashed = []
+        timeline = FaultTimeline().crash(0.5, 5)
+        timeline.on(
+            "node_crashed",
+            lambda _t, report, **_: crashed.extend(report.failed_chunks),
+        )
+        testbed.install_faults(timeline)
+        testbed.run_until(
+            lambda: testbed.cluster.sim.now > 1.5
+            and all(r.done for r in testbed.repairers),
+            step=0.1,
+        )
+        return testbed, crashed
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["unsharded", "2-shard"])
+    def test_replacement_repairs_the_dead_nodes_chunks(self, shards):
+        testbed, crashed = self.run(shards)
+        assert crashed
+        assert testbed.chunk_store.unsound(crashed) == []
+        assert audit_fenced_writes(testbed.journal) == []
+        assert not any(r.lost for r in testbed.repairers)
+
+    def test_fenced_zombie_does_not_swallow_the_dead_nodes_chunks(self):
+        testbed = Testbed.build(ExperimentConfig.scaled(0.05, seed=0, chunk_mb=16.0))
+        testbed.enable_journal()
+        testbed.enable_integrity()
+        testbed.cluster.sim.run(until=1.0)
+        report = testbed.fail_nodes(1)
+        repairer = testbed.make_repairer("ChameleonEC")
+        repairer.repair(report.failed_chunks)
+        home = testbed.cluster.storage_nodes[-1].id
+        testbed.place_coordinator(repairer, home)
+        crashed = []
+        timeline = FaultTimeline().partition(0.1, [[home]], duration=4.0).crash(1.0, 5)
+        timeline.on(
+            "node_crashed",
+            lambda _t, report, **_: crashed.extend(report.failed_chunks),
+        )
+        testbed.install_faults(timeline)
+        testbed.run_until(lambda: testbed.zombie_stepdowns > 0, step=0.5, limit=60.0)
+        replacement = testbed.recover_repairer()
+        testbed.run_until(lambda: replacement.done, step=0.5)
+        assert crashed
+        assert testbed.chunk_store.unsound(crashed) == []
+        assert audit_fenced_writes(testbed.journal) == []
 
 
 class TestRecoveryGuards:

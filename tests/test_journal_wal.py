@@ -1,5 +1,5 @@
 """Unit tests for the write-ahead journal: records, state fold, leases,
-checkpoints, serialisation, and store-reconciled recovery plans."""
+and store-reconciled recovery plans."""
 
 import pytest
 
@@ -9,6 +9,7 @@ from repro.journal import (
     ENQUEUED,
     Journal,
     JournalRecord,
+    JournalShard,
     JournalState,
     Lease,
     reconcile,
@@ -20,35 +21,37 @@ C2 = ChunkId(1, 2)
 C3 = ChunkId(2, 0)
 
 
-def make_journal(**kwargs) -> Journal:
-    return Journal(Simulator(), **kwargs)
+def make_journal(**kwargs) -> tuple[Journal, JournalShard]:
+    """A fresh journal and its one-shard coordinator's write surface."""
+    journal = Journal(Simulator(), **kwargs)
+    return journal, journal.shard_view(0)
 
 
 class TestAppendAndFold:
     def test_records_are_stamped_with_virtual_time(self):
-        journal = make_journal()
+        journal, view = make_journal()
         journal.sim.run(until=7.5)
-        journal.chunk_enqueued(C1)
+        view.chunk_enqueued(C1)
         record = journal.records[-1]
         assert record.at == 7.5 and record.kind == ENQUEUED
 
     def test_sequence_numbers_are_monotonic(self):
-        journal = make_journal()
-        journal.coordinator_started()
-        journal.chunk_enqueued(C1)
-        journal.chunk_enqueued(C2)
+        journal, view = make_journal()
+        view.coordinator_started()
+        view.chunk_enqueued(C1)
+        view.chunk_enqueued(C2)
         assert [r.seq for r in journal.records] == [0, 1, 2]
 
     def test_live_state_equals_replay(self):
-        journal = make_journal()
-        journal.coordinator_started()
+        journal, view = make_journal()
+        view.coordinator_started()
         for chunk in (C1, C2, C3):
-            journal.chunk_enqueued(chunk)
-        journal.plan_chosen(C1, destination=3, sources=[1, 2], attempt=1)
-        journal.writeback_committed(C1)
-        journal.plan_chosen(C2, destination=4, sources=[1, 5], attempt=1)
-        journal.attempt_failed(C2, "helper crashed")
-        journal.chunk_lost(C3)
+            view.chunk_enqueued(chunk)
+        view.plan_chosen(C1, destination=3, sources=[1, 2], attempt=1)
+        view.writeback_committed(C1)
+        view.plan_chosen(C2, destination=4, sources=[1, 5], attempt=1)
+        view.attempt_failed(C2, "helper crashed")
+        view.chunk_lost(C3)
         replayed = journal.replay()
         assert list(replayed.pending) == list(journal.state.pending) == [C2]
         assert list(replayed.committed) == [C1]
@@ -56,13 +59,13 @@ class TestAppendAndFold:
         assert not replayed.leases
 
     def test_enqueue_reopens_a_committed_chunk(self):
-        journal = make_journal()
-        journal.coordinator_started()
-        journal.chunk_enqueued(C1)
-        journal.plan_chosen(C1, destination=2, sources=[3], attempt=1)
-        journal.writeback_committed(C1)
+        journal, view = make_journal()
+        view.coordinator_started()
+        view.chunk_enqueued(C1)
+        view.plan_chosen(C1, destination=2, sources=[3], attempt=1)
+        view.writeback_committed(C1)
         # Integrity reject: the data plane re-enqueues via add_chunks.
-        journal.chunk_enqueued(C1)
+        view.chunk_enqueued(C1)
         state = journal.replay()
         assert list(state.pending) == [C1] and not state.committed
 
@@ -74,129 +77,53 @@ class TestAppendAndFold:
     def test_constructor_validation(self):
         with pytest.raises(SimulationError):
             Journal(lease_duration=0.0)
-        with pytest.raises(SimulationError):
-            Journal(checkpoint_interval=0)
 
 
 class TestLeases:
     def test_plan_chosen_grants_a_lease_until_expiry(self):
-        journal = make_journal(lease_duration=30.0)
-        journal.coordinator_started()
-        journal.chunk_enqueued(C1)
+        journal, view = make_journal(lease_duration=30.0)
+        view.coordinator_started()
+        view.chunk_enqueued(C1)
         journal.sim.run(until=5.0)
-        journal.plan_chosen(C1, destination=2, sources=[3], attempt=1)
+        view.plan_chosen(C1, destination=2, sources=[3], attempt=1)
         lease = journal.state.leases[C1]
         assert lease == Lease(chunk=C1, epoch=1, acquired_at=5.0, expires_at=35.0)
         assert not journal.state.reexecutable(C1, now=10.0)
         assert journal.state.reexecutable(C1, now=35.0)  # expired
 
     def test_fencing_voids_live_leases(self):
-        journal = make_journal(lease_duration=1000.0)
-        journal.coordinator_started()
-        journal.chunk_enqueued(C1)
-        journal.plan_chosen(C1, destination=2, sources=[3], attempt=1)
+        journal, view = make_journal(lease_duration=1000.0)
+        view.coordinator_started()
+        view.chunk_enqueued(C1)
+        view.plan_chosen(C1, destination=2, sources=[3], attempt=1)
         assert not journal.state.reexecutable(C1, now=0.0)
         journal.fence()
         assert journal.state.reexecutable(C1, now=0.0)
 
     def test_fence_is_idempotent_per_epoch(self):
-        journal = make_journal()
-        journal.coordinator_started()
+        journal, view = make_journal()
+        view.coordinator_started()
         journal.fence()
         n = len(journal.records)
         journal.fence()
         assert len(journal.records) == n
 
     def test_new_epoch_voids_older_leases(self):
-        journal = make_journal(lease_duration=1000.0)
-        journal.coordinator_started()
-        journal.chunk_enqueued(C1)
-        journal.plan_chosen(C1, destination=2, sources=[3], attempt=1)
-        journal.coordinator_started()  # epoch 2, no fence record
+        journal, view = make_journal(lease_duration=1000.0)
+        view.coordinator_started()
+        view.chunk_enqueued(C1)
+        view.plan_chosen(C1, destination=2, sources=[3], attempt=1)
+        view.coordinator_started()  # epoch 2, no fence record
         assert journal.state.reexecutable(C1, now=0.0)
 
     def test_attempt_failed_releases_the_lease(self):
-        journal = make_journal()
-        journal.coordinator_started()
-        journal.chunk_enqueued(C1)
-        journal.plan_chosen(C1, destination=2, sources=[3], attempt=1)
-        journal.attempt_failed(C1, "timeout")
+        journal, view = make_journal()
+        view.coordinator_started()
+        view.chunk_enqueued(C1)
+        view.plan_chosen(C1, destination=2, sources=[3], attempt=1)
+        view.attempt_failed(C1, "timeout")
         assert C1 not in journal.state.leases
         assert list(journal.state.pending) == [C1]
-
-
-class TestCheckpoints:
-    def _populate(self, journal, n=10):
-        journal.coordinator_started()
-        chunks = [ChunkId(i, 0) for i in range(n)]
-        for chunk in chunks:
-            journal.chunk_enqueued(chunk)
-        for chunk in chunks[: n // 2]:
-            journal.plan_chosen(chunk, destination=1, sources=[2], attempt=1)
-            journal.writeback_committed(chunk)
-        return chunks
-
-    def test_checkpoint_compacts_but_preserves_state(self):
-        journal = make_journal()
-        chunks = self._populate(journal)
-        before = journal.replay()
-        journal.checkpoint()
-        assert len(journal.records) == 1
-        assert journal.compacted_records > 0
-        after = journal.replay()
-        assert list(after.pending) == list(before.pending) == chunks[5:]
-        assert list(after.committed) == list(before.committed)
-        assert after.epoch_of(0) == before.epoch_of(0)
-
-    def test_checkpoint_preserves_leases(self):
-        journal = make_journal(lease_duration=42.0)
-        journal.coordinator_started()
-        journal.chunk_enqueued(C1)
-        journal.plan_chosen(C1, destination=2, sources=[3], attempt=1)
-        journal.checkpoint()
-        lease = journal.replay().leases[C1]
-        assert lease.expires_at == 42.0 and lease.epoch == 1
-
-    def test_auto_checkpoint_bounds_the_log(self):
-        journal = make_journal(checkpoint_interval=8)
-        self._populate(journal, n=40)
-        assert len(journal.records) <= 9  # checkpoint + at most interval
-
-    def test_appends_after_checkpoint_still_replay(self):
-        journal = make_journal()
-        self._populate(journal, n=4)
-        journal.checkpoint()
-        journal.chunk_enqueued(ChunkId(99, 0))
-        state = journal.replay()
-        assert ChunkId(99, 0) in state.pending
-
-
-class TestSerialisation:
-    def test_json_round_trip(self):
-        journal = make_journal(lease_duration=17.0, checkpoint_interval=100)
-        journal.coordinator_started()
-        journal.chunk_enqueued(C1)
-        journal.plan_chosen(C1, destination=2, sources=[3, 4], attempt=2)
-        journal.chunk_enqueued(C2)
-        journal.writeback_committed(C2)
-        clone = Journal.from_json(journal.to_json())
-        assert clone.lease_duration == 17.0
-        assert clone.epoch_of(0) == journal.epoch_of(0)
-        assert len(clone.records) == len(journal.records)
-        a, b = clone.replay(), journal.replay()
-        assert list(a.pending) == list(b.pending)
-        assert list(a.committed) == list(b.committed)
-        assert a.leases[C1].expires_at == b.leases[C1].expires_at
-
-    def test_round_trip_after_checkpoint(self):
-        journal = make_journal()
-        journal.coordinator_started()
-        journal.chunk_enqueued(C1)
-        journal.writeback_committed(C1)
-        journal.checkpoint()
-        clone = Journal.from_json(journal.to_json())
-        assert list(clone.replay().committed) == [C1]
-        assert clone.compacted_records == journal.compacted_records
 
 
 class _FakeStore:
@@ -215,15 +142,15 @@ class _FakeStore:
 
 class TestReconcile:
     def _state(self, journal_setup):
-        journal = make_journal(lease_duration=1000.0)
-        journal_setup(journal)
+        journal, view = make_journal(lease_duration=1000.0)
+        journal_setup(view)
         return journal.replay()
 
     def test_committed_and_verified_stays_completed(self):
-        def setup(j):
-            j.coordinator_started()
-            j.chunk_enqueued(C1)
-            j.writeback_committed(C1)
+        def setup(v):
+            v.coordinator_started()
+            v.chunk_enqueued(C1)
+            v.writeback_committed(C1)
 
         plan = reconcile(
             self._state(setup), now=0.0, chunk_store=_FakeStore(verified=[C1])
@@ -231,10 +158,10 @@ class TestReconcile:
         assert plan.completed == [C1] and not plan.requeue
 
     def test_committed_but_corrupt_is_demoted(self):
-        def setup(j):
-            j.coordinator_started()
-            j.chunk_enqueued(C1)
-            j.writeback_committed(C1)
+        def setup(v):
+            v.coordinator_started()
+            v.chunk_enqueued(C1)
+            v.writeback_committed(C1)
 
         plan = reconcile(
             self._state(setup), now=0.0, chunk_store=_FakeStore(unverified=[C1])
@@ -242,10 +169,10 @@ class TestReconcile:
         assert plan.demoted == [C1] and plan.requeue == [C1]
 
     def test_in_flight_verified_bytes_are_adopted(self):
-        def setup(j):
-            j.coordinator_started()
-            j.chunk_enqueued(C1)
-            j.plan_chosen(C1, destination=2, sources=[3], attempt=1)
+        def setup(v):
+            v.coordinator_started()
+            v.chunk_enqueued(C1)
+            v.plan_chosen(C1, destination=2, sources=[3], attempt=1)
 
         plan = reconcile(
             self._state(setup), now=0.0, chunk_store=_FakeStore(verified=[C1])
@@ -254,49 +181,49 @@ class TestReconcile:
         assert plan.completed == [C1] and not plan.requeue
 
     def test_live_lease_blocks_without_fence(self):
-        def setup(j):
-            j.coordinator_started()
-            j.chunk_enqueued(C1)
-            j.plan_chosen(C1, destination=2, sources=[3], attempt=1)
+        def setup(v):
+            v.coordinator_started()
+            v.chunk_enqueued(C1)
+            v.plan_chosen(C1, destination=2, sources=[3], attempt=1)
 
         plan = reconcile(self._state(setup), now=0.0, chunk_store=None)
         assert plan.blocked == [C1]
 
     def test_fenced_lease_requeues(self):
-        def setup(j):
-            j.coordinator_started()
-            j.chunk_enqueued(C1)
-            j.plan_chosen(C1, destination=2, sources=[3], attempt=1)
-            j.fence()
+        def setup(v):
+            v.coordinator_started()
+            v.chunk_enqueued(C1)
+            v.plan_chosen(C1, destination=2, sources=[3], attempt=1)
+            v.journal.fence()
 
         plan = reconcile(self._state(setup), now=0.0, chunk_store=None)
         assert plan.requeue == [C1] and not plan.blocked
 
     def test_without_store_the_journal_is_trusted(self):
-        def setup(j):
-            j.coordinator_started()
-            j.chunk_enqueued(C1)
-            j.writeback_committed(C1)
-            j.chunk_enqueued(C2)
+        def setup(v):
+            v.coordinator_started()
+            v.chunk_enqueued(C1)
+            v.writeback_committed(C1)
+            v.chunk_enqueued(C2)
 
         plan = reconcile(self._state(setup), now=0.0, chunk_store=None)
         assert plan.completed == [C1] and plan.requeue == [C2]
 
     def test_lost_stays_lost(self):
-        def setup(j):
-            j.coordinator_started()
-            j.chunk_enqueued(C1)
-            j.chunk_lost(C1)
+        def setup(v):
+            v.coordinator_started()
+            v.chunk_enqueued(C1)
+            v.chunk_lost(C1)
 
         plan = reconcile(self._state(setup), now=0.0, chunk_store=None)
         assert plan.lost == [C1] and not plan.requeue
 
     def test_summary_counts(self):
-        def setup(j):
-            j.coordinator_started()
-            j.chunk_enqueued(C1)
-            j.chunk_enqueued(C2)
-            j.writeback_committed(C1)
+        def setup(v):
+            v.coordinator_started()
+            v.chunk_enqueued(C1)
+            v.chunk_enqueued(C2)
+            v.writeback_committed(C1)
 
         plan = reconcile(self._state(setup), now=0.0, chunk_store=None)
         assert plan.summary() == {

@@ -16,6 +16,7 @@ import inspect
 import repro
 from repro.api import _FEATURES, Testbed
 from repro.control import AdmissionController
+from repro.journal import Journal, JournalShard
 from repro.repair.engine import RepairEngine
 
 FROZEN_SURFACE = (
@@ -155,6 +156,23 @@ class TestOptionRatchet:
         assert keywords(Testbed.enable_admission_control) == {
             "policy", "baseline_p99", "window",
         }
+
+    def test_journal_options(self):
+        assert keywords(Journal.__init__) == {"lease_duration"}
+        assert keywords(Testbed.enable_journal) == {"lease_duration"}
+
+    def test_journal_has_one_write_surface(self):
+        """The per-kind writes live on the coordinator's shard view only."""
+        writes = {
+            name for name in vars(JournalShard)
+            if not name.startswith("_") and callable(vars(JournalShard)[name])
+        }
+        assert writes == {
+            "coordinator_started", "chunk_enqueued", "plan_chosen",
+            "reads_issued", "attempt_failed", "decode_verified",
+            "writeback_committed", "chunk_lost",
+        }
+        assert not writes & set(vars(Journal))
 
     def test_feature_table_size(self):
         assert len(_FEATURES) == 8

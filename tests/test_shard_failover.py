@@ -3,7 +3,7 @@
 Covers the facade-level guarantees ISSUE 9 pins down:
 
 * the single-shard configuration is *byte-identical* to the
-  single-coordinator path (same journal bytes, same repairs);
+  single-coordinator path (same journal records, same repairs);
 * a targeted :class:`~repro.faults.CoordinatorCrash` fences, replays
   and rebuilds only the dead shard — sibling shards never stop;
 * coordinator-crash MTTR bookkeeping is kept per shard, so staggered
@@ -81,7 +81,7 @@ class TestSingleShardEquivalence:
     @staticmethod
     def _outcome(testbed, chunks):
         return (
-            testbed.journal.to_json(),
+            testbed.journal.records,
             {c: testbed.chunk_store.get(c).tobytes() for c in chunks},
             testbed.cluster.sim.now,
         )
