@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import re
 
 from repro.cluster.datastore import ChunkStore, drop_node_chunks, encode_and_load
 from repro.cluster.failures import FailureInjector, FailureReport
@@ -69,52 +68,7 @@ from repro.slo import RunTelemetry, SLOEvaluator, SLOReport, SLOSpec
 from repro.traffic.client import TraceClient
 from repro.traffic.router import KeyRouter
 from repro.traffic.schedule import TransitioningTrace
-from repro.traffic.traces import TRACE_FACTORIES, make_trace
-
-_CODE_FAMILIES = {"rs": "RS", "lrc": "LRC", "butterfly": "Butterfly"}
-_CODE_REGISTRY_FORM = re.compile(r"^([A-Za-z]+)\((\d+(?:,\d+)*)\)$")
-_CODE_VALID_FORMS = (
-    "'RS(k,m)' / 'rs-k-m', 'LRC(k,l,m)' / 'lrc-k-l-m', "
-    "'Butterfly(n,k)' / 'butterfly-n-k'"
-)
-
-
-def _normalize_code(spec: str) -> str:
-    """Accept both registry syntax ("RS(6,3)") and slugs ("rs-6-3").
-
-    Every accepted spelling is validated here — family name known,
-    parameters all-numeric — so a typo fails at build-description time
-    with the list of valid forms, not deep inside the code registry.
-    """
-    compact = spec.replace(" ", "")
-    match = _CODE_REGISTRY_FORM.match(compact)
-    if match:
-        family = _CODE_FAMILIES.get(match.group(1).lower())
-        if family is not None:
-            return f"{family}({match.group(2)})"
-    else:
-        parts = compact.replace("_", "-").split("-")
-        family = _CODE_FAMILIES.get(parts[0].lower())
-        if (
-            family is not None
-            and len(parts) >= 2
-            and all(p.isdigit() for p in parts[1:])
-        ):
-            return f"{family}({','.join(parts[1:])})"
-    raise ReproError(
-        f"cannot parse code spec {spec!r}; valid forms: {_CODE_VALID_FORMS}"
-    )
-
-
-def _normalize_trace(name: str) -> str:
-    """Case-insensitive trace lookup: 'ycsb-a' -> 'YCSB-A'."""
-    by_lower = {key.lower(): key for key in TRACE_FACTORIES}
-    try:
-        return by_lower[name.lower()]
-    except KeyError:
-        raise ReproError(
-            f"unknown trace {name!r}; valid traces: {sorted(TRACE_FACTORIES)}"
-        ) from None
+from repro.traffic.traces import make_trace
 
 
 class ShardRouter:
@@ -165,8 +119,7 @@ class Testbed:
             num_nodes=config.num_nodes,
             num_clients=config.num_clients,
             link_bw=config.link_bw,
-            disk_read_bw=config.disk_read_bw,
-            disk_write_bw=config.disk_write_bw,
+            disk_bw=config.disk_bw,
             racks=config.racks,
             oversubscription=config.oversubscription,
         )
@@ -572,43 +525,8 @@ class Testbed:
 
     # -- partition tolerance ---------------------------------------------------
 
-    def enable_partitions(
-        self,
-        *,
-        count: int = 1,
-        duration: tuple[float, float] = (2.0, 6.0),
-        group_fraction: tuple[float, float] = (0.2, 0.5),
-        horizon: float | None = None,
-        seed: int | None = None,
-    ) -> FaultTimeline:
-        """Schedule seeded network-partition waves over the storage nodes.
-
-        Builds a :meth:`FaultTimeline.partitions` schedule (each wave
-        splits a random group off for a bounded duration, stalling every
-        cross-cut flow until heal) and installs it. Offsets count from
-        now. Returns the timeline; compose further faults on it *before*
-        calling, or install a second timeline afterwards.
-        """
-        horizon = horizon if horizon is not None else self.config.t_phase * 2
-        timeline = FaultTimeline(
-            seed=self.config.seed + 31 if seed is None else seed
-        ).partitions(
-            nodes=list(self.cluster.storage_ids),
-            horizon=horizon,
-            count=count,
-            duration=duration,
-            group_fraction=group_fraction,
-        )
-        return self.install_faults(timeline)
-
     def enable_failure_detector(
-        self,
-        *,
-        heartbeat_interval: float = 0.5,
-        threshold: float = 3.0,
-        window: int = 8,
-        home: int | None = None,
-        min_heartbeat_capacity: float = 0.05,
+        self, *, heartbeat_interval: float = 0.5
     ) -> FailureDetector:
         """Start the accrual (phi) failure detector and wire it in.
 
@@ -624,12 +542,7 @@ class Testbed:
         if self.detector is not None:
             return self.detector
         detector = FailureDetector(
-            self.cluster,
-            heartbeat_interval=heartbeat_interval,
-            threshold=threshold,
-            window=window,
-            home=home,
-            min_heartbeat_capacity=min_heartbeat_capacity,
+            self.cluster, heartbeat_interval=heartbeat_interval
         ).start()
         detector.on("suspect", self._on_suspect)
         self.injector.suspicion = detector.is_suspected
@@ -1073,7 +986,6 @@ _FEATURES = (
     ("with_scrubber", "start_scrubber"),
     ("with_admission_control", "enable_admission_control"),
     ("with_failure_detector", "enable_failure_detector"),
-    ("with_partitions", "enable_partitions"),
 )
 
 
@@ -1103,8 +1015,12 @@ class TestbedBuilder:
     # -- knobs ----------------------------------------------------------------
 
     def with_code(self, spec: str) -> "TestbedBuilder":
-        """Erasure code, e.g. ``"rs-6-3"``, ``"RS(10,4)"``, ``"lrc-12-2-2"``."""
-        self._overrides["code"] = _normalize_code(spec)
+        """Erasure code, e.g. ``"rs-6-3"``, ``"RS(10,4)"``, ``"lrc-12-2-2"``.
+
+        The spec is parsed and the code built here, so a bad spec fails
+        at this call (see :func:`repro.codes.make_code`).
+        """
+        self._overrides["code"] = make_code(spec).name
         return self
 
     def with_nodes(self, num_nodes: int) -> "TestbedBuilder":
@@ -1119,7 +1035,7 @@ class TestbedBuilder:
 
     def with_trace(self, name: str) -> "TestbedBuilder":
         """Foreground trace, case-insensitive (``"ycsb-a"``, ``"ibm-os"``…)."""
-        self._overrides["trace"] = _normalize_trace(name)
+        self._overrides["trace"] = make_trace(name).name
         return self
 
     def with_chunks(self, num_chunks: int) -> "TestbedBuilder":
@@ -1137,20 +1053,9 @@ class TestbedBuilder:
         self._overrides["link_gbps"] = gbps
         return self
 
-    def with_disk(
-        self,
-        mbs: float | None = None,
-        *,
-        read_mbs: float | None = None,
-        write_mbs: float | None = None,
-    ) -> "TestbedBuilder":
-        """Disk bandwidth in MB/s; read/write sides may differ."""
-        if mbs is not None:
-            self._overrides["disk_mbs"] = mbs
-        if read_mbs is not None:
-            self._overrides["disk_read_mbs"] = read_mbs
-        if write_mbs is not None:
-            self._overrides["disk_write_mbs"] = write_mbs
+    def with_disk(self, mbs: float) -> "TestbedBuilder":
+        """Disk bandwidth (each of read and write) in MB/s."""
+        self._overrides["disk_mbs"] = mbs
         return self
 
     def scaled(self, scale: float) -> "TestbedBuilder":

@@ -26,25 +26,20 @@ class Node:
     Every node owns four independent resources: full-duplex network
     up/downlinks plus disk read/write bandwidth (the latter matter in the
     paper's storage-bottlenecked scenarios, Exp#12). Clients get the same
-    structure so YCSB traffic contends on their links too.
+    structure so YCSB traffic contends on their links too. Each pair
+    starts symmetric (``link_bw`` each way, ``disk_bw`` each side); a
+    slower resource is one ``set_capacity`` call on it.
     """
 
     def __init__(
-        self,
-        node_id: int,
-        *,
-        kind: str = "storage",
-        uplink_bw: float = gbps(10),
-        downlink_bw: float = gbps(10),
-        disk_read_bw: float = mbs(500),
-        disk_write_bw: float = mbs(500),
+        self, node_id: int, *, kind: str, link_bw: float, disk_bw: float
     ) -> None:
         self.id = node_id
         self.kind = kind
-        self.uplink = Resource(f"n{node_id}.up", uplink_bw)
-        self.downlink = Resource(f"n{node_id}.down", downlink_bw)
-        self.disk_read = Resource(f"n{node_id}.dread", disk_read_bw)
-        self.disk_write = Resource(f"n{node_id}.dwrite", disk_write_bw)
+        self.uplink = Resource(f"n{node_id}.up", link_bw)
+        self.downlink = Resource(f"n{node_id}.down", link_bw)
+        self.disk_read = Resource(f"n{node_id}.dread", disk_bw)
+        self.disk_write = Resource(f"n{node_id}.dwrite", disk_bw)
         self.alive = True
 
     @property

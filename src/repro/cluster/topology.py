@@ -27,9 +27,7 @@ class Cluster:
         num_clients: int = 4,
         *,
         link_bw: float = gbps(10),
-        disk_read_bw: float = mbs(500),
-        disk_write_bw: float = mbs(500),
-        node_overrides: dict[int, dict[str, float]] | None = None,
+        disk_bw: float = mbs(500),
         racks: int | None = None,
         oversubscription: float = 1.0,
         sim: Simulator | None = None,
@@ -43,37 +41,12 @@ class Cluster:
         self.sim = sim if sim is not None else Simulator()
         self.flows = FlowScheduler(self.sim)
         self.transfers = TransferManager(self.flows)
-        # node_overrides lets individual storage nodes deviate from the
-        # defaults (heterogeneous clusters: slower NICs, ageing disks),
-        # e.g. {3: {"uplink_bw": gbps(1)}}.
-        overrides = node_overrides or {}
-        unknown = set(overrides) - set(range(num_nodes))
-        if unknown:
-            raise SimulationError(f"node_overrides for unknown nodes {sorted(unknown)}")
-        self.storage_nodes: list[Node] = []
-        for i in range(num_nodes):
-            params = dict(
-                uplink_bw=link_bw,
-                downlink_bw=link_bw,
-                disk_read_bw=disk_read_bw,
-                disk_write_bw=disk_write_bw,
-            )
-            bad = set(overrides.get(i, {})) - set(params)
-            if bad:
-                raise SimulationError(
-                    f"unknown bandwidth override(s) {sorted(bad)} for node {i}"
-                )
-            params.update(overrides.get(i, {}))
-            self.storage_nodes.append(Node(i, kind="storage", **params))
+        self.storage_nodes: list[Node] = [
+            Node(i, kind="storage", link_bw=link_bw, disk_bw=disk_bw)
+            for i in range(num_nodes)
+        ]
         self.clients: list[Node] = [
-            Node(
-                num_nodes + j,
-                kind="client",
-                uplink_bw=link_bw,
-                downlink_bw=link_bw,
-                disk_read_bw=disk_read_bw,
-                disk_write_bw=disk_write_bw,
-            )
+            Node(num_nodes + j, kind="client", link_bw=link_bw, disk_bw=disk_bw)
             for j in range(num_clients)
         ]
         self._by_id: dict[int, Node] = {
@@ -268,19 +241,12 @@ class Cluster:
             changed.append(node.downlink)
         self.flows.capacity_changed(*changed)
 
-    def set_disk_bandwidth(
-        self, disk_bw: float, write_bw: float | None = None
-    ) -> None:
-        """Throttle every storage node's disk (storage-bottleneck experiments).
-
-        ``write_bw`` sets the write side separately (asymmetric devices:
-        SSD reads typically outpace writes); omitted, both sides get
-        ``disk_bw``.
-        """
+    def set_disk_bandwidth(self, disk_bw: float) -> None:
+        """Throttle every storage node's disk (storage-bottleneck experiments)."""
         changed = []
         for node in self.storage_nodes:
             node.disk_read.set_capacity(disk_bw)
-            node.disk_write.set_capacity(disk_bw if write_bw is None else write_bw)
+            node.disk_write.set_capacity(disk_bw)
             changed.append(node.disk_read)
             changed.append(node.disk_write)
         self.flows.capacity_changed(*changed)

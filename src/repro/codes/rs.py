@@ -3,28 +3,19 @@
 from __future__ import annotations
 
 from repro.codes.base import LinearCode
-from repro.errors import CodingError
-from repro.gf.matrix import rs_generator_cauchy, rs_generator_vandermonde
+from repro.gf.matrix import rs_generator_cauchy
 
 
 class RSCode(LinearCode):
     """Systematic Reed-Solomon code with ``k`` data and ``m`` parity chunks.
 
-    ``matrix`` selects the construction: ``"cauchy"`` (default, the
-    construction the ChameleonEC prototype uses through Jerasure) or
-    ``"vandermonde"``.
+    The generator is Cauchy, the construction the ChameleonEC prototype
+    uses through Jerasure.
     """
 
-    def __init__(self, k: int, m: int, matrix: str = "cauchy") -> None:
-        if matrix == "cauchy":
-            generator = rs_generator_cauchy(k, m)
-        elif matrix == "vandermonde":
-            generator = rs_generator_vandermonde(k, m)
-        else:
-            raise CodingError(f"unknown RS matrix construction {matrix!r}")
-        super().__init__(k, m, generator)
+    def __init__(self, k: int, m: int) -> None:
+        super().__init__(k, m, rs_generator_cauchy(k, m))
         self.m = m
-        self.matrix_kind = matrix
 
     @property
     def name(self) -> str:

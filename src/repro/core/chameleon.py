@@ -10,9 +10,8 @@ Brings the three design techniques together (Section III):
 * while a phase runs, progress checks detect stragglers and react with
   transmission re-ordering and repair re-tuning (Section III-C).
 
-Multi-node failures are handled by the three Section III-D orderings:
-``sequential`` (node after node), ``priority`` (stripes with more failed
-chunks first) and ``fastest`` (cheapest repairs first).
+Multi-node failures are repaired in Section III-D's ``priority`` order:
+stripes with more failed chunks first.
 
 This module is the scheduling *policy* only; the chunk lifecycle it
 schedules — launch, retries, journaling, crash teardown — is
@@ -35,8 +34,6 @@ from repro.repair.engine import RepairEngine
 from repro.repair.instance import PlanInstance
 from repro.core.dispatch import TaskDispatcher
 from repro.core.planner import build_plan
-
-MULTI_NODE_POLICIES = ("sequential", "priority", "fastest")
 
 
 class ChameleonRepair(RepairEngine):
@@ -66,16 +63,10 @@ class ChameleonRepair(RepairEngine):
         enable_reordering: bool = True,
         enable_retuning: bool = True,
         io_aware: bool = False,
-        multi_node_policy: str = "priority",
         **engine_options,
     ) -> None:
         if t_phase <= 0:
             raise SchedulingError("t_phase must be positive")
-        if multi_node_policy not in MULTI_NODE_POLICIES:
-            raise SchedulingError(
-                f"unknown multi-node policy {multi_node_policy!r}; "
-                f"choose from {MULTI_NODE_POLICIES}"
-            )
         super().__init__(
             cluster,
             store,
@@ -89,7 +80,6 @@ class ChameleonRepair(RepairEngine):
         self.check_interval = check_interval
         self.enable_reordering = enable_reordering
         self.enable_retuning = enable_retuning
-        self.multi_node_policy = multi_node_policy
         self.dispatcher = TaskDispatcher(
             injector, monitor, chunk_size=chunk_size, io_aware=io_aware
         )
@@ -108,26 +98,12 @@ class ChameleonRepair(RepairEngine):
     # -- chunk ordering (Section III-D) -------------------------------------------
 
     def _order_chunks(self, chunks: list[ChunkId]) -> list[ChunkId]:
-        if self.multi_node_policy == "sequential" or len(chunks) < 2:
-            return chunks
-        if self.multi_node_policy == "priority":
-            # Stripes with more failed chunks are the most exposed: give
-            # their chunks higher repair priority.
-            per_stripe = Counter(c.stripe for c in chunks)
-            return sorted(
-                chunks, key=lambda c: (-per_stripe[c.stripe], c.stripe, c.index)
-            )
-        # "fastest": fewest required sources first (cheapest repair).
-        def cost(chunk: ChunkId) -> float:
-            """Repair traffic (chunk units) as the priority key."""
-            survivors = self.injector.surviving_sources(chunk)
-            try:
-                eq = self.store.code.repair_equation(chunk.index, set(survivors))
-            except Exception:
-                return float("inf")
-            return eq.traffic_chunks
-
-        return sorted(chunks, key=lambda c: (cost(c), c.stripe, c.index))
+        # Stripes with more failed chunks are the most exposed: give
+        # their chunks higher repair priority.
+        per_stripe = Counter(c.stripe for c in chunks)
+        return sorted(
+            chunks, key=lambda c: (-per_stripe[c.stripe], c.stripe, c.index)
+        )
 
     # -- phase machinery -----------------------------------------------------------
 

@@ -25,10 +25,6 @@ class ExperimentConfig:
     num_clients: int = 4
     link_gbps: float = 10.0
     disk_mbs: float = 500.0
-    # Asymmetric disks (e.g. SSD reads outpacing writes); None falls
-    # back to the symmetric ``disk_mbs`` value for that side.
-    disk_read_mbs: float | None = None
-    disk_write_mbs: float | None = None
     code: str = "RS(10,4)"
     chunk_mb: float = 64.0
     slice_mb: float = 1.0
@@ -51,9 +47,8 @@ class ExperimentConfig:
             raise ReproError("chunk and slice sizes must be positive")
         if self.num_chunks < 1:
             raise ReproError("need at least one chunk to repair")
-        for side in (self.disk_read_mbs, self.disk_write_mbs):
-            if side is not None and side <= 0:
-                raise ReproError("disk bandwidths must be positive")
+        if self.disk_mbs <= 0:
+            raise ReproError("disk bandwidth must be positive")
 
     # -- byte-level views -------------------------------------------------------
 
@@ -64,20 +59,8 @@ class ExperimentConfig:
 
     @property
     def disk_bw(self) -> float:
-        """Symmetric disk bandwidth in bytes/second (convenience alias)."""
+        """Disk bandwidth (each of read and write) in bytes/second."""
         return mbs(self.disk_mbs)
-
-    @property
-    def disk_read_bw(self) -> float:
-        """Disk read bandwidth in bytes/second."""
-        return mbs(self.disk_read_mbs if self.disk_read_mbs is not None
-                   else self.disk_mbs)
-
-    @property
-    def disk_write_bw(self) -> float:
-        """Disk write bandwidth in bytes/second."""
-        return mbs(self.disk_write_mbs if self.disk_write_mbs is not None
-                   else self.disk_mbs)
 
     @property
     def chunk_size(self) -> float:

@@ -69,7 +69,7 @@ def run_one(
     # All rot lands before the scan starts: one pass then catches
     # everything, and detection latency is a pure function of scan rate.
     testbed.cluster.sim.run(until=start + rot_horizon)
-    rate_mbs = intensity * config.disk_read_bw / 1e6
+    rate_mbs = intensity * config.disk_bw / 1e6
     if intensity > 0:
         testbed.start_scrubber(rate_mbs=rate_mbs)
     testbed.cluster.sim.run(until=start + rot_horizon + scan_window)
@@ -100,7 +100,7 @@ def grid(scale: float, seed: int):
     probe = Testbed.build(config)
     store_bytes = len(probe.store) * probe.code.n * config.chunk_size
     slowest = min(i for i in INTENSITIES if i > 0)
-    scan_window = PASS_MARGIN * store_bytes / (slowest * config.disk_read_bw)
+    scan_window = PASS_MARGIN * store_bytes / (slowest * config.disk_bw)
     rot_horizon = 0.5 * config.t_phase
     for intensity in INTENSITIES:
         yield intensity, run_one(

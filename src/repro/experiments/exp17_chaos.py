@@ -264,7 +264,7 @@ def run_one(
     )
     testbed.install_faults(rot)
 
-    scrub_rate_mbs = SCRUB_INTENSITY * config.disk_read_bw / 1e6
+    scrub_rate_mbs = SCRUB_INTENSITY * config.disk_bw / 1e6
     testbed.start_scrubber(rate_mbs=scrub_rate_mbs)
 
     if shards == 1:

@@ -73,6 +73,9 @@ RESOURCE_KINDS = ("uplink", "downlink", "disk_read", "disk_write")
 #: (capacities must stay positive and estimates finite).
 _MIN_CAPACITY_FRACTION = 1e-3
 
+#: Capacity fraction a :meth:`FaultTimeline.churn` degradation leaves.
+CHURN_DEGRADATION = 0.3
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -334,52 +337,6 @@ class FaultTimeline(HookEmitter):
         )
         return self
 
-    def partitions(
-        self,
-        *,
-        nodes: list[int],
-        horizon: float,
-        count: int = 1,
-        duration: tuple[float, float] = (2.0, 6.0),
-        group_fraction: tuple[float, float] = (0.2, 0.5),
-    ) -> "FaultTimeline":
-        """Generate seeded partition waves over ``[0, horizon)``.
-
-        Each wave isolates a random ``group_fraction`` slice of
-        ``nodes`` from the rest of the cluster for a random duration —
-        the repeated-partition regime that composes with
-        :meth:`churn` and :meth:`fluctuate` on the same timeline. Two
-        timelines with equal seeds and equal calls build identical
-        waves.
-        """
-        if horizon <= 0:
-            raise SimulationError("partition horizon must be positive")
-        if count < 1:
-            raise SimulationError("need at least one partition wave")
-        if len(nodes) < 2:
-            raise SimulationError("partitions need at least two candidate nodes")
-        lo, hi = duration
-        if not 0 < lo <= hi:
-            raise SimulationError("duration bounds must satisfy 0 < low <= high")
-        flo, fhi = group_fraction
-        if not 0 < flo <= fhi < 1:
-            raise SimulationError(
-                "group_fraction bounds must satisfy 0 < low <= high < 1"
-            )
-        rng = self.rng
-        for _ in range(count):
-            onset = float(rng.uniform(0, horizon))
-            fraction = float(rng.uniform(flo, fhi))
-            size = int(round(fraction * len(nodes)))
-            size = max(1, min(size, len(nodes) - 1))
-            picks = rng.choice(np.asarray(nodes), size=size, replace=False)
-            self.partition(
-                onset,
-                [sorted(int(n) for n in picks)],
-                duration=float(rng.uniform(lo, hi)),
-            )
-        return self
-
     def rot(
         self,
         *,
@@ -518,7 +475,6 @@ class FaultTimeline(HookEmitter):
         degradations: int = 0,
         interruptions: int = 0,
         straggler_duration: float = 3.0,
-        degradation_factor: float = 0.3,
     ) -> "FaultTimeline":
         """Generate a random-but-seeded mix of events over ``[0, horizon)``.
 
@@ -548,7 +504,7 @@ class FaultTimeline(HookEmitter):
             self.degrade(
                 float(rng.uniform(0, horizon)),
                 int(rng.choice(np.asarray(nodes))),
-                factor=degradation_factor,
+                factor=CHURN_DEGRADATION,
                 duration=float(rng.uniform(1.0, horizon / 2)),
             )
         for _ in range(interruptions):

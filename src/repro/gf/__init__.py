@@ -21,9 +21,7 @@ from repro.gf.matrix import (
     matvec_data,
     rank,
     rs_generator_cauchy,
-    rs_generator_vandermonde,
     solve,
-    vandermonde,
 )
 from repro.gf.tables import EXP_TABLE, INV_TABLE, LOG_TABLE, MUL_TABLE, PRIMITIVE_POLY
 
@@ -48,9 +46,7 @@ __all__ = [
     "matvec_data",
     "rank",
     "rs_generator_cauchy",
-    "rs_generator_vandermonde",
     "solve",
-    "vandermonde",
     "vec_addmul",
     "vec_scale",
     "vec_xor",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CodingError
-from repro.gf.field import gf_inv, gf_pow
+from repro.gf.field import gf_inv
 from repro.gf.tables import MUL_TABLE
 
 
@@ -118,20 +118,6 @@ def rank(matrix: np.ndarray) -> int:
     return r
 
 
-def vandermonde(rows: int, cols: int) -> np.ndarray:
-    """A ``rows x cols`` Vandermonde matrix with evaluation points 0..rows-1.
-
-    Note: raw Vandermonde matrices are used only through systematisation
-    (see :func:`rs_generator_vandermonde`), which guarantees every square
-    submatrix relevant to decoding is invertible.
-    """
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = gf_pow(i, j) if not (i == 0 and j == 0) else 1
-    return out
-
-
 def cauchy(k: int, m: int) -> np.ndarray:
     """An ``m x k`` Cauchy matrix: entry (i, j) = 1 / (x_i + y_j).
 
@@ -151,23 +137,6 @@ def cauchy(k: int, m: int) -> np.ndarray:
 def rs_generator_cauchy(k: int, m: int) -> np.ndarray:
     """Systematic ``(k+m) x k`` RS generator matrix built from a Cauchy matrix."""
     return np.vstack([identity(k), cauchy(k, m)])
-
-
-def rs_generator_vandermonde(k: int, m: int) -> np.ndarray:
-    """Systematic ``(k+m) x k`` RS generator via Vandermonde systematisation.
-
-    Builds a (k+m) x k Vandermonde matrix with distinct evaluation points
-    and right-multiplies by the inverse of its top k x k block, yielding
-    an MDS systematic generator (the classic Jerasure construction).
-    """
-    if k + m > 256:
-        raise CodingError(f"k + m = {k + m} exceeds GF(2^8) field size")
-    vand = np.zeros((k + m, k), dtype=np.uint8)
-    for i in range(k + m):
-        for j in range(k):
-            vand[i, j] = gf_pow(i + 1, j)
-    top_inv = inverse(vand[:k])
-    return matmul(vand, top_inv)
 
 
 def is_mds(generator: np.ndarray, k: int) -> bool:

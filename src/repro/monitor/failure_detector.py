@@ -7,23 +7,24 @@ or unreachable helpers as the tail driver). The
 :class:`FailureDetector` closes that gap with an accrual detector in
 the phi-detector family: every monitored node emits a heartbeat each
 ``heartbeat_interval`` of virtual time toward an observer ("home")
-node, over the same partitionable links all data flows use. A
-heartbeat is delivered only when the sender is alive, currently
-reachable from home, and its uplink is not throttled below
-``min_heartbeat_capacity`` of its base capacity — so crashes,
-partitions, and deep stragglers all starve the heartbeat stream.
+node — the first client, or storage node 0 without clients — over the
+same partitionable links all data flows use. A heartbeat is delivered
+only when the sender is alive, currently reachable from home, and its
+uplink is not throttled below ``MIN_HEARTBEAT_CAPACITY`` of its base
+capacity — so crashes, partitions, and deep stragglers all starve the
+heartbeat stream.
 
-Suspicion accrues instead of toggling: the detector keeps a sliding
-window of observed inter-arrival times per node and computes
+Suspicion accrues instead of toggling: the detector keeps the last
+``WINDOW`` observed inter-arrival times per node and computes
 
     phi(node) = (now - last_arrival) / mean(window)
 
-A node is *suspected* when phi crosses ``threshold`` (i.e. roughly
-``threshold`` expected heartbeats have gone missing) and *restored*
-the moment a heartbeat arrives again. Because this is a simulation,
-each suspicion is also classified against ground truth at fire time: a
-suspect that is actually alive and reachable (a straggler whose
-heartbeats were throttled away) counts toward
+A node is *suspected* when phi crosses ``THRESHOLD`` (i.e. roughly that
+many expected heartbeats have gone missing) and *restored* the moment a
+heartbeat arrives again. Because this is a simulation, each suspicion
+is also classified against ground truth at fire time: a suspect that
+is actually alive and reachable (a straggler whose heartbeats were
+throttled away) counts toward
 ``monitor.false_suspicions`` — the detector's precision is itself a
 measured quantity.
 
@@ -44,6 +45,13 @@ from repro.events import HookEmitter
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 
+#: Accrual level (missed expected heartbeats) at which a node is suspected.
+THRESHOLD = 3.0
+#: Inter-arrival times kept per node for the mean.
+WINDOW = 8
+#: Uplink fraction of base capacity below which heartbeats are starved.
+MIN_HEARTBEAT_CAPACITY = 0.05
+
 
 class FailureDetector(HookEmitter):
     """Virtual-time accrual (phi) detector fed by simulated heartbeats."""
@@ -55,33 +63,14 @@ class FailureDetector(HookEmitter):
         cluster: Cluster,
         *,
         heartbeat_interval: float = 0.5,
-        threshold: float = 3.0,
-        window: int = 8,
-        home: int | None = None,
-        min_heartbeat_capacity: float = 0.05,
     ) -> None:
         if heartbeat_interval <= 0:
             raise SimulationError("heartbeat interval must be positive")
-        if threshold <= 1.0:
-            raise SimulationError("suspicion threshold must exceed 1")
-        if window < 1:
-            raise SimulationError("inter-arrival window must be >= 1")
-        if not 0 <= min_heartbeat_capacity < 1:
-            raise SimulationError(
-                "min_heartbeat_capacity must lie in [0, 1)"
-            )
         self.cluster = cluster
         self.heartbeat_interval = float(heartbeat_interval)
-        self.threshold = float(threshold)
-        self.window = int(window)
-        if home is None:
-            home = (
-                cluster.clients[0].id
-                if cluster.clients
-                else cluster.storage_nodes[0].id
-            )
-        self.home = cluster.node(home).id
-        self.min_heartbeat_capacity = float(min_heartbeat_capacity)
+        self.home = (
+            cluster.clients[0].id if cluster.clients else cluster.storage_nodes[0].id
+        )
         #: node id -> virtual time its suspicion started (insertion order
         #: is suspicion order, keeping consumers deterministic).
         self.suspected: dict[int, float] = {}
@@ -106,7 +95,7 @@ class FailureDetector(HookEmitter):
             if node.id == self.home:
                 continue
             self._last_arrival[node.id] = now
-            self._intervals[node.id] = deque(maxlen=self.window)
+            self._intervals[node.id] = deque(maxlen=WINDOW)
             self._base_uplink[node.id] = node.uplink.capacity
         self.cluster.sim.schedule(self.heartbeat_interval, self._tick)
         return self
@@ -147,7 +136,7 @@ class FailureDetector(HookEmitter):
         if not self.cluster.reachable(node_id, self.home):
             return False
         base = self._base_uplink[node_id]
-        return node.uplink.capacity >= self.min_heartbeat_capacity * base
+        return node.uplink.capacity >= MIN_HEARTBEAT_CAPACITY * base
 
     def _ground_truth_ok(self, node_id: int) -> bool:
         node = self.cluster.node(node_id)
@@ -167,7 +156,7 @@ class FailureDetector(HookEmitter):
                     self._restore(node_id, now)
             elif (
                 node_id not in self.suspected
-                and self.phi(node_id) >= self.threshold
+                and self.phi(node_id) >= THRESHOLD
             ):
                 self._suspect(node_id, now)
         self.cluster.sim.schedule(self.heartbeat_interval, self._tick)

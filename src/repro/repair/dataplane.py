@@ -38,6 +38,9 @@ from repro.obs.tracer import get_tracer
 from repro.repair.executor import execute_plan
 from repro.repair.plan import RepairPlan
 
+#: Rejected write-backs of one chunk before it is abandoned.
+MAX_INTEGRITY_RETRIES = 3
+
 
 def decode_from_store(
     chunk_store: ChunkStore, code, chunk: ChunkId, plan: RepairPlan
@@ -70,18 +73,16 @@ class DataPlane:
         injector: FailureInjector | None = None,
         *,
         ledger=None,
-        max_integrity_retries: int = 3,
     ) -> None:
         self.chunk_store = chunk_store
         self.stripe_store = stripe_store
         self.injector = injector
         self.ledger = ledger
-        self.max_integrity_retries = max_integrity_retries
         self.repaired: list[ChunkId] = []
         self.mismatches: list[ChunkId] = []
         #: (chunk, reason) for every rejected write-back, in order.
         self.rejected: list[tuple[ChunkId, str]] = []
-        #: Chunks abandoned after ``max_integrity_retries`` rejections.
+        #: Chunks abandoned after ``MAX_INTEGRITY_RETRIES`` rejections.
         self.unrepairable: list[ChunkId] = []
         self._retries: dict[ChunkId, int] = {}
 
@@ -170,7 +171,7 @@ class DataPlane:
         self._retries[chunk] = retries
         if repairer is None:
             return
-        if retries > self.max_integrity_retries:
+        if retries > MAX_INTEGRITY_RETRIES:
             self.unrepairable.append(chunk)
             if registry.enabled:
                 registry.counter("repair.integrity.exhausted").inc()

@@ -210,17 +210,6 @@ class PlanInstance:
 
     # -- straggler reactions ----------------------------------------------------
 
-    def pause(self, except_transfer: Transfer | None = None) -> None:
-        """Transmission re-ordering: postpone this chunk's unfinished tasks.
-
-        ``except_transfer`` (typically the delayed straggler task itself)
-        keeps running; the paper postpones only the tasks *cooperating*
-        with the delayed one.
-        """
-        for transfer in self.uploads.values():
-            if not transfer.done and transfer is not except_transfer:
-                self.cluster.transfers.pause(transfer)
-
     def pause_downstream(self, transfer: Transfer) -> list[Transfer]:
         """Postpone only the tasks waiting (transitively) on ``transfer``.
 
@@ -245,7 +234,7 @@ class PlanInstance:
         return paused
 
     def resume(self) -> None:
-        """Continue transfers postponed by :meth:`pause`."""
+        """Continue transfers postponed by :meth:`pause_downstream`."""
         for transfer in self.uploads.values():
             if not transfer.done:
                 self.cluster.transfers.resume(transfer)

@@ -15,6 +15,12 @@ from repro.traffic.router import KeyRouter
 from repro.traffic.traces import TraceGenerator
 
 FOREGROUND_TAG = "foreground"
+#: Fixed per-request software overhead (request parsing, storage engine
+#: work), seconds; keeps a zero-latency closed loop from issuing
+#: unrealistically many requests per second.
+THINK_TIME = 0.002
+#: Outstanding requests per client (YCSB worker threads).
+CONCURRENCY = 4
 
 
 class TraceClient(HookEmitter):
@@ -41,9 +47,6 @@ class TraceClient(HookEmitter):
         num_requests: int | None,
         slice_size: float = 1 * MB,
         latency: LatencyRecorder | None = None,
-        tag: str = FOREGROUND_TAG,
-        think_time: float = 0.002,
-        concurrency: int = 4,
         burst_on: float = 0.0,
         burst_off: float = 0.0,
         key_offset: int = 0,
@@ -57,15 +60,6 @@ class TraceClient(HookEmitter):
         self.num_requests = num_requests
         self.slice_size = slice_size
         self.latency = latency if latency is not None else LatencyRecorder()
-        self.tag = tag
-        # Fixed per-request software overhead (request parsing, storage
-        # engine work); keeps a zero-latency closed loop from issuing
-        # unrealistically many requests per second.
-        self.think_time = think_time
-        # Outstanding requests per client (YCSB worker threads).
-        if concurrency < 1:
-            raise SimulationError("client concurrency must be at least 1")
-        self.concurrency = concurrency
         # ON/OFF bursting (exponential period means, seconds): real
         # foreground traffic fluctuates over time (root cause R1); during
         # an OFF period the client issues nothing. Zero disables bursts.
@@ -101,12 +95,12 @@ class TraceClient(HookEmitter):
         if self.started_at is not None:
             raise SimulationError("client already started")
         self.started_at = self.cluster.sim.now
-        self._active_slots = self.concurrency
+        self._active_slots = CONCURRENCY
         if self.burst_on > 0 and self.burst_off > 0:
             self.cluster.sim.schedule(
                 float(self._rng.exponential(self.burst_on)), self._end_burst
             )
-        for _ in range(self.concurrency):
+        for _ in range(CONCURRENCY):
             self._issue_next()
 
     def _end_burst(self) -> None:
@@ -162,7 +156,7 @@ class TraceClient(HookEmitter):
                 self.client_node.id,
                 request.size,
                 self.slice_size,
-                tag=self.tag,
+                tag=FOREGROUND_TAG,
                 read_disk=True,
                 write_disk=False,
                 name=f"fg-read-{self.client_node.id}-{self.issued}",
@@ -173,7 +167,7 @@ class TraceClient(HookEmitter):
                 node_id,
                 request.size,
                 self.slice_size,
-                tag=self.tag,
+                tag=FOREGROUND_TAG,
                 read_disk=False,
                 write_disk=True,
                 name=f"fg-upd-{self.client_node.id}-{self.issued}",
@@ -188,10 +182,7 @@ class TraceClient(HookEmitter):
         self.latency.record(latency)
         self.bytes_moved += size
         self.emit("request_done", self, latency=latency, size=size)
-        if self.think_time > 0:
-            self.cluster.sim.schedule(self.think_time, self._issue_next)
-        else:
-            self._issue_next()
+        self.cluster.sim.schedule(THINK_TIME, self._issue_next)
 
 
 def launch_clients(

@@ -160,11 +160,11 @@ TRACE_FACTORIES = {
 
 
 def make_trace(name: str, seed: int = 0) -> TraceGenerator:
-    """Build one of the four paper traces by name."""
-    try:
-        factory = TRACE_FACTORIES[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown trace {name!r}; choose from {sorted(TRACE_FACTORIES)}"
-        ) from None
-    return factory(seed=seed)
+    """Build one of the four paper traces by name, case-insensitively
+    (``"ycsb-a"`` builds ``"YCSB-A"``)."""
+    for key, factory in TRACE_FACTORIES.items():
+        if key.lower() == name.lower():
+            return factory(seed=seed)
+    raise SimulationError(
+        f"unknown trace {name!r}; valid traces: {sorted(TRACE_FACTORIES)}"
+    )

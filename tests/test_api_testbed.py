@@ -1,20 +1,15 @@
-"""The repro.api facade: TestbedBuilder normalization and its feature
-table, asymmetric disk bandwidth, and the stable re-exports."""
+"""The repro.api facade: TestbedBuilder spec parsing and its feature
+table, disk bandwidth, and the stable re-exports."""
 
 import inspect
 
 import pytest
 
 import repro
-from repro.api import (
-    _FEATURES,
-    Testbed,
-    TestbedBuilder,
-    _normalize_code,
-    _normalize_trace,
-)
+from repro.api import _FEATURES, Testbed, TestbedBuilder
 from repro.cluster import Cluster, mbs
-from repro.errors import ReproError
+from repro.codes import make_code
+from repro.errors import CodingError, ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_repair_experiment
 from repro.faults import FaultTimeline
@@ -34,7 +29,8 @@ class TestNormalization:
         ],
     )
     def test_code_specs(self, spec, expected):
-        assert _normalize_code(spec) == expected
+        assert make_code(spec).name == expected
+        assert TestbedBuilder().with_code(spec).config().code == expected
 
     @pytest.mark.parametrize(
         "bad",
@@ -50,7 +46,19 @@ class TestNormalization:
     )
     def test_bad_code_spec_rejected(self, bad):
         with pytest.raises(ReproError, match="valid forms"):
-            _normalize_code(bad)
+            TestbedBuilder().with_code(bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["rs-6", "lrc-10-2", "Butterfly(4)", "rs-6-3-1", "RS(6,3,1)"]
+    )
+    def test_wrong_arity_fails_at_the_call_not_in_build(self, bad):
+        with pytest.raises(CodingError, match="valid forms"):
+            TestbedBuilder().with_code(bad)
+
+    @pytest.mark.parametrize("bad", ["butterfly-6-3", "lrc-10-3-2", "RS(0,2)"])
+    def test_parameters_the_code_rejects_fail_at_the_call(self, bad):
+        with pytest.raises(CodingError):
+            TestbedBuilder().with_code(bad)
 
     @pytest.mark.parametrize(
         ("slug", "expected"),
@@ -63,11 +71,11 @@ class TestNormalization:
         ],
     )
     def test_trace_slugs(self, slug, expected):
-        assert _normalize_trace(slug) == expected
+        assert TestbedBuilder().with_trace(slug).config().trace == expected
 
     def test_unknown_trace_rejected(self):
         with pytest.raises(ReproError, match="valid traces"):
-            _normalize_trace("zipf-99")
+            TestbedBuilder().with_trace("zipf-99")
 
 
 class TestBuilder:
@@ -81,7 +89,7 @@ class TestBuilder:
             .with_chunks(10)
             .with_seed(5)
             .with_link(25.0)
-            .with_disk(500.0, read_mbs=800.0, write_mbs=300.0)
+            .with_disk(800.0)
             .config()
         )
         assert config.code == "RS(6,3)"
@@ -91,9 +99,7 @@ class TestBuilder:
         assert config.num_chunks == 10
         assert config.seed == 5
         assert config.link_gbps == 25.0
-        assert config.disk_mbs == 500.0
-        assert config.disk_read_mbs == 800.0
-        assert config.disk_write_mbs == 300.0
+        assert config.disk_mbs == 800.0
 
     def test_with_options_passthrough(self):
         config = TestbedBuilder().with_options(t_phase=3.0, racks=2).config()
@@ -119,12 +125,11 @@ FEATURE_ARGS = {
     "with_scrubber": {"rate_mbs": 100.0},
     "with_admission_control": {"baseline_p99": 0.01},
     "with_failure_detector": {"heartbeat_interval": 0.25},
-    "with_partitions": {"count": 2},
 }
 
 
 def subsystems(testbed: Testbed) -> dict:
-    """What the eight features leave attached to a testbed."""
+    """What the seven features leave attached to a testbed."""
     first_chunk = next(iter(testbed.chunk_store.chunks()))
     return {
         "timeseries": testbed.timeseries.window,
@@ -240,14 +245,13 @@ class TestPrebuiltTestbed:
 
 
 class TestAsymmetricDisk:
+    """Disks are symmetric: one bandwidth sets both disk resources."""
+
     def test_config_reaches_node_resources(self):
-        config = ExperimentConfig.scaled(
-            0.05, disk_read_mbs=800.0, disk_write_mbs=300.0
-        )
-        testbed = Testbed.build(config)
+        testbed = TestbedBuilder().scaled(0.05).with_disk(800.0).build()
         node = testbed.cluster.node(testbed.cluster.storage_ids[0])
         assert node.disk_read.capacity == pytest.approx(mbs(800))
-        assert node.disk_write.capacity == pytest.approx(mbs(300))
+        assert node.disk_write.capacity == pytest.approx(mbs(800))
 
     def test_symmetric_default_from_disk_mbs(self):
         config = ExperimentConfig.scaled(0.05, disk_mbs=700.0)
@@ -257,18 +261,17 @@ class TestAsymmetricDisk:
         assert node.disk_write.capacity == pytest.approx(mbs(700))
 
     def test_set_disk_bandwidth_split(self):
-        cluster = Cluster(num_nodes=4, num_clients=0, link_bw=mbs(100))
-        node = cluster.node(cluster.storage_ids[0])
-        cluster.set_disk_bandwidth(mbs(600), mbs(250))
-        assert node.disk_read.capacity == pytest.approx(mbs(600))
-        assert node.disk_write.capacity == pytest.approx(mbs(250))
+        cluster = Cluster(num_nodes=4, num_clients=1, link_bw=mbs(100))
         cluster.set_disk_bandwidth(mbs(400))
-        assert node.disk_read.capacity == pytest.approx(mbs(400))
-        assert node.disk_write.capacity == pytest.approx(mbs(400))
+        for node in cluster.storage_nodes:
+            assert node.disk_read.capacity == pytest.approx(mbs(400))
+            assert node.disk_write.capacity == pytest.approx(mbs(400))
+        # Storage-bottleneck throttling leaves client disks alone.
+        assert cluster.clients[0].disk_read.capacity == pytest.approx(mbs(500))
 
     def test_negative_disk_bandwidth_rejected(self):
         with pytest.raises(ReproError):
-            ExperimentConfig.scaled(0.05, disk_read_mbs=-1.0)
+            ExperimentConfig.scaled(0.05, disk_mbs=-1.0)
 
 
 class TestFaultWiring:

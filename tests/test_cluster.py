@@ -72,7 +72,7 @@ class TestCluster:
         assert t.completed_at == pytest.approx(2.0)
 
     def test_disk_bottleneck(self):
-        c = Cluster(num_nodes=2, num_clients=0, link_bw=mbs(1000), disk_read_bw=mbs(100))
+        c = Cluster(num_nodes=2, num_clients=0, link_bw=mbs(1000), disk_bw=mbs(100))
         t = c.make_transfer(0, 1, 100 * MB, 10 * MB, read_disk=True)
         c.start(t)
         c.sim.run()

@@ -54,7 +54,7 @@ class TestRackPaths:
         for label, src, dst in (("intra", 0, 2), ("cross", 0, 1)):
             cluster = Cluster(
                 num_nodes=4, num_clients=0, racks=2, oversubscription=4.0,
-                link_bw=mbs(100), disk_read_bw=mbs(10000), disk_write_bw=mbs(10000),
+                link_bw=mbs(100), disk_bw=mbs(10000),
             )
             t = cluster.make_transfer(src, dst, 100 * MB, 25 * MB)
             cluster.start(t)

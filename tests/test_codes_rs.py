@@ -136,18 +136,6 @@ class TestRepairEquation:
 
 
 class TestConstruction:
-    def test_vandermonde_variant(self):
-        rng = np.random.default_rng(9)
-        code = RSCode(4, 2, matrix="vandermonde")
-        data = random_data(rng, 4)
-        stripe = code.encode(data)
-        decoded = code.decode({2: stripe[2], 3: stripe[3], 4: stripe[4], 5: stripe[5]})
-        assert np.array_equal(decoded[0], data[0])
-
-    def test_unknown_matrix_raises(self):
-        with pytest.raises(CodingError):
-            RSCode(4, 2, matrix="bogus")
-
     def test_invalid_params_raise(self):
         with pytest.raises(CodingError):
             RSCode(0, 2)

@@ -12,12 +12,10 @@ CHUNK = 16 * MB
 SLICE = 4 * MB
 
 
-def make_env(code=None, num_nodes=12, num_stripes=20, seed=0, link=mbs(100), **cluster_kw):
+def make_env(code=None, num_nodes=12, num_stripes=20, seed=0, link=mbs(100)):
     code = code if code is not None else RSCode(4, 2)
     cluster = Cluster(
-        num_nodes=num_nodes, num_clients=0, link_bw=link,
-        disk_read_bw=cluster_kw.pop("disk_read_bw", mbs(1000)),
-        disk_write_bw=cluster_kw.pop("disk_write_bw", mbs(1000)),
+        num_nodes=num_nodes, num_clients=0, link_bw=link, disk_bw=mbs(1000)
     )
     store = place_stripes(code, num_stripes, cluster.storage_ids, chunk_size=CHUNK, seed=seed)
     injector = FailureInjector(cluster, store)
@@ -80,10 +78,6 @@ class TestBasicRepair:
         cluster, store, injector, monitor = make_env()
         with pytest.raises(SchedulingError):
             make_chameleon(cluster, store, injector, monitor, t_phase=0)
-        with pytest.raises(SchedulingError):
-            make_chameleon(
-                cluster, store, injector, monitor, multi_node_policy="bogus"
-            )
 
 
 class TestPhases:
@@ -109,13 +103,10 @@ class TestPhases:
 
 
 class TestMultiNodePolicies:
-    @pytest.mark.parametrize("policy", ["sequential", "priority", "fastest"])
-    def test_two_node_failure_repairs(self, policy):
+    def test_two_node_failure_repairs(self):
         cluster, store, injector, monitor = make_env(num_nodes=14, num_stripes=25)
         report = injector.fail_nodes([0, 1])
-        coord = make_chameleon(
-            cluster, store, injector, monitor, multi_node_policy=policy
-        )
+        coord = make_chameleon(cluster, store, injector, monitor)
         coord.repair(report.failed_chunks)
         run_until_done(cluster, coord)
         assert coord.done
@@ -193,7 +184,7 @@ class TestVariants:
         code = RSCode(4, 2)
         cluster = Cluster(
             num_nodes=12, num_clients=0, link_bw=mbs(1000),
-            disk_read_bw=mbs(50), disk_write_bw=mbs(50),
+            disk_bw=mbs(50),
         )
         store = place_stripes(code, 15, cluster.storage_ids, chunk_size=CHUNK, seed=2)
         injector = FailureInjector(cluster, store)

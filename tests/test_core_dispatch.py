@@ -136,8 +136,7 @@ class TestDispatch:
     def test_io_aware_uses_disk_bandwidth(self):
         code = RSCode(4, 2)
         cluster = Cluster(
-            num_nodes=12, num_clients=0, link_bw=mbs(1000), disk_read_bw=mbs(50),
-            disk_write_bw=mbs(50),
+            num_nodes=12, num_clients=0, link_bw=mbs(1000), disk_bw=mbs(50),
         )
         store = place_stripes(code, 10, cluster.storage_ids, chunk_size=CHUNK, seed=0)
         injector = FailureInjector(cluster, store)

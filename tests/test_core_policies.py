@@ -31,39 +31,12 @@ def make_coord(cluster, store, injector, monitor, **kw):
 
 
 class TestOrderingPolicies:
-    def test_sequential_keeps_input_order(self):
-        cluster, store, injector, monitor = make_env()
-        coord = make_coord(
-            cluster, store, injector, monitor, multi_node_policy="sequential"
-        )
-        chunks = [ChunkId(3, 0), ChunkId(1, 1), ChunkId(2, 2)]
-        assert coord._order_chunks(list(chunks)) == chunks
-
     def test_priority_groups_multi_failure_stripes_first(self):
         cluster, store, injector, monitor = make_env()
-        coord = make_coord(cluster, store, injector, monitor, multi_node_policy="priority")
+        coord = make_coord(cluster, store, injector, monitor)
         chunks = [ChunkId(1, 0), ChunkId(2, 0), ChunkId(2, 1), ChunkId(3, 0)]
         ordered = coord._order_chunks(chunks)
         assert ordered[0].stripe == 2 and ordered[1].stripe == 2
-
-    def test_fastest_prefers_cheaper_repairs(self):
-        # LRC data chunks (local repair, k/l sources) come before global
-        # parity chunks (k sources) under the "fastest" policy.
-        from repro.codes import LRCCode
-
-        code = LRCCode(4, 2, 2)
-        cluster = Cluster(num_nodes=14, num_clients=0)
-        store = place_stripes(code, 10, cluster.storage_ids, chunk_size=CHUNK, seed=1)
-        injector = FailureInjector(cluster, store)
-        monitor = BandwidthMonitor(cluster)
-        coord = ChameleonRepair(
-            cluster, store, injector, monitor,
-            chunk_size=CHUNK, slice_size=SLICE, multi_node_policy="fastest",
-        )
-        cheap = ChunkId(0, 0)   # data chunk: local repair, 2 sources
-        costly = ChunkId(1, 6)  # global parity: k = 4 sources
-        ordered = coord._order_chunks([costly, cheap])
-        assert ordered[0] == cheap
 
     def test_max_inflight_validation(self):
         cluster, store, injector, monitor = make_env()

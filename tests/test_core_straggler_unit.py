@@ -117,7 +117,8 @@ class TestReorder:
         coord.repair(report.failed_chunks)
         cluster.sim.run(until=cluster.sim.now + 0.01)
         instance = next(iter(coord.in_flight.values()))
-        instance.pause()
+        for transfer in instance.uploads.values():
+            cluster.transfers.pause(transfer)
         coord._paused.append(instance)
         coord._wake(instance)
         assert instance not in coord._paused

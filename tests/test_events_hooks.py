@@ -24,7 +24,7 @@ class OpenGadget(HookEmitter):
 def make_env():
     cluster = Cluster(
         num_nodes=12, num_clients=0, link_bw=mbs(100),
-        disk_read_bw=mbs(1000), disk_write_bw=mbs(1000),
+        disk_bw=mbs(1000),
     )
     store = place_stripes(RSCode(4, 2), 20, cluster.storage_ids,
                           chunk_size=CHUNK, seed=0)

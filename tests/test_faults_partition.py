@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import Cluster, FailureInjector, MB, mbs, place_stripes
 from repro.codes import RSCode
 from repro.errors import SimulationError
-from repro.faults import FaultTimeline, NetworkPartition
+from repro.faults import FaultTimeline
 from repro.metrics.linkstats import REPAIR_TAG
 
 CHUNK = 16 * MB
@@ -15,7 +15,7 @@ SLICE = 4 * MB
 def make_env(num_nodes=12):
     cluster = Cluster(
         num_nodes=num_nodes, num_clients=0, link_bw=mbs(100),
-        disk_read_bw=mbs(1000), disk_write_bw=mbs(1000),
+        disk_bw=mbs(1000),
     )
     store = place_stripes(RSCode(4, 2), 20, cluster.storage_ids,
                           chunk_size=CHUNK, seed=0)
@@ -104,31 +104,15 @@ class TestTimelinePartitions:
         cluster.sim.run()
         assert not transfer.active
 
-    def test_generator_same_seed_same_waves(self):
-        def build(seed):
-            tl = FaultTimeline(seed=seed).partitions(
-                nodes=list(range(10)), horizon=30.0, count=4,
-            )
-            return [
-                (e.at, e.groups, e.duration)
-                for e in tl.sorted_events()
-                if isinstance(e, NetworkPartition)
-            ]
-
-        assert build(7) == build(7)
-        assert build(7) != build(8)
-        assert len(build(7)) == 4
-
     def test_generator_validation(self):
         tl = FaultTimeline()
         with pytest.raises(SimulationError):
-            tl.partitions(nodes=[1, 2], horizon=0.0)
-        with pytest.raises(SimulationError):
-            tl.partitions(nodes=[1, 2], horizon=10.0, count=0)
-        with pytest.raises(SimulationError):
-            tl.partitions(nodes=[1], horizon=10.0)
-        with pytest.raises(SimulationError):
             tl.partition(0.0, [[1]], duration=0.0)
+        with pytest.raises(SimulationError):
+            tl.partition(0.0, [[]], duration=1.0)
+        with pytest.raises(SimulationError):
+            tl.partition(0.0, [[1, 2], [2]], duration=1.0)
+        assert tl.events == []
 
     def test_partition_composes_with_churn(self):
         cluster, _, injector = make_env()

@@ -21,7 +21,7 @@ SLICE = 4 * MB
 def make_env(num_nodes=12):
     cluster = Cluster(
         num_nodes=num_nodes, num_clients=0, link_bw=mbs(100),
-        disk_read_bw=mbs(1000), disk_write_bw=mbs(1000),
+        disk_bw=mbs(1000),
     )
     store = place_stripes(RSCode(4, 2), 20, cluster.storage_ids,
                           chunk_size=CHUNK, seed=0)

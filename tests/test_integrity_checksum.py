@@ -31,7 +31,7 @@ CHUNK = 16 * MB
 def make_env(num_nodes=12, num_stripes=10, seed=0):
     cluster = Cluster(
         num_nodes=num_nodes, num_clients=0, link_bw=mbs(100),
-        disk_read_bw=mbs(1000), disk_write_bw=mbs(1000),
+        disk_bw=mbs(1000),
     )
     store = place_stripes(RSCode(4, 2), num_stripes, cluster.storage_ids,
                           chunk_size=CHUNK, seed=seed)

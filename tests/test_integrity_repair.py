@@ -17,6 +17,7 @@ from repro.codes import RSCode
 from repro.errors import PlanError
 from repro.integrity import IntegrityLedger
 from repro.repair import ConventionalRepair, DataPlane, RepairRunner, execute_plan
+from repro.repair.dataplane import MAX_INTEGRITY_RETRIES
 
 CHUNK = 8 * MB
 SLICE = 2 * MB
@@ -119,13 +120,15 @@ class TestRejection:
         bad = ChunkId(target.stripe, plan.sources[0].chunk_index)
         cs.corrupt(bad, rng=np.random.default_rng(4))
         repairer = FakeRepairer()
-        plane = DataPlane(cs, store, injector, max_integrity_retries=1)
-        plane.handle_repaired(target, plan, repairer=repairer)
-        assert repairer.added == [bad, target]
-        assert not plane.unrepairable
+        plane = DataPlane(cs, store, injector)
+        for _ in range(MAX_INTEGRITY_RETRIES):
+            plane.handle_repaired(target, plan, repairer=repairer)
+            assert not plane.unrepairable
+        assert repairer.added[:2] == [bad, target]
+        requeued = list(repairer.added)
         plane.handle_repaired(target, plan, repairer=repairer)
         assert plane.unrepairable == [target]
-        assert repairer.added == [bad, target]  # no further requeue
+        assert repairer.added == requeued  # no further requeue
 
     def test_deep_verify_catches_undetected_corruption(self):
         cluster, store, injector, cs = make_env()

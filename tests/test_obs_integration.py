@@ -22,7 +22,7 @@ def run_repair_with_slow_node(tracer):
     """One ChameleonEC repair where a survivor's uplink is hogged mid-run."""
     cluster = Cluster(
         num_nodes=12, num_clients=0, link_bw=mbs(25),
-        disk_read_bw=mbs(1000), disk_write_bw=mbs(1000),
+        disk_bw=mbs(1000),
     )
     tracer.bind_clock(cluster.sim)
     store = place_stripes(

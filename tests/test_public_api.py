@@ -6,9 +6,10 @@ advertised name must actually resolve. ``Testbed``/``TestbedBuilder``
 are the sole experiment facade; the deprecated ``Scenario`` never
 appears at top level.
 
-The settable options of the control plane are pinned the same way: a
-new engine or controller keyword, or a new builder feature, must be a
-deliberate edit to :class:`TestOptionRatchet`.
+The settable options are pinned the same way: a new engine or
+controller keyword, a new builder feature, or any new defaulted
+parameter anywhere on the public surface must be a deliberate edit to
+:class:`TestOptionRatchet`.
 """
 
 import inspect
@@ -134,6 +135,25 @@ class TestFrozenSurface:
         assert "TestbedBuilder" in repro.__all__
 
 
+def public_signatures():
+    """``(qualified name, signature)`` of every public callable: each
+    function in ``repro.__all__``, plus ``__init__`` and the public
+    methods defined on each exported class (including the ``with_*``
+    builder methods generated from ``_FEATURES``)."""
+    for name in repro.__all__:
+        obj = getattr(repro, name)
+        if inspect.isfunction(obj):
+            yield name, inspect.signature(obj)
+        elif inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                if attr.startswith("_") and attr != "__init__":
+                    continue
+                if isinstance(value, (classmethod, staticmethod)):
+                    value = value.__func__
+                if inspect.isfunction(value):
+                    yield f"{name}.{attr}", inspect.signature(value)
+
+
 def keywords(function) -> set[str]:
     return {
         name
@@ -175,4 +195,14 @@ class TestOptionRatchet:
         assert not writes & set(vars(Journal))
 
     def test_feature_table_size(self):
-        assert len(_FEATURES) == 8
+        assert len(_FEATURES) == 7
+
+    def test_public_option_count(self):
+        """Every defaulted parameter on the public surface is an option;
+        adding one moves this count on purpose."""
+        options = sum(
+            param.default is not inspect.Parameter.empty
+            for _, signature in public_signatures()
+            for param in signature.parameters.values()
+        )
+        assert options == 201

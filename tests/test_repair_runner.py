@@ -22,7 +22,7 @@ def make_env(code=None, num_nodes=12, num_stripes=20, seed=0, link=mbs(100)):
     code = code if code is not None else RSCode(4, 2)
     cluster = Cluster(
         num_nodes=num_nodes, num_clients=0, link_bw=link,
-        disk_read_bw=mbs(1000), disk_write_bw=mbs(1000),
+        disk_bw=mbs(1000),
     )
     store = place_stripes(code, num_stripes, cluster.storage_ids, chunk_size=CHUNK, seed=seed)
     injector = FailureInjector(cluster, store)
@@ -287,7 +287,8 @@ class TestPlanInstanceMechanics:
         instance = PlanInstance(cluster, plan, chunk_size=CHUNK, slice_size=SLICE)
         instance.start()
         cluster.sim.run(until=0.02)
-        instance.pause()
+        for transfer in instance.uploads.values():
+            cluster.transfers.pause(transfer)
         free_point = cluster.sim.run(until=5.0)
         assert not instance.done
         instance.resume()

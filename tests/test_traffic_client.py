@@ -6,6 +6,7 @@ from repro.cluster import MB, Cluster, Stripe, mbs, place_stripes
 from repro.codes import RSCode
 from repro.errors import SimulationError
 from repro.traffic import KeyRouter, TraceClient, launch_clients, uniform_trace
+from repro.traffic.client import CONCURRENCY, THINK_TIME
 
 
 def make_env(num_clients=2):
@@ -64,8 +65,6 @@ class TestTraceClient:
     def make_client(self, cluster, router, **kw):
         kw.setdefault("num_requests", 10)
         kw.setdefault("slice_size", MB)
-        kw.setdefault("think_time", 0.0)
-        kw.setdefault("concurrency", 1)
         return TraceClient(
             cluster, cluster.clients[0], uniform_trace(seed=3), router, **kw
         )
@@ -98,24 +97,28 @@ class TestTraceClient:
 
     def test_concurrency_outstanding_requests(self):
         cluster, store, router = make_env()
-        fast = self.make_client(cluster, router, num_requests=40, concurrency=4)
-        fast.start()
+        client = self.make_client(cluster, router, num_requests=40)
+        client.start()
+        assert client.issued == CONCURRENCY
         cluster.sim.run()
-        slow_cluster, _, slow_router = make_env()
-        slow = TraceClient(
-            slow_cluster, slow_cluster.clients[0], uniform_trace(seed=3),
-            slow_router, num_requests=40, think_time=0.0, concurrency=1,
-        )
-        slow.start()
-        slow_cluster.sim.run()
-        assert fast.execution_time < slow.execution_time
+        assert client.issued == 40
 
     def test_think_time_slows_issue_rate(self):
+        # The first completion frees a slot, which issues THINK_TIME later.
         cluster, store, router = make_env()
-        client = self.make_client(cluster, router, num_requests=5, think_time=1.0)
+        client = self.make_client(cluster, router, num_requests=CONCURRENCY + 1)
+        issued = []
+
+        def on_first_done(c, latency, size):
+            if not issued:
+                issued.append(c.issued)
+                for delay in (THINK_TIME / 2, THINK_TIME * 1.5):
+                    cluster.sim.schedule(delay, lambda: issued.append(c.issued))
+
+        client.on("request_done", on_first_done)
         client.start()
         cluster.sim.run()
-        assert client.execution_time >= 4.0  # 4 think gaps at least
+        assert issued == [CONCURRENCY, CONCURRENCY, CONCURRENCY + 1]
 
     def test_double_start_rejected(self):
         cluster, store, router = make_env()
@@ -128,11 +131,6 @@ class TestTraceClient:
         cluster, store, router = make_env()
         with pytest.raises(SimulationError):
             self.make_client(cluster, router, num_requests=-1)
-
-    def test_invalid_concurrency_rejected(self):
-        cluster, store, router = make_env()
-        with pytest.raises(SimulationError):
-            self.make_client(cluster, router, concurrency=0)
 
     def test_bursting_client_pauses_and_resumes(self):
         cluster, store, router = make_env()
@@ -148,7 +146,7 @@ class TestTraceClient:
         cluster2, _, router2 = make_env()
         flat = TraceClient(
             cluster2, cluster2.clients[0], uniform_trace(seed=3), router2,
-            num_requests=None, think_time=0.0, concurrency=1,
+            num_requests=None,
         )
         flat.start()
         cluster2.sim.schedule(10.0, flat.stop)
