@@ -21,6 +21,14 @@ def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))
 
 
+def run_sweep(benchmark, sweep, scale: float) -> dict:
+    """Measure ``sweep``'s whole grid once and emit each of its tables."""
+    cells = benchmark.pedantic(sweep.run, args=(scale,), rounds=1, iterations=1)
+    for title, headers, rows in sweep.tables:
+        emit(benchmark, title, headers, rows(cells))
+    return cells
+
+
 def emit(benchmark, title: str, headers: list[str], rows: list[list]) -> None:
     """Print a result table and attach it to the benchmark record."""
     from repro.experiments.harness import format_table

@@ -1,24 +1,12 @@
 """Exp#1 (Fig. 12): repair throughput + P99 across four real-world traces."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp01_interference import (
-    rows_p99,
-    rows_throughput,
-    run_exp01,
-)
-
-HEADERS = ["trace", "CR", "PPR", "ECPipe", "ChameleonEC"]
+from repro.experiments.exp01_interference import SWEEP
 
 
 def test_exp01_interference(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp01, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#1 / Fig 12(a): repair throughput (MB/s)",
-         HEADERS, rows_throughput(results))
-    emit(benchmark, "Exp#1 / Fig 12(b): P99 latency (ms)",
-         HEADERS, rows_p99(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     # Headline claim: ChameleonEC beats every baseline on every trace.
     traces = {t for t, _ in results}
     for trace in traces:

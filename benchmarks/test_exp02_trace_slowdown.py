@@ -1,21 +1,12 @@
 """Exp#2 (Fig. 13): interference degree (trace slowdown under repair)."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp02_trace_slowdown import rows, run_exp02
-
-HEADERS = ["trace", "CR", "PPR", "ECPipe", "ChameleonEC"]
+from repro.experiments.exp02_trace_slowdown import SWEEP
 
 
 def test_exp02_trace_slowdown(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp02,
-        kwargs={"scale": bench_scale, "traces": ("YCSB-A", "Facebook-ETC")},
-        rounds=1,
-        iterations=1,
-    )
-    emit(benchmark, "Exp#2 / Fig 13: interference degree (T*/T - 1)",
-         HEADERS, rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     # ChameleonEC introduces less slowdown than the baselines on average.
     traces = {t for t, _ in results}
     cham = sum(results[(t, "ChameleonEC")] for t in traces)

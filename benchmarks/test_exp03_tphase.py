@@ -1,16 +1,12 @@
 """Exp#3 (Fig. 14): ChameleonEC throughput vs phase length T_phase."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp03_tphase import rows, run_exp03
+from repro.experiments.exp03_tphase import SWEEP
 
 
 def test_exp03_tphase(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp03, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#3 / Fig 14: ChameleonEC vs T_phase",
-         ["T_phase (paper-equivalent)", "throughput MB/s", "P99 ms"], rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     # Shape: short phases react faster to bandwidth changes; the paper
     # reports a gentle decline from T=10s to T=40s (-5.4% at T=20).
     # Scaled runs add per-phase overhead that full-scale runs amortise,

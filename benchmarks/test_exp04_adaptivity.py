@@ -1,18 +1,12 @@
 """Exp#4 (Fig. 15): adaptivity under dynamically transitioning traces."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp04_adaptivity import rows, run_exp04, series_rows
+from repro.experiments.exp04_adaptivity import SWEEP
 
 
 def test_exp04_adaptivity(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp04, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#4 / Fig 15: average throughput under trace transitions",
-         ["algorithm", "throughput MB/s", "repair time s"], rows(results))
-    emit(benchmark, "Exp#4 / Fig 15: throughput time series (MB/s per window)",
-         ["algorithm"] + [f"w{i}" for i in range(8)], series_rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     cham = results["ChameleonEC"].throughput
     for baseline in ("CR", "PPR", "ECPipe"):
         assert cham > results[baseline].throughput

@@ -1,19 +1,12 @@
 """Exp#5 (Fig. 16): coordinator computation time vs nodes and chunks."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp05_computation import rows, run_exp05
+from repro.experiments.exp05_computation import SWEEP
 
 
-def test_exp05_computation(benchmark):
-    results = benchmark.pedantic(
-        run_exp05,
-        kwargs={"node_counts": (50, 100, 200, 500), "chunk_counts": (200, 600, 1000)},
-        rounds=1,
-        iterations=1,
-    )
-    emit(benchmark, "Exp#5 / Fig 16: plan-generation wall time (s)",
-         ["nodes", "200 chunks", "600 chunks", "1000 chunks"], rows(results))
+def test_exp05_computation(benchmark, bench_scale):
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     # Time grows with the chunk count and stays lightweight overall; the
     # paper reports ~0.55 s for 1000 chunks on 500 nodes.
     for nodes in (50, 100, 200, 500):

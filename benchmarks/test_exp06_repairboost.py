@@ -1,16 +1,12 @@
 """Exp#6 (Fig. 17): RepairBoost-enhanced baselines vs ChameleonEC."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp06_repairboost import rows, run_exp06
+from repro.experiments.exp06_repairboost import SWEEP
 
 
 def test_exp06_repairboost(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp06, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#6 / Fig 17: RB-boosted baselines vs ChameleonEC",
-         ["algorithm", "throughput MB/s", "P99 ms"], rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     # Paper shape: RB narrows the gap but ChameleonEC stays ahead
     # (+16-46% on EC2). The fluid fair-share model compresses that gap
     # (see EXPERIMENTS.md), so we assert ChameleonEC stays competitive

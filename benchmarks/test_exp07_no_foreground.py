@@ -1,21 +1,12 @@
 """Exp#7 (Fig. 18): repair throughput with no foreground traffic."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp07_no_foreground import rows, run_exp07
-
-HEADERS = ["link bw", "CR", "PPR", "ECPipe", "ChameleonEC"]
+from repro.experiments.exp07_no_foreground import SWEEP
 
 
 def test_exp07_no_foreground(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp07,
-        kwargs={"scale": bench_scale, "bandwidths": (1.0, 10.0)},
-        rounds=1,
-        iterations=1,
-    )
-    emit(benchmark, "Exp#7 / Fig 18: no-foreground repair throughput (MB/s)",
-         HEADERS, rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     for bw in (1.0, 10.0):
         # Gains persist without interference (bandwidth balancing alone).
         cham = results[(bw, "ChameleonEC")].throughput

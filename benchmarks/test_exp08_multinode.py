@@ -1,18 +1,12 @@
 """Exp#8 (Fig. 19): multi-node repair (1-3 failed nodes)."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp08_multinode import rows, run_exp08
-
-HEADERS = ["failures", "CR", "PPR", "ECPipe", "ChameleonEC"]
+from repro.experiments.exp08_multinode import SWEEP
 
 
 def test_exp08_multinode(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp08, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#8 / Fig 19: multi-node repair throughput (MB/s)",
-         HEADERS, rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     for failures in (1, 2, 3):
         cham = results[(failures, "ChameleonEC")].throughput
         for baseline in ("CR", "PPR", "ECPipe"):

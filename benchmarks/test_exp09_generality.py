@@ -1,18 +1,12 @@
 """Exp#9 (Fig. 20): generality across RS, LRC, and Butterfly codes."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp09_generality import rows, run_exp09
-
-HEADERS = ["code", "CR", "PPR", "ECPipe", "ChameleonEC"]
+from repro.experiments.exp09_generality import SWEEP
 
 
 def test_exp09_generality(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp09, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#9 / Fig 20: repair throughput by erasure code (MB/s)",
-         HEADERS, rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     # ChameleonEC leads for RS codes and LRCs.
     for code in ("RS(8,3)", "RS(10,4)", "LRC(8,2,2)", "LRC(10,2,2)"):
         cham = results[(code, "ChameleonEC")].throughput

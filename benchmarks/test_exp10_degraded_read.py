@@ -1,18 +1,12 @@
 """Exp#10 (Fig. 21): degraded-read throughput under RS(6,3) and RS(10,4)."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp10_degraded_read import rows, run_exp10
-
-HEADERS = ["code", "CR", "PPR", "ECPipe", "ChameleonEC"]
+from repro.experiments.exp10_degraded_read import SWEEP
 
 
 def test_exp10_degraded_read(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp10, kwargs={"scale": bench_scale, "reads": 2}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#10 / Fig 21: degraded-read throughput (MB/s)",
-         HEADERS, rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     for code in ("RS(6,3)", "RS(10,4)"):
         cham = results[(code, "ChameleonEC")]
         for baseline in ("CR", "PPR", "ECPipe"):

@@ -1,18 +1,12 @@
 """Exp#11 (Fig. 22): breakdown study (ETRP vs ETRP+SAR under a straggler)."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp11_breakdown import rows, run_exp11
-
-HEADERS = ["straggler start", "CR", "PPR", "ECPipe", "ETRP", "ChameleonEC"]
+from repro.experiments.exp11_breakdown import SWEEP
 
 
 def test_exp11_breakdown(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp11, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#11 / Fig 22: phase repair throughput with straggler (MB/s)",
-         HEADERS, rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     # The full system (ETRP+SAR) at least matches ETRP alone on average.
     offsets = sorted({o for o, _ in results})
     full = sum(results[(o, "ChameleonEC")] for o in offsets)

@@ -1,18 +1,12 @@
 """Exp#12 (Fig. 23): storage-bottlenecked scenarios (ChameleonEC-IO)."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp12_storage_bottleneck import rows, run_exp12
-
-HEADERS = ["disk bw", "CR", "ChameleonEC", "ChameleonEC-IO"]
+from repro.experiments.exp12_storage_bottleneck import SWEEP
 
 
 def test_exp12_storage_bottleneck(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp12, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#12 / Fig 23: throughput under throttled disks (MB/s)",
-         HEADERS, rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     disks = sorted({d for d, _ in results})
     # Faster disks help everyone.
     assert (

@@ -1,16 +1,12 @@
 """Exp#14: repair completion and tail latency under mid-repair churn."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp14_churn import HEADERS, rows, run_exp14
+from repro.experiments.exp14_churn import SWEEP
 
 
 def test_exp14_churn(benchmark, bench_scale):
-    cells = benchmark.pedantic(
-        run_exp14, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#14: repair under churn (mid-repair crash + straggler)",
-         HEADERS, rows(cells))
+    cells = run_sweep(benchmark, SWEEP, bench_scale)
     for (algorithm, churn), cell in cells.items():
         # Within the code's tolerance nothing may be lost, ever.
         assert cell["lost_chunks"] == 0, (algorithm, churn)

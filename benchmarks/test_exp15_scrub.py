@@ -1,16 +1,12 @@
 """Exp#15: background-scrub rate sweep — detection latency vs P99 cost."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp15_scrub import HEADERS, rows, run_exp15
+from repro.experiments.exp15_scrub import SWEEP
 
 
 def test_exp15_scrub(benchmark, bench_scale):
-    cells = benchmark.pedantic(
-        run_exp15, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#15: background scrubbing (detection latency vs P99 inflation)",
-         HEADERS, rows(cells))
+    cells = run_sweep(benchmark, SWEEP, bench_scale)
     nonzero = sorted(i for i in cells if i > 0)
     baseline = cells[0.0]
     # The window covers a full pass at every swept rate: nothing escapes.

@@ -1,16 +1,12 @@
 """Exp#17: SLO-gated chaos suite — all fault families, machine verdicts."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp17_chaos import HEADERS, rows, run_exp17
+from repro.experiments.exp17_chaos import SWEEP
 
 
 def test_exp17_chaos(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_exp17, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#17: SLO-gated chaos suite (per traffic family)",
-         HEADERS, rows(results))
+    results = run_sweep(benchmark, SWEEP, bench_scale)
     for trace, run in results.items():
         # The gate holds under the composed fault schedule...
         assert run.gate.passed, (trace, [b.to_dict() for b in run.gate.breaches])

@@ -2,26 +2,14 @@
 
 import json
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp18_adaptive import (
-    HEADERS,
-    SWEEP,
-    breach_windows,
-    deadline_met,
-    pairs,
-    rows,
-    run_exp18,
-)
+from repro.experiments.exp18_adaptive import SWEEP, breach_windows, deadline_met, pairs
 from repro.experiments.harness import write_verdict
 
 
 def test_exp18_adaptive(benchmark, bench_scale, tmp_path):
-    cells = benchmark.pedantic(
-        run_exp18, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#18: adaptive admission control (off vs on)",
-         HEADERS, rows(cells))
+    cells = run_sweep(benchmark, SWEEP, bench_scale)
     payload = SWEEP.verdict(cells, scale=bench_scale, seed=0)
     # The acceptance criterion: strictly fewer P99 breach windows with
     # the controller on, without blowing the repair deadline.

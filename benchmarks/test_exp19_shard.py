@@ -1,16 +1,12 @@
-"""Exp#19: sharded control plane — blast radius shrinks with shard count."""
+"""Exp#19: coordinator failover — blast radius shrinks with shard count."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp19_shard_failover import HEADERS, SWEEP, rows, run_exp19
+from repro.experiments.exp19_shard_failover import SWEEP
 
 
 def test_exp19_shard_failover(benchmark, bench_scale):
-    cells = benchmark.pedantic(
-        run_exp19, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#19: shard count vs failover blast radius",
-         HEADERS, rows(cells))
+    cells = run_sweep(benchmark, SWEEP, bench_scale)
     payload = SWEEP.verdict(cells, scale=bench_scale, seed=0)
     # The headline gate: one targeted crash stalls a strictly smaller
     # fraction of the open work as the plane gains shards...
@@ -37,3 +33,20 @@ def test_exp19_shard_failover(benchmark, bench_scale):
         # The dead shard's work was requeued and finished.
         assert cell["requeued"] > 0, (shards, frac)
         assert cell["repair_time_s"] >= baseline["repair_time_s"] * 0.5, (shards, frac)
+    # One coordinator, crashed at each swept point: every run repairs
+    # the whole batch exactly once, byte-exact, writing nothing off.
+    one_shard = {frac: cell for (shards, frac), cell in cells.items() if shards == 1}
+    baseline = one_shard.pop(None)
+    assert baseline["repair_time_s"] > 0 and baseline["unverified"] == 0
+    crashed = sorted(one_shard)
+    for frac in crashed:
+        cell = one_shard[frac]
+        assert cell["duplicates"] == 0, frac
+        assert cell["unverified"] == 0, frac
+        assert cell["lost"] == 0, frac
+        assert cell["completed"] == cell["chunks"], frac
+        # Downtime + re-execution can only lengthen the repair.
+        assert cell["repair_time_s"] >= baseline["repair_time_s"], frac
+    # A later crash leaves less work to re-execute than an earlier one.
+    requeues = [one_shard[f]["requeued"] for f in crashed]
+    assert requeues == sorted(requeues, reverse=True), requeues

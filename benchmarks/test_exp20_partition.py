@@ -1,17 +1,13 @@
 """Exp#20: partition-tolerant repair — failure detection beats timeouts."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.exp20_partition import HEADERS, SWEEP, rows, run_exp20
+from repro.experiments.exp20_partition import SWEEP
 from repro.experiments.harness import nested
 
 
 def test_exp20_partition(benchmark, bench_scale):
-    cells = benchmark.pedantic(
-        run_exp20, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Exp#20: repair under network partitions",
-         HEADERS, rows(cells))
+    cells = run_sweep(benchmark, SWEEP, bench_scale)
     payload = SWEEP.verdict(cells, scale=bench_scale, seed=0)
     # The headline gate: the failure detector strictly beats the
     # timeout-only baseline's p99 at every partition duration...

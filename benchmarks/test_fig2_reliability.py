@@ -1,14 +1,12 @@
 """Fig. 2: data-loss probability vs repair throughput (analytic model)."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.figures import fig2_rows, run_fig2
+from repro.experiments.figures import FIG2_SWEEP
 
 
-def test_fig2_reliability(benchmark):
-    curve = benchmark.pedantic(run_fig2, rounds=1, iterations=1)
-    emit(benchmark, "Fig 2: Pr_dl vs repair throughput (RS(10,4), 96 TB/node)",
-         ["repair throughput", "Pr_dl"], fig2_rows(curve))
+def test_fig2_reliability(benchmark, bench_scale):
+    curve = run_sweep(benchmark, FIG2_SWEEP, bench_scale)
     # Higher repair throughput must strictly lower the loss probability.
-    probs = [p for _, p in curve]
+    probs = list(curve.values())
     assert all(a > b for a, b in zip(probs, probs[1:]))

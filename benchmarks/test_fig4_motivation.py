@@ -1,26 +1,12 @@
 """Fig. 4 (Section II-D): interference study — repair time and P99 vs #clients."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.motivation import (
-    rows_p99,
-    rows_repair_time,
-    run_motivation,
-)
+from repro.experiments.motivation import SWEEP
 
 
 def test_fig4_motivation(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        run_motivation,
-        kwargs={"scale": bench_scale, "client_counts": (0, 2, 4)},
-        rounds=1,
-        iterations=1,
-    )
-    emit(benchmark, "Fig 4(a): repair time (s) vs #YCSB clients",
-         ["clients", "CR", "PPR", "ECPipe"], rows_repair_time(results))
-    emit(benchmark, "Fig 4(b): P99 latency (ms) vs #YCSB clients",
-         ["clients", "CR", "PPR", "ECPipe"], rows_p99(results))
-    repair = results["repair"]
+    repair = run_sweep(benchmark, SWEEP, bench_scale)
     for algo in ("CR", "PPR", "ECPipe"):
         # Interference lengthens the repair: 4 clients vs none.
         assert repair[(4, algo)].repair_time > repair[(0, algo)].repair_time

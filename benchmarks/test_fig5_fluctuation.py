@@ -1,16 +1,12 @@
 """Fig. 5: fluctuation of the bandwidth occupied by foreground traffic."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.figures import fig5_rows, run_fig5
+from repro.experiments.figures import FIG5_SWEEP
 
 
 def test_fig5_fluctuation(benchmark, bench_scale):
-    stats = benchmark.pedantic(
-        run_fig5, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Fig 5: foreground bandwidth fluctuation per window (Gb/s)",
-         ["direction", "mean", "min", "max"], fig5_rows(stats))
+    stats = run_sweep(benchmark, FIG5_SWEEP, bench_scale)
     # The foreground load must actually fluctuate across windows.
     assert stats["uplink"][2] > 0
     assert stats["downlink"][2] > 0

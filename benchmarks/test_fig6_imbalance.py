@@ -1,16 +1,12 @@
 """Fig. 6: bandwidth utilisation of most/least-loaded links per algorithm."""
 
-from conftest import emit
+from conftest import run_sweep
 
-from repro.experiments.figures import fig6_rows, run_fig6
+from repro.experiments.figures import FIG6_SWEEP
 
 
 def test_fig6_imbalance(benchmark, bench_scale):
-    stats = benchmark.pedantic(
-        run_fig6, kwargs={"scale": bench_scale}, rounds=1, iterations=1
-    )
-    emit(benchmark, "Fig 6: most-loaded (ML) vs least-loaded (LL) links (Gb/s)",
-         ["link", "repair bw", "foreground bw", "total"], fig6_rows(stats))
+    stats = run_sweep(benchmark, FIG6_SWEEP, bench_scale)
     # R2: utilisation is unbalanced — every algorithm's most-loaded link
     # carries strictly more than its least-loaded one.
     for algorithm in ("CR", "PPR", "ECPipe"):

@@ -24,7 +24,7 @@ ALGORITHMS = ("CR", "PPR", "ECPipe", "ETRP", "ChameleonEC")
 def run_one(algorithm: str, hog_delay: float, scale: float = 0.08) -> str:
     testbed = Testbed.builder().scaled(scale).build()
     testbed.start_foreground()
-    hog = StragglerLoad(testbed.cluster, node_id=1, threads=24, mode="read")
+    hog = StragglerLoad(testbed.cluster, node_id=1)
     testbed.cluster.sim.run(until=3.0)
     if hog_delay <= 0:
         hog.start()  # hog active before the repair is even planned

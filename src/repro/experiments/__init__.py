@@ -1,9 +1,10 @@
 """Experiment harnesses: one module per paper table/figure.
 
-See DESIGN.md for the experiment-to-module index. Every ``run_*``
-function accepts ``scale`` (default ~0.12) so the whole grid completes
-in minutes; pass ``scale=1.0`` plus ``ExperimentConfig.paper()`` values
-for full-scale replication.
+See DESIGN.md for the experiment-to-module index. Each module declares
+one :class:`~repro.experiments.harness.Sweep` (``figures`` declares
+three): ``SWEEP.run(scale, seed)`` measures its whole grid, and a small
+``scale`` (the CLI's default is 0.08) completes it in minutes; pass
+``scale=1.0`` for the paper's workload sizes.
 """
 
 from repro.experiments.algorithms import ALL_ALGORITHMS

@@ -15,43 +15,61 @@ Observability (any experiment, no per-experiment code):
 from __future__ import annotations
 
 import argparse
-import importlib
-import inspect
 import sys
 
+from repro.experiments import (
+    exp01_interference,
+    exp02_trace_slowdown,
+    exp03_tphase,
+    exp04_adaptivity,
+    exp05_computation,
+    exp06_repairboost,
+    exp07_no_foreground,
+    exp08_multinode,
+    exp09_generality,
+    exp10_degraded_read,
+    exp11_breakdown,
+    exp12_storage_bottleneck,
+    exp13_network_bw,
+    exp14_churn,
+    exp15_scrub,
+    exp17_chaos,
+    exp18_adaptive,
+    exp19_shard_failover,
+    exp20_partition,
+    figures,
+    motivation,
+)
 from repro.experiments.harness import format_table, write_verdict
 
 
-#: CLI name -> (module under ``repro.experiments``, its runner, its
-#: table list). A table list holds ``(title, headers, rows)`` triples,
-#: ``rows`` mapping the runner's result to table rows; it lives beside
-#: the ``rows`` functions it names. A module whose ``SWEEP`` names a
-#: ``document`` also writes that verdict document (``--out``).
+#: CLI name -> the :class:`~repro.experiments.harness.Sweep` it runs. A
+#: sweep that names a ``document`` also writes that verdict document
+#: (``--out``).
 EXPERIMENTS = {
-    "fig2": ("figures", "run_fig2", "FIG2_TABLES"),
-    "fig4": ("motivation", "run_motivation", "TABLES"),
-    "fig5": ("figures", "run_fig5", "FIG5_TABLES"),
-    "fig6": ("figures", "run_fig6", "FIG6_TABLES"),
-    "exp01": ("exp01_interference", "run_exp01", "TABLES"),
-    "exp02": ("exp02_trace_slowdown", "run_exp02", "TABLES"),
-    "exp03": ("exp03_tphase", "run_exp03", "TABLES"),
-    "exp04": ("exp04_adaptivity", "run_exp04", "TABLES"),
-    "exp05": ("exp05_computation", "run_exp05", "TABLES"),
-    "exp06": ("exp06_repairboost", "run_exp06", "TABLES"),
-    "exp07": ("exp07_no_foreground", "run_exp07", "TABLES"),
-    "exp08": ("exp08_multinode", "run_exp08", "TABLES"),
-    "exp09": ("exp09_generality", "run_exp09", "TABLES"),
-    "exp10": ("exp10_degraded_read", "run_exp10", "TABLES"),
-    "exp11": ("exp11_breakdown", "run_exp11", "TABLES"),
-    "exp12": ("exp12_storage_bottleneck", "run_exp12", "TABLES"),
-    "exp13": ("exp13_network_bw", "run_exp13", "TABLES"),
-    "exp14": ("exp14_churn", "run_exp14", "TABLES"),
-    "exp15": ("exp15_scrub", "run_exp15", "TABLES"),
-    "exp16": ("exp16_failover", "run_exp16", "TABLES"),
-    "exp17": ("exp17_chaos", "run_exp17", "TABLES"),
-    "exp18": ("exp18_adaptive", "run_exp18", "TABLES"),
-    "exp19": ("exp19_shard_failover", "run_exp19", "TABLES"),
-    "exp20": ("exp20_partition", "run_exp20", "TABLES"),
+    "fig2": figures.FIG2_SWEEP,
+    "fig4": motivation.SWEEP,
+    "fig5": figures.FIG5_SWEEP,
+    "fig6": figures.FIG6_SWEEP,
+    "exp01": exp01_interference.SWEEP,
+    "exp02": exp02_trace_slowdown.SWEEP,
+    "exp03": exp03_tphase.SWEEP,
+    "exp04": exp04_adaptivity.SWEEP,
+    "exp05": exp05_computation.SWEEP,
+    "exp06": exp06_repairboost.SWEEP,
+    "exp07": exp07_no_foreground.SWEEP,
+    "exp08": exp08_multinode.SWEEP,
+    "exp09": exp09_generality.SWEEP,
+    "exp10": exp10_degraded_read.SWEEP,
+    "exp11": exp11_breakdown.SWEEP,
+    "exp12": exp12_storage_bottleneck.SWEEP,
+    "exp13": exp13_network_bw.SWEEP,
+    "exp14": exp14_churn.SWEEP,
+    "exp15": exp15_scrub.SWEEP,
+    "exp17": exp17_chaos.SWEEP,
+    "exp18": exp18_adaptive.SWEEP,
+    "exp19": exp19_shard_failover.SWEEP,
+    "exp20": exp20_partition.SWEEP,
 }
 
 
@@ -59,25 +77,15 @@ def run_experiment(
     name: str, scale: float, seed: int, out: str | None = None
 ) -> list[tuple[str, list, list]]:
     """Run experiment ``name``; returns its ``(title, headers, rows)`` tables."""
-    module_name, runner_name, tables_name = EXPERIMENTS[name]
-    module = importlib.import_module(f"repro.experiments.{module_name}")
-    runner = getattr(module, runner_name)
-    # Not every runner scales (fig2 is analytic, exp05 times the planner).
-    accepted = inspect.signature(runner).parameters
-    results = runner(
-        **{k: v for k, v in (("scale", scale), ("seed", seed)) if k in accepted}
-    )
+    sweep = EXPERIMENTS[name]
+    cells = sweep.run(scale, seed)
     verdict = ""
-    sweep = getattr(module, "SWEEP", None)
-    if sweep is not None and sweep.document is not None:
+    if sweep.document is not None:
         out = out or sweep.document
-        payload = write_verdict(sweep.verdict(results, scale=scale, seed=seed), out)
+        payload = write_verdict(sweep.verdict(cells, scale=scale, seed=seed), out)
         gate = "PASS" if payload["passed"] else "FAIL"
         verdict = f" — {gate} ({sweep.headline(payload)}, verdicts in {out})"
-    return [
-        (title + verdict, headers, rows(results))
-        for title, headers, rows in getattr(module, tables_name)
-    ]
+    return [(title + verdict, headers, rows(cells)) for title, headers, rows in sweep.tables]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import (
+    Sweep,
     pivot_rows,
     run_trace_only,
     run_trace_with_repair,
@@ -19,32 +20,24 @@ TRACES = ("YCSB-A", "IBM-OS", "Memcached", "Facebook-ETC")
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ChameleonEC")
 
 
-def run_exp02(
-    scale: float = 0.12,
-    seed: int = 0,
-    traces: tuple[str, ...] = TRACES,
-    algorithms: tuple[str, ...] = ALGORITHMS,
-) -> dict[tuple[str, str], float]:
-    """Returns {(trace, algorithm): interference degree}."""
+def grid(scale: float, seed: int):
+    """Cells keyed ``(trace, algorithm)``: the interference degree."""
     requests = max(150, int(6000 * scale))
-    results: dict[tuple[str, str], float] = {}
-    for trace in traces:
+    for trace in TRACES:
         config = ExperimentConfig.scaled(scale, seed=seed, trace=trace)
-        baseline = run_trace_only(
-            config, requests_per_client=requests, trace=trace
-        )
-        for algorithm in algorithms:
+        baseline = run_trace_only(config, requests_per_client=requests, trace=trace)
+        for algorithm in ALGORITHMS:
             with_repair, _ = run_trace_with_repair(
                 config, algorithm, requests_per_client=requests, trace=trace
             )
-            results[(trace, algorithm)] = interference_degree(with_repair, baseline)
-    return results
+            yield (trace, algorithm), interference_degree(with_repair, baseline)
 
 
-def rows(results: dict) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: interference degree per trace and algorithm."""
-    return pivot_rows(results, ALGORITHMS, lambda degree: degree, str)
+    return pivot_rows(cells, ALGORITHMS, lambda degree: degree, str)
 
 
-HEADERS = ["trace", *ALGORITHMS]
-TABLES = [("Exp#2 / Fig 13: interference degree", HEADERS, rows)]
+SWEEP = Sweep("exp02_trace_slowdown", grid, [
+    ("Exp#2 / Fig 13: interference degree", ["trace", *ALGORITHMS], rows),
+])

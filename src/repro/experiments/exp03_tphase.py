@@ -9,15 +9,13 @@ scaled default phase length.
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import RepairResult, run_repair_experiment
+from repro.experiments.harness import Sweep, run_repair_experiment
 
 PAPER_PHASES = (10.0, 20.0, 30.0, 40.0)
 
 
-def run_exp03(
-    scale: float = 0.12, seed: int = 0, phases: tuple[float, ...] = PAPER_PHASES
-) -> dict[float, RepairResult]:
-    """Returns {paper T_phase: RepairResult} for ChameleonEC."""
+def grid(scale: float, seed: int):
+    """Cells keyed by paper T_phase: ChameleonEC's :class:`RepairResult`."""
     base = ExperimentConfig.scaled(scale, seed=seed)
     # The T_phase shape only shows when a repair spans several phases;
     # double the batch so even the longest phase setting needs a few.
@@ -25,20 +23,20 @@ def run_exp03(
     # Keep the paper's 10/20/30/40 ratios, anchored on the scaled default
     # (which corresponds to the paper's 20 s recommendation).
     factor = base.t_phase / 20.0
-    results: dict[float, RepairResult] = {}
-    for paper_value in phases:
+    for paper_value in PAPER_PHASES:
         config = base.with_(t_phase=paper_value * factor)
-        results[paper_value] = run_repair_experiment(config, "ChameleonEC")
-    return results
+        yield paper_value, run_repair_experiment(config, "ChameleonEC")
 
 
-def rows(results: dict[float, RepairResult]) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: throughput and P99 per T_phase value."""
     return [
         [f"T_phase={int(p)}s", r.throughput_mbs, r.p99_latency * 1000]
-        for p, r in sorted(results.items())
+        for p, r in sorted(cells.items())
     ]
 
 
-HEADERS = ["T_phase", "throughput MB/s", "P99 ms"]
-TABLES = [("Exp#3 / Fig 14: ChameleonEC vs T_phase", HEADERS, rows)]
+SWEEP = Sweep("exp03_tphase", grid, [
+    ("Exp#3 / Fig 14: ChameleonEC vs T_phase", ["T_phase", "throughput MB/s", "P99 ms"],
+     rows),
+])

@@ -8,56 +8,43 @@ algorithm plus the overall average.
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import RepairResult, run_repair_experiment
+from repro.experiments.harness import Sweep, run_repair_experiment
 
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ChameleonEC")
 TRACE_CYCLE = ("YCSB-A", "IBM-OS", "Memcached", "Facebook-ETC")
 
+#: Throughput-series samples shown per algorithm.
+POINTS = 8
 
-def run_exp04(
-    scale: float = 0.12,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ALGORITHMS,
-    segment_seconds: float | None = None,
-) -> dict[str, RepairResult]:
-    """Returns {algorithm: RepairResult}; extras carry the time series."""
+
+def grid(scale: float, seed: int):
+    """Cells keyed by algorithm; each result's extras carry the series."""
     config = ExperimentConfig.scaled(scale, seed=seed)
-    segment = (
-        segment_seconds
-        if segment_seconds is not None
-        else max(2.0, 15.0 * config.t_phase / 20.0)
-    )
+    segment = max(2.0, 15.0 * config.t_phase / 20.0)
     segments = [(segment, name) for name in TRACE_CYCLE]
-    results: dict[str, RepairResult] = {}
-    for algorithm in algorithms:
-        result = run_repair_experiment(
-            config, algorithm, transition_segments=segments
-        )
+    for algorithm in ALGORITHMS:
+        result = run_repair_experiment(config, algorithm, transition_segments=segments)
         meter = result.extras["meter"]
         result.extras["series"] = meter.windowed_throughput(window=segment / 3)
-        results[algorithm] = result
-    return results
+        yield algorithm, result
 
 
-def rows(results: dict[str, RepairResult]) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: average throughput and repair time per algorithm."""
+    return [[name, r.throughput_mbs, r.repair_time] for name, r in cells.items()]
+
+
+def series_rows(cells: dict) -> list[list]:
+    """First ``POINTS`` samples of each algorithm's throughput series."""
     return [
-        [name, r.throughput_mbs, r.repair_time] for name, r in results.items()
+        [name] + [bw / 1e6 for _, bw in r.extras.get("series", [])[:POINTS]]
+        for name, r in cells.items()
     ]
 
 
-def series_rows(results: dict[str, RepairResult], points: int = 8) -> list[list]:
-    """First ``points`` samples of each algorithm's throughput series."""
-    out = []
-    for name, result in results.items():
-        series = result.extras.get("series", [])[:points]
-        out.append([name] + [bw / 1e6 for _, bw in series])
-    return out
-
-
-HEADERS = ["algorithm", "throughput MB/s", "repair time s"]
-SERIES_HEADERS = ["algorithm"] + [f"w{i}" for i in range(8)]
-TABLES = [
-    ("Exp#4 / Fig 15: average throughput under trace transitions", HEADERS, rows),
-    ("Exp#4 / Fig 15: throughput series (MB/s)", SERIES_HEADERS, series_rows),
-]
+SWEEP = Sweep("exp04_adaptivity", grid, [
+    ("Exp#4 / Fig 15: average throughput under trace transitions",
+     ["algorithm", "throughput MB/s", "repair time s"], rows),
+    ("Exp#4 / Fig 15: throughput series (MB/s)",
+     ["algorithm"] + [f"w{i}" for i in range(POINTS)], series_rows),
+])

@@ -17,17 +17,16 @@ from repro.cluster.topology import Cluster
 from repro.codes.registry import make_code
 from repro.core.dispatch import TaskDispatcher
 from repro.core.planner import build_plan
+from repro.experiments.harness import Sweep, pivot_rows
 from repro.monitor.bandwidth import BandwidthMonitor
 
 NODE_COUNTS = (50, 100, 200, 500)
 CHUNK_COUNTS = (200, 600, 1000)
 
 
-def plan_generation_time(
-    num_nodes: int, num_chunks: int, code_spec: str = "RS(10,4)", seed: int = 0
-) -> float:
-    """Seconds of wall time to dispatch + plan ``num_chunks`` repairs."""
-    code = make_code(code_spec)
+def plan_generation_time(num_nodes: int, num_chunks: int, seed: int = 0) -> float:
+    """Seconds of wall time to dispatch + plan ``num_chunks`` RS(10,4) repairs."""
+    code = make_code("RS(10,4)")
     cluster = Cluster(num_nodes=num_nodes, num_clients=0)
     num_stripes = int(num_chunks * num_nodes / code.n * 1.3) + num_chunks
     store = place_stripes(
@@ -46,31 +45,20 @@ def plan_generation_time(
     return time.perf_counter() - start
 
 
-def run_exp05(
-    node_counts: tuple[int, ...] = NODE_COUNTS,
-    chunk_counts: tuple[int, ...] = CHUNK_COUNTS,
-    seed: int = 0,
-) -> dict[tuple[int, int], float]:
-    """{(nodes, chunks): seconds} for the full grid."""
-    results: dict[tuple[int, int], float] = {}
-    for nodes in node_counts:
-        for chunks in chunk_counts:
-            results[(nodes, chunks)] = plan_generation_time(nodes, chunks, seed=seed)
-    return results
+def grid(scale: float, seed: int):
+    """Cells keyed ``(nodes, chunks)``: planner seconds. Analytic in size,
+    so ``scale`` is ignored."""
+    for nodes in NODE_COUNTS:
+        for chunks in CHUNK_COUNTS:
+            yield (nodes, chunks), plan_generation_time(nodes, chunks, seed=seed)
 
 
-def rows(results: dict[tuple[int, int], float]) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: one per node count, seconds per chunk count."""
-    node_counts = sorted({n for n, _ in results})
-    chunk_counts = sorted({c for _, c in results})
-    out = []
-    for nodes in node_counts:
-        out.append(
-            [f"n={nodes}"]
-            + [results.get((nodes, chunks), float("nan")) for chunks in chunk_counts]
-        )
-    return out
+    return pivot_rows(cells, CHUNK_COUNTS, lambda seconds: seconds, lambda n: f"n={n}")
 
 
-HEADERS = ["nodes", *(f"{c} chunks" for c in CHUNK_COUNTS)]
-TABLES = [("Exp#5 / Fig 16: plan-generation time (s)", HEADERS, rows)]
+SWEEP = Sweep("exp05_computation", grid, [
+    ("Exp#5 / Fig 16: plan-generation time (s)",
+     ["nodes", *(f"{c} chunks" for c in CHUNK_COUNTS)], rows),
+])

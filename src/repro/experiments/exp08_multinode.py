@@ -8,35 +8,27 @@ ChameleonEC's advantage grows under the tighter bandwidth.
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import RepairResult, pivot_rows, run_repair_experiment
+from repro.experiments.harness import Sweep, pivot_rows, run_repair_experiment
 
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ChameleonEC")
 FAILURE_COUNTS = (1, 2, 3)
 
 
-def run_exp08(
-    scale: float = 0.12,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ALGORITHMS,
-    failure_counts: tuple[int, ...] = FAILURE_COUNTS,
-) -> dict[tuple[int, str], RepairResult]:
-    """Repair with 1-3 failed nodes; {(count, algo): result}."""
-    results: dict[tuple[int, str], RepairResult] = {}
-    for failures in failure_counts:
-        config = ExperimentConfig.scaled(scale, seed=seed)
-        for algorithm in algorithms:
-            results[(failures, algorithm)] = run_repair_experiment(
+def grid(scale: float, seed: int):
+    """Cells keyed ``(failed nodes, algorithm)``."""
+    config = ExperimentConfig.scaled(scale, seed=seed)
+    for failures in FAILURE_COUNTS:
+        for algorithm in ALGORITHMS:
+            yield (failures, algorithm), run_repair_experiment(
                 config, algorithm, failed_nodes=failures
             )
-    return results
 
 
-def rows(results: dict) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: throughput per failure count and algorithm."""
-    return pivot_rows(
-        results, ALGORITHMS, lambda r: r.throughput_mbs, lambda n: f"{n} failed"
-    )
+    return pivot_rows(cells, ALGORITHMS, lambda r: r.throughput_mbs, lambda n: f"{n} failed")
 
 
-HEADERS = ["failures", *ALGORITHMS]
-TABLES = [("Exp#8 / Fig 19: multi-node repair (MB/s)", HEADERS, rows)]
+SWEEP = Sweep("exp08_multinode", grid, [
+    ("Exp#8 / Fig 19: multi-node repair (MB/s)", ["failures", *ALGORITHMS], rows),
+])

@@ -10,7 +10,7 @@ k narrows ChameleonEC's optimisation space (a repair touches half the
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_sim_until
+from repro.experiments.harness import WARMUP, Sweep, pivot_rows, run_sim_until
 from repro.api import Testbed
 from repro.repair.base import ConventionalRepair, ECPipe, PPR
 from repro.repair.degraded import run_degraded_read
@@ -19,15 +19,15 @@ CODES = ("RS(6,3)", "RS(10,4)")
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ChameleonEC")
 _BASELINES = {"CR": ConventionalRepair, "PPR": PPR, "ECPipe": ECPipe}
 
+#: Degraded reads per cell, one per seed from ``seed`` up.
+READS = 3
 
-def degraded_read_throughput(
-    config: ExperimentConfig, algorithm: str, *, foreground: bool = True
-) -> float:
+
+def degraded_read_throughput(config: ExperimentConfig, algorithm: str) -> float:
     """One degraded read under foreground traffic; returns MB/s."""
     scenario = Testbed.build(config)
-    if foreground:
-        scenario.start_foreground()
-        scenario.cluster.sim.run(until=scenario.cluster.sim.now + 6.0)
+    scenario.start_foreground()
+    scenario.cluster.sim.run(until=scenario.cluster.sim.now + WARMUP)
     report = scenario.fail_nodes(1)
     chunk = report.failed_chunks[0]
     client = scenario.cluster.clients[0].id
@@ -45,43 +45,29 @@ def degraded_read_throughput(
     run_sim_until(
         scenario.cluster, lambda: read.completed_at is not None, step=0.5
     )
-    if foreground:
-        scenario.stop_foreground()
+    scenario.stop_foreground()
     return read.throughput(config.chunk_size) / 1e6
 
 
-def run_exp10(
-    scale: float = 0.12,
-    seed: int = 0,
-    codes: tuple[str, ...] = CODES,
-    algorithms: tuple[str, ...] = ALGORITHMS,
-    reads: int = 3,
-) -> dict[tuple[str, str], float]:
-    """{(code, algorithm): mean degraded-read throughput MB/s}."""
-    results: dict[tuple[str, str], float] = {}
-    for code in codes:
-        for algorithm in algorithms:
-            samples = []
-            for i in range(reads):
-                config = ExperimentConfig.scaled(
-                    scale, seed=seed + i, code=code, num_chunks=6
+def grid(scale: float, seed: int):
+    """Cells keyed ``(code, algorithm)``: mean MB/s over ``READS`` seeds."""
+    for code in CODES:
+        for algorithm in ALGORITHMS:
+            samples = [
+                degraded_read_throughput(
+                    ExperimentConfig.scaled(scale, seed=seed + i, code=code, num_chunks=6),
+                    algorithm,
                 )
-                samples.append(degraded_read_throughput(config, algorithm))
-            results[(code, algorithm)] = sum(samples) / len(samples)
-    return results
+                for i in range(READS)
+            ]
+            yield (code, algorithm), sum(samples) / len(samples)
 
 
-def rows(results: dict) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: degraded-read throughput per code and algorithm."""
-    codes = sorted({c for c, _ in results})
-    out = []
-    for code in codes:
-        out.append(
-            [code]
-            + [results.get((code, a), float("nan")) for a in ALGORITHMS]
-        )
-    return out
+    return pivot_rows(cells, ALGORITHMS, lambda mbs: mbs, str)
 
 
-HEADERS = ["code", *ALGORITHMS]
-TABLES = [("Exp#10 / Fig 21: degraded-read throughput (MB/s)", HEADERS, rows)]
+SWEEP = Sweep("exp10_degraded_read", grid, [
+    ("Exp#10 / Fig 21: degraded-read throughput (MB/s)", ["code", *ALGORITHMS], rows),
+])

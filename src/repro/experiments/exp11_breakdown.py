@@ -2,7 +2,7 @@
 
 Decomposes ChameleonEC into ETRP (tunable plans only) and ETRP+SAR (the
 full system with straggler-aware re-scheduling). A straggler is mimicked
-the paper's way: eight reader threads continuously pulling 1 MB objects
+the paper's way: 24 reader threads continuously pulling 1 MB objects
 from one node participating in the repair, started 0 / 5 / 10 seconds
 into a phase. The metric is repair throughput over that phase.
 """
@@ -12,33 +12,26 @@ from __future__ import annotations
 from repro.cluster.node import MB
 from repro.cluster.topology import Cluster
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import pivot_rows, run_sim_until
+from repro.experiments.harness import WARMUP, Sweep, pivot_rows, run_sim_until
 from repro.api import Testbed
 
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ETRP", "ChameleonEC")
 PAPER_OFFSETS = (0.0, 5.0, 10.0)
 
+#: The hog: this many closed-loop readers of ``OBJECT_MB`` objects each.
+THREADS = 24
+OBJECT_MB = 1.0
+
+#: The node the hog reads from (a helper of every repair).
+STRAGGLER_NODE = 1
+
 
 class StragglerLoad:
     """Closed-loop readers hammering one node's uplink (the Redis hog)."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        node_id: int,
-        *,
-        threads: int = 24,
-        object_mb: float = 1.0,
-        mode: str = "read",
-    ) -> None:
+    def __init__(self, cluster: Cluster, node_id: int) -> None:
         self.cluster = cluster
         self.node_id = node_id
-        self.threads = threads
-        self.object_size = object_mb * MB
-        # "read" hogs the node's uplink, "write" its downlink, "mixed"
-        # alternates — the downlink pressure is what repair re-tuning
-        # (Fig. 10(b)) can bypass.
-        self.mode = mode
         self.active = False
         self._seq = 0
 
@@ -48,7 +41,7 @@ class StragglerLoad:
         # Spread hog endpoints over every client machine so the target
         # node's link — not a single client's — is the bottleneck.
         self._sinks = [c.id for c in self.cluster.clients]
-        for _ in range(self.threads):
+        for _ in range(THREADS):
             self._issue()
 
     def stop(self) -> None:
@@ -62,48 +55,31 @@ class StragglerLoad:
         if not self._sinks:  # pragma: no cover - clusters always have clients
             return
         sink = self._sinks[self._seq % len(self._sinks)]
-        write = self.mode == "write" or (self.mode == "mixed" and self._seq % 2 == 0)
-        if write:
-            transfer = self.cluster.make_transfer(
-                sink,
-                self.node_id,
-                self.object_size,
-                self.object_size,
-                tag="straggler",
-                read_disk=False,
-                write_disk=True,
-                name=f"hog-w{self._seq}",
-            )
-        else:
-            transfer = self.cluster.make_transfer(
-                self.node_id,
-                sink,
-                self.object_size,
-                self.object_size,
-                tag="straggler",
-                read_disk=True,
-                name=f"hog-r{self._seq}",
-            )
+        transfer = self.cluster.make_transfer(
+            self.node_id,
+            sink,
+            OBJECT_MB * MB,
+            OBJECT_MB * MB,
+            tag="straggler",
+            read_disk=True,
+            name=f"hog-r{self._seq}",
+        )
         transfer.on_complete.append(lambda _t: self._issue())
         self.cluster.start(transfer)
 
 
 def phase_throughput_with_straggler(
-    config: ExperimentConfig,
-    algorithm: str,
-    offset: float,
-    *,
-    straggler_node: int = 1,
+    config: ExperimentConfig, algorithm: str, offset: float
 ) -> float:
     """Repair throughput (MB/s) of the phase containing the straggler."""
     scenario = Testbed.build(config)
     scenario.start_foreground()
-    scenario.cluster.sim.run(until=scenario.cluster.sim.now + 6.0)
+    scenario.cluster.sim.run(until=scenario.cluster.sim.now + WARMUP)
     report = scenario.fail_nodes(1)
     repairer = scenario.make_repairer(algorithm)
     phase_start = scenario.cluster.sim.now
     repairer.repair(report.failed_chunks)
-    hog = StragglerLoad(scenario.cluster, straggler_node)
+    hog = StragglerLoad(scenario.cluster, STRAGGLER_NODE)
     scenario.cluster.sim.call_at(phase_start + offset, hog.start)
     phase_end = phase_start + config.t_phase
     run_sim_until(
@@ -123,30 +99,25 @@ def phase_throughput_with_straggler(
     return repaired / config.t_phase / 1e6
 
 
-def run_exp11(
-    scale: float = 0.12,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ALGORITHMS,
-    offsets: tuple[float, ...] = PAPER_OFFSETS,
-) -> dict[tuple[float, str], float]:
-    """{(paper offset, algorithm): phase repair throughput MB/s}."""
+def grid(scale: float, seed: int):
+    """Cells keyed ``(paper offset, algorithm)``: phase repair MB/s."""
     config = ExperimentConfig.scaled(scale, seed=seed)
     factor = config.t_phase / 20.0  # paper offsets assume a 20 s phase
-    results: dict[tuple[float, str], float] = {}
-    for offset in offsets:
-        for algorithm in algorithms:
-            results[(offset, algorithm)] = phase_throughput_with_straggler(
+    for offset in PAPER_OFFSETS:
+        for algorithm in ALGORITHMS:
+            yield (offset, algorithm), phase_throughput_with_straggler(
                 config, algorithm, offset * factor
             )
-    return results
 
 
-def rows(results: dict) -> list[list]:
+def rows(cells: dict) -> list[list]:
     """Table rows: phase throughput per straggler offset and algorithm."""
     return pivot_rows(
-        results, ALGORITHMS, lambda mbs: mbs, lambda offset: f"straggler@{offset:g}s"
+        cells, ALGORITHMS, lambda mbs: mbs, lambda offset: f"straggler@{offset:g}s"
     )
 
 
-HEADERS = ["straggler start", *ALGORITHMS]
-TABLES = [("Exp#11 / Fig 22: phase throughput with straggler (MB/s)", HEADERS, rows)]
+SWEEP = Sweep("exp11_breakdown", grid, [
+    ("Exp#11 / Fig 22: phase throughput with straggler (MB/s)",
+     ["straggler start", *ALGORITHMS], rows),
+])

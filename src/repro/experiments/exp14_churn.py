@@ -130,9 +130,5 @@ HEADERS = [
 SWEEP = Sweep(
     "exp14_churn",
     grid,
-    "Exp#14: repair under churn (mid-repair crash + straggler)",
-    HEADERS,
-    rows,
+    [("Exp#14: repair under churn (mid-repair crash + straggler)", HEADERS, rows)],
 )
-run_exp14 = SWEEP.run
-TABLES = SWEEP.tables

@@ -142,9 +142,5 @@ HEADERS = [
 SWEEP = Sweep(
     "exp15_scrub",
     grid,
-    "Exp#15: background scrubbing (detection latency vs P99 inflation)",
-    HEADERS,
-    rows,
+    [("Exp#15: background scrubbing (detection latency vs P99 inflation)", HEADERS, rows)],
 )
-run_exp15 = SWEEP.run
-TABLES = SWEEP.tables

@@ -1,7 +1,7 @@
 """Exp#17: SLO-gated chaos suite — every fault family at once, verdicted.
 
 PRs 3–6 each exercised one fault family in isolation: churn (exp14),
-bit-rot + scrubbing (exp15), coordinator failover (exp16). Production
+bit-rot + scrubbing (exp15), coordinator failover (exp19). Production
 incidents do not queue up politely, so this experiment composes all of
 them — a full-node failure, a mid-repair node crash, transient
 stragglers, long bandwidth degradations, rapidly-fluctuating link
@@ -42,7 +42,7 @@ from repro.faults.timeline import FaultTimeline, NodeCrash
 from repro.slo import SLOReport, SLOSpec
 from repro.traffic.traces import TRACE_FACTORIES
 
-#: Chunk size (MB); matches exp15/exp16 — a scrub pass reads the whole
+#: Chunk size (MB); matches exp15/exp19 — a scrub pass reads the whole
 #: store, and 16 MB keeps it bounded at small ``--scale``.
 CHUNK_MB = 16.0
 
@@ -432,9 +432,7 @@ HEADERS = [
 SWEEP = Sweep(
     "exp17_chaos",
     grid,
-    "Exp#17: SLO-gated chaos suite",
-    HEADERS,
-    rows,
+    [("Exp#17: SLO-gated chaos suite", HEADERS, rows)],
     document="BENCH_chaos.json",
     predicates={
         "gate": lambda cells: all(run.gate.passed for run in cells.values())
@@ -442,6 +440,4 @@ SWEEP = Sweep(
     body=body,
     headline=lambda doc: f"{doc['breaches_total']} gate breaches",
 )
-run_exp17 = SWEEP.run
 verdict_payload = SWEEP.verdict
-TABLES = SWEEP.tables

@@ -187,9 +187,7 @@ def _headline(doc: dict) -> str:
 SWEEP = Sweep(
     "exp18_adaptive",
     grid,
-    "Exp#18: adaptive admission control",
-    HEADERS,
-    rows,
+    [("Exp#18: adaptive admission control", HEADERS, rows)],
     document="BENCH_adaptive.json",
     # CI's gate: closing the loop must never make interference worse,
     # and the acceptance bar is a strict improvement.
@@ -203,5 +201,3 @@ SWEEP = Sweep(
     body=body,
     headline=_headline,
 )
-run_exp18 = SWEEP.run
-TABLES = SWEEP.tables

@@ -1,14 +1,18 @@
-"""Exp#19: sharded control plane — shard count vs failover blast radius.
+"""Exp#19: coordinator failover — shard count vs blast radius and cost.
 
-Exp#16 measured whole-plane failover: one coordinator, so a crash
-stalls *every* pending chunk until recovery. This experiment sweeps the
-sharded control plane (:meth:`repro.api.Testbed.start_sharded_repair`):
-the chunk batch is hash-partitioned across N concurrent coordinators,
-each journalling to its own partition, and a
-:class:`repro.faults.CoordinatorCrash` targets exactly one shard — the
-deterministically largest one, the worst case — at a swept fraction of
-that shard count's crash-free repair time. Per (shard count × crash
-time) cell it measures
+ChameleonEC's scheduler is a centralized coordinator (Section III); the
+journal subsystem (``repro.journal``) makes its scheduling state durable
+so a control-plane crash costs downtime, not correctness. This
+experiment sweeps the sharded control plane
+(:meth:`repro.api.Testbed.start_sharded_repair`): the chunk batch is
+hash-partitioned across N concurrent coordinators, each journalling to
+its own partition, and a :class:`repro.faults.CoordinatorCrash` targets
+exactly one shard — the deterministically largest one, the worst case —
+at a swept fraction of that shard count's crash-free repair time. A
+replacement recovers from the journal ``MTTR_FRACTION`` of that time
+later. One shard is the whole-plane case: a crash stalls *every*
+pending chunk until recovery, so it is swept at more crash points. Per
+(shard count × crash time) cell it measures
 
 * **failover blast radius** — the fraction of open (pending + leased)
   chunks stalled by the crash, read from the journal state at the
@@ -17,13 +21,17 @@ time) cell it measures
 * **repair-time inflation** — completion time relative to the same
   shard count's crash-free run (sibling shards keep repairing through
   the dead shard's downtime, so inflation should shrink with shards
-  too);
+  too; a later crash re-runs less work);
+* **foreground P99** — the client tail latency over the whole run;
 * **exactly-once accounting** — chunks repaired by two incarnations
   (must be 0 across *all* coordinators, dead and replacement), chunks
   requeued at recovery, chunks the journal proved committed, and
   post-run checksum failures (must be 0).
 
-Everything is seeded and virtual-time only, so two runs with the same
+Runs use verified repair (integrity enabled) so "repaired" means
+byte-exact, and the journal's replay is reconciled against the chunk
+store — the full recovery path, not just the happy path. Everything is
+seeded and virtual-time only, so two runs with the same
 ``--scale``/``--seed`` emit byte-identical ``BENCH_shard.json`` — CI
 ``cmp``-diffs the document and asserts the blast-radius verdict.
 """
@@ -36,18 +44,21 @@ from repro.api import Testbed
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import Sweep, nested, ratio
 
-#: Shard counts swept (1 = the single-coordinator baseline plane).
-SHARD_COUNTS = (1, 2, 4)
-
-#: Crash offset as a fraction of the same shard count's crash-free
-#: repair time (None = no crash: that shard count's baseline).
-CRASH_FRACTIONS = (None, 0.15, 0.4)
+#: Shard count (1 = the single-coordinator plane) -> crash offsets, each
+#: a fraction of that shard count's crash-free repair time (None = no
+#: crash: that shard count's baseline).
+CRASH_FRACTIONS = {
+    1: (None, 0.15, 0.2, 0.4, 0.5, 0.8),
+    2: (None, 0.15, 0.4),
+    4: (None, 0.15, 0.4),
+}
 
 #: Control-plane mean-time-to-recovery, as a fraction of the crash-free
-#: repair time (matches exp16's failure-detector + restart window).
+#: repair time (the failure detector + replacement start-up window).
 MTTR_FRACTION = 0.25
 
-#: Chunk size (MB); matches exp16 so failover windows stay bounded.
+#: Chunk size (MB); smaller than the repair experiments' 64 MB so
+#: several incarnations fit a bounded window.
 CHUNK_MB = 16.0
 
 
@@ -122,6 +133,7 @@ def run_one(
         "blast": blast["blast"] if blast else 0.0,
         "stalled": blast["stalled"] if blast else 0,
         "open_at_crash": blast["open"] if blast else 0,
+        "p99_latency_s": testbed.latency.p99 if testbed.latency else 0.0,
         "chunks": len(report.failed_chunks),
         "completed": len(completions),
         "duplicates": sum(n - 1 for n in completions.values() if n > 1),
@@ -137,10 +149,10 @@ def grid(scale: float, seed: int):
     """Cells keyed ``(shards, crash fraction)``, each shard count's
     crash-free baseline first."""
     config = ExperimentConfig.scaled(scale, seed=seed, chunk_mb=CHUNK_MB)
-    for shards in SHARD_COUNTS:
+    for shards, fractions in CRASH_FRACTIONS.items():
         baseline = run_one(config, shards, None)
         yield (shards, None), baseline
-        for frac in CRASH_FRACTIONS[1:]:
+        for frac in fractions[1:]:
             yield (shards, frac), run_one(
                 config, shards, frac, baseline_time=baseline["repair_time_s"]
             )
@@ -196,6 +208,7 @@ def rows(cells: dict) -> list[list]:
             f"{cell['stalled']}/{cell['open_at_crash']}",
             cell["repair_time_s"],
             cell["time_inflation"],
+            cell["p99_latency_s"] * 1e3,
             f"{cell['completed']}/{cell['chunks']}",
             cell["duplicates"],
             cell["requeued"],
@@ -214,6 +227,7 @@ HEADERS = [
     "stalled",
     "repair s",
     "time inflation",
+    "P99 ms",
     "repaired",
     "dupes",
     "requeued",
@@ -231,10 +245,9 @@ def _headline(doc: dict) -> str:
 SWEEP = Sweep(
     "exp19_shard_failover",
     grid,
-    "Exp#19: sharded control-plane failover",
-    HEADERS,
-    rows,
+    [("Exp#19: sharded control-plane failover", HEADERS, rows)],
     document="BENCH_shard.json",
+    schema_version=2,
     predicates={
         "blast_shrinks": _blast_shrinks,
         "exactly_once": lambda cells: all(
@@ -250,5 +263,3 @@ SWEEP = Sweep(
     body=body,
     headline=_headline,
 )
-run_exp19 = SWEEP.run
-TABLES = SWEEP.tables

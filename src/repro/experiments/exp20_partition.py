@@ -268,9 +268,7 @@ HEADERS = [
 SWEEP = Sweep(
     "exp20_partition",
     grid,
-    "Exp#20: partition-tolerant repair",
-    HEADERS,
-    rows,
+    [("Exp#20: partition-tolerant repair", HEADERS, rows)],
     document="BENCH_partition.json",
     schema_version=2,
     predicates={
@@ -295,5 +293,3 @@ SWEEP = Sweep(
         f"fenced {doc['zombie']['fenced_writes']} stale writes"
     ),
 )
-run_exp20 = SWEEP.run
-TABLES = SWEEP.tables

@@ -4,22 +4,24 @@ from __future__ import annotations
 
 from repro.analysis.reliability import ReliabilityModel, loss_probability_curve
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_sim_until
+from repro.experiments.harness import Sweep, run_sim_until
 from repro.api import Testbed
 from repro.metrics.linkstats import LinkStatsCollector
 
 FIG2_THROUGHPUTS_MBS = [50, 100, 200, 400, 800, 1600]
+FIG6_ALGORITHMS = ("CR", "PPR", "ECPipe")
+TO_GBPS = 8 / 1e9
 
 
-def run_fig2(throughputs_mbs=None) -> list[tuple[float, float]]:
-    """Fig. 2: data-loss probability vs repair throughput (k=10, m=4)."""
-    pts = throughputs_mbs if throughputs_mbs is not None else FIG2_THROUGHPUTS_MBS
-    return loss_probability_curve(pts, ReliabilityModel(k=10, m=4))
+def fig2_grid(scale: float, seed: int):
+    """Fig. 2: data-loss probability keyed by repair throughput (k=10,
+    m=4). Analytic, so ``scale`` and ``seed`` are ignored."""
+    yield from loss_probability_curve(FIG2_THROUGHPUTS_MBS, ReliabilityModel(k=10, m=4))
 
 
-def fig2_rows(curve: list[tuple[float, float]]) -> list[list]:
+def fig2_rows(cells: dict) -> list[list]:
     """Fig. 2 table rows from the reliability curve."""
-    return [[f"{t:g} MB/s", p] for t, p in curve]
+    return [[f"{t:g} MB/s", p] for t, p in cells.items()]
 
 
 def _scaled_window(config: ExperimentConfig) -> float:
@@ -61,68 +63,56 @@ def _collect_link_stats(
     return uplinks, downlinks
 
 
-def run_fig5(scale: float = 0.12, seed: int = 0) -> dict[str, tuple[float, float, float]]:
+def fig5_grid(scale: float, seed: int):
     """Fig. 5: foreground-bandwidth fluctuation per time window.
 
-    Returns {"uplink"/"downlink": (mean, min, max) fluctuation in Gb/s}.
-    The paper uses 15 s windows; the window shrinks with scale.
+    Cells keyed "uplink"/"downlink": (mean, min, max) fluctuation in
+    Gb/s. The paper uses 15 s windows; the window shrinks with scale.
     """
     config = ExperimentConfig.scaled(scale, seed=seed)
-    window = _scaled_window(config)
-    uplinks, downlinks = _collect_link_stats(config, "CR", window)
-    to_gbps = 8 / 1e9
-    return {
-        "uplink": tuple(v * to_gbps for v in uplinks.fluctuation_stats()),
-        "downlink": tuple(v * to_gbps for v in downlinks.fluctuation_stats()),
-    }
+    uplinks, downlinks = _collect_link_stats(config, "CR", _scaled_window(config))
+    yield "uplink", tuple(v * TO_GBPS for v in uplinks.fluctuation_stats())
+    yield "downlink", tuple(v * TO_GBPS for v in downlinks.fluctuation_stats())
 
 
-def fig5_rows(stats: dict) -> list[list]:
+def fig5_rows(cells: dict) -> list[list]:
     """Fig. 5 table rows from the fluctuation statistics."""
+    return [[direction, mean, lo, hi] for direction, (mean, lo, hi) in cells.items()]
+
+
+def fig6_grid(scale: float, seed: int):
+    """Fig. 6: most/least-loaded link utilisation split by traffic class.
+
+    Cells keyed ``(algorithm, "up"/"down", "ML"/"LL")``:
+    ``(repair Gb/s, foreground Gb/s)``.
+    """
+    config = ExperimentConfig.scaled(scale, seed=seed)
+    for algorithm in FIG6_ALGORITHMS:
+        uplinks, downlinks = _collect_link_stats(config, algorithm, _scaled_window(config))
+        for direction, collector in (("up", uplinks), ("down", downlinks)):
+            for which, link in zip(("ML", "LL"), collector.most_and_least_loaded()):
+                yield (algorithm, direction, which), (
+                    link.mean_repair() * TO_GBPS,
+                    link.mean_foreground() * TO_GBPS,
+                )
+
+
+def fig6_rows(cells: dict) -> list[list]:
+    """Fig. 6 table rows from the ML/LL link statistics."""
     return [
-        [direction, mean, lo, hi] for direction, (mean, lo, hi) in stats.items()
+        [f"{algorithm}_{which} ({direction})", repair, fg, repair + fg]
+        for (algorithm, direction, which), (repair, fg) in sorted(cells.items())
     ]
 
 
-def run_fig6(
-    scale: float = 0.12,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ("CR", "PPR", "ECPipe"),
-) -> dict[tuple[str, str, str], tuple[float, float]]:
-    """Fig. 6: most/least-loaded link utilisation split by traffic class.
-
-    Returns {(algorithm, "up"/"down", "ML"/"LL"):
-             (repair Gb/s, foreground Gb/s)}.
-    """
-    out: dict[tuple[str, str, str], tuple[float, float]] = {}
-    to_gbps = 8 / 1e9
-    for algorithm in algorithms:
-        config = ExperimentConfig.scaled(scale, seed=seed)
-        window = _scaled_window(config)
-        uplinks, downlinks = _collect_link_stats(config, algorithm, window)
-        for direction, collector in (("up", uplinks), ("down", downlinks)):
-            most, least = collector.most_and_least_loaded()
-            out[(algorithm, direction, "ML")] = (
-                most.mean_repair() * to_gbps,
-                most.mean_foreground() * to_gbps,
-            )
-            out[(algorithm, direction, "LL")] = (
-                least.mean_repair() * to_gbps,
-                least.mean_foreground() * to_gbps,
-            )
-    return out
-
-
-def fig6_rows(stats: dict) -> list[list]:
-    """Fig. 6 table rows from the ML/LL link statistics."""
-    rows = []
-    for (algorithm, direction, which), (repair, fg) in sorted(stats.items()):
-        rows.append([f"{algorithm}_{which} ({direction})", repair, fg, repair + fg])
-    return rows
-
-
-FIG2_TABLES = [("Fig 2: Pr_dl vs repair throughput", ["repair throughput", "Pr_dl"], fig2_rows)]
-FIG5_HEADERS = ["direction", "mean", "min", "max"]
-FIG5_TABLES = [("Fig 5: foreground bandwidth fluctuation (Gb/s)", FIG5_HEADERS, fig5_rows)]
-FIG6_HEADERS = ["link", "repair", "foreground", "total"]
-FIG6_TABLES = [("Fig 6: most/least-loaded link bandwidth (Gb/s)", FIG6_HEADERS, fig6_rows)]
+FIG2_SWEEP = Sweep("fig2_reliability", fig2_grid, [
+    ("Fig 2: Pr_dl vs repair throughput", ["repair throughput", "Pr_dl"], fig2_rows),
+])
+FIG5_SWEEP = Sweep("fig5_fluctuation", fig5_grid, [
+    ("Fig 5: foreground bandwidth fluctuation (Gb/s)", ["direction", "mean", "min", "max"],
+     fig5_rows),
+])
+FIG6_SWEEP = Sweep("fig6_imbalance", fig6_grid, [
+    ("Fig 6: most/least-loaded link bandwidth (Gb/s)",
+     ["link", "repair", "foreground", "total"], fig6_rows),
+])

@@ -17,6 +17,7 @@ __all__ = [
     "MAX_SIM_TIME",
     "RepairResult",
     "Sweep",
+    "WARMUP",
     "format_table",
     "nested",
     "pivot_rows",
@@ -27,6 +28,11 @@ __all__ = [
     "run_trace_with_repair",
     "write_verdict",
 ]
+
+
+#: Seconds of pure foreground before the failure, so the monitor has
+#: observed at least one window of it.
+WARMUP = 6.0
 
 
 @dataclass
@@ -76,9 +82,7 @@ def run_repair_experiment(
     foreground: bool = True,
     trace: str | None = None,
     transition_segments: list[tuple[float, str]] | None = None,
-    warmup: float = 6.0,
     scenario: "Testbed | None" = None,
-    repairer_overrides: dict | None = None,
 ) -> RepairResult:
     """One full measurement: foreground + failure + repair to completion.
 
@@ -105,10 +109,9 @@ def run_repair_experiment(
     )
     if foreground:
         scenario.start_foreground(trace, transition_segments=transition_segments)
-        # Let the monitor observe at least one window of pure foreground.
-        scenario.cluster.sim.run(until=scenario.cluster.sim.now + warmup)
+        scenario.cluster.sim.run(until=scenario.cluster.sim.now + WARMUP)
     report = scenario.fail_nodes(failed_nodes)
-    repairer = scenario.make_repairer(algorithm, **(repairer_overrides or {}))
+    repairer = scenario.make_repairer(algorithm)
     start = scenario.cluster.sim.now
     repairer.repair(report.failed_chunks)
     run_sim_until(scenario.cluster, lambda: repairer.done)
@@ -245,11 +248,12 @@ def write_verdict(payload: dict, path: str) -> dict:
 
 @dataclass(frozen=True)
 class Sweep:
-    """One experiment declared once: its grid, table and verdict document.
+    """One experiment declared once: its grid, tables and verdict document.
 
     ``grid(scale, seed)`` yields ``(key, cell)`` pairs in measurement
     order; being a generator, it can read the cells it measured before
-    (a crash run is timed off its crash-free baseline). ``rows`` renders
+    (a crash run is timed off its crash-free baseline). Each of
+    ``tables`` is a ``(title, headers, rows)`` triple, ``rows`` rendering
     the whole ``{key: cell}`` mapping under ``headers``.
 
     An experiment with a ``document`` also declares named ``predicates``
@@ -260,9 +264,7 @@ class Sweep:
 
     name: str
     grid: Callable[[float, int], Iterator[tuple]]
-    title: str
-    headers: list[str]
-    rows: Callable[[dict], list[list]]
+    tables: list[tuple[str, list[str], Callable[[dict], list[list]]]]
     document: str | None = None
     schema_version: int = 1
     predicates: dict[str, Callable[[dict], bool]] = field(default_factory=dict)
@@ -272,11 +274,6 @@ class Sweep:
     def run(self, scale: float = 0.08, seed: int = 0) -> dict:
         """Measure every cell of the grid: ``{key: cell}`` in grid order."""
         return dict(self.grid(scale, seed))
-
-    @property
-    def tables(self) -> list[tuple]:
-        """The CLI's ``(title, headers, rows)`` table list."""
-        return [(self.title, self.headers, self.rows)]
 
     def verdict(self, cells: dict, *, scale: float, seed: int) -> dict:
         """The verdict document for ``cells`` (pass it to :func:`write_verdict`)."""

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import (
+    WARMUP,
     RepairResult,
+    Sweep,
+    pivot_rows,
     run_repair_experiment,
     run_sim_until,
 )
@@ -18,84 +21,65 @@ ALGORITHMS = ("CR", "PPR", "ECPipe")
 CLIENT_COUNTS = (0, 1, 2, 3, 4)
 
 
-def run_motivation(
-    scale: float = 0.12,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ALGORITHMS,
-    client_counts: tuple[int, ...] = CLIENT_COUNTS,
-) -> dict:
-    """Returns {"repair": {(clients, algo): RepairResult},
-                 "ycsb_only_p99": float}."""
-    repair: dict[tuple[int, str], RepairResult] = {}
-    for clients in client_counts:
-        for algorithm in algorithms:
-            config = ExperimentConfig.scaled(scale, seed=seed)
-            if clients == 0:
-                result = run_repair_experiment(config, algorithm, foreground=False)
-            else:
-                scenario = Testbed.build(config)
-                scenario.start_foreground(num_clients=clients)
-                scenario.cluster.sim.run(until=scenario.cluster.sim.now + 6.0)
-                report = scenario.fail_nodes(1)
-                repairer = scenario.make_repairer(algorithm)
-                repairer.repair(report.failed_chunks)
-                run_sim_until(scenario.cluster, lambda: repairer.done)
-                scenario.stop_foreground()
-                result = RepairResult(
-                    algorithm=algorithm,
-                    trace=config.trace,
-                    repair_time=repairer.meter.elapsed,
-                    repaired_bytes=repairer.meter.repaired_bytes,
-                    chunks=len(report.failed_chunks),
-                    p99_latency=scenario.latency.p99,
-                )
-            repair[(clients, algorithm)] = result
+def repair_with_clients(config: ExperimentConfig, algorithm: str, clients: int) -> RepairResult:
+    """One repair while ``clients`` YCSB-A clients replay traffic."""
+    if clients == 0:
+        return run_repair_experiment(config, algorithm, foreground=False)
+    scenario = Testbed.build(config)
+    scenario.start_foreground(num_clients=clients)
+    scenario.cluster.sim.run(until=scenario.cluster.sim.now + WARMUP)
+    report = scenario.fail_nodes(1)
+    repairer = scenario.make_repairer(algorithm)
+    repairer.repair(report.failed_chunks)
+    run_sim_until(scenario.cluster, lambda: repairer.done)
+    scenario.stop_foreground()
+    return RepairResult(
+        algorithm=algorithm,
+        trace=config.trace,
+        repair_time=repairer.meter.elapsed,
+        repaired_bytes=repairer.meter.repaired_bytes,
+        chunks=len(report.failed_chunks),
+        p99_latency=scenario.latency.p99,
+    )
 
-    # YCSB-only latency baseline (no repair at all).
+
+def grid(scale: float, seed: int):
+    """Cells keyed ``(clients, algorithm)``, then the YCSB-only P99 under
+    the key ``"ycsb_only_p99"`` (no repair at all)."""
     config = ExperimentConfig.scaled(scale, seed=seed)
+    for clients in CLIENT_COUNTS:
+        for algorithm in ALGORITHMS:
+            yield (clients, algorithm), repair_with_clients(config, algorithm, clients)
     scenario = Testbed.build(config)
     scenario.start_foreground()
     scenario.cluster.sim.run(until=scenario.cluster.sim.now + 20.0)
     scenario.stop_foreground()
-    return {"repair": repair, "ycsb_only_p99": scenario.latency.p99}
+    yield "ycsb_only_p99", scenario.latency.p99
 
 
-def rows_repair_time(results: dict) -> list[list]:
+def _repairs(cells: dict, min_clients: int) -> dict:
+    return {
+        key: cell for key, cell in cells.items()
+        if isinstance(key, tuple) and key[0] >= min_clients
+    }
+
+
+def rows_repair_time(cells: dict) -> list[list]:
     """Fig. 4(a) rows: repair time per client count."""
-    repair = results["repair"]
-    counts = sorted({c for c, _ in repair})
-    out = []
-    for clients in counts:
-        out.append(
-            [f"C={clients}"]
-            + [
-                repair[(clients, a)].repair_time if (clients, a) in repair else "-"
-                for a in ALGORITHMS
-            ]
-        )
-    return out
+    return pivot_rows(
+        _repairs(cells, 0), ALGORITHMS, lambda r: r.repair_time, lambda c: f"C={c}"
+    )
 
 
-def rows_p99(results: dict) -> list[list]:
+def rows_p99(cells: dict) -> list[list]:
     """Fig. 4(b) rows: P99 (ms) per client count."""
-    repair = results["repair"]
-    counts = sorted({c for c, _ in repair if c > 0})
-    out = [["YCSB-Only", results["ycsb_only_p99"] * 1000, "-", "-"]]
-    for clients in counts:
-        out.append(
-            [f"C={clients}"]
-            + [
-                repair[(clients, a)].p99_latency * 1000
-                if (clients, a) in repair
-                else "-"
-                for a in ALGORITHMS
-            ]
-        )
-    return out
+    return [["YCSB-Only", cells["ycsb_only_p99"] * 1000, "-", "-"]] + pivot_rows(
+        _repairs(cells, 1), ALGORITHMS, lambda r: r.p99_latency * 1000, lambda c: f"C={c}"
+    )
 
 
 HEADERS = ["clients", *ALGORITHMS]
-TABLES = [
+SWEEP = Sweep("fig4_motivation", grid, [
     ("Fig 4(a): repair time (s)", HEADERS, rows_repair_time),
     ("Fig 4(b): P99 (ms)", HEADERS, rows_p99),
-]
+])

@@ -1,28 +1,30 @@
 """Tests for the experiment CLI and row formatters (no heavy simulation)."""
 
-import importlib
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import (
+    exp01_interference,
+    exp05_computation,
+    exp09_generality,
     exp14_churn,
     exp15_scrub,
-    exp16_failover,
     exp17_chaos,
     exp18_adaptive,
     exp19_shard_failover,
     exp20_partition,
+    figures,
+    motivation,
 )
 from repro.experiments.__main__ import EXPERIMENTS, main
 from repro.experiments.exp17_chaos import ChaosRun
+from repro.experiments.harness import RepairResult, Sweep
 from repro.slo import SLOBreach, SLOReport, SLOSpec, SLOVerdict
 
-SWEEP_MODULES = [
-    exp14_churn, exp15_scrub, exp16_failover, exp17_chaos, exp18_adaptive,
-    exp19_shard_failover, exp20_partition,
-]
+#: The sweeps that write a verdict document.
+VERDICT_MODULES = [exp17_chaos, exp18_adaptive, exp19_shard_failover, exp20_partition]
 CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
 
 
@@ -66,17 +68,12 @@ def scrub_cell(p99):
             "max_detection_latency_s": 6.0, "chunks_scanned": 40}
 
 
-def failover_cell(repair_time):
-    return {"repair_time_s": repair_time, "p99_latency_s": 0.002, "chunks": 6,
-            "completed_before": 2, "completed_after": 4, "requeued": 1,
-            "duplicates": 0, "unverified": 0, "journal_records": 30, "lost": 0}
-
-
 def shard_cell(blast, **changes):
     cell = {"partition_sizes": [3, 3], "crash_shard": 0, "repair_time_s": 10.0,
             "time_inflation": 1.2, "blast": blast, "stalled": 2,
-            "open_at_crash": 4, "chunks": 6, "completed": 6, "duplicates": 0,
-            "requeued": 1, "proven_committed": 1, "unverified": 0, "lost": 0,
+            "open_at_crash": 4, "p99_latency_s": 0.002, "chunks": 6,
+            "completed": 6, "duplicates": 0, "requeued": 1,
+            "proven_committed": 1, "unverified": 0, "lost": 0,
             "journal_records": 30}
     return {**cell, **changes}
 
@@ -101,7 +98,6 @@ def hand_made_cells(module):
         exp14_churn: lambda: {("CR", False): churn_cell(0.002),
                               ("CR", True): churn_cell(0.004)},
         exp15_scrub: lambda: {0.0: scrub_cell(0.002), 0.5: scrub_cell(0.003)},
-        exp16_failover: lambda: {None: failover_cell(4.0), 0.2: failover_cell(6.0)},
         exp17_chaos: lambda: {"YCSB-A": chaos_run()},
         exp18_adaptive: lambda: {
             ("YCSB-A", "off"): chaos_run(2),
@@ -119,6 +115,76 @@ def hand_made_cells(module):
             "zombie": zombie_cell(),
         },
     }[module]()
+
+
+def repair_result(repair_time=2.0, p99=0.004, **extras):
+    """A hand-made repair cell: 200 MB in ``repair_time`` seconds."""
+    return RepairResult(
+        algorithm="CR", trace="YCSB-A", repair_time=repair_time,
+        repaired_bytes=200e6, chunks=3, p99_latency=p99, extras=extras,
+    )
+
+
+def full_grid(keys, algorithms, cell):
+    """``{(key, algorithm): cell}`` over the whole grid."""
+    return {(key, algorithm): cell for key in keys for algorithm in algorithms}
+
+
+def paper_cells(name):
+    """Hand-made cells for the CLI experiment ``name``, one per grid key."""
+    per_algorithm = {
+        "exp01": (exp01_interference.TRACES, exp01_interference.ALGORITHMS),
+        "exp02": (("YCSB-A", "IBM-OS"), exp01_interference.ALGORITHMS),
+        "exp07": ((1.0, 10.0), exp01_interference.ALGORITHMS),
+        "exp08": ((1, 2), exp01_interference.ALGORITHMS),
+        "exp10": (("RS(6,3)", "RS(10,4)"), exp01_interference.ALGORITHMS),
+        "exp11": ((0.0, 5.0), ("CR", "PPR", "ECPipe", "ETRP", "ChameleonEC")),
+        "exp12": ((250.0, 500.0), ("CR", "ChameleonEC", "ChameleonEC-IO")),
+        "exp13": ((1.0, 10.0), exp01_interference.ALGORITHMS),
+    }
+    if name in per_algorithm:
+        value = 0.5 if name in ("exp02", "exp10", "exp11") else repair_result()
+        return full_grid(*per_algorithm[name], value)
+    series = [(t, 100e6) for t in range(10)]
+    return {
+        "fig2": lambda: {50: 1e-6, 100: 1e-8},
+        "fig4": lambda: {
+            **full_grid(motivation.CLIENT_COUNTS, motivation.ALGORITHMS, repair_result()),
+            "ycsb_only_p99": 0.008,
+        },
+        "fig5": lambda: {"uplink": (1.0, 0.5, 1.5), "downlink": (0.8, 0.4, 1.2)},
+        "fig6": lambda: {
+            (algorithm, direction, which): (1.0, 2.0)
+            for algorithm in figures.FIG6_ALGORITHMS
+            for direction in ("up", "down")
+            for which in ("ML", "LL")
+        },
+        "exp03": lambda: {10.0: repair_result(), 20.0: repair_result(3.0)},
+        "exp04": lambda: {
+            algorithm: repair_result(series=series)
+            for algorithm in exp01_interference.ALGORITHMS
+        },
+        "exp05": lambda: full_grid(
+            exp05_computation.NODE_COUNTS, exp05_computation.CHUNK_COUNTS, 0.1
+        ),
+        "exp06": lambda: {
+            algorithm: repair_result() for algorithm in ("RB+CR", "RB+PPR", "ChameleonEC")
+        },
+        "exp09": lambda: {
+            **full_grid(("RS(10,4)",), exp09_generality.ALGORITHMS, repair_result()),
+            **full_grid(("Butterfly(4,2)",), exp09_generality.algorithms_for("Butterfly(4,2)"),
+                        repair_result()),
+        },
+    }[name]()
+
+
+def cli_cells(name):
+    """Hand-made cells for any registered experiment."""
+    module = {
+        "exp14": exp14_churn, "exp15": exp15_scrub, "exp17": exp17_chaos,
+        "exp18": exp18_adaptive, "exp19": exp19_shard_failover, "exp20": exp20_partition,
+    }.get(name)
+    return hand_made_cells(module) if module else paper_cells(name)
 
 
 #: (module, cells replaced in its hand-made set, predicates that then fail)
@@ -149,13 +215,18 @@ FAILING_CASES = [
 
 class TestCLI:
     def test_all_experiments_registered(self):
-        expected = {f"exp{i:02d}" for i in range(1, 21)} | {
+        expected = {f"exp{i:02d}" for i in range(1, 21) if i != 16} | {
             "fig2",
             "fig4",
             "fig5",
             "fig6",
         }
         assert set(EXPERIMENTS) == expected
+
+    def test_every_experiment_is_one_named_sweep(self):
+        assert all(isinstance(sweep, Sweep) for sweep in EXPERIMENTS.values())
+        names = [sweep.name for sweep in EXPERIMENTS.values()]
+        assert len(set(names)) == len(names)
 
     def test_fig2_runs(self, capsys):
         assert main(["fig2"]) == 0
@@ -168,14 +239,13 @@ class TestCLI:
             main(["exp99"])
 
     def test_scale_argument_parsed(self, capsys):
-        # exp05 ignores scale but exercises argument plumbing cheaply.
+        # fig2 ignores scale but exercises argument plumbing cheaply.
         assert main(["fig2", "--scale", "0.5", "--seed", "3"]) == 0
 
 
 class TestRowFormatters:
     def test_exp01_rows(self):
         from repro.experiments.exp01_interference import rows_p99, rows_throughput
-        from repro.experiments.harness import RepairResult
 
         fake = {
             ("YCSB-A", "CR"): RepairResult(
@@ -208,7 +278,6 @@ class TestRowFormatters:
 
     def test_exp07_rows_missing_cells(self):
         from repro.experiments.exp07_no_foreground import rows
-        from repro.experiments.harness import RepairResult
 
         fake = {
             (1.0, "CR"): RepairResult(
@@ -220,54 +289,55 @@ class TestRowFormatters:
         assert out[0][0] == "1 Gb/s"
         assert out[0][1] == 50.0
 
-    def test_fig2_rows(self):
-        from repro.experiments.figures import fig2_rows
+    def test_exp09_rows_dash_where_butterfly_has_no_elastic_plan(self):
+        rows = exp09_generality.rows(paper_cells("exp09"))
+        assert rows[0] == ["Butterfly(4,2)", 100.0, "-", "-", 100.0]
+        assert rows[1] == ["RS(10,4)", 100.0, 100.0, 100.0, 100.0]
 
-        assert fig2_rows([(50.0, 1e-6)]) == [["50 MB/s", 1e-6]]
+    def test_fig2_rows(self):
+        assert figures.fig2_rows({50.0: 1e-6}) == [["50 MB/s", 1e-6]]
 
     def test_motivation_rows(self):
-        from repro.experiments.harness import RepairResult
-        from repro.experiments.motivation import rows_p99, rows_repair_time
-
         fake = {
-            "repair": {
-                (0, "CR"): RepairResult(
-                    algorithm="CR", trace="none", repair_time=3.0,
-                    repaired_bytes=10e6, chunks=1,
-                ),
-                (4, "CR"): RepairResult(
-                    algorithm="CR", trace="YCSB-A", repair_time=5.0,
-                    repaired_bytes=10e6, chunks=1, p99_latency=0.01,
-                ),
-            },
+            (0, "CR"): RepairResult(
+                algorithm="CR", trace="none", repair_time=3.0,
+                repaired_bytes=10e6, chunks=1,
+            ),
+            (4, "CR"): RepairResult(
+                algorithm="CR", trace="YCSB-A", repair_time=5.0,
+                repaired_bytes=10e6, chunks=1, p99_latency=0.01,
+            ),
             "ycsb_only_p99": 0.008,
         }
-        rt = rows_repair_time(fake)
+        rt = motivation.rows_repair_time(fake)
         assert rt[0][0] == "C=0" and rt[0][1] == 3.0
-        p99 = rows_p99(fake)
-        assert p99[0][0] == "YCSB-Only"
-        assert p99[0][1] == 8.0
+        p99 = motivation.rows_p99(fake)
+        assert p99[0] == ["YCSB-Only", 8.0, "-", "-"]
+        assert p99[1:] == [["C=4", 10.0]]
 
-
-    @pytest.mark.parametrize("module", SWEEP_MODULES, ids=short_name)
-    def test_sweep_rows_match_headers(self, module):
-        rows = module.SWEEP.rows(hand_made_cells(module))
-        assert rows
-        assert all(len(row) == len(module.SWEEP.headers) for row in rows)
+    @pytest.mark.parametrize(
+        "name", sorted(EXPERIMENTS), ids=lambda name: EXPERIMENTS[name].name
+    )
+    def test_sweep_rows_match_headers(self, name):
+        cells = cli_cells(name)
+        for _, headers, rows in EXPERIMENTS[name].tables:
+            out = rows(cells)
+            assert out
+            assert all(len(row) == len(headers) for row in out)
 
     def test_sweep_rows_derive_inflation_from_the_baseline_cell(self):
         (row,) = exp14_churn.rows(hand_made_cells(exp14_churn))
         assert row[0] == "CR" and row[-1] == 2.0
         baseline, faulted = exp15_scrub.rows(hand_made_cells(exp15_scrub))
         assert baseline[3] == 1.0 and faulted[3] == 1.5 and faulted[4] == "8/8"
-        base, crash = exp16_failover.rows(hand_made_cells(exp16_failover))
-        assert base[0] == "none" and crash[:3] == [0.2, 6.0, 1.5]
-        assert crash[5] == "2+4/6"
+        base, crash = exp19_shard_failover.rows(hand_made_cells(exp19_shard_failover))[:2]
+        assert base[:3] == [1, "none", "-"] and crash[:3] == [1, 0.15, 0]
+        assert crash[7:9] == [2.0, "6/6"]
         assert exp20_partition.rows(hand_made_cells(exp20_partition))[-1][1] == "zombie"
 
 
 class TestSweepPredicates:
-    @pytest.mark.parametrize("module", SWEEP_MODULES[3:], ids=short_name)
+    @pytest.mark.parametrize("module", VERDICT_MODULES, ids=short_name)
     def test_hand_made_cells_pass(self, module):
         doc = module.SWEEP.verdict(hand_made_cells(module), scale=0.05, seed=0)
         assert doc["passed"] is True
@@ -298,13 +368,11 @@ class TestSweepPredicates:
 class TestVerdictGate:
     def documents(self):
         """{experiment: document stem} for every sweep that writes one."""
-        out = {}
-        for name, (module_name, _, _) in EXPERIMENTS.items():
-            module = importlib.import_module(f"repro.experiments.{module_name}")
-            sweep = getattr(module, "SWEEP", None)
-            if sweep is not None and sweep.document is not None:
-                out[name] = Path(sweep.document).stem
-        return out
+        return {
+            name: Path(sweep.document).stem
+            for name, sweep in EXPERIMENTS.items()
+            if sweep.document is not None
+        }
 
     def test_ci_matrix_lists_every_verdict_document(self):
         matrix = re.findall(

@@ -1,58 +1,58 @@
 """Tiny-scale smoke tests for the experiment modules (shape sanity).
 
-Each experiment's benchmark runs the full grid; these smoke tests run a
-minimal slice at scale 0.03 so `pytest tests/` alone still exercises
-every harness code path.
+Each experiment's benchmark runs the full grid; these smoke tests run
+one cell's measurement at scale 0.03 so `pytest tests/` alone still
+exercises every harness code path.
 """
 
-import pytest
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import run_repair_experiment
 
 
 class TestExperimentSlices:
     def test_exp02_single_cell(self):
-        from repro.experiments.exp02_trace_slowdown import run_exp02
+        from repro.experiments.harness import run_trace_only, run_trace_with_repair
+        from repro.metrics.interference import interference_degree
 
-        results = run_exp02(
-            scale=0.03, traces=("YCSB-A",), algorithms=("ChameleonEC",)
+        config = ExperimentConfig.scaled(0.03, trace="YCSB-A")
+        baseline = run_trace_only(config, requests_per_client=150, trace="YCSB-A")
+        with_repair, _ = run_trace_with_repair(
+            config, "ChameleonEC", requests_per_client=150, trace="YCSB-A"
         )
-        degree = results[("YCSB-A", "ChameleonEC")]
+        degree = interference_degree(with_repair, baseline)
         assert degree > -0.5  # a repair cannot speed the trace up much
 
     def test_exp07_single_bandwidth(self):
-        from repro.experiments.exp07_no_foreground import run_exp07
-
-        results = run_exp07(
-            scale=0.03, algorithms=("CR", "ChameleonEC"), bandwidths=(10.0,)
-        )
-        assert results[(10.0, "CR")].throughput > 0
-        assert results[(10.0, "ChameleonEC")].throughput > 0
+        config = ExperimentConfig.scaled(0.03, link_gbps=10.0)
+        for algorithm in ("CR", "ChameleonEC"):
+            result = run_repair_experiment(config, algorithm, foreground=False)
+            assert result.throughput > 0
 
     def test_exp09_butterfly_slice(self):
-        from repro.experiments.exp09_generality import run_exp09
+        from repro.experiments.exp09_generality import algorithms_for
 
-        results = run_exp09(scale=0.03, codes=("Butterfly(4,2)",))
-        assert ("Butterfly(4,2)", "CR") in results
-        assert ("Butterfly(4,2)", "ChameleonEC") in results
         # PPR/ECPipe are skipped for Butterfly (no elastic plans).
-        assert ("Butterfly(4,2)", "PPR") not in results
+        algorithms = algorithms_for("Butterfly(4,2)")
+        assert algorithms == ("CR", "ChameleonEC")
+        config = ExperimentConfig.scaled(0.03, code="Butterfly(4,2)")
+        for algorithm in algorithms:
+            assert run_repair_experiment(config, algorithm).throughput > 0
 
     def test_exp11_single_offset(self):
-        from repro.experiments.exp11_breakdown import run_exp11
+        from repro.experiments.exp11_breakdown import phase_throughput_with_straggler
 
-        results = run_exp11(
-            scale=0.03, algorithms=("ETRP",), offsets=(5.0,)
-        )
-        assert results[(5.0, "ETRP")] > 0
+        config = ExperimentConfig.scaled(0.03)
+        offset = 5.0 * config.t_phase / 20.0
+        assert phase_throughput_with_straggler(config, "ETRP", offset) > 0
 
     def test_fig5_smoke(self):
-        from repro.experiments.figures import run_fig5
+        from repro.experiments.figures import FIG5_SWEEP
 
-        stats = run_fig5(scale=0.03)
+        stats = FIG5_SWEEP.run(scale=0.03)
         assert set(stats) == {"uplink", "downlink"}
         assert all(len(v) == 3 for v in stats.values())
 
     def test_exp05_tiny_grid(self):
-        from repro.experiments.exp05_computation import run_exp05
+        from repro.experiments.exp05_computation import plan_generation_time
 
-        results = run_exp05(node_counts=(30,), chunk_counts=(20,))
-        assert results[(30, 20)] > 0
+        assert plan_generation_time(30, 20) > 0
