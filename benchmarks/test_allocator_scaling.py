@@ -22,8 +22,13 @@ fourth has the shape of foreground traffic, closed-loop single-slice
 requests on disjoint node pairs beside bulk flows on one hot link, where
 nearly every epoch is due before anything else and must close inline,
 without a trip through the event queue (``sim.events_inline`` against
-``alloc.passes``). The assertions are counts and simulated instants, not
-timings.
+``alloc.passes``), and where a request that empties its node pair must
+close its epoch in place, with no recompute at all (``alloc.passes``
+against the never-quiet twin engine's). An epoch closed in place runs
+neither through the queue nor inline, and ``alloc.passes`` does not count
+it; the gates that relate epochs to completions add those epochs back, so
+they count the epochs the never-quiet twin counts. The assertions are
+counts and simulated instants, not timings.
 """
 
 import numpy as np
@@ -41,6 +46,7 @@ from repro.sim import (
 )
 from tests.oracles import (
     FromScratchAllocator,
+    NeverQuietSimulator,
     QueueOnlySimulator,
     ReferenceRateAllocator,
     hot_link_mix,
@@ -129,6 +135,16 @@ def test_allocator_churn_scaling(benchmark, bench_scale):
     )
 
 
+class _CountingAllocator(RateAllocator):
+    """Counts the emptied departures the scheduler closes in place."""
+
+    closed = 0
+
+    def close_emptied(self):
+        super().close_emptied()
+        self.closed += 1
+
+
 NUM_TRANSFERS = 8
 SLICES_PER_TRANSFER = 32
 
@@ -165,8 +181,9 @@ def _run_sliced_pipeline(allocator):
 
 
 def test_sliced_pipeline_skips_the_fill_at_slice_boundaries(benchmark):
+    allocator = _CountingAllocator()
     registry, completions = benchmark.pedantic(
-        _run_sliced_pipeline, args=(RateAllocator(),), rounds=1, iterations=1
+        _run_sliced_pipeline, args=(allocator,), rounds=1, iterations=1
     )
     _, reference = _run_sliced_pipeline(ReferenceRateAllocator())
 
@@ -183,7 +200,8 @@ def test_sliced_pipeline_skips_the_fill_at_slice_boundaries(benchmark):
     )
     assert len(completions) == NUM_TRANSFERS * SLICES_PER_TRANSFER
     assert completions == reference
-    assert passes >= len(completions)
+    # Every slice completion opens an epoch: a recompute, or closed in place.
+    assert passes + allocator.closed >= len(completions)
     assert fills <= 0.25 * passes, f"{fills} fills in {passes} epochs"
 
 
@@ -241,9 +259,10 @@ def _run_requests(sim_cls):
     requests over the pair's uplink and downlink, thinking between them
     (every seventh not at all); four bulk transfers share one hot link.
     Returns (registry, every request's (name, completion time) in
-    completion order)."""
+    completion order, the epochs closed in place)."""
     sim = sim_cls()
-    manager = TransferManager(FlowScheduler(sim))
+    allocator = _CountingAllocator()
+    manager = TransferManager(FlowScheduler(sim, allocator=allocator))
     completions = []
 
     def client(pair):
@@ -281,28 +300,50 @@ def _run_requests(sim_cls):
     finally:
         set_registry(previous)
     assert len(completions) == NUM_PAIRS * REQUESTS_PER_CLIENT
-    return registry, completions
+    return registry, completions, allocator.closed
 
 
-def test_request_epochs_close_inline(benchmark):
-    registry, completions = benchmark.pedantic(
-        _run_requests, args=(Simulator,), rounds=1, iterations=1
-    )
-    twin_registry, twin_completions = _run_requests(QueueOnlySimulator)
-
-    # Only the flow scheduler's recompute is deferred here.
-    passes, inline, events = (
+def _counts(registry):
+    return tuple(
         int(registry.counter(name).value)
         for name in ("alloc.passes", "sim.events_inline", "sim.events_dispatched")
     )
+
+
+def test_request_epochs_close_inline(benchmark):
+    registry, completions, closed = benchmark.pedantic(
+        _run_requests, args=(Simulator,), rounds=1, iterations=1
+    )
+    twin_registry, twin_completions, _ = _run_requests(QueueOnlySimulator)
+
+    # Only the flow scheduler's recompute is deferred here.
+    passes, inline, events = _counts(registry)
+    # An epoch closed in place took no trip through the queue either.
+    epochs, queue_free = passes + closed, inline + closed
     emit(
         benchmark,
         f"Request epochs: {NUM_PAIRS} closed-loop clients x {REQUESTS_PER_CLIENT} "
         "single-slice requests beside a hot link",
-        ["passes", "inline", "inline / passes", "events"],
-        [[passes, inline, round(inline / passes, 3), events]],
+        ["passes", "inline", "closed in place", "queue-free / epochs", "events"],
+        [[passes, inline, closed, round(queue_free / epochs, 3), events]],
     )
     assert completions == twin_completions
     assert events == twin_registry.counter("sim.events_dispatched").value
     assert twin_registry.counter("sim.events_inline").value == 0
-    assert inline >= 0.9 * passes, f"{inline} of {passes} epochs inline"
+    assert queue_free >= 0.9 * epochs, f"{queue_free} of {epochs} epochs queue-free"
+
+
+def test_request_departures_close_in_place():
+    """Against the never-quiet twin, which opens a recompute for every
+    epoch: the same completions, one pass and one event fewer per epoch
+    closed in place, and on the twin the inline gate read as before."""
+    registry, completions, closed = _run_requests(Simulator)
+    twin_registry, twin_completions, twin_closed = _run_requests(NeverQuietSimulator)
+    passes, inline, events = _counts(registry)
+    twin_passes, twin_inline, twin_events = _counts(twin_registry)
+    assert completions == twin_completions
+    assert twin_closed == 0 < closed
+    assert twin_passes - passes == closed
+    assert twin_events - events == closed
+    assert twin_inline - inline == closed
+    assert twin_inline >= 0.9 * twin_passes, f"{twin_inline} of {twin_passes} epochs inline"

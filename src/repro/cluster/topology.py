@@ -85,6 +85,7 @@ class Cluster:
         # reachable only if every active cut keeps them together.
         self._partitions: dict[int, dict[int, int]] = {}
         self._partition_ids = itertools.count()
+        self._paths: dict[tuple[int, int, bool, bool], tuple[Resource, ...]] = {}
 
     # -- connectivity ---------------------------------------------------------
 
@@ -184,8 +185,13 @@ class Cluster:
         transfers that serve a stored chunk; relays forwarding in-memory
         partial results skip it). ``write_disk`` adds the destination's
         disk-write bandwidth (set for the final write of a repaired
-        chunk or a foreground update).
+        chunk or a foreground update). Nodes, racks and their resources
+        never change, so each path is built once and then reused.
         """
+        key = (src_id, dst_id, read_disk, write_disk)
+        cached = self._paths.get(key)
+        if cached is not None:
+            return cached
         src, dst = self.node(src_id), self.node(dst_id)
         path: list[Resource] = []
         if read_disk:
@@ -199,7 +205,8 @@ class Cluster:
         path.append(dst.downlink)
         if write_disk:
             path.append(dst.disk_write)
-        return tuple(path)
+        self._paths[key] = cached = tuple(path)
+        return cached
 
     def rack_of(self, node_id: int) -> int | None:
         """The rack a node lives in (None for flat topologies)."""

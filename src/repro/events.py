@@ -60,7 +60,8 @@ class HookEmitter:
         ``event`` is positional-only so payloads may carry an ``event=``
         keyword (e.g. the fault timeline attaching the triggering event).
         """
-        callbacks = self._hooks().get(event)
+        hooks = getattr(self, "_hook_subscribers", None)
+        callbacks = hooks.get(event) if hooks is not None else None
         if not callbacks:
             return
         for callback in list(callbacks):

@@ -245,6 +245,24 @@ class RateAllocator:
         else:
             self._dirty.update(dict.fromkeys(resources))
 
+    def emptied(self) -> bool:
+        """True when the epoch so far is rated departures alone (no arrival,
+        no capacity mark, no flow that came and went unrated) that left no
+        user on any resource they dirtied: :meth:`recompute` would write
+        nothing and move no counter. Read-only."""
+        if not self._left or self._disturbed or self._fresh:
+            return False
+        users = self._users
+        for res in self._dirty:
+            if res in users:
+                return False
+        return True
+
+    def close_emptied(self) -> None:
+        """Close an :meth:`emptied` epoch exactly as :meth:`recompute` would."""
+        self._left.clear()
+        self._dirty.clear()
+
     def recompute(
         self, on_touch: Callable[[AllocatableFlow], None] | None = None
     ) -> list[AllocatableFlow]:
@@ -295,8 +313,11 @@ class RateAllocator:
         elif len(self._fresh) == 1 and not self._disturbed:
             (flow,) = self._fresh
             resources = flow_resources[flow]
-            if all(len(users[res]) == 1 for res in resources):
-                return self._stand(flow, *_tightest(resources), on_touch)  # a lone flow
+            for res in resources:
+                if len(users[res]) != 1:
+                    break
+            else:  # a lone flow
+                return self._stand(flow, *_tightest(resources), on_touch)
             if (frozen := self._replay_arrival(flow)) is not None:
                 self.inert_arrivals += 1
                 return self._stand(flow, *frozen, on_touch)

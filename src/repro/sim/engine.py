@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -52,10 +53,12 @@ class PeriodicHook:
 class Simulator:
     """Virtual-time event loop.
 
-    All timestamps are seconds of simulated time. Components schedule
-    callbacks with :meth:`schedule` (relative) or :meth:`call_at`
-    (absolute) and the owner drives the loop with :meth:`run`, which
-    dispatches events in ``(time, seq)`` order, ``seq`` counting requests.
+    All timestamps are seconds of simulated time; ``now`` is the current
+    one, a plain attribute that only the loop writes (components read it,
+    never assign it). Components schedule callbacks with :meth:`schedule`
+    (relative) or :meth:`call_at` (absolute) and the owner drives the
+    loop with :meth:`run`, which dispatches events in ``(time, seq)``
+    order, ``seq`` counting requests.
 
     :meth:`defer` is ``schedule(0.0, ...)`` without the trip through the
     queue when none is needed: the event takes its ``seq`` when it is
@@ -66,20 +69,18 @@ class Simulator:
     with it pending, and when it is requested outside :meth:`run`. The
     dispatch order is the same either way. ``events_dispatched`` counts
     every callback run, ``events_inline`` the deferred ones run inline.
+    :meth:`quiet_now` says when an event deferred now would run next and
+    alone, so that a caller may do its work in place instead.
     """
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        #: Current simulated time in seconds; written by the loop alone.
+        self.now = 0.0
         self._running = False
         self._deferred: Event | None = None
         self.events_dispatched = 0
         self.events_inline = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     def peek_next_time(self) -> float | None:
         """Timestamp of the earliest pending event (None when drained).
@@ -96,15 +97,15 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._queue.push(self._now + delay, callback, *args)
+        return self._queue.push(self.now + delay, callback, *args)
 
     def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
-        if time < self._now - 1e-9:
+        if time < self.now - 1e-9:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {self.now}"
             )
-        return self._queue.push(max(time, self._now), callback, *args)
+        return self._queue.push(max(time, self.now), callback, *args)
 
     def defer(self, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run now, after the current event.
@@ -114,7 +115,7 @@ class Simulator:
         queued event comes before it (class docstring). Holding a second
         deferred event queues the first.
         """
-        event = self._queue.reserve(self._now, callback, *args)
+        event = self._queue.reserve(self.now, callback, *args)
         if not self._running:
             self._queue.insert(event)
             return event
@@ -133,6 +134,20 @@ class Simulator:
             and not event.cancelled
             and not self._queue.precedes(event)
         )
+
+    def quiet_now(self) -> bool:
+        """True when the running loop has nothing more to dispatch at the
+        current instant, as things stand: it was not stopped, holds no
+        deferred event, and no live queued event is due now.
+
+        An epoch opened now would then run next and alone, so a caller
+        that closes it in place instead of deferring it dispatches every
+        other event in the same relative ``(time, seq)`` order.
+        """
+        if not self._running or self._deferred is not None:
+            return False
+        next_time = self._queue.peek_time()
+        return next_time is None or next_time > self.now
 
     def every(self, interval: float, callback: Callable[[], Any]) -> PeriodicHook:
         """Install a repeating sampling hook on the clock.
@@ -168,6 +183,7 @@ class Simulator:
         dispatched_before = self.events_dispatched
         inline_before = self.events_inline
         queue = self._queue
+        heap = queue._heap  # one pop per queued event, no separate peek
         self._running = True
         stopped = False
         try:
@@ -182,17 +198,19 @@ class Simulator:
                         continue
                     self.events_inline += 1
                 else:
-                    next_time = queue.peek_time()
-                    if next_time is None:
+                    if not heap:
                         break
-                    if until is not None and next_time > until:
-                        self._now = until
+                    entry = heappop(heap)
+                    time, _, event = entry
+                    if event.cancelled:
+                        continue
+                    if until is not None and time > until:
+                        heappush(heap, entry)
+                        self.now = until
                         break
-                    event = queue.pop()
-                    assert event is not None
-                    if event.time < self._now - 1e-9:
+                    if time < self.now - 1e-9:
                         raise SimulationError("event queue produced a past event")
-                    self._now = event.time
+                    self.now = time
                 self.events_dispatched += 1
                 event.callback(*event.args)
             stopped = not self._running
@@ -211,10 +229,10 @@ class Simulator:
             not stopped
             and until is not None
             and self._queue.peek_time() is None
-            and self._now < until
+            and self.now < until
         ):
-            self._now = until
-        return self._now
+            self.now = until
+        return self.now
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event finishes."""

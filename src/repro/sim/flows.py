@@ -111,6 +111,14 @@ class FlowScheduler:
     when nothing else is due before it. A completion that opens an epoch
     leaves the completion event to the recompute when the engine says it
     runs next (:meth:`Simulator.runs_next`): the recompute syncs it anyway.
+    A completion whose finished flows leave nobody to re-rate opens no
+    recompute at all when the allocator holds nothing else
+    (:meth:`RateAllocator.emptied`) and nothing else is due now
+    (:meth:`Simulator.quiet_now`): that recompute would run next and
+    write nothing, so the handler closes the epoch in place
+    (:meth:`RateAllocator.close_emptied`, the heap check, the sync), and
+    every other event keeps its relative ``(time, seq)`` order. The
+    scheduler reads the clock as ``sim.now``, which only the engine writes.
     Each epoch re-rates only the contention component reachable from the
     touched resources (see :class:`repro.sim.allocator.RateAllocator`);
     flows outside it keep their rates, and their in-flight progress is
@@ -245,23 +253,25 @@ class FlowScheduler:
         wall_start = time.perf_counter() if registry.enabled else 0.0
         before = _fill_counts(self.allocator) if registry.enabled else ()
         touched = self.allocator.recompute(on_touch=self._settle_flow)
-        self.py_flow_ops += len(touched)
-        now = self.sim.now
-        for flow in touched:
-            if flow not in self.active:
-                continue
-            rate = flow.rate
-            if rate > 0:
-                eta = now if rate == _INF else now + flow.remaining / rate
-                if flow._eta is not None and abs(eta - flow._eta) <= _EPSILON_TIME:
-                    # The rate came out unchanged: the existing heap
-                    # entry still points at the right time, so skip the
-                    # push and keep the heap free of duplicates.
+        if touched:
+            self.py_flow_ops += len(touched)
+            now = self.sim.now
+            active = self.active
+            for flow in touched:
+                if flow not in active:
                     continue
-                flow._eta = eta
-                heapq.heappush(self._eta_heap, (eta, next(self._eta_seq), flow))
-            else:
-                flow._eta = None
+                rate = flow.rate
+                if rate > 0:
+                    eta = now if rate == _INF else now + flow.remaining / rate
+                    if flow._eta is not None and abs(eta - flow._eta) <= _EPSILON_TIME:
+                        # The rate came out unchanged: the existing heap
+                        # entry still points at the right time, so skip
+                        # the push and keep the heap free of duplicates.
+                        continue
+                    flow._eta = eta
+                    heapq.heappush(self._eta_heap, (eta, next(self._eta_seq), flow))
+                else:
+                    flow._eta = None
         if len(self._eta_heap) > 4 * len(self.active) + 64:
             self._compact_eta_heap()
         if registry.enabled:
@@ -362,6 +372,16 @@ class FlowScheduler:
         for flow in finished:
             self._complete_flow(flow)
         if finished:
+            if self.sim.quiet_now() and self.allocator.emptied():
+                # The finished flows left nobody to re-rate and nothing
+                # else is due now (an earlier recompute request would be:
+                # deferred, or queued at now), so the deferred epoch would
+                # run next and write nothing: it closes here.
+                self.allocator.close_emptied()
+                if len(self._eta_heap) > 4 * len(self.active) + 64:
+                    self._compact_eta_heap()
+                self._sync_completion_event()
+                return
             self._request_recompute()
         if not self.sim.runs_next(self._recompute_event):
             self._sync_completion_event()

@@ -32,6 +32,35 @@ _transfer_ids = itertools.count()
 class Transfer:
     """A sliced data movement with cross-transfer pipelining dependencies."""
 
+    __slots__ = (
+        "id",
+        "name",
+        "resources",
+        "size",
+        "tag",
+        "num_slices",
+        "slice_sizes",
+        "deps",
+        "dependents",
+        "completed_slices",
+        "started_at",
+        "completed_at",
+        "cancelled",
+        "failed",
+        "failure_reason",
+        "paused",
+        "stalled",
+        "released",
+        "src",
+        "dst",
+        "on_complete",
+        "on_failed",
+        "on_slice",
+        "_manager",
+        "_inflight",
+        "_obs_span",
+    )
+
     def __init__(
         self,
         name: str,
@@ -341,9 +370,10 @@ class TransferManager:
         return True
 
     def _unreachable(self, transfer: Transfer) -> bool:
+        """Whether a partition cuts the transfer's endpoints apart; asked
+        only while :attr:`reachability` is installed."""
         return (
-            self.reachability is not None
-            and transfer.src is not None
+            transfer.src is not None
             and transfer.dst is not None
             and not self.reachability(transfer.src, transfer.dst)
         )
@@ -359,9 +389,9 @@ class TransferManager:
         idx = transfer.completed_slices
         if idx >= transfer.num_slices:
             return
-        if not self._deps_ready(transfer, idx):
+        if transfer.deps and not self._deps_ready(transfer, idx):
             return
-        if self._unreachable(transfer):
+        if self.reachability is not None and self._unreachable(transfer):
             # A new cross-cut slice is refused at the source: the
             # transfer parks until the partition heals.
             self.stall(transfer)
@@ -384,8 +414,9 @@ class TransferManager:
         if transfer.cancelled:
             return
         transfer.completed_slices = idx + 1
-        for callback in list(transfer.on_slice):
-            callback(transfer, idx)
+        if transfer.on_slice:
+            for callback in list(transfer.on_slice):
+                callback(transfer, idx)
         # Wake dependents that were waiting on this slice.
         for dependent in transfer.dependents:
             if dependent.released:

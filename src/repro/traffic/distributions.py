@@ -32,6 +32,7 @@ class ZipfianSampler:
         self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
         self._eta = (1 - (2.0 / nitems) ** (1 - theta)) / (1 - self._zeta2 / self._zetan)
+        self._second = 1.0 + 0.5**theta  # u * zetan below this draws rank 1
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -43,7 +44,7 @@ class ZipfianSampler:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5**self.theta:
+        if uz < self._second:
             return 1
         return int(
             self.nitems * (self._eta * u - self._eta + 1) ** self._alpha

@@ -39,11 +39,12 @@ class KeyRouter:
     def node_for(self, key: int) -> int:
         """The alive node that serves requests for ``key``."""
         stripe_id, chunk_index = self.locate(key)
-        stripe = self.store.stripes[stripe_id]
-        owner = stripe.node_of(chunk_index)
-        if self.cluster.node(owner).alive:
+        chunk_nodes = self.store.stripes[stripe_id].chunk_nodes
+        node = self.cluster.node
+        owner = chunk_nodes[chunk_index]
+        if node(owner).alive:
             return owner
-        for node_id in stripe.chunk_nodes:
-            if self.cluster.node(node_id).alive:
+        for node_id in chunk_nodes:
+            if node(node_id).alive:
                 return node_id
         raise SimulationError(f"no alive replica for key {key}")

@@ -8,7 +8,7 @@ generator below reproduces the characteristics the paper relies on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from repro.traffic.distributions import (
 )
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One foreground operation replayed by a client."""
 
     op: str  # "read" or "update"
@@ -56,12 +55,9 @@ class TraceGenerator:
 
     def next_request(self) -> Request:
         """Draw one request (op + key + value size)."""
-        op = "read" if self.rng.random() < self.read_ratio else "update"
-        return Request(
-            op=op,
-            key=self.key_sampler.sample(),
-            size=self.size_sampler.sample(self.rng),
-        )
+        rng = self.rng
+        op = "read" if rng.random() < self.read_ratio else "update"
+        return Request(op, self.key_sampler.sample(), self.size_sampler.sample(rng))
 
     def requests(self, count: int):
         """Yield exactly ``count`` requests."""

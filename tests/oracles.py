@@ -21,6 +21,9 @@ beyond the ``_SHARE_SLACK`` constant and the ``Resource`` type.
 * :class:`QueueOnlySimulator` — the engine with every deferred event sent
   through the queue, so nothing runs inline; what a run on it computes
   must equal the real engine's.
+* :class:`NeverQuietSimulator` — the engine that never reports a quiet
+  instant, so a departure that empties its resources still takes its
+  deferred epoch; what a run on it computes must equal the real engine's.
 
 :func:`hot_link_mix` is the stress recipe of the benchmark's ``hot_mix``
 workload (many flows fused into one component on a few hot links) at any
@@ -132,7 +135,8 @@ def _progressive_fill(
 
 class ReferenceRateAllocator:
     """The dict-of-dicts allocator ``repro.sim.RateAllocator`` replaced, kept
-    verbatim as the bit-identity oracle for its count-based fill.
+    verbatim as the bit-identity oracle for its count-based fill (plus the
+    :meth:`emptied` query a flow scheduler asks of any allocator).
 
     Mutations (:meth:`add_flow`, :meth:`remove_flow`, :meth:`mark_dirty`)
     only record which resources were touched; :meth:`recompute` then
@@ -194,6 +198,16 @@ class ReferenceRateAllocator:
             self._all_dirty = True
         else:
             self._dirty.update(dict.fromkeys(resources))
+
+    def emptied(self) -> bool:
+        """True when :meth:`recompute` would re-rate nobody: no resource
+        it would start from still has users, and nothing asks for a rate."""
+        users = self._users
+        return not (self._all_dirty or self._fresh or any(res in users for res in self._dirty))
+
+    def close_emptied(self) -> None:
+        """Close an :meth:`emptied` epoch exactly as :meth:`recompute` would."""
+        self._dirty.clear()
 
     def recompute(
         self, on_touch: Callable[[AllocatableFlow], None] | None = None
@@ -293,6 +307,14 @@ class FromScratchAllocator:
 
     def mark_dirty(self, *resources: Resource) -> None:
         pass  # every recompute is global anyway
+
+    def emptied(self) -> bool:
+        """True when no flow is left: only then does :meth:`recompute`
+        re-rate (and settle) nobody."""
+        return not self._flows
+
+    def close_emptied(self) -> None:
+        pass  # nothing is recorded between epochs
 
     def recompute(
         self, on_touch: Callable[[AllocatableFlow], None] | None = None
@@ -480,6 +502,16 @@ class QueueOnlySimulator(Simulator):
 
     def defer(self, callback: Callable[..., Any], *args: Any) -> Event:
         return self.schedule(0.0, callback, *args)
+
+
+class NeverQuietSimulator(Simulator):
+    """``Simulator`` whose :meth:`~Simulator.quiet_now` is always False, so
+    a flow scheduler never closes an emptied departure in place: every
+    epoch takes its deferred recompute. What a run on it computes must equal the real engine's; only its
+    ``events_dispatched`` and ``alloc.passes`` count the extra epochs."""
+
+    def quiet_now(self) -> bool:
+        return False
 
 
 def hot_link_mix(scheduler, nodes: int, flows: int, seed: int = 0) -> list[Flow]:

@@ -5,8 +5,16 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.sim import Flow, FlowScheduler, Resource, Simulator, allocate_rates
-from tests.oracles import AuditedRateAllocator, QueueOnlySimulator
+from repro.sim import (
+    Flow,
+    FlowScheduler,
+    Resource,
+    Simulator,
+    Transfer,
+    TransferManager,
+    allocate_rates,
+)
+from tests.oracles import AuditedRateAllocator, NeverQuietSimulator, QueueOnlySimulator
 
 
 def make_env():
@@ -269,17 +277,27 @@ class TestEtaHeap:
 
 
 class _RecordingAllocator(AuditedRateAllocator):
-    """Records every rate each epoch writes, in write order."""
+    """Records every rate each epoch writes, in write order, an emptied
+    departure closed in place as an epoch that writes nothing."""
 
     def __init__(self, sim):
         super().__init__(rel_tol=1e-12)
         self.sim = sim
         self.written = []
+        self.closed = 0
 
     def recompute(self, on_touch=None):
         changed = super().recompute(on_touch)
         self.written.append((self.sim.now, [(flow.name, flow.rate) for flow in changed]))
         return changed
+
+    def close_emptied(self):
+        super().close_emptied()
+        self.written.append((self.sim.now, []))
+        self.closed += 1
+
+    def counters(self):
+        return (self.fills, self.successions, self.inert, self.inert_arrivals)
 
 
 _GRID = (0.0, 0.5, 0.5, 1.0, 2.0, 2.0, 3.5)
@@ -358,13 +376,19 @@ def _mixed_run(sim_cls, seed):
         sim.run(until=float(pause))
     sim.run()
     assert all(flow.done or flow.cancelled for flow in flows)
+    return _observed(sim, allocator, flows, resources, probes)
+
+
+def _observed(sim, allocator, flows, resources, probes):
+    """What a run computed, plus the engine's and allocator's counts."""
     return {
         "completions": [(flow.name, flow.completed_at, flow.cancelled) for flow in flows],
         "written": allocator.written,
         "bytes": {res.name: dict(res.bytes_by_tag) for res in resources},
         "events": sim.events_dispatched,
         "probes": probes,
-    }, sim.events_inline
+        "counters": allocator.counters(),
+    }, sim.events_inline, allocator.closed
 
 
 @pytest.mark.parametrize("seed", range(32))
@@ -373,8 +397,119 @@ def test_inline_epochs_match_the_queue_only_twin(seed):
     the completion event to it, changes no completion instant, no written
     rate, no byte count, nothing a callback reads off the engine and not
     the number of dispatched events."""
-    run, inline = _mixed_run(Simulator, seed)
-    twin, twin_inline = _mixed_run(QueueOnlySimulator, seed)
+    run, inline, _ = _mixed_run(Simulator, seed)
+    twin, twin_inline, _ = _mixed_run(QueueOnlySimulator, seed)
     assert run == twin
     assert twin_inline == 0
     assert inline > 0
+
+
+def _assert_elision_exact(run, twin, closed, twin_closed):
+    """The run equals its never-elide twin in everything it computed; the
+    twin dispatched one more event per epoch the run closed in place."""
+    assert twin_closed == 0
+    assert {k: v for k, v in run.items() if k != "events"} == {
+        k: v for k, v in twin.items() if k != "events"
+    }
+    assert twin["events"] - run["events"] == closed
+
+
+# -- emptied departures close in place: the engine against its never-quiet twin
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_emptied_departures_match_the_never_quiet_twin(seed):
+    """Closing an emptied departure's epoch in place changes no completion
+    instant, no written rate, no byte count, no probe and no allocator
+    counter; only the dispatched events fall, by the epochs closed."""
+    run, _, closed = _mixed_run(Simulator, seed)
+    twin, _, twin_closed = _mixed_run(NeverQuietSimulator, seed)
+    _assert_elision_exact(run, twin, closed, twin_closed)
+    assert closed > 0
+
+
+def _scripted_run(sim_cls, script):
+    """``script(sim, sched, manager, resources, flows, probes)`` sets a
+    small scenario up; returns what :func:`_observed` reports."""
+    sim = sim_cls()
+    allocator = _RecordingAllocator(sim)
+    sched = FlowScheduler(sim, allocator=allocator)
+    resources, flows, probes = [], [], []
+    script(sim, sched, TransferManager(sched), resources, flows, probes)
+    sim.run()
+    return _observed(sim, allocator, flows, resources, probes)
+
+
+def _probe(sim, probes):
+    return lambda *_: probes.append((sim.now, sim.peek_next_time(), sim.pending_events()))
+
+
+def _lone_completion(sim, sched, manager, resources, flows, probes):
+    resources += [Resource("up", 100.0), Resource("down", 80.0)]
+    flows.append(Flow("lone", 400.0, tuple(resources)))
+    flows[0].on_complete.append(_probe(sim, probes))
+    sim.schedule(0.5, sched.start_flow, flows[0])
+    sim.schedule(9.0, _probe(sim, probes))
+
+
+def _zero_delay_callback(sim, sched, manager, resources, flows, probes):
+    resources += [Resource("up", 100.0), Resource("down", 80.0)]
+    flows.append(Flow("lone", 400.0, tuple(resources)))
+    flows[0].on_complete.append(lambda _: sim.schedule(0.0, _probe(sim, probes)))
+    sched.start_flow(flows[0])
+
+
+def _stop_in_callback(sim, sched, manager, resources, flows, probes):
+    resources += [Resource("up", 100.0), Resource("down", 80.0)]
+    flows += [Flow("lone", 400.0, tuple(resources)), Flow("next", 300.0, tuple(resources))]
+    flows[0].on_complete.append(lambda _: sim.stop())
+    sched.start_flow(flows[0])
+    sim.run()
+    # Started between runs, at the stopped instant: it joins the epoch
+    # the completion opened, which makes that epoch a succession.
+    sched.start_flow(flows[1])
+    flows[1].on_complete.append(_probe(sim, probes))
+
+
+def _cancel_in_callback(sim, sched, manager, resources, flows, probes):
+    resources += [Resource("up", 100.0), Resource("down", 80.0), Resource("own", 50.0)]
+    flows += [Flow("lone", 400.0, tuple(resources[:2])), Flow("other", 900.0, resources[2:])]
+    flows[0].on_complete.append(lambda _: sched.cancel_flow(flows[1]))
+    flows[0].on_complete.append(_probe(sim, probes))
+    for flow in flows:
+        sched.start_flow(flow)
+
+
+def _lone_transfer(sim, sched, manager, resources, flows, probes):
+    resources += [Resource("up", 100.0), Resource("down", 80.0)]
+    transfer = Transfer("t", tuple(resources), size=400.0, slice_size=200.0)
+    transfer.on_slice.append(_probe(sim, probes))
+    start_flow = sched.start_flow
+    sched.start_flow = lambda flow: (flows.append(flow), start_flow(flow))[1]
+    manager.start(transfer)
+
+
+@pytest.mark.parametrize(
+    "script, closed, successions",
+    [
+        (_lone_completion, 1, 0),  # nothing else due: closed in place
+        (_zero_delay_callback, 0, 0),  # an event is queued at now
+        (_stop_in_callback, 1, 1),  # the run stopped: only the second completion closes
+        (_cancel_in_callback, 0, 0),  # the cancel's recompute is deferred
+        (_lone_transfer, 1, 1),  # the boundary is a succession; the last slice closes
+    ],
+    ids=[
+        "lone-completion",
+        "zero-delay-callback",
+        "stop-in-callback",
+        "cancel-in-callback",
+        "lone-transfer",
+    ],
+)
+def test_emptied_departure_cases(script, closed, successions):
+    run, _, run_closed = _scripted_run(Simulator, script)
+    twin, _, twin_closed = _scripted_run(NeverQuietSimulator, script)
+    _assert_elision_exact(run, twin, run_closed, twin_closed)
+    assert run_closed == closed
+    assert run["counters"][1] == successions
+    assert run["probes"]

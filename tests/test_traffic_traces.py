@@ -1,5 +1,8 @@
 """Unit tests for the four synthetic trace generators."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.cluster import KB
 from repro.errors import SimulationError
 from repro.sim import Simulator
 from repro.traffic import (
+    TRACE_FACTORIES,
     TransitioningTrace,
     facebook_etc,
     ibm_object_store,
@@ -133,3 +137,27 @@ class TestTransitioningTrace:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(SimulationError):
             TransitioningTrace(Simulator(), [(0.0, ycsb_a())])
+
+
+#: SHA-256 of the JSON list of the first 2 000 ``(op, key, size)`` draws of
+#: each trace at seed 0. Every simulated result downstream replays these
+#: streams, so a change to how a request is drawn or built (its type, the
+#: order of the draws, pre-drawn bunches) must show here first.
+TRACE_STREAM_DIGESTS = {
+    "YCSB-A": "cc87fe7c7a62175e577decae339f1229623dd0643f64e103cd96eef122f3da2d",
+    "IBM-OS": "b6dafa40a3df73d215ca3303c4c1ad2bba89ec7e86d48094044fc24bd988580b",
+    "Memcached": "8e4a0bf242a49c0f5db4e03da8fdf1ede66bd7772ff96bfa7aeee3f4c64f9980",
+    "Facebook-ETC": "7af03330f1616555ffb08b53035e9fa88690e6cd9701ad8313694ff88a7d06bc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_STREAM_DIGESTS))
+def test_trace_stream_golden(name):
+    draws = [(r.op, r.key, r.size) for r in make_trace(name, seed=0).requests(2000)]
+    assert all(type(key) is int and type(size) is float for _, key, size in draws)
+    digest = hashlib.sha256(json.dumps(draws).encode()).hexdigest()
+    assert digest == TRACE_STREAM_DIGESTS[name]
+
+
+def test_trace_stream_golden_covers_every_trace():
+    assert set(TRACE_STREAM_DIGESTS) == set(TRACE_FACTORIES)
