@@ -97,7 +97,6 @@ from repro.journal import (
 )
 from repro.metrics import (
     LatencyRecorder,
-    LinkStatsCollector,
     RepairThroughputMeter,
     interference_degree,
 )
@@ -183,7 +182,6 @@ __all__ = (
     "LatencyRecorder",
     "LatentSectorError",
     "Lease",
-    "LinkStatsCollector",
     "NetworkPartition",
     "Node",
     "NodeCrash",

@@ -270,6 +270,8 @@ class Testbed:
         dropped too (only the checksums survive as the write-back
         oracle).
         """
+        if count < 1:
+            raise ReproError(f"fail_nodes needs count >= 1 (got {count})")
         report = self.injector.fail_nodes(list(range(count)))
         per_node = max(1, self.config.num_chunks // count)
         chunks: list[ChunkId] = []

@@ -67,14 +67,14 @@ class TaskDispatcher:
     def _bw_up(self, node_id: int) -> float:
         node = self.cluster.node(node_id)
         if self.io_aware:
-            return self.monitor.idle_disk_read(node)
-        return self.monitor.idle_uplink(node)
+            return self.monitor.idle_bw(node.disk_read)
+        return self.monitor.idle_bw(node.uplink)
 
     def _bw_down(self, node_id: int) -> float:
         node = self.cluster.node(node_id)
         if self.io_aware:
-            return self.monitor.idle_disk_write(node)
-        return self.monitor.idle_downlink(node)
+            return self.monitor.idle_bw(node.disk_write)
+        return self.monitor.idle_bw(node.downlink)
 
     def _node_time(self, node_id: int, up: int, down: int) -> float:
         """max(upload time, download time) for the given task counts."""

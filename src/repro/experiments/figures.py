@@ -6,7 +6,8 @@ from repro.analysis.reliability import ReliabilityModel, loss_probability_curve
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import Sweep, run_sim_until
 from repro.api import Testbed
-from repro.metrics.linkstats import LinkStatsCollector
+from repro.errors import SimulationError
+from repro.sim.resources import REPAIR_TAG, ResourceWindows, non_repair_bytes
 
 FIG2_THROUGHPUTS_MBS = [50, 100, 200, 400, 800, 1600]
 FIG6_ALGORITHMS = ("CR", "PPR", "ECPipe")
@@ -29,38 +30,63 @@ def _scaled_window(config: ExperimentConfig) -> float:
     return max(0.3, 15.0 * config.t_phase / 20.0 / 8.0)
 
 
-def _collect_link_stats(
-    config: ExperimentConfig, algorithm: str, window: float
-) -> tuple[LinkStatsCollector, LinkStatsCollector]:
+def close_link_windows(links: ResourceWindows, series: dict, window: float) -> None:
+    """Append each link's repair and foreground B/s over the fixed
+    ``window`` to its ``series[link] = (repair, foreground)`` lists."""
+    for res, before, now in links.close():
+        repair, foreground = series[res]
+        repair.append((now.get(REPAIR_TAG, 0.0) - before.get(REPAIR_TAG, 0.0)) / window)
+        foreground.append((non_repair_bytes(now) - non_repair_bytes(before)) / window)
+
+
+def fluctuation_stats(links: list) -> tuple[float, float, float]:
+    """(mean, min, max) over ``(repair, foreground)`` link series of each
+    link's max-minus-min foreground B/s (Fig. 5)."""
+    values = [max(fg) - min(fg) if fg else 0.0 for _, fg in links]
+    if not values:
+        return 0.0, 0.0, 0.0
+    return sum(values) / len(values), min(values), max(values)
+
+
+def most_and_least_loaded(links: list) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Mean (repair, foreground) B/s of the most- and the least-loaded
+    ``(repair, foreground)`` link series by mean total (Fig. 6)."""
+    if not links:
+        raise SimulationError("no links tracked")
+    means = sorted(
+        (tuple(sum(s) / len(s) if s else 0.0 for s in link) for link in links),
+        key=lambda m: m[0] + m[1],
+    )
+    return means[-1], means[0]
+
+
+def _link_series(config: ExperimentConfig, algorithm: str, window: float):
     """Run a repair under YCSB-A; sample per-window link bandwidth.
 
-    Returns (uplink collector, downlink collector) over storage nodes.
+    Returns the (uplink, downlink) series of the alive storage nodes.
     """
     scenario = Testbed.build(config)
     scenario.start_foreground()
     scenario.cluster.sim.run(until=scenario.cluster.sim.now + window)
     report = scenario.fail_nodes(1)
     repairer = scenario.make_repairer(algorithm)
-    uplinks = LinkStatsCollector(
-        [n.uplink for n in scenario.cluster.storage_nodes if n.alive], window=window
-    )
-    downlinks = LinkStatsCollector(
-        [n.downlink for n in scenario.cluster.storage_nodes if n.alive], window=window
-    )
+    alive = [n for n in scenario.cluster.storage_nodes if n.alive]
+    series = {res: ([], []) for res in [n.uplink for n in alive] + [n.downlink for n in alive]}
+    links = ResourceWindows(series)
 
     def tick():
-        """Close one sampling window and reschedule while repairing."""
+        """Close one sampling window; the first close after the repair
+        finished is the last."""
         scenario.cluster.flows.settle_now()
-        uplinks.sample()
-        downlinks.sample()
-        if not repairer.done:
-            scenario.cluster.sim.schedule(window, tick)
+        close_link_windows(links, series, window)
+        if repairer.done:
+            hook.cancel()
 
     repairer.repair(report.failed_chunks)
-    scenario.cluster.sim.schedule(window, tick)
+    hook = scenario.cluster.sim.every(window, tick)
     run_sim_until(scenario.cluster, lambda: repairer.done)
     scenario.stop_foreground()
-    return uplinks, downlinks
+    return [series[n.uplink] for n in alive], [series[n.downlink] for n in alive]
 
 
 def fig5_grid(scale: float, seed: int):
@@ -70,9 +96,9 @@ def fig5_grid(scale: float, seed: int):
     Gb/s. The paper uses 15 s windows; the window shrinks with scale.
     """
     config = ExperimentConfig.scaled(scale, seed=seed)
-    uplinks, downlinks = _collect_link_stats(config, "CR", _scaled_window(config))
-    yield "uplink", tuple(v * TO_GBPS for v in uplinks.fluctuation_stats())
-    yield "downlink", tuple(v * TO_GBPS for v in downlinks.fluctuation_stats())
+    uplinks, downlinks = _link_series(config, "CR", _scaled_window(config))
+    yield "uplink", tuple(v * TO_GBPS for v in fluctuation_stats(uplinks))
+    yield "downlink", tuple(v * TO_GBPS for v in fluctuation_stats(downlinks))
 
 
 def fig5_rows(cells: dict) -> list[list]:
@@ -88,13 +114,10 @@ def fig6_grid(scale: float, seed: int):
     """
     config = ExperimentConfig.scaled(scale, seed=seed)
     for algorithm in FIG6_ALGORITHMS:
-        uplinks, downlinks = _collect_link_stats(config, algorithm, _scaled_window(config))
-        for direction, collector in (("up", uplinks), ("down", downlinks)):
-            for which, link in zip(("ML", "LL"), collector.most_and_least_loaded()):
-                yield (algorithm, direction, which), (
-                    link.mean_repair() * TO_GBPS,
-                    link.mean_foreground() * TO_GBPS,
-                )
+        uplinks, downlinks = _link_series(config, algorithm, _scaled_window(config))
+        for direction, links in (("up", uplinks), ("down", downlinks)):
+            for which, (repair, fg) in zip(("ML", "LL"), most_and_least_loaded(links)):
+                yield (algorithm, direction, which), (repair * TO_GBPS, fg * TO_GBPS)
 
 
 def fig6_rows(cells: dict) -> list[list]:

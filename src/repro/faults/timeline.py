@@ -61,7 +61,7 @@ from repro.cluster.stripes import ChunkId
 from repro.cluster.topology import Cluster
 from repro.errors import SimulationError
 from repro.events import HookEmitter
-from repro.metrics.linkstats import REPAIR_TAG, SCRUB_TAG
+from repro.sim.resources import REPAIR_TAG, SCRUB_TAG
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.sim.resources import Resource

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.events import HookEmitter
-from repro.metrics.linkstats import SCRUB_TAG
+from repro.sim.resources import SCRUB_TAG
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 

@@ -1,15 +1,11 @@
-"""Measurement utilities: latency, throughput, interference, link stats."""
+"""Measurement utilities: latency, throughput, interference."""
 
 from repro.metrics.interference import improvement_ratio, interference_degree
 from repro.metrics.latency import LatencyRecorder
-from repro.metrics.linkstats import REPAIR_TAG, LinkStatsCollector, LinkWindowSeries
 from repro.metrics.throughput import RepairThroughputMeter
 
 __all__ = [
-    "REPAIR_TAG",
     "LatencyRecorder",
-    "LinkStatsCollector",
-    "LinkWindowSeries",
     "RepairThroughputMeter",
     "improvement_ratio",
     "interference_degree",

@@ -2,21 +2,20 @@
 
 The paper's coordinator learns each node's idle bandwidth "by either
 periodically monitoring or pre-limiting by the system" (Section III-A).
-This monitor plays the NetHogs role: every ``window`` seconds it samples
-the byte counters of every node resource and derives the average
-foreground bandwidth of the last window; idle bandwidth is capacity
-minus that.
+This monitor plays the NetHogs role: every ``window`` seconds it closes
+a :class:`~repro.sim.resources.ResourceWindows` over every node
+resource and derives the average foreground bandwidth of the last
+window; idle bandwidth is capacity minus that.
 """
 
 from __future__ import annotations
 
-from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.errors import SimulationError
-from repro.metrics.linkstats import REPAIR_TAG
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
-from repro.sim.resources import Resource
+from repro.sim.engine import PeriodicHook
+from repro.sim.resources import Resource, ResourceWindows, non_repair_bytes
 
 #: Fraction of capacity always assumed available: even a saturated link
 #: drains eventually, and estimates must never divide by zero.
@@ -31,32 +30,19 @@ class BandwidthMonitor:
             raise SimulationError("monitor window must be positive")
         self.cluster = cluster
         self.window = window
-        self._foreground_bw: dict[str, float] = {}
-        self._last_counts: dict[str, float] = {}
+        resources = [
+            res for node in cluster.storage_nodes + cluster.clients
+            for res in node.all_resources()
+        ]
+        self._windows = ResourceWindows(resources)
+        self._foreground_bw = {res.name: 0.0 for res in resources}
         self._last_sample_time = cluster.sim.now
-        self._started = False
-        self._resources: list[Resource] = []
-        for node in cluster.storage_nodes + cluster.clients:
-            self._resources.extend(node.all_resources())
-        for res in self._resources:
-            self._last_counts[res.name] = self._foreground_bytes(res)
-            self._foreground_bw[res.name] = 0.0
-
-    @staticmethod
-    def _foreground_bytes(res: Resource) -> float:
-        """Bytes moved by anything that is not repair traffic."""
-        return res.total_bytes - res.bytes_for(REPAIR_TAG)
+        self._hook: PeriodicHook | None = None
 
     def start(self) -> None:
-        """Begin periodic sampling."""
-        if self._started:
-            return
-        self._started = True
-        self.cluster.sim.schedule(self.window, self._tick)
-
-    def _tick(self) -> None:
-        self.sample()
-        self.cluster.sim.schedule(self.window, self._tick)
+        """Begin periodic sampling (a second call is a no-op)."""
+        if self._hook is None:
+            self._hook = self.cluster.sim.every(self.window, self.sample)
 
     def sample(self) -> None:
         """Close the current window and refresh all estimates.
@@ -72,27 +58,23 @@ class BandwidthMonitor:
         self.cluster.flows.settle_now()
         tracer = get_tracer()
         registry = get_registry()
-        for res in self._resources:
-            current = self._foreground_bytes(res)
-            delta = current - self._last_counts[res.name]
-            self._last_counts[res.name] = current
-            self._foreground_bw[res.name] = delta / elapsed
+        for res, before, now in self._windows.close():
+            bw = (non_repair_bytes(now) - non_repair_bytes(before)) / elapsed
+            self._foreground_bw[res.name] = bw
             if tracer.enabled:
                 # One counter series per resource track: the viewer plots
                 # each uplink/downlink/disk's foreground bandwidth over time.
-                tracer.counter(
-                    "bw.foreground", self._foreground_bw[res.name], track=res.name
-                )
+                tracer.counter("bw.foreground", bw, track=res.name)
         if tracer.enabled:
             tracer.instant(
                 "monitor.sampled", track="monitor", elapsed=elapsed,
-                resources=len(self._resources),
+                resources=len(self._foreground_bw),
             )
         if registry.enabled:
             registry.counter("monitor.samples").inc()
             histogram = registry.histogram("monitor.foreground_bw")
-            for res in self._resources:
-                histogram.observe(self._foreground_bw[res.name])
+            for bw in self._foreground_bw.values():
+                histogram.observe(bw)
 
     def foreground_bw(self, res: Resource) -> float:
         """Average foreground bandwidth of the last window (bytes/s)."""
@@ -102,21 +84,3 @@ class BandwidthMonitor:
         """Estimated unoccupied bandwidth of ``res`` (never below a floor)."""
         idle = res.capacity - self.foreground_bw(res)
         return max(idle, _IDLE_FLOOR * res.capacity)
-
-    # Node-level convenience accessors used by the dispatcher.
-
-    def idle_uplink(self, node: Node) -> float:
-        """Estimated unoccupied uplink bandwidth of ``node`` (B/s)."""
-        return self.idle_bw(node.uplink)
-
-    def idle_downlink(self, node: Node) -> float:
-        """Estimated unoccupied downlink bandwidth of ``node`` (B/s)."""
-        return self.idle_bw(node.downlink)
-
-    def idle_disk_read(self, node: Node) -> float:
-        """Estimated unoccupied disk-read bandwidth of ``node`` (B/s)."""
-        return self.idle_bw(node.disk_read)
-
-    def idle_disk_write(self, node: Node) -> float:
-        """Estimated unoccupied disk-write bandwidth of ``node`` (B/s)."""
-        return self.idle_bw(node.disk_write)

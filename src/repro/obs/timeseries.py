@@ -37,18 +37,15 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.sim.resources import FOREGROUND_TAG, REPAIR_TAG, SCRUB_TAG, Resource, ResourceWindows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids sim<->obs cycle)
     from repro.metrics.latency import LatencyRecorder
     from repro.sim.engine import PeriodicHook, Simulator
-    from repro.sim.resources import Resource
-
-#: Tag under which untagged / miscellaneous traffic is attributed.
-FOREGROUND_SHARE = "foreground"
 
 #: Tags broken out of the foreground share (everything else folds into
 #: ``foreground``). Order fixes the series layout in exports.
-ATTRIBUTED_TAGS = ("repair", "scrub")
+ATTRIBUTED_TAGS = (REPAIR_TAG, SCRUB_TAG)
 
 
 @dataclass
@@ -146,8 +143,7 @@ class TimeseriesRecorder:
         self._registry: MetricsRegistry | None = None
         self._counter_last: dict[str, float] = {}
         self._hist_shadow: dict[str, _HistShadow] = {}
-        self._resources: list[Resource] = []
-        self._resource_last: dict[str, dict[str, float]] = {}
+        self._resources = ResourceWindows()
         self._latencies: list[tuple[str, LatencyRecorder, list[float]]] = []
         self._lat_cursor: dict[str, int] = {}
         self._hook: PeriodicHook | None = None
@@ -166,11 +162,7 @@ class TimeseriesRecorder:
 
     def track_resources(self, resources: list[Resource]) -> None:
         """Record per-tag bandwidth attribution series for ``resources``."""
-        for res in resources:
-            if res.name in self._resource_last:
-                continue
-            self._resources.append(res)
-            self._resource_last[res.name] = dict(res.bytes_by_tag)
+        self._resources.track(resources)
 
     def track_latency(self, recorder: LatencyRecorder,
                       name: str | None = None,
@@ -266,20 +258,18 @@ class TimeseriesRecorder:
                 self._series(f"{base}.p99").append(now, delta.p99)
 
     def _sample_resources(self, now: float, span: float) -> None:
-        totals = {tag: 0.0 for tag in (*ATTRIBUTED_TAGS, FOREGROUND_SHARE)}
-        for res in self._resources:
-            last = self._resource_last[res.name]
+        windows = self._resources.close()
+        totals = {tag: 0.0 for tag in (*ATTRIBUTED_TAGS, FOREGROUND_TAG)}
+        for res, before, counts in windows:
             shares = {tag: 0.0 for tag in totals}
-            for tag, cum in res.bytes_by_tag.items():
-                delta = cum - last.get(tag, 0.0)
-                bucket = tag if tag in ATTRIBUTED_TAGS else FOREGROUND_SHARE
-                shares[bucket] += delta
-            self._resource_last[res.name] = dict(res.bytes_by_tag)
+            for tag, cum in counts.items():
+                bucket = tag if tag in ATTRIBUTED_TAGS else FOREGROUND_TAG
+                shares[bucket] += cum - before.get(tag, 0.0)
             for bucket, nbytes in shares.items():
                 bw = nbytes / span
                 totals[bucket] += bw
                 self._series(f"bw.{res.name}.{bucket}").append(now, bw)
-        if self._resources:
+        if windows:
             for bucket, bw in totals.items():
                 self._series(f"bw.total.{bucket}").append(now, bw)
 
@@ -341,7 +331,6 @@ class TimeseriesRecorder:
 
 __all__ = [
     "ATTRIBUTED_TAGS",
-    "FOREGROUND_SHARE",
     "Series",
     "TimeseriesRecorder",
 ]

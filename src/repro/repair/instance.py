@@ -19,7 +19,7 @@ from typing import Callable
 
 from repro.cluster.topology import Cluster
 from repro.errors import PlanError
-from repro.metrics.linkstats import REPAIR_TAG
+from repro.sim.resources import REPAIR_TAG
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.repair.plan import RepairPlan

@@ -1,10 +1,23 @@
-"""Shared bandwidth resources (links, disks) with per-tag accounting."""
+"""Shared bandwidth resources (links, disks), per-tag accounting, windows."""
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Mapping
 
 from repro.errors import SimulationError
+
+#: Tag of repair transfers (a node crash tears these down as lost work).
+REPAIR_TAG = "repair"
+
+#: Tag for background scrubber traffic. Scrub flows are deliberately
+#: *not* REPAIR_TAG: a node crash must not tear them down as lost repair
+#: work, and FlowInterruption events target repair transfers only.
+SCRUB_TAG = "scrub"
+
+#: Tag of client requests; windowed views fold every tag but the two
+#: above into it.
+FOREGROUND_TAG = "foreground"
 
 
 class Resource:
@@ -12,9 +25,9 @@ class Resource:
 
     ``capacity`` is in bytes per second. Flows crossing the resource share
     it max-min fairly (see :mod:`repro.sim.allocator`). The resource keeps
-    cumulative byte counters per traffic tag so monitors can compute
-    windowed utilisation (used for the paper's Fig. 5/6 measurements and
-    by the ChameleonEC bandwidth monitor).
+    cumulative byte counters per traffic tag; :class:`ResourceWindows`
+    differences them between window closes for the bandwidth monitor,
+    the Fig. 5/6 link series and the timeseries recorder.
     """
 
     __slots__ = ("name", "capacity", "bytes_by_tag")
@@ -37,10 +50,6 @@ class Resource:
         """All bytes ever moved through this resource."""
         return sum(self.bytes_by_tag.values())
 
-    def bytes_for(self, tag: str) -> float:
-        """Cumulative bytes for one tag."""
-        return self.bytes_by_tag.get(tag, 0.0)
-
     def set_capacity(self, capacity: float) -> None:
         """Change the capacity (used by throttling experiments).
 
@@ -53,3 +62,41 @@ class Resource:
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"<Resource {self.name} cap={self.capacity:.3g}B/s>"
+
+
+def non_repair_bytes(counts: Mapping[str, float]) -> float:
+    """All bytes of a ``bytes_by_tag`` snapshot that are not repair
+    traffic: what the monitor and Fig. 5/6 count as foreground."""
+    return sum(counts.values()) - counts.get(REPAIR_TAG, 0.0)
+
+
+class ResourceWindows:
+    """Per-tag byte counts of a set of resources at the last window close.
+
+    Each resource is tracked once (by name). :meth:`close` hands every
+    view the counts before and after the window and moves the mark; the
+    view does its own arithmetic. It never settles flows: a view that
+    needs in-flight bytes counted calls ``flows.settle_now()`` first.
+    """
+
+    __slots__ = ("_marks",)
+
+    def __init__(self, resources: Iterable[Resource] = ()) -> None:
+        self._marks: dict[str, tuple[Resource, dict[str, float]]] = {}
+        self.track(resources)
+
+    def track(self, resources: Iterable[Resource]) -> None:
+        """Start counting ``resources`` from now; known names are skipped."""
+        for res in resources:
+            if res.name not in self._marks:
+                self._marks[res.name] = (res, dict(res.bytes_by_tag))
+
+    def close(self) -> list[tuple[Resource, dict[str, float], dict[str, float]]]:
+        """End the window: ``(resource, counts before, counts now)`` per
+        tracked resource, in tracking order."""
+        windows = []
+        for name, (res, before) in self._marks.items():
+            now = dict(res.bytes_by_tag)
+            self._marks[name] = (res, now)
+            windows.append((res, before, now))
+        return windows

@@ -1,6 +1,6 @@
 """Foreground workload generation and replay."""
 
-from repro.traffic.client import FOREGROUND_TAG, TraceClient, launch_clients
+from repro.traffic.client import TraceClient, launch_clients
 from repro.traffic.distributions import (
     FixedSize,
     GEVSize,
@@ -25,7 +25,6 @@ from repro.traffic.traces import (
 )
 
 __all__ = [
-    "FOREGROUND_TAG",
     "FixedSize",
     "GEVSize",
     "KeyRouter",

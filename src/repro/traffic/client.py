@@ -11,10 +11,10 @@ from repro.cluster.topology import Cluster
 from repro.errors import SimulationError
 from repro.events import HookEmitter
 from repro.metrics.latency import LatencyRecorder
+from repro.sim.resources import FOREGROUND_TAG
 from repro.traffic.router import KeyRouter
 from repro.traffic.traces import TraceGenerator
 
-FOREGROUND_TAG = "foreground"
 #: Fixed per-request software overhead (request parsing, storage engine
 #: work), seconds; keeps a zero-latency closed loop from issuing
 #: unrealistically many requests per second.

@@ -66,6 +66,13 @@ class TestTestbedSubstrate:
         report = scenario.fail_nodes(1)
         assert len(report.failed_chunks) == scenario.config.num_chunks
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_fail_nodes_rejects_count_below_one(self, count):
+        scenario = self.make()
+        with pytest.raises(ReproError, match="count >= 1"):
+            scenario.fail_nodes(count)
+        assert not scenario.cluster.failed_node_ids()
+
     def test_every_algorithm_constructible(self):
         scenario = self.make()
         scenario.fail_nodes(1)

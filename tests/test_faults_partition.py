@@ -6,7 +6,7 @@ from repro.cluster import Cluster, FailureInjector, MB, mbs, place_stripes
 from repro.codes import RSCode
 from repro.errors import SimulationError
 from repro.faults import FaultTimeline
-from repro.metrics.linkstats import REPAIR_TAG
+from repro.sim.resources import REPAIR_TAG
 
 CHUNK = 16 * MB
 SLICE = 4 * MB

@@ -12,7 +12,7 @@ from repro.faults import (
     NodeCrash,
     TransientStraggler,
 )
-from repro.metrics.linkstats import REPAIR_TAG
+from repro.sim.resources import REPAIR_TAG
 
 CHUNK = 16 * MB
 SLICE = 4 * MB

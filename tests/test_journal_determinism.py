@@ -10,7 +10,7 @@ criteria.
 import pytest
 
 from repro.api import Testbed
-from repro.metrics.linkstats import REPAIR_TAG
+from repro.sim.resources import REPAIR_TAG
 
 SEEDS = tuple(range(10))
 CRASH_TIMES = (0.03, 0.08, 0.15)

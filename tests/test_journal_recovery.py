@@ -14,7 +14,7 @@ from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.faults import FaultTimeline
 from repro.journal import audit_fenced_writes
-from repro.metrics.linkstats import REPAIR_TAG
+from repro.sim.resources import REPAIR_TAG
 
 
 def make_testbed(seed=7):

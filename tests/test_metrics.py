@@ -1,16 +1,21 @@
-"""Tests for latency, throughput, interference, and link statistics."""
+"""Tests for latency, throughput, interference, and Fig. 5/6 link statistics."""
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments.figures import (
+    close_link_windows,
+    fluctuation_stats,
+    most_and_least_loaded,
+)
 from repro.metrics import (
     LatencyRecorder,
-    LinkStatsCollector,
     RepairThroughputMeter,
     improvement_ratio,
     interference_degree,
 )
 from repro.sim import Resource
+from repro.sim.resources import ResourceWindows
 
 
 class TestLatencyRecorder:
@@ -108,54 +113,57 @@ class TestInterference:
 
 
 class TestLinkStats:
+    """Fig. 5/6 series over one :class:`ResourceWindows` account."""
+
     def make(self):
         up = Resource("n0.up", 100.0)
         down = Resource("n0.down", 100.0)
-        return up, down, LinkStatsCollector([up, down], window=10.0)
+        series = {up: ([], []), down: ([], [])}
+        return up, down, ResourceWindows([up, down]), series
 
     def test_window_split_by_class(self):
-        up, down, collector = self.make()
+        up, down, links, series = self.make()
         up.account("repair", 500.0)
         up.account("foreground", 300.0)
-        collector.sample()
-        series = collector.series["n0.up"]
-        assert series.repair == [50.0]
-        assert series.foreground == [30.0]
-        assert series.mean_total() == pytest.approx(80.0)
+        up.account("scrub", 100.0)
+        close_link_windows(links, series, 10.0)
+        assert series[up] == ([50.0], [40.0])
+        assert series[down] == ([0.0], [0.0])
+        (most_repair, most_fg), _ = most_and_least_loaded(list(series.values()))
+        assert most_repair + most_fg == pytest.approx(90.0)
 
     def test_fluctuation(self):
-        up, down, collector = self.make()
+        up, down, links, series = self.make()
         up.account("foreground", 100.0)
-        collector.sample()
+        close_link_windows(links, series, 10.0)
         up.account("foreground", 900.0)
-        collector.sample()
-        assert collector.series["n0.up"].fluctuation() == pytest.approx(80.0)
+        close_link_windows(links, series, 10.0)
+        assert series[up][1] == [10.0, 90.0]
+        assert fluctuation_stats([series[up]]) == (80.0, 80.0, 80.0)
 
     def test_fluctuation_stats_aggregate(self):
-        up, down, collector = self.make()
+        up, down, links, series = self.make()
         up.account("foreground", 200.0)
-        collector.sample()
+        close_link_windows(links, series, 10.0)
         up.account("foreground", 800.0)
         down.account("foreground", 100.0)
-        collector.sample()
-        mean, lo, hi = collector.fluctuation_stats()
-        assert hi >= mean >= lo >= 0
+        close_link_windows(links, series, 10.0)
+        # up swings 20 -> 80 B/s, down 0 -> 10 B/s.
+        assert fluctuation_stats([series[up], series[down]]) == (35.0, 10.0, 60.0)
 
     def test_most_and_least_loaded(self):
-        up, down, collector = self.make()
+        up, down, links, series = self.make()
         up.account("repair", 1000.0)
         down.account("repair", 10.0)
-        collector.sample()
-        most, least = collector.most_and_least_loaded()
-        assert most.resource_name == "n0.up"
-        assert least.resource_name == "n0.down"
+        down.account("foreground", 20.0)
+        close_link_windows(links, series, 10.0)
+        most, least = most_and_least_loaded([series[down], series[up]])
+        assert most == (100.0, 0.0)
+        assert least == (1.0, 2.0)
 
     def test_empty_collector_raises(self):
-        collector = LinkStatsCollector([], window=1.0)
         with pytest.raises(SimulationError):
-            collector.most_and_least_loaded()
-        assert collector.fluctuation_stats() == (0.0, 0.0, 0.0)
-
-    def test_invalid_window(self):
-        with pytest.raises(SimulationError):
-            LinkStatsCollector([], window=0)
+            most_and_least_loaded([])
+        assert fluctuation_stats([]) == (0.0, 0.0, 0.0)
+        # A link that saw no window close fluctuates by nothing.
+        assert fluctuation_stats([([], [])]) == (0.0, 0.0, 0.0)

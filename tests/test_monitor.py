@@ -19,7 +19,7 @@ class TestBandwidthMonitor:
         monitor.start()
         cluster.sim.run(until=3.0)
         node = cluster.storage_nodes[0]
-        assert monitor.idle_uplink(node) == pytest.approx(node.uplink.capacity)
+        assert monitor.idle_bw(node.uplink) == pytest.approx(node.uplink.capacity)
 
     def test_foreground_reduces_idle_estimate(self):
         cluster = make_cluster()
@@ -32,7 +32,7 @@ class TestBandwidthMonitor:
         cluster.sim.run(until=2.0)
         assert monitor.foreground_bw(node.uplink) == pytest.approx(mbs(100), rel=0.05)
         # Idle estimate floors at a small fraction instead of zero.
-        assert 0 < monitor.idle_uplink(node) <= 0.05 * node.uplink.capacity
+        assert 0 < monitor.idle_bw(node.uplink) <= 0.05 * node.uplink.capacity
 
     def test_repair_traffic_not_counted_as_foreground(self):
         cluster = make_cluster()
@@ -43,7 +43,7 @@ class TestBandwidthMonitor:
         cluster.flows.start_flow(flow)
         cluster.sim.run(until=2.0)
         assert monitor.foreground_bw(node.uplink) == pytest.approx(0.0, abs=1.0)
-        assert monitor.idle_uplink(node) == pytest.approx(node.uplink.capacity)
+        assert monitor.idle_bw(node.uplink) == pytest.approx(node.uplink.capacity)
 
     def test_window_expires_old_traffic(self):
         cluster = make_cluster()
@@ -69,8 +69,8 @@ class TestBandwidthMonitor:
         cluster = make_cluster()
         monitor = BandwidthMonitor(cluster, window=1.0)
         node = cluster.storage_nodes[0]
-        assert monitor.idle_disk_read(node) == pytest.approx(node.disk_read.capacity)
-        assert monitor.idle_disk_write(node) == pytest.approx(node.disk_write.capacity)
+        assert monitor.idle_bw(node.disk_read) == pytest.approx(node.disk_read.capacity)
+        assert monitor.idle_bw(node.disk_write) == pytest.approx(node.disk_write.capacity)
 
     def test_invalid_window(self):
         with pytest.raises(SimulationError):

@@ -58,7 +58,6 @@ FROZEN_SURFACE = (
     "LatencyRecorder",
     "LatentSectorError",
     "Lease",
-    "LinkStatsCollector",
     "NetworkPartition",
     "Node",
     "NodeCrash",
@@ -205,4 +204,4 @@ class TestOptionRatchet:
             for _, signature in public_signatures()
             for param in signature.parameters.values()
         )
-        assert options == 201
+        assert options == 200

@@ -127,8 +127,8 @@ class TestFlowScheduler:
         sched.start_flow(Flow("rep", 300, (r,), tag="repair"))
         sched.start_flow(Flow("fg", 200, (r,), tag="foreground"))
         sim.run()
-        assert r.bytes_for("repair") == pytest.approx(300.0)
-        assert r.bytes_for("foreground") == pytest.approx(200.0)
+        assert r.bytes_by_tag["repair"] == pytest.approx(300.0)
+        assert r.bytes_by_tag["foreground"] == pytest.approx(200.0)
         assert r.total_bytes == pytest.approx(500.0)
 
     def test_capacity_change_rebalances(self):
