@@ -24,7 +24,9 @@ nearly every epoch is due before anything else and must close inline,
 without a trip through the event queue (``sim.events_inline`` against
 ``alloc.passes``), and where a request that empties its node pair must
 close its epoch in place, with no recompute at all (``alloc.passes``
-against the never-quiet twin engine's). An epoch closed in place runs
+against the never-quiet twin engine's); the same clients sent through
+``TransferManager.request``, which runs each request as one flow, must
+match their ``Transfer`` run in completions and counts. An epoch closed in place runs
 neither through the queue nor inline, and ``alloc.passes`` does not count
 it; the gates that relate epochs to completions add those epochs back, so
 they count the epochs the never-quiet twin counts. The assertions are
@@ -254,11 +256,13 @@ NUM_PAIRS = 16
 REQUESTS_PER_CLIENT = 40
 
 
-def _run_requests(sim_cls):
+def _run_requests(sim_cls, as_transfers=True):
     """One closed-loop client per disjoint node pair issues single-slice
     requests over the pair's uplink and downlink, thinking between them
     (every seventh not at all); four bulk transfers share one hot link.
-    Returns (registry, every request's (name, completion time) in
+    Each request is a released ``Transfer``, or with ``as_transfers``
+    False goes through ``TransferManager.request``, which runs it as one
+    flow. Returns (registry, every request's (name, completion time) in
     completion order, the epochs closed in place)."""
     sim = sim_cls()
     allocator = _CountingAllocator()
@@ -272,16 +276,20 @@ def _run_requests(sim_cls):
         def issue(k):
             if k == REQUESTS_PER_CLIENT:
                 return
-            size = 4.0 + (7 * pair + 13 * k) % 29
-            request = Transfer(f"q{pair}.{k}", (up, down), size=size, slice_size=size)
+            name, size = f"q{pair}.{k}", 4.0 + (7 * pair + 13 * k) % 29
             think = 0.0 if k % 7 == 6 else 0.01 * (1 + (pair + k) % 5)
 
-            def done(transfer):
-                completions.append((transfer.name, sim.now))
+            def done():
+                completions.append((name, sim.now))
                 sim.schedule(think, issue, k + 1)
 
-            request.on_complete.append(done)
-            manager.start(request)
+            if as_transfers:
+                request = Transfer(name, (up, down), size=size, slice_size=size)
+                request.on_complete.append(lambda _t: done())
+                manager.start(request)
+            else:
+                manager.request(name, pair, pair + NUM_PAIRS, (up, down), size, size,
+                                "foreground", done)
 
         return issue
 
@@ -331,6 +339,20 @@ def test_request_epochs_close_inline(benchmark):
     assert events == twin_registry.counter("sim.events_dispatched").value
     assert twin_registry.counter("sim.events_inline").value == 0
     assert queue_free >= 0.9 * epochs, f"{queue_free} of {epochs} epochs queue-free"
+
+
+def test_request_entry_point_equals_transfers():
+    """The same clients through ``TransferManager.request``, which runs a
+    single-slice request as one flow: the same completions, passes,
+    inline epochs, dispatched events and epochs closed in place as when
+    every request is a ``Transfer``."""
+    registry, completions, closed = _run_requests(Simulator, as_transfers=False)
+    twin_registry, twin_completions, twin_closed = _run_requests(Simulator)
+    assert completions == twin_completions
+    assert _counts(registry) == _counts(twin_registry)
+    assert closed == twin_closed > 0
+    assert registry.counter("transfers.completed").value == 4
+    assert twin_registry.counter("transfers.completed").value == 4 + len(completions)
 
 
 def test_request_departures_close_in_place():

@@ -404,36 +404,49 @@ class RateAllocator:
 
     def _replay_arrival(self, flow: AllocatableFlow) -> tuple[float, Resource] | None:
         """Order 6: the fill's rate and bottleneck for ``flow``, the epoch's
-        one arrival, if the fill would write nobody else; else None."""
+        one arrival, if the fill would write nobody else; else None. Asked
+        only for an arrival that shares some resource (a lone one is rated
+        before)."""
         resources = self._flow_resources[flow]
         users, record = self._users, self._bottleneck
-        if all(len(users[res]) == 1 for res in resources):
-            return None  # a lone flow, which recompute rates before asking
-        plans = []  # per resource: capacity, users, rounds as (level, size) ascending
+        # Each resource on its own, the arrival unfrozen (``acts``: the share
+        # it leaves the arrival, and whether every round ran); the arrival
+        # freezes on the least share, and the shared resources run again
+        # with it frozen. A resource the arrival has alone leaves it the
+        # whole capacity either way.
+        plans = []  # per shared resource: index, (capacity, users, rounds ascending)
+        acts = []
         for res in resources:
-            rounds: dict[tuple[float, Resource | None], int] = {}
-            for other in users[res]:
+            capacity = res.capacity
+            if not 0.0 < capacity < _INF:
+                return None
+            members = users[res]
+            if len(members) == 1:
+                acts.append((capacity, True))
+                continue
+            rounds: dict[tuple[float, Resource], int] = {}
+            for other in members:
                 if other is not flow:
-                    key = other.rate, record.get(other)
+                    frozen_by = record.get(other)
+                    if frozen_by is None:
+                        return None
+                    key = other.rate, frozen_by
                     rounds[key] = rounds.get(key, 0) + 1
             steps = sorted([(level, size) for (level, _), size in rounds.items()])
-            if not 0.0 < res.capacity < _INF or any(frozen_by is None for _, frozen_by in rounds):
-                return None
             if len(set(steps)) != len(dict(steps)):
                 return None  # rounds of unequal size at one level
-            plans.append((res.capacity, len(users[res]), steps))
-        if any(steps and steps[0][0] - _SHARE_SLACK != steps[0][0] for *_, steps in plans):
-            return None  # a level the slack could decide
-        # Each resource on its own, the arrival unfrozen; the arrival freezes
-        # on the least share, and the others run again with it frozen.
-        acts = [_replay(*plan, _INF) for plan in plans]
+            if steps[0][0] - _SHARE_SLACK != steps[0][0]:
+                return None  # a level the slack could decide
+            plan = capacity, len(members), steps
+            plans.append((len(acts), plan))
+            acts.append(_replay(*plan, _INF))
         rate, alone = min(acts)
         if not alone or rate - _SHARE_SLACK != rate or [s for s, _ in acts].count(rate) > 1:
             return None
-        if any(level == rate and size != 1 for *_, steps in plans for level, size in steps):
+        if any(level == rate and size != 1 for _, (*_, steps) in plans for level, size in steps):
             return None  # tied with a round of several flows
         at = acts.index((rate, True))
-        if all(_replay(*plan, rate)[1] for i, plan in enumerate(plans) if i != at):
+        if all(_replay(*plan, rate)[1] for i, plan in plans if i != at):
             return rate, resources[at]
         return None
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -68,12 +69,14 @@ class Transfer:
         size: float,
         slice_size: float,
         tag: str = "default",
+        transfer_id: int | None = None,
     ) -> None:
         if size <= 0:
             raise SimulationError(f"transfer {name!r} needs positive size")
         if slice_size <= 0:
             raise SimulationError(f"transfer {name!r} needs positive slice size")
-        self.id = next(_transfer_ids)
+        # A request promoted by ``TransferManager`` keeps the id it drew.
+        self.id = next(_transfer_ids) if transfer_id is None else transfer_id
         self.name = name
         self.resources = tuple(resources)
         self.size = float(size)
@@ -134,7 +137,14 @@ class Transfer:
 
 
 class TransferManager:
-    """Launches slice flows respecting pipeline dependencies."""
+    """Launches slice flows respecting pipeline dependencies.
+
+    Foreground requests enter through :meth:`request`. One that fits a
+    single slice while no partition is installed never needs the
+    dependency, pause or slice machinery, so it runs as one bare flow
+    and becomes a :class:`Transfer` only if :meth:`live_transfers` lists
+    it (a partition cut, a fault picking victims).
+    """
 
     def __init__(self, scheduler: FlowScheduler) -> None:
         self.scheduler = scheduler
@@ -150,18 +160,87 @@ class TransferManager:
         # Transfers parked because their endpoints straddle a partition
         # cut, keyed by id for deterministic heal-time release order.
         self._stalled: dict[int, Transfer] = {}
+        # Live single-slice requests that run as bare flows, by the
+        # transfer id each drew: (name, src, dst, slice size, issue time,
+        # flow, completion callback).
+        self._requests: dict[int, tuple] = {}
 
     def live_transfers(self, tag: str | None = None) -> list[Transfer]:
         """Live transfers (optionally one traffic tag), ordered by id.
 
         The id ordering makes consumers deterministic: a seeded fault
         timeline picking a victim always sees the same candidate list.
+        Live requests of the tag asked for are first promoted to the
+        transfers they stand for, so they are listed in their id's place.
         """
+        if self._requests:
+            self._promote_requests(tag)
         return [
             t
             for _id, t in sorted(self._live.items())
             if tag is None or t.tag == tag
         ]
+
+    def request(
+        self,
+        name: str,
+        src: int,
+        dst: int,
+        resources: tuple[Resource, ...],
+        size: float,
+        slice_size: float,
+        tag: str,
+        on_done: Callable[[], None],
+    ) -> None:
+        """Move one foreground request from node ``src`` to node ``dst``
+        over ``resources``; ``on_done()`` runs when its last byte lands.
+
+        The one place that picks a request's path. A request that fits
+        one slice while no partition is installed is one flow, named as
+        a transfer's slice 0: it draws its transfer id now and stays in
+        the live-request map until the flow completes. Any other request
+        (several slices, or issued while a cut is installed) is a
+        :class:`Transfer` from the start. Both paths compute the same
+        results bit for bit.
+        """
+        if self.reachability is None and 0 < size <= slice_size:
+            request_id = next(_transfer_ids)
+            flow = Flow(f"{name}[0]", size, resources, tag)
+            self._requests[request_id] = (
+                name, src, dst, slice_size, self.scheduler.sim.now, flow, on_done
+            )
+            flow.on_complete.append(partial(self._finish_request, request_id))
+            self.scheduler.start_flow(flow)
+            return
+        transfer = Transfer(name, resources, size, slice_size, tag=tag)
+        transfer.src, transfer.dst = src, dst
+        transfer.on_complete.append(lambda _t: on_done())
+        self.start(transfer)
+
+    def _finish_request(self, request_id: int, _flow: Flow) -> None:
+        self._requests.pop(request_id)[-1]()
+
+    def _promote_requests(self, tag: str | None) -> None:
+        """Turn each live request of ``tag`` (None: every one) into the
+        released transfer the Transfer path would hold at this instant:
+        its id, its issue time, its in-flight slice 0."""
+        for request_id, entry in list(self._requests.items()):
+            name, src, dst, slice_size, issued, flow, on_done = entry
+            if tag is not None and flow.tag != tag:
+                continue
+            del self._requests[request_id]
+            transfer = Transfer(
+                name, flow.resources, flow.size, slice_size,
+                tag=flow.tag, transfer_id=request_id,
+            )
+            transfer.src, transfer.dst = src, dst
+            transfer.on_complete.append(lambda _t, on_done=on_done: on_done())
+            transfer._manager = self
+            transfer.released = True
+            transfer.started_at = issued
+            transfer._inflight = flow
+            flow.on_complete[:] = [lambda _f, t=transfer: self._slice_done(t, 0)]
+            self._live[request_id] = transfer
 
     def start(self, transfer: Transfer) -> None:
         """Release a transfer; slices launch as dependencies permit."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -149,33 +150,19 @@ class TraceClient(HookEmitter):
         request = self.generator.next_request()
         self.issued += 1
         node_id = self.router.node_for(request.key + self.key_offset)
-        issue_time = self.cluster.sim.now
-        if request.op == "read":
-            transfer = self.cluster.make_transfer(
-                node_id,
-                self.client_node.id,
-                request.size,
-                self.slice_size,
-                tag=FOREGROUND_TAG,
-                read_disk=True,
-                write_disk=False,
-                name=f"fg-read-{self.client_node.id}-{self.issued}",
-            )
-        else:
-            transfer = self.cluster.make_transfer(
-                self.client_node.id,
-                node_id,
-                request.size,
-                self.slice_size,
-                tag=FOREGROUND_TAG,
-                read_disk=False,
-                write_disk=True,
-                name=f"fg-upd-{self.client_node.id}-{self.issued}",
-            )
-        transfer.on_complete.append(
-            lambda _t, t0=issue_time, size=request.size: self._request_done(t0, size)
+        client_id = self.client_node.id
+        read = request.op == "read"
+        src, dst = (node_id, client_id) if read else (client_id, node_id)
+        self.cluster.transfers.request(
+            f"fg-{'read' if read else 'upd'}-{client_id}-{self.issued}",
+            src,
+            dst,
+            self.cluster.transfer_resources(src, dst, read_disk=read, write_disk=not read),
+            request.size,
+            self.slice_size,
+            FOREGROUND_TAG,
+            partial(self._request_done, self.cluster.sim.now, request.size),
         )
-        self.cluster.start(transfer)
 
     def _request_done(self, issue_time: float, size: float) -> None:
         latency = self.cluster.sim.now - issue_time

@@ -24,6 +24,11 @@ beyond the ``_SHARE_SLACK`` constant and the ``Resource`` type.
 * :class:`NeverQuietSimulator` — the engine that never reports a quiet
   instant, so a departure that empties its resources still takes its
   deferred epoch; what a run on it computes must equal the real engine's.
+* :class:`TransferOnlyManager` — the transfer manager with every
+  foreground request built as a :class:`~repro.sim.transfers.Transfer`,
+  as before a single-slice request ran as one bare flow; what a run with
+  it computes must equal the real manager's
+  (:func:`requests_through_transfers` installs it on a cluster).
 
 :func:`hot_link_mix` is the stress recipe of the benchmark's ``hot_mix``
 workload (many flows fused into one component on a few hot links) at any
@@ -42,6 +47,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.flows import Flow
 from repro.sim.resources import Resource
+from repro.sim.transfers import Transfer, TransferManager
 
 
 def _unique_resources(flow: AllocatableFlow) -> tuple[Resource, ...]:
@@ -512,6 +518,26 @@ class NeverQuietSimulator(Simulator):
 
     def quiet_now(self) -> bool:
         return False
+
+
+class TransferOnlyManager(TransferManager):
+    """``TransferManager`` whose :meth:`request` starts every request as a
+    released :class:`Transfer`, whatever its size: the request path as it
+    was before a single-slice request became one bare flow. Only the
+    ``transfers.*`` counters and ``transfer`` spans see the difference."""
+
+    def request(self, name, src, dst, resources, size, slice_size, tag, on_done) -> None:
+        transfer = Transfer(name, resources, size, slice_size, tag=tag)
+        transfer.src, transfer.dst = src, dst
+        transfer.on_complete.append(lambda _t: on_done())
+        self.start(transfer)
+
+
+def requests_through_transfers(cluster) -> TransferOnlyManager:
+    """Give ``cluster`` a :class:`TransferOnlyManager`; call it before
+    anything starts a transfer or a request."""
+    cluster.transfers = TransferOnlyManager(cluster.flows)
+    return cluster.transfers
 
 
 def hot_link_mix(scheduler, nodes: int, flows: int, seed: int = 0) -> list[Flow]:

@@ -662,8 +662,13 @@ def _run_coalesced(seed, departures=False, arrivals=False):
             rng, ref, cur, ref_live, cur_live, resources, next_id, departures, arrivals
         )
         # Whether the replay takes a one-arrival epoch is the allocator's
-        # own call; the contract it is then held to is not.
-        binds_nobody = arrival is not None and cur._replay_arrival(arrival) is not None
+        # own call; the contract it is then held to is not. It is asked,
+        # as recompute asks it, only for an arrival that shares a resource.
+        binds_nobody = (
+            arrival is not None
+            and any(len(cur._users[res]) != 1 for res in cur._flow_resources[arrival])
+            and cur._replay_arrival(arrival) is not None
+        )
         if (
             succession is None
             and not (leavers and _inert_by_the_rule(cur, leavers))
