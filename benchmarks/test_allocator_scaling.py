@@ -29,13 +29,18 @@ against the never-quiet twin engine's); the same clients sent through
 match their ``Transfer`` run in completions and counts. An epoch closed in place runs
 neither through the queue nor inline, and ``alloc.passes`` does not count
 it; the gates that relate epochs to completions add those epochs back, so
-they count the epochs the never-quiet twin counts. The assertions are
-counts and simulated instants, not timings.
+they count the epochs the never-quiet twin counts. A fifth repairs one
+node with CR and no foreground, where the helpers' slice boundaries share
+instants, and pins its exact ``alloc.fills`` and ``alloc.successions``.
+The assertions are counts and simulated instants, not timings.
 """
 
 import numpy as np
 from conftest import emit
 
+from repro.api import Testbed
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import run_repair_experiment
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.sim import (
     Flow,
@@ -369,3 +374,45 @@ def test_request_departures_close_in_place():
     assert twin_events - events == closed
     assert twin_inline - inline == closed
     assert twin_inline >= 0.9 * twin_passes, f"{twin_inline} of {twin_passes} epochs inline"
+
+
+#: The CR repair below runs at this scale whatever ``REPRO_BENCH_SCALE``
+#: says: its counts are pinned exactly.
+CR_SCALE = 0.05
+
+
+def _run_cr_repair(allocator=None):
+    """Conventional repair of one failed node at ``CR_SCALE``, no
+    foreground, optionally on ``allocator``; returns (registry, result)."""
+    config = ExperimentConfig.scaled(CR_SCALE)
+    testbed = Testbed.build(config)
+    if allocator is not None:
+        testbed.cluster.flows.allocator = allocator
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        result = run_repair_experiment(config, "CR", foreground=False, scenario=testbed)
+    finally:
+        set_registry(previous)
+    return registry, result
+
+
+def test_cr_repair_hands_simultaneous_slices_off_without_a_fill(benchmark):
+    """CR's star sends every helper's slices into one requestor at the same
+    pace, so many slice boundaries share an instant; each such instant is
+    one succession. The counts are pinned exactly (a fill that comes back
+    moves them), and the repair takes the reference allocator's time."""
+    registry, result = benchmark.pedantic(_run_cr_repair, rounds=1, iterations=1)
+    passes, fills, successions = (
+        int(registry.counter(f"alloc.{name}").value)
+        for name in ("passes", "fills", "successions")
+    )
+    emit(
+        benchmark,
+        f"Allocator on a CR repair at scale {CR_SCALE}, no foreground",
+        ["passes", "fills", "successions"],
+        [[passes, fills, successions]],
+    )
+    assert (passes, fills, successions) == (346, 74, 264)
+    _, reference = _run_cr_repair(ReferenceRateAllocator())
+    assert result.repair_time == reference.repair_time

@@ -31,7 +31,7 @@ depth-first discovery of the component builds the first two lists and
 the flows' discovery ranks as it goes, and the round that freezes a flow
 writes its rate. The allocator also keeps, per flow, the resource that
 froze it (its *bottleneck*): the fill round's, the tightest resource of
-a lone flow, the leaver's for a succession's arrival, the replay's
+a lone flow, its leaver's for a succession's arrival, the replay's
 for an inert arrival, ``None`` for a flow no finite capacity bounds.
 
 Simulated results are a bit-level contract (``tests/oracles.py`` keeps
@@ -55,17 +55,18 @@ are part of the allocator's interface, not accidents of it:
    ``remaining -= share * count`` (not ``count`` successive
    subtractions), and a share is ``remaining / n if remaining > 0.0
    else 0.0``.
-4. **A succession epoch keeps the standing solution** — when an epoch
-   is exactly one rated departure plus one arrival over the same
-   deduplicated resources (a ``Transfer``'s slice boundary: most flow
-   starts there are), no constraint changed, so no fill runs: the
-   arrival takes the leaver's rate and bottleneck and nobody else is
-   written. Its tie resolution is that of the last fill that ran; a
-   re-fill would walk a fresh discovery order and, where tied
-   bottlenecks divide inexactly (``1.25e8 / 9``), move bystanders by
-   one ulp. Exactly one pair: with more, the order the fill would emit
-   the arrivals in (round, then discovery rank) becomes ETA-heap
-   sequence, and that needs the fill.
+4. **A succession epoch keeps the standing solution** — when an epoch's
+   arrivals pair one to one with its rated departures over equal,
+   non-empty deduplicated resource tuples and nothing else happened (a
+   ``Transfer``'s slice boundary, or several at one instant: most flow
+   starts are), no constraint changed, so no fill runs: each arrival,
+   in arrival order, takes the rate and bottleneck of the first leaver
+   over its tuple not yet taken, and nobody else is written. The
+   arrivals are settled and returned in arrival order, where a re-fill
+   would emit them by round, then discovery rank. Its tie resolution is
+   that of the last fill that ran; a re-fill would walk a fresh
+   discovery order and, where tied bottlenecks divide inexactly
+   (``1.25e8 / 9``), move bystanders by one ulp.
 5. **An inert departure keeps the standing solution** — when an epoch
    only removed rated flows (no arrival, no capacity mark, no flow that
    came and went unrated) and no flow left on a leaver's resource was
@@ -278,13 +279,14 @@ class RateAllocator:
         flows; every other registered flow kept its previous rate.
 
         Three epochs keep the standing solution and run no fill (module
-        docstring, orders 4 to 6): a *succession*'s arrival inherits the
-        leaver's rate and bottleneck; an *inert* departure rewrites
-        nothing, an *inert* arrival only itself. Two more close before
-        any discovery, as its result is known: departures that left no
-        users on the resources they dirtied rewrite nothing, and one
-        arrival alone on each of its resources takes its tightest
-        capacity.
+        docstring, orders 4 to 6): in a *succession* each arrival inherits
+        the rate and bottleneck of a leaver over the same resources, and
+        only the arrivals are rewritten, in arrival order; an *inert*
+        departure rewrites nothing, an *inert* arrival only itself. Two
+        more close before any discovery, as its result is known:
+        departures that left no users on the resources they dirtied
+        rewrite nothing, and one arrival alone on each of its resources
+        takes its tightest capacity.
         """
         flow_resources = self._flow_resources
         users = self._users
@@ -303,13 +305,23 @@ class RateAllocator:
                     if touched:
                         self.inert += 1
                     return []
-            elif len(self._left) == 1 and len(self._fresh) == 1:
-                ((resources, rate, bottleneck),) = self._left
-                (flow,) = self._fresh
-                if resources and resources == flow_resources[flow]:
+            elif len(self._left) == len(self._fresh):
+                # Order 4: pair each arrival, in arrival order, with the
+                # first unpaired leaver over its (non-empty) resources.
+                leavers: dict[tuple[Resource, ...], list[tuple[float, Resource | None]]] = {}
+                for resources, rate, bottleneck in self._left:
+                    if resources:
+                        leavers.setdefault(resources, []).append((rate, bottleneck))
+                heirs = []
+                for flow in self._fresh:
+                    standing = leavers.get(flow_resources[flow])
+                    if not standing:
+                        break
+                    heirs.append((flow, *standing.pop(0)))
+                else:
                     self._left.clear()
                     self.successions += 1
-                    return self._stand(flow, rate, bottleneck, on_touch)
+                    return self._stand(heirs, on_touch)
         elif len(self._fresh) == 1 and not self._disturbed:
             (flow,) = self._fresh
             resources = flow_resources[flow]
@@ -317,10 +329,10 @@ class RateAllocator:
                 if len(users[res]) != 1:
                     break
             else:  # a lone flow
-                return self._stand(flow, *_tightest(resources), on_touch)
+                return self._stand([(flow, *_tightest(resources))], on_touch)
             if (frozen := self._replay_arrival(flow)) is not None:
                 self.inert_arrivals += 1
-                return self._stand(flow, *frozen, on_touch)
+                return self._stand([(flow, *frozen)], on_touch)
         self._left.clear()
         self._disturbed = False
         # Discovery builds the fill's tables as it goes: a flow's rank is
@@ -389,18 +401,21 @@ class RateAllocator:
             self._progressive_fill(rank, slot, remaining, count, on_touch, changed)
         return changed
 
-    def _stand(self, flow: AllocatableFlow, rate: float, bottleneck: Resource | None,
+    def _stand(self, heirs: list[tuple[AllocatableFlow, float, Resource | None]],
                on_touch: Callable[[AllocatableFlow], None] | None) -> list[AllocatableFlow]:
-        """Close an epoch in which only its one arrival, ``flow``, is rated."""
+        """Close an epoch in which only its arrivals are rated: each of
+        ``heirs`` is (arrival, rate, bottleneck), in arrival order."""
         self._dirty.clear()
         self._fresh.clear()
-        self._bottleneck[flow] = bottleneck
-        if rate == flow.rate:
-            return []  # as the fill leaves a 0 B/s arrival out
-        if on_touch is not None:
-            on_touch(flow)
-        flow.rate = rate
-        return [flow]
+        changed = []
+        for flow, rate, bottleneck in heirs:
+            self._bottleneck[flow] = bottleneck
+            if rate != flow.rate:  # as the fill leaves a 0 B/s arrival out
+                if on_touch is not None:
+                    on_touch(flow)
+                flow.rate = rate
+                changed.append(flow)
+        return changed
 
     def _replay_arrival(self, flow: AllocatableFlow) -> tuple[float, Resource] | None:
         """Order 6: the fill's rate and bottleneck for ``flow``, the epoch's

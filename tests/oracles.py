@@ -413,10 +413,11 @@ class AuditedRateAllocator(RateAllocator):
 
     A succession, an inert departure and an inert arrival keep the
     standing solution instead of running the fill, so that is where an
-    error could hide. After each one the audit walks the component the
-    skipped DFS would have walked, in its stack order (from the arrival's
-    resources for a succession or an inert arrival, from the leavers'
-    resources that still have users for an inert departure), and
+    error could hide. After each one the audit walks what the skipped DFS
+    would have walked, in its stack order (from the union of
+    the arrivals' resources, in arrival order, for a succession; from the
+    arrival's for an inert arrival; from the leavers' resources that
+    still have users for an inert departure), and
 
     * asserts the max-min certificate over it (:func:`max_min_violations`
       — independent of this allocator's fill *and* of the reference's);
@@ -449,10 +450,10 @@ class AuditedRateAllocator(RateAllocator):
         successions, inert, inert_arrivals = self.successions, self.inert, self.inert_arrivals
         changed = super().recompute(on_touch)
         if self.successions != successions:
-            (arrival,) = arrivals
             self.audited += 1
             self.flapped += self._audit(
-                f"succession of {arrival!r}", self._flow_resources[arrival]
+                f"succession of {arrivals!r}",
+                dict.fromkeys(res for flow in arrivals for res in self._flow_resources[flow]),
             )
         elif self.inert != inert:
             self.inert_audited += 1

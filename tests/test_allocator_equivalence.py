@@ -17,9 +17,11 @@ bit-identical rates, changed-flow order and completion timelines.
 Those batteries recompute after *each* mutation. The coalesced batteries
 at the end put 1-4 mutations in an epoch, as ``FlowScheduler`` does, and
 hold the two kinds of epoch that answer without a fill to their own
-contracts: a *succession* — one rated departure, one arrival over the
-same resources, nothing else — where the arrival inherits the leaver's
-rate and nobody else is written, and an *inert departure* — rated flows
+contracts: a *succession* — rated departures and as many arrivals,
+pairing one to one over the same resources, nothing else (one slice
+boundary, or several at one instant) — where each arrival inherits its
+leaver's rate, the arrivals are written in arrival order and nobody else
+is, and an *inert departure* — rated flows
 left, nothing else, and no flow left on their resources was frozen by
 one of them — where nobody is written, and an *inert arrival* — one
 arrival, nothing else, binding nobody — where only the arrival is
@@ -424,6 +426,25 @@ def test_fill_matches_reference_on_named_cases(capacities, paths):
 
 # -- coalesced epochs: several mutations, one recompute --------------------
 
+def _paired(leavers, arrivals):
+    """Each of ``arrivals``, in arrival order, with the rate of the first
+    leaver not yet taken over the same non-empty deduplicated resources:
+    ``[(leaver's rate, arrival), ...]``, or None unless they pair one to
+    one."""
+    unpaired = list(leavers)
+    pairs = []
+    for arrival in arrivals:
+        path = tuple(dict.fromkeys(arrival.resources))
+        match = next(
+            (f for f in unpaired if path and tuple(dict.fromkeys(f.resources)) == path), None
+        )
+        if match is None:
+            return None
+        unpaired.remove(match)
+        pairs.append((match.rate, arrival))
+    return None if unpaired else pairs
+
+
 def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id,
                      departures=False, arrivals=False):
     """Apply 1-4 twin mutations without recomputing.
@@ -432,19 +453,21 @@ def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id,
     ``_twin_mutation`` a mutation may be a *slice boundary* — a live flow
     leaves and a new one arrives over its tuple, in either order — which
     is what over half of this battery's arrivals are, so successions do
-    occur. With ``departures`` half the epochs are instead 1-2 departures
-    and nothing else; with ``arrivals`` half are instead one arrival over
-    1-2 shared resources and one of its own (a request's disk), and
-    capacities are in MB/s. Returns
-    ``(next_id, succession, leavers, arrival)``;
-    ``succession`` is the ``(leaver's rate, arrival on the cur side)``
-    pair when the epoch was, by this function's own bookkeeping (not the
-    allocator's), exactly one departure of a flow rated before the epoch
-    plus one arrival over the same non-empty deduplicated resources —
-    else ``None``; ``leavers`` lists the cur-side flows that left when
-    the epoch did nothing but remove rated flows — else ``None``;
-    ``arrival`` is the cur-side flow when the epoch was one arrival and
-    nothing else — else ``None``.
+    occur. A fifth of the other epochs are instead 2-3 slice boundaries
+    at one instant and nothing else (a later one may pick an earlier
+    one's arrival, which then came and went unrated). With ``departures``
+    half the epochs are instead 1-2 departures and nothing else; with
+    ``arrivals`` half are instead one arrival over 1-2 shared resources
+    and one of its own (a request's disk), and capacities are in MB/s.
+    Returns ``(next_id, succession, leavers, arrival)``; ``succession``
+    is the :func:`_paired` list when the epoch was, by this function's
+    own bookkeeping (not the allocator's), departures of flows rated
+    before the epoch and as many arrivals, pairing one to one over
+    non-empty deduplicated resources, and nothing else — else ``None``;
+    ``leavers`` lists the cur-side flows that left when the epoch did
+    nothing but remove rated flows — else ``None``; ``arrival`` is the
+    cur-side flow when the epoch was one arrival and nothing else — else
+    ``None``.
     """
     rated = set(cur_live)  # live before the epoch, hence rated
     left, arrived, other = [], [], False
@@ -469,18 +492,21 @@ def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id,
             arrived.remove(flow)
             other = True
 
+    def boundary():
+        idx = int(rng.integers(0, len(ref_live)))
+        chosen = cur_live[idx].resources
+        if rng.random() < 0.5:
+            depart(idx)
+            arrive(chosen)
+        else:
+            arrive(chosen)
+            depart(idx)
+
     def mutate():
         nonlocal other
         roll = rng.random()
         if roll < 0.35 and ref_live:
-            idx = int(rng.integers(0, len(ref_live)))
-            chosen = cur_live[idx].resources
-            if rng.random() < 0.5:
-                depart(idx)
-                arrive(chosen)
-            else:
-                arrive(chosen)
-                depart(idx)
+            boundary()
         elif roll < 0.6 or not ref_live:
             picks = rng.integers(0, len(resources), int(rng.integers(0, 4)))
             arrive(tuple(resources[int(i)] for i in picks))
@@ -498,15 +524,17 @@ def _coalesced_epoch(rng, ref, cur, ref_live, cur_live, resources, next_id,
             depart(int(rng.integers(0, len(ref_live))))
     elif arrivals and rng.random() < 0.5:
         arrive(_with_own_resource(rng, resources, next_id))
+    elif len(ref_live) >= 2 and rng.random() < 0.2:
+        for _ in range(int(rng.integers(2, 4))):
+            boundary()
     else:
         for _ in range(int(rng.integers(1, 5))):
             mutate()
     leavers = left if left and not arrived and not other else None
     arrival = arrived[0] if len(arrived) == 1 and not left and not other else None
-    if len(left) == 1 and len(arrived) == 1 and not other:
-        path = tuple(dict.fromkeys(left[0].resources))
-        if path and path == tuple(dict.fromkeys(arrived[0].resources)):
-            return next_id, (left[0].rate, arrived[0]), None, None
+    succession = _paired(left, arrived) if left and not other else None
+    if succession is not None:
+        return next_id, succession, None, None
     return next_id, None, leavers, arrival
 
 
@@ -524,19 +552,21 @@ def _assert_scratch_optimum(cur_live):
         flow.rate = rate
 
 
-def _assert_succession_contract(cur, cur_live, leaver_rate, arrival):
-    """The epoch pending on ``cur`` is a succession: recompute it and hold
-    it to the contract. Every bystander's rate is poisoned first, so a
-    fill that ran anyway would be caught rewriting it."""
-    standing = {flow: flow.rate for flow in cur_live if flow is not arrival}
+def _assert_succession_contract(cur, cur_live, pairs):
+    """The epoch pending on ``cur`` is a succession of ``pairs``, each
+    (leaver's rate, arrival) in arrival order: recompute it and hold it to
+    the contract. Every bystander's rate is poisoned first, so a fill that
+    ran anyway would be caught rewriting it."""
+    arrivals = [arrival for _, arrival in pairs]
+    standing = {flow: flow.rate for flow in cur_live if flow not in arrivals}
     for flow in standing:
         flow.rate = -1.0
     fills, successions = cur.fills, cur.successions
     touched = []
     changed = cur.recompute(on_touch=touched.append)
     assert (cur.fills, cur.successions) == (fills, successions + 1)
-    assert changed == [arrival] and touched == [arrival]
-    assert arrival.rate == leaver_rate
+    assert changed == touched == arrivals  # each settled once, in arrival order
+    assert [arrival.rate for arrival in arrivals] == [rate for rate, _ in pairs]
     assert all(flow.rate == -1.0 for flow in standing), "a bystander was written"
     for flow, rate in standing.items():
         flow.rate = rate
@@ -631,7 +661,8 @@ def _with_own_resource(rng, resources, next_id):
 
 def _run_coalesced(seed, departures=False, arrivals=False):
     """One seed of the coalesced twin battery; returns (epochs,
-    successions, inert epochs, inert arrivals). With ``departures`` the
+    successions, successions of several pairs, inert epochs, inert
+    arrivals). With ``departures`` the
     graph is larger (4-9 resources, 8-16 standing flows over 2-3 of them,
     so that a leaver's resources often carry flows frozen elsewhere) and
     half the epochs are departures only. With ``arrivals`` it is as large,
@@ -644,7 +675,7 @@ def _run_coalesced(seed, departures=False, arrivals=False):
     ]
     ref, cur = ReferenceRateAllocator(), RateAllocator()
     ref_live, cur_live = [], []
-    next_id = seen = inert = inert_arrivals = 0
+    next_id = seen = multi = inert = inert_arrivals = 0
     if departures or arrivals:
         for next_id in range(int(rng.integers(8, 17))):
             if arrivals:
@@ -689,7 +720,8 @@ def _run_coalesced(seed, departures=False, arrivals=False):
                 _assert_inert_contract(cur, cur_live)
             else:
                 seen += 1
-                _assert_succession_contract(cur, cur_live, *succession)
+                multi += len(succession) > 1
+                _assert_succession_contract(cur, cur_live, succession)
             # The reference re-solved in a fresh DFS order and may have
             # moved a bystander by an ulp: stand both on one solution
             # before the next ``==`` epoch.
@@ -698,7 +730,7 @@ def _run_coalesced(seed, departures=False, arrivals=False):
                 r.rate = c.rate
         problems = bottleneck_violations(cur)
         assert not problems, f"seed={seed}: {problems[:3]}"
-    return MUTATIONS_PER_SEED, seen, inert, inert_arrivals
+    return MUTATIONS_PER_SEED, seen, multi, inert, inert_arrivals
 
 
 @pytest.mark.parametrize("seed", range(NUM_SEEDS))
@@ -711,9 +743,13 @@ def test_coalesced_epochs_match_reference_or_succession_contract(seed):
 
 def test_coalesced_battery_does_meet_successions():
     """The battery above is not vacuous: a fair share of its epochs are
-    successions (47 of 720 on these seeds, 161 of 2 640 over all 220)."""
-    epochs, successions, *_ = map(sum, zip(*(_run_coalesced(seed) for seed in range(60))))
+    successions, some of several pairs (51 of 720 on these seeds, 15 of
+    several pairs; 206 of 2 640 over all 220, 74 of several pairs)."""
+    epochs, successions, multi, *_ = map(
+        sum, zip(*(_run_coalesced(seed) for seed in range(60)))
+    )
     assert successions >= 0.03 * epochs, (successions, epochs)
+    assert multi >= 0.01 * epochs, (multi, epochs)
 
 
 @pytest.mark.parametrize("seed", range(NUM_SEEDS))
@@ -727,9 +763,9 @@ def test_departure_epochs_match_reference_or_inert_contract(seed):
 
 
 def test_departure_battery_does_meet_inert_epochs():
-    """Not vacuous either: a fair share of its epochs are inert (26 of
-    720 on these seeds, 101 of 2 640 over all 220)."""
-    epochs, _, inert, _ = map(
+    """Not vacuous either: a fair share of its epochs are inert (34 of
+    720 on these seeds, 109 of 2 640 over all 220)."""
+    epochs, _, _, inert, _ = map(
         sum, zip(*(_run_coalesced(seed, departures=True) for seed in range(60)))
     )
     assert inert >= 0.03 * epochs, (inert, epochs)
@@ -746,8 +782,8 @@ def test_arrival_epochs_match_reference_or_inert_arrival_contract(seed):
 
 
 def test_arrival_battery_does_meet_inert_arrivals():
-    """Not vacuous: a fair share of its epochs are inert arrivals (109 of
-    720 on these seeds, 457 of 2 640 over all 220)."""
+    """Not vacuous: a fair share of its epochs are inert arrivals (110 of
+    720 on these seeds, 466 of 2 640 over all 220)."""
     epochs, *_, arrivals = map(
         sum, zip(*(_run_coalesced(seed, arrivals=True) for seed in range(60)))
     )
@@ -761,10 +797,28 @@ def test_arrival_battery_does_meet_inert_arrivals():
 _EPOCH_CAPACITIES = (100.0, 60.0, 90.0, 40.0)
 _EPOCH_PATHS = [(0, 1), (0,), (1, 2), (2,), (3,), ()]
 
+# A succession case also names the rates its arrivals inherit, in arrival
+# order: the fill freezes f0 and f2 on r1 (30 each), then f4 on r3 (40),
+# f3 on r2 (60) and f1 on r0 (70).
 _SUCCESSION_EPOCHS = {
-    "same-tuple": [("remove", 0), ("add", (0, 1))],
-    "arrival-registered-first": [("add", (0, 1)), ("remove", 0)],
-    "duplicate-resources": [("remove", 0), ("add", (0, 0, 1, 0, 1))],
+    "same-tuple": ([("remove", 0), ("add", (0, 1))], [30.0]),
+    "arrival-registered-first": ([("add", (0, 1)), ("remove", 0)], [30.0]),
+    "duplicate-resources": ([("remove", 0), ("add", (0, 0, 1, 0, 1))], [30.0]),
+    "two-boundaries": (
+        [("remove", 0), ("remove", 1), ("add", (0, 1)), ("add", (1, 2))], [30.0, 30.0],
+    ),
+    "two-boundaries-interleaved": (
+        [("add", (1, 2)), ("remove", 0), ("remove", 1), ("add", (0, 1))], [30.0, 30.0],
+    ),
+    # f1 and f3 leave, their heirs arrive the other way round.
+    "crossed-boundaries": (
+        [("remove", 1), ("remove", 2), ("add", (2,)), ("add", (0,))], [60.0, 70.0],
+    ),
+    "three-boundaries": (
+        [("remove", 4), ("remove", 0), ("remove", 0), ("add", (3,)), ("add", (0, 1)),
+         ("add", (0,))],
+        [40.0, 30.0, 70.0],
+    ),
 }
 _FILL_EPOCHS = {
     "different-tuple": [("remove", 0), ("add", (0, 2))],
@@ -775,6 +829,14 @@ _FILL_EPOCHS = {
         ("remove", 0), ("remove", 2), ("add", (0, 1)), ("add", (1, 2)),
     ],
     "one-departure-two-arrivals": [("remove", 0), ("add", (0, 1)), ("add", (0, 1))],
+    "two-departures-one-arrival": [("remove", 0), ("remove", 1), ("add", (0, 1))],
+    "two-boundaries-and-an-arrival": [
+        ("remove", 0), ("add", (0, 1)), ("remove", 1), ("add", (1, 2)), ("add", (3,)),
+    ],
+    "two-boundaries-one-came-and-went": [
+        ("remove", 0), ("add", (0, 1)), ("remove", -1), ("add", (0, 1)),
+        ("remove", 0), ("add", (0,)),
+    ],
     "unrelated-mark-dirty": [("remove", 0), ("dirty", 3), ("add", (0, 1))],
     "mark-everything-dirty": [("remove", 0), ("add", (0, 1)), ("dirty",)],
     "added-and-removed-inside-epoch": [
@@ -814,11 +876,12 @@ def _standing_twins(ops):
     return ref, cur, ref_live, cur_live, arrivals, departed
 
 
-@pytest.mark.parametrize("ops", _SUCCESSION_EPOCHS.values(), ids=_SUCCESSION_EPOCHS)
-def test_succession_epoch_inherits_without_a_fill(ops):
-    ref, cur, ref_live, cur_live, (arrival,), (leaver,) = _standing_twins(ops)
-    assert leaver.rate == 30.0  # f0 and f2 halve r1
-    _assert_succession_contract(cur, cur_live, leaver.rate, arrival)
+@pytest.mark.parametrize("ops, rates", _SUCCESSION_EPOCHS.values(), ids=_SUCCESSION_EPOCHS)
+def test_succession_epoch_inherits_without_a_fill(ops, rates):
+    ref, cur, ref_live, cur_live, arrivals, departed = _standing_twins(ops)
+    pairs = _paired(departed, arrivals)
+    assert [rate for rate, _ in pairs] == rates
+    _assert_succession_contract(cur, cur_live, pairs)
     ref.recompute()  # exact capacities: the re-fill agrees to the bit
     assert [f.rate for f in cur_live] == [f.rate for f in ref_live]
 
@@ -862,10 +925,21 @@ def test_succession_of_a_stalled_leaver_changes_nothing():
 
 
 def test_succession_settles_the_arrival_once_before_writing_its_rate():
-    _, cur, _, _, (arrival,), _ = _standing_twins(_SUCCESSION_EPOCHS["same-tuple"])
+    _, cur, _, _, (arrival,), _ = _standing_twins(_SUCCESSION_EPOCHS["same-tuple"][0])
     seen = []
     cur.recompute(on_touch=lambda flow: seen.append((flow, flow.rate)))
     assert seen == [(arrival, 0.0)] and arrival.rate == 30.0
+
+
+def test_succession_settles_each_arrival_once_in_arrival_order():
+    """Heirs that arrive the other way round from their leavers are still
+    settled, then written, in the order they arrived."""
+    ops, rates = _SUCCESSION_EPOCHS["crossed-boundaries"]
+    _, cur, _, _, arrivals, _ = _standing_twins(ops)
+    seen = []
+    cur.recompute(on_touch=lambda flow: seen.append((flow, flow.rate)))
+    assert seen == [(arrival, 0.0) for arrival in arrivals]
+    assert [arrival.rate for arrival in arrivals] == rates
 
 
 # Departure-only epochs on the same standing solution. The fill freezes
@@ -921,7 +995,7 @@ def test_departure_outside_the_inert_rule_runs_the_fill(ops):
 def test_inherited_record_decides_a_later_departure(first, then, inert):
     ref, cur, ref_live, cur_live, (heir,), (leaver,) = _standing_twins(first)
     assert leaver not in cur._bottleneck  # moved out with the leaver
-    _assert_succession_contract(cur, cur_live, leaver.rate, heir)
+    _assert_succession_contract(cur, cur_live, [(leaver.rate, heir)])
     ref.recompute()
     assert [f.rate for f in cur_live] == [f.rate for f in ref_live]
     assert cur._bottleneck[heir] is heir.resources[-1]  # r0 alone, or r1

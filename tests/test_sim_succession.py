@@ -4,13 +4,15 @@ Successions happen at slice boundaries, inert departures wherever a flow
 leaves without freeing the bottleneck of anyone left, inert arrivals
 wherever a flow starts in slack that every flow beside it leaves.
 
-``RateAllocator`` answers an epoch that is one departure plus one arrival
-over the same resources without a fill (``repro.sim.allocator``, order 4).
-``TransferManager`` produces exactly such epochs — it launches a
-transfer's next slice inside the previous slice's completion callback, at
-the same instant, over the same ``transfer.resources`` tuple — and that is
-what the simulator's speed on repair workloads now rests on. The first
-half pins that coupling on a bare scheduler; the second runs whole repair
+``RateAllocator`` answers an epoch whose arrivals pair one to one with
+its departures over the same resources without a fill
+(``repro.sim.allocator``, order 4). ``TransferManager`` produces exactly
+such epochs — it launches a transfer's next slice inside the previous
+slice's completion callback, at the same instant, over the same
+``transfer.resources`` tuple, and the helpers of a star hand off at the
+same instants — and that is what the simulator's speed on repair
+workloads now rests on. The first half pins that coupling on a bare
+scheduler; the second runs whole repair
 experiments, and the ``hot_mix`` recipe, on
 :class:`tests.oracles.AuditedRateAllocator`, which checks every succession,
 inert departure and inert arrival against a max-min certificate and the
@@ -76,19 +78,22 @@ def test_slice_pipeline_is_a_train_of_successions():
         assert len(slices) == transfer.num_slices
         # Same tuple, slice after slice: what makes a boundary a succession.
         assert all(flow.resources == transfer.resources for flow in slices)
-    # A boundary is a lone succession exactly when nothing else starts or
-    # finishes at its instant (a relay slice released by the finished one
-    # would): counted here from the timeline alone, then compared.
+    # An instant is one succession exactly when every flow that starts or
+    # finishes there is half of a slice boundary (a relay slice released
+    # by a finished one is not): counted here from the timeline alone,
+    # then compared.
     busy = Counter(t for flow in launched for t in (flow.started_at, flow.completed_at))
-    lone = 0
+    handoffs = Counter()
     for transfer in transfers:
         slices = _slices(transfer, launched)
         for done, successor in zip(slices, slices[1:]):
             if transfer is not transfers[2]:  # ungated: the next slice starts at once
                 assert successor.started_at == done.completed_at
-            lone += successor.started_at == done.completed_at and busy[done.completed_at] == 2
-    assert allocator.successions == lone >= 20
-    assert allocator.fills < len(launched) - lone
+            if successor.started_at == done.completed_at:
+                handoffs[done.completed_at] += 2
+    boundaries = sum(busy[t] == n for t, n in handoffs.items())
+    assert allocator.successions == boundaries >= 22
+    assert allocator.fills < len(launched) - boundaries
 
 
 def test_slice_pipeline_same_instants_as_reference_allocator():
@@ -98,6 +103,62 @@ def test_slice_pipeline_same_instants_as_reference_allocator():
     assert [(f.name, f.started_at, f.completed_at) for f in current] == [
         (f.name, f.started_at, f.completed_at) for f in reference
     ]
+
+
+STAR_SLICES = 12
+
+
+def _run_star(allocator, helpers):
+    """Conventional repair's star on a bare scheduler: ``helpers`` equal
+    sliced transfers, each from its own uplink into one requestor's
+    downlink, which binds them all. Power-of-two capacities make every
+    share exact, so every helper hands a slice off at the same instants.
+    Returns every slice flow in launch order and the metrics registry."""
+    sim = Simulator()
+    sched = FlowScheduler(sim, allocator=allocator)
+    manager = TransferManager(sched)
+    launched = []
+    start_flow = sched.start_flow
+    sched.start_flow = lambda flow: (launched.append(flow), start_flow(flow))[1]
+    down = Resource("requestor.down", 256.0)
+    transfers = [
+        Transfer(f"h{i}->req", (Resource(f"h{i}.up", 256.0), down),
+                 size=64.0 * STAR_SLICES, slice_size=64.0)
+        for i in range(helpers)
+    ]
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        for transfer in transfers:
+            manager.start(transfer)
+        sim.run()
+    finally:
+        set_registry(previous)
+    assert all(t.done for t in transfers)
+    return launched, registry
+
+
+@pytest.mark.parametrize("helpers", [2, 4, 8])
+def test_simultaneous_slice_boundaries_are_one_succession(helpers):
+    """Each instant at which every helper hands a slice off is one
+    succession epoch, whatever the number of helpers; only the epochs that
+    are not boundaries run a fill, and every slice starts and finishes at
+    the reference allocator's instants, to the bit. (Who goes first among
+    same-instant completions may differ: a succession settles its
+    arrivals in arrival order, the reference's re-fill in its fresh
+    discovery order.)"""
+    allocator = RateAllocator()
+    launched, registry = _run_star(allocator, helpers)
+    starts = Counter(flow.started_at for flow in launched)
+    assert set(starts.values()) == {helpers}  # every instant is shared by all
+    boundaries = len(starts) - 1  # all but the first launch
+    assert boundaries == STAR_SLICES - 1
+    assert allocator.successions == boundaries
+    assert allocator.fills == registry.counter("alloc.passes").value - boundaries
+    reference, _ = _run_star(ReferenceRateAllocator(), helpers)
+    assert {f.name: (f.started_at, f.completed_at) for f in launched} == {
+        f.name: (f.started_at, f.completed_at) for f in reference
+    }
 
 
 def _observed_pipeline(allocator):
