@@ -168,9 +168,9 @@ class Testbed:
         self._coordinator_crash_times: dict[int, float] = {}
         #: Router installed by :meth:`start_sharded_repair`.
         self.shard_router: ShardRouter | None = None
-        #: Node-crash chunks of shards whose coordinator was down when
-        #: the node died, keyed by shard; the shard's replacement
-        #: adopts them in :meth:`recover_repairer`.
+        #: Node-crash chunks and scrub detections of shards whose
+        #: coordinator was down when they were found, keyed by shard;
+        #: the shard's replacement adopts them in :meth:`recover_repairer`.
         self._outage_chunks: dict[int, list[ChunkId]] = {}
         #: One entry per observed coordinator crash: the fraction of
         #: open (pending + leased) chunks stalled by it — the failover
@@ -291,19 +291,19 @@ class Testbed:
     def make_repairer(self, name: str, *, shard: int | None = None, **overrides):
         """Build a runner/coordinator for the named algorithm.
 
-        The repairer is registered so an installed fault timeline can
-        hand it the extra chunks a later crash produces; with integrity
-        enabled it is also attached to the data plane (verified repair)
-        and the scrubber (detections become its work).
+        The repairer is registered so the extra chunks a later node
+        crash or scrub detection produces become its work; with
+        integrity enabled it is also attached to the data plane
+        (verified repair).
 
         With a journal, every repairer writes through
         :meth:`Journal.shard_view` of ``shard`` (default 0: an unsharded
         control plane is the one-shard plane). It crashes only with a
         :class:`~repro.faults.CoordinatorCrash` targeting its shard (or
-        the whole plane), and only adopts scrubber detections its shard
-        owns. Naming a ``shard`` requires :meth:`enable_journal`. Most
-        callers want :meth:`start_sharded_repair` instead of binding
-        shards by hand.
+        the whole plane), and only adopts node-crash chunks and scrub
+        detections its shard owns. Naming a ``shard`` requires
+        :meth:`enable_journal`. Most callers want
+        :meth:`start_sharded_repair` instead of binding shards by hand.
         """
         spec = (name, dict(overrides))
         if shard is not None:
@@ -315,8 +315,6 @@ class Testbed:
         self.repairers.append(repairer)
         if self.dataplane is not None:
             self.dataplane.attach(repairer)
-        if self.scrubber is not None:
-            self.scrubber.attach(repairer)
         if self.controller is not None:
             self.controller.attach_repairer(repairer)
         return repairer
@@ -335,15 +333,13 @@ class Testbed:
         With ``shards=1`` this degenerates exactly into
         ``make_repairer(name).repair(chunks)``.
 
-        Returns the repairers, indexed by shard. The router is also
-        installed on the scrubber (detections go only to the owning
-        shard) and used to route later node-crash chunks.
+        Returns the repairers, indexed by shard. The router also routes
+        later node-crash chunks and scrub detections to the owning
+        shard.
         """
         self._require_journal("sharded repair")
         router = ShardRouter(shards)
         self.shard_router = router
-        if self.scrubber is not None:
-            self.scrubber.router = router
         parts = router.partition(chunks)
         per_shard = max(1, self.config.concurrency // shards)
         repairers = []
@@ -862,8 +858,9 @@ class Testbed:
 
         Enables integrity if needed. The scrubber's read traffic flows
         through the simulator (it contends with foreground I/O and
-        repairs); detections are quarantined and enqueued to every
-        repairer built through :meth:`make_repairer`.
+        repairs); detections are quarantined and handed to the owning
+        coordinators exactly as a dead node's chunks are — held for the
+        replacement while the owning shard's coordinator is down.
         """
         if self.scrubber is not None:
             raise ReproError("scrubber already started")
@@ -878,8 +875,9 @@ class Testbed:
             ledger=self.ledger,
             passes=passes,
         )
-        for repairer in self.repairers:
-            self.scrubber.attach(repairer)
+        self.scrubber.on(
+            "corruption_detected", lambda _s, chunk: self._adopt([chunk])
+        )
         self.scrubber.start()
         if self.controller is not None:
             self.controller.attach_scrubber(self.scrubber)
@@ -924,8 +922,8 @@ class Testbed:
 
         Event offsets count from *now*; call this when the phase you
         want faulted (typically the repair) starts. When a crash kills a
-        node, its chunks are forwarded to every started repairer via
-        ``add_chunks`` so they are re-repaired in the same run. With
+        node, its chunks are forwarded to the owning running repairers
+        via ``add_chunks`` so they are re-repaired in the same run. With
         integrity enabled, corruption events damage stored payloads and
         land in the ledger.
         """
@@ -945,20 +943,25 @@ class Testbed:
         if self.chunk_store is not None:
             for dead in report.failed_nodes:
                 drop_node_chunks(self.chunk_store, self.store, dead)
+        self._adopt(report.failed_chunks)
+
+    def _adopt(self, chunks: list[ChunkId]) -> None:
+        """Hand newly found repair work (a dead node's chunks, a scrub
+        detection) to the coordinators that own it."""
         # Shard-bound coordinators only adopt the chunks their shard
         # owns; handing everything to everyone would double-repair each
         # chunk N times. An unsharded plane is the one-shard plane.
         router = self.shard_router or ShardRouter(1)
 
         def owned_by(shard: int) -> list[ChunkId]:
-            return [c for c in report.failed_chunks if router.shard_of(c) == shard]
+            return [c for c in chunks if router.shard_of(c) == shard]
 
         running: set[int] = set()
         for repairer in self.repairers:
             if not repairer.running or repairer in self._zombies:
                 continue
             if repairer.shard is None:
-                repairer.add_chunks(report.failed_chunks)
+                repairer.add_chunks(chunks)
                 continue
             running.add(repairer.shard)
             mine = owned_by(repairer.shard)

@@ -59,7 +59,3 @@ class LRCCode(LinearCode):
     def fault_tolerance(self) -> int:
         """LRCs are not MDS: only ``m + 1`` arbitrary failures are guaranteed."""
         return self.m + 1
-
-    def is_local_repair(self, failed: int) -> bool:
-        """True when ``failed`` is repairable inside its local group."""
-        return self.group_of(failed) is not None

@@ -21,7 +21,3 @@ class RSCode(LinearCode):
     def name(self) -> str:
         """Paper-style name, e.g. ``RS(10,4)``."""
         return f"RS({self.k},{self.m})"
-
-    def is_data_chunk(self, index: int) -> bool:
-        """True for systematic (data) chunk indices."""
-        return 0 <= index < self.k

@@ -15,8 +15,10 @@ bottleneck and the effective scan rate degrades gracefully — just like
 a real scrubber losing its I/O budget to foreground load.
 
 A failed verification quarantines the chunk (removing it from every
-planner's helper candidates) and hands it to the attached repairer(s)
-through the same ``add_chunks()`` adoption path crash recovery uses.
+planner's helper candidates), records it in the ledger and emits
+``corruption_detected``. The scrubber knows no coordinator: whoever
+owns repair subscribes to that event (the :class:`~repro.api.Testbed`
+routes detections exactly as it routes a dead node's chunks).
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ class Scrubber(HookEmitter):
         self.slice_size = slice_size or stripe_store.chunk_size
         self.ledger = ledger
         self.max_passes = passes
-        self.repairers: list = []
-        #: Optional :class:`repro.api.ShardRouter`; with one installed,
-        #: detections are routed only to the owning shard's driver.
-        self.router = None
         self.detected: list["ChunkId"] = []
         self.chunks_scanned = 0
         self.passes_completed = 0
@@ -87,15 +85,6 @@ class Scrubber(HookEmitter):
         self._verifier_rr = 0
         self._running = False
         self._started = False
-
-    def attach(self, repairer) -> None:
-        """Detected corruptions are enqueued to this repair driver.
-
-        With a router installed, a driver bound to a journal shard
-        (``repairer.shard``) only receives the detections its shard
-        owns; without one, every driver receives everything.
-        """
-        self.repairers.append(repairer)
 
     def set_rate(self, rate: float) -> None:
         """Retarget the scan throughput (bytes of chunk data per second).
@@ -249,16 +238,3 @@ class Scrubber(HookEmitter):
         if registry.enabled:
             registry.counter("scrub.detected").inc()
         self.emit("corruption_detected", self, chunk=chunk)
-        for repairer in self.repairers:
-            if not repairer.running:
-                continue
-            # Shard-bound drivers only adopt detections their shard
-            # owns; handing the chunk to a sibling too would double-
-            # repair it under two coordinators.
-            if (
-                repairer.shard is not None
-                and self.router is not None
-                and self.router.shard_of(chunk) != repairer.shard
-            ):
-                continue
-            repairer.add_chunks([chunk])

@@ -23,12 +23,6 @@ class TrackedTask:
     expected_finish: float
     chunk_key: object = None  # which failed chunk this task serves
 
-    def is_delayed(self, now: float, threshold: float) -> bool:
-        """True when the task overran its expectation by > threshold."""
-        if self.transfer.done or self.transfer.cancelled:
-            return False
-        return now > self.expected_finish + threshold
-
 
 @dataclass
 class ProgressTracker:

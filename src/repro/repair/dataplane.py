@@ -14,10 +14,13 @@ reconstructed chunk is checked against the chunk's recorded checksum.
 Either failure rejects the write-back — feeding garbage into a decode,
 or persisting a garbage decode, would *spread* corruption. The corrupted
 helper (and the still-unwritten target) are quarantined, which removes
-them from every planner's candidate helpers, and both are re-queued to
-the live repairer through the same ``add_chunks()`` adoption path crash
-recovery uses — so the next attempt re-plans with an alternate helper
-set through the ordinary candidate machinery.
+them from every planner's candidate helpers, and both are re-queued
+through ``add_chunks()`` to the driver that ran the plan (not re-routed:
+that driver already owns the stripe) — so the next attempt re-plans
+with an alternate helper set through the ordinary candidate machinery.
+A helper whose payload is gone (its node died after the read) is
+quarantined and re-queued the same way, but it is a loss, not a
+detection, so the ledger does not count it as corruption.
 
 This mirrors the prototype's proxies computing partial decodes and the
 destination persisting the chunk, and it is the strongest end-to-end
@@ -150,7 +153,8 @@ class DataPlane:
             self.injector.quarantine(chunk)
         if self.ledger is not None:
             for helper in bad_helpers:
-                self.ledger.record_detection(helper, "repair")
+                if self.chunk_store.has(helper):
+                    self.ledger.record_detection(helper, "repair")
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant(

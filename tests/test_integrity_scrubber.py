@@ -183,7 +183,10 @@ class TestDetection:
         cs.corrupt(victim, rng=np.random.default_rng(4))
         scrubber = make_scrubber(cluster, store, injector, cs,
                                  rate_mbs=200.0, passes=1)
-        scrubber.attach(runner)
+        # The scrubber knows no coordinator: its owner subscribes.
+        scrubber.on(
+            "corruption_detected", lambda _s, chunk: runner.add_chunks([chunk])
+        )
         runner.repair(report.failed_chunks)
         scrubber.start()
         cluster.sim.run()

@@ -7,6 +7,7 @@ repaired exactly once, byte-exact, no orphaned REPAIR_TAG flows and no
 leaked progress-tracker state.
 """
 
+import numpy as np
 import pytest
 
 from repro.api import Testbed
@@ -189,6 +190,9 @@ class TestNodeCrashDuringOutage:
         assert testbed.chunk_store.unsound(crashed) == []
         assert audit_fenced_writes(testbed.journal) == []
         assert not any(r.lost for r in testbed.repairers)
+        # A helper whose node died after its read is a loss, not a
+        # corruption nobody injected.
+        assert testbed.ledger.unexplained == []
 
     def test_fenced_zombie_does_not_swallow_the_dead_nodes_chunks(self):
         testbed = Testbed.build(ExperimentConfig.scaled(0.05, seed=0, chunk_mb=16.0))
@@ -213,6 +217,104 @@ class TestNodeCrashDuringOutage:
         assert crashed
         assert testbed.chunk_store.unsound(crashed) == []
         assert audit_fenced_writes(testbed.journal) == []
+
+
+def corrupt_a_healthy_stripe(testbed, failed, *, last):
+    """Silently corrupt the first (or ``last``) chunk in scan order that
+    shard 0 owns in a stripe the repair does not touch, so only the
+    scrubber can find it."""
+    busy = {c.stripe for c in failed}
+    router = testbed.shard_router
+    victims = [
+        c for c in testbed.chunk_store.chunks()
+        if c.stripe not in busy and (router is None or router.shard_of(c) == 0)
+    ]
+    victim = victims[-1 if last else 0]
+    testbed.chunk_store.corrupt(victim, rng=np.random.default_rng(4))
+    testbed.ledger.record_injection(victim, "corruption")
+    return victim
+
+
+def assert_restored(testbed, victim):
+    assert testbed.ledger.records[victim].restored_at is not None
+    assert not testbed.injector.is_quarantined(victim)
+    assert testbed.chunk_store.verify(victim)
+
+
+class TestDetectionDuringOutage:
+    """A scrub detection is newly found work like a dead node's chunk:
+    while its shard has no running coordinator, the replacement adopts
+    it (the scrubber never rescans a quarantined chunk)."""
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["unsharded", "2-shard"])
+    def test_replacement_restores_a_detection_made_while_down(self, shards):
+        testbed = make_testbed()
+        scrubber = testbed.start_scrubber(400.0, passes=1)
+        report = testbed.fail_nodes(1)
+        if shards is None:
+            testbed.make_repairer("ChameleonEC").repair(report.failed_chunks)
+        else:
+            testbed.start_sharded_repair(
+                "ChameleonEC", report.failed_chunks, shards=shards
+            )
+        testbed.inject_coordinator_crash(0.05, shard=None if shards is None else 0)
+        testbed.run_until(
+            lambda: testbed.repairers[0].crashed, step=0.01, limit=100.0
+        )
+        # Scanned last: the scrubber reaches it only after the crash.
+        victim = corrupt_a_healthy_stripe(testbed, report.failed_chunks, last=True)
+        testbed.run_until(lambda: victim in scrubber.detected, step=0.5, limit=100.0)
+        assert testbed.repairers[0].crashed and testbed.injector.is_quarantined(victim)
+        testbed.recover_repairer(shard=0)
+        testbed.run_until(lambda: all(r.done for r in testbed.repairers))
+        assert_restored(testbed, victim)
+        assert audit_fenced_writes(testbed.journal) == []
+
+    def test_detection_skips_a_fenced_zombie_for_its_successor(self):
+        testbed = make_testbed()
+        report = testbed.fail_nodes(1)
+        zombie = testbed.make_repairer("ChameleonEC")
+        zombie.repair(report.failed_chunks)
+        home = testbed.cluster.storage_nodes[-1].id
+        testbed.place_coordinator(zombie, home)
+        adopted = []
+        zombie.on("chunks_added", lambda _r, chunks: adopted.extend(chunks))
+        testbed.install_faults(FaultTimeline().partition(0.05, [[home]], duration=4.0))
+        testbed.cluster.sim.run(until=0.1)  # fenced: the zombie still runs
+        # Scanned first, before any scan stalls on the cut-off node.
+        victim = corrupt_a_healthy_stripe(testbed, report.failed_chunks, last=False)
+        scrubber = testbed.start_scrubber(400.0, passes=1)
+        testbed.run_until(lambda: victim in scrubber.detected, step=0.05, limit=4.0)
+        assert zombie.running and testbed.zombie_stepdowns == 0
+        testbed.run_until(lambda: testbed.zombie_stepdowns > 0, step=0.5, limit=60.0)
+        successor = testbed.recover_repairer()
+        testbed.run_until(lambda: successor.done, step=0.5)
+        assert victim not in adopted
+        assert victim in successor.recovery.requeue
+        assert_restored(testbed, victim)
+        assert audit_fenced_writes(testbed.journal) == []
+
+
+def test_a_later_scrubber_routes_detections_to_the_owning_shard():
+    """Sharding is the testbed's: a scrubber started after the sharded
+    repair still hands each detection to its owning shard alone."""
+    testbed = make_testbed()
+    report = testbed.fail_nodes(1)
+    repairers = testbed.start_sharded_repair(
+        "ChameleonEC", report.failed_chunks, shards=2
+    )
+    adopted = {0: [], 1: []}
+    for shard, repairer in enumerate(repairers):
+        repairer.on(
+            "chunks_added", lambda _r, chunks, s=shard: adopted[s].extend(chunks)
+        )
+    victim = corrupt_a_healthy_stripe(testbed, report.failed_chunks, last=False)
+    scrubber = testbed.start_scrubber(400.0, passes=1)
+    testbed.run_until(
+        lambda: not scrubber.running and all(r.done for r in repairers), step=0.5
+    )
+    assert adopted == {0: [victim], 1: []}
+    assert_restored(testbed, victim)
 
 
 class TestRecoveryGuards:

@@ -73,6 +73,26 @@ def test_nothing_keys_on_or_probes_a_repairer(relpath):
     assert probed <= IDENTITY_CONSUMERS[relpath]
 
 
+#: The only files that hand chunks to a coordinator: the testbed routes
+#: newly found work (node crashes, scrub detections) to its owners, and
+#: the data plane re-queues a rejected write-back into its own driver.
+ADOPTION_SITES = {"api.py", "repair/dataplane.py"}
+
+
+def test_only_the_routing_sites_call_add_chunks():
+    """One routing copy: a second owner-picking loop cannot reappear."""
+    root = pathlib.Path(repro.__file__).parent
+    callers = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_chunks"
+    }
+    assert callers == ADOPTION_SITES
+
+
 @pytest.mark.parametrize(
     ("journalled", "shard", "expected"),
     [(False, None, None), (True, None, 0), (True, 1, 1)],
