@@ -17,7 +17,9 @@ nodes / 200 flows, where some departures free no remaining flow's
 bottleneck and some arrivals bind no other flow, and both must be
 answered as inert, without a fill, and where
 departures keep raising rates on the hot links, so the scheduler's ETA
-heap must be compacted to stay within ``4 * active + 64`` entries. A
+heap must be compacted to stay within ``4 * active + 64`` entries; at
+20 nodes / 800 flows its completion timeline must equal the reference
+allocator's bit for bit. A
 fourth has the shape of foreground traffic, closed-loop single-slice
 requests on disjoint node pairs beside bulk flows on one hot link, where
 nearly every epoch is due before anything else and must close inline,
@@ -222,9 +224,9 @@ class _BoundedHeapScheduler(FlowScheduler):
         )
 
 
-def _run_hot_link_mix(allocator):
+def _run_hot_link_mix(allocator, nodes=10, num_flows=200):
     sim = Simulator()
-    flows = hot_link_mix(_BoundedHeapScheduler(sim, allocator=allocator), 10, 200)
+    flows = hot_link_mix(_BoundedHeapScheduler(sim, allocator=allocator), nodes, num_flows)
     registry = MetricsRegistry()
     previous = set_registry(registry)
     try:
@@ -255,6 +257,16 @@ def test_hot_link_mix_answers_inert_departures_without_a_fill(benchmark):
     assert inert_arrivals >= 1
     for done, want in zip(completions, reference):
         assert abs(done - want) <= 1e-12 * want, (done, want)
+
+
+def test_hot_mix_timeline_equals_the_reference_bit_for_bit():
+    """The ``hot_mix`` recipe at 20 nodes / 800 flows, one contention
+    component on the hot links: every completion instant on
+    ``RateAllocator`` is ``==`` to the reference allocator's, an oracle
+    for the fill that does not lean on the committed digest."""
+    _, timeline = _run_hot_link_mix(RateAllocator(), 20, 800)
+    _, reference = _run_hot_link_mix(ReferenceRateAllocator(), 20, 800)
+    assert timeline == reference
 
 
 NUM_PAIRS = 16

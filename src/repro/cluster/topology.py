@@ -8,7 +8,7 @@ from repro.cluster.node import Node, gbps, mbs
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.flows import FlowScheduler
-from repro.sim.resources import Resource
+from repro.sim.resources import SCRUB_TAG, Resource
 from repro.sim.transfers import Transfer, TransferManager
 
 
@@ -108,8 +108,10 @@ class Cluster:
         ``groups`` is an iterable of node-id groups; any node not listed
         joins implicit group 0. Live transfers crossing the cut are
         stalled (their in-flight slice is blackholed and re-sent after
-        heal), and new cross-cut slices are refused at launch. Returns a
-        partition id for :meth:`heal_partition`.
+        heal), except scrub reads, which fail (their owner paces on to
+        the next chunk; a later pass reads this one), and new cross-cut
+        slices are refused at launch. Returns a partition id for
+        :meth:`heal_partition`.
         """
         mapping: dict[int, int] = {}
         for gid, members in enumerate(groups, start=1):
@@ -131,7 +133,10 @@ class Cluster:
                 and transfer.dst is not None
                 and not self.reachable(transfer.src, transfer.dst)
             ):
-                self.transfers.stall(transfer)
+                if transfer.tag == SCRUB_TAG:
+                    self.transfers.fail(transfer, "partitioned")
+                else:
+                    self.transfers.stall(transfer)
         return pid
 
     def heal_partition(self, partition_id: int) -> None:

@@ -12,7 +12,12 @@ Pacing is closed-loop: one scrub transfer in flight at a time, and the
 next one starts no earlier than ``chunk_size / rate`` after the previous
 one started. Under contention the transfer itself becomes the
 bottleneck and the effective scan rate degrades gracefully — just like
-a real scrubber losing its I/O budget to foreground load.
+a real scrubber losing its I/O budget to foreground load. Under a
+network partition the verifier is picked on the source's side of every
+cut, a chunk whose node has no verifier there waits for a later pass
+(as a dead node's chunks do), and a scan a new cut would park fails
+instead (:meth:`~repro.cluster.topology.Cluster.apply_partition`), so
+the scrubber paces on to the next chunk.
 
 A failed verification quarantines the chunk (removing it from every
 planner's helper candidates), records it in the ledger and emits
@@ -121,8 +126,9 @@ class Scrubber(HookEmitter):
 
     # -- the scan loop ---------------------------------------------------------
 
-    def _next_chunk(self) -> "ChunkId | None":
-        """Pop the next scannable chunk, refilling on wrap-around."""
+    def _next_chunk(self) -> "tuple[ChunkId, int | None] | None":
+        """Pop the next scannable chunk and its verifier, refilling on
+        wrap-around."""
         while True:
             if not self._queue:
                 if self.chunks_scanned:
@@ -151,36 +157,35 @@ class Scrubber(HookEmitter):
             node_id = self.stripe_store.stripes[chunk.stripe].node_of(chunk.index)
             if not self.cluster.node(node_id).alive:
                 continue  # unreachable; the crash path owns this chunk
-            return chunk
-
-    def _pick_verifier(self, src_id: int) -> int | None:
-        """Round-robin over alive storage nodes other than the source."""
-        candidates = [n for n in self.cluster.alive_storage_ids() if n != src_id]
-        if not candidates:
-            return None
-        verifier = candidates[self._verifier_rr % len(candidates)]
-        self._verifier_rr += 1
-        return verifier
+            others = [n for n in self.cluster.alive_storage_ids() if n != node_id]
+            if not others:
+                return chunk, None
+            # Only a verifier on the source's side of every cut can read it.
+            candidates = [n for n in others if self.cluster.reachable(node_id, n)]
+            if not candidates:
+                continue  # cut off from every verifier; a later pass reads it
+            verifier = candidates[self._verifier_rr % len(candidates)]
+            self._verifier_rr += 1
+            return chunk, verifier
 
     def _issue_next(self) -> None:
         if not self._running:
             return
-        chunk = self._next_chunk()
-        if chunk is None:
+        picked = self._next_chunk()
+        if picked is None:
             if self._running:
                 # Nothing scannable right now; retry one interval later.
                 self.cluster.sim.schedule(self._interval, self._issue_next)
             return
+        chunk, verifier = picked
         issued_at = self.cluster.sim.now
-        src_id = self.stripe_store.stripes[chunk.stripe].node_of(chunk.index)
-        verifier = self._pick_verifier(src_id)
         if verifier is None:
             # Degenerate cluster: verify locally, still paced.
             self._verify(chunk)
             self._schedule_next(issued_at)
             return
         transfer = self.cluster.make_transfer(
-            src_id,
+            self.stripe_store.stripes[chunk.stripe].node_of(chunk.index),
             verifier,
             self.stripe_store.chunk_size,
             self.slice_size,

@@ -22,17 +22,23 @@ stand) — only cheaper when the contention graph is not one giant
 component. :func:`allocate_rates` is that from-scratch pass: the same
 allocator, filled once, every flow dirty.
 
-The fill is count-based: per resource of the component it keeps the
-capacity still unclaimed, the number of flows not yet frozen and their
-quotient (the fair share) in three parallel lists, takes each round's
-bottleneck with a C-level ``min``/``index``, and afterwards recomputes
-only the shares of the resources the frozen flows crossed. The
-depth-first discovery of the component builds the first two lists and
-the flows' discovery ranks as it goes, and the round that freezes a flow
-writes its rate. The allocator also keeps, per flow, the resource that
-froze it (its *bottleneck*): the fill round's, the tightest resource of
-a lone flow, its leaver's for a succession's arrival, the replay's
-for an inert arrival, ``None`` for a flow no finite capacity bounds.
+The fill is count-based: per resource of the component (in the order
+discovery slotted them) it keeps the capacity still unclaimed, the
+number of flows not yet frozen and their quotient (the fair share) in
+three parallel lists, takes each round's bottleneck with a C-level
+``min``/``index``, and afterwards recomputes only the shares of the
+resources the frozen flows crossed. Discovery and fill keep their
+per-epoch state on the objects, not in maps: each recompute draws an
+epoch and stamps it as a flow's ``_mark`` (discovered, not yet frozen;
+``_rank`` its discovery index) and a resource's ``_mark`` (slotted;
+``_slot`` its index) and ``_seen`` (visited). The round that freezes a
+flow clears its mark and writes its rate. The counter is module-wide, as
+several allocators may rate the same flows and resources: a stamp one
+left is an epoch no other draws. The allocator also keeps, per flow, the
+resource that froze it (its *bottleneck*): the fill round's, the
+tightest resource of a lone flow, its leaver's for a succession's
+arrival, the replay's for an inert arrival, ``None`` for a flow no
+finite capacity bounds.
 
 Simulated results are a bit-level contract (``tests/oracles.py`` keeps
 the dict-of-dicts fill this one replaced as ``ReferenceRateAllocator``,
@@ -47,7 +53,7 @@ are part of the allocator's interface, not accidents of it:
    bottlenecks that share a flow resolve differently in another order
    (``(1e8 - 1e8 / 3) / 2 != 1e8 / 3``).
 2. **Within-round member order** — the flows a round freezes are the
-   bottleneck's not-yet-rated users sorted by discovery index. Freeze
+   bottleneck's users still marked, sorted by discovery index. Freeze
    order is the order of the returned ``changed`` list, hence of settles
    and of the scheduler's ETA-heap sequence numbers, hence of
    same-instant completions.
@@ -99,6 +105,8 @@ sequential comparison for that round.
 
 from __future__ import annotations
 
+import itertools
+from operator import attrgetter
 from typing import Callable, Iterable, KeysView, Protocol
 
 from repro.sim.resources import Resource
@@ -106,23 +114,20 @@ from repro.sim.resources import Resource
 #: Strict-improvement slack when comparing bottleneck fair shares.
 _SHARE_SLACK = 1e-12
 _INF = float("inf")
+#: Recompute epochs: one counter for every allocator (module docstring).
+_epochs = itertools.count(1)
+_by_rank = attrgetter("_rank")
 
 
 class AllocatableFlow(Protocol):
-    """Minimal flow interface the allocator needs."""
+    """Minimal flow interface the allocator needs; it alone writes the
+    three slots after ``rate`` (module docstring)."""
 
     resources: tuple[Resource, ...]
     rate: float
-
-
-def _unique_resources(flow: AllocatableFlow) -> tuple[Resource, ...]:
-    """A flow's resources with duplicates removed, order preserved.
-
-    A flow listing the same resource twice must count once against that
-    resource (it occupies one share of the pipe, not two); deduplicating
-    here keeps the usage subtraction and the user set consistent.
-    """
-    return tuple(dict.fromkeys(flow.resources))
+    _unique: tuple[Resource, ...]
+    _mark: int
+    _rank: int
 
 
 def _replay(
@@ -212,7 +217,10 @@ class RateAllocator:
         """Register ``flow``; its resources become dirty."""
         if flow in self._flow_resources:
             return
-        unique = _unique_resources(flow)
+        # A flow listing a resource twice counts once against it (one share
+        # of the pipe, not two): usage subtraction and user sets agree.
+        flow._unique = unique = tuple(dict.fromkeys(flow.resources))
+        flow._mark = 0
         self._flow_resources[flow] = unique
         self._fresh[flow] = None
         for res in unique:
@@ -288,7 +296,6 @@ class RateAllocator:
         rewrite nothing, and one arrival alone on each of its resources
         takes its tightest capacity.
         """
-        flow_resources = self._flow_resources
         users = self._users
         record = self._bottleneck
         if self._left and not self._disturbed:
@@ -314,7 +321,7 @@ class RateAllocator:
                         leavers.setdefault(resources, []).append((rate, bottleneck))
                 heirs = []
                 for flow in self._fresh:
-                    standing = leavers.get(flow_resources[flow])
+                    standing = leavers.get(flow._unique)
                     if not standing:
                         break
                     heirs.append((flow, *standing.pop(0)))
@@ -324,7 +331,7 @@ class RateAllocator:
                     return self._stand(heirs, on_touch)
         elif len(self._fresh) == 1 and not self._disturbed:
             (flow,) = self._fresh
-            resources = flow_resources[flow]
+            resources = flow._unique
             for res in resources:
                 if len(users[res]) != 1:
                     break
@@ -335,26 +342,24 @@ class RateAllocator:
                 return self._stand([(flow, *frozen)], on_touch)
         self._left.clear()
         self._disturbed = False
-        # Discovery builds the fill's tables as it goes: a flow's rank is
-        # its discovery index, and a resource takes the next fill slot the
-        # first time a discovered flow's tuple names it (module docstring,
-        # order 1). Flows no other flow constrains are rated apart.
-        rank: dict[AllocatableFlow, int] = {}
+        # Discovery stamps the epoch on what it meets: a flow's rank is its
+        # discovery index, a resource takes the next slot when a discovered
+        # flow's tuple first names it (order 1). Unshared flows rate apart.
+        epoch = next(_epochs)
+        order: list[AllocatableFlow] = []
         unshared: list[AllocatableFlow] = []
-        slot: dict[Resource, int] = {}
-        remaining: list[float] = []
-        count: list[int] = []
+        resources_by_slot: list[Resource] = []
         if self._all_dirty:
-            for flow, resources in flow_resources.items():
-                if not resources:
+            for flow in self._flow_resources:
+                if not flow._unique:
                     unshared.append(flow)
                     continue
-                rank[flow] = len(rank)
-                for res in resources:
-                    if res not in slot:
-                        slot[res] = len(remaining)
-                        remaining.append(res.capacity)
-                        count.append(len(users[res]))
+                flow._mark, flow._rank = epoch, len(order)
+                order.append(flow)
+                for res in flow._unique:
+                    if res._mark != epoch:
+                        res._mark, res._slot = epoch, len(resources_by_slot)
+                        resources_by_slot.append(res)
         else:
             stack = [res for res in self._dirty if res in users]
             if not stack and not self._fresh:
@@ -362,43 +367,42 @@ class RateAllocator:
                 # is left to re-rate.
                 self._dirty.clear()
                 return []
-            visited: set[Resource] = set()
             while stack:
                 res = stack.pop()
-                if res in visited:
+                if res._seen == epoch:
                     continue
-                visited.add(res)
+                res._seen = epoch
                 for flow in users[res]:
-                    if flow not in rank:
-                        rank[flow] = len(rank)
-                        for other in flow_resources[flow]:
-                            if other not in slot:
-                                slot[other] = len(remaining)
-                                remaining.append(other.capacity)
-                                count.append(len(users[other]))
-                            if other not in visited:
+                    if flow._mark != epoch:
+                        flow._mark, flow._rank = epoch, len(order)
+                        order.append(flow)
+                        for other in flow._unique:
+                            if other._mark != epoch:
+                                other._mark, other._slot = epoch, len(resources_by_slot)
+                                resources_by_slot.append(other)
+                            if other._seen != epoch:
                                 stack.append(other)
             # Resource-less fresh flows sit in no user set; they still
             # need their (unbounded) rate assigned once.
-            unshared = [flow for flow in self._fresh if not flow_resources[flow]]
+            unshared = [flow for flow in self._fresh if not flow._unique]
         self._dirty.clear()
         self._all_dirty = False
         self._fresh.clear()
-        if len(rank) + len(unshared) == 1:
+        if len(order) + len(unshared) == 1:
             # Fast path for the common case of an uncontended component:
             # a lone flow's max-min rate is its tightest capacity.
-            unshared, rank = [*rank, *unshared], {}
+            unshared, order = [*order, *unshared], []
         changed: list[AllocatableFlow] = []
         for flow in unshared:  # before any fill round
-            rate, record[flow] = _tightest(flow_resources[flow])
+            rate, record[flow] = _tightest(flow._unique)
             if rate != flow.rate:
                 if on_touch is not None:
                     on_touch(flow)
                 flow.rate = rate
                 changed.append(flow)
-        if rank:
+        if order:
             self.fills += 1
-            self._progressive_fill(rank, slot, remaining, count, on_touch, changed)
+            self._progressive_fill(epoch, len(order), resources_by_slot, on_touch, changed)
         return changed
 
     def _stand(self, heirs: list[tuple[AllocatableFlow, float, Resource | None]],
@@ -422,7 +426,7 @@ class RateAllocator:
         one arrival, if the fill would write nobody else; else None. Asked
         only for an arrival that shares some resource (a lone one is rated
         before)."""
-        resources = self._flow_resources[flow]
+        resources = flow._unique
         users, record = self._users, self._bottleneck
         # Each resource on its own, the arrival unfrozen (``acts``: the share
         # it leaves the arrival, and whether every round ran); the arrival
@@ -467,40 +471,36 @@ class RateAllocator:
 
     def _progressive_fill(
         self,
-        rank: dict[AllocatableFlow, int],
-        slot: dict[Resource, int],
-        remaining: list[float],
-        count: list[int],
+        epoch: int,
+        unfrozen: int,
+        resources_by_slot: list[Resource],
         on_touch: Callable[[AllocatableFlow], None] | None,
         changed: list[AllocatableFlow],
     ) -> None:
         """Max-min rates for a *closed* set of flows, written in freeze order.
 
-        ``rank`` maps each flow of the set to its discovery index; the set
-        must be closed under resource sharing, so every registered user of
-        a resource a listed flow crosses is listed. ``slot`` numbers those
-        resources by first appearance and ``remaining``/``count`` hold, per
-        slot, the capacity and the number of users — discovery's tables.
+        The set is the ``unfrozen`` flows discovery marked with ``epoch``;
+        every registered user of a resource a marked flow crosses is
+        marked. ``resources_by_slot`` lists those resources by ``_slot``.
         Repeatedly finds the bottleneck resource (smallest fair share among
         its unfrozen flows), freezes its flows at that share, subtracts
         their usage everywhere, and continues. The round that freezes a
-        flow records its bottleneck and, if the rate moved, calls
-        ``on_touch``, writes the rate and appends the flow to ``changed``.
-        ``rank`` is consumed: it holds the flows not yet frozen. See the
-        module docstring for the order and arithmetic contract.
+        flow clears its mark, records its bottleneck and, if the rate
+        moved, calls ``on_touch``, writes the rate and appends the flow to
+        ``changed``. See the module docstring for the order and arithmetic
+        contract.
         """
         users = self._users
-        flow_resources = self._flow_resources
         record = self._bottleneck
-        rank_of = rank.__getitem__
+        remaining = [res.capacity for res in resources_by_slot]
+        count = [len(users[res]) for res in resources_by_slot]
         # Clamp float drift: repeated subtraction can push a fully used
         # resource a hair below zero, which must not turn into a negative
         # share. A resource whose users are all frozen leaves the scan by
         # taking an infinite share.
         shares = [cap / n if cap > 0.0 else 0.0 for cap, n in zip(remaining, count)]
-        resources_by_slot = list(slot)
 
-        while rank:
+        while unfrozen:
             share = min(shares)
             if share - _SHARE_SLACK == share:
                 bottleneck = shares.index(share)
@@ -518,28 +518,27 @@ class RateAllocator:
                 # unbounded, frozen by nothing.
                 frozen_by = None
                 members = list(dict.fromkeys(
-                    flow
-                    for i, res in enumerate(resources_by_slot)
-                    if count[i]
-                    for flow in sorted((f for f in users[res] if f in rank), key=rank_of)
+                    flow for i, res in enumerate(resources_by_slot) if count[i]
+                    for flow in sorted([f for f in users[res] if f._mark == epoch], key=_by_rank)
                 ))
             else:
                 frozen_by = resources_by_slot[bottleneck]
-                members = [flow for flow in users[frozen_by] if flow in rank]
-                members.sort(key=rank_of)
+                members = [flow for flow in users[frozen_by] if flow._mark == epoch]
+                members.sort(key=_by_rank)
                 count[bottleneck] = 0
                 shares[bottleneck] = _INF
+            unfrozen -= len(members)
             crossed: dict[int, int] = {}
             for flow in members:
-                del rank[flow]
+                flow._mark = 0
                 record[flow] = frozen_by
                 if share != flow.rate:
                     if on_touch is not None:
                         on_touch(flow)
                     flow.rate = share
                     changed.append(flow)
-                for res in flow_resources[flow]:
-                    i = slot[res]
+                for res in flow._unique:
+                    i = res._slot
                     crossed[i] = crossed.get(i, 0) + 1
             if frozen_by is None:
                 return

@@ -40,7 +40,10 @@ class Flow:
 
     Hot state (``remaining``, ``rate``, settle stamp, ETA) lives in
     plain slots: the scheduler reads and writes them millions of times
-    per run, so nothing may stand between it and the value.
+    per run, so nothing may stand between it and the value. So does the
+    allocator's (``_unique``, ``_mark``, ``_rank``: see
+    :mod:`repro.sim.allocator`), which discovery and fill read instead of
+    per-recompute maps.
     """
 
     __slots__ = (
@@ -58,6 +61,9 @@ class Flow:
         "_obs_span",
         "_settled_at",
         "_eta",
+        "_unique",
+        "_mark",
+        "_rank",
     )
 
     def __init__(

@@ -27,10 +27,12 @@ class Resource:
     it max-min fairly (see :mod:`repro.sim.allocator`). The resource keeps
     cumulative byte counters per traffic tag; :class:`ResourceWindows`
     differences them between window closes for the bandwidth monitor,
-    the Fig. 5/6 link series and the timeseries recorder.
+    the Fig. 5/6 link series and the timeseries recorder. ``_mark``,
+    ``_slot`` and ``_seen`` are the allocator's per-recompute stamps (see
+    :mod:`repro.sim.allocator`).
     """
 
-    __slots__ = ("name", "capacity", "bytes_by_tag")
+    __slots__ = ("name", "capacity", "bytes_by_tag", "_mark", "_slot", "_seen")
 
     def __init__(self, name: str, capacity: float) -> None:
         if capacity <= 0:
@@ -40,6 +42,7 @@ class Resource:
         self.capacity = float(capacity)
         #: Cumulative bytes moved through this resource, keyed by tag.
         self.bytes_by_tag: dict[str, float] = defaultdict(float)
+        self._mark = self._seen = self._slot = 0
 
     def account(self, tag: str, nbytes: float) -> None:
         """Attribute ``nbytes`` of transferred data to traffic tag ``tag``."""

@@ -53,9 +53,10 @@ MUTATIONS_PER_SEED = 12
 
 
 class StubFlow:
-    """Bare allocator client: resources + a rate slot."""
+    """Bare allocator client: resources, a rate slot and the slots the
+    allocator stamps."""
 
-    __slots__ = ("name", "resources", "rate")
+    __slots__ = ("name", "resources", "rate", "_unique", "_mark", "_rank")
 
     def __init__(self, name, resources):
         self.name = name
@@ -173,6 +174,82 @@ def test_columnar_matches_dict_bit_for_bit(seed):
             assert d.rate == c.rate, (
                 f"seed={seed} flow={d.name}: reference={d.rate!r} current={c.rate!r}"
             )
+
+
+class _Side:
+    """One allocator over some of a shared pool of flows, with its own
+    reference allocator over twin flows and its own view of the rates
+    (the pool's ``rate`` slots hold whichever allocator wrote last)."""
+
+    def __init__(self):
+        self.cur, self.ref = RateAllocator(), ReferenceRateAllocator()
+        self.live = {}  # shared flow -> its twin on the reference side
+        self.rates = {}
+
+    def act(self, rng, pool, resources, seed):
+        """Restore this side's rates, apply one mutation, recompute both
+        allocators and check them against each other."""
+        for flow, rate in self.rates.items():
+            flow.rate = rate
+        roll = rng.random()
+        joinable = [flow for flow in pool if flow not in self.live]
+        if roll < 0.5 or not self.live:
+            if joinable and rng.random() < 0.5:  # a flow the other side rates too
+                flow = joinable[int(rng.integers(0, len(joinable)))]
+            else:
+                count = int(rng.integers(0, 4))
+                picks = rng.integers(0, len(resources), count)
+                flow = StubFlow(f"f{len(pool)}", [resources[int(i)] for i in picks])
+                pool.append(flow)
+            self.live[flow] = twin = StubFlow(flow.name, flow.resources)
+            twin.rate = flow.rate  # as it stands in the shared slot
+            self.cur.add_flow(flow)
+            self.ref.add_flow(twin)
+        elif roll < 0.85:
+            flow = list(self.live)[int(rng.integers(0, len(self.live)))]
+            self.cur.remove_flow(flow)
+            self.ref.remove_flow(self.live.pop(flow))
+        else:
+            self.cur.mark_dirty()
+            self.ref.mark_dirty()
+        cur_changed, ref_changed = self.cur.recompute(), self.ref.recompute()
+        assert [f.name for f in cur_changed] == [f.name for f in ref_changed], seed
+        for flow, twin in self.live.items():
+            assert flow.rate == twin.rate, (seed, flow.name, flow.rate, twin.rate)
+        self.rates = {flow: flow.rate for flow in self.live}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_allocators_sharing_flows_keep_their_marks_apart(seed):
+    """Two allocators and :func:`allocate_rates` passes rate the same flow
+    and resource objects, recomputing in interleaved order: the epoch
+    marks each leaves on them must never read as another's. Every
+    allocator stays ``==`` to a reference allocator over twin flows, and
+    every pass to a from-scratch reference over the union."""
+    rng = np.random.default_rng(seed)
+    resources = [
+        Resource(f"r{i}", float(rng.integers(10, 1000)))
+        for i in range(int(rng.integers(2, 8)))
+    ]
+    pool, sides = [], [_Side(), _Side()]
+    for _ in range(3 * MUTATIONS_PER_SEED):
+        side = sides[int(rng.integers(0, 2))]
+        if rng.random() < 0.2:  # a capacity change every side sees
+            res = resources[int(rng.integers(0, len(resources)))]
+            res.set_capacity(float(rng.integers(1, 1000)))
+            for other in sides:
+                other.cur.mark_dirty(res)
+                other.ref.mark_dirty(res)
+        side.act(rng, pool, resources, seed)
+        union = list(dict.fromkeys(flow for other in sides for flow in other.live))
+        allocate_rates(union)
+        scratch = ReferenceRateAllocator()
+        twins = [StubFlow(flow.name, flow.resources) for flow in union]
+        for twin in twins:
+            scratch.add_flow(twin)
+        scratch.mark_dirty()
+        scratch.recompute()
+        assert [f.rate for f in union] == [t.rate for t in twins], seed
 
 
 def _run_scenario(seed, make_scheduler):

@@ -14,8 +14,10 @@ from repro.cluster import (
 )
 from repro.codes import RSCode
 from repro.errors import SimulationError
+from repro.faults import FaultTimeline
 from repro.integrity import IntegrityLedger, Scrubber
 from repro.repair import ConventionalRepair, DataPlane, RepairRunner
+from repro.sim.resources import SCRUB_TAG
 
 CHUNK = 8 * MB
 SLICE = 2 * MB
@@ -145,6 +147,43 @@ class TestScanning:
         cluster.sim.run()
         assert not set(report.failed_chunks) & set(seen)
         assert scrubber.chunks_scanned == len(cs)
+
+
+class TestPartition:
+    CUT_AT, CUT_FOR = 0.05, 30.0
+
+    def scrub_through_a_cut(self):
+        """A 400 MB/s scrubber; at 0.05 s a 30 s cut isolates the source
+        node of the scan then in flight. Returns the node, the parked scan,
+        the scrubber and every (time, source node) scanned."""
+        cluster, store, injector, cs = make_env()
+        scrubber = make_scrubber(cluster, store, injector, cs, rate_mbs=400.0)
+        seen = []
+        scrubber.on(
+            "chunk_scrubbed",
+            lambda s, chunk, **kw: seen.append(
+                (cluster.sim.now, store.stripes[chunk.stripe].node_of(chunk.index))
+            ),
+        )
+        scrubber.start()
+        cluster.sim.run(until=self.CUT_AT)
+        (scan,) = cluster.transfers.live_transfers(SCRUB_TAG)
+        FaultTimeline().partition(0.0, [[scan.src]], duration=self.CUT_FOR).arm(cluster)
+        cluster.sim.run(until=self.CUT_AT + self.CUT_FOR + 5.0)
+        scrubber.stop()
+        return scan.src, scan, scrubber, seen
+
+    def test_scanning_progresses_during_the_cut(self):
+        """The scan the cut parked fails instead of holding the scrubber,
+        verifiers are picked on the source's side of the cut, and the
+        cut-off node's chunks wait for a later pass."""
+        node, scan, scrubber, seen = self.scrub_through_a_cut()
+        heal = self.CUT_AT + self.CUT_FOR
+        assert scan.failed and scan.failure_reason == "partitioned"
+        during = [src for t, src in seen if self.CUT_AT < t < heal]
+        assert len(during) > 100
+        assert node not in during
+        assert node in [src for t, src in seen if t > heal]
 
 
 class TestDetection:
