@@ -263,7 +263,15 @@ def test_hot_mix_timeline_equals_the_reference_bit_for_bit():
     """The ``hot_mix`` recipe at 20 nodes / 800 flows, one contention
     component on the hot links: every completion instant on
     ``RateAllocator`` is ``==`` to the reference allocator's, an oracle
-    for the fill that does not lean on the committed digest."""
+    for the fill's rates that does not lean on the committed digest.
+
+    It cannot see the fill's orders 1-2 (``repro.sim.allocator``): at
+    seed 0, at 10 x 200 and 20 x 800, with 100 or 125 MB/s links or a
+    different capacity per link, taking the last tied minimum instead
+    of the first, or reversing a round's member order, left every
+    completion instant ``==`` the reference's. Per-flow instants of
+    pre-scheduled starts do not depend on either order;
+    ``tests/test_allocator_equivalence.py`` is their guard."""
     _, timeline = _run_hot_link_mix(RateAllocator(), 20, 800)
     _, reference = _run_hot_link_mix(ReferenceRateAllocator(), 20, 800)
     assert timeline == reference

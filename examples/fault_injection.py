@@ -42,7 +42,7 @@ def main() -> None:
     timeline = (
         FaultTimeline(seed=7)
         .crash(2.0, node_id=5)          # a helper dies mid-repair
-        .straggler(4.0, node_id=9, duration=3.0, severity=0.1)
+        .degrade(4.0, node_id=9, factor=0.1, duration=3.0)  # a straggler
         .interrupt_flow(6.0)
     )
     timeline.on("node_crashed", lambda t, node_id, report, failed_transfers:

@@ -77,7 +77,6 @@ from repro.faults import (
     NodeCrash,
     SilentCorruption,
     ToleranceExceeded,
-    TransientStraggler,
 )
 from repro.integrity import (
     IntegrityLedger,
@@ -217,7 +216,6 @@ __all__ = (
     "TestbedBuilder",
     "ToleranceExceeded",
     "TraceClient",
-    "TransientStraggler",
     "TransitioningTrace",
     "audit_fenced_writes",
     "execute_plan",

@@ -178,9 +178,14 @@ class Testbed:
         self.crash_blasts: list[dict] = []
         #: Accrual failure detector (see :meth:`enable_failure_detector`).
         self.detector: FailureDetector | None = None
-        #: Node hosting the journal/metadata service (None = first
-        #: client). Coordinators cut off from it get zombie-fenced.
-        self.journal_home: int | None = None
+        #: Node hosting the journal/metadata service: the first client
+        #: (the first storage node when there are none). Coordinators
+        #: cut off from it get zombie-fenced.
+        self._journal_home = (
+            self.cluster.clients[0].id
+            if self.cluster.clients
+            else self.cluster.storage_nodes[0].id
+        )
         #: Coordinators fenced while partitioned away, awaiting heal.
         self._zombies: list = []
         #: Zombie coordinators that stepped down after reconnecting.
@@ -556,7 +561,7 @@ class Testbed:
         """Pin ``repairer``'s control process to a home node.
 
         A pinned coordinator participates in the zombie protocol: when a
-        partition cuts its home off from :attr:`journal_home`, the rest
+        partition cuts its home off from the journal's home, the rest
         of the cluster fences its journal shard (it is presumed dead),
         so every write-through the isolated-but-alive coordinator makes
         is rejected (``journal.fenced_writes``). When the partition
@@ -567,19 +572,10 @@ class Testbed:
         self._require_journal("zombie fencing")
         repairer.home = self.cluster.node(node_id).id
 
-    def _journal_home(self) -> int:
-        if self.journal_home is not None:
-            return self.journal_home
-        return (
-            self.cluster.clients[0].id
-            if self.cluster.clients
-            else self.cluster.storage_nodes[0].id
-        )
-
     def _on_partitioned(self, _timeline, event, stalled) -> None:
         if self.journal is None:
             return
-        home = self._journal_home()
+        home = self._journal_home
         for repairer in self.repairers:
             if (
                 repairer.home is None
@@ -606,7 +602,7 @@ class Testbed:
                 )
 
     def _on_healed(self, _timeline, event) -> None:
-        home = self._journal_home()
+        home = self._journal_home
         for repairer in list(self._zombies):
             if not self.cluster.reachable(repairer.home, home):
                 continue  # still cut off by an overlapping partition
@@ -631,7 +627,7 @@ class Testbed:
 
     # -- durability & failover -------------------------------------------------
 
-    def enable_journal(self, *, lease_duration: float = 60.0) -> Journal:
+    def enable_journal(self) -> Journal:
         """Give the repair control plane a write-ahead journal.
 
         Every repairer built through :meth:`make_repairer` *afterwards*
@@ -641,7 +637,7 @@ class Testbed:
         journal. Call before building repairers.
         """
         if self.journal is None:
-            self.journal = Journal(self.cluster.sim, lease_duration=lease_duration)
+            self.journal = Journal(self.cluster.sim)
         return self.journal
 
     def _require_journal(self, what: str, when: str = "first") -> None:
@@ -672,13 +668,13 @@ class Testbed:
         while sibling shards' transfers continue untouched.
         """
         self._require_journal("coordinator crash recovery")
+        if recover_after is not None and recover_after < 0:
+            raise ReproError("recover_after cannot be negative")
         timeline = FaultTimeline(seed=self.config.seed + 29).crash_coordinator(
             at, shard
         )
         self.install_faults(timeline)
         if recover_after is not None:
-            if recover_after < 0:
-                raise ReproError("recover_after cannot be negative")
             self.cluster.sim.schedule(
                 at + recover_after, lambda: self._auto_recover(shard)
             )
@@ -820,15 +816,16 @@ class Testbed:
 
     # -- data integrity --------------------------------------------------------
 
-    def enable_integrity(self, *, payload_size: int = 128) -> DataPlane:
+    def enable_integrity(self) -> DataPlane:
         """Load real chunk payloads + checksums; attach verified repair.
 
-        Every stripe is encoded over random data and stored in a
-        :class:`~repro.cluster.datastore.ChunkStore` with per-chunk
-        CRC-32 metadata. Repairers (existing and future) get a verified
-        :class:`~repro.repair.dataplane.DataPlane`: helper payloads are
-        checksum-checked before decode, reconstructions before
-        write-back, and corrupted helpers are quarantined + re-planned.
+        Every stripe is encoded over random data (128 bytes a chunk)
+        and stored in a :class:`~repro.cluster.datastore.ChunkStore`
+        with per-chunk CRC-32 metadata. Repairers (existing and future)
+        get a verified :class:`~repro.repair.dataplane.DataPlane`:
+        helper payloads are checksum-checked before decode,
+        reconstructions before write-back, and corrupted helpers are
+        quarantined + re-planned.
         Idempotent; returns the data plane.
 
         Call this *before* :meth:`install_faults` when the timeline
@@ -837,7 +834,7 @@ class Testbed:
         if self.dataplane is not None:
             return self.dataplane
         self.chunk_store = encode_and_load(
-            self.store, payload_size=payload_size, seed=self.config.seed + 17
+            self.store, payload_size=128, seed=self.config.seed + 17
         )
         # Nodes that already failed hold no data — only the checksums
         # survive (they are the write-back oracle for the repairs).
@@ -884,34 +881,23 @@ class Testbed:
         return self.scrubber
 
     def inject_bitrot(
-        self,
-        *,
-        corruptions: int,
-        sector_errors: int = 0,
-        horizon: float,
-        flips: int = 1,
-        max_per_stripe: int | None = None,
-        seed: int | None = None,
+        self, *, corruptions: int, sector_errors: int = 0, horizon: float
     ) -> FaultTimeline:
         """Schedule seeded bit-rot over the next ``horizon`` seconds.
 
         Enables integrity if needed, builds a
         :meth:`FaultTimeline.rot` schedule over every stored chunk, and
         installs it (offsets count from now). Returns the timeline.
-        ``max_per_stripe`` caps victims sharing a stripe (keep total
-        per-stripe damage within the code's tolerance for scenarios
-        that must stay repairable).
+        Rot that must respect stripe boundaries, or flip more than one
+        byte, is built with :meth:`FaultTimeline.rot` and installed
+        with :meth:`install_faults`.
         """
         self.enable_integrity()
-        timeline = FaultTimeline(
-            seed=self.config.seed + 23 if seed is None else seed
-        ).rot(
+        timeline = FaultTimeline(seed=self.config.seed + 23).rot(
             chunks=list(self.chunk_store.chunks()),
             horizon=horizon,
             corruptions=corruptions,
             sector_errors=sector_errors,
-            flips=flips,
-            max_per_stripe=max_per_stripe,
         )
         return self.install_faults(timeline)
 
@@ -1051,16 +1037,6 @@ class TestbedBuilder:
     def with_seed(self, seed: int) -> "TestbedBuilder":
         """Placement / trace RNG seed."""
         self._overrides["seed"] = seed
-        return self
-
-    def with_link(self, gbps: float) -> "TestbedBuilder":
-        """Per-node link bandwidth in Gb/s."""
-        self._overrides["link_gbps"] = gbps
-        return self
-
-    def with_disk(self, mbs: float) -> "TestbedBuilder":
-        """Disk bandwidth (each of read and write) in MB/s."""
-        self._overrides["disk_mbs"] = mbs
         return self
 
     def scaled(self, scale: float) -> "TestbedBuilder":

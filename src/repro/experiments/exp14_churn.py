@@ -57,11 +57,11 @@ def run_one(config: ExperimentConfig, algorithm: str, *, churn: bool) -> dict:
         timeline = (
             FaultTimeline(seed=config.seed + 11)
             .crash(CRASH_AT * factor, crash_node)
-            .straggler(
+            .degrade(
                 STRAGGLER_AT * factor,
                 straggler_node,
+                factor=STRAGGLER_SEVERITY,
                 duration=STRAGGLER_DURATION * factor,
-                severity=STRAGGLER_SEVERITY,
             )
         )
         horizon = (STRAGGLER_AT + STRAGGLER_DURATION) * factor

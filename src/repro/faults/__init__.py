@@ -5,7 +5,7 @@ plans when node conditions change *mid-repair* (Section III-C, Exp#4,
 Exp#6). This subsystem makes such churn injectable and deterministic:
 
 * :class:`FaultTimeline` — a seedable schedule of fault events (node
-  crashes, disk/NIC degradation with recovery, transient stragglers,
+  crashes, link degradation with recovery (the paper's stragglers),
   single-flow interruptions, network partitions with automatic heal,
   silent payload corruption and latent sector errors) executed against
   the simulator's virtual clock;
@@ -32,7 +32,6 @@ from repro.faults.timeline import (
     NetworkPartition,
     NodeCrash,
     SilentCorruption,
-    TransientStraggler,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "NodeCrash",
     "SilentCorruption",
     "ToleranceExceeded",
-    "TransientStraggler",
 ]

@@ -12,11 +12,12 @@ Event kinds:
 * :class:`NodeCrash` — the node dies mid-run: all live repair transfers
   crossing any of its resources fail (their owners are notified and
   retry), and the node's chunks become new repair targets;
-* :class:`BandwidthDegradation` — a node's disk/NIC capacity drops to a
-  fraction for a duration, then recovers (ageing disks, throttled NICs);
-* :class:`TransientStraggler` — a degradation with straggler semantics:
-  onset + duration, default severity deep enough to trip the
-  coordinator's straggler detection;
+* :class:`BandwidthDegradation` — a node's uplink and downlink drop to
+  a fraction of their capacity for a duration, then recover. This is
+  the paper's straggler (a throttled NIC, a congested top-of-rack
+  port): a deep enough factor trips the coordinator's straggler
+  detection. :meth:`FaultTimeline.fluctuate` builds rapidly-changing
+  link bandwidth out of the same event;
 * :class:`FlowInterruption` — one (or a few) in-flight repair transfers
   are killed outright (a TCP reset, an I/O error on a source);
 * :class:`SilentCorruption` — bit-rot: random bytes of a stored payload
@@ -64,10 +65,6 @@ from repro.events import HookEmitter
 from repro.sim.resources import REPAIR_TAG, SCRUB_TAG
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
-from repro.sim.resources import Resource
-
-#: Resource kinds a degradation may target.
-RESOURCE_KINDS = ("uplink", "downlink", "disk_read", "disk_write")
 
 #: Never throttle a resource below this fraction of its base capacity
 #: (capacities must stay positive and estimates finite).
@@ -93,21 +90,11 @@ class NodeCrash(FaultEvent):
 
 @dataclass(frozen=True)
 class BandwidthDegradation(FaultEvent):
-    """Capacity of the node's ``resources`` drops to ``factor`` for ``duration``."""
+    """The node's uplink and downlink drop to ``factor`` for ``duration``."""
 
     node_id: int
     factor: float
     duration: float
-    resources: tuple[str, ...] = ("uplink", "downlink")
-
-
-@dataclass(frozen=True)
-class TransientStraggler(FaultEvent):
-    """The node straggles (links at ``severity`` of capacity) for ``duration``."""
-
-    node_id: int
-    duration: float
-    severity: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -190,7 +177,6 @@ class FaultTimeline(HookEmitter):
     """Seedable fault schedule, armed once against a cluster."""
 
     HOOK_EVENTS = (
-        "fault",
         "node_crashed",
         "degraded",
         "recovered",
@@ -221,50 +207,19 @@ class FaultTimeline(HookEmitter):
         return self
 
     def degrade(
-        self,
-        at: float,
-        node_id: int,
-        *,
-        factor: float,
-        duration: float,
-        resources: tuple[str, ...] = ("uplink", "downlink"),
+        self, at: float, node_id: int, *, factor: float, duration: float
     ) -> "FaultTimeline":
-        """Schedule a bandwidth degradation with recovery after ``duration``."""
+        """Schedule a link degradation with recovery after ``duration``."""
         if not 0 < factor <= 1:
             raise SimulationError("degradation factor must lie in (0, 1]")
         if duration <= 0:
             raise SimulationError("degradation duration must be positive")
-        unknown = set(resources) - set(RESOURCE_KINDS)
-        if unknown:
-            raise SimulationError(
-                f"unknown resource kind(s) {sorted(unknown)}; "
-                f"choose from {RESOURCE_KINDS}"
-            )
         self._add(
             BandwidthDegradation(
                 at=self._check_at(at),
                 node_id=node_id,
                 factor=factor,
                 duration=duration,
-                resources=tuple(resources),
-            )
-        )
-        return self
-
-    def straggler(
-        self, at: float, node_id: int, *, duration: float, severity: float = 0.1
-    ) -> "FaultTimeline":
-        """Schedule a transient straggler (onset ``at``, given ``duration``)."""
-        if not 0 < severity <= 1:
-            raise SimulationError("straggler severity must lie in (0, 1]")
-        if duration <= 0:
-            raise SimulationError("straggler duration must be positive")
-        self._add(
-            TransientStraggler(
-                at=self._check_at(at),
-                node_id=node_id,
-                duration=duration,
-                severity=severity,
             )
         )
         return self
@@ -412,7 +367,6 @@ class FaultTimeline(HookEmitter):
         period: float,
         amplitude: tuple[float, float] = (0.3, 0.9),
         fraction: float = 0.5,
-        resources: tuple[str, ...] = ("uplink", "downlink"),
     ) -> "FaultTimeline":
         """Generate rapidly-fluctuating link bandwidth over ``[0, horizon)``.
 
@@ -461,7 +415,6 @@ class FaultTimeline(HookEmitter):
                     int(node_id),
                     factor=float(rng.uniform(low, high)),
                     duration=duration,
-                    resources=resources,
                 )
         return self
 
@@ -494,11 +447,13 @@ class FaultTimeline(HookEmitter):
         for node_id in crash_targets:
             self.crash(float(rng.uniform(0, horizon)), int(node_id))
         for _ in range(stragglers):
-            self.straggler(
+            # A straggler is a short, deep degradation (5-20 % of the
+            # links); the keyword order keeps the draws at, node, factor.
+            self.degrade(
                 float(rng.uniform(0, horizon)),
                 int(rng.choice(np.asarray(nodes))),
+                factor=float(rng.uniform(0.05, 0.2)),
                 duration=straggler_duration,
-                severity=float(rng.uniform(0.05, 0.2)),
             )
         for _ in range(degradations):
             self.degrade(
@@ -558,22 +513,8 @@ class FaultTimeline(HookEmitter):
         self.injected.append(event)
         if isinstance(event, NodeCrash):
             self._run_crash(event)
-        elif isinstance(event, TransientStraggler):
-            self._run_throttle(
-                event.node_id,
-                ("uplink", "downlink"),
-                event.severity,
-                event.duration,
-                kind="straggler",
-            )
         elif isinstance(event, BandwidthDegradation):
-            self._run_throttle(
-                event.node_id,
-                event.resources,
-                event.factor,
-                event.duration,
-                kind="degradation",
-            )
+            self._run_degradation(event)
         elif isinstance(event, FlowInterruption):
             self._run_interruption(event)
         elif isinstance(event, SilentCorruption):
@@ -620,7 +561,6 @@ class FaultTimeline(HookEmitter):
         if registry.enabled:
             registry.counter("faults.crashes").inc()
             registry.counter("faults.transfers_killed").inc(len(victims))
-        self.emit("fault", self, event=event)
         self.emit(
             "node_crashed",
             self,
@@ -629,73 +569,51 @@ class FaultTimeline(HookEmitter):
             failed_transfers=victims,
         )
 
-    def _run_throttle(
-        self,
-        node_id: int,
-        resources: tuple[str, ...],
-        factor: float,
-        duration: float,
-        *,
-        kind: str,
-    ) -> None:
+    def _run_degradation(self, event: BandwidthDegradation) -> None:
         assert self.cluster is not None
-        node = self.cluster.node(node_id)
-        targets = [getattr(node, name) for name in resources]
+        node = self.cluster.node(event.node_id)
+        targets = (node.uplink, node.downlink)
         for res in targets:
             throttle = self._throttles.get(res.name)
             if throttle is None:
                 throttle = self._throttles[res.name] = _Throttle(res.capacity)
-            throttle.multipliers.append(factor)
+            throttle.multipliers.append(event.factor)
             res.set_capacity(throttle.effective())
         self.cluster.flows.capacity_changed(*targets)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant(
-                f"fault.{kind}",
+                "fault.degradation",
                 track="faults",
-                node=node_id,
-                factor=factor,
-                duration=duration,
-                resources=list(resources),
+                node=event.node_id,
+                factor=event.factor,
+                duration=event.duration,
             )
         registry = get_registry()
         if registry.enabled:
-            registry.counter(f"faults.{kind}s").inc()
-        self.emit("fault", self, event=None, kind=kind, node_id=node_id)
-        self.emit(
-            "degraded", self, node_id=node_id, kind=kind, factor=factor
-        )
-        self.cluster.sim.schedule(
-            duration, self._recover, node_id, tuple(resources), factor, kind
-        )
+            registry.counter("faults.degradations").inc()
+        self.emit("degraded", self, node_id=event.node_id, factor=event.factor)
+        self.cluster.sim.schedule(event.duration, self._recover, event)
 
-    def _recover(
-        self,
-        node_id: int,
-        resources: tuple[str, ...],
-        factor: float,
-        kind: str,
-    ) -> None:
+    def _recover(self, event: BandwidthDegradation) -> None:
         assert self.cluster is not None
-        node = self.cluster.node(node_id)
-        targets = [getattr(node, name) for name in resources]
+        node = self.cluster.node(event.node_id)
+        targets = (node.uplink, node.downlink)
         for res in targets:
-            throttle = self._throttles.get(res.name)
-            if throttle is None:  # pragma: no cover - recovery implies a throttle
-                continue
-            if factor in throttle.multipliers:
-                throttle.multipliers.remove(factor)
+            throttle = self._throttles[res.name]
+            if event.factor in throttle.multipliers:
+                throttle.multipliers.remove(event.factor)
             res.set_capacity(throttle.effective())
         self.cluster.flows.capacity_changed(*targets)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant(
-                f"fault.{kind}.recovered", track="faults", node=node_id
+                "fault.degradation.recovered", track="faults", node=event.node_id
             )
         registry = get_registry()
         if registry.enabled:
             registry.counter("faults.recoveries").inc()
-        self.emit("recovered", self, node_id=node_id, kind=kind)
+        self.emit("recovered", self, node_id=event.node_id)
 
     def _run_interruption(self, event: FlowInterruption) -> None:
         assert self.cluster is not None
@@ -717,7 +635,6 @@ class FaultTimeline(HookEmitter):
         registry = get_registry()
         if registry.enabled:
             registry.counter("faults.interruptions").inc(len(victims))
-        self.emit("fault", self, event=event)
         self.emit("flow_interrupted", self, transfers=victims)
 
     def _resolve_victim(self, chunk: ChunkId | None) -> ChunkId | None:
@@ -756,7 +673,6 @@ class FaultTimeline(HookEmitter):
         if registry.enabled:
             registry.counter("faults.corruption.injected").inc()
             registry.counter("faults.corruption.bytes_flipped").inc(len(positions))
-        self.emit("fault", self, event=event)
         self.emit("corrupted", self, chunk=chunk, positions=positions)
 
     def _run_sector_error(self, event: LatentSectorError) -> None:
@@ -776,7 +692,6 @@ class FaultTimeline(HookEmitter):
         registry = get_registry()
         if registry.enabled:
             registry.counter("faults.corruption.sector_errors").inc()
-        self.emit("fault", self, event=event)
         self.emit("sector_error", self, chunk=chunk)
 
     def _run_coordinator_crash(self, event: CoordinatorCrash) -> None:
@@ -787,7 +702,6 @@ class FaultTimeline(HookEmitter):
         registry = get_registry()
         if registry.enabled:
             registry.counter("faults.coordinator_crashes").inc()
-        self.emit("fault", self, event=event)
         self.emit("coordinator_crashed", self, event=event)
 
     def _run_partition(self, event: NetworkPartition) -> None:
@@ -808,7 +722,6 @@ class FaultTimeline(HookEmitter):
         registry = get_registry()
         if registry.enabled:
             registry.counter("faults.partitions").inc()
-        self.emit("fault", self, event=event)
         self.emit("partitioned", self, event=event, stalled=stalled)
         self.cluster.sim.schedule(
             event.duration, self._heal_partition, pid, event

@@ -47,6 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids sim<->obs cycle)
 #: ``foreground``). Order fixes the series layout in exports.
 ATTRIBUTED_TAGS = (REPAIR_TAG, SCRUB_TAG)
 
+#: Percentiles a tracked latency recorder gets, one series each
+#: (``lat.<name>.p50``, ``lat.<name>.p99``).
+_PERCENTILES = (50.0, 99.0)
+
 
 @dataclass
 class Series:
@@ -144,7 +148,7 @@ class TimeseriesRecorder:
         self._counter_last: dict[str, float] = {}
         self._hist_shadow: dict[str, _HistShadow] = {}
         self._resources = ResourceWindows()
-        self._latencies: list[tuple[str, LatencyRecorder, list[float]]] = []
+        self._latencies: list[tuple[str, LatencyRecorder]] = []
         self._lat_cursor: dict[str, int] = {}
         self._hook: PeriodicHook | None = None
         self.windows_closed = 0
@@ -165,14 +169,13 @@ class TimeseriesRecorder:
         self._resources.track(resources)
 
     def track_latency(self, recorder: LatencyRecorder,
-                      name: str | None = None,
-                      percentiles: tuple[float, ...] = (50.0, 99.0)) -> None:
-        """Record exact per-window latency percentiles from ``recorder``."""
+                      name: str | None = None) -> None:
+        """Record exact per-window P50 and P99 latencies from ``recorder``."""
         key = name if name is not None else recorder.name
         if key in self._lat_cursor:
             raise ReproError(f"latency source {key!r} already tracked")
         self._lat_cursor[key] = len(recorder.samples)
-        self._latencies.append((key, recorder, list(percentiles)))
+        self._latencies.append((key, recorder))
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -274,15 +277,14 @@ class TimeseriesRecorder:
                 self._series(f"bw.total.{bucket}").append(now, bw)
 
     def _sample_latencies(self, now: float) -> None:
-        for key, recorder, percentiles in self._latencies:
+        for key, recorder in self._latencies:
             cursor = self._lat_cursor[key]
             fresh = recorder.samples[cursor:]
             self._lat_cursor[key] = len(recorder.samples)
             self._series(f"lat.{key}.count").append(now, len(fresh))
-            for q in percentiles:
-                label = f"p{q:g}".replace(".", "_")
+            for q in _PERCENTILES:
                 value = float(np.percentile(fresh, q)) if fresh else 0.0
-                self._series(f"lat.{key}.{label}").append(now, value)
+                self._series(f"lat.{key}.p{q:g}").append(now, value)
 
     # -- views -----------------------------------------------------------------
 

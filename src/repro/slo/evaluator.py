@@ -16,6 +16,11 @@ from repro.integrity.ledger import IntegrityLedger
 from repro.obs.timeseries import TimeseriesRecorder
 from repro.slo.spec import SLOBreach, SLOReport, SLOSpec, SLOVerdict
 
+#: Series holding the per-window foreground P99 (seconds), and the
+#: request count of the same windows.
+_P99_SERIES = "lat.foreground.p99"
+_COUNT_SERIES = "lat.foreground.count"
+
 
 @dataclass
 class RunTelemetry:
@@ -30,8 +35,6 @@ class RunTelemetry:
 
     end_time: float
     timeseries: TimeseriesRecorder | None = None
-    #: Series holding the per-window foreground P99 (seconds).
-    latency_series: str = "lat.foreground.p99"
     baseline_p99: float = 0.0
     repair_started_at: float | None = None
     repair_finished_at: float | None = None
@@ -66,14 +69,12 @@ class SLOEvaluator:
             return SLOVerdict(spec, True, 0.0, note="no timeseries: not evaluated")
         if t.baseline_p99 <= 0:
             return SLOVerdict(spec, True, 0.0, note="no baseline P99: not evaluated")
-        series = t.timeseries.series.get(t.latency_series)
+        series = t.timeseries.series.get(_P99_SERIES)
         if series is None or not series.values:
             return SLOVerdict(
-                spec, True, 0.0, note=f"series {t.latency_series!r} empty"
+                spec, True, 0.0, note=f"series {_P99_SERIES!r} empty"
             )
-        count_series = t.timeseries.series.get(
-            t.latency_series.rsplit(".", 1)[0] + ".count"
-        )
+        count_series = t.timeseries.series.get(_COUNT_SERIES)
         breaches = []
         worst = 0.0
         for i, (time, p99) in enumerate(zip(series.times, series.values)):

@@ -65,49 +65,49 @@ class TraceGenerator:
             yield self.next_request()
 
 
-def ycsb_a(num_keys: int = 10_000, seed: int = 0) -> TraceGenerator:
-    """YCSB-A: 50% reads / 50% updates, Zipfian(0.99), 512 KB values."""
+def ycsb_a(seed: int = 0) -> TraceGenerator:
+    """YCSB-A: 50% reads / 50% updates, Zipfian(0.99) over 10 000 keys,
+    512 KB values."""
     rng = np.random.default_rng(seed)
     return TraceGenerator(
         "YCSB-A",
         read_ratio=0.5,
-        key_sampler=ZipfianSampler(num_keys, theta=0.99, rng=rng),
+        key_sampler=ZipfianSampler(10_000, theta=0.99, rng=rng),
         size_sampler=FixedSize(512 * KB),
         rng=rng,
     )
 
 
-def ibm_object_store(
-    num_keys: int = 10_000, seed: int = 0, cap: float = 256 * MB
-) -> TraceGenerator:
+def ibm_object_store(seed: int = 0) -> TraceGenerator:
     """IBM Object Store trace 000: wildly varied value sizes (16 B up to
-    2.4 GB in the original; capped at ``cap`` for simulation scale),
-    read-heavy object storage."""
+    2.4 GB in the original; capped at 256 MB for simulation scale),
+    read-heavy object storage over 10 000 keys."""
     rng = np.random.default_rng(seed)
     return TraceGenerator(
         "IBM-OS",
         read_ratio=0.78,
-        key_sampler=ZipfianSampler(num_keys, theta=0.9, rng=rng),
-        size_sampler=LogUniformSize(16.0, cap),
+        key_sampler=ZipfianSampler(10_000, theta=0.9, rng=rng),
+        size_sampler=LogUniformSize(16.0, 256 * MB),
         rng=rng,
     )
 
 
-def memcached_twitter(num_keys: int = 50_000, seed: int = 0) -> TraceGenerator:
-    """Twitter Memcached cluster 37: 63% GET / 37% SET, ~20 KB mean values."""
+def memcached_twitter(seed: int = 0) -> TraceGenerator:
+    """Twitter Memcached cluster 37: 63% GET / 37% SET over 50 000 keys,
+    ~20 KB mean values."""
     rng = np.random.default_rng(seed)
     return TraceGenerator(
         "Memcached",
         read_ratio=0.63,
-        key_sampler=ZipfianSampler(num_keys, theta=0.99, rng=rng),
+        key_sampler=ZipfianSampler(50_000, theta=0.99, rng=rng),
         size_sampler=LognormalSize(mean=20_134.0, sigma=1.2),
         rng=rng,
     )
 
 
-def facebook_etc(num_keys: int = 50_000, seed: int = 0) -> TraceGenerator:
-    """Facebook ETC: GET:UPDATE of 30:1, GEV-distributed keys and
-    Pareto-distributed values (Atikoglu et al., SIGMETRICS'12)."""
+def facebook_etc(seed: int = 0) -> TraceGenerator:
+    """Facebook ETC: GET:UPDATE of 30:1, GEV-distributed keys (50 000 of
+    them) and Pareto-distributed values (Atikoglu et al., SIGMETRICS'12)."""
     rng = np.random.default_rng(seed)
     gev_keys = GEVSize(mu=30.0, sigma=8.0, xi=0.25, floor=1.0)
 
@@ -127,21 +127,22 @@ def facebook_etc(num_keys: int = 50_000, seed: int = 0) -> TraceGenerator:
     return TraceGenerator(
         "Facebook-ETC",
         read_ratio=30.0 / 31.0,
-        key_sampler=_GEVKeySampler(num_keys, rng_keys),
+        key_sampler=_GEVKeySampler(50_000, rng_keys),
         size_sampler=ParetoSize(scale=300.0, alpha=1.5, cap=4 * MB),
         rng=rng,
     )
 
 
 def uniform_trace(
-    num_keys: int = 10_000, value_size: float = 512 * KB, read_ratio: float = 0.5, seed: int = 0
+    value_size: float = 512 * KB, read_ratio: float = 0.5, seed: int = 0
 ) -> TraceGenerator:
-    """A plain uniform workload (useful in tests and ablations)."""
+    """A plain uniform workload over 10 000 keys (useful in tests and
+    ablations)."""
     rng = np.random.default_rng(seed)
     return TraceGenerator(
         "Uniform",
         read_ratio=read_ratio,
-        key_sampler=UniformSampler(num_keys, rng=rng),
+        key_sampler=UniformSampler(10_000, rng=rng),
         size_sampler=FixedSize(value_size),
         rng=rng,
     )

@@ -549,6 +549,13 @@ def hot_link_mix(scheduler, nodes: int, flows: int, seed: int = 0) -> list[Flow]
     have a server among the hot 5 % of ``nodes``, 95 % are reads (server
     uplink -> client downlink), the rest updates; every link carries
     100 MB/s. The hot links fuse the flows into one contention component.
+
+    Its completion instants check rates, not orders: they stayed ``==``
+    the reference allocator's under a fill that took the last tied
+    minimum or reversed a round's member order (orders 1-2 of
+    ``repro.sim.allocator``), at 100 or 125 MB/s a link and with a
+    different capacity per link.
+    ``tests/test_allocator_equivalence.py`` guards those orders.
     """
     rng = np.random.default_rng(seed)
     hot = max(1, int(nodes * 0.05))

@@ -88,8 +88,7 @@ class TestBuilder:
             .with_trace("ycsb-a")
             .with_chunks(10)
             .with_seed(5)
-            .with_link(25.0)
-            .with_disk(800.0)
+            .with_options(link_gbps=25.0, disk_mbs=800.0)
             .config()
         )
         assert config.code == "RS(6,3)"
@@ -115,12 +114,12 @@ class TestBuilder:
         assert isinstance(Testbed.builder(), TestbedBuilder)
 
 
-#: One non-default argument per feature, so a replay that dropped or
-#: defaulted it shows up in :func:`subsystems`.
+#: One non-default argument per feature that takes any, so a replay
+#: that dropped or defaulted it shows up in :func:`subsystems`.
 FEATURE_ARGS = {
     "with_timeseries": {"window": 0.5},
-    "with_journal": {"lease_duration": 30.0},
-    "with_integrity": {"payload_size": 64},
+    "with_journal": {},
+    "with_integrity": {},
     "with_bitrot": {"corruptions": 2, "horizon": 5.0},
     "with_scrubber": {"rate_mbs": 100.0},
     "with_admission_control": {"baseline_p99": 0.01},
@@ -248,7 +247,7 @@ class TestAsymmetricDisk:
     """Disks are symmetric: one bandwidth sets both disk resources."""
 
     def test_config_reaches_node_resources(self):
-        testbed = TestbedBuilder().scaled(0.05).with_disk(800.0).build()
+        testbed = TestbedBuilder().scaled(0.05).with_options(disk_mbs=800.0).build()
         node = testbed.cluster.node(testbed.cluster.storage_ids[0])
         assert node.disk_read.capacity == pytest.approx(mbs(800))
         assert node.disk_write.capacity == pytest.approx(mbs(800))
@@ -329,7 +328,6 @@ class TestReExports:
             "FaultEvent",
             "NodeCrash",
             "BandwidthDegradation",
-            "TransientStraggler",
             "FlowInterruption",
             "ToleranceExceeded",
         ],

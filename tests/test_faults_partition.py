@@ -119,7 +119,7 @@ class TestTimelinePartitions:
         timeline = (
             FaultTimeline(seed=3)
             .partition(0.5, [[2, 4]], duration=1.0)
-            .straggler(0.2, 5, duration=1.0)
+            .degrade(0.2, 5, factor=0.1, duration=1.0)
         )
         timeline.arm(cluster, injector)
         cluster.sim.run(until=5.0)

@@ -74,7 +74,7 @@ class TestCrashRecovery:
         timeline = (
             FaultTimeline(seed=4)
             .crash(0.5, 5)
-            .straggler(0.7, 7, duration=2.0, severity=0.1)
+            .degrade(0.7, 7, factor=0.1, duration=2.0)
         )
 
         def on_crash(t, node_id, report, failed_transfers):

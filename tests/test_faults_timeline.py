@@ -10,7 +10,6 @@ from repro.faults import (
     FaultTimeline,
     FlowInterruption,
     NodeCrash,
-    TransientStraggler,
 )
 from repro.sim.resources import REPAIR_TAG
 
@@ -44,12 +43,12 @@ class TestBuilding:
             FaultTimeline(seed=1)
             .crash(2.0, 3)
             .degrade(1.0, 4, factor=0.5, duration=2.0)
-            .straggler(3.0, 5, duration=1.0)
+            .degrade(3.0, 5, factor=0.1, duration=1.0)
             .interrupt_flow(4.0)
         )
         kinds = [type(e) for e in tl.sorted_events()]
         assert kinds == [
-            BandwidthDegradation, NodeCrash, TransientStraggler, FlowInterruption,
+            BandwidthDegradation, NodeCrash, BandwidthDegradation, FlowInterruption,
         ]
 
     def test_validation(self):
@@ -61,9 +60,7 @@ class TestBuilding:
         with pytest.raises(SimulationError):
             tl.degrade(0.0, 0, factor=0.5, duration=0.0)
         with pytest.raises(SimulationError):
-            tl.degrade(0.0, 0, factor=0.5, duration=1.0, resources=("nic",))
-        with pytest.raises(SimulationError):
-            tl.straggler(0.0, 0, duration=1.0, severity=2.0)
+            tl.degrade(0.0, 0, factor=2.0, duration=1.0)
         with pytest.raises(SimulationError):
             tl.interrupt_flow(0.0, count=0)
         with pytest.raises(SimulationError):
@@ -92,13 +89,13 @@ class TestBuilding:
 class TestArming:
     def test_cannot_arm_twice_or_add_after_arm(self):
         cluster, _, injector = make_env()
-        tl = FaultTimeline().straggler(1.0, 2, duration=1.0)
+        tl = FaultTimeline().degrade(1.0, 2, factor=0.1, duration=1.0)
         tl.arm(cluster, injector)
         assert tl.armed
         with pytest.raises(SimulationError):
             tl.arm(cluster, injector)
         with pytest.raises(SimulationError):
-            tl.straggler(2.0, 3, duration=1.0)
+            tl.degrade(2.0, 3, factor=0.1, duration=1.0)
 
     def test_crash_requires_injector(self):
         cluster, _, _ = make_env()
@@ -137,8 +134,8 @@ class TestDegradation:
         base = node.uplink.capacity
         tl = (
             FaultTimeline()
-            .degrade(1.0, 4, factor=0.5, duration=4.0, resources=("uplink",))
-            .degrade(2.0, 4, factor=0.5, duration=1.0, resources=("uplink",))
+            .degrade(1.0, 4, factor=0.5, duration=4.0)
+            .degrade(2.0, 4, factor=0.5, duration=1.0)
         )
         tl.arm(cluster, injector)
         cluster.sim.run(until=2.5)
@@ -152,16 +149,16 @@ class TestDegradation:
         cluster, _, injector = make_env()
         node = cluster.node(6)
         base = node.uplink.capacity
-        tl = FaultTimeline().straggler(1.0, 6, duration=2.0, severity=0.1)
+        tl = FaultTimeline().degrade(1.0, 6, factor=0.1, duration=2.0)
         tl.arm(cluster, injector)
         events = []
-        tl.on("degraded", lambda t, **kw: events.append(("deg", kw["kind"])))
-        tl.on("recovered", lambda t, **kw: events.append(("rec", kw["kind"])))
+        tl.on("degraded", lambda t, **kw: events.append(("deg", kw["node_id"])))
+        tl.on("recovered", lambda t, **kw: events.append(("rec", kw["node_id"])))
         cluster.sim.run(until=1.5)
         assert node.uplink.capacity == pytest.approx(base * 0.1)
         cluster.sim.run(until=4.0)
         assert node.uplink.capacity == pytest.approx(base)
-        assert events == [("deg", "straggler"), ("rec", "straggler")]
+        assert events == [("deg", 6), ("rec", 6)]
 
 
 class TestCrashAndInterruption:

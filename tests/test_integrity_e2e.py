@@ -11,6 +11,7 @@ end — must hold for *every* seed.
 import pytest
 
 from repro.api import Testbed
+from repro.faults import FaultTimeline
 
 
 def run_seed(seed: int) -> Testbed:
@@ -33,8 +34,14 @@ def run_seed(seed: int) -> Testbed:
     repairer = testbed.make_repairer("CR")
     # One victim per stripe: with the failed node's chunk that is at
     # most two damaged chunks per RS(4,2) stripe — always repairable.
-    timeline = testbed.inject_bitrot(
-        corruptions=3, sector_errors=1, horizon=1.5, max_per_stripe=1
+    timeline = testbed.install_faults(
+        FaultTimeline(seed=seed + 23).rot(
+            chunks=list(testbed.chunk_store.chunks()),
+            horizon=1.5,
+            corruptions=3,
+            sector_errors=1,
+            max_per_stripe=1,
+        )
     )
     testbed.start_scrubber(rate_mbs=200.0)
     repairer.repair(report.failed_chunks)

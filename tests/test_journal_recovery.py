@@ -148,6 +148,18 @@ class TestExactlyOnceRecovery:
         )
         assert not set(repairer.completed) & set(new.completed)
 
+    def test_rejected_recover_after_arms_no_crash(self):
+        testbed = make_testbed()
+        report = testbed.fail_nodes(1)
+        repairer = testbed.make_repairer("ChameleonEC")
+        repairer.repair(report.failed_chunks)
+        with pytest.raises(ReproError, match="recover_after"):
+            testbed.inject_coordinator_crash(0.01, recover_after=-1.0)
+        assert testbed.fault_timeline is None
+        testbed.run_until(lambda: repairer.done, limit=5000.0)
+        assert not repairer.crashed
+        assert set(repairer.completed) == set(report.failed_chunks)
+
 
 class TestNodeCrashDuringOutage:
     """A node that dies while its shard has no running coordinator: the

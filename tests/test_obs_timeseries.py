@@ -129,7 +129,7 @@ class TestRecorderSampling:
         sim = Simulator()
         recorder = TimeseriesRecorder(sim, window=1.0)
         lat = LatencyRecorder("fg")
-        recorder.track_latency(lat, percentiles=(50.0, 99.0))
+        recorder.track_latency(lat)
         recorder.start()
         sim.schedule(0.5, lambda: [lat.record(v) for v in (0.1, 0.2, 0.3)])
         sim.run(until=2.0)

@@ -93,7 +93,6 @@ FROZEN_SURFACE = (
     "TestbedBuilder",
     "ToleranceExceeded",
     "TraceClient",
-    "TransientStraggler",
     "TransitioningTrace",
     "audit_fenced_writes",
     "execute_plan",
@@ -161,6 +160,194 @@ def keywords(function) -> set[str]:
     }
 
 
+#: Every option on the public surface, as ``Qualname.parameter``,
+#: sorted: the defaulted parameters :func:`public_signatures` yields.
+PUBLIC_OPTIONS = (
+    "AIMDPolicy.__init__.backoff",
+    "AIMDPolicy.__init__.floor",
+    "AIMDPolicy.__init__.high_water",
+    "AIMDPolicy.__init__.low_water",
+    "AIMDPolicy.__init__.recover",
+    "AdmissionController.__init__.policy",
+    "BandwidthMonitor.__init__.window",
+    "ButterflyCode.__init__.k",
+    "ButterflyCode.__init__.m",
+    "ButterflyCode.repair_equation.available",
+    "ChameleonRepair.__init__.check_interval",
+    "ChameleonRepair.__init__.enable_reordering",
+    "ChameleonRepair.__init__.enable_retuning",
+    "ChameleonRepair.__init__.io_aware",
+    "ChameleonRepair.__init__.straggler_threshold",
+    "ChameleonRepair.__init__.t_phase",
+    "Cluster.__init__.disk_bw",
+    "Cluster.__init__.link_bw",
+    "Cluster.__init__.num_clients",
+    "Cluster.__init__.num_nodes",
+    "Cluster.__init__.oversubscription",
+    "Cluster.__init__.racks",
+    "Cluster.__init__.sim",
+    "Cluster.make_transfer.name",
+    "Cluster.make_transfer.read_disk",
+    "Cluster.make_transfer.tag",
+    "Cluster.make_transfer.write_disk",
+    "Cluster.transfer_resources.read_disk",
+    "Cluster.transfer_resources.write_disk",
+    "CoordinatorCrash.__init__.shard",
+    "ErasureCode.repair_equation.available",
+    "ExperimentConfig.__init__.check_interval",
+    "ExperimentConfig.__init__.chunk_mb",
+    "ExperimentConfig.__init__.code",
+    "ExperimentConfig.__init__.concurrency",
+    "ExperimentConfig.__init__.disk_mbs",
+    "ExperimentConfig.__init__.link_gbps",
+    "ExperimentConfig.__init__.num_chunks",
+    "ExperimentConfig.__init__.num_clients",
+    "ExperimentConfig.__init__.num_nodes",
+    "ExperimentConfig.__init__.oversubscription",
+    "ExperimentConfig.__init__.racks",
+    "ExperimentConfig.__init__.requests_per_client",
+    "ExperimentConfig.__init__.seed",
+    "ExperimentConfig.__init__.slice_mb",
+    "ExperimentConfig.__init__.straggler_threshold",
+    "ExperimentConfig.__init__.t_phase",
+    "ExperimentConfig.__init__.trace",
+    "ExperimentConfig.scaled.scale",
+    "FailureDetector.__init__.heartbeat_interval",
+    "FaultTimeline.__init__.seed",
+    "FaultTimeline.arm.chunk_store",
+    "FaultTimeline.arm.injector",
+    "FaultTimeline.churn.crashes",
+    "FaultTimeline.churn.degradations",
+    "FaultTimeline.churn.interruptions",
+    "FaultTimeline.churn.straggler_duration",
+    "FaultTimeline.churn.stragglers",
+    "FaultTimeline.corrupt.chunk",
+    "FaultTimeline.corrupt.flips",
+    "FaultTimeline.crash_coordinator.shard",
+    "FaultTimeline.fluctuate.amplitude",
+    "FaultTimeline.fluctuate.fraction",
+    "FaultTimeline.interrupt_flow.count",
+    "FaultTimeline.rot.corruptions",
+    "FaultTimeline.rot.flips",
+    "FaultTimeline.rot.max_per_stripe",
+    "FaultTimeline.rot.sector_errors",
+    "FaultTimeline.sector_error.chunk",
+    "FlowInterruption.__init__.count",
+    "IntegrityLedger.__init__.records",
+    "IntegrityLedger.__init__.unexplained",
+    "IntegrityRecord.__init__.detected_at",
+    "IntegrityRecord.__init__.detected_by",
+    "IntegrityRecord.__init__.restored_at",
+    "Journal.__init__.lease_duration",
+    "Journal.__init__.sim",
+    "Journal.append.chunk",
+    "Journal.append.shard",
+    "Journal.fence.shard",
+    "JournalRecord.__init__.chunk",
+    "JournalRecord.__init__.payload",
+    "JournalRecord.__init__.shard",
+    "JournalState.open_work.shard",
+    "LatencyRecorder.__init__.name",
+    "LatentSectorError.__init__.chunk",
+    "Lease.__init__.shard",
+    "NetworkPartition.__init__.duration",
+    "NetworkPartition.__init__.groups",
+    "ProgressTracker.__init__.cancelled_count",
+    "ProgressTracker.__init__.completed_count",
+    "ProgressTracker.__init__.tasks",
+    "ProgressTracker.__init__.threshold",
+    "ProgressTracker.track.chunk_key",
+    "RecoveryPlan.__init__.adopted_from_store",
+    "RecoveryPlan.__init__.blocked",
+    "RecoveryPlan.__init__.completed",
+    "RecoveryPlan.__init__.demoted",
+    "RecoveryPlan.__init__.epoch",
+    "RecoveryPlan.__init__.lost",
+    "RecoveryPlan.__init__.requeue",
+    "RecoveryPlan.__init__.shard",
+    "ReliabilityModel.__init__.k",
+    "ReliabilityModel.__init__.m",
+    "ReliabilityModel.__init__.node_capacity_bytes",
+    "ReliabilityModel.__init__.node_lifetime_seconds",
+    "RepairBoost.__init__.seed",
+    "RepairBoost.make_plan.destination",
+    "RepairEquation.__init__.coefficients",
+    "RepairEquation.__init__.read_fraction",
+    "RepairPlan.__init__.parent",
+    "RepairPlan.__init__.read_fraction",
+    "RepairThroughputMeter.windowed_throughput.until",
+    "RunTelemetry.__init__.baseline_p99",
+    "RunTelemetry.__init__.chunks_lost",
+    "RunTelemetry.__init__.ledger",
+    "RunTelemetry.__init__.repair_finished_at",
+    "RunTelemetry.__init__.repair_started_at",
+    "RunTelemetry.__init__.timeseries",
+    "RunTelemetry.__init__.unverified_chunks",
+    "SLOBreach.__init__.detail",
+    "SLOBreach.__init__.window",
+    "SLOReport.__init__.verdicts",
+    "SLOSpec.__init__.description",
+    "SLOVerdict.__init__.breaches",
+    "SLOVerdict.__init__.note",
+    "Scrubber.__init__.ledger",
+    "Scrubber.__init__.passes",
+    "Scrubber.__init__.slice_size",
+    "Series.__init__.times",
+    "Series.__init__.values",
+    "SilentCorruption.__init__.chunk",
+    "SilentCorruption.__init__.flips",
+    "Simulator.run.until",
+    "StripeStore.__init__.stripes",
+    "Testbed.__init__.config",
+    "Testbed.build.config",
+    "Testbed.enable_admission_control.policy",
+    "Testbed.enable_admission_control.window",
+    "Testbed.enable_failure_detector.heartbeat_interval",
+    "Testbed.enable_timeseries.window",
+    "Testbed.evaluate_slos.baseline_p99",
+    "Testbed.evaluate_slos.specs",
+    "Testbed.fail_nodes.count",
+    "Testbed.inject_bitrot.sector_errors",
+    "Testbed.inject_coordinator_crash.recover_after",
+    "Testbed.inject_coordinator_crash.shard",
+    "Testbed.make_repairer.shard",
+    "Testbed.recover_repairer.name",
+    "Testbed.recover_repairer.shard",
+    "Testbed.run_until.limit",
+    "Testbed.run_until.step",
+    "Testbed.start_foreground.num_clients",
+    "Testbed.start_foreground.trace",
+    "Testbed.start_foreground.transition_segments",
+    "Testbed.start_scrubber.passes",
+    "TestbedBuilder.__init__.testbed_cls",
+    "TestbedBuilder.with_admission_control.policy",
+    "TestbedBuilder.with_admission_control.window",
+    "TestbedBuilder.with_bitrot.sector_errors",
+    "TestbedBuilder.with_failure_detector.heartbeat_interval",
+    "TestbedBuilder.with_scrubber.passes",
+    "TestbedBuilder.with_timeseries.window",
+    "TimeseriesRecorder.__init__.window",
+    "TimeseriesRecorder.latest.default",
+    "TimeseriesRecorder.to_dict.prefix",
+    "TimeseriesRecorder.track_latency.name",
+    "ToleranceExceeded.__init__.at",
+    "ToleranceExceeded.__init__.lost_chunks",
+    "TraceClient.__init__.burst_off",
+    "TraceClient.__init__.burst_on",
+    "TraceClient.__init__.key_offset",
+    "TraceClient.__init__.latency",
+    "TraceClient.__init__.slice_size",
+    "TransitioningTrace.active_generator.time",
+    "launch_clients.slice_size",
+    "loss_probability_curve.model",
+    "make_trace.seed",
+    "place_stripes.seed",
+    "reconcile.chunk_store",
+    "reconcile.shard",
+    "ycsb_a.seed",
+)
+
+
 class TestOptionRatchet:
     def test_repair_engine_options(self):
         assert keywords(RepairEngine.__init__) == {
@@ -178,7 +365,7 @@ class TestOptionRatchet:
 
     def test_journal_options(self):
         assert keywords(Journal.__init__) == {"lease_duration"}
-        assert keywords(Testbed.enable_journal) == {"lease_duration"}
+        assert keywords(Testbed.enable_journal) == set()
 
     def test_journal_has_one_write_surface(self):
         """The per-kind writes live on the coordinator's shard view only."""
@@ -196,12 +383,14 @@ class TestOptionRatchet:
     def test_feature_table_size(self):
         assert len(_FEATURES) == 7
 
-    def test_public_option_count(self):
+    def test_public_options(self):
         """Every defaulted parameter on the public surface is an option;
-        adding one moves this count on purpose."""
-        options = sum(
-            param.default is not inspect.Parameter.empty
-            for _, signature in public_signatures()
+        adding, removing or renaming one is an edit to
+        :data:`PUBLIC_OPTIONS`."""
+        options = sorted(
+            f"{qualname}.{param.name}"
+            for qualname, signature in public_signatures()
             for param in signature.parameters.values()
+            if param.default is not inspect.Parameter.empty
         )
-        assert options == 200
+        assert options == list(PUBLIC_OPTIONS)

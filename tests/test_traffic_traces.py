@@ -36,7 +36,7 @@ class TestYCSBA:
         assert sizes == {512 * KB}
 
     def test_zipfian_keys(self):
-        gen = ycsb_a(num_keys=1000, seed=3)
+        gen = ycsb_a(seed=3)
         keys = [gen.next_request().key for _ in range(3000)]
         assert sum(1 for k in keys if k < 10) / len(keys) > 0.2
 
