@@ -10,7 +10,7 @@ Shows the coding layer end-to-end for three code families:
 
 import numpy as np
 
-from repro import ButterflyCode, LRCCode, RSCode, Testbed, make_code
+from repro import ButterflyCode, ExperimentConfig, LRCCode, RSCode, Testbed, make_code
 from repro.experiments import format_table, run_repair_experiment
 
 
@@ -39,7 +39,7 @@ def repair_cost_demo() -> None:
 def throughput_demo(scale: float = 0.05) -> None:
     rows = []
     for spec in ("RS(10,4)", "LRC(10,2,2)", "Butterfly(4,2)"):
-        config = Testbed.builder().scaled(scale).with_code(spec).config()
+        config = ExperimentConfig.scaled(scale, code=spec)
         result = run_repair_experiment(
             config, "ChameleonEC", scenario=Testbed.build(config)
         )

@@ -13,21 +13,15 @@ never re-executed — and the result is byte-identical to a crash-free
 run.
 """
 
-from repro import Testbed
+from repro import ExperimentConfig, Testbed
 
 
 def main() -> None:
-    testbed = (
-        Testbed.builder()
-        .with_code("rs-6-3")
-        .with_nodes(16)
-        .with_trace("ycsb-a")
-        .with_chunks(12)
-        .with_seed(11)
-        .with_integrity()       # real payloads: recovery reconciles bytes
-        .with_journal()         # the durable control plane
-        .build()
-    )
+    testbed = Testbed.build(ExperimentConfig.scaled(
+        code="rs-6-3", num_nodes=16, trace="ycsb-a", num_chunks=12, seed=11,
+    ))
+    testbed.enable_journal()    # the durable control plane
+    testbed.enable_integrity()  # real payloads: recovery reconciles bytes
     testbed.start_foreground()
     testbed.cluster.sim.run(until=2.0)
 

@@ -13,19 +13,13 @@ The run completes with zero lost chunks; every retry and re-plan is
 visible through the hook events printed below.
 """
 
-from repro import FaultTimeline, Testbed
+from repro import ExperimentConfig, FaultTimeline, Testbed
 
 
 def main() -> None:
-    testbed = (
-        Testbed.builder()
-        .with_code("rs-6-3")
-        .with_nodes(16)
-        .with_trace("ycsb-a")
-        .with_chunks(12)
-        .with_seed(5)
-        .build()
-    )
+    testbed = Testbed.build(ExperimentConfig.scaled(
+        code="rs-6-3", num_nodes=16, trace="ycsb-a", num_chunks=12, seed=5,
+    ))
     testbed.start_foreground()
     testbed.cluster.sim.run(until=3.0)
 

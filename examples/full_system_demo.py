@@ -9,7 +9,7 @@ Exercises the extension surfaces on top of the paper's core:
    with every repaired chunk verified byte-for-byte at the end.
 """
 
-from repro import MB, Testbed
+from repro import MB, ExperimentConfig, Testbed
 from repro.cluster import drop_node_chunks, encode_and_load
 from repro.repair import DataPlane
 from repro.traffic import TraceClient, ycsb_a
@@ -17,17 +17,11 @@ from repro.traffic import TraceClient, ycsb_a
 
 def main() -> None:
     # --- 1. a hierarchical testbed -------------------------------------------
-    testbed = (
-        Testbed.builder()
-        .with_code("rs-10-4")
-        .with_nodes(20)
-        .with_clients(2)
-        .with_chunks(20)
-        .with_seed(11)
-        .with_options(chunk_mb=16.0, slice_mb=1.0, t_phase=5.0,
-                      racks=4, oversubscription=3.0)
-        .build()
-    )
+    testbed = Testbed.build(ExperimentConfig.scaled(
+        code="rs-10-4", num_nodes=20, num_clients=2, num_chunks=20, seed=11,
+        chunk_mb=16.0, slice_mb=1.0, t_phase=5.0,
+        racks=4, oversubscription=3.0,
+    ))
     cluster, store = testbed.cluster, testbed.store
     print(f"cluster: 20 nodes in 4 racks (3x oversubscribed), {len(store)} "
           f"stripes of {testbed.code.name}")

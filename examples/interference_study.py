@@ -12,18 +12,17 @@ Usage:
 
 import sys
 
-from repro import Testbed
+from repro import ExperimentConfig, Testbed
 from repro.experiments import format_table, run_repair_experiment
 
-TRACES = ("ycsb-a", "ibm-os", "memcached", "facebook-etc")
+TRACES = ("YCSB-A", "IBM-OS", "Memcached", "Facebook-ETC")
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ChameleonEC")
 
 
 def main(scale: float = 0.06) -> None:
     throughput_rows, p99_rows = [], []
-    for slug in TRACES:
-        config = Testbed.builder().scaled(scale).with_trace(slug).config()
-        trace = config.trace
+    for trace in TRACES:
+        config = ExperimentConfig.scaled(scale, trace=trace)
         tp_row, p99_row = [trace], [trace]
         for algorithm in ALGORITHMS:
             result = run_repair_experiment(

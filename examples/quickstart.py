@@ -3,7 +3,7 @@
 
 Walks the stable ``repro`` facade in one sitting:
 
-1. build an RS(10,4)-coded testbed of 20 nodes with the fluent builder,
+1. build an RS(10,4)-coded testbed of 20 nodes from one config,
 2. replay YCSB-A foreground traffic from 4 clients,
 3. fail a node and repair its chunks with ChameleonEC,
 4. verify (over real bytes) that a ChameleonEC plan decodes correctly,
@@ -12,23 +12,16 @@ Walks the stable ``repro`` facade in one sitting:
 
 import numpy as np
 
-from repro import Testbed, execute_plan
+from repro import ExperimentConfig, Testbed, execute_plan
 from repro.core import TaskDispatcher, build_plan
 
 
 def main() -> None:
     # --- 1. the testbed: cluster + coded stripes + monitor ------------------
-    testbed = (
-        Testbed.builder()
-        .with_code("rs-10-4")
-        .with_nodes(20)
-        .with_clients(4)
-        .with_trace("ycsb-a")
-        .with_chunks(20)
-        .with_options(chunk_mb=16.0, slice_mb=1.0, t_phase=5.0)
-        .with_seed(7)
-        .build()
-    )
+    testbed = Testbed.build(ExperimentConfig.scaled(
+        code="rs-10-4", num_nodes=20, num_clients=4, trace="ycsb-a",
+        num_chunks=20, chunk_mb=16.0, slice_mb=1.0, t_phase=5.0, seed=7,
+    ))
     code = testbed.code
     print(f"cluster: 20 nodes, {len(testbed.store)} stripes of {code.name}")
 

@@ -15,14 +15,14 @@ monitor sees it and avoids the node) and the hog arriving *mid-repair*
 (only re-scheduling can react).
 """
 
-from repro import Testbed
+from repro import ExperimentConfig, Testbed
 from repro.experiments.exp11_breakdown import StragglerLoad
 
 ALGORITHMS = ("CR", "PPR", "ECPipe", "ETRP", "ChameleonEC")
 
 
 def run_one(algorithm: str, hog_delay: float, scale: float = 0.08) -> str:
-    testbed = Testbed.builder().scaled(scale).build()
+    testbed = Testbed.build(ExperimentConfig.scaled(scale))
     testbed.start_foreground()
     hog = StragglerLoad(testbed.cluster, node_id=1)
     testbed.cluster.sim.run(until=3.0)

@@ -30,7 +30,7 @@ Quick start::
 """
 
 from repro.analysis import ReliabilityModel, loss_probability_curve
-from repro.api import ShardRouter, Testbed, TestbedBuilder
+from repro.api import ShardRouter, Testbed
 from repro.cluster import (
     GB,
     KB,
@@ -213,7 +213,6 @@ __all__ = (
     "StripeStore",
     "TimeseriesRecorder",
     "Testbed",
-    "TestbedBuilder",
     "ToleranceExceeded",
     "TraceClient",
     "TransitioningTrace",

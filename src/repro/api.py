@@ -6,17 +6,17 @@ fault wiring: a :class:`repro.faults.FaultTimeline` installed on a
 testbed forwards the chunks lost in a mid-run crash to every repairer
 built through :meth:`Testbed.make_repairer`, so recovery "just works".
 
-Two construction styles::
+A testbed is built from an :class:`ExperimentConfig`; optional
+features are then switched on by their own methods (``set_slos``,
+``enable_timeseries``, ``enable_journal``, ``enable_integrity``,
+``inject_bitrot``, ``start_scrubber``, ``enable_admission_control``,
+``enable_failure_detector``)::
 
     from repro import Testbed, ExperimentConfig
 
-    tb = Testbed.build(ExperimentConfig.scaled(0.05))
-
-    tb = (Testbed.builder()
-          .with_code("rs-6-3")
-          .with_nodes(20)
-          .with_trace("ycsb-a")
-          .build())
+    tb = Testbed.build(ExperimentConfig.scaled(
+        0.05, code="rs-6-3", num_nodes=20, trace="ycsb-a"))
+    tb.enable_journal()
 
 Then::
 
@@ -29,7 +29,6 @@ Then::
 
 from __future__ import annotations
 
-import inspect
 import math
 
 from repro.cluster.datastore import ChunkStore, drop_node_chunks, encode_and_load
@@ -114,7 +113,10 @@ class Testbed:
     def __init__(self, config: ExperimentConfig | None = None) -> None:
         config = config if config is not None else ExperimentConfig.scaled()
         self.config = config
+        # Both specs are checked before anything is scheduled: a bad
+        # code raises CodingError, an unknown trace SimulationError.
         self.code = make_code(config.code)
+        make_trace(config.trace)
         self.cluster = Cluster(
             num_nodes=config.num_nodes,
             num_clients=config.num_clients,
@@ -198,11 +200,6 @@ class Testbed:
         """Build a testbed from a config (``None`` = scaled defaults)."""
         return cls(config)
 
-    @classmethod
-    def builder(cls) -> "TestbedBuilder":
-        """Start a fluent builder (``.with_code(...)...build()``)."""
-        return TestbedBuilder(cls)
-
     # -- foreground -----------------------------------------------------------
 
     def start_foreground(
@@ -214,14 +211,21 @@ class Testbed:
     ) -> None:
         """Launch closed-loop clients replaying the configured trace.
 
-        With timeseries enabled, the foreground latency recorder joins
+        ``num_clients`` (default: every client node) starts the first
+        that many; a count outside ``0..len(cluster.clients)`` raises
+        :class:`ReproError`. With timeseries enabled, the foreground latency recorder joins
         the sampler automatically.
         """
         from repro.metrics.latency import LatencyRecorder
 
         cfg = self.config
+        available = len(self.cluster.clients)
+        count = available if num_clients is None else num_clients
+        if not 0 <= count <= available:
+            raise ReproError(
+                f"num_clients must lie in 0..{available} (got {count})"
+            )
         self.latency = LatencyRecorder("foreground")
-        count = len(self.cluster.clients) if num_clients is None else num_clients
         for i, node in enumerate(self.cluster.clients[:count]):
             if transition_segments is not None:
                 generator = TransitioningTrace(
@@ -413,8 +417,11 @@ class Testbed:
         process-global metrics registry when one is installed, and —
         once :meth:`start_foreground` runs — the foreground latency
         recorder (exact per-window P50/P99). Idempotent; returns the
-        recorder. Stop it (``testbed.timeseries.stop()``) before driving
-        the simulator with an unbounded ``run()``.
+        recorder, and a second call keeps the first one's ``window``.
+        :meth:`enable_admission_control` starts a recorder too, so call
+        this one first when the window is not the controller's. Stop it
+        (``testbed.timeseries.stop()``) before driving the simulator
+        with an unbounded ``run()``.
         """
         if self.timeseries is not None:
             return self.timeseries
@@ -454,8 +461,7 @@ class Testbed:
         chosen = specs if specs is not None else self.slos
         if not chosen:
             raise ReproError(
-                "no SLOs declared; call set_slos() (or builder "
-                ".with_slos()) or pass specs="
+                "no SLOs declared; call set_slos() or pass specs="
             )
         started = [
             r.meter.started_at
@@ -643,8 +649,7 @@ class Testbed:
     def _require_journal(self, what: str, when: str = "first") -> None:
         if self.journal is None:
             raise ReproError(
-                f"{what} needs a journal; call enable_journal() (or "
-                f"builder .with_journal()) {when}"
+                f"{what} needs a journal; call enable_journal() {when}"
             )
 
     def inject_coordinator_crash(
@@ -964,151 +969,9 @@ class Testbed:
             self._outage_chunks.setdefault(shard, []).extend(owned_by(shard))
 
 
-#: One row per optional feature: the :class:`TestbedBuilder` method it
-#: gets and the :class:`Testbed` method that implements it. Row order is
-#: the order ``build()`` applies them in: the recorder before the
-#: controller that reads it, the journal before anything builds a
-#: coordinator, integrity before the bit-rot that damages it.
-_FEATURES = (
-    ("with_timeseries", "enable_timeseries"),
-    ("with_journal", "enable_journal"),
-    ("with_integrity", "enable_integrity"),
-    ("with_bitrot", "inject_bitrot"),
-    ("with_scrubber", "start_scrubber"),
-    ("with_admission_control", "enable_admission_control"),
-    ("with_failure_detector", "enable_failure_detector"),
-)
-
-
-class TestbedBuilder:
-    """Fluent construction of a :class:`Testbed`.
-
-    Every ``with_*`` method returns the builder; ``build()`` produces
-    the testbed (``config()`` just the :class:`ExperimentConfig`).
-    Unset knobs keep the scaled-run defaults of
-    :meth:`ExperimentConfig.scaled`. The feature methods
-    (``with_journal``, ``with_integrity``, …) are not written out here:
-    each is derived from the :class:`Testbed` method :data:`_FEATURES`
-    pairs it with, and takes exactly that method's arguments.
-    """
-
-    __test__ = False  # "Test" prefix; keep pytest from collecting this
-
-    def __init__(self, testbed_cls: type = Testbed) -> None:
-        self._testbed_cls = testbed_cls
-        self._scale: float | None = None
-        self._overrides: dict = {}
-        #: ``with_*`` feature name -> the (args, kwargs) ``build()``
-        #: replays against the testbed, in :data:`_FEATURES` order.
-        self._features: dict[str, tuple[tuple, dict]] = {}
-        self._slos: list[SLOSpec] = []
-
-    # -- knobs ----------------------------------------------------------------
-
-    def with_code(self, spec: str) -> "TestbedBuilder":
-        """Erasure code, e.g. ``"rs-6-3"``, ``"RS(10,4)"``, ``"lrc-12-2-2"``.
-
-        The spec is parsed and the code built here, so a bad spec fails
-        at this call (see :func:`repro.codes.make_code`).
-        """
-        self._overrides["code"] = make_code(spec).name
-        return self
-
-    def with_nodes(self, num_nodes: int) -> "TestbedBuilder":
-        """Number of storage nodes."""
-        self._overrides["num_nodes"] = num_nodes
-        return self
-
-    def with_clients(self, num_clients: int) -> "TestbedBuilder":
-        """Number of foreground client nodes."""
-        self._overrides["num_clients"] = num_clients
-        return self
-
-    def with_trace(self, name: str) -> "TestbedBuilder":
-        """Foreground trace, case-insensitive (``"ycsb-a"``, ``"ibm-os"``…)."""
-        self._overrides["trace"] = make_trace(name).name
-        return self
-
-    def with_chunks(self, num_chunks: int) -> "TestbedBuilder":
-        """Failed chunks repaired in a full-node repair."""
-        self._overrides["num_chunks"] = num_chunks
-        return self
-
-    def with_seed(self, seed: int) -> "TestbedBuilder":
-        """Placement / trace RNG seed."""
-        self._overrides["seed"] = seed
-        return self
-
-    def scaled(self, scale: float) -> "TestbedBuilder":
-        """Proportionally shrink the run (see :meth:`ExperimentConfig.scaled`)."""
-        self._scale = scale
-        return self
-
-    def with_options(self, **kwargs) -> "TestbedBuilder":
-        """Escape hatch: set any :class:`ExperimentConfig` field directly."""
-        self._overrides.update(kwargs)
-        return self
-
-    def with_slos(self, *specs: SLOSpec) -> "TestbedBuilder":
-        """Declare SLOs for :meth:`Testbed.evaluate_slos` (cumulative)."""
-        self._slos.extend(specs)
-        return self
-
-    # -- products -------------------------------------------------------------
-
-    def config(self) -> ExperimentConfig:
-        """The accumulated configuration."""
-        if self._scale is not None:
-            return ExperimentConfig.scaled(self._scale, **self._overrides)
-        return ExperimentConfig.scaled(**self._overrides)
-
-    def build(self) -> Testbed:
-        """Materialise the testbed, then apply the requested features."""
-        testbed = self._testbed_cls(self.config())
-        if self._slos:
-            testbed.set_slos(*self._slos)
-        for name, target in _FEATURES:
-            if name in self._features:
-                args, kwargs = self._features[name]
-                getattr(testbed, target)(*args, **kwargs)
-        return testbed
-
-
-def _feature_method(name: str, target: str):
-    """The builder method ``name``: record a deferred ``Testbed.target`` call.
-
-    Arguments are bound against the target's own signature when the
-    ``with_*`` method is called, so a misspelt keyword fails there and
-    not later inside ``build()``.
-    """
-    method = getattr(Testbed, target)
-    signature = inspect.signature(method)
-
-    def with_feature(self, *args, **kwargs):
-        bound = signature.bind(self, *args, **kwargs)
-        self._features[name] = (bound.args[1:], bound.kwargs)
-        return self
-
-    with_feature.__name__ = name
-    with_feature.__qualname__ = f"TestbedBuilder.{name}"
-    with_feature.__signature__ = signature.replace(
-        return_annotation="TestbedBuilder"
-    )
-    with_feature.__doc__ = (
-        f"On ``build()``, call :meth:`Testbed.{target}` with these "
-        f"arguments.\n\n{inspect.getdoc(method)}"
-    )
-    return with_feature
-
-
-for _name, _target in _FEATURES:
-    setattr(TestbedBuilder, _name, _feature_method(_name, _target))
-
-
 __all__ = [
     "ALL_ALGORITHMS",
     "ExperimentConfig",
     "ShardRouter",
     "Testbed",
-    "TestbedBuilder",
 ]

@@ -133,17 +133,15 @@ def facebook_etc(seed: int = 0) -> TraceGenerator:
     )
 
 
-def uniform_trace(
-    value_size: float = 512 * KB, read_ratio: float = 0.5, seed: int = 0
-) -> TraceGenerator:
-    """A plain uniform workload over 10 000 keys (useful in tests and
-    ablations)."""
+def uniform_trace(seed: int = 0) -> TraceGenerator:
+    """A plain uniform workload over 10 000 keys: 50 % reads, 512 KB
+    values (useful in tests)."""
     rng = np.random.default_rng(seed)
     return TraceGenerator(
         "Uniform",
-        read_ratio=read_ratio,
+        read_ratio=0.5,
         key_sampler=UniformSampler(10_000, rng=rng),
-        size_sampler=FixedSize(value_size),
+        size_sampler=FixedSize(512 * KB),
         rng=rng,
     )
 

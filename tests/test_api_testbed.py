@@ -1,18 +1,34 @@
-"""The repro.api facade: TestbedBuilder spec parsing and its feature
-table, disk bandwidth, and the stable re-exports."""
-
-import inspect
+"""The repro.api facade: code and trace specs checked on the one
+construction path, foreground client counts, the feature methods, disk
+bandwidth, and the stable re-exports."""
 
 import pytest
 
 import repro
-from repro.api import _FEATURES, Testbed, TestbedBuilder
+from repro.api import Testbed
 from repro.cluster import Cluster, mbs
 from repro.codes import make_code
-from repro.errors import CodingError, ReproError
+from repro.errors import CodingError, ReproError, SimulationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_repair_experiment
 from repro.faults import FaultTimeline
+from repro.slo import SLOSpec
+from repro.traffic import make_trace
+
+
+@pytest.fixture
+def no_cluster(monkeypatch):
+    """Fail the test if ``Testbed.build`` gets as far as the cluster
+    (whose simulator the first events are scheduled on)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cluster was built before the spec was checked")
+
+    monkeypatch.setattr("repro.api.Cluster", refuse)
+
+
+def build(**fields) -> Testbed:
+    return Testbed.build(ExperimentConfig.scaled(0.05, **fields))
 
 
 class TestNormalization:
@@ -30,7 +46,7 @@ class TestNormalization:
     )
     def test_code_specs(self, spec, expected):
         assert make_code(spec).name == expected
-        assert TestbedBuilder().with_code(spec).config().code == expected
+        assert build(code=spec).code.name == expected
 
     @pytest.mark.parametrize(
         "bad",
@@ -44,21 +60,27 @@ class TestNormalization:
             "",
         ],
     )
-    def test_bad_code_spec_rejected(self, bad):
+    def test_bad_code_spec_rejected(self, bad, no_cluster):
         with pytest.raises(ReproError, match="valid forms"):
-            TestbedBuilder().with_code(bad)
+            make_code(bad)
+        with pytest.raises(ReproError, match="valid forms"):
+            build(code=bad)
 
     @pytest.mark.parametrize(
         "bad", ["rs-6", "lrc-10-2", "Butterfly(4)", "rs-6-3-1", "RS(6,3,1)"]
     )
-    def test_wrong_arity_fails_at_the_call_not_in_build(self, bad):
+    def test_wrong_arity_fails_at_the_call_not_in_build(self, bad, no_cluster):
         with pytest.raises(CodingError, match="valid forms"):
-            TestbedBuilder().with_code(bad)
+            make_code(bad)
+        with pytest.raises(CodingError, match="valid forms"):
+            build(code=bad)
 
     @pytest.mark.parametrize("bad", ["butterfly-6-3", "lrc-10-3-2", "RS(0,2)"])
-    def test_parameters_the_code_rejects_fail_at_the_call(self, bad):
+    def test_parameters_the_code_rejects_fail_at_the_call(self, bad, no_cluster):
         with pytest.raises(CodingError):
-            TestbedBuilder().with_code(bad)
+            make_code(bad)
+        with pytest.raises(CodingError):
+            build(code=bad)
 
     @pytest.mark.parametrize(
         ("slug", "expected"),
@@ -71,159 +93,67 @@ class TestNormalization:
         ],
     )
     def test_trace_slugs(self, slug, expected):
-        assert TestbedBuilder().with_trace(slug).config().trace == expected
+        assert make_trace(slug).name == expected
+        testbed = build(trace=slug)
+        testbed.start_foreground()
+        assert {c.generator.name for c in testbed.clients} == {expected}
 
-    def test_unknown_trace_rejected(self):
-        with pytest.raises(ReproError, match="valid traces"):
-            TestbedBuilder().with_trace("zipf-99")
-
-
-class TestBuilder:
-    def test_builder_produces_config(self):
-        config = (
-            TestbedBuilder()
-            .with_code("rs-6-3")
-            .with_nodes(18)
-            .with_clients(2)
-            .with_trace("ycsb-a")
-            .with_chunks(10)
-            .with_seed(5)
-            .with_options(link_gbps=25.0, disk_mbs=800.0)
-            .config()
-        )
-        assert config.code == "RS(6,3)"
-        assert config.num_nodes == 18
-        assert config.num_clients == 2
-        assert config.trace == "YCSB-A"
-        assert config.num_chunks == 10
-        assert config.seed == 5
-        assert config.link_gbps == 25.0
-        assert config.disk_mbs == 800.0
-
-    def test_with_options_passthrough(self):
-        config = TestbedBuilder().with_options(t_phase=3.0, racks=2).config()
-        assert config.t_phase == 3.0
-        assert config.racks == 2
-
-    def test_build_returns_testbed(self):
-        testbed = TestbedBuilder().scaled(0.05).build()
-        assert isinstance(testbed, Testbed)
-        assert testbed.cluster.sim is not None
-
-    def test_classmethod_builder(self):
-        assert isinstance(Testbed.builder(), TestbedBuilder)
+    def test_unknown_trace_rejected(self, no_cluster):
+        with pytest.raises(SimulationError, match="valid traces"):
+            make_trace("zipf-99")
+        with pytest.raises(SimulationError, match="valid traces"):
+            build(trace="zipf-99")
 
 
-#: One non-default argument per feature that takes any, so a replay
-#: that dropped or defaulted it shows up in :func:`subsystems`.
-FEATURE_ARGS = {
-    "with_timeseries": {"window": 0.5},
-    "with_journal": {},
-    "with_integrity": {},
-    "with_bitrot": {"corruptions": 2, "horizon": 5.0},
-    "with_scrubber": {"rate_mbs": 100.0},
-    "with_admission_control": {"baseline_p99": 0.01},
-    "with_failure_detector": {"heartbeat_interval": 0.25},
-}
+class TestForegroundClients:
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_in_range_count_starts_that_many(self, count):
+        testbed = build()
+        testbed.start_foreground(num_clients=count)
+        assert len(testbed.clients) == count
+
+    @pytest.mark.parametrize("count", [-1, 5, 9])
+    def test_out_of_range_count_rejected(self, count):
+        testbed = build()
+        with pytest.raises(ReproError, match="num_clients"):
+            testbed.start_foreground(num_clients=count)
+        assert testbed.clients == []
 
 
-def subsystems(testbed: Testbed) -> dict:
-    """What the seven features leave attached to a testbed."""
-    first_chunk = next(iter(testbed.chunk_store.chunks()))
-    return {
-        "timeseries": testbed.timeseries.window,
-        "journal": testbed.journal.lease_duration,
-        "integrity": (
-            len(testbed.chunk_store.get(first_chunk)),
-            testbed.dataplane is not None,
-            testbed.ledger is not None,
-        ),
-        "scrubber": (testbed.scrubber.rate, testbed.scrubber.running),
-        "controller": (
-            testbed.controller.baseline_p99,
-            testbed.controller.recorder is testbed.timeseries,
-            [s for s, _ in testbed.controller._scrubbers] == [testbed.scrubber],
-        ),
-        "detector": testbed.detector.heartbeat_interval,
-        "faults": [repr(event) for event in testbed.fault_timeline.events],
-    }
+class TestFeatures:
+    """Each feature method attaches its subsystem with the arguments it
+    was given, and only when called."""
 
+    def test_features_attach_what_they_were_given(self):
+        testbed = build(seed=2)
+        slo = SLOSpec("deadline", "repair_deadline", 100.0)
+        testbed.set_slos(slo)
+        testbed.enable_timeseries(window=0.5)
+        testbed.enable_journal()
+        testbed.enable_integrity()
+        rot = testbed.inject_bitrot(corruptions=2, horizon=5.0)
+        testbed.start_scrubber(100.0, passes=2)
+        testbed.enable_admission_control(baseline_p99=0.01, window=2.0)
+        testbed.enable_failure_detector(heartbeat_interval=0.25)
 
-class TestFeatureTable:
-    """``_FEATURES`` is the contract: each builder feature method *is*
-    its Testbed method, deferred to ``build()`` and replayed in table
-    order."""
-
-    def test_table_covers_every_builder_feature_once(self):
-        names = [name for name, _ in _FEATURES]
-        assert sorted(names) == sorted(FEATURE_ARGS)
-        assert len(set(names)) == len(names)
-        # Derived by the one factory, not hand-written beside the table.
-        methods = [getattr(TestbedBuilder, name) for name in names]
-        assert [m.__name__ for m in methods] == names
-        assert len({m.__code__ for m in methods}) == 1
-
-    @pytest.mark.parametrize(("name", "target"), _FEATURES)
-    def test_builder_method_has_its_targets_signature(self, name, target):
-        derived = inspect.signature(getattr(TestbedBuilder, name))
-        original = inspect.signature(getattr(Testbed, target))
-        assert list(derived.parameters.values()) == list(
-            original.parameters.values()
-        )
-        assert derived.return_annotation == "TestbedBuilder"
-        assert inspect.getdoc(getattr(Testbed, target)) in getattr(
-            TestbedBuilder, name
-        ).__doc__
-
-    @pytest.mark.parametrize(("name", "target"), _FEATURES)
-    def test_unknown_keyword_fails_at_the_call_not_in_build(self, name, target):
-        builder = TestbedBuilder()
-        with pytest.raises(TypeError, match="no_such_option"):
-            getattr(builder, name)(no_such_option=1, **FEATURE_ARGS[name])
-        assert builder._features == {}
-        assert getattr(builder, name)(**FEATURE_ARGS[name]) is builder
-
-    def test_scrubber_rate_binds_positionally_or_by_keyword(self):
-        by_position = TestbedBuilder().with_scrubber(100.0, passes=2)
-        by_keyword = TestbedBuilder().with_scrubber(rate_mbs=100.0, passes=2)
-        assert by_position._features == by_keyword._features
-
-    def test_build_replays_the_table_in_order(self):
-        top_level_calls = []
-        depth = [0]
-
-        def spy_on(target):
-            def spy(self, *args, **kwargs):
-                # Features enable their own prerequisites (scrubber ->
-                # integrity, admission -> timeseries); count only the
-                # calls build() itself makes.
-                if depth[0] == 0:
-                    top_level_calls.append(target)
-                depth[0] += 1
-                try:
-                    return getattr(Testbed, target)(self, *args, **kwargs)
-                finally:
-                    depth[0] -= 1
-
-            return spy
-
-        recording = type(
-            "Recording", (Testbed,), {t: spy_on(t) for _, t in _FEATURES}
-        )
-        builder = recording.builder().scaled(0.05).with_seed(2)
-        for name, _ in reversed(_FEATURES):  # request order must not matter
-            getattr(builder, name)(**FEATURE_ARGS[name])
-        built = builder.build()
-        assert isinstance(built, recording)
-        assert top_level_calls == [target for _, target in _FEATURES]
-
-        imperative = Testbed.build(ExperimentConfig.scaled(0.05, seed=2))
-        for name, target in _FEATURES:
-            getattr(imperative, target)(**FEATURE_ARGS[name])
-        assert subsystems(built) == subsystems(imperative)
+        assert testbed.slos == [slo]
+        assert testbed.timeseries.window == 0.5  # the recorder came first
+        assert testbed.journal is not None
+        first_chunk = next(iter(testbed.chunk_store.chunks()))
+        assert len(testbed.chunk_store.get(first_chunk)) == 128
+        assert testbed.dataplane is not None and testbed.ledger is not None
+        assert testbed.fault_timeline is rot
+        assert len(rot.events) == 2
+        assert testbed.scrubber.rate == pytest.approx(mbs(100.0))
+        assert testbed.scrubber.running
+        assert testbed.controller.baseline_p99 == 0.01
+        assert testbed.controller.recorder is testbed.timeseries
+        assert [s for s, _ in testbed.controller._scrubbers] == [testbed.scrubber]
+        assert testbed.detector.heartbeat_interval == 0.25
 
     def test_an_unrequested_feature_is_not_applied(self):
-        testbed = TestbedBuilder().scaled(0.05).with_journal().build()
+        testbed = build()
+        testbed.enable_journal()
         assert testbed.journal is not None
         assert testbed.timeseries is None and testbed.dataplane is None
         assert testbed.scrubber is None and testbed.controller is None
@@ -247,7 +177,7 @@ class TestAsymmetricDisk:
     """Disks are symmetric: one bandwidth sets both disk resources."""
 
     def test_config_reaches_node_resources(self):
-        testbed = TestbedBuilder().scaled(0.05).with_options(disk_mbs=800.0).build()
+        testbed = build(disk_mbs=800.0)
         node = testbed.cluster.node(testbed.cluster.storage_ids[0])
         assert node.disk_read.capacity == pytest.approx(mbs(800))
         assert node.disk_write.capacity == pytest.approx(mbs(800))
@@ -275,7 +205,7 @@ class TestAsymmetricDisk:
 
 class TestFaultWiring:
     def test_install_faults_forwards_crash_chunks(self):
-        testbed = TestbedBuilder().scaled(0.06).with_seed(2).build()
+        testbed = Testbed.build(ExperimentConfig.scaled(0.06, seed=2))
         report = testbed.injector.fail_nodes([testbed.cluster.storage_ids[0]])
         repairer = testbed.make_repairer("ChameleonEC")
         adopted = []
@@ -293,7 +223,7 @@ class TestFaultWiring:
         assert not testbed.cluster.node(victim).alive
 
     def test_repairers_are_tracked(self):
-        testbed = TestbedBuilder().scaled(0.05).build()
+        testbed = build()
         repairer = testbed.make_repairer("CR")
         assert testbed.repairers == [repairer]
 
@@ -304,12 +234,12 @@ class TestRunUntilLimit:
         RuntimeError at the limit, not an infinite loop or a bare None."""
         from repro.errors import ConvergenceError
 
-        testbed = TestbedBuilder().scaled(0.05).build()
+        testbed = build()
         with pytest.raises(ConvergenceError, match="limit"):
             testbed.run_until(lambda: False, step=1.0, limit=3.0)
 
     def test_satisfied_predicate_returns_the_clock(self):
-        testbed = TestbedBuilder().scaled(0.05).build()
+        testbed = build()
         end = testbed.run_until(
             lambda: testbed.cluster.sim.now >= 2.0, step=1.0, limit=10.0
         )
@@ -321,7 +251,6 @@ class TestReExports:
         "name",
         [
             "Testbed",
-            "TestbedBuilder",
             "ExperimentConfig",
             "HookEmitter",
             "FaultTimeline",

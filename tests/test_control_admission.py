@@ -10,7 +10,7 @@ to a controller-free run (the determinism acceptance criterion).
 
 import pytest
 
-from repro.api import Testbed, TestbedBuilder
+from repro.api import Testbed
 from repro.control import AdmissionController, AIMDPolicy
 from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
@@ -280,25 +280,19 @@ class TestTestbedWiring:
         second = testbed.enable_admission_control(baseline_p99=0.01)
         assert first is second is testbed.controller
 
-    def test_builder_installs_controller(self):
-        testbed = (TestbedBuilder()
-                   .scaled(0.05)
-                   .with_options(chunk_mb=16.0)
-                   .with_timeseries(window=0.5)
-                   .with_admission_control(baseline_p99=0.01)
-                   .build())
+    def test_enable_installs_controller(self):
+        testbed = Testbed.build(ExperimentConfig.scaled(0.05, chunk_mb=16.0))
+        testbed.enable_timeseries(window=0.5)
+        testbed.enable_admission_control(baseline_p99=0.01)
         assert testbed.controller is not None
         assert testbed.controller.started
-        # The recorder kept the builder's cadence; the controller follows.
+        # The recorder kept its own cadence; the controller follows.
         assert testbed.timeseries.window == 0.5
 
     def test_new_repairers_and_scrubber_attach_automatically(self):
-        testbed = (TestbedBuilder()
-                   .scaled(0.05)
-                   .with_options(chunk_mb=16.0)
-                   .with_integrity()
-                   .with_admission_control(baseline_p99=0.01, window=0.5)
-                   .build())
+        testbed = Testbed.build(ExperimentConfig.scaled(0.05, chunk_mb=16.0))
+        testbed.enable_integrity()
+        testbed.enable_admission_control(baseline_p99=0.01, window=0.5)
         controller = testbed.controller
         assert controller._scrubbers == [] and controller._repairers == []
         testbed.start_scrubber(rate_mbs=50.0)

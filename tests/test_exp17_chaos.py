@@ -123,14 +123,14 @@ class TestTestbedSLOWiring:
         with pytest.raises(ReproError, match="no SLOs declared"):
             testbed.evaluate_slos()
 
-    def test_builder_with_slos_accumulates(self):
-        from repro.api import TestbedBuilder
+    def test_set_slos_keeps_declaration_order(self):
+        from repro.api import Testbed
 
-        testbed = (TestbedBuilder()
-                   .scaled(0.05)
-                   .with_slos(SLOSpec("a", "zero_loss", 0.0))
-                   .with_slos(SLOSpec("b", "repair_deadline", 100.0))
-                   .build())
+        testbed = Testbed.build(ExperimentConfig.scaled(0.05))
+        testbed.set_slos(
+            SLOSpec("a", "zero_loss", 0.0),
+            SLOSpec("b", "repair_deadline", 100.0),
+        )
         report = testbed.evaluate_slos()
         assert [v.spec.name for v in report.verdicts] == ["a", "b"]
         assert report.passed

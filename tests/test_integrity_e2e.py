@@ -11,24 +11,21 @@ end — must hold for *every* seed.
 import pytest
 
 from repro.api import Testbed
+from repro.experiments.config import ExperimentConfig
 from repro.faults import FaultTimeline
 
 
 def run_seed(seed: int) -> Testbed:
-    testbed = (
-        Testbed.builder()
-        .scaled(0.05)
-        .with_options(
-            num_nodes=10,
-            num_clients=2,
-            code="RS(4,2)",
-            chunk_mb=8.0,
-            num_chunks=6,
-        )
-        .with_seed(seed)
-        .with_integrity()
-        .build()
-    )
+    testbed = Testbed.build(ExperimentConfig.scaled(
+        0.05,
+        num_nodes=10,
+        num_clients=2,
+        code="RS(4,2)",
+        chunk_mb=8.0,
+        num_chunks=6,
+        seed=seed,
+    ))
+    testbed.enable_integrity()
     testbed.start_foreground()
     report = testbed.fail_nodes(1)
     repairer = testbed.make_repairer("CR")

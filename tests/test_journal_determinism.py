@@ -10,6 +10,7 @@ criteria.
 import pytest
 
 from repro.api import Testbed
+from repro.experiments.config import ExperimentConfig
 from repro.sim.resources import REPAIR_TAG
 
 SEEDS = tuple(range(10))
@@ -17,18 +18,13 @@ CRASH_TIMES = (0.03, 0.08, 0.15)
 
 
 def make_testbed(seed):
-    return (
-        Testbed.builder()
-        .scaled(0.05)
-        .with_options(
-            num_nodes=12, num_clients=2, code="RS(4,2)",
-            chunk_mb=16.0, num_chunks=10,
-        )
-        .with_seed(seed)
-        .with_integrity()
-        .with_journal()
-        .build()
-    )
+    testbed = Testbed.build(ExperimentConfig.scaled(
+        0.05, num_nodes=12, num_clients=2, code="RS(4,2)",
+        chunk_mb=16.0, num_chunks=10, seed=seed,
+    ))
+    testbed.enable_journal()
+    testbed.enable_integrity()
+    return testbed
 
 
 def run_crash_recover(seed, crash_at):

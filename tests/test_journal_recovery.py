@@ -19,18 +19,13 @@ from repro.sim.resources import REPAIR_TAG
 
 
 def make_testbed(seed=7):
-    return (
-        Testbed.builder()
-        .scaled(0.05)
-        .with_options(
-            num_nodes=12, num_clients=2, code="RS(4,2)",
-            chunk_mb=16.0, num_chunks=12,
-        )
-        .with_seed(seed)
-        .with_integrity()
-        .with_journal()
-        .build()
-    )
+    testbed = Testbed.build(ExperimentConfig.scaled(
+        0.05, num_nodes=12, num_clients=2, code="RS(4,2)",
+        chunk_mb=16.0, num_chunks=12, seed=seed,
+    ))
+    testbed.enable_journal()
+    testbed.enable_integrity()
+    return testbed
 
 
 def crash_and_recover(testbed, crash_at, *, algorithm="ChameleonEC", step=0.01):
@@ -331,22 +326,18 @@ def test_a_later_scrubber_routes_detections_to_the_owning_shard():
 
 class TestRecoveryGuards:
     def test_recover_without_journal_raises(self):
-        testbed = (
-            Testbed.builder().scaled(0.05)
-            .with_options(num_nodes=10, num_clients=0, code="RS(4,2)",
-                          chunk_mb=8.0, num_chunks=4)
-            .build()
-        )
+        testbed = Testbed.build(ExperimentConfig.scaled(
+            0.05, num_nodes=10, num_clients=0, code="RS(4,2)",
+            chunk_mb=8.0, num_chunks=4,
+        ))
         with pytest.raises(ReproError, match="journal"):
             testbed.recover_repairer()
 
     def test_crash_injection_without_journal_raises(self):
-        testbed = (
-            Testbed.builder().scaled(0.05)
-            .with_options(num_nodes=10, num_clients=0, code="RS(4,2)",
-                          chunk_mb=8.0, num_chunks=4)
-            .build()
-        )
+        testbed = Testbed.build(ExperimentConfig.scaled(
+            0.05, num_nodes=10, num_clients=0, code="RS(4,2)",
+            chunk_mb=8.0, num_chunks=4,
+        ))
         with pytest.raises(ReproError, match="journal"):
             testbed.inject_coordinator_crash(1.0)
 

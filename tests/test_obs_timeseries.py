@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Testbed, TestbedBuilder
+from repro.api import Testbed
 from repro.errors import ReproError, SimulationError
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.latency import LatencyRecorder
@@ -260,12 +260,9 @@ class TestWindowDeltaInvariants:
 
 class TestPerTagAttribution:
     def test_repair_and_scrub_shares_break_out(self):
-        testbed = (TestbedBuilder()
-                   .scaled(0.05)
-                   .with_options(chunk_mb=16.0)
-                   .with_timeseries(window=0.5)
-                   .with_integrity()
-                   .build())
+        testbed = Testbed.build(ExperimentConfig.scaled(0.05, chunk_mb=16.0))
+        testbed.enable_timeseries(window=0.5)
+        testbed.enable_integrity()
         testbed.start_foreground()
         testbed.cluster.sim.run(until=1.0)
         report = testbed.fail_nodes(1)

@@ -2,12 +2,12 @@
 
 ``repro.__all__`` is the supported API. This test pins it exactly:
 adding or removing a name must be a deliberate edit here, and every
-advertised name must actually resolve. ``Testbed``/``TestbedBuilder``
-are the sole experiment facade; the deprecated ``Scenario`` never
-appears at top level.
+advertised name must actually resolve. ``Testbed`` is the sole
+experiment facade (``Testbed.build(config)`` plus its ``enable_*``
+methods); the deprecated ``Scenario`` never appears at top level.
 
 The settable options are pinned the same way: a new engine or
-controller keyword, a new builder feature, or any new defaulted
+controller keyword, a new ``Testbed`` feature, or any new defaulted
 parameter anywhere on the public surface must be a deliberate edit to
 :class:`TestOptionRatchet`.
 """
@@ -15,7 +15,7 @@ parameter anywhere on the public surface must be a deliberate edit to
 import inspect
 
 import repro
-from repro.api import _FEATURES, Testbed
+from repro.api import Testbed
 from repro.control import AdmissionController
 from repro.journal import Journal, JournalShard
 from repro.repair.engine import RepairEngine
@@ -90,7 +90,6 @@ FROZEN_SURFACE = (
     "StripeStore",
     "TimeseriesRecorder",
     "Testbed",
-    "TestbedBuilder",
     "ToleranceExceeded",
     "TraceClient",
     "TransitioningTrace",
@@ -130,14 +129,12 @@ class TestFrozenSurface:
 
     def test_facade_entry_points_present(self):
         assert "Testbed" in repro.__all__
-        assert "TestbedBuilder" in repro.__all__
 
 
 def public_signatures():
     """``(qualified name, signature)`` of every public callable: each
     function in ``repro.__all__``, plus ``__init__`` and the public
-    methods defined on each exported class (including the ``with_*``
-    builder methods generated from ``_FEATURES``)."""
+    methods defined on each exported class."""
     for name in repro.__all__:
         obj = getattr(repro, name)
         if inspect.isfunction(obj):
@@ -319,13 +316,6 @@ PUBLIC_OPTIONS = (
     "Testbed.start_foreground.trace",
     "Testbed.start_foreground.transition_segments",
     "Testbed.start_scrubber.passes",
-    "TestbedBuilder.__init__.testbed_cls",
-    "TestbedBuilder.with_admission_control.policy",
-    "TestbedBuilder.with_admission_control.window",
-    "TestbedBuilder.with_bitrot.sector_errors",
-    "TestbedBuilder.with_failure_detector.heartbeat_interval",
-    "TestbedBuilder.with_scrubber.passes",
-    "TestbedBuilder.with_timeseries.window",
     "TimeseriesRecorder.__init__.window",
     "TimeseriesRecorder.latest.default",
     "TimeseriesRecorder.to_dict.prefix",
@@ -379,9 +369,6 @@ class TestOptionRatchet:
             "writeback_committed", "chunk_lost",
         }
         assert not writes & set(vars(Journal))
-
-    def test_feature_table_size(self):
-        assert len(_FEATURES) == 7
 
     def test_public_options(self):
         """Every defaulted parameter on the public surface is an option;

@@ -18,6 +18,7 @@ import pytest
 from repro.api import ShardRouter, Testbed
 from repro.cluster.stripes import ChunkId
 from repro.errors import ReproError
+from repro.experiments.config import ExperimentConfig
 from repro.obs.metrics import MetricsRegistry, set_registry
 
 SEEDS = tuple(range(10))
@@ -26,18 +27,13 @@ SHARD_COUNTS = (2, 4)
 
 
 def make_testbed(seed):
-    return (
-        Testbed.builder()
-        .scaled(0.05)
-        .with_options(
-            num_nodes=12, num_clients=2, code="RS(4,2)",
-            chunk_mb=16.0, num_chunks=10,
-        )
-        .with_seed(seed)
-        .with_integrity()
-        .with_journal()
-        .build()
-    )
+    testbed = Testbed.build(ExperimentConfig.scaled(
+        0.05, num_nodes=12, num_clients=2, code="RS(4,2)",
+        chunk_mb=16.0, num_chunks=10, seed=seed,
+    ))
+    testbed.enable_journal()
+    testbed.enable_integrity()
+    return testbed
 
 
 def all_done(testbed):
@@ -107,10 +103,10 @@ class TestSingleShardEquivalence:
         assert list(only.completed) == list(repairer.completed)
 
     def test_sharded_repair_requires_a_journal(self):
-        testbed = Testbed.builder().scaled(0.05).with_options(
-            num_nodes=12, num_clients=2, code="RS(4,2)",
+        testbed = Testbed.build(ExperimentConfig.scaled(
+            0.05, num_nodes=12, num_clients=2, code="RS(4,2)",
             chunk_mb=16.0, num_chunks=10,
-        ).build()
+        ))
         report = testbed.fail_nodes(1)
         with pytest.raises(ReproError):
             testbed.start_sharded_repair(

@@ -1,6 +1,7 @@
 """Tests for the windowed resource account (repro.sim.resources)."""
 
-from repro.api import TestbedBuilder
+from repro.api import Testbed
+from repro.experiments.config import ExperimentConfig
 from repro.monitor import BandwidthMonitor
 from repro.obs.timeseries import TimeseriesRecorder
 from repro.sim import Flow, FlowScheduler, Resource, Simulator
@@ -137,11 +138,8 @@ class OracleRecorder(TimeseriesRecorder):
 
 class TestWindowedViewsOracle:
     def test_monitor_and_recorder_match_independent_snapshots(self):
-        testbed = (TestbedBuilder()
-                   .scaled(0.05)
-                   .with_options(chunk_mb=16.0)
-                   .with_integrity()
-                   .build())
+        testbed = Testbed.build(ExperimentConfig.scaled(0.05, chunk_mb=16.0))
+        testbed.enable_integrity()
         cluster = testbed.cluster
         resources = [res for node in cluster.storage_nodes + cluster.clients
                      for res in node.all_resources()]

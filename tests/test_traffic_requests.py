@@ -8,8 +8,9 @@ bare request must become the very transfer it stands for), and a seeded
 YCSB-A testbed beside a repair.
 """
 
-from repro.api import TestbedBuilder
+from repro.api import Testbed
 from repro.cluster import MB, Cluster, mbs
+from repro.experiments.config import ExperimentConfig
 from repro.obs.metrics import Counter, MetricsRegistry, set_registry
 from repro.sim.resources import FOREGROUND_TAG, REPAIR_TAG
 from repro.sim.transfers import Transfer
@@ -169,7 +170,7 @@ class TestRequestPaths:
 
 def _ycsb_with_repair(transfer_only):
     """A seeded YCSB-A testbed beside a ChameleonEC repair of one node."""
-    testbed = TestbedBuilder().scaled(0.05).with_options(chunk_mb=16.0).build()
+    testbed = Testbed.build(ExperimentConfig.scaled(0.05, chunk_mb=16.0))
     if transfer_only:
         requests_through_transfers(testbed.cluster)
     sim = testbed.cluster.sim
