@@ -24,14 +24,13 @@ fourth has the shape of foreground traffic, closed-loop single-slice
 requests on disjoint node pairs beside bulk flows on one hot link, where
 nearly every epoch is due before anything else and must close inline,
 without a trip through the event queue (``sim.events_inline`` against
-``alloc.passes``), and where a request that empties its node pair must
-close its epoch in place, with no recompute at all (``alloc.passes``
+``alloc.passes``), and where a completion with nothing else due must run
+its epoch in place, with no deferred event at all (``sim.events_dispatched``
 against the never-quiet twin engine's); the same clients sent through
 ``TransferManager.request``, which runs each request as one flow, must
-match their ``Transfer`` run in completions and counts. An epoch closed in place runs
-neither through the queue nor inline, and ``alloc.passes`` does not count
-it; the gates that relate epochs to completions add those epochs back, so
-they count the epochs the never-quiet twin counts. A fifth repairs one
+match their ``Transfer`` run in completions and counts. An epoch run in
+place is a pass that runs neither through the queue nor inline; the gate
+on queue-free epochs adds those epochs back. A fifth repairs one
 node with CR and no foreground, where the helpers' slice boundaries share
 instants, and pins its exact ``alloc.fills`` and ``alloc.successions``.
 The assertions are counts and simulated instants, not timings.
@@ -55,6 +54,7 @@ from repro.sim import (
 )
 from tests.oracles import (
     FromScratchAllocator,
+    InPlaceCountingScheduler,
     NeverQuietSimulator,
     QueueOnlySimulator,
     ReferenceRateAllocator,
@@ -144,16 +144,6 @@ def test_allocator_churn_scaling(benchmark, bench_scale):
     )
 
 
-class _CountingAllocator(RateAllocator):
-    """Counts the emptied departures the scheduler closes in place."""
-
-    closed = 0
-
-    def close_emptied(self):
-        super().close_emptied()
-        self.closed += 1
-
-
 NUM_TRANSFERS = 8
 SLICES_PER_TRANSFER = 32
 
@@ -190,9 +180,8 @@ def _run_sliced_pipeline(allocator):
 
 
 def test_sliced_pipeline_skips_the_fill_at_slice_boundaries(benchmark):
-    allocator = _CountingAllocator()
     registry, completions = benchmark.pedantic(
-        _run_sliced_pipeline, args=(allocator,), rounds=1, iterations=1
+        _run_sliced_pipeline, args=(RateAllocator(),), rounds=1, iterations=1
     )
     _, reference = _run_sliced_pipeline(ReferenceRateAllocator())
 
@@ -209,8 +198,8 @@ def test_sliced_pipeline_skips_the_fill_at_slice_boundaries(benchmark):
     )
     assert len(completions) == NUM_TRANSFERS * SLICES_PER_TRANSFER
     assert completions == reference
-    # Every slice completion opens an epoch: a recompute, or closed in place.
-    assert passes + allocator.closed >= len(completions)
+    # Every slice completion opens an epoch.
+    assert passes >= len(completions)
     assert fills <= 0.25 * passes, f"{fills} fills in {passes} epochs"
 
 
@@ -288,10 +277,10 @@ def _run_requests(sim_cls, as_transfers=True):
     Each request is a released ``Transfer``, or with ``as_transfers``
     False goes through ``TransferManager.request``, which runs it as one
     flow. Returns (registry, every request's (name, completion time) in
-    completion order, the epochs closed in place)."""
+    completion order, the epochs run in place)."""
     sim = sim_cls()
-    allocator = _CountingAllocator()
-    manager = TransferManager(FlowScheduler(sim, allocator=allocator))
+    scheduler = InPlaceCountingScheduler(sim)
+    manager = TransferManager(scheduler)
     completions = []
 
     def client(pair):
@@ -333,7 +322,7 @@ def _run_requests(sim_cls, as_transfers=True):
     finally:
         set_registry(previous)
     assert len(completions) == NUM_PAIRS * REQUESTS_PER_CLIENT
-    return registry, completions, allocator.closed
+    return registry, completions, scheduler.in_place
 
 
 def _counts(registry):
@@ -344,55 +333,56 @@ def _counts(registry):
 
 
 def test_request_epochs_close_inline(benchmark):
-    registry, completions, closed = benchmark.pedantic(
+    registry, completions, in_place = benchmark.pedantic(
         _run_requests, args=(Simulator,), rounds=1, iterations=1
     )
     twin_registry, twin_completions, _ = _run_requests(QueueOnlySimulator)
 
     # Only the flow scheduler's recompute is deferred here.
     passes, inline, events = _counts(registry)
-    # An epoch closed in place took no trip through the queue either.
-    epochs, queue_free = passes + closed, inline + closed
+    # An epoch run in place took no trip through the queue either.
+    queue_free = inline + in_place
     emit(
         benchmark,
         f"Request epochs: {NUM_PAIRS} closed-loop clients x {REQUESTS_PER_CLIENT} "
         "single-slice requests beside a hot link",
-        ["passes", "inline", "closed in place", "queue-free / epochs", "events"],
-        [[passes, inline, closed, round(queue_free / epochs, 3), events]],
+        ["passes", "inline", "in place", "queue-free / passes", "events"],
+        [[passes, inline, in_place, round(queue_free / passes, 3), events]],
     )
     assert completions == twin_completions
     assert events == twin_registry.counter("sim.events_dispatched").value
     assert twin_registry.counter("sim.events_inline").value == 0
-    assert queue_free >= 0.9 * epochs, f"{queue_free} of {epochs} epochs queue-free"
+    assert queue_free >= 0.9 * passes, f"{queue_free} of {passes} epochs queue-free"
 
 
 def test_request_entry_point_equals_transfers():
     """The same clients through ``TransferManager.request``, which runs a
     single-slice request as one flow: the same completions, passes,
-    inline epochs, dispatched events and epochs closed in place as when
+    inline epochs, dispatched events and epochs run in place as when
     every request is a ``Transfer``."""
-    registry, completions, closed = _run_requests(Simulator, as_transfers=False)
-    twin_registry, twin_completions, twin_closed = _run_requests(Simulator)
+    registry, completions, in_place = _run_requests(Simulator, as_transfers=False)
+    twin_registry, twin_completions, twin_in_place = _run_requests(Simulator)
     assert completions == twin_completions
     assert _counts(registry) == _counts(twin_registry)
-    assert closed == twin_closed > 0
+    assert in_place == twin_in_place > 0
     assert registry.counter("transfers.completed").value == 4
     assert twin_registry.counter("transfers.completed").value == 4 + len(completions)
 
 
 def test_request_departures_close_in_place():
-    """Against the never-quiet twin, which opens a recompute for every
-    epoch: the same completions, one pass and one event fewer per epoch
-    closed in place, and on the twin the inline gate read as before."""
-    registry, completions, closed = _run_requests(Simulator)
-    twin_registry, twin_completions, twin_closed = _run_requests(NeverQuietSimulator)
+    """Against the never-quiet twin, which defers every epoch: the same
+    completions and passes, one event fewer per epoch run in place (the
+    twin runs each of them inline instead), and on the twin the inline
+    gate read as before."""
+    registry, completions, in_place = _run_requests(Simulator)
+    twin_registry, twin_completions, twin_in_place = _run_requests(NeverQuietSimulator)
     passes, inline, events = _counts(registry)
     twin_passes, twin_inline, twin_events = _counts(twin_registry)
     assert completions == twin_completions
-    assert twin_closed == 0 < closed
-    assert twin_passes - passes == closed
-    assert twin_events - events == closed
-    assert twin_inline - inline == closed
+    assert twin_in_place == 0 < in_place
+    assert twin_passes == passes
+    assert twin_events - events == in_place
+    assert twin_inline - inline == in_place
     assert twin_inline >= 0.9 * twin_passes, f"{twin_inline} of {twin_passes} epochs inline"
 
 
@@ -421,7 +411,8 @@ def test_cr_repair_hands_simultaneous_slices_off_without_a_fill(benchmark):
     """CR's star sends every helper's slices into one requestor at the same
     pace, so many slice boundaries share an instant; each such instant is
     one succession. The counts are pinned exactly (a fill that comes back
-    moves them), and the repair takes the reference allocator's time."""
+    moves them; every epoch is a pass, an emptied one too), and the repair
+    takes the reference allocator's time."""
     registry, result = benchmark.pedantic(_run_cr_repair, rounds=1, iterations=1)
     passes, fills, successions = (
         int(registry.counter(f"alloc.{name}").value)
@@ -433,6 +424,6 @@ def test_cr_repair_hands_simultaneous_slices_off_without_a_fill(benchmark):
         ["passes", "fills", "successions"],
         [[passes, fills, successions]],
     )
-    assert (passes, fills, successions) == (346, 74, 264)
+    assert (passes, fills, successions) == (433, 74, 264)
     _, reference = _run_cr_repair(ReferenceRateAllocator())
     assert result.repair_time == reference.repair_time

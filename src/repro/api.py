@@ -110,8 +110,7 @@ class Testbed:
 
     __test__ = False  # "Test" prefix; keep pytest from collecting this
 
-    def __init__(self, config: ExperimentConfig | None = None) -> None:
-        config = config if config is not None else ExperimentConfig.scaled()
+    def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
         # Both specs are checked before anything is scheduled: a bad
         # code raises CodingError, an unknown trace SimulationError.
@@ -196,8 +195,8 @@ class Testbed:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def build(cls, config: ExperimentConfig | None = None) -> "Testbed":
-        """Build a testbed from a config (``None`` = scaled defaults)."""
+    def build(cls, config: ExperimentConfig) -> "Testbed":
+        """Build a testbed from a config."""
         return cls(config)
 
     # -- foreground -----------------------------------------------------------

@@ -187,9 +187,6 @@ class TaskDispatcher:
             + [self._node_time(n, self.load.up[n], self.load.down[n]) for n in participants]
         )
 
-        # Traffic accounting fraction (Butterfly half-chunk reads).
-        equation = code.repair_equation(chunk.index, set(chunk_indices.values()))
-
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant(
@@ -209,5 +206,4 @@ class TaskDispatcher:
             source_downloads=dict(chunk_downloads),
             dest_downloads=dest_downloads,
             estimated_time=estimated,
-            read_fraction=equation.read_fraction,
         )

@@ -52,7 +52,6 @@ class ChunkDispatch:
     source_downloads: dict[int, int] = field(default_factory=dict)
     dest_downloads: int = 1
     estimated_time: float = 0.0
-    read_fraction: float = 1.0
 
     @property
     def relays(self) -> list[int]:

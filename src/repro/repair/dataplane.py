@@ -66,6 +66,16 @@ def decode_from_store(
     return execute_plan(plan, helpers)
 
 
+def unsound_helpers(
+    chunk_store: ChunkStore, chunk: ChunkId, plan: RepairPlan
+) -> tuple[list[ChunkId], list[ChunkId]]:
+    """``plan``'s helpers that fail verification, and of those the corrupt
+    ones: a helper whose payload is gone (its node died after its upload
+    landed) fails too, but it is a loss, not a detection."""
+    bad = chunk_store.unsound(ChunkId(chunk.stripe, s.chunk_index) for s in plan.sources)
+    return bad, [helper for helper in bad if chunk_store.has(helper)]
+
+
 class DataPlane:
     """Executes completed repair plans over stored payloads."""
 
@@ -110,19 +120,15 @@ class DataPlane:
         rejected and (given a ``repairer``) re-queued around the
         quarantined helpers.
         """
-        bad_helpers = []
-        for source in plan.sources:
-            source_chunk = ChunkId(chunk.stripe, source.chunk_index)
-            if not self.chunk_store.verify(source_chunk):
-                bad_helpers.append(source_chunk)
+        bad_helpers, corrupt = unsound_helpers(self.chunk_store, chunk, plan)
         if bad_helpers:
-            self._reject(chunk, bad_helpers, repairer, reason="corrupt_helper")
+            self._reject(chunk, bad_helpers, corrupt, repairer, reason="corrupt_helper")
             return
         payload = decode_from_store(
             self.chunk_store, self.stripe_store.code, chunk, plan
         )
         if not self.chunk_store.matches_checksum(chunk, payload):
-            self._reject(chunk, [], repairer, reason="bad_decode")
+            self._reject(chunk, [], [], repairer, reason="bad_decode")
             return
         self.chunk_store.put(chunk, payload)
         self._retries.pop(chunk, None)
@@ -138,11 +144,13 @@ class DataPlane:
         self,
         chunk: ChunkId,
         bad_helpers: list[ChunkId],
+        corrupt: list[ChunkId],
         repairer,
         *,
         reason: str,
     ) -> None:
-        """A write-back failed verification: quarantine and re-queue."""
+        """A write-back failed verification: quarantine, report the corrupt
+        helpers to the ledger, and re-queue."""
         self.rejected.append((chunk, reason))
         if self.injector is not None:
             for helper in bad_helpers:
@@ -152,9 +160,8 @@ class DataPlane:
             # until a verified write-back releases it.
             self.injector.quarantine(chunk)
         if self.ledger is not None:
-            for helper in bad_helpers:
-                if self.chunk_store.has(helper):
-                    self.ledger.record_detection(helper, "repair")
+            for helper in corrupt:
+                self.ledger.record_detection(helper, "repair")
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant(

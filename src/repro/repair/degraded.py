@@ -8,7 +8,8 @@ is reconstructed at the client (Exp#10).
 
 Verified reads: pass ``chunk_store`` to :func:`run_degraded_read` and
 every helper payload is checksum-verified when the flows complete. A
-corrupted helper is quarantined (and reported to the ledger), a fresh
+corrupted helper is quarantined (and reported to the ledger), a lost one
+(its payload gone since its upload landed) only quarantined, a fresh
 plan is built over the remaining candidates — the same helper
 reselection ChameleonEC's Algorithm 1 applies to stragglers — and the
 read re-issues. The client only ever receives bytes reconstructed from
@@ -29,7 +30,7 @@ from repro.errors import SchedulingError
 from repro.monitor.bandwidth import BandwidthMonitor
 from repro.obs.metrics import get_registry
 from repro.repair.base import RepairAlgorithm
-from repro.repair.dataplane import decode_from_store
+from repro.repair.dataplane import decode_from_store, unsound_helpers
 from repro.repair.instance import PlanInstance
 from repro.repair.plan import RepairPlan
 
@@ -46,7 +47,7 @@ class DegradedRead:
     payload: np.ndarray | None = None
     #: Corrupted helpers detected (and quarantined) along the way.
     detected: list[ChunkId] = field(default_factory=list)
-    #: Plans issued: 1 for a clean read, +1 per corrupted-helper fallback.
+    #: Plans issued: 1 for a clean read, +1 per corrupt- or lost-helper fallback.
     attempts: int = 0
 
     @property
@@ -135,16 +136,13 @@ def run_degraded_read(
         if chunk_store is None:
             read.completed_at = cluster.sim.now
             return
-        bad = []
-        for source in plan.sources:
-            source_chunk = ChunkId(chunk.stripe, source.chunk_index)
-            if not chunk_store.verify(source_chunk):
-                bad.append(source_chunk)
+        bad, corrupt = unsound_helpers(chunk_store, chunk, plan)
         if bad:
             for helper in bad:
                 injector.quarantine(helper)
-                read.detected.append(helper)
-                if ledger is not None:
+            read.detected += corrupt
+            if ledger is not None:
+                for helper in corrupt:
                     ledger.record_detection(helper, "degraded_read")
             registry = get_registry()
             if registry.enabled:
@@ -152,7 +150,7 @@ def run_degraded_read(
             if read.attempts >= max_attempts:
                 raise SchedulingError(
                     f"degraded read of {chunk} exhausted {max_attempts} plans "
-                    f"against corrupted helpers"
+                    f"against unsound helpers"
                 )
             launch()
             return

@@ -107,7 +107,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Callable, Iterable, KeysView, Protocol
+from typing import Callable, Iterable, Protocol
 
 from repro.sim.resources import Resource
 
@@ -208,11 +208,6 @@ class RateAllocator:
     def __len__(self) -> int:
         return len(self._flow_resources)
 
-    @property
-    def flows(self) -> KeysView[AllocatableFlow]:
-        """The registered (active) flows."""
-        return self._flow_resources.keys()
-
     def add_flow(self, flow: AllocatableFlow) -> None:
         """Register ``flow``; its resources become dirty."""
         if flow in self._flow_resources:
@@ -253,24 +248,6 @@ class RateAllocator:
             self._all_dirty = True
         else:
             self._dirty.update(dict.fromkeys(resources))
-
-    def emptied(self) -> bool:
-        """True when the epoch so far is rated departures alone (no arrival,
-        no capacity mark, no flow that came and went unrated) that left no
-        user on any resource they dirtied: :meth:`recompute` would write
-        nothing and move no counter. Read-only."""
-        if not self._left or self._disturbed or self._fresh:
-            return False
-        users = self._users
-        for res in self._dirty:
-            if res in users:
-                return False
-        return True
-
-    def close_emptied(self) -> None:
-        """Close an :meth:`emptied` epoch exactly as :meth:`recompute` would."""
-        self._left.clear()
-        self._dirty.clear()
 
     def recompute(
         self, on_touch: Callable[[AllocatableFlow], None] | None = None

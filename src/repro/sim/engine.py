@@ -141,7 +141,7 @@ class Simulator:
         deferred event, and no live queued event is due now.
 
         An epoch opened now would then run next and alone, so a caller
-        that closes it in place instead of deferring it dispatches every
+        that runs it in place instead of deferring it dispatches every
         other event in the same relative ``(time, seq)`` order.
         """
         if not self._running or self._deferred is not None:

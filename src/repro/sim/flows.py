@@ -117,14 +117,11 @@ class FlowScheduler:
     when nothing else is due before it. A completion that opens an epoch
     leaves the completion event to the recompute when the engine says it
     runs next (:meth:`Simulator.runs_next`): the recompute syncs it anyway.
-    A completion whose finished flows leave nobody to re-rate opens no
-    recompute at all when the allocator holds nothing else
-    (:meth:`RateAllocator.emptied`) and nothing else is due now
-    (:meth:`Simulator.quiet_now`): that recompute would run next and
-    write nothing, so the handler closes the epoch in place
-    (:meth:`RateAllocator.close_emptied`, the heap check, the sync), and
-    every other event keeps its relative ``(time, seq)`` order. The
-    scheduler reads the clock as ``sim.now``, which only the engine writes.
+    A completion defers no recompute at all when nothing else is due now
+    (:meth:`Simulator.quiet_now`): that epoch would run next and alone,
+    so the handler runs it in place, and every other event keeps its
+    relative ``(time, seq)`` order. The scheduler reads the clock as
+    ``sim.now``, which only the engine writes.
     Each epoch re-rates only the contention component reachable from the
     touched resources (see :class:`repro.sim.allocator.RateAllocator`);
     flows outside it keep their rates, and their in-flight progress is
@@ -378,15 +375,11 @@ class FlowScheduler:
         for flow in finished:
             self._complete_flow(flow)
         if finished:
-            if self.sim.quiet_now() and self.allocator.emptied():
-                # The finished flows left nobody to re-rate and nothing
-                # else is due now (an earlier recompute request would be:
-                # deferred, or queued at now), so the deferred epoch would
-                # run next and write nothing: it closes here.
-                self.allocator.close_emptied()
-                if len(self._eta_heap) > 4 * len(self.active) + 64:
-                    self._compact_eta_heap()
-                self._sync_completion_event()
+            if self.sim.quiet_now():
+                # Nothing else is due now (an earlier recompute request
+                # would be: deferred, or queued at now), so the deferred
+                # epoch would run next and alone: it runs here.
+                self._do_recompute()
                 return
             self._request_recompute()
         if not self.sim.runs_next(self._recompute_event):

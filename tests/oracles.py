@@ -22,8 +22,9 @@ beyond the ``_SHARE_SLACK`` constant and the ``Resource`` type.
   through the queue, so nothing runs inline; what a run on it computes
   must equal the real engine's.
 * :class:`NeverQuietSimulator` — the engine that never reports a quiet
-  instant, so a departure that empties its resources still takes its
-  deferred epoch; what a run on it computes must equal the real engine's.
+  instant, so a completion's epoch is always deferred, never run in
+  place; what a run on it computes must equal the real engine's.
+  :class:`InPlaceCountingScheduler` counts the epochs run in place.
 * :class:`TransferOnlyManager` — the transfer manager with every
   foreground request built as a :class:`~repro.sim.transfers.Transfer`,
   as before a single-slice request ran as one bare flow; what a run with
@@ -37,7 +38,7 @@ size, on any scheduler.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, KeysView
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from repro.cluster.node import MB, mbs
 from repro.sim.allocator import _SHARE_SLACK, AllocatableFlow, RateAllocator
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.flows import Flow
+from repro.sim.flows import Flow, FlowScheduler
 from repro.sim.resources import Resource
 from repro.sim.transfers import Transfer, TransferManager
 
@@ -141,8 +142,7 @@ def _progressive_fill(
 
 class ReferenceRateAllocator:
     """The dict-of-dicts allocator ``repro.sim.RateAllocator`` replaced, kept
-    verbatim as the bit-identity oracle for its count-based fill (plus the
-    :meth:`emptied` query a flow scheduler asks of any allocator).
+    verbatim as the bit-identity oracle for its count-based fill.
 
     Mutations (:meth:`add_flow`, :meth:`remove_flow`, :meth:`mark_dirty`)
     only record which resources were touched; :meth:`recompute` then
@@ -167,11 +167,6 @@ class ReferenceRateAllocator:
 
     def __len__(self) -> int:
         return len(self._flow_resources)
-
-    @property
-    def flows(self) -> KeysView[AllocatableFlow]:
-        """The registered (active) flows."""
-        return self._flow_resources.keys()
 
     def add_flow(self, flow: AllocatableFlow) -> None:
         """Register ``flow``; its resources become dirty."""
@@ -204,16 +199,6 @@ class ReferenceRateAllocator:
             self._all_dirty = True
         else:
             self._dirty.update(dict.fromkeys(resources))
-
-    def emptied(self) -> bool:
-        """True when :meth:`recompute` would re-rate nobody: no resource
-        it would start from still has users, and nothing asks for a rate."""
-        users = self._users
-        return not (self._all_dirty or self._fresh or any(res in users for res in self._dirty))
-
-    def close_emptied(self) -> None:
-        """Close an :meth:`emptied` epoch exactly as :meth:`recompute` would."""
-        self._dirty.clear()
 
     def recompute(
         self, on_touch: Callable[[AllocatableFlow], None] | None = None
@@ -300,11 +285,6 @@ class FromScratchAllocator:
     def __len__(self) -> int:
         return len(self._flows)
 
-    @property
-    def flows(self) -> KeysView[AllocatableFlow]:
-        """The registered (active) flows."""
-        return self._flows.keys()
-
     def add_flow(self, flow: AllocatableFlow) -> None:
         self._flows[flow] = None
 
@@ -313,14 +293,6 @@ class FromScratchAllocator:
 
     def mark_dirty(self, *resources: Resource) -> None:
         pass  # every recompute is global anyway
-
-    def emptied(self) -> bool:
-        """True when no flow is left: only then does :meth:`recompute`
-        re-rate (and settle) nobody."""
-        return not self._flows
-
-    def close_emptied(self) -> None:
-        pass  # nothing is recorded between epochs
 
     def recompute(
         self, on_touch: Callable[[AllocatableFlow], None] | None = None
@@ -513,12 +485,30 @@ class QueueOnlySimulator(Simulator):
 
 class NeverQuietSimulator(Simulator):
     """``Simulator`` whose :meth:`~Simulator.quiet_now` is always False, so
-    a flow scheduler never closes an emptied departure in place: every
-    epoch takes its deferred recompute. What a run on it computes must equal the real engine's; only its
-    ``events_dispatched`` and ``alloc.passes`` count the extra epochs."""
+    a flow scheduler never runs a completion's epoch in place: every epoch
+    takes its deferred recompute. What a run on it computes, passes
+    included, must equal the real engine's; only its ``events_dispatched``
+    counts one more event per epoch the real engine ran in place."""
 
     def quiet_now(self) -> bool:
         return False
+
+
+class InPlaceCountingScheduler(FlowScheduler):
+    """``FlowScheduler`` that counts the epochs its completion handler runs
+    in place: a deferred epoch runs after the handler returns, so every
+    recompute inside the handler is one."""
+
+    epochs = in_place = 0
+
+    def _do_recompute(self) -> None:
+        self.epochs += 1
+        super()._do_recompute()
+
+    def _on_completion_event(self) -> None:
+        epochs = self.epochs
+        super()._on_completion_event()
+        self.in_place += self.epochs - epochs
 
 
 class TransferOnlyManager(TransferManager):

@@ -30,7 +30,7 @@ written; either way the result is the from-scratch optimum.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
@@ -406,17 +406,29 @@ def _assert_same_recompute(ref, cur, ref_live, cur_live):
 
 @settings(max_examples=400, deadline=None)
 @given(_hostile_capacities(), st.lists(_FILL_MUTATIONS, min_size=1, max_size=30))
+# An inert departure (removing f5 leaves f4 on r1, frozen by r0) keeps the
+# last fill's ties, where the reference re-fills r1's component afresh.
+@example(
+    caps=[1.0] * 3,
+    mutations=[("add", [])] * 3 + [
+        ("add", [32, 0]), ("add", [0, 1]), ("add", [1]), ("add", [290]),
+        ("add", [5054]), ("remove", 0), ("add", [0]), ("remove", 4),
+    ],
+)
 def test_fill_matches_reference_on_hostile_floats(caps, mutations):
     """``RateAllocator`` == ``ReferenceRateAllocator`` (changed-flow order
     and ``==`` rates after every mutation) where the fast bottleneck
     choice is *not* trivially right: shares far below 16 KiB/s, where
     ``_SHARE_SLACK`` is not vacuous and the fill must compare
     sequentially; exact and within-slack ties; the all-dirty path;
-    duplicate resources and resource-less flows."""
+    duplicate resources and resource-less flows. A departure the inert
+    rule takes is held to its contract instead (order 5: it keeps the
+    last fill's ties), and both twins then stand on ``cur``'s rates."""
     resources = [Resource(f"r{i}", cap) for i, cap in enumerate(caps)]
     ref, cur = ReferenceRateAllocator(), RateAllocator()
     ref_live, cur_live = [], []
     for step, (kind, arg) in enumerate(mutations):
+        leaver = None
         if kind == "add":
             chosen = tuple(resources[i % len(resources)] for i in arg)
             for alloc, live in ((ref, ref_live), (cur, cur_live)):
@@ -427,7 +439,8 @@ def test_fill_matches_reference_on_hostile_floats(caps, mutations):
             if ref_live:
                 idx = arg % len(ref_live)
                 ref.remove_flow(ref_live.pop(idx))
-                cur.remove_flow(cur_live.pop(idx))
+                leaver = cur_live.pop(idx)
+                cur.remove_flow(leaver)
         elif kind == "retune":
             target, source, factor = arg
             res = resources[target % len(resources)]
@@ -437,7 +450,13 @@ def test_fill_matches_reference_on_hostile_floats(caps, mutations):
         else:
             ref.mark_dirty()
             cur.mark_dirty()
-        _assert_same_recompute(ref, cur, ref_live, cur_live)
+        if leaver is not None and _inert_by_the_rule(cur, [leaver]):
+            _assert_inert_contract(cur, cur_live)
+            ref.recompute()
+            for r, c in zip(ref_live, cur_live):
+                r.rate = c.rate
+        else:
+            _assert_same_recompute(ref, cur, ref_live, cur_live)
     # And from scratch, in list order, through the public helper.
     for flow in cur_live:
         flow.rate = -1.0

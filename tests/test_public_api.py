@@ -295,8 +295,6 @@ PUBLIC_OPTIONS = (
     "SilentCorruption.__init__.flips",
     "Simulator.run.until",
     "StripeStore.__init__.stripes",
-    "Testbed.__init__.config",
-    "Testbed.build.config",
     "Testbed.enable_admission_control.policy",
     "Testbed.enable_admission_control.window",
     "Testbed.enable_failure_detector.heartbeat_interval",

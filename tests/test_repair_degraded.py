@@ -184,6 +184,38 @@ class TestVerifiedDegradedRead:
         assert ledger.records[bad].detected_by == "degraded_read"
         # The fallback plan cannot have reused the quarantined helper.
 
+    def test_lost_helper_is_not_counted_corrupt(self):
+        # A helper whose node died after its upload landed fails
+        # verification too, but it is lost, not corrupt: the read
+        # quarantines it and re-plans, and nothing counts as detected.
+        cluster, store, injector, cs, chunk = self.verified_env()
+        ledger = IntegrityLedger(cluster.sim)
+        read, instance = run_degraded_read(
+            cluster, store, injector, chunk, cluster.clients[0].id,
+            algorithm=ConventionalRepair(seed=4), slice_size=SLICE,
+            chunk_store=cs, ledger=ledger,
+        )
+        # The uploads land at one instant: drop the first one's helper,
+        # while the others are still to land.
+        landed = []
+
+        def land(source):
+            def on_complete(_t):
+                landed.append(ChunkId(chunk.stripe, source.chunk_index))
+                if len(landed) == 1:
+                    cs.drop(landed[0])
+            return on_complete
+
+        for source in instance.plan.sources:
+            instance.uploads[source.node_id].on_complete.append(land(source))
+        cluster.sim.run()
+        lost = landed[0]
+        assert len(landed) == len(instance.plan.sources) > 1
+        assert read.detected == ledger.unexplained == []
+        assert injector.is_quarantined(lost)
+        assert read.attempts == 2
+        assert np.array_equal(read.payload, cs.truth(chunk))
+
     def test_exhausting_attempts_raises(self):
         cluster, store, injector, cs, chunk = self.verified_env(seed=3)
         probe = degraded_read_plan(

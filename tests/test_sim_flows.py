@@ -14,7 +14,12 @@ from repro.sim import (
     TransferManager,
     allocate_rates,
 )
-from tests.oracles import AuditedRateAllocator, NeverQuietSimulator, QueueOnlySimulator
+from tests.oracles import (
+    AuditedRateAllocator,
+    InPlaceCountingScheduler,
+    NeverQuietSimulator,
+    QueueOnlySimulator,
+)
 
 
 def make_env():
@@ -277,24 +282,17 @@ class TestEtaHeap:
 
 
 class _RecordingAllocator(AuditedRateAllocator):
-    """Records every rate each epoch writes, in write order, an emptied
-    departure closed in place as an epoch that writes nothing."""
+    """Records every rate each epoch writes, in write order."""
 
     def __init__(self, sim):
         super().__init__(rel_tol=1e-12)
         self.sim = sim
         self.written = []
-        self.closed = 0
 
     def recompute(self, on_touch=None):
         changed = super().recompute(on_touch)
         self.written.append((self.sim.now, [(flow.name, flow.rate) for flow in changed]))
         return changed
-
-    def close_emptied(self):
-        super().close_emptied()
-        self.written.append((self.sim.now, []))
-        self.closed += 1
 
     def counters(self):
         return (self.fills, self.successions, self.inert, self.inert_arrivals)
@@ -314,8 +312,7 @@ def _mixed_run(sim_cls, seed):
     Every draw is made up front, so both twins run the same workload."""
     rng = np.random.default_rng(seed)
     sim = sim_cls()
-    allocator = _RecordingAllocator(sim)
-    sched = FlowScheduler(sim, allocator=allocator)
+    sched = InPlaceCountingScheduler(sim, allocator=_RecordingAllocator(sim))
     hot = Resource("hot", float(rng.integers(150, 400)))
     resources = [hot]
     flows = []
@@ -376,11 +373,13 @@ def _mixed_run(sim_cls, seed):
         sim.run(until=float(pause))
     sim.run()
     assert all(flow.done or flow.cancelled for flow in flows)
-    return _observed(sim, allocator, flows, resources, probes)
+    return _observed(sim, sched, flows, resources, probes)
 
 
-def _observed(sim, allocator, flows, resources, probes):
-    """What a run computed, plus the engine's and allocator's counts."""
+def _observed(sim, sched, flows, resources, probes):
+    """What a run computed, plus the engine's, allocator's and scheduler's
+    counts."""
+    allocator = sched.allocator
     return {
         "completions": [(flow.name, flow.completed_at, flow.cancelled) for flow in flows],
         "written": allocator.written,
@@ -388,7 +387,7 @@ def _observed(sim, allocator, flows, resources, probes):
         "events": sim.events_dispatched,
         "probes": probes,
         "counters": allocator.counters(),
-    }, sim.events_inline, allocator.closed
+    }, sim.events_inline, sched.in_place
 
 
 @pytest.mark.parametrize("seed", range(32))
@@ -404,40 +403,41 @@ def test_inline_epochs_match_the_queue_only_twin(seed):
     assert inline > 0
 
 
-def _assert_elision_exact(run, twin, closed, twin_closed):
-    """The run equals its never-elide twin in everything it computed; the
-    twin dispatched one more event per epoch the run closed in place."""
-    assert twin_closed == 0
+def _assert_elision_exact(run, twin, in_place, twin_in_place):
+    """The run equals its never-quiet twin in everything it computed, its
+    epochs and their written rates included; the twin dispatched one more
+    event per epoch the run ran in place."""
+    assert twin_in_place == 0
     assert {k: v for k, v in run.items() if k != "events"} == {
         k: v for k, v in twin.items() if k != "events"
     }
-    assert twin["events"] - run["events"] == closed
+    assert twin["events"] - run["events"] == in_place
 
 
-# -- emptied departures close in place: the engine against its never-quiet twin
+# -- quiet completions run their epoch in place: the engine against its never-quiet twin
 
 
 @pytest.mark.parametrize("seed", range(32))
 def test_emptied_departures_match_the_never_quiet_twin(seed):
-    """Closing an emptied departure's epoch in place changes no completion
-    instant, no written rate, no byte count, no probe and no allocator
-    counter; only the dispatched events fall, by the epochs closed."""
-    run, _, closed = _mixed_run(Simulator, seed)
-    twin, _, twin_closed = _mixed_run(NeverQuietSimulator, seed)
-    _assert_elision_exact(run, twin, closed, twin_closed)
-    assert closed > 0
+    """Running a quiet completion's epoch in place, emptied or not, changes
+    no completion instant, no epoch, no written rate, no byte count, no
+    probe and no allocator counter; only the dispatched events fall, by
+    the epochs run in place."""
+    run, _, in_place = _mixed_run(Simulator, seed)
+    twin, _, twin_in_place = _mixed_run(NeverQuietSimulator, seed)
+    _assert_elision_exact(run, twin, in_place, twin_in_place)
+    assert in_place > 0
 
 
 def _scripted_run(sim_cls, script):
     """``script(sim, sched, manager, resources, flows, probes)`` sets a
     small scenario up; returns what :func:`_observed` reports."""
     sim = sim_cls()
-    allocator = _RecordingAllocator(sim)
-    sched = FlowScheduler(sim, allocator=allocator)
+    sched = InPlaceCountingScheduler(sim, allocator=_RecordingAllocator(sim))
     resources, flows, probes = [], [], []
     script(sim, sched, TransferManager(sched), resources, flows, probes)
     sim.run()
-    return _observed(sim, allocator, flows, resources, probes)
+    return _observed(sim, sched, flows, resources, probes)
 
 
 def _probe(sim, probes):
@@ -480,6 +480,14 @@ def _cancel_in_callback(sim, sched, manager, resources, flows, probes):
         sched.start_flow(flow)
 
 
+def _shared_link(sim, sched, manager, resources, flows, probes):
+    resources += [Resource("down", 100.0)]
+    flows += [Flow("short", 200.0, tuple(resources)), Flow("long", 600.0, tuple(resources))]
+    for flow in flows:
+        flow.on_complete.append(_probe(sim, probes))
+        sched.start_flow(flow)
+
+
 def _lone_transfer(sim, sched, manager, resources, flows, probes):
     resources += [Resource("up", 100.0), Resource("down", 80.0)]
     transfer = Transfer("t", tuple(resources), size=400.0, slice_size=200.0)
@@ -490,26 +498,28 @@ def _lone_transfer(sim, sched, manager, resources, flows, probes):
 
 
 @pytest.mark.parametrize(
-    "script, closed, successions",
+    "script, in_place, successions",
     [
-        (_lone_completion, 1, 0),  # nothing else due: closed in place
+        (_lone_completion, 1, 0),  # nothing else due: run in place
         (_zero_delay_callback, 0, 0),  # an event is queued at now
-        (_stop_in_callback, 1, 1),  # the run stopped: only the second completion closes
+        (_stop_in_callback, 1, 1),  # the run stopped: only the second completion's runs here
         (_cancel_in_callback, 0, 0),  # the cancel's recompute is deferred
-        (_lone_transfer, 1, 1),  # the boundary is a succession; the last slice closes
+        (_shared_link, 2, 0),  # the survivor is re-rated in place, then empties its link
+        (_lone_transfer, 1, 1),  # the boundary is a succession; the last slice's runs here
     ],
     ids=[
         "lone-completion",
         "zero-delay-callback",
         "stop-in-callback",
         "cancel-in-callback",
+        "shared-link",
         "lone-transfer",
     ],
 )
-def test_emptied_departure_cases(script, closed, successions):
-    run, _, run_closed = _scripted_run(Simulator, script)
-    twin, _, twin_closed = _scripted_run(NeverQuietSimulator, script)
-    _assert_elision_exact(run, twin, run_closed, twin_closed)
-    assert run_closed == closed
+def test_emptied_departure_cases(script, in_place, successions):
+    run, _, run_in_place = _scripted_run(Simulator, script)
+    twin, _, twin_in_place = _scripted_run(NeverQuietSimulator, script)
+    _assert_elision_exact(run, twin, run_in_place, twin_in_place)
+    assert run_in_place == in_place
     assert run["counters"][1] == successions
     assert run["probes"]
